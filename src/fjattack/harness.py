@@ -27,7 +27,7 @@ from .adversary import (
 from .dynamics import THETA_MIN, FjParameters, InfluenceNetwork, closed_form_outcome
 from .errors import CapExceededError, ValidationError
 from .fileio import format_sig, load_parameters, round_sig
-from .linalg import factor_conditioned
+from .linalg import factor_conditioned, solve_conditioned
 from .optimizer import (
     _target_subsets,
     baseline_variant,
@@ -421,7 +421,7 @@ def _unpinned_best_response(params, adversaries, p):
         items.append((j, tuple(sorted(chosen))))
     items = tuple(items)
     modified = _reweighted_rows(weights, items, p)
-    z = np.linalg.solve(np.eye(n) - (1.0 - theta)[:, None] * modified, theta * intrinsic)
+    z = solve_conditioned(np.eye(n) - (1.0 - theta)[:, None] * modified, theta * intrinsic)
     return items, float(z.sum())
 
 

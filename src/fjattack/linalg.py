@@ -46,6 +46,37 @@ def factor_conditioned(matrix):
     return lu, piv
 
 
+def invert_conditioned(stack, label):
+    """Invert a (batch, m, m) stack of matrices, rejecting ill-conditioned members.
+
+    Each member's exact 1-norm reciprocal condition number
+    1 / (||A||_1 ||A^-1||_1) must exceed RCOND_MIN.  The gecon figure that
+    factor_conditioned checks estimates ||A^-1||_1 from below, so this
+    check is at least as strict.  ``label(b)`` names member b in the
+    ConvergenceError raised otherwise.
+    """
+    a = np.asarray(stack, dtype=float)
+    try:
+        inverse = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        # Some member is exactly singular; name the first one.
+        for b, member in enumerate(a):
+            try:
+                factor_conditioned(member)
+            except ConvergenceError as exc:
+                raise ConvergenceError(f"{label(b)}: {exc}") from None
+        raise
+    anorm = np.abs(a).sum(axis=-2).max(axis=-1)
+    rcond = 1.0 / (anorm * np.abs(inverse).sum(axis=-2).max(axis=-1))
+    rejected = np.flatnonzero(~(rcond > RCOND_MIN))
+    if rejected.size:
+        b = int(rejected[0])
+        raise ConvergenceError(
+            f"{label(b)}: system is singular or ill-conditioned (rcond={rcond[b]:.3e})"
+        )
+    return inverse
+
+
 def solve_conditioned(matrix, rhs, transposed=False):
     """Solve ``matrix @ x = rhs`` (or the transposed system) with an rcond guard."""
     factor = factor_conditioned(matrix)

@@ -7,28 +7,36 @@ oracle that shares nothing with the decomposed solver but the evaluator.
 """
 
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+import fjattack.linalg
+import fjattack.optimizer
 from conftest import complete_network, random_instance, random_params
 from fjattack import (
     AttackConfig,
     CapExceededError,
+    ConvergenceError,
     FjParameters,
     InfluenceNetwork,
+    Scenario,
     ValidationError,
     adversarial_outcome,
     baseline_variant,
     brute_force_oracle,
     count_configurations,
     follower_candidate_bound,
+    generate,
     marginal_gains,
     solve_attack,
     solve_follower,
 )
 from fjattack.adversary import _RestrictedSystem
-from fjattack.fileio import plan_to_json
+from fjattack.fileio import plan_to_json, save_parameters
+from fjattack.linalg import invert_conditioned
+from fjattack.optimizer import LEADER_CHUNK
 from test_adversary import three_agent_instance
 
 
@@ -194,6 +202,103 @@ def test_approx_close_to_oracle():
         checked += 1
     assert checked == 40
     assert matches >= 36
+
+
+def reference_attack(params, sizes, p=1e-3):
+    """Scalar reference planner: solve_follower on every adversary set in
+    combinations order; an exact tie keeps the smaller set, which within
+    one size is the first one enumerated."""
+    best_g, best = -np.inf, None
+    for size in sizes:
+        for adversaries in combinations(range(params.n), size):
+            targets, g = solve_follower(params, adversaries, p)
+            if g > best_g or (g == best_g and adversaries < best[0]):
+                best_g, best = g, (adversaries, targets)
+    return AttackConfig(best[0], best[1], p), best_g
+
+
+def assert_matches_reference(plan, params, sizes):
+    config, g = reference_attack(params, sizes)
+    assert plan.config == config
+    assert plan.predicted_g == pytest.approx(g, abs=1e-12)
+    return config
+
+
+@pytest.mark.parametrize("topology", ("complete", "ring", "star", "erdos_renyi", "custom"))
+def test_batched_approx_matches_scalar_reference(topology, tmp_path):
+    for n in range(4, 15):
+        if topology == "custom":
+            path = tmp_path / f"custom_{n}.json"
+            save_parameters(random_instance(n, n=n, density=0.5)[1], path)
+            scenario = Scenario(topology="custom", network_file=str(path))
+        else:
+            scenario = Scenario(topology=topology, n=n, seed=n)
+        _, params = generate(scenario)
+        for leader_size in sorted({1, params.network.leader_budget()}):
+            plan = solve_attack(params, p=1e-3, leader_size=leader_size)
+            assert_matches_reference(plan, params, (leader_size,))
+
+
+def test_batched_approx_all_leader_sizes_matches_reference():
+    for topology in ("complete", "erdos_renyi"):
+        _, params = generate(Scenario(topology=topology, n=11, seed=5))
+        plan = solve_attack(params, p=1e-3, all_leader_sizes=True)
+        assert_matches_reference(plan, params, range(1, 4))
+        assert plan.leader_evaluations == 11 + 55 + 165
+
+
+def test_batched_approx_winner_beyond_first_chunk():
+    _, params = generate(Scenario(topology="complete", n=14, seed=0))
+    plan = solve_attack(params, p=1e-3)
+    config = assert_matches_reference(plan, params, (4,))
+    assert list(combinations(range(14), 4)).index(config.adversaries) >= LEADER_CHUNK
+
+
+def test_exact_ties_go_to_the_smallest_set():
+    # Fully stubborn agents that already agree: every attack of every size
+    # yields exactly g = n.
+    network = complete_network(7)
+    base = random_params(np.random.default_rng(16), network)
+    params = FjParameters(
+        network=network,
+        intrinsic=np.ones(7),
+        stubbornness=np.ones(7),
+        influence=base.influence,
+    )
+    assert solve_attack(params, p=1e-3).config.adversaries == (0, 1)
+    relaxed = solve_attack(params, p=1e-3, all_leader_sizes=True)
+    assert relaxed.config.adversaries == (0,)
+    assert relaxed.predicted_g == 7.0
+    assert_matches_reference(relaxed, params, (1, 2))
+
+
+def test_approx_search_is_conditioning_guarded(monkeypatch):
+    _, params = random_instance(60, n=8, density=0.6)
+    monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", 1.0)
+    with pytest.raises(ConvergenceError, match=r"adversary set \(0, 1\)"):
+        solve_attack(params, p=1e-3)
+
+
+def test_approx_search_guards_base_and_rescore_systems(monkeypatch):
+    guarded = []
+
+    def spy(stack, label):
+        guarded.append(len(stack))
+        return invert_conditioned(stack, label)
+
+    monkeypatch.setattr(fjattack.optimizer, "invert_conditioned", spy)
+    _, params = generate(Scenario(topology="complete", n=14, seed=1))
+    plan = solve_attack(params, p=1e-3)
+    assert sum(guarded) == 2 * plan.leader_evaluations == 2 * 1001
+
+
+def test_invert_conditioned_names_the_first_singular_member():
+    singular = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+    stack = np.stack([np.eye(3), singular, singular])
+    with pytest.raises(ConvergenceError, match="member 1"):
+        invert_conditioned(stack, lambda b: f"member {b}")
+    good = np.array([[[2.0, 1.0], [1.0, 3.0]]])
+    assert np.allclose(invert_conditioned(good, str)[0] @ good[0], np.eye(2))
 
 
 def test_plan_invariants_and_determinism():
