@@ -157,56 +157,65 @@ class OutcomeMetrics(NamedTuple):
     agreement_fraction: float
 
 
-class _RestrictedSystem:
-    """Base slices of the dynamics restricted to the non-adversarial agents.
+def _restricted_blocks(params, adversaries):
+    """Stacked restricted systems for a (sets, k) array of sorted adversary sets.
 
-    Holds the unmodified W_UU / W_UA blocks for a fixed adversary set so
-    that many target choices can be scored cheaply: each evaluation copies
-    the handful of targeted rows, applies the re-weighting, and solves one
-    |U| x |U| system.
+    Returns (pinned, unpinned, W_UU, W_UA, 1 - theta_U, theta_U s_U), each
+    with a leading sets axis.
+    """
+    sets, k = adversaries.shape
+    n = params.n
+    pinned = np.zeros((sets, n), dtype=bool)
+    pinned[np.arange(sets)[:, None], adversaries] = True
+    unpinned = np.nonzero(~pinned)[1].reshape(sets, n - k)
+    w_uu = params.influence[unpinned[:, :, None], unpinned[:, None, :]]
+    w_ua = params.influence[unpinned[:, :, None], adversaries[:, None, :]]
+    theta_u = params.stubbornness[unpinned]
+    return pinned, unpinned, w_uu, w_ua, 1.0 - theta_u, theta_u * params.intrinsic[unpinned]
+
+
+def _reweighted_systems(w_uu, w_ua, open_minded, base_rhs, hits, p):
+    """Matrix and right-hand side of each re-weighted restricted system.
+
+    hits[b, u, a] marks unpinned agent u as a target of adversary a.  Every
+    exact score in the package, stacked or one at a time, builds its
+    system here.
+    """
+    scale = (1.0 - hits.sum(axis=2) * p)[:, :, None]
+    # In place on fresh arrays: the same products, without the temporaries.
+    matrix = w_uu * scale
+    matrix *= open_minded[:, :, None]
+    np.subtract(np.eye(w_uu.shape[1]), matrix, out=matrix)
+    mass = w_ua * scale
+    mass += p * hits
+    return matrix, base_rhs + open_minded * mass.sum(axis=2)
+
+
+class _RestrictedSystem:
+    """The dynamics restricted to the non-adversarial agents of one set.
+
+    A one-member stack of _restricted_blocks (W_UU, W_UA, 1 - theta_U and
+    theta_U s_U); ``outcome`` scores one target choice through
+    _reweighted_systems and an rcond-guarded solve.
     """
 
     def __init__(self, params, adversaries):
-        n = params.n
-        adversaries = tuple(sorted(adversaries))
-        unpinned = tuple(i for i in range(n) if i not in set(adversaries))
-        if not unpinned:
+        self.adversaries = tuple(sorted(adversaries))
+        if len(self.adversaries) >= params.n:
             raise ValidationError("every agent is adversarial; nothing to evaluate")
-        u = np.array(unpinned, dtype=int)
-        a = np.array(adversaries, dtype=int)
-        self.adversaries = adversaries
-        self.unpinned = unpinned
-        self.theta_u = params.stubbornness[u]
-        self.s_u = params.intrinsic[u]
-        self.w_uu = params.influence[np.ix_(u, u)]
-        self.w_ua = params.influence[np.ix_(u, a)]
-        self.u_pos = {agent: pos for pos, agent in enumerate(unpinned)}
-        self.a_pos = {agent: pos for pos, agent in enumerate(adversaries)}
-        self.eye = np.eye(len(unpinned))
-
-    def modified_blocks(self, target_items, p):
-        """Apply the row re-weighting for one target choice; returns (W_UU, W_UA)."""
-        w_uu = self.w_uu.copy()
-        w_ua = self.w_ua.copy()
-        hit = {}
-        for j, targets in target_items:
-            for i in targets:
-                hit.setdefault(i, []).append(j)
-        for i, advs in hit.items():
-            row = self.u_pos[i]
-            scale = 1.0 - len(advs) * p
-            w_uu[row] *= scale
-            w_ua[row] *= scale
-            w_ua[row, [self.a_pos[j] for j in advs]] += p
-        return w_uu, w_ua
+        stack = np.array(self.adversaries, dtype=int).reshape(1, -1)
+        _, unpinned, *blocks = (block[0] for block in _restricted_blocks(params, stack))
+        self.unpinned = tuple(unpinned.tolist())
+        self.w_uu, self.w_ua, self.open_minded, self.base_rhs = blocks
 
     def outcome(self, target_items, p):
         """Fixed point over U and the scalar g for one target choice."""
-        w_uu, w_ua = self.modified_blocks(target_items, p)
-        open_minded = 1.0 - self.theta_u
-        system = self.eye - open_minded[:, None] * w_uu
-        rhs = self.theta_u * self.s_u + open_minded * w_ua.sum(axis=1)
-        z_u = np.linalg.solve(system, rhs)
+        hits = np.zeros(self.w_ua.shape, dtype=bool)
+        for j, targets in target_items:
+            hits[np.searchsorted(self.unpinned, targets), self.adversaries.index(j)] = True
+        blocks = (self.w_uu, self.w_ua, self.open_minded, self.base_rhs, hits)
+        matrix, rhs = _reweighted_systems(*(block[None] for block in blocks), p)
+        z_u = solve_conditioned(matrix[0], rhs[0])
         return z_u, float(z_u.sum()) + len(self.adversaries)
 
 
@@ -239,17 +248,8 @@ def adversarial_outcome(params, config, enforce_budgets=True):
     """
     config.validate_against(params.network, enforce_budgets)
     system = _RestrictedSystem(params, config.adversaries)
-    w_uu, w_ua = system.modified_blocks(config.targets, config.influence_magnitude)
-    open_minded = 1.0 - system.theta_u
-    matrix = system.eye - open_minded[:, None] * w_uu
-    rhs = system.theta_u * system.s_u + open_minded * w_ua.sum(axis=1)
-    z_u = solve_conditioned(matrix, rhs)
-    return AdversarialOutcome(
-        config=config,
-        unpinned=system.unpinned,
-        fixed_point=z_u,
-        g_value=float(z_u.sum()) + len(config.adversaries),
-    )
+    z_u, g = system.outcome(config.targets, config.influence_magnitude)
+    return AdversarialOutcome(config=config, unpinned=system.unpinned, fixed_point=z_u, g_value=g)
 
 
 def simulate_adversarial(params, config, z0, rounds, enforce_budgets=True):

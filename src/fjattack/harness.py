@@ -20,7 +20,6 @@ from scipy.linalg import lu_solve
 from .adversary import (
     DEFAULT_P,
     AttackConfig,
-    _RestrictedSystem,
     adversarial_outcome,
     outcome_metrics,
 )
@@ -29,7 +28,9 @@ from .errors import CapExceededError, ValidationError
 from .fileio import format_sig, load_parameters, round_sig
 from .linalg import factor_conditioned, solve_conditioned
 from .optimizer import (
-    _target_subsets,
+    _exact_scorer,
+    _leader_search,
+    _subset_masks,
     baseline_variant,
     count_configurations,
     solve_attack,
@@ -285,8 +286,10 @@ def _resolve_leader_size(scenario, network):
 def _random_targets(network, adversaries, rng):
     """Uniform draw of one feasible target subset per adversary."""
     targets = {}
-    for j, subsets in zip(adversaries, _target_subsets(network, adversaries)):
-        targets[j] = subsets[int(rng.integers(len(subsets)))]
+    for j in adversaries:
+        subsets = _subset_masks(network, j, network.target_budget(j))
+        subsets = subsets[~subsets[:, list(adversaries)].any(axis=1)]
+        targets[j] = np.flatnonzero(subsets[int(rng.integers(len(subsets)))])
     return targets
 
 
@@ -378,18 +381,6 @@ def run_comparison(scenario, strategies, cap=None):
     return rows
 
 
-def _reweighted_rows(weights, target_items, p):
-    out = np.array(weights)
-    hit = {}
-    for j, targets in target_items:
-        for i in targets:
-            hit.setdefault(i, []).append(j)
-    for i, advs in hit.items():
-        out[i] *= 1.0 - len(advs) * p
-        out[i, advs] += p
-    return out
-
-
 def _unpinned_best_response(params, adversaries, p):
     """Follower selection under the no-pinning planner model.
 
@@ -419,8 +410,12 @@ def _unpinned_best_response(params, adversaries, p):
         ranked = sorted(eligible, key=lambda i: (-gain[i], i))
         chosen = [i for i in ranked if gain[i] > 0.0][: network.target_budget(j)]
         items.append((j, tuple(sorted(chosen))))
+    # Row re-weighting as in apply_adversarial_weights; hits[i, j] = p when j targets i.
+    hits = np.zeros((n, n))
+    for j, targets in items:
+        hits[list(targets), j] = p
+    modified = weights * (1.0 - np.count_nonzero(hits, axis=1) * p)[:, None] + hits
     items = tuple(items)
-    modified = _reweighted_rows(weights, items, p)
     z = solve_conditioned(np.eye(n) - (1.0 - theta)[:, None] * modified, theta * intrinsic)
     return items, float(z.sum())
 
@@ -467,13 +462,10 @@ def run_ablation(scenario):
             adversaries, items = best_key
             config = AttackConfig(adversaries=adversaries, targets=items, influence_magnitude=p)
         elif mode == "wo_targeting":
-            best_adv, best_g = None, -np.inf
-            for adversaries in combinations(range(n), leader_size):
-                _, model_g = _RestrictedSystem(params, adversaries).outcome((), p)
-                leader_evals += 1
-                candidates += 1
-                if model_g > best_g or (model_g == best_g and adversaries < best_adv):
-                    best_adv, best_g = adversaries, model_g
+            (best_adv, _), _, leader_evals, candidates = _leader_search(
+                [combinations(range(n), leader_size)],
+                _exact_scorer(params, p, budgets=[0] * n),
+            )
             rng = _substream(scenario.seed, STREAM_ABLATION, mode_index)
             config = AttackConfig(
                 adversaries=best_adv,

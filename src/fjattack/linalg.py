@@ -77,6 +77,28 @@ def invert_conditioned(stack, label):
     return inverse
 
 
+def check_conditioned(stack, label):
+    """Reject ill-conditioned members of a (batch, m, m) stack of matrices.
+
+    A member whose rows are strictly diagonally dominant with margin
+    delta = min_i (|a_ii| - sum_{j != i} |a_ij|) has ||A^-1||_inf <= 1 / delta
+    (Varah), so its 1-norm reciprocal condition number is at least
+    delta / (m^2 ||A||_inf).  Members that bound clears above RCOND_MIN,
+    with room for the rounding of delta, pass without a factorization; the
+    rest go through invert_conditioned, whose ConvergenceError names the
+    member by ``label(b)``.
+    """
+    a = np.abs(stack)
+    m = a.shape[-1]
+    row_sums = a.sum(axis=-1)
+    margin = (2.0 * np.diagonal(a, axis1=-2, axis2=-1) - row_sums).min(axis=-1)
+    norm = row_sums.max(axis=-1)
+    rounding = 2.0 * m * np.finfo(float).eps * norm
+    unsure = np.flatnonzero(~(margin - rounding > m * m * norm * RCOND_MIN))
+    if unsure.size:
+        invert_conditioned(stack[unsure], lambda b: label(int(unsure[b])))
+
+
 def solve_conditioned(matrix, rhs, transposed=False):
     """Solve ``matrix @ x = rhs`` (or the transposed system) with an rcond guard."""
     factor = factor_conditioned(matrix)
@@ -84,28 +106,34 @@ def solve_conditioned(matrix, rhs, transposed=False):
 
 
 def spectral_radius(matrix, max_iterations=2000, tol=1e-13):
-    """Spectral radius of an entrywise nonnegative matrix by power iteration.
+    """Upper bound on the spectral radius of an entrywise nonnegative matrix.
 
-    Nonnegativity makes the all-ones start vector safe (it cannot be
-    orthogonal to the dominant eigenvector).  Convergence is declared when
-    the radius estimate stops moving; the final estimate is returned even
-    if the iteration cap is hit, which for our contraction checks only
-    errs on the conservative side.
+    Power iteration on A + sI from the all-ones vector, with s a fiftieth
+    of the largest row sum: the shift leaves the Perron vector alone but
+    keeps periodic (for example bipartite) matrices from cycling.  It
+    stops when the max-normalized iterate moves by at most ``tol``, or at
+    the iteration cap, and returns the Collatz-Wielandt bound
+    max_i (A v)_i / v_i at the final iterate v.  Because v is positive,
+    that bound is never below the spectral radius, up to the rounding of
+    the last product; it is tight once v has converged.
     """
     a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
     if n == 0:
         return 0.0
-    v = np.full(n, 1.0 / n)
-    estimate = 0.0
-    for _ in range(max_iterations):
-        w = a @ v
-        norm = float(np.max(np.abs(w)))
+    v = np.ones(n)
+    w = a @ v
+    shift = 0.02 * float(np.max(w))
+    for iteration in range(max_iterations):
+        step = w + shift * v
+        norm = float(np.max(step))
         if norm == 0.0:
             return 0.0
-        w /= norm
-        if abs(norm - estimate) <= tol * max(1.0, norm):
-            return norm
-        estimate = norm
-        v = w
-    return estimate
+        step /= norm
+        if np.max(np.abs(step - v)) <= tol or iteration == max_iterations - 1:
+            break
+        v = step
+        w = a @ v
+    # An entry of v that underflowed to zero yields an infinite, still valid, bound.
+    positive = w > 0.0
+    return float(np.max(w[positive] / v[positive], initial=0.0))

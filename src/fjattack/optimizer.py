@@ -25,15 +25,29 @@ so both the base fixed point and c come from one factorization (or one
 inverse) of M.  Gains are nonnegative up to rounding and additive to first
 order when several adversaries pick the same target.
 
-solve_attack runs the approx follower for every adversary set in chunks
-of LEADER_CHUNK sets: the chunk's W_UU / W_UA blocks are stacked, one
-batched inverse of M yields every set's z0 and c, a masked stable
-top-budget selection picks the targets, and one batched solve re-scores
-the re-weighted systems.  Every base and re-scored system passes the
-batched rcond guard ``linalg.invert_conditioned``, which names the
-adversary set it rejects.  ``marginal_gains`` and ``solve_follower`` keep
-the per-set scalar path, the reference the batched search is tested
-against.
+Both modes run on one driver, ``_leader_search``: it takes adversary sets
+LEADER_CHUNK at a time, has a scorer yield the exact g of batches of
+configurations, and keeps the lexicographic argmax.
+
+* The approx scorer stacks the chunk's W_UU / W_UA blocks; one batched
+  inverse of M yields every set's z0 and c, a masked stable top-budget
+  selection picks the targets, and one batched solve re-scores the
+  re-weighted systems.  Every base and re-scored system passes the
+  batched rcond guard ``linalg.invert_conditioned``.
+* The exact scorer serves exact solve_attack, exact solve_follower and
+  brute_force_oracle.  Each agent's within-budget target subsets are a
+  table of boolean masks in canonical (size, lex) order; a set keeps the
+  rows that avoid it, and its joint choices are decoded in mixed radix,
+  last adversary fastest (itertools.product order).  CONFIG_CHUNK
+  configurations at a time are stacked and solved together after
+  ``linalg.check_conditioned`` clears them, by a diagonal-dominance bound
+  or else the exact rcond.
+
+Both guards name the adversary set they reject.  ``marginal_gains`` and
+approx ``solve_follower`` keep the per-set scalar path, the reference the
+batched approx search is tested against.  Every exact score, stacked or
+one at a time (``adversarial_outcome``), builds its system with
+``adversary._reweighted_systems``; only the LAPACK solve differs.
 
 Tie-breaking is deterministic everywhere: higher g wins, then the smaller
 adversary tuple, then the smaller canonical target tuple.
@@ -42,22 +56,34 @@ adversary tuple, then the smaller canonical target tuple.
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from functools import partial
+from itertools import chain, combinations, islice
 
 import numpy as np
 from scipy.linalg import lu_solve
 
-from .adversary import DEFAULT_P, AttackConfig, _RestrictedSystem
+from .adversary import (
+    DEFAULT_P,
+    AttackConfig,
+    _restricted_blocks,
+    _RestrictedSystem,
+    _reweighted_systems,
+)
 from .errors import CapExceededError, ValidationError
-from .linalg import factor_conditioned, invert_conditioned
+from .linalg import check_conditioned, factor_conditioned, invert_conditioned
 
 # Exhaustive target enumeration refuses to look at more configurations than this.
 DEFAULT_CONFIG_CAP = 10_000_000
 
-# Adversary sets scored together by the batched approx search.  A chunk's
+# Adversary sets scored together by _leader_search.  An approx chunk's
 # temporaries peak near 0.9 MB at n = 14 and 1.6 MB at n = 20; of 32-1024
 # sets per chunk, 128 ran fastest at both sizes.
 LEADER_CHUNK = 128
+
+# Configurations stacked into one guarded batched solve by the exact scorer.
+# An exact search peaks near 1.9 MB at n = 12 and 4.4 MB at n = 20 (1.8M
+# configurations); of 128-2048 per chunk, 256-1024 ran alike on plan_exact.
+CONFIG_CHUNK = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,10 +105,11 @@ class MarginalGains:
 class AttackPlan:
     """Search result: the chosen attack plus bookkeeping about the search.
 
-    follower_candidates counts exact evaluations of the restricted system
-    in exact mode and, in approx mode, three per adversary set: the two
-    gain solves and the re-score of the per-set follower.  wall_time is
-    in seconds.
+    follower_candidates counts, in exact mode, the configurations the
+    exact scorer solved, which equals count_configurations over the
+    searched leader sizes; in approx mode, three per adversary set: the
+    two gain solves and the re-score of the per-set follower.  wall_time
+    is in seconds.
     """
 
     config: AttackConfig
@@ -141,12 +168,11 @@ def marginal_gains(params, adversaries, p=DEFAULT_P):
     adversaries = _check_adversary_set(params.network, adversaries)
     p = _check_magnitude(p)
     system = _RestrictedSystem(params, adversaries)
-    open_minded = 1.0 - system.theta_u
-    matrix = system.eye - open_minded[:, None] * system.w_uu
-    factor = factor_conditioned(matrix)
-    adversary_mass = system.w_ua.sum(axis=1)
-    z0 = lu_solve(factor, system.theta_u * system.s_u + open_minded * adversary_mass)
+    open_minded = system.open_minded
     ones = np.ones(len(system.unpinned))
+    factor = factor_conditioned(np.diag(ones) - open_minded[:, None] * system.w_uu)
+    adversary_mass = system.w_ua.sum(axis=1)
+    z0 = lu_solve(factor, system.base_rhs + open_minded * adversary_mass)
     c = open_minded * lu_solve(factor, ones, trans=1)
     received = system.w_uu @ z0 + adversary_mass
     gain = np.zeros(params.n)
@@ -159,65 +185,24 @@ def marginal_gains(params, adversaries, p=DEFAULT_P):
     )
 
 
-def _target_subsets(network, adversaries):
-    """Per-adversary candidate target tuples, canonically ordered (size, lex)."""
-    adv_set = set(adversaries)
-    subset_lists = []
-    for j in adversaries:
-        eligible = [i for i in network.out_neighbors(j) if i not in adv_set]
-        budget = min(network.target_budget(j), len(eligible))
-        subset_lists.append(
-            [c for size in range(budget + 1) for c in combinations(eligible, size)]
-        )
-    return subset_lists
+def _best_response(params, adversaries, p):
+    """Approx follower for a fixed adversary set: the per-set scalar reference.
 
-
-def _exact_space_size(network, adversaries):
-    adv_set = set(adversaries)
-    total = 1
-    for j in adversaries:
-        eligible = sum(1 for i in network.out_neighbors(j) if i not in adv_set)
-        budget = min(network.target_budget(j), eligible)
-        total *= sum(math.comb(eligible, size) for size in range(budget + 1))
-    return total
-
-
-def _best_response(params, adversaries, p, mode, cap):
-    """Follower search for a fixed adversary set.
-
-    Returns (target_items, g, evaluations) with target_items in canonical
-    (adversary, sorted targets) form and g the exact outcome of that choice.
+    Returns (target_items, g) with target_items in canonical (adversary,
+    sorted targets) form and g the exact outcome of that choice.
     """
     network = params.network
-    if mode == "approx":
-        gains = marginal_gains(params, adversaries, p)
-        gain = gains.gain
-        adv_set = set(adversaries)
-        items = []
-        for j in adversaries:
-            eligible = [i for i in network.out_neighbors(j) if i not in adv_set]
-            ranked = sorted(eligible, key=lambda i: (-gain[i], i))
-            chosen = [i for i in ranked if gain[i] > 0.0][: network.target_budget(j)]
-            items.append((j, tuple(sorted(chosen))))
-        items = tuple(items)
-        system = _RestrictedSystem(params, adversaries)
-        _, g = system.outcome(items, p)
-        return items, g, 3
-    if mode == "exact":
-        total = _exact_space_size(network, adversaries)
-        if total > cap:
-            raise CapExceededError(
-                f"exact follower space has {total} configurations, cap is {cap}"
-            )
-        system = _RestrictedSystem(params, adversaries)
-        best_items, best_g = None, -math.inf
-        for combo in product(*_target_subsets(network, adversaries)):
-            items = tuple(zip(adversaries, combo))
-            _, g = system.outcome(items, p)
-            if g > best_g or (g == best_g and items < best_items):
-                best_items, best_g = items, g
-        return best_items, best_g, total
-    raise ValidationError(f"unknown follower mode {mode!r}")
+    gain = marginal_gains(params, adversaries, p).gain
+    adv_set = set(adversaries)
+    items = []
+    for j in adversaries:
+        eligible = [i for i in network.out_neighbors(j) if i not in adv_set]
+        ranked = sorted(eligible, key=lambda i: (-gain[i], i))
+        chosen = [i for i in ranked if gain[i] > 0.0][: network.target_budget(j)]
+        items.append((j, tuple(sorted(chosen))))
+    items = tuple(items)
+    _, g = _RestrictedSystem(params, adversaries).outcome(items, p)
+    return items, g
 
 
 def solve_follower(params, adversaries, p=DEFAULT_P, mode="approx", cap=DEFAULT_CONFIG_CAP):
@@ -228,36 +213,34 @@ def solve_follower(params, adversaries, p=DEFAULT_P, mode="approx", cap=DEFAULT_
     """
     adversaries = _check_adversary_set(params.network, adversaries)
     p = _check_magnitude(p)
-    items, g, _ = _best_response(params, adversaries, p, mode, cap)
+    if mode == "approx":
+        items, g = _best_response(params, adversaries, p)
+    elif mode == "exact":
+        (_, items), g, _, _ = _leader_search([[adversaries]], _exact_scorer(params, p, cap))
+    else:
+        raise ValidationError(f"unknown follower mode {mode!r}")
     return dict(items), g
 
 
-def _score_chunk(params, adversaries, p, listeners, target_budgets):
+def _score_chunk(params, p, listeners, target_budgets, chunk):
     """Approx follower for a chunk of same-size adversary sets at once.
 
-    ``adversaries`` is a (sets, k) array of sorted sets.  Returns the exact
-    g of every set's chosen targets and the (sets, k, n) boolean choice
-    mask.  The arithmetic mirrors marginal_gains followed by
+    A scorer for _leader_search: yields one batch, the exact g of every
+    set's chosen targets, the (sets, k, n) boolean choice mask and the
+    set indices.  The arithmetic mirrors marginal_gains followed by
     _RestrictedSystem.outcome, stacked over the chunk.
     """
+    adversaries = np.array(chunk, dtype=int)
     sets, k = adversaries.shape
     n = params.n
     rows = np.arange(sets)[:, None]
-    pinned = np.zeros((sets, n), dtype=bool)
-    pinned[rows, adversaries] = True
-    unpinned = np.nonzero(~pinned)[1].reshape(sets, n - k)
-    w_uu = params.influence[unpinned[:, :, None], unpinned[:, None, :]]
-    w_ua = params.influence[unpinned[:, :, None], adversaries[:, None, :]]
-    theta_u = params.stubbornness[unpinned]
-    open_minded = 1.0 - theta_u
-    base_rhs = theta_u * params.intrinsic[unpinned]
-    eye = np.eye(n - k)
+    pinned, unpinned, w_uu, w_ua, open_minded, base_rhs = _restricted_blocks(params, adversaries)
 
     def label(b):
-        return f"adversary set {tuple(adversaries[b].tolist())}"
+        return f"adversary set {chunk[b]}"
 
     # One inverse of M = I - (I - Theta_U) W_UU gives z0 and c = (I - Theta_U) M^-T 1.
-    inverse = invert_conditioned(eye - open_minded[:, :, None] * w_uu, label)
+    inverse = invert_conditioned(np.eye(n - k) - open_minded[:, :, None] * w_uu, label)
     adversary_mass = w_ua.sum(axis=2)
     z0 = np.matmul(inverse, (base_rhs + open_minded * adversary_mass)[:, :, None])[:, :, 0]
     c = open_minded * inverse.sum(axis=1)
@@ -273,42 +256,140 @@ def _score_chunk(params, adversaries, p, listeners, target_budgets):
     rank[rows[:, :, None], np.arange(k)[:, None], order] = np.arange(n)
     chosen = eligible & (rank < target_budgets[adversaries][:, :, None])
 
-    # Re-score the re-weighted systems exactly; hits[b, u, a] marks target u of adversary a.
-    hits = chosen[rows, :, unpinned]
-    scale = (1.0 - hits.sum(axis=2) * p)[:, :, None]
-    matrix = eye - open_minded[:, :, None] * (w_uu * scale)
-    rhs = base_rhs + open_minded * (w_ua * scale + p * hits).sum(axis=2)
+    matrix, rhs = _reweighted_systems(
+        w_uu, w_ua, open_minded, base_rhs, chosen[rows, :, unpinned], p
+    )
     invert_conditioned(matrix, label)
     z = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
-    return z.sum(axis=1) + k, chosen
+    yield z.sum(axis=1) + k, chosen, np.arange(sets)
 
 
-def _approx_leader_search(params, sizes, p):
-    """Score every adversary set of the given sizes in chunks of LEADER_CHUNK.
+def _leader_search(leader_sets, score):
+    """Score every configuration of every adversary set; keep the best.
 
-    Returns ((adversaries, items), g, sets scored) for the best set, with
-    solve_attack's tie rule: an exact tie goes to the smaller key.
+    ``leader_sets`` is a sequence of iterables of sorted same-size sets,
+    taken LEADER_CHUNK at a time.  ``score(chunk)`` yields (g, chosen,
+    owner) batches: the exact g of each configuration, its (batch, k, n)
+    target mask and the index of its set in the chunk.  Higher g wins; an
+    exact tie goes to the smaller (adversaries, items) key.  Returns
+    ((adversaries, items), g, sets scored, configurations scored).
+    """
+    best_key, best_g, sets, configs = None, -math.inf, 0, 0
+    for group in leader_sets:
+        group = iter(group)
+        while chunk := list(islice(group, LEADER_CHUNK)):
+            for g, chosen, owner in score(chunk):
+                configs += len(g)
+                top = g.max()
+                if top < best_g:
+                    continue
+                for c in np.flatnonzero(g == top).tolist():
+                    leaders = chunk[owner[c]]
+                    items = tuple(
+                        (j, tuple(np.flatnonzero(chosen[c, col]).tolist()))
+                        for col, j in enumerate(leaders)
+                    )
+                    if top > best_g or (leaders, items) < best_key:
+                        best_key, best_g = (leaders, items), float(top)
+            sets += len(chunk)
+    return best_key, best_g, sets, configs
+
+
+def _space_sizes(network, adversaries, budgets):
+    """Exact configuration count (Python ints) of each set in a (sets, k) array.
+
+    Adversary a of a set chooses among the subsets of at most budgets[a]
+    of its out-neighbours that avoid the set.
+    """
+    k = adversaries.shape[1]
+    # subsets[j, o]: agent j's choices when o of its out-neighbours are
+    # adversaries too.
+    subsets = np.zeros((network.agent_count, k + 1), dtype=object)
+    for j in np.unique(adversaries).tolist():
+        degree = network.out_degree(j)
+        for o in range(min(k, degree) + 1):
+            subsets[j, o] = sum(math.comb(degree - o, s) for s in range(budgets[j] + 1))
+    support = network.support_mask()
+    overlap = support[adversaries[:, None, :], adversaries[:, :, None]].sum(axis=2)
+    return subsets[adversaries, overlap].prod(axis=1)
+
+
+def _subset_masks(network, agent, budget):
+    """Boolean (subsets, n) masks of the agent's target choices of at most
+    ``budget`` out-neighbours, in canonical (size, lex) order."""
+    eligible = [i for i in network.out_neighbors(agent) if i != agent]
+    subsets = [c for size in range(budget + 1) for c in combinations(eligible, size)]
+    masks = np.zeros((len(subsets), network.agent_count), dtype=bool)
+    masks[
+        np.repeat(np.arange(len(subsets)), [len(c) for c in subsets]),
+        np.fromiter(chain.from_iterable(subsets), dtype=int),
+    ] = True
+    return masks
+
+
+def _exact_scorer(params, p, cap=None, budgets=None):
+    """score(chunk) for _leader_search: every joint target choice of every set.
+
+    Adversary a may target at most budgets[a] eligible out-neighbours
+    (default: its target budget).  Its choices are rows of a per-agent
+    table of masks in canonical (size, lex) order, built on first use;
+    a set's joint choices are decoded in mixed radix, last adversary
+    fastest, which is itertools.product order.  CONFIG_CHUNK
+    configurations at a time are stacked, guarded by
+    ``linalg.check_conditioned`` and solved together.  With a ``cap``, a
+    set with more configurations raises CapExceededError before any
+    configuration of its chunk is scored.
     """
     network = params.network
-    n = params.n
-    listeners = network.support_mask().T
-    target_budgets = np.array([network.target_budget(j) for j in range(n)])
-    best_key, best_g, scored = None, -math.inf, 0
-    for size in sizes:
-        leaders = combinations(range(n), size)
-        while chunk := list(islice(leaders, LEADER_CHUNK)):
-            adversaries = np.array(chunk, dtype=int)
-            g, chosen = _score_chunk(params, adversaries, p, listeners, target_budgets)
-            scored += len(chunk)
-            # argmax takes the first maximum: the smallest set among exact ties.
-            b = int(np.argmax(g))
-            if g[b] > best_g or (g[b] == best_g and chunk[b] < best_key[0]):
-                items = tuple(
-                    (j, tuple(np.flatnonzero(chosen[b, col]).tolist()))
-                    for col, j in enumerate(chunk[b])
+    if budgets is None:
+        budgets = [network.target_budget(j) for j in range(params.n)]
+    tables = {}
+
+    def score(chunk):
+        adversaries = np.array(chunk, dtype=int)
+        sets, k = adversaries.shape
+        if cap is not None:
+            sizes = _space_sizes(network, adversaries, budgets)
+            if (sizes > cap).any():
+                size = sizes[np.argmax(sizes > cap)]
+                raise CapExceededError(
+                    f"exact follower space has {size} configurations, cap is {cap}"
                 )
-                best_key, best_g = (chunk[b], items), float(g[b])
-    return best_key, best_g, scored
+        agents = np.unique(adversaries).tolist()
+        for j in agents:
+            if j not in tables:
+                tables[j] = _subset_masks(network, j, budgets[j])
+        table = np.concatenate([tables[j] for j in agents])
+        agent_of = np.repeat(agents, [len(tables[j]) for j in agents])
+        # Per adversary column, the rows of its agent's table that avoid the
+        # set, grouped by set in canonical order: set b's count[b, col]
+        # choices start at kept[col][first[b, col]].
+        free = ~table[:, adversaries].any(axis=2)
+        kept, count = [], np.empty((sets, k), dtype=np.int64)
+        for col in range(k):
+            which, row = np.nonzero((free & (agent_of[:, None] == adversaries[:, col])).T)
+            kept.append(row)
+            count[:, col] = np.bincount(which, minlength=sets)
+        first = np.cumsum(count, axis=0) - count
+        configs = count.prod(axis=1)
+        ends = np.cumsum(configs)
+        _, unpinned, *blocks = _restricted_blocks(params, adversaries)
+        for lo in range(0, int(ends[-1]), CONFIG_CHUNK):
+            index = np.arange(lo, min(lo + CONFIG_CHUNK, int(ends[-1])))
+            owner = np.searchsorted(ends, index, side="right")
+            local = index - (ends - configs)[owner]
+            chosen = np.empty((len(index), k, params.n), dtype=bool)
+            for col in reversed(range(k)):
+                radix = count[owner, col]
+                chosen[:, col] = table[kept[col][first[owner, col] + local % radix]]
+                local //= radix
+            hits = chosen[np.arange(len(index))[:, None], :, unpinned[owner]]
+            matrix, rhs = _reweighted_systems(*(x[owner] for x in blocks), hits, p)
+            check_conditioned(matrix, lambda c: f"adversary set {chunk[owner[c]]}")
+            z = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
+            yield z.sum(axis=1) + k, chosen, owner
+
+    return score
 
 
 def solve_attack(
@@ -324,6 +405,7 @@ def solve_attack(
     Enumerates every adversary set of ``leader_size`` (default: the full
     adversary budget (n - 1) // 3; with ``all_leader_sizes`` every size
     from 1 up to the budget) and solves the follower problem for each.
+    In exact mode every set must stay within ``cap`` configurations.
     The returned plan's predicted_g is always an exact evaluation of the
     winning configuration.
     """
@@ -333,27 +415,19 @@ def solve_attack(
     leader_size = _check_leader_size(network, leader_size)
     sizes = range(1, network.leader_budget() + 1) if all_leader_sizes else (leader_size,)
     if follower_mode == "approx":
-        best_key, best_g, leader_evaluations = _approx_leader_search(params, sizes, p)
-        follower_candidates = 3 * leader_evaluations
+        budgets = np.array([network.target_budget(j) for j in range(params.n)])
+        score = partial(_score_chunk, params, p, network.support_mask().T, budgets)
+    elif follower_mode == "exact":
+        score = _exact_scorer(params, p, cap)
     else:
-        best_key, best_g = None, -math.inf
-        leader_evaluations = 0
-        follower_candidates = 0
-        for size in sizes:
-            for adversaries in combinations(range(network.agent_count), size):
-                items, g, evaluations = _best_response(params, adversaries, p, follower_mode, cap)
-                leader_evaluations += 1
-                follower_candidates += evaluations
-                key = (adversaries, items)
-                if g > best_g or (g == best_g and key < best_key):
-                    best_key, best_g = key, g
-    adversaries, items = best_key
-    config = AttackConfig(adversaries=adversaries, targets=items, influence_magnitude=p)
+        raise ValidationError(f"unknown follower mode {follower_mode!r}")
+    leader_sets = [combinations(range(network.agent_count), size) for size in sizes]
+    (adversaries, items), best_g, sets, configs = _leader_search(leader_sets, score)
     return AttackPlan(
-        config=config,
+        config=AttackConfig(adversaries, items, p),
         predicted_g=best_g,
-        leader_evaluations=leader_evaluations,
-        follower_candidates=follower_candidates,
+        leader_evaluations=sets,
+        follower_candidates=3 * sets if follower_mode == "approx" else configs,
         wall_time=time.perf_counter() - start,
     )
 
@@ -361,9 +435,9 @@ def solve_attack(
 def brute_force_oracle(params, p=DEFAULT_P, leader_size=None, cap=DEFAULT_CONFIG_CAP):
     """Exhaustive reference search over every feasible attack configuration.
 
-    Flat enumeration of (adversary set, joint target choice) pairs with the
-    same tie-breaking order as solve_attack.  Refuses to run if the full
-    space exceeds ``cap`` configurations.
+    Scores every (adversary set, joint target choice) pair with the same
+    engine and tie-breaking order as exact solve_attack.  Refuses to run
+    if the full space exceeds ``cap`` configurations.
     """
     start = time.perf_counter()
     network = params.network
@@ -372,26 +446,15 @@ def brute_force_oracle(params, p=DEFAULT_P, leader_size=None, cap=DEFAULT_CONFIG
     total = count_configurations(network, leader_size)
     if total > cap:
         raise CapExceededError(f"{total} feasible configurations exceed the cap of {cap}")
-    best_key, best_g = None, -math.inf
-    leader_evaluations = 0
-    evaluated = 0
-    for adversaries in combinations(range(network.agent_count), leader_size):
-        system = _RestrictedSystem(params, adversaries)
-        leader_evaluations += 1
-        for combo in product(*_target_subsets(network, adversaries)):
-            items = tuple(zip(adversaries, combo))
-            _, g = system.outcome(items, p)
-            evaluated += 1
-            key = (adversaries, items)
-            if g > best_g or (g == best_g and key < best_key):
-                best_key, best_g = key, g
-    adversaries, items = best_key
-    config = AttackConfig(adversaries=adversaries, targets=items, influence_magnitude=p)
+    leader_sets = [combinations(range(network.agent_count), leader_size)]
+    (adversaries, items), best_g, sets, configs = _leader_search(
+        leader_sets, _exact_scorer(params, p)
+    )
     return AttackPlan(
-        config=config,
+        config=AttackConfig(adversaries, items, p),
         predicted_g=best_g,
-        leader_evaluations=leader_evaluations,
-        follower_candidates=evaluated,
+        leader_evaluations=sets,
+        follower_candidates=configs,
         wall_time=time.perf_counter() - start,
     )
 
@@ -410,9 +473,12 @@ def count_configurations(network, leader_size=None):
         raise ValidationError(
             f"leader_size {leader_size} outside 0..{network.agent_count}"
         )
+    budgets = [network.target_budget(j) for j in range(network.agent_count)]
+    sets = combinations(range(network.agent_count), leader_size)
     total = 0
-    for adversaries in combinations(range(network.agent_count), leader_size):
-        total += _exact_space_size(network, adversaries)
+    while chunk := list(islice(sets, LEADER_CHUNK)):
+        adversaries = np.array(chunk, dtype=int).reshape(len(chunk), leader_size)
+        total += int(_space_sizes(network, adversaries, budgets).sum())
     return total
 
 

@@ -3,8 +3,8 @@
 One test per criterion, ordered.  Each test prints a single PASS/FAIL
 line with the measured margins (visible with ``pytest -s``) before
 asserting, so a red run shows exactly which guarantee broke and by how
-much.  Everything here is seeded and self-contained; total runtime is a
-couple of minutes, dominated by the brute-force oracle sweep.
+much.  Everything here is seeded and self-contained; total runtime is
+a few seconds, most of it the ablation sweep of criterion 6.
 """
 
 import json

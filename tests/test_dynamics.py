@@ -19,6 +19,7 @@ from fjattack import (
     fj_step,
     simulate,
 )
+from fjattack.linalg import spectral_radius
 
 
 def step_oracle(params, z, pinned=(), pinned_value=1.0):
@@ -266,6 +267,49 @@ def test_parameters_zero_stubbornness_spectral_gate():
             stubbornness=np.zeros(2),
             influence=np.array([[0.0, 1.0], [1.0, 0.0]]),
         )
+
+
+def periodic_ring(last_theta):
+    """Bipartite 4-ring, each agent weighting its neighbours 0.9 / 0.1, with
+    only the last agent stubborn; returns FjParameters keyword arguments."""
+    n = 4
+    edges = tuple(((i + 1) % n, i) for i in range(n)) + tuple(((i - 1) % n, i) for i in range(n))
+    w = np.zeros((n, n))
+    for i in range(n):
+        w[i, (i + 1) % n] = 0.9
+        w[i, (i - 1) % n] = 0.1
+    return dict(
+        network=InfluenceNetwork(n, edges),
+        intrinsic=np.full(n, 0.5),
+        stubbornness=np.array([0.0, 0.0, 0.0, last_theta]),
+        influence=w,
+    )
+
+
+def test_spectral_radius_bounds_periodic_ring():
+    for last_theta in (3e-9, 1e-6, 1e-2, 0.1, 0.5):
+        ring = periodic_ring(last_theta)
+        matrix = (1.0 - ring["stubbornness"])[:, None] * ring["influence"]
+        radius = np.max(np.abs(np.linalg.eigvals(matrix)))
+        bound = spectral_radius(matrix)
+        assert radius <= bound <= radius + 1e-12
+    # theta = 3e-9 puts the radius, 1 - 7.5e-10, inside the 1e-9 margin.
+    with pytest.raises(ConvergenceError, match="do not contract"):
+        FjParameters(**periodic_ring(3e-9))
+    FjParameters(**periodic_ring(1e-6))
+
+
+def test_spectral_radius_is_an_upper_bound():
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        m = int(rng.integers(1, 10))
+        # Sparse draws include reducible and nilpotent matrices.
+        matrix = rng.random((m, m)) * (rng.random((m, m)) < 0.35)
+        radius = np.max(np.abs(np.linalg.eigvals(matrix)))
+        assert spectral_radius(matrix) >= radius * (1.0 - 1e-12) - 1e-15
+    assert spectral_radius(np.zeros((3, 3))) == 0.0
+    # A Jordan block converges slowly; the bound stays valid and small.
+    assert 0.0 <= spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) < 1e-4
 
 
 def test_trajectory_validation():

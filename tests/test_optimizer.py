@@ -2,12 +2,16 @@
 
 The marginal-gain formula is validated against finite differences of the
 exact attacked outcome, which is the ground truth the planner is trying to
-approximate; the enumeration paths are validated against a flat brute-force
-oracle that shares nothing with the decomposed solver but the evaluator.
+approximate.  Exact solve_attack, exact solve_follower and the brute-force
+oracle share one batched enumeration engine, so their independent reference
+is a test-local loop that builds every configuration with itertools and
+scores it through public adversarial_outcome; the batched approx planner is
+checked against the per-set scalar solve_follower.
 """
 
 import json
-from itertools import combinations
+import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -35,8 +39,8 @@ from fjattack import (
 )
 from fjattack.adversary import _RestrictedSystem
 from fjattack.fileio import plan_to_json, save_parameters
-from fjattack.linalg import invert_conditioned
-from fjattack.optimizer import LEADER_CHUNK
+from fjattack.linalg import check_conditioned, invert_conditioned
+from fjattack.optimizer import CONFIG_CHUNK, LEADER_CHUNK
 from test_adversary import three_agent_instance
 
 
@@ -167,6 +171,198 @@ def test_exact_solver_equals_oracle():
         oracle = brute_force_oracle(params, p=1e-3)
         assert exact.config == oracle.config
         assert exact.predicted_g == pytest.approx(oracle.predicted_g, abs=1e-12)
+
+
+def best_scored(scored):
+    """The winner among (config, g) pairs: higher g, then on an exact tie the
+    smaller (adversaries, targets) key."""
+    return min(scored, key=lambda item: (-item[1], item[0].adversaries, item[0].targets))
+
+
+def scalar_set_search(params, adversaries, p=1e-3):
+    """Every joint target choice of one adversary set, built with itertools
+    and scored one at a time through adversarial_outcome.  Returns the best
+    (config, g) and the configuration count."""
+    network = params.network
+    choices = [
+        [
+            c
+            for r in range(network.target_budget(j) + 1)
+            for c in combinations(
+                [i for i in network.out_neighbors(j) if i not in adversaries], r
+            )
+        ]
+        for j in adversaries
+    ]
+    scored = []
+    for combo in product(*choices):
+        config = AttackConfig(adversaries, dict(zip(adversaries, combo)), p)
+        scored.append((config, adversarial_outcome(params, config).g_value))
+    return best_scored(scored), len(scored)
+
+
+def scalar_exact_search(params, size, p=1e-3):
+    """scalar_set_search over every set of one size.  Returns the best
+    (config, g), the configuration count and the largest count of one set."""
+    results = [
+        scalar_set_search(params, adversaries, p)
+        for adversaries in combinations(range(params.n), size)
+    ]
+    counts = [count for _, count in results]
+    return best_scored([best for best, _ in results]), sum(counts), max(counts)
+
+
+def exact_engine_instances():
+    """Seeded instances over four topologies, n = 4..10, sized so the scalar
+    reference stays fast (complete graphs grow fastest, so stop at n = 7)."""
+    for topology in ("complete", "erdos_renyi", "star", "ring"):
+        for n in range(4, 8 if topology == "complete" else 11):
+            scenario = Scenario(topology=topology, n=n, seed=100 + n, edge_prob=0.5)
+            yield f"{topology}-{n}", generate(scenario)[1]
+
+
+def test_exact_engine_matches_scalar_enumeration():
+    checked = 0
+    for name, params in exact_engine_instances():
+        network = params.network
+        budget = network.leader_budget()
+        by_size = {k: scalar_exact_search(params, k) for k in range(1, budget + 1)}
+        for sizes in ((budget,), range(1, budget + 1)):
+            config, g = best_scored([by_size[k][0] for k in sizes])
+            total = sum(by_size[k][1] for k in sizes)
+            assert total == sum(count_configurations(network, k) for k in sizes), name
+            exact = solve_attack(
+                params, p=1e-3, follower_mode="exact", all_leader_sizes=len(sizes) > 1
+            )
+            assert exact.config == config, name
+            assert exact.predicted_g == pytest.approx(g, abs=1e-12), name
+            assert exact.follower_candidates == total, name
+            assert exact.leader_evaluations == sum(math.comb(params.n, k) for k in sizes)
+            checked += 1
+        (config, g), total, _ = by_size[budget]
+        oracle = brute_force_oracle(params, p=1e-3)
+        assert oracle.config == config, name
+        assert oracle.predicted_g == pytest.approx(g, abs=1e-12), name
+        assert oracle.follower_candidates == total == count_configurations(network), name
+        targets, follower_g = solve_follower(params, config.adversaries, 1e-3, mode="exact")
+        assert AttackConfig(config.adversaries, targets, 1e-3) == config, name
+        assert follower_g == pytest.approx(g, abs=1e-12), name
+    assert checked == 2 * (4 + 3 * 7)
+
+
+def test_exact_solve_follower_matches_scalar_enumeration():
+    for seed in range(12):
+        network, params = random_instance(seed + 400, n=9, density=0.6)
+        rng = np.random.default_rng(seed)
+        adversaries = tuple(sorted(rng.choice(9, size=2, replace=False).tolist()))
+        (config, g), _ = scalar_set_search(params, adversaries)
+        targets, follower_g = solve_follower(params, adversaries, 1e-3, mode="exact")
+        assert AttackConfig(adversaries, targets, 1e-3) == config
+        assert follower_g == pytest.approx(g, abs=1e-12)
+
+
+@pytest.mark.parametrize("chunks", ((1, 1), (3, 7), (LEADER_CHUNK, CONFIG_CHUNK)))
+def test_exact_engine_chunk_boundaries(monkeypatch, chunks):
+    monkeypatch.setattr(fjattack.optimizer, "LEADER_CHUNK", chunks[0])
+    monkeypatch.setattr(fjattack.optimizer, "CONFIG_CHUNK", chunks[1])
+    for seed in (21, 22, 23):
+        network, params = random_instance(seed, n=8, density=0.5)
+        by_size = [scalar_exact_search(params, k) for k in (1, 2)]
+        config, g = best_scored([best for best, _, _ in by_size])
+        plan = solve_attack(params, p=1e-3, follower_mode="exact", all_leader_sizes=True)
+        assert plan.config == config
+        assert plan.predicted_g == pytest.approx(g, abs=1e-12)
+        assert plan.follower_candidates == sum(total for _, total, _ in by_size)
+
+
+def stubborn_target_instance():
+    """Complete graph on 8 agents where every agent but 0 and 5 is fully
+    stubborn: re-weighting a stubborn agent's row leaves g bit-for-bit
+    unchanged, so adversary 0's best target choices tie exactly."""
+    network = complete_network(8)
+    base = random_params(np.random.default_rng(17), network)
+    theta = np.ones(8)
+    theta[[0, 5]] = (0.5, 0.3)
+    return FjParameters(
+        network=network,
+        intrinsic=base.intrinsic,
+        stubbornness=theta,
+        influence=base.influence,
+    )
+
+
+@pytest.mark.parametrize("config_chunk", (1, 4, CONFIG_CHUNK))
+def test_exact_ties_go_to_the_smallest_key(monkeypatch, config_chunk):
+    monkeypatch.setattr(fjattack.optimizer, "CONFIG_CHUNK", config_chunk)
+    params = stubborn_target_instance()
+    # Budget 2 of 7 out-neighbours: (5,) comes first in canonical order, but
+    # (1, 5), (2, 5), ... reach the same g and (1, 5) is the smallest key.
+    targets, g = solve_follower(params, (0,), 1e-3, mode="exact")
+    assert targets == {0: (1, 5)}
+    alone = AttackConfig((0,), {0: (5,)}, 1e-3)
+    assert g == adversarial_outcome(params, alone).g_value
+    # Agreeing, fully stubborn agents: every configuration of every size
+    # yields g = n exactly, so the smallest set with no targets wins.
+    base = random_params(np.random.default_rng(16), complete_network(7))
+    flat = FjParameters(
+        network=base.network,
+        intrinsic=np.ones(7),
+        stubbornness=np.ones(7),
+        influence=base.influence,
+    )
+    relaxed = solve_attack(flat, p=1e-3, follower_mode="exact", all_leader_sizes=True)
+    assert relaxed.config == AttackConfig((0,), {}, 1e-3)
+    assert relaxed.predicted_g == 7.0
+    oracle = brute_force_oracle(flat, p=1e-3)
+    assert oracle.config == AttackConfig((0, 1), {}, 1e-3)
+
+
+def test_exact_cap_is_per_set_and_oracle_cap_is_total():
+    network, params = random_instance(31, n=9, density=0.6)
+    _, total, largest = scalar_exact_search(params, 2)
+    assert largest < total
+    plan = solve_attack(params, p=1e-3, follower_mode="exact", cap=largest)
+    assert plan.follower_candidates == total
+    with pytest.raises(CapExceededError, match=f"has {largest} configurations, cap is {largest - 1}"):
+        solve_attack(params, p=1e-3, follower_mode="exact", cap=largest - 1)
+    with pytest.raises(CapExceededError, match=f"{total} feasible configurations exceed the cap of {largest}"):
+        brute_force_oracle(params, p=1e-3, cap=largest)
+    assert brute_force_oracle(params, p=1e-3, cap=total).config == plan.config
+
+
+def test_exact_and_oracle_paths_are_conditioning_guarded(monkeypatch):
+    _, params = random_instance(60, n=8, density=0.6)
+    monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", 1.0)
+    with pytest.raises(ConvergenceError, match=r"adversary set \(0, 1\)"):
+        solve_attack(params, p=1e-3, follower_mode="exact")
+    with pytest.raises(ConvergenceError, match=r"adversary set \(0, 1\)"):
+        brute_force_oracle(params, p=1e-3)
+    with pytest.raises(ConvergenceError, match=r"adversary set \(2, 5\)"):
+        solve_follower(params, (2, 5), 1e-3, mode="exact")
+
+
+def test_exact_engine_guards_every_configuration(monkeypatch):
+    guarded = []
+
+    def spy(stack, label):
+        guarded.append(len(stack))
+        return check_conditioned(stack, label)
+
+    monkeypatch.setattr(fjattack.optimizer, "check_conditioned", spy)
+    _, params = generate(Scenario(topology="erdos_renyi", n=12, edge_prob=0.25, seed=3))
+    plan = solve_attack(params, p=1e-3, follower_mode="exact")
+    assert sum(guarded) == plan.follower_candidates == count_configurations(params.network)
+    assert max(guarded) <= CONFIG_CHUNK
+
+
+def test_check_conditioned_falls_back_to_the_exact_rcond():
+    # Not diagonally dominant but well conditioned: passes via the fallback.
+    swap = np.array([[[0.0, 1.0], [1.0, 0.0]]])
+    check_conditioned(swap, str)
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    stack = np.stack([np.eye(2), 0.5 * np.eye(2), singular])
+    with pytest.raises(ConvergenceError, match="member 2"):
+        check_conditioned(stack, lambda b: f"member {b}")
 
 
 def test_star_instance_cross_check():
