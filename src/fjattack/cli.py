@@ -86,6 +86,8 @@ def cmd_gen_network(args):
 
 def cmd_simulate(args):
     params = fileio.load_parameters(args.network)
+    if args.trajectories < 1:
+        raise ValidationError(f"--trajectories must be at least 1, got {args.trajectories}")
     config = fileio.load_config(args.config) if args.config else None
     if args.z0 is not None:
         starts = [np.array([float(x) for x in args.z0.split(",")])]

@@ -151,13 +151,15 @@ def save_trajectories(trajectories, path):
 
 def load_trajectories(path):
     payload = read_json(path)
-    n = int(_require(payload, "n", path))
-    raw = _require(payload, "trajectories", path)
+    try:
+        n = int(_require(payload, "n", path))
+        raw = [np.array(rows, dtype=float) for rows in _require(payload, "trajectories", path)]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed trajectory file ({exc})") from exc
     if not raw:
         raise ValidationError(f"{path}: no trajectories")
     out = []
-    for index, rows in enumerate(raw):
-        values = np.array(rows, dtype=float)
+    for index, values in enumerate(raw):
         if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] != n:
             raise ValidationError(
                 f"{path}: trajectory {index} must be (rounds + 1) x {n} with rounds >= 1"

@@ -7,6 +7,13 @@ opinions, weights, the random strategy, ablation target draws), so adding
 a strategy to a run never perturbs instance generation.  Result rows are
 sorted by (scenario id, strategy name) before emission; wall-clock fields
 are the only nondeterministic output.
+
+Every planner runs on the optimizer's one leader search,
+``optimizer._leader_search``: the comparison's ``ours_*`` strategies
+through solve_attack, and the ablation's models through the approx,
+exact (pinned) and ``_unpinned_scorer`` (drifting adversaries) scorers.
+Each strategy's config is validated and re-scored under the true
+attacked dynamics by one row builder, ``_result_row``.
 """
 
 import time
@@ -26,11 +33,12 @@ from .adversary import (
 from .dynamics import THETA_MIN, FjParameters, InfluenceNetwork, closed_form_outcome
 from .errors import CapExceededError, ValidationError
 from .fileio import format_sig, load_parameters, round_sig
-from .linalg import factor_conditioned, solve_conditioned
+from .linalg import check_conditioned, factor_conditioned
 from .optimizer import (
     _exact_scorer,
     _leader_search,
     _subset_masks,
+    _top_targets,
     baseline_variant,
     count_configurations,
     solve_attack,
@@ -149,6 +157,8 @@ class Scenario:
             "seed": "seed",
             "leader_size": "leader_size",
         }
+        if not isinstance(payload, dict):
+            raise ValidationError(f"scenario must be a JSON object, got {type(payload).__name__}")
         kwargs = {"scenario_id": default_id}
         for key, value in payload.items():
             if key not in known:
@@ -315,6 +325,25 @@ def _skipped_row(scenario, strategy, g0, wall_ms):
     )
 
 
+def _result_row(scenario, strategy, params, baseline_g, config, start, leader_evals, candidates):
+    """Validate a strategy's config, score it under the true attacked
+    dynamics and build its row; the wall time runs from ``start``."""
+    config.validate_against(params.network)
+    outcome = adversarial_outcome(params, config)
+    metrics = outcome_metrics(baseline_g, outcome)
+    return ResultRow(
+        scenario_id=scenario.scenario_id,
+        strategy=strategy,
+        g0=baseline_g,
+        g_attack=outcome.g_value,
+        delta_g=metrics.delta_g,
+        agreement_fraction=metrics.agreement_fraction,
+        wall_time_ms=(time.perf_counter() - start) * 1e3,
+        leader_evals=leader_evals,
+        follower_candidates=candidates,
+    )
+
+
 def run_comparison(scenario, strategies, cap=None):
     """Score each strategy on the scenario's one shared instance.
 
@@ -360,64 +389,60 @@ def run_comparison(scenario, strategies, cap=None):
             wall_ms = (time.perf_counter() - start) * 1e3
             rows.append(_skipped_row(scenario, strategy, baseline_g, wall_ms))
             continue
-        config.validate_against(network)
-        outcome = adversarial_outcome(params, config)
-        metrics = outcome_metrics(baseline_g, outcome)
-        wall_ms = (time.perf_counter() - start) * 1e3
         rows.append(
-            ResultRow(
-                scenario_id=scenario.scenario_id,
-                strategy=strategy,
-                g0=baseline_g,
-                g_attack=outcome.g_value,
-                delta_g=metrics.delta_g,
-                agreement_fraction=metrics.agreement_fraction,
-                wall_time_ms=wall_ms,
-                leader_evals=leader_evals,
-                follower_candidates=candidates,
+            _result_row(
+                scenario, strategy, params, baseline_g, config, start, leader_evals, candidates
             )
         )
     rows.sort(key=lambda row: (row.scenario_id, row.strategy))
     return rows
 
 
-def _unpinned_best_response(params, adversaries, p):
-    """Follower selection under the no-pinning planner model.
+def _unpinned_scorer(params, p, budgets):
+    """score(chunk) for _leader_search under the no-pinning planner model.
 
-    Adversaries keep their stubbornness but have intrinsic opinion 1 and
+    Adversaries keep their stubbornness but take intrinsic opinion 1 and
     keep drifting with everyone else, so the model is plain dynamics on
-    all n agents.  Candidate edges are ranked by the first-order effect of
-    the re-weighting on the model's g, then the assembled choice is scored
-    exactly under the same (still unpinned) model.
+    all n agents with M = I - (I - Theta) W for every set.  One
+    conditioned LU of M gives the sensitivity c = (I - Theta) M^-T 1
+    and, through one multi-right-hand-side solve per chunk, every set's
+    fixed point z0.  Adversary j's gain on agent i is p c_i (z0_j - (W z0)_i); each
+    adversary keeps its top budgets[j] eligible targets, and the chunk's
+    re-weighted n x n systems are guarded by ``check_conditioned`` and
+    re-scored in one batched solve.  Yields one configuration per set.
     """
     network = params.network
-    n = params.n
-    adv = list(adversaries)
-    intrinsic = np.array(params.intrinsic)
-    intrinsic[adv] = 1.0
     theta = params.stubbornness
     weights = params.influence
-    matrix = np.eye(n) - (1.0 - theta)[:, None] * weights
-    factor = factor_conditioned(matrix)
-    z0 = lu_solve(factor, theta * intrinsic)
+    n = params.n
+    factor = factor_conditioned(np.eye(n) - (1.0 - theta)[:, None] * weights)
     sensitivity = (1.0 - theta) * lu_solve(factor, np.ones(n), trans=1)
-    received = weights @ z0
-    adv_set = set(adversaries)
-    items = []
-    for j in sorted(adversaries):
-        eligible = [i for i in network.out_neighbors(j) if i not in adv_set]
-        gain = {i: p * sensitivity[i] * (z0[j] - received[i]) for i in eligible}
-        ranked = sorted(eligible, key=lambda i: (-gain[i], i))
-        chosen = [i for i in ranked if gain[i] > 0.0][: network.target_budget(j)]
-        items.append((j, tuple(sorted(chosen))))
-    # Row re-weighting as in apply_adversarial_weights; hits[i, j] = p when j targets i.
-    hits = np.zeros((n, n))
-    for j, targets in items:
-        hits[list(targets), j] = p
-    modified = weights * (1.0 - np.count_nonzero(hits, axis=1) * p)[:, None] + hits
-    items = tuple(items)
-    z = solve_conditioned(np.eye(n) - (1.0 - theta)[:, None] * modified, theta * intrinsic)
-    return items, float(z.sum())
+    listeners = network.support_mask().T
+    budgets = np.asarray(budgets)
+
+    def score(chunk):
+        adversaries = np.array(chunk, dtype=int)
+        sets, k = adversaries.shape
+        rows = np.arange(sets)[:, None]
+        pinned = np.zeros((sets, n), dtype=bool)
+        pinned[rows, adversaries] = True
+        rhs = np.where(pinned, 1.0, params.intrinsic) * theta
+        z0 = lu_solve(factor, rhs.T).T
+        received = z0 @ weights.T
+        gain = p * sensitivity * (z0[rows, adversaries][:, :, None] - received[:, None, :])
+        chosen = _top_targets(
+            gain, listeners[adversaries] & ~pinned[:, None, :], budgets[adversaries]
+        )
+        # Row re-weighting as in apply_adversarial_weights: hits[b, i, j] when j targets i.
+        hits = np.zeros((sets, n, n))
+        hits[rows, :, adversaries] = chosen * p
+        modified = weights * (1.0 - np.count_nonzero(hits, axis=2) * p)[:, :, None] + hits
+        matrix = np.eye(n) - (1.0 - theta)[:, None] * modified
+        check_conditioned(matrix, lambda b: f"adversary set {chunk[b]}")
+        z = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
+        yield z.sum(axis=1), chosen, np.arange(sets)
+
+    return score
 
 
 def run_ablation(scenario):
@@ -431,83 +456,42 @@ def run_ablation(scenario):
     wo_both       planner plans on the unattacked model (adversary set
                   maximizes plain g with intrinsic 1), targets uniform
 
-    Whatever each planner believes, the emitted config is validated and
-    scored under the real attacked dynamics, so the rows isolate how much
-    each modeling ingredient contributes.
+    All four run on the shared leader search: ``full`` is approx
+    solve_attack, ``wo_targeting`` the exact scorer and ``wo_both`` the
+    unpinned scorer at zero target budgets, and ``wo_pinning`` the
+    unpinned scorer at the target budgets.  Whatever each planner
+    believes, the emitted config is validated and scored under the real
+    attacked dynamics, so the rows isolate how much each modeling
+    ingredient contributes.
     """
     network, params = generate(scenario)
     baseline_g = closed_form_outcome(params).g
     leader_size = _resolve_leader_size(scenario, network)
     n = network.agent_count
     p = scenario.p
+    target_budgets = [network.target_budget(j) for j in range(n)]
     rows = []
     for mode_index, mode in enumerate(ABLATION_MODES):
         start = time.perf_counter()
-        leader_evals = 0
-        candidates = 0
         if mode == "full":
             plan = solve_attack(params, p, leader_size, follower_mode="approx")
             config = plan.config
             leader_evals = plan.leader_evaluations
             candidates = plan.follower_candidates
-        elif mode == "wo_pinning":
-            best_key, best_g = None, -np.inf
-            for adversaries in combinations(range(n), leader_size):
-                items, model_g = _unpinned_best_response(params, adversaries, p)
-                leader_evals += 1
-                candidates += 3
-                key = (adversaries, items)
-                if model_g > best_g or (model_g == best_g and key < best_key):
-                    best_key, best_g = key, model_g
-            adversaries, items = best_key
-            config = AttackConfig(adversaries=adversaries, targets=items, influence_magnitude=p)
-        elif mode == "wo_targeting":
-            (best_adv, _), _, leader_evals, candidates = _leader_search(
-                [combinations(range(n), leader_size)],
-                _exact_scorer(params, p, budgets=[0] * n),
-            )
-            rng = _substream(scenario.seed, STREAM_ABLATION, mode_index)
-            config = AttackConfig(
-                adversaries=best_adv,
-                targets=_random_targets(network, best_adv, rng),
-                influence_magnitude=p,
-            )
         else:
-            theta = params.stubbornness
-            matrix = np.eye(n) - (1.0 - theta)[:, None] * params.influence
-            factor = factor_conditioned(matrix)
-            mass = lu_solve(factor, np.ones(n), trans=1)
-            best_adv, best_g = None, -np.inf
-            for adversaries in combinations(range(n), leader_size):
-                intrinsic = np.array(params.intrinsic)
-                intrinsic[list(adversaries)] = 1.0
-                model_g = float(mass @ (theta * intrinsic))
-                leader_evals += 1
-                candidates += 1
-                if model_g > best_g or (model_g == best_g and adversaries < best_adv):
-                    best_adv, best_g = adversaries, model_g
-            rng = _substream(scenario.seed, STREAM_ABLATION, mode_index)
-            config = AttackConfig(
-                adversaries=best_adv,
-                targets=_random_targets(network, best_adv, rng),
-                influence_magnitude=p,
+            scorer = _exact_scorer if mode == "wo_targeting" else _unpinned_scorer
+            budgets = target_budgets if mode == "wo_pinning" else [0] * n
+            (adversaries, items), _, leader_evals, candidates = _leader_search(
+                [combinations(range(n), leader_size)], scorer(params, p, budgets=budgets)
             )
-        config.validate_against(network)
-        outcome = adversarial_outcome(params, config)
-        metrics = outcome_metrics(baseline_g, outcome)
-        wall_ms = (time.perf_counter() - start) * 1e3
+            if mode == "wo_pinning":
+                candidates = 3 * leader_evals
+            else:
+                rng = _substream(scenario.seed, STREAM_ABLATION, mode_index)
+                items = _random_targets(network, adversaries, rng)
+            config = AttackConfig(adversaries=adversaries, targets=items, influence_magnitude=p)
         rows.append(
-            ResultRow(
-                scenario_id=scenario.scenario_id,
-                strategy=mode,
-                g0=baseline_g,
-                g_attack=outcome.g_value,
-                delta_g=metrics.delta_g,
-                agreement_fraction=metrics.agreement_fraction,
-                wall_time_ms=wall_ms,
-                leader_evals=leader_evals,
-                follower_candidates=candidates,
-            )
+            _result_row(scenario, mode, params, baseline_g, config, start, leader_evals, candidates)
         )
     rows.sort(key=lambda row: (row.scenario_id, row.strategy))
     return rows

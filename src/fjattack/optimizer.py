@@ -25,13 +25,15 @@ so both the base fixed point and c come from one factorization (or one
 inverse) of M.  Gains are nonnegative up to rounding and additive to first
 order when several adversaries pick the same target.
 
-Both modes run on one driver, ``_leader_search``: it takes adversary sets
+Both modes, and the ablation's planner models in ``harness``, run on one
+driver, ``_leader_search``: it takes adversary sets
 LEADER_CHUNK at a time, has a scorer yield the exact g of batches of
 configurations, and keeps the lexicographic argmax.
 
 * The approx scorer stacks the chunk's W_UU / W_UA blocks; one batched
-  inverse of M yields every set's z0 and c, a masked stable top-budget
-  selection picks the targets, and one batched solve re-scores the
+  inverse of M yields every set's z0 and c, ``_top_targets`` (a masked
+  stable top-budget selection, shared with the ablation's unpinned
+  scorer) picks the targets, and one batched solve re-scores the
   re-weighted systems.  Every base and re-scored system passes the
   batched rcond guard ``linalg.invert_conditioned``.
 * The exact scorer serves exact solve_attack, exact solve_follower and
@@ -222,6 +224,21 @@ def solve_follower(params, adversaries, p=DEFAULT_P, mode="approx", cap=DEFAULT_
     return dict(items), g
 
 
+def _top_targets(gain, eligible, budgets):
+    """Each adversary's top-budget targets among its eligible ones.
+
+    ``eligible`` is a (sets, k, n) mask, ``gain`` broadcasts against it
+    and ``budgets`` is (sets, k).  Only strictly positive gains count;
+    targets rank by (-gain, index), the stable sort putting equal gains
+    in index order.  Returns the (sets, k, n) mask of chosen targets.
+    """
+    eligible = eligible & (gain > 0.0)
+    order = np.argsort(np.where(eligible, -gain, np.inf), axis=2, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(order.shape[2]), axis=2)
+    return eligible & (rank < budgets[:, :, None])
+
+
 def _score_chunk(params, p, listeners, target_budgets, chunk):
     """Approx follower for a chunk of same-size adversary sets at once.
 
@@ -247,14 +264,9 @@ def _score_chunk(params, p, listeners, target_budgets, chunk):
     received = np.matmul(w_uu, z0[:, :, None])[:, :, 0] + adversary_mass
     gain = np.zeros((sets, n))
     gain[rows, unpinned] = p * (1.0 - received) * c
-
-    # Each adversary keeps its top-budget eligible targets ranked by
-    # (-gain, index); the stable sort puts equal gains in index order.
-    eligible = listeners[adversaries] & ~pinned[:, None, :] & (gain > 0.0)[:, None, :]
-    order = np.argsort(np.where(eligible, -gain[:, None, :], np.inf), axis=2, kind="stable")
-    rank = np.empty_like(order)
-    rank[rows[:, :, None], np.arange(k)[:, None], order] = np.arange(n)
-    chosen = eligible & (rank < target_budgets[adversaries][:, :, None])
+    chosen = _top_targets(
+        gain[:, None, :], listeners[adversaries] & ~pinned[:, None, :], target_budgets[adversaries]
+    )
 
     matrix, rhs = _reweighted_systems(
         w_uu, w_ua, open_minded, base_rhs, chosen[rows, :, unpinned], p

@@ -112,24 +112,6 @@ def project_to_simplex(point):
     return np.maximum(v - tau, 0.0)
 
 
-def _largest_eigenvalue(matrix, iterations=500, tol=1e-12):
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    m = matrix.shape[0]
-    v = 1.0 + 1e-3 * np.arange(m)
-    v /= np.linalg.norm(v)
-    value = 0.0
-    for _ in range(iterations):
-        w = matrix @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        w /= norm
-        if abs(norm - value) <= tol * max(1.0, norm):
-            return norm
-        value, v = norm, w
-    return value
-
-
 def _sum_constrained_start(gram, linear):
     """Minimizer of the quadratic subject to the coefficients summing to 1.
 
@@ -162,7 +144,7 @@ def _simplex_least_squares(design, response, ridge):
     m = design.shape[1]
     gram = design.T @ design + ridge * np.eye(m)
     linear = design.T @ response
-    lipschitz = max(_largest_eigenvalue(gram), 1e-12)
+    lipschitz = max(float(np.linalg.eigvalsh(gram)[-1]), 1e-12)
 
     def objective_at(point):
         return 0.5 * point @ (gram @ point) - linear @ point

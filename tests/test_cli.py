@@ -207,3 +207,43 @@ def test_validation_failures_exit_two(tmp_path):
         "attack-plan", "--network", str(network), "--leader-size", "7",
         "--out-dir", str(tmp_path),
     ]) == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n": "eight", "trajectories": [[[0.5] * 8, [0.5] * 8]]},
+        {"n": 8, "trajectories": [[[0.5] * 8, [0.5] * 7]]},
+    ],
+    ids=["non_integer_n", "ragged_rows"],
+)
+def test_recover_malformed_trajectories_exit_two(tmp_path, capsys, payload):
+    network = write_network(tmp_path)
+    trajectories = tmp_path / "trajectories.json"
+    write_json(trajectories, payload)
+    code = main([
+        "recover", "--trajectories", str(trajectories),
+        "--network", str(network), "--out-dir", str(tmp_path),
+    ])
+    assert code == 2
+    assert "malformed trajectory file" in capsys.readouterr().err
+
+
+def test_scenario_that_is_not_an_object_exits_two(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    write_json(scenario, [{"id": "demo", "topology": "complete", "n": 8}])
+    assert main(["ablate", "--scenario", str(scenario), "--out-dir", str(tmp_path)]) == 2
+    assert "scenario must be a JSON object" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_ablation.*"))
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_simulate_rejects_nonpositive_trajectory_count(tmp_path, capsys, count):
+    network = write_network(tmp_path)
+    code = main([
+        "simulate", "--network", str(network), "--rounds", "5",
+        "--trajectories", count, "--out-dir", str(tmp_path),
+    ])
+    assert code == 2
+    assert "--trajectories must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "demo_network_trajectories.json").exists()

@@ -7,12 +7,16 @@ tests lean on re-running and diffing serialized output.
 
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_solve
 
+import fjattack
 from fjattack import (
     CapExceededError,
+    ConvergenceError,
     Scenario,
     ValidationError,
     benchmark,
@@ -22,7 +26,14 @@ from fjattack import (
     run_comparison,
 )
 from fjattack.fileio import parameters_to_json, save_parameters
-from fjattack.harness import RESULT_HEADER, result_rows_to_csv, result_rows_to_json
+from fjattack.harness import (
+    RESULT_HEADER,
+    _unpinned_scorer,
+    result_rows_to_csv,
+    result_rows_to_json,
+)
+from fjattack.linalg import factor_conditioned, solve_conditioned
+from fjattack.optimizer import _leader_search
 
 
 def test_generate_complete_shape():
@@ -238,3 +249,105 @@ def test_outputs_are_reproducible_modulo_wall_time():
     ablation_first = strip_wall_times(result_rows_to_json(run_ablation(scenario)))
     ablation_second = strip_wall_times(result_rows_to_json(run_ablation(scenario)))
     assert ablation_first == ablation_second
+
+
+def reference_unpinned_best_response(params, adversaries, p):
+    """The per-set no-pinning follower, as a scalar reference: adversaries
+    drift with intrinsic opinion 1, targets are ranked by first-order
+    gain, and the assembled choice is scored under the same model."""
+    network = params.network
+    n = params.n
+    intrinsic = np.array(params.intrinsic)
+    intrinsic[list(adversaries)] = 1.0
+    theta = params.stubbornness
+    weights = params.influence
+    factor = factor_conditioned(np.eye(n) - (1.0 - theta)[:, None] * weights)
+    z0 = lu_solve(factor, theta * intrinsic)
+    sensitivity = (1.0 - theta) * lu_solve(factor, np.ones(n), trans=1)
+    received = weights @ z0
+    items = []
+    for j in sorted(adversaries):
+        eligible = [i for i in network.out_neighbors(j) if i not in adversaries]
+        gain = {i: p * sensitivity[i] * (z0[j] - received[i]) for i in eligible}
+        ranked = sorted(eligible, key=lambda i: (-gain[i], i))
+        chosen = [i for i in ranked if gain[i] > 0.0][: network.target_budget(j)]
+        items.append((j, tuple(sorted(chosen))))
+    hits = np.zeros((n, n))
+    for j, targets in items:
+        hits[list(targets), j] = p
+    modified = weights * (1.0 - np.count_nonzero(hits, axis=1) * p)[:, None] + hits
+    z = solve_conditioned(np.eye(n) - (1.0 - theta)[:, None] * modified, theta * intrinsic)
+    return tuple(items), float(z.sum())
+
+
+def reference_wo_pinning(params, p, leader_size):
+    best_key, best_g = None, -np.inf
+    for adversaries in combinations(range(params.n), leader_size):
+        items, model_g = reference_unpinned_best_response(params, adversaries, p)
+        key = (adversaries, items)
+        if model_g > best_g or (model_g == best_g and key < best_key):
+            best_key, best_g = key, model_g
+    return best_key, best_g
+
+
+def reference_wo_both(params, leader_size):
+    n = params.n
+    theta = params.stubbornness
+    mass = solve_conditioned(
+        np.eye(n) - (1.0 - theta)[:, None] * params.influence, np.ones(n), transposed=True
+    )
+    best_adv, best_g = None, -np.inf
+    for adversaries in combinations(range(n), leader_size):
+        intrinsic = np.array(params.intrinsic)
+        intrinsic[list(adversaries)] = 1.0
+        model_g = float(mass @ (theta * intrinsic))
+        if model_g > best_g or (model_g == best_g and adversaries < best_adv):
+            best_adv, best_g = adversaries, model_g
+    return best_adv, best_g
+
+
+@pytest.mark.parametrize("topology", ["complete", "erdos_renyi", "ring", "star"])
+def test_unpinned_scorer_matches_per_set_reference(topology):
+    for n in range(4, 12):
+        scenario = Scenario(scenario_id="up", topology=topology, n=n, seed=300 + n)
+        network, params = generate(scenario)
+        size = network.leader_budget()
+        budgets = [network.target_budget(j) for j in range(n)]
+        key, model_g, sets, configs = _leader_search(
+            [combinations(range(n), size)], _unpinned_scorer(params, scenario.p, budgets)
+        )
+        expected_key, expected_g = reference_wo_pinning(params, scenario.p, size)
+        assert key == expected_key
+        assert model_g == pytest.approx(expected_g, rel=1e-13)
+        assert sets == configs == math.comb(n, size)
+        (adversaries, items), model_g, _, _ = _leader_search(
+            [combinations(range(n), size)], _unpinned_scorer(params, scenario.p, [0] * n)
+        )
+        expected_adversaries, expected_g = reference_wo_both(params, size)
+        assert adversaries == expected_adversaries
+        assert model_g == pytest.approx(expected_g, rel=1e-13)
+        assert all(targets == () for _, targets in items)
+
+
+@pytest.mark.parametrize("leader_chunk", [1, 3])
+def test_ablation_rows_do_not_depend_on_leader_chunk(monkeypatch, leader_chunk):
+    scenarios = [
+        Scenario(scenario_id="lc", topology="complete", n=9, seed=13),
+        Scenario(scenario_id="lc", topology="erdos_renyi", n=10, seed=14),
+    ]
+    expected = [strip_wall_times(result_rows_to_json(run_ablation(s))) for s in scenarios]
+    monkeypatch.setattr(fjattack.optimizer, "LEADER_CHUNK", leader_chunk)
+    got = [strip_wall_times(result_rows_to_json(run_ablation(s))) for s in scenarios]
+    assert got == expected
+
+
+def test_unpinned_scorer_is_conditioning_guarded(monkeypatch):
+    network, params = generate(Scenario(scenario_id="g", topology="complete", n=10, seed=1))
+    budgets = [network.target_budget(j) for j in range(10)]
+    score = _unpinned_scorer(params, 1e-3, budgets)
+    monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", 1.0)
+    with pytest.raises(ConvergenceError, match=r"adversary set \(0, 1, 2\)"):
+        _leader_search([combinations(range(10), 3)], score)
+    # The set-independent factorization is guarded when the scorer is built.
+    with pytest.raises(ConvergenceError):
+        _unpinned_scorer(params, 1e-3, budgets)

@@ -15,13 +15,16 @@ from fjattack import (
     FjParameters,
     OpinionTrajectory,
     RecoveryProblem,
+    Scenario,
     ValidationError,
     closed_form_outcome,
+    generate,
     project_to_simplex,
     recover,
     recovery_robustness,
     simulate,
 )
+from fjattack.recovery import _simplex_least_squares
 
 
 def round_trip_problem(seed, n=None, rounds=10, extra=2, with_truth=True):
@@ -174,6 +177,41 @@ def test_ridge_shrinks_but_stays_feasible():
     assert np.max(np.abs(ridged.params.influence.sum(axis=1) - 1.0)) <= 1e-9
     # ridge trades fit for shrinkage, so the residual cannot improve
     assert ridged.per_agent_residual.sum() >= plain.per_agent_residual.sum() - 1e-12
+
+
+def test_noisy_fits_with_active_simplex_constraint_meet_kkt():
+    # Noisy Erdos-Renyi n = 8 rows (five 30-round trajectories, +-1e-2
+    # noise) whose fit sets some coefficient to zero.  At a simplex
+    # minimizer the gradient is equal across the support and no smaller
+    # off it.  These rows stop at MAX_ITERATIONS, so equality holds only
+    # to about 3e-6 on the gradient's scale of 50-200.
+    active = 0
+    for seed in (4, 16, 32):
+        _, params = generate(
+            Scenario(topology="erdos_renyi", n=8, edge_prob=0.3, seed=seed)
+        )
+        rng = np.random.default_rng(seed)
+        runs = []
+        for _ in range(5):
+            values = simulate(params, rng.uniform(0.0, 1.0, 8), 30).values
+            runs.append(np.clip(values + rng.uniform(-1e-2, 1e-2, values.shape), 0.0, 1.0))
+        for i in range(8):
+            support = list(params.network.in_neighbors(i))
+            design = np.vstack(
+                [np.column_stack([np.full(30, params.intrinsic[i]), run[:-1][:, support]])
+                 for run in runs]
+            )
+            response = np.concatenate([run[1:, i] for run in runs])
+            beta = _simplex_least_squares(design, response, 0.0)
+            assert beta.min() >= 0.0 and beta.sum() == pytest.approx(1.0, abs=1e-12)
+            on = beta > 0.0
+            if on.all():
+                continue
+            active += 1
+            gradient = design.T @ (design @ beta - response)
+            assert gradient[on].max() - gradient[on].min() <= 1e-5
+            assert gradient[~on].min() >= gradient[on].max() - 1e-5
+    assert active == 3
 
 
 def test_robustness_noise_zero_matches_noiseless():
