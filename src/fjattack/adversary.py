@@ -262,19 +262,11 @@ def simulate_adversarial(params, config, z0, rounds, enforce_budgets=True):
     """
     attacked = apply_adversarial_weights(params, config, enforce_budgets)
     adversaries = list(config.adversaries)
-    intrinsic = np.array(attacked.intrinsic)
-    intrinsic[adversaries] = 1.0
-    pinned_params = FjParameters(
-        network=attacked.network,
-        intrinsic=intrinsic,
-        stubbornness=attacked.stubbornness,
-        influence=attacked.influence,
-    )
     z_init = np.array(np.asarray(z0, dtype=float))
     if z_init.shape != (params.n,):
         raise ValidationError(f"z0 must have shape ({params.n},), got {z_init.shape}")
     z_init[adversaries] = 1.0
-    return simulate(pinned_params, z_init, rounds, pinned=adversaries, pinned_value=1.0)
+    return simulate(attacked, z_init, rounds, pinned=adversaries, pinned_value=1.0)
 
 
 def outcome_metrics(baseline_g, outcome):

@@ -52,8 +52,9 @@ def _load_network_only(path):
     """Network file for recovery: only n and edges are required."""
     payload = fileio.read_json(path)
     try:
-        n = int(payload["n"])
-        edges = [(int(src), int(dst)) for src, dst in payload["edges"]]
+        n = int(fileio.check_integral(payload["n"], "n"))
+        edges = fileio.check_integral(payload["edges"], "edge endpoint")
+        edges = [(int(src), int(dst)) for src, dst in edges]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: network file needs n and edges ({exc})") from exc
     return InfluenceNetwork(agent_count=n, edges=tuple(edges))

@@ -68,6 +68,15 @@ def _require(payload, key, path):
     return payload[key]
 
 
+def check_integral(values, what):
+    """Pass JSON counts or indices through if all are integers, so int() never truncates 2.7."""
+    array = np.asarray(values, dtype=float)
+    bad = (np.trunc(array) != array) | (np.abs(array) > 2.0**53)
+    if bad.any():
+        raise ValidationError(f"{what} must be an integer, got {float(array[bad][0])!r}")
+    return values
+
+
 def parameters_to_json(params):
     w = params.influence
     triples = []
@@ -90,11 +99,14 @@ def save_parameters(params, path):
 def load_parameters(path, allow_self_loops=False):
     payload = read_json(path)
     try:
-        n = int(_require(payload, "n", path))
-        edges = [(int(src), int(dst)) for src, dst in _require(payload, "edges", path)]
+        n = int(check_integral(_require(payload, "n", path), "n"))
+        edges = check_integral(_require(payload, "edges", path), "edge endpoint")
+        edges = [(int(src), int(dst)) for src, dst in edges]
         theta = [float(x) for x in _require(payload, "theta", path)]
         s = [float(x) for x in _require(payload, "s", path)]
-        triples = [(int(i), int(j), float(v)) for i, j, v in _require(payload, "w", path)]
+        entries = _require(payload, "w", path)
+        triples = [(int(i), int(j), float(v)) for i, j, v in entries]
+        check_integral(np.asarray(entries, dtype=float)[..., :2], "weight index")
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed parameter file ({exc})") from exc
     network = InfluenceNetwork(agent_count=n, edges=tuple(edges), allow_self_loops=allow_self_loops)
@@ -121,9 +133,10 @@ def save_config(config, path):
 def load_config(path):
     payload = read_json(path)
     try:
-        adversaries = [int(j) for j in _require(payload, "adversaries", path)]
+        adversaries = check_integral(_require(payload, "adversaries", path), "adversary")
+        adversaries = [int(j) for j in adversaries]
         targets = {
-            int(j): [int(i) for i in chosen]
+            int(j): [int(i) for i in check_integral(chosen, "target")]
             for j, chosen in _require(payload, "targets", path).items()
         }
         p = float(_require(payload, "p", path))
@@ -152,7 +165,7 @@ def save_trajectories(trajectories, path):
 def load_trajectories(path):
     payload = read_json(path)
     try:
-        n = int(_require(payload, "n", path))
+        n = int(check_integral(_require(payload, "n", path), "n"))
         raw = [np.array(rows, dtype=float) for rows in _require(payload, "trajectories", path)]
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed trajectory file ({exc})") from exc

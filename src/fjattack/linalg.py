@@ -99,10 +99,9 @@ def check_conditioned(stack, label):
         invert_conditioned(stack[unsure], lambda b: label(int(unsure[b])))
 
 
-def solve_conditioned(matrix, rhs, transposed=False):
-    """Solve ``matrix @ x = rhs`` (or the transposed system) with an rcond guard."""
-    factor = factor_conditioned(matrix)
-    return lu_solve(factor, np.asarray(rhs, dtype=float), trans=1 if transposed else 0)
+def solve_conditioned(matrix, rhs):
+    """Solve ``matrix @ x = rhs`` with an rcond guard."""
+    return lu_solve(factor_conditioned(matrix), np.asarray(rhs, dtype=float))
 
 
 def spectral_radius(matrix, max_iterations=2000, tol=1e-13):

@@ -8,8 +8,8 @@ beta = (a_i, v_i.) with a_i = theta_i and v_ij = (1 - theta_i) w_ij:
 and beta lies on the probability simplex (nonnegative, sums to one).
 Taking s as the first observed opinion vector, each agent's parameters are
 recovered independently by least squares over its in-neighbor support,
-constrained to the simplex and solved by projected gradient descent with
-step 1/L.  Stubbornness and weights are then read back as theta_i = a_i
+constrained to the simplex and solved exactly by a primal active-set
+method.  Stubbornness and weights are then read back as theta_i = a_i
 and w_ij = v_ij / (1 - a_i); rows with a_i at 1 carry no information about
 their weights and are flagged, with a uniform fallback row.
 """
@@ -19,11 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import THETA_MIN, FjParameters, closed_form_outcome
-from .errors import ValidationError
-
-# Projected-gradient stopping tolerance on the gradient-mapping norm.
-PG_TOL = 1e-10
-MAX_ITERATIONS = 10_000
+from .errors import ConvergenceError, ValidationError
 
 # Above this value of a_i the weight scale 1 - a_i is considered degenerate.
 STUBBORN_CEILING = 1.0 - 1e-9
@@ -112,64 +108,59 @@ def project_to_simplex(point):
     return np.maximum(v - tau, 0.0)
 
 
-def _sum_constrained_start(gram, linear):
+def _sum_constrained(gram, linear):
     """Minimizer of the quadratic subject to the coefficients summing to 1.
 
     Drops the nonnegativity constraints and solves the KKT system of the
     remaining equality-constrained problem; a least-squares solve covers
-    the rank-deficient case.  Projecting this point onto the simplex gives
-    a far better starting iterate than the barycenter, because trajectory
-    columns flatten toward their fixed point and leave the design badly
-    conditioned.
+    the rank-deficient case, where trajectory columns flatten toward their
+    fixed point.
     """
     m = gram.shape[0]
-    kkt = np.zeros((m + 1, m + 1))
+    kkt = np.ones((m + 1, m + 1))
     kkt[:m, :m] = gram
-    kkt[:m, m] = 1.0
-    kkt[m, :m] = 1.0
-    rhs = np.append(linear, 1.0)
-    solution = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    return project_to_simplex(solution[:m])
+    kkt[m, m] = 0.0
+    return np.linalg.lstsq(kkt, np.append(linear, 1.0), rcond=None)[0][:m]
 
 
 def _simplex_least_squares(design, response, ridge):
     """Minimize 0.5 ||X b - y||^2 + 0.5 ridge ||b||^2 over the simplex.
 
-    Projected gradient with fixed step 1/L, warm-started from the
-    projected sum-constrained solution and accelerated with Nesterov
-    momentum (restarted whenever the objective rises).  Iteration stops
-    when the gradient-mapping norm drops below PG_TOL; the best iterate
-    seen is returned, so the result never falls behind the warm start.
+    Primal active-set method (Lawson & Hanson), started from the projected
+    sum-constrained solution.  Each step solves the sum-constrained
+    problem on the free coordinates.  If that solution has a negative
+    entry, the iterate moves toward it until the first free coordinate
+    reaches zero, which is then fixed.  Otherwise the iterate takes the
+    solution and frees the fixed coordinate whose gradient falls furthest
+    below the free ones, by more than a rounding slack; when none does,
+    the KKT conditions hold.  Each step fixes or frees one coordinate; past
+    3m steps the solve raises ConvergenceError.
     """
     m = design.shape[1]
     gram = design.T @ design + ridge * np.eye(m)
     linear = design.T @ response
-    lipschitz = max(float(np.linalg.eigvalsh(gram)[-1]), 1e-12)
-
-    def objective_at(point):
-        return 0.5 * point @ (gram @ point) - linear @ point
-
-    beta = _sum_constrained_start(gram, linear)
-    best = beta
-    best_objective = objective_at(beta)
-    momentum = beta
-    weight = 1.0
-    for _ in range(MAX_ITERATIONS):
-        gradient = gram @ momentum - linear
-        candidate = project_to_simplex(momentum - gradient / lipschitz)
-        mapping_norm = lipschitz * float(np.linalg.norm(candidate - momentum))
-        candidate_objective = objective_at(candidate)
-        if candidate_objective <= best_objective:
-            best, best_objective = candidate, candidate_objective
-        if candidate_objective > objective_at(beta):
-            momentum, weight = beta, 1.0
-        else:
-            next_weight = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * weight * weight))
-            momentum = candidate + ((weight - 1.0) / next_weight) * (candidate - beta)
-            beta, weight = candidate, next_weight
-        if mapping_norm <= PG_TOL:
-            break
-    return best
+    slack = 64.0 * m * np.finfo(float).eps * max(np.abs(gram).max(), np.abs(linear).max())
+    beta = project_to_simplex(_sum_constrained(gram, linear))
+    free = beta > 0.0
+    for _ in range(3 * m):
+        target = np.zeros(m)
+        target[free] = _sum_constrained(gram[np.ix_(free, free)], linear[free])
+        blocking = np.flatnonzero(free & (target < 0.0))
+        if blocking.size:
+            ratios = beta[blocking] / (beta[blocking] - target[blocking])
+            first = np.argmin(ratios)
+            beta = np.maximum(beta + ratios[first] * (target - beta), 0.0)
+            beta[blocking[first]] = 0.0
+            free[blocking[first]] = False
+            continue
+        beta = target
+        gradient = gram @ beta - linear
+        fixed_gradient = np.where(free, np.inf, gradient)
+        release = int(np.argmin(fixed_gradient))
+        if not fixed_gradient[release] < gradient[free].min() - slack:
+            return beta
+        free[release] = True
+    raise ConvergenceError(f"simplex least squares did not settle in {3 * m} active-set steps")
 
 
 def recover(problem):

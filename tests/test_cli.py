@@ -214,8 +214,9 @@ def test_validation_failures_exit_two(tmp_path):
     [
         {"n": "eight", "trajectories": [[[0.5] * 8, [0.5] * 8]]},
         {"n": 8, "trajectories": [[[0.5] * 8, [0.5] * 7]]},
+        {"n": 8.5, "trajectories": [[[0.5] * 8, [0.5] * 8]]},
     ],
-    ids=["non_integer_n", "ragged_rows"],
+    ids=["non_integer_n", "ragged_rows", "fractional_n"],
 )
 def test_recover_malformed_trajectories_exit_two(tmp_path, capsys, payload):
     network = write_network(tmp_path)
@@ -227,6 +228,27 @@ def test_recover_malformed_trajectories_exit_two(tmp_path, capsys, payload):
     ])
     assert code == 2
     assert "malformed trajectory file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override", [{"n": 8.5}, {"edges": [[0, 1.6]]}], ids=["count", "edge_endpoint"]
+)
+def test_recover_non_integral_network_exits_two(tmp_path, capsys, override):
+    network = write_network(tmp_path)
+    main([
+        "simulate", "--network", str(network), "--rounds", "5",
+        "--trajectories", "2", "--out-dir", str(tmp_path),
+    ])
+    payload = read_json(network)
+    payload.update(override)
+    write_json(network, payload)
+    code = main([
+        "recover", "--trajectories", str(tmp_path / "demo_network_trajectories.json"),
+        "--network", str(network), "--out-dir", str(tmp_path),
+    ])
+    assert code == 2
+    assert "must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "demo_network_trajectories_recovered.json").exists()
 
 
 def test_scenario_that_is_not_an_object_exits_two(tmp_path, capsys):

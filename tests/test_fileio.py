@@ -131,3 +131,38 @@ def test_csv_text_formatting():
     text = csv_text(["a", "b"], cells)
     lines = text.strip().split("\n")
     assert lines == ["a,b", "1.23457,", "2,0.5"]
+
+
+TWO_AGENTS = {
+    "n": 2,
+    "edges": [[0, 1], [1, 0]],
+    "theta": [0.5, 0.5],
+    "s": [0.25, 0.75],
+    "w": [[0, 1, 1.0], [1, 0, 1.0]],
+}
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"n": 2.9}, {"edges": [[0, 1.6], [1, 0]]}, {"w": [[0, 1, 1.0], [1, 0.5, 1.0]]}],
+    ids=["count", "edge_endpoint", "weight_index"],
+)
+def test_parameters_reject_non_integral_counts_and_indices(tmp_path, override):
+    path = tmp_path / "params.json"
+    write_json(path, {**TWO_AGENTS, **override})
+    with pytest.raises(ValidationError, match="must be an integer"):
+        load_parameters(path)
+
+
+def test_integral_floats_load_as_ints(tmp_path):
+    path = tmp_path / "params.json"
+    write_json(path, {**TWO_AGENTS, "n": 2.0, "edges": [[0.0, 1], [1, 0.0]]})
+    params = load_parameters(path)
+    assert params.n == 2 and params.network.edges == ((0, 1), (1, 0))
+
+
+def test_config_rejects_non_integral_agents(tmp_path):
+    path = tmp_path / "config.json"
+    write_json(path, {"adversaries": [1.5], "targets": {}, "p": 0.1})
+    with pytest.raises(ValidationError, match="must be an integer"):
+        load_config(path)

@@ -293,8 +293,10 @@ def reference_wo_pinning(params, p, leader_size):
 def reference_wo_both(params, leader_size):
     n = params.n
     theta = params.stubbornness
-    mass = solve_conditioned(
-        np.eye(n) - (1.0 - theta)[:, None] * params.influence, np.ones(n), transposed=True
+    mass = lu_solve(
+        factor_conditioned(np.eye(n) - (1.0 - theta)[:, None] * params.influence),
+        np.ones(n),
+        trans=1,
     )
     best_adv, best_g = None, -np.inf
     for adversaries in combinations(range(n), leader_size):

@@ -179,12 +179,41 @@ def test_ridge_shrinks_but_stays_feasible():
     assert ridged.per_agent_residual.sum() >= plain.per_agent_residual.sum() - 1e-12
 
 
+def agent_rows(params, runs):
+    """Each agent's stacked (design, response), built as ``recover`` builds them."""
+    for i in range(params.n):
+        support = list(params.network.in_neighbors(i))
+        design = np.vstack(
+            [np.column_stack([np.full(len(run) - 1, params.intrinsic[i]), run[:-1][:, support]])
+             for run in runs]
+        )
+        yield design, np.concatenate([run[1:, i] for run in runs])
+
+
+def assert_simplex_kkt(design, response, ridge, beta):
+    """Feasibility and the KKT conditions of the simplex least-squares fit.
+
+    At a simplex minimizer the gradient is equal across the support and no
+    smaller off it.  Both hold to 1e-9 relative to the gradient's scale,
+    the larger of its two terms.
+    """
+    assert beta.min() >= 0.0 and beta.sum() == pytest.approx(1.0, abs=1e-12)
+    gram = design.T @ design + ridge * np.eye(beta.size)
+    linear = design.T @ response
+    gradient = gram @ beta - linear
+    tol = 1e-9 * max(np.abs(gram @ beta).max(), np.abs(linear).max())
+    on = beta > 0.0
+    assert gradient[on].max() - gradient[on].min() <= tol
+    if not on.all():
+        assert gradient[~on].min() >= gradient[on].max() - tol
+    return not on.all()
+
+
 def test_noisy_fits_with_active_simplex_constraint_meet_kkt():
     # Noisy Erdos-Renyi n = 8 rows (five 30-round trajectories, +-1e-2
-    # noise) whose fit sets some coefficient to zero.  At a simplex
-    # minimizer the gradient is equal across the support and no smaller
-    # off it.  These rows stop at MAX_ITERATIONS, so equality holds only
-    # to about 3e-6 on the gradient's scale of 50-200.
+    # noise) whose fit sets some coefficient to zero, on a gradient scale
+    # of 50-200.  The active-set solve ends on the support's own KKT
+    # system, so the conditions hold to rounding, not to an iteration cap.
     active = 0
     for seed in (4, 16, 32):
         _, params = generate(
@@ -195,23 +224,36 @@ def test_noisy_fits_with_active_simplex_constraint_meet_kkt():
         for _ in range(5):
             values = simulate(params, rng.uniform(0.0, 1.0, 8), 30).values
             runs.append(np.clip(values + rng.uniform(-1e-2, 1e-2, values.shape), 0.0, 1.0))
-        for i in range(8):
-            support = list(params.network.in_neighbors(i))
-            design = np.vstack(
-                [np.column_stack([np.full(30, params.intrinsic[i]), run[:-1][:, support]])
-                 for run in runs]
-            )
-            response = np.concatenate([run[1:, i] for run in runs])
+        for design, response in agent_rows(params, runs):
             beta = _simplex_least_squares(design, response, 0.0)
-            assert beta.min() >= 0.0 and beta.sum() == pytest.approx(1.0, abs=1e-12)
-            on = beta > 0.0
-            if on.all():
-                continue
-            active += 1
-            gradient = design.T @ (design @ beta - response)
-            assert gradient[on].max() - gradient[on].min() <= 1e-5
-            assert gradient[~on].min() >= gradient[on].max() - 1e-5
+            active += assert_simplex_kkt(design, response, 0.0, beta)
     assert active == 3
+
+
+def test_simplex_fits_meet_kkt_across_noise_and_ridge():
+    # Seeded rows on four topologies at noise 0, 1e-3 and 1e-2 and ridge 0
+    # and 1e-3, plus a constant trajectory whose design has rank 1: every
+    # fit is on the simplex and meets the KKT conditions.
+    active = 0
+    for topology in ("erdos_renyi", "complete", "ring", "star"):
+        for seed in range(3):
+            n = 5 + 2 * seed
+            _, params = generate(Scenario(topology=topology, n=n, edge_prob=0.4, seed=seed))
+            rng = np.random.default_rng([seed, n])
+            clean = [simulate(params, rng.uniform(0.0, 1.0, n), 30).values for _ in range(4)]
+            for noise in (0.0, 1e-3, 1e-2):
+                runs = [np.clip(v + rng.uniform(-noise, noise, v.shape), 0.0, 1.0) for v in clean]
+                for ridge in (0.0, 1e-3):
+                    for design, response in agent_rows(params, runs):
+                        beta = _simplex_least_squares(design, response, ridge)
+                        active += assert_simplex_kkt(design, response, ridge, beta)
+            constant = [np.tile(rng.uniform(0.0, 1.0, n), (7, 1))]
+            for ridge in (0.0, 1e-3):
+                for design, response in agent_rows(params, constant):
+                    assert np.linalg.matrix_rank(design) == 1
+                    beta = _simplex_least_squares(design, response, ridge)
+                    assert_simplex_kkt(design, response, ridge, beta)
+    assert active > 0
 
 
 def test_robustness_noise_zero_matches_noiseless():
