@@ -54,20 +54,26 @@ class InfluenceNetwork:
         n = self.agent_count
         if not isinstance(n, int) or n < 1:
             raise ValidationError(f"agent_count must be a positive int, got {n!r}")
-        canon = []
-        seen = set()
-        for edge in self.edges:
-            src, dst = edge
-            src, dst = int(src), int(dst)
-            if not (0 <= src < n and 0 <= dst < n):
+        edges = np.array(self.edges, dtype=np.int64)
+        if edges.size == 0:
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValidationError(f"edges must be (source, target) pairs, got shape {edges.shape}")
+        sources, targets = edges.T
+        outside = (edges < 0) | (edges >= n)
+        rejected = outside[:, 0] | outside[:, 1]
+        if not self.allow_self_loops:
+            rejected |= sources == targets
+        if rejected.any():
+            first = int(np.argmax(rejected))
+            src, dst = edges[first].tolist()
+            if outside[first].any():
                 raise ValidationError(f"edge ({src}, {dst}) out of range for {n} agents")
-            if src == dst and not self.allow_self_loops:
-                raise ValidationError(f"self-loop on agent {src} is not allowed")
-            if (src, dst) not in seen:
-                seen.add((src, dst))
-                canon.append((src, dst))
-        canon.sort()
-        object.__setattr__(self, "edges", tuple(canon))
+            raise ValidationError(f"self-loop on agent {src} is not allowed")
+        # Keys src * n + dst sort like the (src, dst) pairs.
+        sources, targets = np.divmod(np.unique(sources * n + targets), n)
+        canon = tuple(zip(sources.tolist(), targets.tolist()))
+        object.__setattr__(self, "edges", canon)
 
         incoming = [[] for _ in range(n)]
         outgoing = [[] for _ in range(n)]
@@ -79,6 +85,7 @@ class InfluenceNetwork:
                 raise ValidationError(f"agent {i} has no in-neighbors")
         object.__setattr__(self, "_incoming", tuple(tuple(v) for v in incoming))
         object.__setattr__(self, "_outgoing", tuple(tuple(v) for v in outgoing))
+        object.__setattr__(self, "_support", (targets, sources))
 
     def in_neighbors(self, agent):
         """Agents whose opinions feed agent's update, in index order."""
@@ -103,8 +110,7 @@ class InfluenceNetwork:
         """Boolean (n, n) mask; mask[i, j] is True iff w[i, j] may be nonzero."""
         n = self.agent_count
         mask = np.zeros((n, n), dtype=bool)
-        for src, dst in self.edges:
-            mask[dst, src] = True
+        mask[self._support] = True
         return mask
 
 

@@ -409,7 +409,9 @@ def _unpinned_scorer(params, p, budgets):
     fixed point z0.  Adversary j's gain on agent i is p c_i (z0_j - (W z0)_i); each
     adversary keeps its top budgets[j] eligible targets, and the chunk's
     re-weighted n x n systems are guarded by ``check_conditioned`` and
-    re-scored in one batched solve.  Yields one configuration per set.
+    re-scored in one batched solve.  A chunk whose adversaries all have
+    zero budgets keeps z0 instead, which is what that solve would return.
+    Yields one configuration per set.
     """
     network = params.network
     theta = params.stubbornness
@@ -428,6 +430,10 @@ def _unpinned_scorer(params, p, budgets):
         pinned[rows, adversaries] = True
         rhs = np.where(pinned, 1.0, params.intrinsic) * theta
         z0 = lu_solve(factor, rhs.T).T
+        if not budgets[adversaries].any():
+            # No targets: every re-weighted matrix is M itself, so z = z0.
+            yield z0.sum(axis=1), np.zeros((sets, k, n), dtype=bool), np.arange(sets)
+            return
         received = z0 @ weights.T
         gain = p * sensitivity * (z0[rows, adversaries][:, :, None] - received[:, None, :])
         chosen = _top_targets(

@@ -21,35 +21,39 @@ Writing M = I - (I - Theta_U) W_UU for the restricted system, c is
 
     c = (I - Theta_U) M^-T 1
 
-so both the base fixed point and c come from one factorization (or one
-inverse) of M.  Gains are nonnegative up to rounding and additive to first
-order when several adversaries pick the same target.
+so both the base fixed point and c come from one factorization of M (or,
+in the batched search, from one inverse of the full unrestricted system).
+Gains are nonnegative up to rounding and additive to first order when
+several adversaries pick the same target.
 
 Both modes, and the ablation's planner models in ``harness``, run on one
 driver, ``_leader_search``: it takes adversary sets
 LEADER_CHUNK at a time, has a scorer yield the exact g of batches of
 configurations, and keeps the lexicographic argmax.
 
-* The approx scorer stacks the chunk's W_UU / W_UA blocks; one batched
-  inverse of M yields every set's z0 and c, ``_top_targets`` (a masked
-  stable top-budget selection, shared with the ablation's unpinned
-  scorer) picks the targets, and one batched solve re-scores the
-  re-weighted systems.  Every base and re-scored system passes the
-  batched rcond guard ``linalg.invert_conditioned``.
+* The approx scorer inverts the full n x n system I - (I - Theta) W once
+  per search; ``_schur_gains`` reads every set's z0 and c off that
+  inverse through the Schur complement, with one (sets, n) product and one
+  batched k x k solve each.  ``_top_targets`` (a masked stable top-budget
+  selection, shared with the ablation's unpinned scorer) picks the
+  targets, and one batched solve re-scores the re-weighted systems.  The
+  full system passes ``linalg.invert_conditioned``; every set's
+  restricted system, its k x k pivot block and its re-scored system pass
+  ``linalg.check_conditioned``.
 * The exact scorer serves exact solve_attack, exact solve_follower and
   brute_force_oracle.  Each agent's within-budget target subsets are a
   table of boolean masks in canonical (size, lex) order; a set keeps the
   rows that avoid it, and its joint choices are decoded in mixed radix,
   last adversary fastest (itertools.product order).  CONFIG_CHUNK
-  configurations at a time are stacked and solved together after
-  ``linalg.check_conditioned`` clears them, by a diagonal-dominance bound
-  or else the exact rcond.
+  configurations at a time are stacked, guarded and solved together.
 
-Both guards name the adversary set they reject.  ``marginal_gains`` and
-approx ``solve_follower`` keep the per-set scalar path, the reference the
-batched approx search is tested against.  Every exact score, stacked or
-one at a time (``adversarial_outcome``), builds its system with
-``adversary._reweighted_systems``; only the LAPACK solve differs.
+``check_conditioned`` clears a stack by a diagonal-dominance bound, or
+else by the exact rcond; both guards name the adversary set they reject.
+``marginal_gains`` and approx ``solve_follower`` keep the per-set scalar
+path, the reference the batched approx search is tested against.  Every
+exact score, stacked or one at a time (``adversarial_outcome``), builds
+its system with ``adversary._reweighted_systems``; only the LAPACK solve
+differs.
 
 Tie-breaking is deterministic everywhere: higher g wins, then the smaller
 adversary tuple, then the smaller canonical target tuple.
@@ -58,7 +62,6 @@ adversary tuple, then the smaller canonical target tuple.
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -77,9 +80,10 @@ from .linalg import check_conditioned, factor_conditioned, invert_conditioned
 # Exhaustive target enumeration refuses to look at more configurations than this.
 DEFAULT_CONFIG_CAP = 10_000_000
 
-# Adversary sets scored together by _leader_search.  An approx chunk's
-# temporaries peak near 0.9 MB at n = 14 and 1.6 MB at n = 20; of 32-1024
-# sets per chunk, 128 ran fastest at both sizes.
+# Adversary sets scored together by _leader_search.  An approx search's
+# allocations peak near 0.55 MB at n = 14 and 0.9 MB at n = 20 (complete
+# graphs, tracemalloc); of 32-1024 sets per chunk, 128 ran fastest at both
+# sizes.
 LEADER_CHUNK = 128
 
 # Configurations stacked into one guarded batched solve by the exact scorer.
@@ -110,8 +114,8 @@ class AttackPlan:
     follower_candidates counts, in exact mode, the configurations the
     exact scorer solved, which equals count_configurations over the
     searched leader sizes; in approx mode, three per adversary set: the
-    two gain solves and the re-score of the per-set follower.  wall_time
-    is in seconds.
+    two k x k solves that give its z0 and c, and the re-score of its
+    chosen targets.  wall_time is in seconds.
     """
 
     config: AttackConfig
@@ -239,41 +243,83 @@ def _top_targets(gain, eligible, budgets):
     return eligible & (rank < budgets[:, :, None])
 
 
-def _score_chunk(params, p, listeners, target_budgets, chunk):
-    """Approx follower for a chunk of same-size adversary sets at once.
+def _schur_gains(minv, adversaries, blocks, p, label):
+    """Base fixed point z0 over U and the (sets, n) gains of a stack of sets.
 
-    A scorer for _leader_search: yields one batch, the exact g of every
-    set's chosen targets, the (sets, k, n) boolean choice mask and the
-    set indices.  The arithmetic mirrors marginal_gains followed by
-    _RestrictedSystem.outcome, stacked over the chunk.
+    ``minv`` is the inverse of the full M = I - (I - Theta) W and
+    ``blocks`` the stack's _restricted_blocks.  With A a set and U the
+    rest, (M_UU)^-1 = Minv_UU - Minv_UA (Minv_AA)^-1 Minv_AU (Hager 1989),
+    so z0 = (M_UU)^-1 b_U and c = (I - Theta_U) (M_UU)^-T 1 cost one
+    (sets, n) @ (n, n) product each and a k x k solve against Minv_AA,
+    resp. its transpose; the gains are those of marginal_gains.  Every
+    Minv_AA passes ``check_conditioned``, naming set b by ``label(b)``.
     """
-    adversaries = np.array(chunk, dtype=int)
     sets, k = adversaries.shape
-    n = params.n
     rows = np.arange(sets)[:, None]
-    pinned, unpinned, w_uu, w_ua, open_minded, base_rhs = _restricted_blocks(params, adversaries)
-
-    def label(b):
-        return f"adversary set {chunk[b]}"
-
-    # One inverse of M = I - (I - Theta_U) W_UU gives z0 and c = (I - Theta_U) M^-T 1.
-    inverse = invert_conditioned(np.eye(n - k) - open_minded[:, :, None] * w_uu, label)
+    pinned, unpinned, w_uu, w_ua, open_minded, base_rhs = blocks
+    minv_aa = minv[adversaries[:, :, None], adversaries[:, None, :]]
+    check_conditioned(minv_aa, label)
     adversary_mass = w_ua.sum(axis=2)
-    z0 = np.matmul(inverse, (base_rhs + open_minded * adversary_mass)[:, :, None])[:, :, 0]
-    c = open_minded * inverse.sum(axis=1)
+    rhs = np.zeros(pinned.shape)
+    rhs[rows, unpinned] = base_rhs + open_minded * adversary_mass
+    y = rhs @ minv.T
+    t = np.linalg.solve(minv_aa, y[rows, adversaries][:, :, None])
+    # minv.T[adversaries][b, a, i] = Minv[i, A_a]: Minv_UA t for every row.
+    z0 = (y[:, None, :] - np.matmul(t.transpose(0, 2, 1), minv.T[adversaries]))[:, 0]
+    v = (~pinned) @ minv
+    u = np.linalg.solve(minv_aa.transpose(0, 2, 1), v[rows, adversaries][:, :, None])
+    c = (v[:, None, :] - np.matmul(u.transpose(0, 2, 1), minv[adversaries]))[:, 0]
+    z0, c = z0[rows, unpinned], open_minded * c[rows, unpinned]
     received = np.matmul(w_uu, z0[:, :, None])[:, :, 0] + adversary_mass
-    gain = np.zeros((sets, n))
+    gain = np.zeros(pinned.shape)
     gain[rows, unpinned] = p * (1.0 - received) * c
-    chosen = _top_targets(
-        gain[:, None, :], listeners[adversaries] & ~pinned[:, None, :], target_budgets[adversaries]
-    )
+    return z0, gain
 
-    matrix, rhs = _reweighted_systems(
-        w_uu, w_ua, open_minded, base_rhs, chosen[rows, :, unpinned], p
-    )
-    invert_conditioned(matrix, label)
-    z = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
-    yield z.sum(axis=1) + k, chosen, np.arange(sets)
+
+def _approx_scorer(params, p):
+    """score(chunk) for _leader_search: the approx follower of every set.
+
+    Yields one batch per chunk: the exact g of every set's chosen targets,
+    the (sets, k, n) boolean choice mask and the set indices.  The
+    arithmetic mirrors marginal_gains followed by _RestrictedSystem.outcome,
+    with the base systems taken from one inverse of the full M by
+    _schur_gains.  Each set's restricted M_UU and re-weighted system pass
+    ``check_conditioned``; the full M passes ``invert_conditioned`` after
+    the first chunk's sets, so a rejected set is named first.
+    """
+    network = params.network
+    n = params.n
+    listeners = network.support_mask().T
+    budgets = np.array([network.target_budget(j) for j in range(n)])
+    system = np.eye(n) - (1.0 - params.stubbornness)[:, None] * params.influence
+    minv = None
+
+    def score(chunk):
+        nonlocal minv
+        adversaries = np.array(chunk, dtype=int)
+        sets, k = adversaries.shape
+        rows = np.arange(sets)[:, None]
+        blocks = _restricted_blocks(params, adversaries)
+        pinned, unpinned, w_uu, w_ua, open_minded, base_rhs = blocks
+
+        def label(b):
+            return f"adversary set {chunk[b]}"
+
+        check_conditioned(np.eye(n - k) - open_minded[:, :, None] * w_uu, label)
+        if minv is None:
+            minv = invert_conditioned(system[None], lambda b: "system I - (I - Theta) W")[0]
+        _, gain = _schur_gains(minv, adversaries, blocks, p, label)
+        chosen = _top_targets(
+            gain[:, None, :], listeners[adversaries] & ~pinned[:, None, :], budgets[adversaries]
+        )
+        matrix, rhs = _reweighted_systems(
+            w_uu, w_ua, open_minded, base_rhs, chosen[rows, :, unpinned], p
+        )
+        check_conditioned(matrix, label)
+        z = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
+        yield z.sum(axis=1) + k, chosen, np.arange(sets)
+
+    return score
 
 
 def _leader_search(leader_sets, score):
@@ -427,8 +473,7 @@ def solve_attack(
     leader_size = _check_leader_size(network, leader_size)
     sizes = range(1, network.leader_budget() + 1) if all_leader_sizes else (leader_size,)
     if follower_mode == "approx":
-        budgets = np.array([network.target_budget(j) for j in range(params.n)])
-        score = partial(_score_chunk, params, p, network.support_mask().T, budgets)
+        score = _approx_scorer(params, p)
     elif follower_mode == "exact":
         score = _exact_scorer(params, p, cap)
     else:

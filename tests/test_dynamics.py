@@ -221,6 +221,79 @@ def test_network_validation():
         InfluenceNetwork(3, ((0, 1), (1, 0)))  # agent 2 has no in-neighbor
 
 
+def reference_network(n, edges, allow_self_loops):
+    """The per-edge validation loop InfluenceNetwork once ran, kept as the
+    reference for the vectorized one.  Returns the ValidationError message,
+    or the canonical edges, in- and out-neighbor tuples and support mask."""
+    canon, seen = [], set()
+    for src, dst in edges:
+        src, dst = int(src), int(dst)
+        if not (0 <= src < n and 0 <= dst < n):
+            return f"edge ({src}, {dst}) out of range for {n} agents"
+        if src == dst and not allow_self_loops:
+            return f"self-loop on agent {src} is not allowed"
+        if (src, dst) not in seen:
+            seen.add((src, dst))
+            canon.append((src, dst))
+    canon.sort()
+    incoming = [[] for _ in range(n)]
+    outgoing = [[] for _ in range(n)]
+    mask = np.zeros((n, n), dtype=bool)
+    for src, dst in canon:
+        incoming[dst].append(src)
+        outgoing[src].append(dst)
+        mask[dst, src] = True
+    for i in range(n):
+        if not incoming[i]:
+            return f"agent {i} has no in-neighbors"
+    return tuple(canon), [tuple(v) for v in incoming], [tuple(v) for v in outgoing], mask
+
+
+def test_network_validation_matches_the_per_edge_loop():
+    rng = np.random.default_rng(2024)
+    outcomes = {"ok": 0, "error": 0}
+    for trial in range(400):
+        n = int(rng.integers(1, 13))
+        # A ring keeps most lists valid; random extra edges bring duplicates,
+        # and a few planted ones fall out of range or loop.
+        edges = [(i, (i + 1) % n) for i in range(n) if trial % 5 or i]
+        edges += [tuple(rng.integers(0, n, 2).tolist()) for _ in range(rng.integers(0, 3 * n))]
+        edges += [edges[k] for k in rng.integers(0, len(edges), 3)] if edges else []
+        for _ in range(rng.choice(3, p=[0.6, 0.25, 0.15])):
+            bad = [(int(rng.integers(-2, 0)), 0), (0, n + int(rng.integers(0, 2)))]
+            bad.append((int(rng.integers(0, n)),) * 2)
+            edges.insert(int(rng.integers(0, len(edges) + 1)), bad[rng.integers(0, 3)])
+        rng.shuffle(edges)
+        for allow in (False, True):
+            expected = reference_network(n, edges, allow)
+            if isinstance(expected, str):
+                outcomes["error"] += 1
+                with pytest.raises(ValidationError) as raised:
+                    InfluenceNetwork(n, tuple(edges), allow_self_loops=allow)
+                assert str(raised.value) == expected
+                continue
+            outcomes["ok"] += 1
+            network = InfluenceNetwork(n, tuple(edges), allow_self_loops=allow)
+            canon, incoming, outgoing, mask = expected
+            assert network.edges == canon
+            assert all(type(x) is int for edge in network.edges for x in edge)
+            assert [network.in_neighbors(i) for i in range(n)] == incoming
+            assert [network.out_neighbors(i) for i in range(n)] == outgoing
+            assert np.array_equal(network.support_mask(), mask)
+    assert min(outcomes.values()) > 100
+
+
+def test_network_validation_names_the_first_offending_edge():
+    with pytest.raises(ValidationError, match=r"self-loop on agent 2"):
+        InfluenceNetwork(3, ((0, 1), (2, 2), (0, 5), (1, 1)))
+    with pytest.raises(ValidationError, match=r"edge \(0, 5\) out of range for 3 agents"):
+        InfluenceNetwork(3, ((0, 1), (0, 5), (2, 2), (-1, 0)), allow_self_loops=True)
+    with pytest.raises(ValidationError, match=r"edge \(4, 4\) out of range"):
+        InfluenceNetwork(3, ((4, 4), (1, 1)))
+    with pytest.raises(ValidationError, match="pairs"):
+        InfluenceNetwork(3, ((0, 1, 2),))
+
+
 def test_network_budgets_and_degrees():
     network = complete_network(7)
     assert network.leader_budget() == 2

@@ -37,10 +37,10 @@ from fjattack import (
     solve_attack,
     solve_follower,
 )
-from fjattack.adversary import _RestrictedSystem
+from fjattack.adversary import _restricted_blocks, _RestrictedSystem
 from fjattack.fileio import plan_to_json, save_parameters
 from fjattack.linalg import check_conditioned, invert_conditioned
-from fjattack.optimizer import CONFIG_CHUNK, LEADER_CHUNK
+from fjattack.optimizer import CONFIG_CHUNK, LEADER_CHUNK, _schur_gains
 from test_adversary import three_agent_instance
 
 
@@ -475,17 +475,77 @@ def test_approx_search_is_conditioning_guarded(monkeypatch):
         solve_attack(params, p=1e-3)
 
 
-def test_approx_search_guards_base_and_rescore_systems(monkeypatch):
-    guarded = []
+def test_approx_search_guards_the_full_system(monkeypatch):
+    _, params = random_instance(60, n=8, density=0.6)
+    monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", 1.0)
+    monkeypatch.setattr(fjattack.optimizer, "check_conditioned", lambda stack, label: None)
+    with pytest.raises(ConvergenceError, match=r"system I - \(I - Theta\) W"):
+        solve_attack(params, p=1e-3)
 
-    def spy(stack, label):
-        guarded.append(len(stack))
+
+def test_approx_search_guards_base_and_rescore_systems(monkeypatch):
+    checked, inverted = [], []
+
+    def check_spy(stack, label):
+        checked.append(stack.shape)
+        return check_conditioned(stack, label)
+
+    def invert_spy(stack, label):
+        inverted.append(stack.shape)
         return invert_conditioned(stack, label)
 
-    monkeypatch.setattr(fjattack.optimizer, "invert_conditioned", spy)
+    monkeypatch.setattr(fjattack.optimizer, "check_conditioned", check_spy)
+    monkeypatch.setattr(fjattack.optimizer, "invert_conditioned", invert_spy)
     _, params = generate(Scenario(topology="complete", n=14, seed=1))
     plan = solve_attack(params, p=1e-3)
-    assert sum(guarded) == 2 * plan.leader_evaluations == 2 * 1001
+    # Each set's restricted M_UU and its re-scored system, then its Minv_AA.
+    assert sum(shape[0] for shape in checked if shape[1:] == (10, 10)) == 2 * 1001
+    assert sum(shape[0] for shape in checked if shape[1:] == (4, 4)) == 1001
+    assert plan.leader_evaluations == 1001
+    # The full M, once per search.
+    assert inverted == [(1, 14, 14)]
+
+
+def with_open_minded_agents(params):
+    """params with every third agent's stubbornness set to 0, which sends
+    the contraction check down its spectral path; None if that fails."""
+    theta = np.array(params.stubbornness)
+    theta[::3] = 0.0
+    try:
+        return FjParameters(params.network, params.intrinsic, theta, params.influence)
+    except ConvergenceError:
+        return None
+
+
+@pytest.mark.parametrize("topology", ("complete", "ring", "star", "erdos_renyi", "custom"))
+def test_schur_gains_match_scalar_marginal_gains(topology, tmp_path):
+    p = 1e-3
+    for n in range(4, 15):
+        if topology == "custom":
+            path = tmp_path / f"custom_{n}.json"
+            save_parameters(random_instance(n, n=n, density=0.5)[1], path)
+            scenario = Scenario(topology="custom", network_file=str(path))
+        else:
+            scenario = Scenario(topology=topology, n=n, seed=n)
+        _, params = generate(scenario)
+        for instance in (params, with_open_minded_agents(params)):
+            if instance is None:
+                continue
+            system = np.eye(n) - (1.0 - instance.stubbornness)[:, None] * instance.influence
+            minv = invert_conditioned(system[None], str)[0]
+            for k in range(1, params.network.leader_budget() + 1):
+                sets = np.array(list(combinations(range(n), k))[::5])
+                blocks = _restricted_blocks(instance, sets)
+                z0, gain = _schur_gains(minv, sets, blocks, p, str)
+                for b, adversaries in enumerate(sets.tolist()):
+                    reference = marginal_gains(instance, adversaries, p)
+                    np.testing.assert_allclose(
+                        z0[b], reference.base_fixed_point, rtol=1e-12, atol=1e-12
+                    )
+                    # Relative to the larger of p and the set's largest gain,
+                    # since some sets have every gain zero up to rounding.
+                    scale = max(p, np.abs(reference.gain).max())
+                    assert np.abs(gain[b] - reference.gain).max() <= 1e-12 * scale
 
 
 def test_invert_conditioned_names_the_first_singular_member():
