@@ -160,8 +160,9 @@ class FjParameters:
                 f"influence row {i} sums to {row_sums[i]!r}, expected 1 within {ROW_SUM_TOL}"
             )
         if (theta < THETA_MIN).any():
-            radius = spectral_radius((1.0 - theta)[:, None] * w)
-            if radius > 1.0 - SPECTRAL_MARGIN:
+            limit = 1.0 - SPECTRAL_MARGIN
+            radius = spectral_radius((1.0 - theta)[:, None] * w, threshold=limit)
+            if radius > limit:
                 raise ConvergenceError(
                     f"dynamics do not contract: spectral radius {radius:.12f} "
                     f"with stubbornness below {THETA_MIN}"

@@ -96,25 +96,42 @@ def save_parameters(params, path):
     write_json(path, parameters_to_json(params))
 
 
+def _records(values, width, what):
+    """JSON list of fixed-width numeric records as an (m, width) float array."""
+    array = np.asarray(values, dtype=float)
+    if array.size == 0:
+        array = array.reshape(0, width)
+    if array.ndim != 2 or array.shape[1] != width:
+        raise ValueError(f"{what} must be lists of {width} numbers")
+    return array
+
+
 def load_parameters(path, allow_self_loops=False):
     payload = read_json(path)
     try:
         n = int(check_integral(_require(payload, "n", path), "n"))
-        edges = check_integral(_require(payload, "edges", path), "edge endpoint")
-        edges = [(int(src), int(dst)) for src, dst in edges]
-        theta = [float(x) for x in _require(payload, "theta", path)]
-        s = [float(x) for x in _require(payload, "s", path)]
-        entries = _require(payload, "w", path)
-        triples = [(int(i), int(j), float(v)) for i, j, v in entries]
-        check_integral(np.asarray(entries, dtype=float)[..., :2], "weight index")
+        edges = _records(_require(payload, "edges", path), 2, "edges")
+        check_integral(edges, "edge endpoint")
+        theta = np.asarray(_require(payload, "theta", path), dtype=float)
+        s = np.asarray(_require(payload, "s", path), dtype=float)
+        entries = _records(_require(payload, "w", path), 3, "weight entries")
+        check_integral(entries[:, :2], "weight index")
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed parameter file ({exc})") from exc
-    network = InfluenceNetwork(agent_count=n, edges=tuple(edges), allow_self_loops=allow_self_loops)
+    network = InfluenceNetwork(
+        agent_count=n, edges=edges.astype(np.int64), allow_self_loops=allow_self_loops
+    )
+    index = entries[:, :2].astype(np.int64)
+    outside = ((index < 0) | (index >= n)).any(axis=1)
+    if outside.any():
+        i, j = index[np.argmax(outside)].tolist()
+        raise ValidationError(f"{path}: weight entry ({i}, {j}) out of range")
+    # A repeated (i, j) keeps its last value: assign only last occurrences.
+    keys = index[:, 0] * n + index[:, 1]
+    _, last = np.unique(keys[::-1], return_index=True)
+    last = len(keys) - 1 - last
     w = np.zeros((n, n))
-    for i, j, value in triples:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValidationError(f"{path}: weight entry ({i}, {j}) out of range")
-        w[i, j] = value
+    w[index[last, 0], index[last, 1]] = entries[last, 2]
     return FjParameters(network=network, intrinsic=s, stubbornness=theta, influence=w)
 
 
@@ -197,6 +214,7 @@ def plan_to_json(plan):
     payload.update(
         {
             "predicted_g": round_sig(plan.predicted_g, 12),
+            "upper_bound": round_sig(plan.upper_bound, 12),
             "leader_evaluations": plan.leader_evaluations,
             "follower_candidates": plan.follower_candidates,
             "wall_time_s": plan.wall_time,

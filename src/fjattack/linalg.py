@@ -104,7 +104,19 @@ def solve_conditioned(matrix, rhs):
     return lu_solve(factor_conditioned(matrix), np.asarray(rhs, dtype=float))
 
 
-def spectral_radius(matrix, max_iterations=2000, tol=1e-13):
+def _collatz_wielandt(w, v):
+    """(lower, upper) bracket of the spectral radius from w = A v, v >= 0.
+
+    min_i w_i / v_i over v_i > 0 is a lower bound and max_i w_i / v_i an
+    upper one; an entry of v that underflowed to zero under a positive w_i
+    makes the upper bound infinite, which is still valid.
+    """
+    positive = v > 0.0
+    ratio = np.divide(w, v, out=np.where(w > 0.0, np.inf, 0.0), where=positive)
+    return float(ratio[positive].min()), float(ratio.max())
+
+
+def spectral_radius(matrix, max_iterations=2000, tol=1e-13, threshold=None):
     """Upper bound on the spectral radius of an entrywise nonnegative matrix.
 
     Power iteration on A + sI from the all-ones vector, with s a fiftieth
@@ -115,6 +127,11 @@ def spectral_radius(matrix, max_iterations=2000, tol=1e-13):
     max_i (A v)_i / v_i at the final iterate v.  Because v is positive,
     that bound is never below the spectral radius, up to the rounding of
     the last product; it is tight once v has converged.
+
+    With a ``threshold`` it stops as soon as the Collatz-Wielandt bracket
+    min_i (A v)_i / v_i <= radius <= max_i (A v)_i / v_i lies wholly on
+    one side of it, and returns the upper end: below the threshold if
+    the radius is, above it if the radius is.
     """
     a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
@@ -124,6 +141,10 @@ def spectral_radius(matrix, max_iterations=2000, tol=1e-13):
     w = a @ v
     shift = 0.02 * float(np.max(w))
     for iteration in range(max_iterations):
+        if threshold is not None:
+            lower, upper = _collatz_wielandt(w, v)
+            if upper < threshold or lower > threshold:
+                return upper
         step = w + shift * v
         norm = float(np.max(step))
         if norm == 0.0:
@@ -133,6 +154,4 @@ def spectral_radius(matrix, max_iterations=2000, tol=1e-13):
             break
         v = step
         w = a @ v
-    # An entry of v that underflowed to zero yields an infinite, still valid, bound.
-    positive = w > 0.0
-    return float(np.max(w[positive] / v[positive], initial=0.0))
+    return _collatz_wielandt(w, v)[1]

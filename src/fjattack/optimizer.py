@@ -3,8 +3,9 @@
 The leader level enumerates adversary sets of a given size; the follower
 level picks each adversary's targets.  The follower comes in two modes:
 
-* ``exact`` enumerates every joint target choice across the adversaries
-  (subject to a configuration cap) and keeps the best.
+* ``exact`` finds the best joint target choice across the adversaries
+  (subject to a configuration cap), solving every choice a certified
+  bound cannot rule out.
 * ``approx`` scores each candidate targeting edge by its first-order
   effect on the aggregate g and keeps the top strictly-positive ones per
   adversary, then re-scores the assembled choice exactly once.
@@ -31,21 +32,46 @@ driver, ``_leader_search``: it takes adversary sets
 LEADER_CHUNK at a time, has a scorer yield the exact g of batches of
 configurations, and keeps the lexicographic argmax.
 
-* The approx scorer inverts the full n x n system I - (I - Theta) W once
-  per search; ``_schur_gains`` reads every set's z0 and c off that
-  inverse through the Schur complement, with one (sets, n) product and one
+* The approx scorer gets z0 and c from ``_SchurGains``, which inverts
+  the full n x n system I - (I - Theta) W once per search;
+  ``_schur_gains`` reads every set's z0 and c off that inverse through
+  the Schur complement, with one (sets, n) product and one
   batched k x k solve each.  ``_top_targets`` (a masked stable top-budget
   selection, shared with the ablation's unpinned scorer) picks the
   targets, and one batched solve re-scores the re-weighted systems.  The
   full system passes ``linalg.invert_conditioned``; every set's
   restricted system, its k x k pivot block and its re-scored system pass
   ``linalg.check_conditioned``.
-* The exact scorer serves exact solve_attack, exact solve_follower and
-  brute_force_oracle.  Each agent's within-budget target subsets are a
-  table of boolean masks in canonical (size, lex) order; a set keeps the
-  rows that avoid it, and its joint choices are decoded in mixed radix,
-  last adversary fastest (itertools.product order).  CONFIG_CHUNK
-  configurations at a time are stacked, guarded and solved together.
+* The exact scorer serves exact solve_attack, exact solve_follower,
+  brute_force_oracle and the ablation's ``wo_targeting``.  Each agent's
+  within-budget target subsets are a table of boolean masks in canonical
+  (size, lex) order; a set keeps the rows that avoid it, and its joint
+  choices are decoded in mixed radix, last adversary fastest
+  (itertools.product order).  CONFIG_CHUNK configurations at a time are
+  stacked, guarded and solved together.
+
+Exact solve_attack and exact solve_follower prune with a certified bound
+(``_exact_search``).  For a set A, z0 its base fixed point and m its gains,
+every targeting T obeys
+
+    g(A, T) <= sum(z0) + |A| + sum over adversaries j of sum_{i in T_j} m_i
+
+because the remainder is -1^T M'^-1 Delta M^-1 D (1 - r) <= 0: M and the
+re-weighted M' are nonsingular M-matrices, so their inverses are entrywise
+nonnegative (Berman & Plemmons, ch. 6), Delta >= 0, and the received mass
+r <= 1 (W's rows sum to 1 and opinions lie in [0, 1]).  Its maximum over T,
+UB(A), adds each adversary's top-budget positive gains to sum(z0) + |A|:
+exactly what the approx scorer assembles.  So the approx search runs first;
+its best g, an exact evaluation of a feasible configuration, is the
+incumbent.  The exact scorer then visits only the sets with UB(A) >=
+incumbent - slack and solves only their configurations whose own bound
+clears the same threshold.  The comparisons are non-strict, so every bitwise
+tie still reaches the tie rule.  The slack (``_SchurGains.slack``) is 64 n
+eps kappa_1(M) max(|g|, n), one rounding rule that grows with the
+conditioning of the full system.  Every set still passes the cap check, and
+follower_candidates still counts every configuration of every set, solved or
+certified unable to win.  brute_force_oracle and ``wo_targeting`` stay
+exhaustive: the oracle is the reference the pruned search is tested against.
 
 ``check_conditioned`` clears a stack by a diagonal-dominance bound, or
 else by the exact rcond; both guards name the adversary set they reject.
@@ -62,7 +88,7 @@ adversary tuple, then the smaller canonical target tuple.
 import math
 import time
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, compress, islice
 
 import numpy as np
 from scipy.linalg import lu_solve
@@ -111,15 +137,24 @@ class MarginalGains:
 class AttackPlan:
     """Search result: the chosen attack plus bookkeeping about the search.
 
-    follower_candidates counts, in exact mode, the configurations the
-    exact scorer solved, which equals count_configurations over the
-    searched leader sizes; in approx mode, three per adversary set: the
-    two k x k solves that give its z0 and c, and the re-score of its
-    chosen targets.  wall_time is in seconds.
+    upper_bound is, in approx and exact mode, the largest first-order
+    bound UB(A) over the searched sets.  No configuration of any searched
+    set has a larger exact g, up to the rounding slack, so an approx
+    plan's certified gap is upper_bound - predicted_g.  The oracle
+    reports its best g, which its exhaustive search certifies.
+
+    follower_candidates counts, in exact mode and for the oracle, every
+    configuration of every searched set, which equals count_configurations
+    over the searched leader sizes.  The oracle solves each one; exact
+    mode solves only those its bound cannot rule out and certifies the
+    rest.  In approx mode it is three per adversary set: the two k x k
+    solves that give its z0 and c, and the re-score of its chosen
+    targets.  wall_time is in seconds.
     """
 
     config: AttackConfig
     predicted_g: float
+    upper_bound: float
     leader_evaluations: int
     follower_candidates: int
     wall_time: float
@@ -222,7 +257,7 @@ def solve_follower(params, adversaries, p=DEFAULT_P, mode="approx", cap=DEFAULT_
     if mode == "approx":
         items, g = _best_response(params, adversaries, p)
     elif mode == "exact":
-        (_, items), g, _, _ = _leader_search([[adversaries]], _exact_scorer(params, p, cap))
+        (_, items), g, _, _, _ = _exact_search(params, p, lambda: [[adversaries]], cap)
     else:
         raise ValidationError(f"unknown follower mode {mode!r}")
     return dict(items), g
@@ -276,26 +311,64 @@ def _schur_gains(minv, adversaries, blocks, p, label):
     return z0, gain
 
 
-def _approx_scorer(params, p):
+class _SchurGains:
+    """z0 and gains of stacks of sets off one inverse of the full system.
+
+    Calling it runs _schur_gains on the inverse of M = I - (I - Theta) W.
+    M passes ``invert_conditioned`` when first needed, so a caller can
+    guard its first chunk's sets before the full system.
+    """
+
+    def __init__(self, params, p):
+        self.system = np.eye(params.n) - (1.0 - params.stubbornness)[:, None] * params.influence
+        self.p = p
+        self.minv = None
+
+    def inverse(self):
+        if self.minv is None:
+            full = invert_conditioned(self.system[None], lambda b: "system I - (I - Theta) W")
+            self.minv = full[0]
+        return self.minv
+
+    def __call__(self, adversaries, blocks, label):
+        return _schur_gains(self.inverse(), adversaries, blocks, self.p, label)
+
+    def slack(self, g):
+        """Rounding allowance when a computed first-order bound meets a computed g.
+
+        Both are sums of n entries.  The systems solved for g have inverses
+        entrywise at most M^-1: each is a principal submatrix of the
+        M-matrix M, or one with smaller off-diagonal weights.  The Schur
+        gains are read off M^-1 itself.  So each entry's error stays within
+        a few ulps of max(|g|, n) times kappa_1(M) = ||M||_1 ||M^-1||_1.  The
+        allowance is 64 n eps kappa_1(M) max(|g|, n), with recovery's
+        multiplier for its own optimality test; it is never zero.
+        """
+        n = len(self.system)
+        kappa = np.abs(self.system).sum(axis=0).max() * np.abs(self.inverse()).sum(axis=0).max()
+        return 64.0 * n * np.finfo(float).eps * kappa * max(abs(g), n)
+
+
+def _approx_scorer(params, p, gains, bounds):
     """score(chunk) for _leader_search: the approx follower of every set.
 
     Yields one batch per chunk: the exact g of every set's chosen targets,
     the (sets, k, n) boolean choice mask and the set indices.  The
     arithmetic mirrors marginal_gains followed by _RestrictedSystem.outcome,
-    with the base systems taken from one inverse of the full M by
-    _schur_gains.  Each set's restricted M_UU and re-weighted system pass
-    ``check_conditioned``; the full M passes ``invert_conditioned`` after
-    the first chunk's sets, so a rejected set is named first.
+    with z0 and the gains from ``gains`` (a _SchurGains).  Each chunk's
+    first-order bounds UB(A) = sum(z0) + k + the chosen gains, which no
+    configuration of A exceeds, are appended to ``bounds`` as one array.
+    Each set's restricted M_UU and re-weighted system pass
+    ``check_conditioned``; ``gains`` inverts the full M after the first
+    chunk's restricted systems are checked, so a rejected set is named
+    first.
     """
     network = params.network
     n = params.n
     listeners = network.support_mask().T
     budgets = np.array([network.target_budget(j) for j in range(n)])
-    system = np.eye(n) - (1.0 - params.stubbornness)[:, None] * params.influence
-    minv = None
 
     def score(chunk):
-        nonlocal minv
         adversaries = np.array(chunk, dtype=int)
         sets, k = adversaries.shape
         rows = np.arange(sets)[:, None]
@@ -306,12 +379,11 @@ def _approx_scorer(params, p):
             return f"adversary set {chunk[b]}"
 
         check_conditioned(np.eye(n - k) - open_minded[:, :, None] * w_uu, label)
-        if minv is None:
-            minv = invert_conditioned(system[None], lambda b: "system I - (I - Theta) W")[0]
-        _, gain = _schur_gains(minv, adversaries, blocks, p, label)
+        z0, gain = gains(adversaries, blocks, label)
         chosen = _top_targets(
             gain[:, None, :], listeners[adversaries] & ~pinned[:, None, :], budgets[adversaries]
         )
+        bounds.append(z0.sum(axis=1) + k + np.einsum("bkn,bn->b", chosen, gain))
         matrix, rhs = _reweighted_systems(
             w_uu, w_ua, open_minded, base_rhs, chosen[rows, :, unpinned], p
         )
@@ -323,13 +395,14 @@ def _approx_scorer(params, p):
 
 
 def _leader_search(leader_sets, score):
-    """Score every configuration of every adversary set; keep the best.
+    """Score the configurations a scorer yields for every set; keep the best.
 
     ``leader_sets`` is a sequence of iterables of sorted same-size sets,
     taken LEADER_CHUNK at a time.  ``score(chunk)`` yields (g, chosen,
-    owner) batches: the exact g of each configuration, its (batch, k, n)
-    target mask and the index of its set in the chunk.  Higher g wins; an
-    exact tie goes to the smaller (adversaries, items) key.  Returns
+    owner) batches: the exact g of each configuration it scores (all of
+    them, unless it prunes), its (batch, k, n) target mask and the index
+    of its set in the chunk.  Higher g wins; an exact tie goes to the
+    smaller (adversaries, items) key.  Returns
     ((adversaries, items), g, sets scored, configurations scored).
     """
     best_key, best_g, sets, configs = None, -math.inf, 0, 0
@@ -385,7 +458,7 @@ def _subset_masks(network, agent, budget):
     return masks
 
 
-def _exact_scorer(params, p, cap=None, budgets=None):
+def _exact_scorer(params, p, budgets=None, prune=None):
     """score(chunk) for _leader_search: every joint target choice of every set.
 
     Adversary a may target at most budgets[a] eligible out-neighbours
@@ -393,10 +466,13 @@ def _exact_scorer(params, p, cap=None, budgets=None):
     table of masks in canonical (size, lex) order, built on first use;
     a set's joint choices are decoded in mixed radix, last adversary
     fastest, which is itertools.product order.  CONFIG_CHUNK
-    configurations at a time are stacked, guarded by
-    ``linalg.check_conditioned`` and solved together.  With a ``cap``, a
-    set with more configurations raises CapExceededError before any
-    configuration of its chunk is scored.
+    configurations at a time are decoded; those kept are stacked, guarded
+    by ``linalg.check_conditioned`` and solved together.
+
+    With ``prune = (gains, threshold)``, gains a _SchurGains, a decoded
+    configuration is stacked only if its first-order bound, sum(z0) + k
+    plus the gains of its targets (each table row's sum taken once per
+    set), reaches ``threshold``; the others are left unsolved.
     """
     network = params.network
     if budgets is None:
@@ -406,48 +482,106 @@ def _exact_scorer(params, p, cap=None, budgets=None):
     def score(chunk):
         adversaries = np.array(chunk, dtype=int)
         sets, k = adversaries.shape
-        if cap is not None:
-            sizes = _space_sizes(network, adversaries, budgets)
-            if (sizes > cap).any():
-                size = sizes[np.argmax(sizes > cap)]
-                raise CapExceededError(
-                    f"exact follower space has {size} configurations, cap is {cap}"
-                )
+
+        def label(b):
+            return f"adversary set {chunk[b]}"
+
         agents = np.unique(adversaries).tolist()
         for j in agents:
             if j not in tables:
                 tables[j] = _subset_masks(network, j, budgets[j])
         table = np.concatenate([tables[j] for j in agents])
         agent_of = np.repeat(agents, [len(tables[j]) for j in agents])
+        blocks = _restricted_blocks(params, adversaries)
+        _, unpinned, *system = blocks
+        if prune is not None:
+            gains, threshold = prune
+            z0, gain = gains(adversaries, blocks, label)
+            base = z0.sum(axis=1) + k
         # Per adversary column, the rows of its agent's table that avoid the
         # set, grouped by set in canonical order: set b's count[b, col]
-        # choices start at kept[col][first[b, col]].
+        # choices start at kept[col][first[b, col]], and with pruning
+        # sums[col] holds each kept row's gain for its set.
         free = ~table[:, adversaries].any(axis=2)
-        kept, count = [], np.empty((sets, k), dtype=np.int64)
+        kept, sums, count = [], [], np.empty((sets, k), dtype=np.int64)
         for col in range(k):
             which, row = np.nonzero((free & (agent_of[:, None] == adversaries[:, col])).T)
             kept.append(row)
             count[:, col] = np.bincount(which, minlength=sets)
+            if prune is not None:
+                sums.append(np.einsum("rn,rn->r", table[row], gain[which]))
         first = np.cumsum(count, axis=0) - count
         configs = count.prod(axis=1)
         ends = np.cumsum(configs)
-        _, unpinned, *blocks = _restricted_blocks(params, adversaries)
         for lo in range(0, int(ends[-1]), CONFIG_CHUNK):
             index = np.arange(lo, min(lo + CONFIG_CHUNK, int(ends[-1])))
             owner = np.searchsorted(ends, index, side="right")
             local = index - (ends - configs)[owner]
-            chosen = np.empty((len(index), k, params.n), dtype=bool)
+            position = np.empty((len(index), k), dtype=np.int64)
             for col in reversed(range(k)):
                 radix = count[owner, col]
-                chosen[:, col] = table[kept[col][first[owner, col] + local % radix]]
+                position[:, col] = first[owner, col] + local % radix
                 local //= radix
-            hits = chosen[np.arange(len(index))[:, None], :, unpinned[owner]]
-            matrix, rhs = _reweighted_systems(*(x[owner] for x in blocks), hits, p)
-            check_conditioned(matrix, lambda c: f"adversary set {chunk[owner[c]]}")
+            if prune is not None:
+                bound = base[owner] + sum(sums[col][position[:, col]] for col in range(k))
+                survive = np.flatnonzero(bound >= threshold)
+                if not survive.size:
+                    continue
+                owner, position = owner[survive], position[survive]
+            chosen = np.stack(
+                [table[kept[col][position[:, col]]] for col in range(k)], axis=1
+            )
+            hits = chosen[np.arange(len(owner))[:, None], :, unpinned[owner]]
+            matrix, rhs = _reweighted_systems(*(x[owner] for x in system), hits, p)
+            check_conditioned(matrix, lambda c: label(owner[c]))
             z = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
             yield z.sum(axis=1) + k, chosen, owner
 
     return score
+
+
+def _exact_search(params, p, leader_sets, cap):
+    """Exact search with certified pruning; the engine of exact solve_attack
+    and exact solve_follower.
+
+    ``leader_sets()`` returns fresh groups of sets, as _leader_search takes
+    them; it is called twice.  The first pass is the approx search: its best
+    g is a feasible incumbent, and it gives every set's first-order bound
+    UB(A), which no configuration of A exceeds.  Every set must stay within
+    ``cap`` configurations, checked before its chunk is scored.  The second
+    pass runs the exact scorer over the sets with UB(A) >= the threshold
+    incumbent - slack (``_SchurGains.slack``), and stacks only their
+    configurations whose own bound clears the same threshold.  The
+    comparisons are non-strict, so every configuration that could tie the
+    optimum bitwise is solved.  Returns ((adversaries, items), g, sets,
+    configurations, max UB(A)); the configurations counted are all those of
+    every set, solved or certified unable to beat the incumbent.
+    """
+    network = params.network
+    budgets = [network.target_budget(j) for j in range(params.n)]
+    gains = _SchurGains(params, p)
+    bounds, counted = [], []
+    approx = _approx_scorer(params, p, gains, bounds)
+
+    def first_pass(chunk):
+        sizes = _space_sizes(network, np.array(chunk, dtype=int), budgets)
+        if cap is not None and (sizes > cap).any():
+            size = sizes[np.argmax(sizes > cap)]
+            raise CapExceededError(f"exact follower space has {size} configurations, cap is {cap}")
+        counted.append(int(sizes.sum()))
+        return approx(chunk)
+
+    _, incumbent, sets, _ = _leader_search(leader_sets(), first_pass)
+    threshold = incumbent - gains.slack(incumbent)
+    bounds = np.concatenate(bounds)
+    # compress stops at the end of each group without reading past it, so
+    # the one iterator of keep flags walks the groups in order.
+    keep = iter((bounds >= threshold).tolist())
+    survivors = [compress(group, keep) for group in leader_sets()]
+    key, best_g, _, _ = _leader_search(
+        survivors, _exact_scorer(params, p, prune=(gains, threshold))
+    )
+    return key, best_g, sets, sum(counted), float(bounds.max())
 
 
 def solve_attack(
@@ -463,28 +597,37 @@ def solve_attack(
     Enumerates every adversary set of ``leader_size`` (default: the full
     adversary budget (n - 1) // 3; with ``all_leader_sizes`` every size
     from 1 up to the budget) and solves the follower problem for each.
-    In exact mode every set must stay within ``cap`` configurations.
-    The returned plan's predicted_g is always an exact evaluation of the
-    winning configuration.
+    In exact mode every set must stay within ``cap`` configurations, and
+    only the sets and configurations whose first-order bound can reach
+    the approx incumbent are solved.  The returned plan's predicted_g is
+    always an exact evaluation of the winning configuration.
     """
     start = time.perf_counter()
     network = params.network
     p = _check_magnitude(p)
     leader_size = _check_leader_size(network, leader_size)
     sizes = range(1, network.leader_budget() + 1) if all_leader_sizes else (leader_size,)
+
+    def leader_sets():
+        return [combinations(range(network.agent_count), size) for size in sizes]
+
     if follower_mode == "approx":
-        score = _approx_scorer(params, p)
+        bounds = []
+        score = _approx_scorer(params, p, _SchurGains(params, p), bounds)
+        (adversaries, items), best_g, sets, _ = _leader_search(leader_sets(), score)
+        configs, upper = 3 * sets, max(float(b.max()) for b in bounds)
     elif follower_mode == "exact":
-        score = _exact_scorer(params, p, cap)
+        (adversaries, items), best_g, sets, configs, upper = _exact_search(
+            params, p, leader_sets, cap
+        )
     else:
         raise ValidationError(f"unknown follower mode {follower_mode!r}")
-    leader_sets = [combinations(range(network.agent_count), size) for size in sizes]
-    (adversaries, items), best_g, sets, configs = _leader_search(leader_sets, score)
     return AttackPlan(
         config=AttackConfig(adversaries, items, p),
         predicted_g=best_g,
+        upper_bound=upper,
         leader_evaluations=sets,
-        follower_candidates=3 * sets if follower_mode == "approx" else configs,
+        follower_candidates=configs,
         wall_time=time.perf_counter() - start,
     )
 
@@ -493,8 +636,10 @@ def brute_force_oracle(params, p=DEFAULT_P, leader_size=None, cap=DEFAULT_CONFIG
     """Exhaustive reference search over every feasible attack configuration.
 
     Scores every (adversary set, joint target choice) pair with the same
-    engine and tie-breaking order as exact solve_attack.  Refuses to run
-    if the full space exceeds ``cap`` configurations.
+    engine and tie-breaking order as exact solve_attack, without its
+    pruning: every configuration is solved.  Refuses to run if the full
+    space exceeds ``cap`` configurations.  upper_bound is the best g, the
+    only bound an exhaustive search certifies.
     """
     start = time.perf_counter()
     network = params.network
@@ -510,6 +655,7 @@ def brute_force_oracle(params, p=DEFAULT_P, leader_size=None, cap=DEFAULT_CONFIG
     return AttackPlan(
         config=AttackConfig(adversaries, items, p),
         predicted_g=best_g,
+        upper_bound=best_g,
         leader_evaluations=sets,
         follower_candidates=configs,
         wall_time=time.perf_counter() - start,

@@ -94,8 +94,10 @@ def test_attack_plan_json_and_csv_line(tmp_path, capsys):
     assert cells[0] == "demo"
     assert len(cells) == 7
     plan = read_json(tmp_path / "demo_attack_plan.json")
-    assert {"adversaries", "targets", "p", "predicted_g", "wall_time_s"} <= set(plan)
+    assert {"adversaries", "targets", "p", "predicted_g", "upper_bound", "wall_time_s"} <= set(plan)
     assert float(cells[2]) == pytest.approx(plan["predicted_g"], rel=1e-4)
+    # The certified gap of an approx plan is small but never negative.
+    assert 0.0 <= plan["upper_bound"] - plan["predicted_g"] < 1e-3
 
 
 def test_attack_plan_deterministic_modulo_wall_time(tmp_path):
@@ -207,6 +209,16 @@ def test_validation_failures_exit_two(tmp_path):
         "attack-plan", "--network", str(network), "--leader-size", "7",
         "--out-dir", str(tmp_path),
     ]) == 2
+
+
+def test_attack_plan_malformed_network_exits_two(tmp_path, capsys):
+    network = tmp_path / "network.json"
+    payload = read_json(write_network(tmp_path))
+    payload["w"][0] = payload["w"][0][:2]
+    write_json(network, payload)
+    code = main(["attack-plan", "--network", str(network), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "malformed parameter file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from fjattack import (
     fj_step,
     simulate,
 )
+from fjattack.dynamics import SPECTRAL_MARGIN
 from fjattack.linalg import spectral_radius
 
 
@@ -383,6 +384,34 @@ def test_spectral_radius_is_an_upper_bound():
     assert spectral_radius(np.zeros((3, 3))) == 0.0
     # A Jordan block converges slowly; the bound stays valid and small.
     assert 0.0 <= spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) < 1e-4
+
+
+def test_spectral_radius_stops_once_the_threshold_is_decided():
+    jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
+    limit = 1.0 - SPECTRAL_MARGIN
+    # Decided after the second product, at the iterate (1, 0.02 / 1.02);
+    # without a threshold the power iteration runs all 2000 steps.
+    assert spectral_radius(jordan, threshold=limit) == 0.02 / 1.02
+    for last_theta in (3e-9, 1e-6, 1e-2):
+        ring = periodic_ring(last_theta)
+        matrix = (1.0 - ring["stubbornness"])[:, None] * ring["influence"]
+        radius = np.max(np.abs(np.linalg.eigvals(matrix)))
+        decided = spectral_radius(matrix, threshold=limit)
+        assert decided >= radius * (1.0 - 1e-12)
+        assert (decided > limit) == (radius > limit)
+        # Rejected (3e-9) and accepted (1e-6) before the iterate converges,
+        # so at a looser upper bound than the converged one.
+        assert decided > spectral_radius(matrix)
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        m = int(rng.integers(1, 10))
+        matrix = rng.random((m, m)) * (rng.random((m, m)) < 0.35)
+        radius = np.max(np.abs(np.linalg.eigvals(matrix)))
+        threshold = float(rng.uniform(0.5, 1.5)) * max(radius, 0.1)
+        decided = spectral_radius(matrix, threshold=threshold)
+        assert decided >= radius * (1.0 - 1e-12) - 1e-15
+        if abs(radius - threshold) > 1e-6 * threshold:
+            assert (decided > threshold) == (radius > threshold)
 
 
 def test_trajectory_validation():

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import random_feasible_config, random_instance
-from fjattack import AttackConfig, ValidationError, adversarial_outcome, simulate
+from fjattack import (
+    AttackConfig,
+    InfluenceNetwork,
+    ValidationError,
+    adversarial_outcome,
+    simulate,
+)
 from fjattack.fileio import (
     config_to_json,
     csv_text,
@@ -159,6 +165,60 @@ def test_integral_floats_load_as_ints(tmp_path):
     write_json(path, {**TWO_AGENTS, "n": 2.0, "edges": [[0.0, 1], [1, 0.0]]})
     params = load_parameters(path)
     assert params.n == 2 and params.network.edges == ((0, 1), (1, 0))
+
+
+def test_parameters_name_the_first_out_of_range_weight_entry(tmp_path):
+    path = tmp_path / "params.json"
+    weights = [[0, 1, 1.0], [1, 0, 1.0], [2, 0, 0.0], [0, -1, 0.0]]
+    write_json(path, {**TWO_AGENTS, "w": weights})
+    with pytest.raises(ValidationError, match=r"weight entry \(2, 0\) out of range"):
+        load_parameters(path)
+
+
+def test_parameters_keep_the_last_duplicate_weight_entry(tmp_path):
+    path = tmp_path / "params.json"
+    weights = [[0, 1, 0.5], [1, 0, 1.0], [0, 1, 1.0], [1, 0, 0.25], [1, 0, 1.0]]
+    write_json(path, {**TWO_AGENTS, "w": weights})
+    assert np.array_equal(load_parameters(path).influence, [[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"edges": [[0, 1, 2], [1, 0, 2]]},
+        {"edges": [[0, 1], [1]]},
+        {"edges": [0, 1, 1, 0]},
+        {"w": [[0, 1], [1, 0]]},
+        {"w": [[0, 1, 1.0], [1, 0, "heavy"]]},
+        {"theta": ["half", 0.5]},
+    ],
+    ids=["edge_triples", "ragged_edges", "flat_edges", "weight_pairs", "weight_text", "theta_text"],
+)
+def test_parameters_reject_malformed_records(tmp_path, override):
+    path = tmp_path / "params.json"
+    write_json(path, {**TWO_AGENTS, **override})
+    with pytest.raises(ValidationError, match="malformed parameter file"):
+        load_parameters(path)
+
+
+def test_parameters_load_as_the_per_entry_loop_did(tmp_path):
+    # Reference: the per-edge and per-entry Python loops this loader replaced.
+    rng = np.random.default_rng(5)
+    for seed in range(20):
+        _, params = random_instance(seed, n=int(rng.integers(2, 30)), density=0.4)
+        payload = parameters_to_json(params)
+        payload["w"] += [list(t) for t in payload["w"][:: 3]][::-1]
+        path = tmp_path / f"params_{seed}.json"
+        write_json(path, payload)
+        loaded = load_parameters(path)
+        edges = tuple((int(src), int(dst)) for src, dst in payload["edges"])
+        assert loaded.network == InfluenceNetwork(payload["n"], edges)
+        w = np.zeros((payload["n"],) * 2)
+        for i, j, value in payload["w"]:
+            w[int(i), int(j)] = float(value)
+        assert np.array_equal(loaded.influence, w)
+        assert np.array_equal(loaded.stubbornness, params.stubbornness)
+        assert np.array_equal(loaded.intrinsic, params.intrinsic)
 
 
 def test_config_rejects_non_integral_agents(tmp_path):

@@ -40,7 +40,13 @@ from fjattack import (
 from fjattack.adversary import _restricted_blocks, _RestrictedSystem
 from fjattack.fileio import plan_to_json, save_parameters
 from fjattack.linalg import check_conditioned, invert_conditioned
-from fjattack.optimizer import CONFIG_CHUNK, LEADER_CHUNK, _schur_gains
+from fjattack.optimizer import (
+    CONFIG_CHUNK,
+    LEADER_CHUNK,
+    _exact_scorer,
+    _schur_gains,
+    _SchurGains,
+)
 from test_adversary import three_agent_instance
 
 
@@ -342,17 +348,157 @@ def test_exact_and_oracle_paths_are_conditioning_guarded(monkeypatch):
 
 
 def test_exact_engine_guards_every_configuration(monkeypatch):
-    guarded = []
+    _, params = generate(Scenario(topology="erdos_renyi", n=12, edge_prob=0.25, seed=3))
+    total = count_configurations(params.network)
+    restricted = (params.n - params.network.leader_budget(),) * 2
+    guarded, solved, exact_pass = [], [], [False]
 
-    def spy(stack, label):
-        guarded.append(len(stack))
+    def check_spy(stack, label):
+        # Only re-weighted systems solved by the exact scorer count.
+        if exact_pass[0] and stack.shape[1:] == restricted:
+            guarded.append(len(stack))
         return check_conditioned(stack, label)
 
-    monkeypatch.setattr(fjattack.optimizer, "check_conditioned", spy)
-    _, params = generate(Scenario(topology="erdos_renyi", n=12, edge_prob=0.25, seed=3))
-    plan = solve_attack(params, p=1e-3, follower_mode="exact")
-    assert sum(guarded) == plan.follower_candidates == count_configurations(params.network)
+    real_scorer = fjattack.optimizer._exact_scorer
+
+    def scorer_spy(*args, **kwargs):
+        score = real_scorer(*args, **kwargs)
+
+        def spied(chunk):
+            exact_pass[0] = True
+            for g, chosen, owner in score(chunk):
+                solved.append(len(g))
+                yield g, chosen, owner
+            exact_pass[0] = False
+
+        return spied
+
+    monkeypatch.setattr(fjattack.optimizer, "check_conditioned", check_spy)
+    monkeypatch.setattr(fjattack.optimizer, "_exact_scorer", scorer_spy)
+    # The oracle solves, and guards, every configuration.
+    oracle = brute_force_oracle(params, p=1e-3)
+    assert sum(guarded) == sum(solved) == oracle.follower_candidates == total
     assert max(guarded) <= CONFIG_CHUNK
+    # Pruned exact guards every configuration it solves.  It solves fewer
+    # than the winning set alone holds, so configurations of a surviving
+    # set are pruned too.
+    guarded.clear()
+    solved.clear()
+    plan = solve_attack(params, p=1e-3, follower_mode="exact")
+    assert plan.config == oracle.config
+    assert plan.follower_candidates == total
+    _, winner_configs = scalar_set_search(params, plan.config.adversaries)
+    assert 0 < sum(guarded) == sum(solved) < winner_configs
+
+
+def bound_instances():
+    """exact_engine_instances, each also with every third agent at theta = 0
+    and with every theta scaled by 1e-5, which makes kappa_1(M) near 1e5."""
+    for name, params in exact_engine_instances():
+        yield name, params
+        open_minded = with_open_minded_agents(params)
+        if open_minded is not None:
+            yield f"{name}-theta0", open_minded
+        theta = params.stubbornness * 1e-5
+        yield f"{name}-theta1e-5", FjParameters(
+            params.network, params.intrinsic, theta, params.influence
+        )
+
+
+def test_first_order_bound_holds_for_every_configuration():
+    # g(A, T) <= sum(z0) + |A| + the gains of T's targets, counted once per
+    # adversary that picks them, up to the stated rounding allowance.
+    checked = 0
+    for name, params in bound_instances():
+        for p in (1e-3, 0.2):
+            gains = _SchurGains(params, p)
+            score = _exact_scorer(params, p)
+            for k in range(1, params.network.leader_budget() + 1):
+                chunk = list(combinations(range(params.n), k))
+                sets = np.array(chunk)
+                z0, gain = gains(sets, _restricted_blocks(params, sets), str)
+                base = z0.sum(axis=1) + k
+                for g, chosen, owner in score(chunk):
+                    bound = base[owner] + (chosen.sum(axis=1) * gain[owner]).sum(axis=1)
+                    slack = np.array([gains.slack(x) for x in g])
+                    assert (g <= bound + slack).all(), name
+                    assert slack.min() > 0.0
+                    checked += len(g)
+    assert checked > 70_000
+
+
+def assert_pruned_exact_matches_oracle(name, params, p=1e-3):
+    oracle = brute_force_oracle(params, p=p)
+    exact = solve_attack(params, p=p, follower_mode="exact")
+    assert exact.config == oracle.config, name
+    assert float.hex(exact.predicted_g) == float.hex(oracle.predicted_g), name
+    assert exact.leader_evaluations == oracle.leader_evaluations, name
+    assert exact.follower_candidates == oracle.follower_candidates, name
+    targets, g = solve_follower(params, oracle.config.adversaries, p, mode="exact")
+    assert AttackConfig(oracle.config.adversaries, targets, p) == oracle.config, name
+    assert float.hex(g) == float.hex(oracle.predicted_g), name
+    # Both modes certify the same upper bound, and it holds over the oracle.
+    approx = solve_attack(params, p=p)
+    slack = _SchurGains(params, p).slack(oracle.predicted_g)
+    assert float.hex(exact.upper_bound) == float.hex(approx.upper_bound), name
+    assert approx.predicted_g <= oracle.predicted_g <= approx.upper_bound + slack, name
+    assert oracle.upper_bound == oracle.predicted_g
+    return oracle
+
+
+def test_pruned_exact_matches_the_oracle():
+    for name, params in bound_instances():
+        assert_pruned_exact_matches_oracle(name, params)
+
+
+def test_pruned_exact_keeps_every_tie_at_the_bound(monkeypatch):
+    # Star leaves hear only the hub, so a pinned hub's targets all have gain
+    # 0 and every configuration of its set ties at the set's bound; the
+    # oracle's tie rule must still see each of them.
+    instances = []
+    for n, seed in ((5, 0), (8, 8), (10, 10)):
+        _, params = generate(Scenario(topology="star", n=n, seed=seed))
+        oracle = assert_pruned_exact_matches_oracle(f"star-{n}", params)
+        assert 0 in oracle.config.adversaries
+        assert oracle.config.target_map() == {j: () for j in oracle.config.adversaries}
+        instances.append((params, oracle))
+    # Where the winner's bound equals the incumbent bitwise, the comparisons
+    # alone decide: with no slack they must keep the winner's set and all
+    # of its tied configurations.
+    monkeypatch.setattr(_SchurGains, "slack", lambda self, g: 0.0)
+    exact_ties = 0
+    for params, oracle in instances:
+        sets = np.array([oracle.config.adversaries])
+        z0, _ = _SchurGains(params, 1e-3)(sets, _restricted_blocks(params, sets), str)
+        if z0.sum() + sets.shape[1] == solve_attack(params, p=1e-3).predicted_g:
+            assert_pruned_exact_matches_oracle("star at zero slack", params)
+            exact_ties += 1
+    assert exact_ties >= 1
+
+
+def test_pruned_exact_keeps_winners_that_undercut_the_incumbent_by_rounding():
+    undercut = 0
+    for topology, n, seed in (("star", 5, 1), ("star", 8, 1), ("ring", 5, 1), ("ring", 10, 3)):
+        _, params = generate(Scenario(topology=topology, n=n, seed=seed))
+        oracle = assert_pruned_exact_matches_oracle(f"{topology}-{n}", params)
+        incumbent = solve_attack(params, p=1e-3).predicted_g
+        sets = np.array([oracle.config.adversaries])
+        gains = _SchurGains(params, 1e-3)
+        z0, gain = gains(sets, _restricted_blocks(params, sets), str)
+        chosen = [i for _, targets in oracle.config.targets for i in targets]
+        bound = z0.sum() + sets.shape[1] + gain[0, chosen].sum()
+        # Where bound < incumbent, a zero slack would prune the winner.
+        assert bound >= incumbent - gains.slack(incumbent)
+        undercut += bound < incumbent
+    assert undercut >= 1
+
+
+def test_plan_json_carries_the_upper_bound():
+    _, params = generate(Scenario(topology="erdos_renyi", n=9, seed=4))
+    plan = solve_attack(params, p=1e-3)
+    payload = plan_to_json(plan)
+    assert payload["upper_bound"] == float(f"{plan.upper_bound:.12g}")
+    assert payload["upper_bound"] >= payload["predicted_g"]
 
 
 def test_check_conditioned_falls_back_to_the_exact_rcond():
