@@ -45,7 +45,6 @@ from .optimizer import (
     baseline_variant,
     brute_force_oracle,
     count_configurations,
-    follower_candidate_bound,
     marginal_gains,
     solve_attack,
     solve_follower,
@@ -92,7 +91,6 @@ __all__ = [
     "closed_form_outcome",
     "count_configurations",
     "fj_step",
-    "follower_candidate_bound",
     "generate",
     "marginal_gains",
     "outcome_metrics",

@@ -178,8 +178,8 @@ def _reweighted_systems(w_uu, w_ua, open_minded, base_rhs, hits, p):
     """Matrix and right-hand side of each re-weighted restricted system.
 
     hits[b, u, a] marks unpinned agent u as a target of adversary a.  Every
-    exact score in the package, stacked or one at a time, builds its
-    system here.
+    exact score in the package builds its system here: the planners'
+    stacks, and adversarial_outcome's one-member stack.
     """
     scale = (1.0 - hits.sum(axis=2) * p)[:, :, None]
     # In place on fresh arrays: the same products, without the temporaries.
@@ -189,34 +189,6 @@ def _reweighted_systems(w_uu, w_ua, open_minded, base_rhs, hits, p):
     mass = w_ua * scale
     mass += p * hits
     return matrix, base_rhs + open_minded * mass.sum(axis=2)
-
-
-class _RestrictedSystem:
-    """The dynamics restricted to the non-adversarial agents of one set.
-
-    A one-member stack of _restricted_blocks (W_UU, W_UA, 1 - theta_U and
-    theta_U s_U); ``outcome`` scores one target choice through
-    _reweighted_systems and an rcond-guarded solve.
-    """
-
-    def __init__(self, params, adversaries):
-        self.adversaries = tuple(sorted(adversaries))
-        if len(self.adversaries) >= params.n:
-            raise ValidationError("every agent is adversarial; nothing to evaluate")
-        stack = np.array(self.adversaries, dtype=int).reshape(1, -1)
-        _, unpinned, *blocks = (block[0] for block in _restricted_blocks(params, stack))
-        self.unpinned = tuple(unpinned.tolist())
-        self.w_uu, self.w_ua, self.open_minded, self.base_rhs = blocks
-
-    def outcome(self, target_items, p):
-        """Fixed point over U and the scalar g for one target choice."""
-        hits = np.zeros(self.w_ua.shape, dtype=bool)
-        for j, targets in target_items:
-            hits[np.searchsorted(self.unpinned, targets), self.adversaries.index(j)] = True
-        blocks = (self.w_uu, self.w_ua, self.open_minded, self.base_rhs, hits)
-        matrix, rhs = _reweighted_systems(*(block[None] for block in blocks), p)
-        z_u = solve_conditioned(matrix[0], rhs[0])
-        return z_u, float(z_u.sum()) + len(self.adversaries)
 
 
 def apply_adversarial_weights(params, config, enforce_budgets=True):
@@ -247,9 +219,24 @@ def adversarial_outcome(params, config, enforce_budgets=True):
     returns g = sum(z_U) + |A|.
     """
     config.validate_against(params.network, enforce_budgets)
-    system = _RestrictedSystem(params, config.adversaries)
-    z_u, g = system.outcome(config.targets, config.influence_magnitude)
-    return AdversarialOutcome(config=config, unpinned=system.unpinned, fixed_point=z_u, g_value=g)
+    adversaries = config.adversaries
+    if len(adversaries) >= params.n:
+        raise ValidationError("every agent is adversarial; nothing to evaluate")
+    stack = np.array(adversaries, dtype=int).reshape(1, -1)
+    _, unpinned, w_uu, w_ua, open_minded, base_rhs = _restricted_blocks(params, stack)
+    hits = np.zeros(w_ua.shape, dtype=bool)
+    for a, (_, targets) in enumerate(config.targets):
+        hits[0, np.searchsorted(unpinned[0], targets), a] = True
+    matrix, rhs = _reweighted_systems(
+        w_uu, w_ua, open_minded, base_rhs, hits, config.influence_magnitude
+    )
+    z_u = solve_conditioned(matrix[0], rhs[0])
+    return AdversarialOutcome(
+        config=config,
+        unpinned=tuple(unpinned[0].tolist()),
+        fixed_point=z_u,
+        g_value=float(z_u.sum()) + len(adversaries),
+    )
 
 
 def simulate_adversarial(params, config, z0, rounds, enforce_budgets=True):

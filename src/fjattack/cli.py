@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fileio
 from .adversary import adversarial_outcome, simulate_adversarial
-from .dynamics import InfluenceNetwork, closed_form_outcome, simulate
+from .dynamics import closed_form_outcome, simulate
 from .errors import CapExceededError, ConvergenceError, ValidationError
 from .harness import (
     Scenario,
@@ -46,18 +46,6 @@ def _out_dir(args):
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _load_network_only(path):
-    """Network file for recovery: only n and edges are required."""
-    payload = fileio.read_json(path)
-    try:
-        n = int(fileio.check_integral(payload["n"], "n"))
-        edges = fileio.check_integral(payload["edges"], "edge endpoint")
-        edges = [(int(src), int(dst)) for src, dst in edges]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: network file needs n and edges ({exc})") from exc
-    return InfluenceNetwork(agent_count=n, edges=tuple(edges))
 
 
 def _write_tables(args, out, stem, rows):
@@ -138,7 +126,7 @@ def cmd_attack_plan(args):
 
 
 def cmd_recover(args):
-    network = _load_network_only(args.network)
+    network = fileio.load_network(args.network)
     trajectories = fileio.load_trajectories(args.trajectories)
     problem = RecoveryProblem(
         network=network, trajectories=tuple(trajectories), ridge=args.ridge

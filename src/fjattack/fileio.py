@@ -106,21 +106,35 @@ def _records(values, width, what):
     return array
 
 
-def load_parameters(path, allow_self_loops=False):
-    payload = read_json(path)
+def _read_network(payload, path, what, allow_self_loops=False):
+    """The InfluenceNetwork of a file's n and edges; ``what`` names the file kind."""
     try:
         n = int(check_integral(_require(payload, "n", path), "n"))
         edges = _records(_require(payload, "edges", path), 2, "edges")
         check_integral(edges, "edge endpoint")
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed {what} ({exc})") from exc
+    return InfluenceNetwork(
+        agent_count=n, edges=edges.astype(np.int64), allow_self_loops=allow_self_loops
+    )
+
+
+def load_network(path):
+    """Network file for recovery: only n and edges are read."""
+    return _read_network(read_json(path), path, "network file")
+
+
+def load_parameters(path, allow_self_loops=False):
+    payload = read_json(path)
+    network = _read_network(payload, path, "parameter file", allow_self_loops)
+    n = network.agent_count
+    try:
         theta = np.asarray(_require(payload, "theta", path), dtype=float)
         s = np.asarray(_require(payload, "s", path), dtype=float)
         entries = _records(_require(payload, "w", path), 3, "weight entries")
         check_integral(entries[:, :2], "weight index")
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed parameter file ({exc})") from exc
-    network = InfluenceNetwork(
-        agent_count=n, edges=edges.astype(np.int64), allow_self_loops=allow_self_loops
-    )
     index = entries[:, :2].astype(np.int64)
     outside = ((index < 0) | (index >= n)).any(axis=1)
     if outside.any():

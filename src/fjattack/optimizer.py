@@ -22,8 +22,8 @@ Writing M = I - (I - Theta_U) W_UU for the restricted system, c is
 
     c = (I - Theta_U) M^-T 1
 
-so both the base fixed point and c come from one factorization of M (or,
-in the batched search, from one inverse of the full unrestricted system).
+so both the base fixed point and c come from one inverse of the full
+unrestricted system (``_SchurGains``).
 Gains are nonnegative up to rounding and additive to first order when
 several adversaries pick the same target.
 
@@ -75,11 +75,10 @@ exhaustive: the oracle is the reference the pruned search is tested against.
 
 ``check_conditioned`` clears a stack by a diagonal-dominance bound, or
 else by the exact rcond; both guards name the adversary set they reject.
-``marginal_gains`` and approx ``solve_follower`` keep the per-set scalar
-path, the reference the batched approx search is tested against.  Every
-exact score, stacked or one at a time (``adversarial_outcome``), builds
-its system with ``adversary._reweighted_systems``; only the LAPACK solve
-differs.
+``marginal_gains`` and approx ``solve_follower`` run the same kernel and
+scorer on a one-set stack.  Every exact score, stacked or one at a time
+(``adversarial_outcome``), builds its system with
+``adversary._reweighted_systems``; only the LAPACK solve differs.
 
 Tie-breaking is deterministic everywhere: higher g wins, then the smaller
 adversary tuple, then the smaller canonical target tuple.
@@ -91,17 +90,10 @@ from dataclasses import dataclass
 from itertools import chain, combinations, compress, islice
 
 import numpy as np
-from scipy.linalg import lu_solve
 
-from .adversary import (
-    DEFAULT_P,
-    AttackConfig,
-    _restricted_blocks,
-    _RestrictedSystem,
-    _reweighted_systems,
-)
+from .adversary import DEFAULT_P, AttackConfig, _restricted_blocks, _reweighted_systems
 from .errors import CapExceededError, ValidationError
-from .linalg import check_conditioned, factor_conditioned, invert_conditioned
+from .linalg import check_conditioned, invert_conditioned
 
 # Exhaustive target enumeration refuses to look at more configurations than this.
 DEFAULT_CONFIG_CAP = 10_000_000
@@ -172,6 +164,8 @@ def _check_adversary_set(network, adversaries):
     for j in adversaries:
         if not 0 <= j < n:
             raise ValidationError(f"adversary {j} out of range for {n} agents")
+    if len(adversaries) == n:
+        raise ValidationError("every agent is adversarial; nothing to evaluate")
     return adversaries
 
 
@@ -201,61 +195,44 @@ def _check_magnitude(p):
 def marginal_gains(params, adversaries, p=DEFAULT_P):
     """First-order gain in g per added targeting edge, for a fixed adversary set.
 
-    Solves the unattacked pinned system once (LU of the restricted matrix,
-    then one forward and one transposed solve) and reads off
-
         m_i = p * (1 - r_i) * c_i      for unpinned i,  m_i = 0 otherwise.
+
+    z0 and c are read off the inverse of the full system I - (I - Theta) W
+    (``_schur_gains`` on a one-set stack), so their rounding grows with
+    kappa_1 of that system, not of the restricted one.  The set's restricted
+    system and its block of the inverse pass ``check_conditioned``.
     """
     adversaries = _check_adversary_set(params.network, adversaries)
     p = _check_magnitude(p)
-    system = _RestrictedSystem(params, adversaries)
-    open_minded = system.open_minded
-    ones = np.ones(len(system.unpinned))
-    factor = factor_conditioned(np.diag(ones) - open_minded[:, None] * system.w_uu)
-    adversary_mass = system.w_ua.sum(axis=1)
-    z0 = lu_solve(factor, system.base_rhs + open_minded * adversary_mass)
-    c = open_minded * lu_solve(factor, ones, trans=1)
-    received = system.w_uu @ z0 + adversary_mass
-    gain = np.zeros(params.n)
-    gain[list(system.unpinned)] = p * (1.0 - received) * c
+    stack = np.array([adversaries])
+    blocks = _restricted_blocks(params, stack)
+    _, unpinned, w_uu, _, open_minded, _ = blocks
+
+    def label(b):
+        return f"adversary set {adversaries}"
+
+    check_conditioned(np.eye(w_uu.shape[1]) - open_minded[:, :, None] * w_uu, label)
+    z0, gain = _SchurGains(params, p)(stack, blocks, label)
     return MarginalGains(
         adversaries=adversaries,
-        unpinned=system.unpinned,
-        base_fixed_point=z0,
-        gain=gain,
+        unpinned=tuple(unpinned[0].tolist()),
+        base_fixed_point=z0[0],
+        gain=gain[0],
     )
-
-
-def _best_response(params, adversaries, p):
-    """Approx follower for a fixed adversary set: the per-set scalar reference.
-
-    Returns (target_items, g) with target_items in canonical (adversary,
-    sorted targets) form and g the exact outcome of that choice.
-    """
-    network = params.network
-    gain = marginal_gains(params, adversaries, p).gain
-    adv_set = set(adversaries)
-    items = []
-    for j in adversaries:
-        eligible = [i for i in network.out_neighbors(j) if i not in adv_set]
-        ranked = sorted(eligible, key=lambda i: (-gain[i], i))
-        chosen = [i for i in ranked if gain[i] > 0.0][: network.target_budget(j)]
-        items.append((j, tuple(sorted(chosen))))
-    items = tuple(items)
-    _, g = _RestrictedSystem(params, adversaries).outcome(items, p)
-    return items, g
 
 
 def solve_follower(params, adversaries, p=DEFAULT_P, mode="approx", cap=DEFAULT_CONFIG_CAP):
     """Best target choice for a fixed adversary set; returns (targets, g).
 
     ``targets`` maps every adversary to its (possibly empty) tuple of
-    targets; ``g`` is the exact outcome of that choice.
+    targets; ``g`` is the exact outcome of that choice.  Both modes run
+    solve_attack's search on the one set.
     """
     adversaries = _check_adversary_set(params.network, adversaries)
     p = _check_magnitude(p)
     if mode == "approx":
-        items, g = _best_response(params, adversaries, p)
+        score = _approx_scorer(params, p, _SchurGains(params, p), [])
+        (_, items), g, _, _ = _leader_search([[adversaries]], score)
     elif mode == "exact":
         (_, items), g, _, _, _ = _exact_search(params, p, lambda: [[adversaries]], cap)
     else:
@@ -353,9 +330,9 @@ def _approx_scorer(params, p, gains, bounds):
     """score(chunk) for _leader_search: the approx follower of every set.
 
     Yields one batch per chunk: the exact g of every set's chosen targets,
-    the (sets, k, n) boolean choice mask and the set indices.  The
-    arithmetic mirrors marginal_gains followed by _RestrictedSystem.outcome,
-    with z0 and the gains from ``gains`` (a _SchurGains).  Each chunk's
+    the (sets, k, n) boolean choice mask and the set indices.  z0 and the
+    gains come from ``gains`` (a _SchurGains), as in marginal_gains; the
+    re-score builds its systems as adversarial_outcome does.  Each chunk's
     first-order bounds UB(A) = sum(z0) + k + the chosen gains, which no
     configuration of A exceeds, are appended to ``bounds`` as one array.
     Each set's restricted M_UU and re-weighted system pass
@@ -683,18 +660,6 @@ def count_configurations(network, leader_size=None):
         adversaries = np.array(chunk, dtype=int).reshape(len(chunk), leader_size)
         total += int(_space_sizes(network, adversaries, budgets).sum())
     return total
-
-
-def follower_candidate_bound(n):
-    """Worst-case follower candidates per adversary set under the gain reduction.
-
-    The first-order follower looks at each adversary's eligible targets
-    once instead of enumerating subsets, which caps the work per leader
-    set at (2 n^2 - n - 1) / 9 candidate evaluations.
-    """
-    if n < 1:
-        raise ValidationError(f"need at least one agent, got {n}")
-    return (2.0 * n * n - n - 1.0) / 9.0
 
 
 _VARIANT_RULES = {

@@ -7,6 +7,8 @@ helpers return plain package objects and never cache state between calls.
 import numpy as np
 
 from fjattack import AttackConfig, FjParameters, InfluenceNetwork
+from fjattack.adversary import _restricted_blocks, _reweighted_systems
+from fjattack.linalg import solve_conditioned
 
 
 def random_network(rng, n, density=0.4):
@@ -84,3 +86,16 @@ def random_feasible_config(rng, network, p=1e-3, require_target=False):
     if require_target and not any_target:
         return None
     return AttackConfig(adversaries=adversaries, targets=targets, influence_magnitude=p)
+
+
+def restricted_outcome(params, adversaries, items, p):
+    """Exact g of one target choice at any p, zero and negative included,
+    which AttackConfig rejects.  ``items`` holds (adversary, targets) pairs
+    for some of the adversaries; the others pick no target."""
+    stack = np.array([adversaries])
+    _, unpinned, w_uu, w_ua, open_minded, base_rhs = _restricted_blocks(params, stack)
+    hits = np.zeros(w_ua.shape, dtype=bool)
+    for j, targets in items:
+        hits[0, np.searchsorted(unpinned[0], targets), list(adversaries).index(j)] = True
+    matrix, rhs = _reweighted_systems(w_uu, w_ua, open_minded, base_rhs, hits, p)
+    return float(solve_conditioned(matrix[0], rhs[0]).sum()) + len(adversaries)

@@ -10,7 +10,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import complete_network, random_feasible_config, random_instance
+from conftest import (
+    complete_network,
+    random_feasible_config,
+    random_instance,
+    restricted_outcome,
+)
 from fjattack import (
     AttackConfig,
     FjParameters,
@@ -22,7 +27,6 @@ from fjattack import (
     outcome_metrics,
     simulate_adversarial,
 )
-from fjattack.adversary import _RestrictedSystem
 
 
 def three_agent_instance():
@@ -163,9 +167,9 @@ def test_monotone_in_influence_magnitude():
         if config is None:
             continue
         checked += 1
-        system = _RestrictedSystem(params, config.adversaries)
         sweep = [
-            system.outcome(config.targets, p)[1] for p in (0.0, 1e-4, 1e-3, 1e-2)
+            restricted_outcome(params, config.adversaries, config.targets, p)
+            for p in (0.0, 1e-4, 1e-3, 1e-2)
         ]
         assert sweep[1] >= sweep[0] - 1e-12
         assert sweep[2] >= sweep[1] - 1e-12

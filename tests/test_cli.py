@@ -243,9 +243,15 @@ def test_recover_malformed_trajectories_exit_two(tmp_path, capsys, payload):
 
 
 @pytest.mark.parametrize(
-    "override", [{"n": 8.5}, {"edges": [[0, 1.6]]}], ids=["count", "edge_endpoint"]
+    ("override", "message"),
+    [
+        ({"n": 8.5}, "must be an integer"),
+        ({"edges": [[0, 1.6]]}, "must be an integer"),
+        ({"edges": [[0, 1, 2]]}, "edges must be lists of 2 numbers"),
+    ],
+    ids=["count", "edge_endpoint", "edge_width"],
 )
-def test_recover_non_integral_network_exits_two(tmp_path, capsys, override):
+def test_recover_non_integral_network_exits_two(tmp_path, capsys, override, message):
     network = write_network(tmp_path)
     main([
         "simulate", "--network", str(network), "--rounds", "5",
@@ -259,7 +265,7 @@ def test_recover_non_integral_network_exits_two(tmp_path, capsys, override):
         "--network", str(network), "--out-dir", str(tmp_path),
     ])
     assert code == 2
-    assert "must be an integer" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "demo_network_trajectories_recovered.json").exists()
 
 
