@@ -120,6 +120,7 @@ def cmd_attack_plan(args):
         fileio.format_sig(plan.wall_time * 1e3, 6),
         str(plan.leader_evaluations),
         str(plan.follower_candidates),
+        fileio.format_sig(plan.upper_bound, 6),
     ]
     print(",".join(cells))
     return 0

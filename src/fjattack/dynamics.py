@@ -15,6 +15,12 @@ unique fixed point with the closed form
     z* = (I - (I - Theta) W)^-1 Theta s,
 
 and the scalar outcome g = sum_i z*_i lies in [0, N].
+
+W is supported on the network's |E| edges, so a rollout runs over the edge
+list, not over the dense matrix: each round is one weighted ``bincount``,
+and ``rounds`` rounds cost O(rounds * |E|) instead of O(rounds * n^2).
+Row i of a round sums its in-neighbours' terms in increasing source order,
+so every rollout is deterministic.
 """
 
 from dataclasses import dataclass
@@ -231,40 +237,62 @@ def _check_pinned(pinned, n, pinned_value):
     return pinned
 
 
+def _rollout(params, z0, rounds, pinned, pinned_value):
+    """(rounds + 1, n) array: row 0 is z0, row t + 1 the update of row t.
+
+    Each round is one ``bincount`` over the edges (source, target) of the
+    network, in canonical (source, target) order, of the terms
+    (1 - theta_i) * w_ij * z_j, plus theta * s; the result is clipped to
+    [0, 1] and the pinned agents are set to ``pinned_value``.  The inputs
+    are taken as validated.
+    """
+    n = params.n
+    targets, sources = params.network._support
+    theta = params.stubbornness
+    weights = (1.0 - theta)[targets] * params.influence[targets, sources]
+    anchor = theta * params.intrinsic
+    pinned = np.array(pinned, dtype=np.intp)
+    values = np.empty((rounds + 1, n))
+    values[0] = z0
+    for t in range(rounds):
+        row = values[t + 1]
+        mixed = np.bincount(targets, weights=weights * values[t][sources], minlength=n)
+        np.add(mixed, anchor, out=row)
+        np.clip(row, 0.0, 1.0, out=row)
+        row[pinned] = pinned_value
+    return values
+
+
 def fj_step(params, z, pinned=(), pinned_value=1.0):
     """One synchronous update of every agent's opinion.
 
     Agents listed in ``pinned`` ignore the update rule and are held at
     ``pinned_value`` instead.  The result of the convex mixing is clipped
     to [0, 1] to strip floating-point dust; in exact arithmetic the update
-    maps [0, 1]^n into itself.
+    maps [0, 1]^n into itself.  The update is one round of the rollout
+    kernel: O(|E|), with each agent summing its in-neighbours in source
+    order.
     """
     n = params.n
     z = _check_opinions(z, n)
     pinned = _check_pinned(pinned, n, pinned_value)
-    theta = params.stubbornness
-    out = theta * params.intrinsic + (1.0 - theta) * (params.influence @ z)
-    np.clip(out, 0.0, 1.0, out=out)
-    if pinned:
-        out[list(pinned)] = pinned_value
-    return out
+    return _rollout(params, z, 1, pinned, pinned_value)[1]
 
 
 def simulate(params, z0, rounds, pinned=(), pinned_value=1.0):
     """Roll the dynamics out for ``rounds`` synchronous updates.
 
     Row 0 of the result is the supplied initial vector as given; pinning
-    only constrains the updated rows.
+    only constrains the updated rows.  The inputs are checked once; the
+    rollout then costs O(rounds * |E|), each agent summing its
+    in-neighbours in source order, and OpinionTrajectory checks every row.
     """
     n = params.n
     z0 = _check_opinions(z0, n, name="z0")
     pinned = _check_pinned(pinned, n, pinned_value)
     if not isinstance(rounds, int) or rounds < 1:
         raise ValidationError(f"rounds must be a positive int, got {rounds!r}")
-    values = np.empty((rounds + 1, n), dtype=float)
-    values[0] = z0
-    for t in range(rounds):
-        values[t + 1] = fj_step(params, values[t], pinned, pinned_value)
+    values = _rollout(params, z0, rounds, pinned, pinned_value)
     return OpinionTrajectory(rounds=rounds, values=values, pinned=pinned)
 
 

@@ -403,23 +403,35 @@ def _leader_search(leader_sets, score):
     return best_key, best_g, sets, configs
 
 
-def _space_sizes(network, adversaries, budgets):
-    """Exact configuration count (Python ints) of each set in a (sets, k) array.
+def _space_sizer(network):
+    """sizes(adversaries): exact configuration count (Python ints) of each
+    set in a (sets, k) array.
 
-    Adversary a of a set chooses among the subsets of at most budgets[a]
-    of its out-neighbours that avoid the set.
+    Adversary a of a set chooses among the subsets of at most its target
+    budget of its out-neighbours that avoid the set.  The count table is filled
+    on first use and shared by every call of ``sizes``, so each of its
+    entries is computed once.
     """
-    k = adversaries.shape[1]
-    # subsets[j, o]: agent j's choices when o of its out-neighbours are
-    # adversaries too.
-    subsets = np.zeros((network.agent_count, k + 1), dtype=object)
-    for j in np.unique(adversaries).tolist():
-        degree = network.out_degree(j)
-        for o in range(min(k, degree) + 1):
-            subsets[j, o] = sum(math.comb(degree - o, s) for s in range(budgets[j] + 1))
+    degree = np.array([network.out_degree(j) for j in range(network.agent_count)])
     support = network.support_mask()
-    overlap = support[adversaries[:, None, :], adversaries[:, :, None]].sum(axis=2)
-    return subsets[adversaries, overlap].prod(axis=1)
+    # subsets[j, o]: agent j's choices when o of its out-neighbours are
+    # adversaries too; filled[j] entries of row j are computed.
+    subsets = np.zeros((network.agent_count, degree.max() + 1), dtype=object)
+    filled = np.zeros(network.agent_count, dtype=int)
+
+    def sizes(adversaries):
+        agents = np.unique(adversaries)
+        top = np.minimum(adversaries.shape[1], degree[agents]) + 1
+        rows = (agents, degree[agents], filled[agents], top)
+        for j, d, start, stop in zip(*(x.tolist() for x in rows)):
+            for o in range(start, stop):
+                budget = network.target_budget(j)
+                subsets[j, o] = sum(math.comb(d - o, s) for s in range(budget + 1))
+        filled[agents] = np.maximum(filled[agents], top)
+        overlap = support[adversaries[:, None, :], adversaries[:, :, None]].sum(axis=2)
+        return subsets[adversaries, overlap].prod(axis=1)
+
+    return sizes
 
 
 def _subset_masks(network, agent, budget):
@@ -534,14 +546,13 @@ def _exact_search(params, p, leader_sets, cap):
     configurations, max UB(A)); the configurations counted are all those of
     every set, solved or certified unable to beat the incumbent.
     """
-    network = params.network
-    budgets = [network.target_budget(j) for j in range(params.n)]
     gains = _SchurGains(params, p)
     bounds, counted = [], []
     approx = _approx_scorer(params, p, gains, bounds)
+    space_sizes = _space_sizer(params.network)
 
     def first_pass(chunk):
-        sizes = _space_sizes(network, np.array(chunk, dtype=int), budgets)
+        sizes = space_sizes(np.array(chunk, dtype=int))
         if cap is not None and (sizes > cap).any():
             size = sizes[np.argmax(sizes > cap)]
             raise CapExceededError(f"exact follower space has {size} configurations, cap is {cap}")
@@ -653,12 +664,12 @@ def count_configurations(network, leader_size=None):
         raise ValidationError(
             f"leader_size {leader_size} outside 0..{network.agent_count}"
         )
-    budgets = [network.target_budget(j) for j in range(network.agent_count)]
+    space_sizes = _space_sizer(network)
     sets = combinations(range(network.agent_count), leader_size)
     total = 0
     while chunk := list(islice(sets, LEADER_CHUNK)):
         adversaries = np.array(chunk, dtype=int).reshape(len(chunk), leader_size)
-        total += int(_space_sizes(network, adversaries, budgets).sum())
+        total += int(space_sizes(adversaries).sum())
     return total
 
 

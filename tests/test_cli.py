@@ -92,10 +92,11 @@ def test_attack_plan_json_and_csv_line(tmp_path, capsys):
     line = capsys.readouterr().out.strip().splitlines()[-1]
     cells = line.split(",")
     assert cells[0] == "demo"
-    assert len(cells) == 7
+    assert len(cells) == 8
     plan = read_json(tmp_path / "demo_attack_plan.json")
     assert {"adversaries", "targets", "p", "predicted_g", "upper_bound", "wall_time_s"} <= set(plan)
     assert float(cells[2]) == pytest.approx(plan["predicted_g"], rel=1e-4)
+    assert float(cells[7]) == pytest.approx(plan["upper_bound"], rel=1e-4)
     # The certified gap of an approx plan is small but never negative.
     assert 0.0 <= plan["upper_bound"] - plan["predicted_g"] < 1e-3
 

@@ -8,16 +8,24 @@ vectorization mistake in the library shows up as a disagreement.
 import numpy as np
 import pytest
 
-from conftest import complete_network, random_instance
+from conftest import (
+    complete_network,
+    random_feasible_config,
+    random_instance,
+    random_network,
+    random_params,
+)
 from fjattack import (
     ConvergenceError,
     FjParameters,
     InfluenceNetwork,
     OpinionTrajectory,
     ValidationError,
+    apply_adversarial_weights,
     closed_form_outcome,
     fj_step,
     simulate,
+    simulate_adversarial,
 )
 from fjattack.dynamics import SPECTRAL_MARGIN
 from fjattack.linalg import spectral_radius
@@ -139,6 +147,96 @@ def test_simulate_single_round_equals_one_step():
     trajectory = simulate(params, z0, 1)
     assert trajectory.values.shape == (2, network.agent_count)
     assert np.array_equal(trajectory.values[1], fj_step(params, z0))
+
+
+def dense_rollout(params, z0, rounds, pinned=(), pinned_value=1.0):
+    """The rollout as one dense matvec over all n^2 entries of W per round."""
+    theta, s, w = params.stubbornness, params.intrinsic, params.influence
+    values = [np.array(z0, dtype=float)]
+    for _ in range(rounds):
+        z = np.clip(theta * s + (1.0 - theta) * (w @ values[-1]), 0.0, 1.0)
+        z[list(pinned)] = pinned_value
+        values.append(z)
+    return np.array(values)
+
+
+def topology_edges(topology, n, rng):
+    if topology == "complete":
+        return complete_network(n).edges
+    if topology == "erdos_renyi":
+        return random_network(rng, n, density=float(rng.uniform(0.1, 0.5))).edges
+    if topology == "ring":
+        return tuple((i, (i + d) % n) for i in range(n) for d in (1, n - 1))
+    return tuple(e for i in range(1, n) for e in ((0, i), (i, 0)))  # star
+
+
+def test_rollout_matches_dense_reference():
+    rng = np.random.default_rng(909)
+    cases = {"theta_0_and_1": 0, "self_loops": 0, "pinned": 0}
+    for trial in range(120):
+        topology = ("complete", "erdos_renyi", "ring", "star")[trial % 4]
+        n = int(rng.integers(4, 41))
+        edges = topology_edges(topology, n, rng)
+        self_loops = trial % 3 == 0
+        if self_loops:
+            edges += tuple((i, i) for i in range(n) if rng.random() < 0.5)
+        network = InfluenceNetwork(n, edges, allow_self_loops=self_loops)
+        drawn = random_params(rng, network)
+        theta = np.array(drawn.stubbornness)
+        if trial % 2:
+            # Never agent 0, so the star's hub keeps the dynamics contracting.
+            theta[rng.choice(np.arange(1, n), size=2, replace=False)] = (0.0, 1.0)
+        try:
+            params = FjParameters(network, drawn.intrinsic, theta, drawn.influence)
+        except ConvergenceError:
+            continue
+        pinned = tuple(rng.choice(n, size=int(rng.integers(0, 3)), replace=False).tolist())
+        pinned_value = (0.0, 0.5, 1.0)[trial % 3]
+        z0 = rng.uniform(0.0, 1.0, n)
+        want = dense_rollout(params, z0, 25, pinned, pinned_value)
+        got = simulate(params, z0, 25, pinned=pinned, pinned_value=pinned_value).values
+        assert np.max(np.abs(got - want)) <= 1e-15
+        step = fj_step(params, want[7], pinned=pinned, pinned_value=pinned_value)
+        assert np.max(np.abs(step - want[8])) <= 1e-15
+        cases["theta_0_and_1"] += trial % 2
+        cases["self_loops"] += self_loops
+        cases["pinned"] += bool(pinned)
+    assert min(cases.values()) >= 20
+
+
+def test_simulate_adversarial_matches_dense_reference():
+    rng = np.random.default_rng(910)
+    checked = 0
+    for seed in range(40):
+        network, params = random_instance(seed, n=int(rng.integers(4, 30)))
+        config = random_feasible_config(rng, network, p=0.05, require_target=True)
+        if config is None:
+            continue
+        adversaries = config.adversaries
+        z0 = rng.uniform(0.0, 1.0, network.agent_count)
+        start = z0.copy()
+        start[list(adversaries)] = 1.0
+        attacked = apply_adversarial_weights(params, config)
+        want = dense_rollout(attacked, start, 30, adversaries, 1.0)
+        got = simulate_adversarial(params, config, z0, 30).values
+        assert np.max(np.abs(got - want)) <= 1e-15
+        checked += 1
+    assert checked >= 20
+
+
+def test_sparse_rollout_matches_dense_reference():
+    rng = np.random.default_rng(911)
+    n = 1000
+    listens = rng.random((n, n)) < 0.02
+    np.fill_diagonal(listens, False)
+    listens[np.arange(n), (np.arange(n) + 1) % n] = True
+    targets, sources = np.nonzero(listens)
+    network = InfluenceNetwork(n, tuple(zip(sources.tolist(), targets.tolist())))
+    params = random_params(rng, network)
+    z0 = rng.uniform(0.0, 1.0, n)
+    want = dense_rollout(params, z0, 50, (3, 500), 1.0)
+    got = simulate(params, z0, 50, pinned=(3, 500)).values
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def test_simulate_rejects_zero_rounds():
