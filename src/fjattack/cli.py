@@ -48,18 +48,17 @@ def _out_dir(args):
     return out
 
 
-def _write_tables(args, out, stem, rows):
+def _write_tables(args, stem, header, cells, payload):
+    """Write the CSV table and the JSON payload that --format selects."""
+    out = _out_dir(args)
     table_formats = ("csv", "json") if args.format is None else (args.format,)
-    written = []
     if "csv" in table_formats:
         path = out / f"{stem}.csv"
-        fileio.write_csv(path, RESULT_HEADER, result_rows_to_csv(rows))
-        written.append(path)
+        fileio.write_csv(path, header, cells)
+        print(path)
     if "json" in table_formats:
         path = out / f"{stem}.json"
-        fileio.write_json(path, result_rows_to_json(rows))
-        written.append(path)
-    for path in written:
+        fileio.write_json(path, payload)
         print(path)
 
 
@@ -79,7 +78,10 @@ def cmd_simulate(args):
         raise ValidationError(f"--trajectories must be at least 1, got {args.trajectories}")
     config = fileio.load_config(args.config) if args.config else None
     if args.z0 is not None:
-        starts = [np.array([float(x) for x in args.z0.split(",")])]
+        try:
+            starts = [np.array([float(x) for x in args.z0.split(",")])]
+        except ValueError as exc:
+            raise ValidationError(f"--z0: {exc}") from None
     else:
         rng = np.random.default_rng(args.seed or 0)
         starts = [np.array(params.intrinsic)]
@@ -160,7 +162,8 @@ def cmd_compare(args):
     scenario = _load_scenario(args)
     strategies = [s for s in args.strategies.split(",") if s]
     rows = run_comparison(scenario, strategies, cap=args.cap)
-    _write_tables(args, _out_dir(args), f"{scenario.scenario_id}_compare", rows)
+    cells, payload = result_rows_to_csv(rows), result_rows_to_json(rows)
+    _write_tables(args, f"{scenario.scenario_id}_compare", RESULT_HEADER, cells, payload)
     if any(row.status == "skipped" for row in rows):
         print("note: exact-mode rows skipped (enumeration over cap)", file=sys.stderr)
         return 3
@@ -170,37 +173,29 @@ def cmd_compare(args):
 def cmd_ablate(args):
     scenario = _load_scenario(args)
     rows = run_ablation(scenario)
-    _write_tables(args, _out_dir(args), f"{scenario.scenario_id}_ablation", rows)
+    cells, payload = result_rows_to_csv(rows), result_rows_to_json(rows)
+    _write_tables(args, f"{scenario.scenario_id}_ablation", RESULT_HEADER, cells, payload)
     return 0
 
 
 def cmd_benchmark(args):
     scenario = _load_scenario(args)
     summary = benchmark(scenario, repeats=args.repeats)
-    out = _out_dir(args)
+    header = ["scenario_id", "mean_solve_time_s", "mean_leader_eval_ms", "config_count", "repeats"]
+    row = [
+        scenario.scenario_id,
+        fileio.format_sig(summary.mean_solve_time, 6),
+        fileio.format_sig(summary.mean_leader_eval_time * 1e3, 6),
+        str(summary.config_count),
+        str(args.repeats),
+    ]
     payload = {
         "mean_solve_time_s": summary.mean_solve_time,
         "mean_leader_eval_ms": summary.mean_leader_eval_time * 1e3,
         "config_count": summary.config_count,
         "repeats": args.repeats,
     }
-    table_formats = ("csv", "json") if args.format is None else (args.format,)
-    if "json" in table_formats:
-        path = out / f"{scenario.scenario_id}_benchmark.json"
-        fileio.write_json(path, payload)
-        print(path)
-    if "csv" in table_formats:
-        path = out / f"{scenario.scenario_id}_benchmark.csv"
-        header = ["scenario_id", "mean_solve_time_s", "mean_leader_eval_ms", "config_count", "repeats"]
-        row = [
-            scenario.scenario_id,
-            fileio.format_sig(summary.mean_solve_time, 6),
-            fileio.format_sig(summary.mean_leader_eval_time * 1e3, 6),
-            str(summary.config_count),
-            str(args.repeats),
-        ]
-        fileio.write_csv(path, header, [row])
-        print(path)
+    _write_tables(args, f"{scenario.scenario_id}_benchmark", header, [row], payload)
     print(
         f"mean solve {summary.mean_solve_time:.4f} s, "
         f"mean leader eval {summary.mean_leader_eval_time * 1e3:.4f} ms, "

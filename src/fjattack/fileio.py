@@ -106,7 +106,7 @@ def _records(values, width, what):
     return array
 
 
-def _read_network(payload, path, what, allow_self_loops=False):
+def _read_network(payload, path, what):
     """The InfluenceNetwork of a file's n and edges; ``what`` names the file kind."""
     try:
         n = int(check_integral(_require(payload, "n", path), "n"))
@@ -114,9 +114,7 @@ def _read_network(payload, path, what, allow_self_loops=False):
         check_integral(edges, "edge endpoint")
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed {what} ({exc})") from exc
-    return InfluenceNetwork(
-        agent_count=n, edges=edges.astype(np.int64), allow_self_loops=allow_self_loops
-    )
+    return InfluenceNetwork(agent_count=n, edges=edges.astype(np.int64))
 
 
 def load_network(path):
@@ -124,9 +122,9 @@ def load_network(path):
     return _read_network(read_json(path), path, "network file")
 
 
-def load_parameters(path, allow_self_loops=False):
+def load_parameters(path):
     payload = read_json(path)
-    network = _read_network(payload, path, "parameter file", allow_self_loops)
+    network = _read_network(payload, path, "parameter file")
     n = network.agent_count
     try:
         theta = np.asarray(_require(payload, "theta", path), dtype=float)

@@ -22,7 +22,6 @@ from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_solve
 
 from .adversary import (
     DEFAULT_P,
@@ -33,10 +32,12 @@ from .adversary import (
 from .dynamics import THETA_MIN, FjParameters, InfluenceNetwork, closed_form_outcome
 from .errors import CapExceededError, ValidationError
 from .fileio import format_sig, load_parameters, round_sig
-from .linalg import check_conditioned, factor_conditioned
+from .linalg import check_conditioned
 from .optimizer import (
+    DEFAULT_CONFIG_CAP,
     _exact_scorer,
     _leader_search,
+    _SchurGains,
     _subset_masks,
     _top_targets,
     baseline_variant,
@@ -328,7 +329,6 @@ def _skipped_row(scenario, strategy, g0, wall_ms):
 def _result_row(scenario, strategy, params, baseline_g, config, start, leader_evals, candidates):
     """Validate a strategy's config, score it under the true attacked
     dynamics and build its row; the wall time runs from ``start``."""
-    config.validate_against(params.network)
     outcome = adversarial_outcome(params, config)
     metrics = outcome_metrics(baseline_g, outcome)
     return ResultRow(
@@ -366,15 +366,13 @@ def run_comparison(scenario, strategies, cap=None):
         leader_evals = 0
         candidates = 1
         try:
-            if strategy == "ours_approx":
-                plan = solve_attack(params, scenario.p, leader_size, follower_mode="approx")
-                config = plan.config
-                leader_evals = plan.leader_evaluations
-                candidates = plan.follower_candidates
-            elif strategy == "ours_exact":
-                kwargs = {} if cap is None else {"cap": cap}
+            if strategy in ("ours_approx", "ours_exact"):
                 plan = solve_attack(
-                    params, scenario.p, leader_size, follower_mode="exact", **kwargs
+                    params,
+                    scenario.p,
+                    leader_size,
+                    follower_mode=strategy.removeprefix("ours_"),
+                    cap=DEFAULT_CONFIG_CAP if cap is None else cap,
                 )
                 config = plan.config
                 leader_evals = plan.leader_evaluations
@@ -403,9 +401,10 @@ def _unpinned_scorer(params, p, budgets):
 
     Adversaries keep their stubbornness but take intrinsic opinion 1 and
     keep drifting with everyone else, so the model is plain dynamics on
-    all n agents with M = I - (I - Theta) W for every set.  One
-    conditioned LU of M gives the sensitivity c = (I - Theta) M^-T 1
-    and, through one multi-right-hand-side solve per chunk, every set's
+    all n agents with M = I - (I - Theta) W for every set.  The guarded
+    inverse of M that the approx planner uses (``_SchurGains.inverse``),
+    taken when the scorer is built, gives the sensitivity
+    c = (I - Theta) M^-T 1 and, through one product per chunk, every set's
     fixed point z0.  Adversary j's gain on agent i is p c_i (z0_j - (W z0)_i); each
     adversary keeps its top budgets[j] eligible targets, and the chunk's
     re-weighted n x n systems are guarded by ``check_conditioned`` and
@@ -417,8 +416,8 @@ def _unpinned_scorer(params, p, budgets):
     theta = params.stubbornness
     weights = params.influence
     n = params.n
-    factor = factor_conditioned(np.eye(n) - (1.0 - theta)[:, None] * weights)
-    sensitivity = (1.0 - theta) * lu_solve(factor, np.ones(n), trans=1)
+    minv = _SchurGains(params, p).inverse()
+    sensitivity = (1.0 - theta) * minv.sum(axis=0)
     listeners = network.support_mask().T
     budgets = np.asarray(budgets)
 
@@ -429,7 +428,7 @@ def _unpinned_scorer(params, p, budgets):
         pinned = np.zeros((sets, n), dtype=bool)
         pinned[rows, adversaries] = True
         rhs = np.where(pinned, 1.0, params.intrinsic) * theta
-        z0 = lu_solve(factor, rhs.T).T
+        z0 = rhs @ minv.T
         if not budgets[adversaries].any():
             # No targets: every re-weighted matrix is M itself, so z = z0.
             yield z0.sum(axis=1), np.zeros((sets, k, n), dtype=bool), np.arange(sets)
@@ -490,9 +489,7 @@ def run_ablation(scenario):
             (adversaries, items), _, leader_evals, candidates = _leader_search(
                 [combinations(range(n), leader_size)], scorer(params, p, budgets=budgets)
             )
-            if mode == "wo_pinning":
-                candidates = 3 * leader_evals
-            else:
+            if mode != "wo_pinning":
                 rng = _substream(scenario.seed, STREAM_ABLATION, mode_index)
                 items = _random_targets(network, adversaries, rng)
             config = AttackConfig(adversaries=adversaries, targets=items, influence_magnitude=p)

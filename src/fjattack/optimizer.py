@@ -50,9 +50,9 @@ configurations, and keeps the lexicographic argmax.
   (itertools.product order).  CONFIG_CHUNK configurations at a time are
   stacked, guarded and solved together.
 
-Exact solve_attack and exact solve_follower prune with a certified bound
-(``_exact_search``).  For a set A, z0 its base fixed point and m its gains,
-every targeting T obeys
+solve_attack and solve_follower run one entry, ``_search``, in either
+mode.  Exact mode prunes with a certified bound.  For a set A, z0 its base
+fixed point and m its gains, every targeting T obeys
 
     g(A, T) <= sum(z0) + |A| + sum over adversaries j of sum_{i in T_j} m_i
 
@@ -139,9 +139,9 @@ class AttackPlan:
     configuration of every searched set, which equals count_configurations
     over the searched leader sizes.  The oracle solves each one; exact
     mode solves only those its bound cannot rule out and certifies the
-    rest.  In approx mode it is three per adversary set: the two k x k
-    solves that give its z0 and c, and the re-score of its chosen
-    targets.  wall_time is in seconds.
+    rest.  In approx mode it counts the one configuration per adversary
+    set that the search re-scores, so it equals leader_evaluations.
+    wall_time is in seconds.
     """
 
     config: AttackConfig
@@ -230,13 +230,7 @@ def solve_follower(params, adversaries, p=DEFAULT_P, mode="approx", cap=DEFAULT_
     """
     adversaries = _check_adversary_set(params.network, adversaries)
     p = _check_magnitude(p)
-    if mode == "approx":
-        score = _approx_scorer(params, p, _SchurGains(params, p), [])
-        (_, items), g, _, _ = _leader_search([[adversaries]], score)
-    elif mode == "exact":
-        (_, items), g, _, _, _ = _exact_search(params, p, lambda: [[adversaries]], cap)
-    else:
-        raise ValidationError(f"unknown follower mode {mode!r}")
+    (_, items), g, _, _, _ = _search(params, p, lambda: [[adversaries]], mode, cap)
     return dict(items), g
 
 
@@ -529,26 +523,34 @@ def _exact_scorer(params, p, budgets=None, prune=None):
     return score
 
 
-def _exact_search(params, p, leader_sets, cap):
-    """Exact search with certified pruning; the engine of exact solve_attack
-    and exact solve_follower.
+def _search(params, p, leader_sets, mode, cap):
+    """The search of solve_attack and solve_follower in follower ``mode``.
 
     ``leader_sets()`` returns fresh groups of sets, as _leader_search takes
-    them; it is called twice.  The first pass is the approx search: its best
-    g is a feasible incumbent, and it gives every set's first-order bound
-    UB(A), which no configuration of A exceeds.  Every set must stay within
-    ``cap`` configurations, checked before its chunk is scored.  The second
-    pass runs the exact scorer over the sets with UB(A) >= the threshold
-    incumbent - slack (``_SchurGains.slack``), and stacks only their
-    configurations whose own bound clears the same threshold.  The
-    comparisons are non-strict, so every configuration that could tie the
-    optimum bitwise is solved.  Returns ((adversaries, items), g, sets,
-    configurations, max UB(A)); the configurations counted are all those of
-    every set, solved or certified unable to beat the incumbent.
+    them.  Approx mode runs the approx scorer once.  Exact mode calls
+    ``leader_sets`` twice and prunes with a certified bound.  Its first
+    pass is the approx search: its best g is a feasible incumbent, and it
+    gives every set's first-order bound UB(A), which no configuration of A
+    exceeds.  Every set must stay within ``cap`` configurations, checked
+    before its chunk is scored.  The second pass runs the exact scorer over
+    the sets with UB(A) >= the threshold incumbent - slack
+    (``_SchurGains.slack``), and stacks only their configurations whose own
+    bound clears the same threshold.  The comparisons are non-strict, so
+    every configuration that could tie the optimum bitwise is solved.
+    Returns ((adversaries, items), g, sets, configurations, max UB(A)).
+    Approx mode counts the configurations _leader_search scores, one per
+    set; exact mode counts all those of every set, solved or certified
+    unable to beat the incumbent.
     """
+    if mode not in ("approx", "exact"):
+        raise ValidationError(f"unknown follower mode {mode!r}")
     gains = _SchurGains(params, p)
-    bounds, counted = [], []
+    bounds = []
     approx = _approx_scorer(params, p, gains, bounds)
+    if mode == "approx":
+        key, g, sets, configs = _leader_search(leader_sets(), approx)
+        return key, g, sets, configs, max(float(b.max()) for b in bounds)
+    counted = []
     space_sizes = _space_sizer(params.network)
 
     def first_pass(chunk):
@@ -599,17 +601,9 @@ def solve_attack(
     def leader_sets():
         return [combinations(range(network.agent_count), size) for size in sizes]
 
-    if follower_mode == "approx":
-        bounds = []
-        score = _approx_scorer(params, p, _SchurGains(params, p), bounds)
-        (adversaries, items), best_g, sets, _ = _leader_search(leader_sets(), score)
-        configs, upper = 3 * sets, max(float(b.max()) for b in bounds)
-    elif follower_mode == "exact":
-        (adversaries, items), best_g, sets, configs, upper = _exact_search(
-            params, p, leader_sets, cap
-        )
-    else:
-        raise ValidationError(f"unknown follower mode {follower_mode!r}")
+    (adversaries, items), best_g, sets, configs, upper = _search(
+        params, p, leader_sets, follower_mode, cap
+    )
     return AttackPlan(
         config=AttackConfig(adversaries, items, p),
         predicted_g=best_g,

@@ -174,16 +174,26 @@ def test_ablate_outputs(tmp_path):
     ]
 
 
-def test_benchmark_output(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "fmt, written",
+    [(None, {"csv", "json"}), ("csv", {"csv"}), ("json", {"json"})],
+    ids=["default", "csv", "json"],
+)
+def test_benchmark_output(tmp_path, capsys, fmt, written):
     scenario = write_scenario(tmp_path)
     code = main([
         "benchmark", "--scenario", str(scenario),
         "--repeats", "2", "--out-dir", str(tmp_path),
-    ])
+    ] + ([] if fmt is None else ["--format", fmt]))
     assert code == 0
-    summary = read_json(tmp_path / "demo_benchmark.json")
+    assert {path.suffix[1:] for path in tmp_path.glob("demo_benchmark.*")} == written
     # complete 8-graph: C(8,2) pairs, each with (1 + 6 + C(6,2))^2 target choices
-    assert summary["config_count"] == 28 * 22 * 22
+    count = 28 * 22 * 22
+    if "json" in written:
+        assert read_json(tmp_path / "demo_benchmark.json")["config_count"] == count
+    if "csv" in written:
+        header, row = (tmp_path / "demo_benchmark.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["config_count"] == str(count)
     assert "mean solve" in capsys.readouterr().out
 
 
@@ -276,6 +286,18 @@ def test_scenario_that_is_not_an_object_exits_two(tmp_path, capsys):
     assert main(["ablate", "--scenario", str(scenario), "--out-dir", str(tmp_path)]) == 2
     assert "scenario must be a JSON object" in capsys.readouterr().err
     assert not list(tmp_path.glob("*_ablation.*"))
+
+
+def test_simulate_rejects_non_numeric_z0(tmp_path, capsys):
+    network = write_network(tmp_path)
+    code = main([
+        "simulate", "--network", str(network), "--rounds", "5",
+        "--z0", "0.1,abc", "--out-dir", str(tmp_path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --z0") and "'abc'" in err
+    assert not (tmp_path / "demo_network_trajectories.json").exists()
 
 
 @pytest.mark.parametrize("count", ["0", "-2"])

@@ -196,6 +196,13 @@ def test_ablation_rows_share_baseline():
         assert row.status == "ok"
 
 
+def test_ablation_counts_one_configuration_per_set():
+    scenario = Scenario(scenario_id="cnt", topology="complete", n=9, seed=13)
+    rows = {row.strategy: row for row in run_ablation(scenario)}
+    for mode in ("full", "wo_pinning"):
+        assert rows[mode].follower_candidates == rows[mode].leader_evals == 36, mode
+
+
 def test_ablation_zero_target_budgets_collapse():
     # ring out-degrees are all 2, so targeting brings zero freedom
     scenario = Scenario(scenario_id="ab", topology="ring", n=10, seed=42)

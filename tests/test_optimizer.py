@@ -644,6 +644,23 @@ def test_batched_approx_all_leader_sizes_matches_reference():
         assert plan.leader_evaluations == 11 + 55 + 165
 
 
+@pytest.mark.parametrize("all_leader_sizes", (False, True))
+def test_approx_counts_one_configuration_per_set(all_leader_sizes):
+    _, params = generate(Scenario(topology="erdos_renyi", n=11, seed=5))
+    plan = solve_attack(params, p=1e-3, all_leader_sizes=all_leader_sizes)
+    sets = 11 + 55 + 165 if all_leader_sizes else 165
+    assert plan.follower_candidates == plan.leader_evaluations == sets
+
+
+def test_unknown_follower_mode_is_one_error():
+    _, params = random_instance(7, n=7)
+    with pytest.raises(ValidationError) as attack:
+        solve_attack(params, p=1e-3, follower_mode="greedy")
+    with pytest.raises(ValidationError) as follower:
+        solve_follower(params, (0, 1), p=1e-3, mode="greedy")
+    assert str(attack.value) == str(follower.value) == "unknown follower mode 'greedy'"
+
+
 def test_batched_approx_winner_beyond_first_chunk():
     _, params = generate(Scenario(topology="complete", n=14, seed=0))
     plan = solve_attack(params, p=1e-3)
