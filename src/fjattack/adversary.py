@@ -9,8 +9,9 @@ row i of W becomes
     w_ij <- (1 - |A_i| p) w_ij            for j not in A_i
     w_ij <- (1 - |A_i| p) w_ij + p        for j in A_i
 
-which preserves the row sum.  With adversaries pinned at opinion 1, the
-remaining agents U reach the fixed point of the restricted system
+which preserves the row sum (``_reweighted``, for any stack of rows).
+With adversaries pinned at opinion 1, the remaining agents U reach the
+fixed point of the restricted system
 
     z_U = (I_U - (I_U - Theta_U) W_UU)^-1 (Theta_U s_U + (I_U - Theta_U) W_UA 1)
 
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import FjParameters, simulate
+from .dynamics import FjParameters, _simulate
 from .errors import ValidationError
 from .linalg import solve_conditioned
 
@@ -191,6 +192,22 @@ def _reweighted_systems(w_uu, w_ua, open_minded, base_rhs, hits, p):
     return matrix, base_rhs + open_minded * mass.sum(axis=2)
 
 
+def _reweighted(rows, hits, p):
+    """Attacked rows of W; hits[..., i, j] marks i as a target of adversary j."""
+    return rows * (1.0 - hits.sum(axis=-1) * p)[..., None] + p * hits
+
+
+def _targeted_rows(config, n):
+    """The targeted agents in increasing order and their (rows, n) hit stack."""
+    pairs = np.array(
+        [(i, j) for j, targets in config.targets for i in targets], dtype=np.intp
+    ).reshape(-1, 2)
+    rows = np.unique(pairs[:, 0])
+    hits = np.zeros((len(rows), n), dtype=bool)
+    hits[np.searchsorted(rows, pairs[:, 0]), pairs[:, 1]] = True
+    return rows, hits
+
+
 def apply_adversarial_weights(params, config, enforce_budgets=True):
     """Return a copy of ``params`` with the attack's weight perturbation applied.
 
@@ -198,12 +215,9 @@ def apply_adversarial_weights(params, config, enforce_budgets=True):
     targeted agents change, and their sums are preserved.
     """
     config.validate_against(params.network, enforce_budgets)
+    rows, hits = _targeted_rows(config, params.n)
     w = np.array(params.influence)
-    p = config.influence_magnitude
-    for i, advs in config.targeted_by().items():
-        scale = 1.0 - len(advs) * p
-        w[i] *= scale
-        w[i, list(advs)] += p
+    w[rows] = _reweighted(w[rows], hits, config.influence_magnitude)
     return FjParameters(
         network=params.network,
         intrinsic=params.intrinsic,
@@ -246,14 +260,26 @@ def simulate_adversarial(params, config, z0, rounds, enforce_budgets=True):
     overwritten to 1, uses the re-weighted rows for targeted agents, and
     holds every adversary at 1 on each update.  Its tail converges to the
     same fixed point as ``adversarial_outcome``.
+
+    Only the targeted rows are re-weighted, straight onto the edge list:
+    no n x n array and no second FjParameters.  Support, non-negativity
+    and row sums hold by construction, and the pinned rollout contracts:
+    (I - Theta_U) W'_UU <= (I - Theta_U) W_UU entrywise (the +p lands in
+    adversary columns, the scale is <= 1), a principal submatrix of the
+    (I - Theta) W that ``params`` passed (Perron-Frobenius monotonicity).
     """
-    attacked = apply_adversarial_weights(params, config, enforce_budgets)
+    config.validate_against(params.network, enforce_budgets)
     adversaries = list(config.adversaries)
-    z_init = np.array(np.asarray(z0, dtype=float))
-    if z_init.shape != (params.n,):
-        raise ValidationError(f"z0 must have shape ({params.n},), got {z_init.shape}")
-    z_init[adversaries] = 1.0
-    return simulate(attacked, z_init, rounds, pinned=adversaries, pinned_value=1.0)
+    z_init = np.array(z0, dtype=float)
+    if z_init.shape == (params.n,):  # _simulate rejects every other shape
+        z_init[adversaries] = 1.0
+    rows, hits = _targeted_rows(config, params.n)
+    targets, sources = params.network._support
+    influence = params.influence[targets, sources]
+    attacked = _reweighted(params.influence[rows], hits, config.influence_magnitude)
+    on = np.isin(targets, rows)
+    influence[on] = attacked[np.searchsorted(rows, targets[on]), sources[on]]
+    return _simulate(params, influence, z_init, rounds, adversaries, 1.0)
 
 
 def outcome_metrics(baseline_g, outcome):

@@ -237,19 +237,19 @@ def _check_pinned(pinned, n, pinned_value):
     return pinned
 
 
-def _rollout(params, z0, rounds, pinned, pinned_value):
+def _rollout(params, influence, z0, rounds, pinned, pinned_value):
     """(rounds + 1, n) array: row 0 is z0, row t + 1 the update of row t.
 
-    Each round is one ``bincount`` over the edges (source, target) of the
-    network, in canonical (source, target) order, of the terms
-    (1 - theta_i) * w_ij * z_j, plus theta * s; the result is clipped to
+    ``influence`` is W gathered on the edges (source j, target i), in
+    canonical order.  Each round is one ``bincount`` over the edges of the
+    terms (1 - theta_i) * w_ij * z_j, plus theta * s; the result is clipped to
     [0, 1] and the pinned agents are set to ``pinned_value``.  The inputs
     are taken as validated.
     """
     n = params.n
     targets, sources = params.network._support
     theta = params.stubbornness
-    weights = (1.0 - theta)[targets] * params.influence[targets, sources]
+    weights = (1.0 - theta)[targets] * influence
     anchor = theta * params.intrinsic
     pinned = np.array(pinned, dtype=np.intp)
     values = np.empty((rounds + 1, n))
@@ -276,7 +276,8 @@ def fj_step(params, z, pinned=(), pinned_value=1.0):
     n = params.n
     z = _check_opinions(z, n)
     pinned = _check_pinned(pinned, n, pinned_value)
-    return _rollout(params, z, 1, pinned, pinned_value)[1]
+    influence = params.influence[params.network._support]
+    return _rollout(params, influence, z, 1, pinned, pinned_value)[1]
 
 
 def simulate(params, z0, rounds, pinned=(), pinned_value=1.0):
@@ -287,12 +288,18 @@ def simulate(params, z0, rounds, pinned=(), pinned_value=1.0):
     rollout then costs O(rounds * |E|), each agent summing its
     in-neighbours in source order, and OpinionTrajectory checks every row.
     """
+    influence = params.influence[params.network._support]
+    return _simulate(params, influence, z0, rounds, pinned, pinned_value)
+
+
+def _simulate(params, influence, z0, rounds, pinned, pinned_value):
+    """simulate with W given on the edge list, as ``_rollout`` takes it."""
     n = params.n
     z0 = _check_opinions(z0, n, name="z0")
     pinned = _check_pinned(pinned, n, pinned_value)
     if not isinstance(rounds, int) or rounds < 1:
         raise ValidationError(f"rounds must be a positive int, got {rounds!r}")
-    values = _rollout(params, z0, rounds, pinned, pinned_value)
+    values = _rollout(params, influence, z0, rounds, pinned, pinned_value)
     return OpinionTrajectory(rounds=rounds, values=values, pinned=pinned)
 
 

@@ -49,9 +49,7 @@ def read_json(path):
 
 def write_csv(path, header, rows):
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(csv_text(header, rows))
 
 
 def csv_text(header, rows):
@@ -208,17 +206,6 @@ def load_trajectories(path):
             )
         out.append(OpinionTrajectory(rounds=values.shape[0] - 1, values=values))
     return out
-
-
-def outcome_to_json(outcome, baseline_g):
-    """AdversarialOutcome payload: g, delta_g, the fixed point, and the cast."""
-    return {
-        "g": round_sig(outcome.g_value, 12),
-        "delta_g": round_sig(outcome.g_value - baseline_g, 12),
-        "fixed_point": [round_sig(x, 12) for x in outcome.fixed_point],
-        "unpinned": list(outcome.unpinned),
-        "adversaries": list(outcome.config.adversaries),
-    }
 
 
 def plan_to_json(plan):

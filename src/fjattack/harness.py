@@ -14,10 +14,12 @@ through solve_attack, and the ablation's models through the approx,
 exact (pinned) and ``_unpinned_scorer`` (drifting adversaries) scorers.
 Each strategy's config is validated and re-scored under the true
 attacked dynamics by one row builder, ``_result_row``.
+A scenario's leader size passes ``optimizer._check_leader_size`` before
+any strategy runs, and a malformed field raises ValidationError.
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from itertools import combinations
 from typing import NamedTuple
 
@@ -26,6 +28,7 @@ import numpy as np
 from .adversary import (
     DEFAULT_P,
     AttackConfig,
+    _reweighted,
     adversarial_outcome,
     outcome_metrics,
 )
@@ -35,6 +38,7 @@ from .fileio import format_sig, load_parameters, round_sig
 from .linalg import check_conditioned
 from .optimizer import (
     DEFAULT_CONFIG_CAP,
+    _check_leader_size,
     _exact_scorer,
     _leader_search,
     _SchurGains,
@@ -93,6 +97,13 @@ def _substream(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+def _as_float(name, value):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One fully seeded experiment configuration.
@@ -119,55 +130,49 @@ class Scenario:
         if self.topology not in TOPOLOGIES:
             raise ValidationError(f"unknown topology {self.topology!r}")
         if self.topology == "custom":
-            if not self.network_file:
-                raise ValidationError("custom topology needs network_file")
+            if not self.network_file or not isinstance(self.network_file, str):
+                raise ValidationError(
+                    f"custom topology needs a network_file path, got {self.network_file!r}"
+                )
         else:
-            if not isinstance(self.n, int) or self.n < 2:
+            if type(self.n) is not int or self.n < 2:
                 raise ValidationError(f"need at least 2 agents, got {self.n!r}")
         if self.topology == "erdos_renyi":
-            if not 0.0 <= float(self.edge_prob) <= 1.0:
+            edge_prob = _as_float("edge_prob", self.edge_prob)
+            if not 0.0 <= edge_prob <= 1.0:
                 raise ValidationError(f"edge_prob must lie in [0, 1], got {self.edge_prob!r}")
+            object.__setattr__(self, "edge_prob", edge_prob)
         for name, dist in (("theta_dist", self.theta_dist), ("s_dist", self.s_dist)):
-            low, high = (float(dist[0]), float(dist[1]))
+            try:
+                low, high = (float(x) for x in dist)
+            except (TypeError, ValueError):
+                raise ValidationError(f"{name} must be a [low, high] pair, got {dist!r}") from None
             if not 0.0 <= low <= high <= 1.0:
                 raise ValidationError(f"{name} must be 0 <= low <= high <= 1, got {dist!r}")
             object.__setattr__(self, name, (low, high))
-        p = float(self.p)
+        p = _as_float("p", self.p)
         if not 0.0 < p < 1.0:
             raise ValidationError(f"p must lie in (0, 1), got {self.p!r}")
         object.__setattr__(self, "p", p)
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.leader_size != "budget":
-            if not isinstance(self.leader_size, int) or self.leader_size < 1:
+            if type(self.leader_size) is not int or self.leader_size < 1:
                 raise ValidationError(
                     f'leader_size must be "budget" or a positive int, got {self.leader_size!r}'
                 )
 
     @classmethod
     def from_json(cls, payload, default_id="scenario"):
-        known = {
-            "id": "scenario_id",
-            "topology": "topology",
-            "n": "n",
-            "edge_prob": "edge_prob",
-            "network_file": "network_file",
-            "theta_dist": "theta_dist",
-            "s_dist": "s_dist",
-            "p": "p",
-            "seed": "seed",
-            "leader_size": "leader_size",
-        }
+        known = {field.name: field.name for field in fields(cls)}
+        known["id"] = known.pop("scenario_id")
         if not isinstance(payload, dict):
             raise ValidationError(f"scenario must be a JSON object, got {type(payload).__name__}")
         kwargs = {"scenario_id": default_id}
         for key, value in payload.items():
             if key not in known:
                 raise ValidationError(f"unknown scenario key {key!r}")
-            field = known[key]
-            if field in ("theta_dist", "s_dist"):
-                value = tuple(value)
-            kwargs[field] = value
+            kwargs[known[key]] = value
         return cls(**kwargs)
 
     def to_json(self):
@@ -289,9 +294,9 @@ def generate(scenario):
 
 
 def _resolve_leader_size(scenario, network):
-    if scenario.leader_size == "budget":
-        return network.leader_budget()
-    return scenario.leader_size
+    """The scenario's leader size, checked as every planner checks it."""
+    size = None if scenario.leader_size == "budget" else scenario.leader_size
+    return _check_leader_size(network, size)
 
 
 def _random_targets(network, adversaries, rng):
@@ -405,12 +410,13 @@ def _unpinned_scorer(params, p, budgets):
     inverse of M that the approx planner uses (``_SchurGains.inverse``),
     taken when the scorer is built, gives the sensitivity
     c = (I - Theta) M^-T 1 and, through one product per chunk, every set's
-    fixed point z0.  Adversary j's gain on agent i is p c_i (z0_j - (W z0)_i); each
-    adversary keeps its top budgets[j] eligible targets, and the chunk's
-    re-weighted n x n systems are guarded by ``check_conditioned`` and
-    re-scored in one batched solve.  A chunk whose adversaries all have
-    zero budgets keeps z0 instead, which is what that solve would return.
-    Yields one configuration per set.
+    fixed point z0.  Adversary j's gain on agent i is p c_i (z0_j - (W z0)_i);
+    each adversary keeps its top budgets[j] eligible targets.  A boolean
+    stack marks them, ``adversary._reweighted`` re-weights W by the
+    attack's one rule, and the chunk's n x n systems are guarded by
+    ``check_conditioned`` and re-scored in one batched solve.  A chunk whose
+    adversaries all have zero budgets keeps z0 instead, which is what that
+    solve would return.  Yields one configuration per set.
     """
     network = params.network
     theta = params.stubbornness
@@ -438,11 +444,9 @@ def _unpinned_scorer(params, p, budgets):
         chosen = _top_targets(
             gain, listeners[adversaries] & ~pinned[:, None, :], budgets[adversaries]
         )
-        # Row re-weighting as in apply_adversarial_weights: hits[b, i, j] when j targets i.
-        hits = np.zeros((sets, n, n))
-        hits[rows, :, adversaries] = chosen * p
-        modified = weights * (1.0 - np.count_nonzero(hits, axis=2) * p)[:, :, None] + hits
-        matrix = np.eye(n) - (1.0 - theta)[:, None] * modified
+        hits = np.zeros((sets, n, n), dtype=bool)
+        hits[rows, :, adversaries] = chosen
+        matrix = np.eye(n) - (1.0 - theta)[:, None] * _reweighted(weights, hits, p)
         check_conditioned(matrix, lambda b: f"adversary set {chunk[b]}")
         z = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
         yield z.sum(axis=1), chosen, np.arange(sets)
@@ -551,21 +555,8 @@ def result_rows_to_json(rows):
 
 
 def result_rows_to_csv(rows):
-    """Result rows as CSV cell lists (6 significant digits)."""
-    table = []
-    for row in rows:
-        table.append(
-            [
-                row.scenario_id,
-                row.strategy,
-                format_sig(row.g0, 6),
-                format_sig(row.g_attack, 6),
-                format_sig(row.delta_g, 6),
-                format_sig(row.agreement_fraction, 6),
-                format_sig(row.wall_time_ms, 6),
-                str(row.leader_evals),
-                str(row.follower_candidates),
-                row.status,
-            ]
-        )
-    return table
+    """Result rows as CSV cell lists (floats to 6 significant digits)."""
+    return [
+        [format_sig(v, 6) if isinstance(v, float) else str(v) for v in astuple(row)]
+        for row in rows
+    ]

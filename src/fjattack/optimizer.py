@@ -152,21 +152,16 @@ class AttackPlan:
     wall_time: float
 
 
-def _check_adversary_set(network, adversaries):
-    """Structural checks only; staying within the leader budget is the
-    caller's business (solve_attack generates within-budget sets itself)."""
-    adversaries = tuple(sorted(int(j) for j in adversaries))
-    if not adversaries:
+def _check_adversary_set(network, adversaries, p):
+    """(sorted set, p), checked by AttackConfig, plus what it allows but a
+    fixed-set search cannot use; the leader budget is the caller's business."""
+    config = AttackConfig(adversaries, (), _check_magnitude(p))
+    config.validate_against(network, enforce_budgets=False)
+    if not config.adversaries:
         raise ValidationError("adversary set must be nonempty")
-    if len(set(adversaries)) != len(adversaries):
-        raise ValidationError(f"duplicate adversaries in {adversaries}")
-    n = network.agent_count
-    for j in adversaries:
-        if not 0 <= j < n:
-            raise ValidationError(f"adversary {j} out of range for {n} agents")
-    if len(adversaries) == n:
+    if len(config.adversaries) == network.agent_count:
         raise ValidationError("every agent is adversarial; nothing to evaluate")
-    return adversaries
+    return config.adversaries, config.influence_magnitude
 
 
 def _check_leader_size(network, leader_size):
@@ -202,8 +197,7 @@ def marginal_gains(params, adversaries, p=DEFAULT_P):
     kappa_1 of that system, not of the restricted one.  The set's restricted
     system and its block of the inverse pass ``check_conditioned``.
     """
-    adversaries = _check_adversary_set(params.network, adversaries)
-    p = _check_magnitude(p)
+    adversaries, p = _check_adversary_set(params.network, adversaries, p)
     stack = np.array([adversaries])
     blocks = _restricted_blocks(params, stack)
     _, unpinned, w_uu, _, open_minded, _ = blocks
@@ -228,8 +222,7 @@ def solve_follower(params, adversaries, p=DEFAULT_P, mode="approx", cap=DEFAULT_
     targets; ``g`` is the exact outcome of that choice.  Both modes run
     solve_attack's search on the one set.
     """
-    adversaries = _check_adversary_set(params.network, adversaries)
-    p = _check_magnitude(p)
+    adversaries, p = _check_adversary_set(params.network, adversaries, p)
     (_, items), g, _, _, _ = _search(params, p, lambda: [[adversaries]], mode, cap)
     return dict(items), g
 

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from fjattack import Scenario, generate
+from fjattack import Scenario, ValidationError, generate
 from fjattack.cli import main
 from fjattack.fileio import read_json, save_parameters, write_json
 
@@ -310,3 +310,46 @@ def test_simulate_rejects_nonpositive_trajectory_count(tmp_path, capsys, count):
     assert code == 2
     assert "--trajectories must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "demo_network_trajectories.json").exists()
+
+
+@pytest.mark.parametrize(
+    "message, overrides",
+    (
+        ("theta_dist must be", {"theta_dist": 0.5}),
+        ("theta_dist must be", {"theta_dist": [0.1]}),
+        ("s_dist must be", {"s_dist": ["low", "high"]}),
+        ("p must be", {"p": "abc"}),
+        ("edge_prob must be", {"topology": "erdos_renyi", "edge_prob": "x"}),
+        ("leader_size must be", {"leader_size": True}),
+        ("seed must be", {"seed": True}),
+        (
+            "custom topology needs a network_file path",
+            {"topology": "custom", "network_file": ["a"]},
+        ),
+    ),
+    ids=(
+        "theta_scalar", "theta_short", "s_text", "p_text", "edge_prob_text",
+        "leader_size_bool", "seed_bool", "network_file_list",
+    ),
+)
+def test_malformed_scenario_field_exits_two(tmp_path, capsys, message, overrides):
+    path = write_scenario(tmp_path, **overrides)
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        Scenario.from_json(read_json(path))
+    code = main([
+        "compare", "--scenario", str(path), "--strategies", "random",
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not list(tmp_path.glob("*_compare.*"))
+
+
+def test_leader_size_beyond_the_budget_exits_two(tmp_path, capsys):
+    path = write_scenario(tmp_path, n=6, leader_size=9)
+    code = main([
+        "compare", "--scenario", str(path), "--strategies", "random",
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == 2
+    assert "leader_size 9 outside the feasible range 1..1" in capsys.readouterr().err

@@ -5,6 +5,8 @@ plain fixed-point iteration for the equilibrium, so any indexing or
 vectorization mistake in the library shows up as a disagreement.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -206,9 +208,16 @@ def test_rollout_matches_dense_reference():
 
 def test_simulate_adversarial_matches_dense_reference():
     rng = np.random.default_rng(910)
-    checked = 0
+    checked = stubbornless = 0
     for seed in range(40):
         network, params = random_instance(seed, n=int(rng.integers(4, 30)))
+        if seed % 2:
+            theta = np.array(params.stubbornness)
+            theta[rng.choice(network.agent_count, size=2, replace=False)] = 0.0
+            try:
+                params = FjParameters(network, params.intrinsic, theta, params.influence)
+            except ConvergenceError:
+                continue
         config = random_feasible_config(rng, network, p=0.05, require_target=True)
         if config is None:
             continue
@@ -220,8 +229,35 @@ def test_simulate_adversarial_matches_dense_reference():
         want = dense_rollout(attacked, start, 30, adversaries, 1.0)
         got = simulate_adversarial(params, config, z0, 30).values
         assert np.max(np.abs(got - want)) <= 1e-15
+        assert np.array_equal(got, simulate(attacked, start, 30, pinned=adversaries).values)
         checked += 1
-    assert checked >= 20
+        stubbornless += bool((params.stubbornness == 0.0).any())
+    assert checked >= 20 and stubbornless >= 8
+
+
+def test_simulate_adversarial_builds_no_parameters_and_no_dense_matrix(monkeypatch):
+    rng = np.random.default_rng(912)
+    n = 400
+    network = random_network(rng, n, density=0.02)
+    params = random_params(rng, network)
+    config = random_feasible_config(rng, network, p=0.01, require_target=True)
+    built = []
+    original = FjParameters.__post_init__
+
+    def spy(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(FjParameters, "__post_init__", spy)
+    tracemalloc.start()
+    try:
+        simulate_adversarial(params, config, np.full(n, 0.5), 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built == []
+    # Less than one dense float W: only the targeted rows are re-weighted.
+    assert peak < n * n * 8
 
 
 def test_sparse_rollout_matches_dense_reference():

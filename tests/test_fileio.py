@@ -11,7 +11,6 @@ from fjattack import (
     AttackConfig,
     InfluenceNetwork,
     ValidationError,
-    adversarial_outcome,
     simulate,
 )
 from fjattack.fileio import (
@@ -21,7 +20,6 @@ from fjattack.fileio import (
     load_config,
     load_parameters,
     load_trajectories,
-    outcome_to_json,
     parameters_to_json,
     round_sig,
     save_config,
@@ -118,17 +116,6 @@ def test_trajectories_round_trip(tmp_path):
     for got, want in zip(loaded, trajectories):
         assert got.rounds == want.rounds
         assert np.array_equal(got.values, want.values)
-
-
-def test_outcome_json_fields():
-    rng = np.random.default_rng(7)
-    network, params = random_instance(8, n=8, density=0.8)
-    config = random_feasible_config(rng, network)
-    outcome = adversarial_outcome(params, config)
-    payload = outcome_to_json(outcome, baseline_g=1.25)
-    assert {"g", "delta_g", "fixed_point"} <= set(payload)
-    assert payload["delta_g"] == pytest.approx(outcome.g_value - 1.25, rel=1e-11)
-    assert len(payload["fixed_point"]) == len(outcome.unpinned)
 
 
 def test_csv_text_formatting():

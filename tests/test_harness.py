@@ -123,6 +123,23 @@ def test_scenario_json_round_trip():
         Scenario(scenario_id="bad", topology="moebius", n=5)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    (
+        lambda scenario: run_comparison(scenario, ["random"]),
+        lambda scenario: run_comparison(scenario, ["variant_I"]),
+        lambda scenario: run_ablation(scenario),
+        lambda scenario: benchmark(scenario, repeats=1),
+    ),
+    ids=("random", "variant_I", "ablation", "benchmark"),
+)
+def test_leader_size_is_checked_once_for_every_entry(entry):
+    with pytest.raises(ValidationError, match=r"^leader_size 9 outside the feasible range 1\.\.1$"):
+        entry(Scenario(n=6, leader_size=9))
+    with pytest.raises(ValidationError, match="3 agents leave no adversary budget"):
+        entry(Scenario(n=3))
+
+
 def test_comparison_exact_dominates_heuristics():
     scenario = Scenario(scenario_id="t", topology="complete", n=7, seed=21)
     rows = run_comparison(

@@ -13,6 +13,7 @@ a forward and a transposed solve, the top-budget pick, and one re-score.
 
 import json
 import math
+import re
 from itertools import combinations, product
 
 import numpy as np
@@ -367,6 +368,29 @@ def test_every_agent_adversarial_is_rejected(entry):
     _, params = random_instance(61, n=6, density=0.6)
     with pytest.raises(ValidationError, match="every agent is adversarial"):
         entry(params, tuple(range(params.n)))
+
+
+@pytest.mark.parametrize("mode", ("gains", "approx", "exact"))
+@pytest.mark.parametrize(
+    "adversaries, p, message",
+    (
+        ((), 1e-3, "adversary set must be nonempty"),
+        ((2, 2), 1e-3, "duplicate adversaries in (2, 2)"),
+        ((1, 9), 1e-3, "adversary 9 out of range for 7 agents"),
+        ((1,), 0.0, "influence magnitude must lie in (0, 1), got 0.0"),
+        ((1,), 1.0, "influence magnitude must lie in (0, 1), got 1.0"),
+        ((1,), float("nan"), "influence magnitude must lie in (0, 1), got nan"),
+        ((), 0.0, "influence magnitude must lie in (0, 1), got 0.0"),
+    ),
+    ids=("empty", "duplicate", "out_of_range", "p_zero", "p_one", "p_nan", "p_before_set"),
+)
+def test_fixed_set_entries_reject_bad_sets_and_magnitudes(mode, adversaries, p, message):
+    _, params = random_instance(62, n=7)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        if mode == "gains":
+            marginal_gains(params, adversaries, p)
+        else:
+            solve_follower(params, adversaries, p, mode=mode)
 
 
 def test_exact_engine_guards_every_configuration(monkeypatch):
