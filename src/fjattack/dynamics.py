@@ -42,6 +42,30 @@ ROW_SUM_TOL = 1e-9
 SPECTRAL_MARGIN = 1e-9
 
 
+def _check_count(value, name, minimum=1):
+    """``value``, checked to be an int, not a bool, of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValidationError(f"{name} must be an int >= {minimum}, got {value!r}")
+    return value
+
+
+def _check_unit(values, name):
+    """Reject a float array or scalar with an entry outside [0, 1], NaN included."""
+    values = np.asarray(values)
+    inside = (values >= 0.0) & (values <= 1.0)
+    if not inside.all():
+        raise ValidationError(f"{name} must lie in [0, 1], got {float(values[~inside].flat[0])!r}")
+
+
+def _check_unit_vector(values, n, name):
+    """``values`` as a float array of shape (n,) with entries in [0, 1]."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        raise ValidationError(f"{name} must have shape ({n},), got {values.shape}")
+    _check_unit(values, f"{name} entries")
+    return values
+
+
 @dataclass(frozen=True)
 class InfluenceNetwork:
     """Directed influence graph on agents 0..agent_count-1.
@@ -57,9 +81,7 @@ class InfluenceNetwork:
     allow_self_loops: bool = False
 
     def __post_init__(self):
-        n = self.agent_count
-        if not isinstance(n, int) or n < 1:
-            raise ValidationError(f"agent_count must be a positive int, got {n!r}")
+        n = _check_count(self.agent_count, "agent_count")
         edges = np.array(self.edges, dtype=np.int64)
         if edges.size == 0:
             edges = edges.reshape(0, 2)
@@ -140,19 +162,11 @@ class FjParameters:
 
     def __post_init__(self):
         n = self.network.agent_count
-        s = np.array(self.intrinsic, dtype=float)
-        theta = np.array(self.stubbornness, dtype=float)
+        s = _check_unit_vector(np.array(self.intrinsic, dtype=float), n, "intrinsic")
+        theta = _check_unit_vector(np.array(self.stubbornness, dtype=float), n, "stubbornness")
         w = np.array(self.influence, dtype=float)
-        if s.shape != (n,):
-            raise ValidationError(f"intrinsic must have shape ({n},), got {s.shape}")
-        if theta.shape != (n,):
-            raise ValidationError(f"stubbornness must have shape ({n},), got {theta.shape}")
         if w.shape != (n, n):
             raise ValidationError(f"influence must have shape ({n}, {n}), got {w.shape}")
-        if not np.all(np.isfinite(s)) or (s < 0).any() or (s > 1).any():
-            raise ValidationError("intrinsic opinions must lie in [0, 1]")
-        if not np.all(np.isfinite(theta)) or (theta < 0).any() or (theta > 1).any():
-            raise ValidationError("stubbornness values must lie in [0, 1]")
         if not np.all(np.isfinite(w)) or (w < 0).any():
             raise ValidationError("influence weights must be nonnegative")
         off_support = w[~self.network.support_mask()]
@@ -193,15 +207,13 @@ class OpinionTrajectory:
     pinned: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.rounds, int) or self.rounds < 1:
-            raise ValidationError(f"rounds must be a positive int, got {self.rounds!r}")
+        _check_count(self.rounds, "rounds")
         values = np.array(self.values, dtype=float)
         if values.ndim != 2 or values.shape[0] != self.rounds + 1:
             raise ValidationError(
                 f"values must have shape (rounds + 1, n), got {values.shape}"
             )
-        if not np.all(np.isfinite(values)) or (values < 0).any() or (values > 1).any():
-            raise ValidationError("trajectory entries must lie in [0, 1]")
+        _check_unit(values, "trajectory entries")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "pinned", tuple(sorted(int(i) for i in self.pinned)))
@@ -218,22 +230,12 @@ class Outcome(NamedTuple):
     g: float
 
 
-def _check_opinions(z, n, name="z"):
-    z = np.asarray(z, dtype=float)
-    if z.shape != (n,):
-        raise ValidationError(f"{name} must have shape ({n},), got {z.shape}")
-    if not np.all(np.isfinite(z)) or (z < 0).any() or (z > 1).any():
-        raise ValidationError(f"{name} entries must lie in [0, 1]")
-    return z
-
-
 def _check_pinned(pinned, n, pinned_value):
     pinned = tuple(sorted({int(i) for i in pinned}))
     for i in pinned:
         if not 0 <= i < n:
             raise ValidationError(f"pinned agent {i} out of range for {n} agents")
-    if not 0.0 <= pinned_value <= 1.0:
-        raise ValidationError(f"pinned_value must lie in [0, 1], got {pinned_value!r}")
+    _check_unit(pinned_value, "pinned_value")
     return pinned
 
 
@@ -274,7 +276,7 @@ def fj_step(params, z, pinned=(), pinned_value=1.0):
     order.
     """
     n = params.n
-    z = _check_opinions(z, n)
+    z = _check_unit_vector(z, n, "z")
     pinned = _check_pinned(pinned, n, pinned_value)
     influence = params.influence[params.network._support]
     return _rollout(params, influence, z, 1, pinned, pinned_value)[1]
@@ -295,10 +297,9 @@ def simulate(params, z0, rounds, pinned=(), pinned_value=1.0):
 def _simulate(params, influence, z0, rounds, pinned, pinned_value):
     """simulate with W given on the edge list, as ``_rollout`` takes it."""
     n = params.n
-    z0 = _check_opinions(z0, n, name="z0")
+    z0 = _check_unit_vector(z0, n, "z0")
     pinned = _check_pinned(pinned, n, pinned_value)
-    if not isinstance(rounds, int) or rounds < 1:
-        raise ValidationError(f"rounds must be a positive int, got {rounds!r}")
+    _check_count(rounds, "rounds")
     values = _rollout(params, influence, z0, rounds, pinned, pinned_value)
     return OpinionTrajectory(rounds=rounds, values=values, pinned=pinned)
 

@@ -10,8 +10,9 @@ are the only nondeterministic output.
 
 Every planner runs on the optimizer's one leader search,
 ``optimizer._leader_search``: the comparison's ``ours_*`` strategies
-through solve_attack, and the ablation's models through the approx,
-exact (pinned) and ``_unpinned_scorer`` (drifting adversaries) scorers.
+through solve_attack, and the ablation's models through the approx
+search (pinned adversaries) or ``_unpinned_scorer`` (drifting
+adversaries), each at the scenario's p or, with targeting off, at p = 0.
 Each strategy's config is validated and re-scored under the true
 attacked dynamics by one row builder, ``_result_row``.
 A scenario's leader size passes ``optimizer._check_leader_size`` before
@@ -32,16 +33,24 @@ from .adversary import (
     adversarial_outcome,
     outcome_metrics,
 )
-from .dynamics import THETA_MIN, FjParameters, InfluenceNetwork, closed_form_outcome
+from .dynamics import (
+    THETA_MIN,
+    FjParameters,
+    InfluenceNetwork,
+    _check_count,
+    _check_unit,
+    closed_form_outcome,
+)
 from .errors import CapExceededError, ValidationError
 from .fileio import format_sig, load_parameters, round_sig
 from .linalg import check_conditioned
 from .optimizer import (
     DEFAULT_CONFIG_CAP,
     _check_leader_size,
-    _exact_scorer,
+    _check_magnitude,
     _leader_search,
     _SchurGains,
+    _search,
     _subset_masks,
     _top_targets,
     baseline_variant,
@@ -61,7 +70,14 @@ COMPARISON_STRATEGIES = (
     "random",
 )
 
-ABLATION_MODES = ("full", "wo_pinning", "wo_targeting", "wo_both")
+# Each ablation mode's planner model: (adversaries pinned, targeting on).
+_ABLATION_MODELS = {
+    "full": (True, True),
+    "wo_pinning": (False, True),
+    "wo_targeting": (True, False),
+    "wo_both": (False, False),
+}
+ABLATION_MODES = tuple(_ABLATION_MODELS)
 
 # Substream keys hanging off the master seed.  Appending new consumers at
 # the end keeps older scenarios byte-reproducible.
@@ -135,32 +151,25 @@ class Scenario:
                     f"custom topology needs a network_file path, got {self.network_file!r}"
                 )
         else:
-            if type(self.n) is not int or self.n < 2:
-                raise ValidationError(f"need at least 2 agents, got {self.n!r}")
+            _check_count(self.n, "n", 2)
         if self.topology == "erdos_renyi":
             edge_prob = _as_float("edge_prob", self.edge_prob)
-            if not 0.0 <= edge_prob <= 1.0:
-                raise ValidationError(f"edge_prob must lie in [0, 1], got {self.edge_prob!r}")
+            _check_unit(edge_prob, "edge_prob")
             object.__setattr__(self, "edge_prob", edge_prob)
         for name, dist in (("theta_dist", self.theta_dist), ("s_dist", self.s_dist)):
             try:
-                low, high = (float(x) for x in dist)
+                # Text iterates too: "01" would otherwise read as (0, 1).
+                low, high = (float(x) for x in (() if isinstance(dist, str) else dist))
             except (TypeError, ValueError):
                 raise ValidationError(f"{name} must be a [low, high] pair, got {dist!r}") from None
-            if not 0.0 <= low <= high <= 1.0:
-                raise ValidationError(f"{name} must be 0 <= low <= high <= 1, got {dist!r}")
+            _check_unit((low, high), name)
+            if low > high:
+                raise ValidationError(f"{name} must have low <= high, got {dist!r}")
             object.__setattr__(self, name, (low, high))
-        p = _as_float("p", self.p)
-        if not 0.0 < p < 1.0:
-            raise ValidationError(f"p must lie in (0, 1), got {self.p!r}")
-        object.__setattr__(self, "p", p)
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        object.__setattr__(self, "p", _check_magnitude(_as_float("p", self.p)))
+        _check_count(self.seed, "seed", 0)
         if self.leader_size != "budget":
-            if type(self.leader_size) is not int or self.leader_size < 1:
-                raise ValidationError(
-                    f'leader_size must be "budget" or a positive int, got {self.leader_size!r}'
-                )
+            _check_count(self.leader_size, "leader_size")
 
     @classmethod
     def from_json(cls, payload, default_id="scenario"):
@@ -401,7 +410,7 @@ def run_comparison(scenario, strategies, cap=None):
     return rows
 
 
-def _unpinned_scorer(params, p, budgets):
+def _unpinned_scorer(params, p):
     """score(chunk) for _leader_search under the no-pinning planner model.
 
     Adversaries keep their stubbornness but take intrinsic opinion 1 and
@@ -411,12 +420,13 @@ def _unpinned_scorer(params, p, budgets):
     taken when the scorer is built, gives the sensitivity
     c = (I - Theta) M^-T 1 and, through one product per chunk, every set's
     fixed point z0.  Adversary j's gain on agent i is p c_i (z0_j - (W z0)_i);
-    each adversary keeps its top budgets[j] eligible targets.  A boolean
-    stack marks them, ``adversary._reweighted`` re-weights W by the
-    attack's one rule, and the chunk's n x n systems are guarded by
-    ``check_conditioned`` and re-scored in one batched solve.  A chunk whose
-    adversaries all have zero budgets keeps z0 instead, which is what that
-    solve would return.  Yields one configuration per set.
+    each adversary keeps its top target-budget eligible targets with a
+    positive gain.  A boolean stack marks them, ``adversary._reweighted``
+    re-weights W by the attack's one rule, and the chunk's n x n systems
+    are guarded by ``check_conditioned`` and re-scored in one batched
+    solve.  A chunk in which no set chose a target, as at p = 0 or with
+    zero target budgets, keeps z0 instead, which is what that solve would
+    return.  Yields one configuration per set.
     """
     network = params.network
     theta = params.stubbornness
@@ -425,7 +435,7 @@ def _unpinned_scorer(params, p, budgets):
     minv = _SchurGains(params, p).inverse()
     sensitivity = (1.0 - theta) * minv.sum(axis=0)
     listeners = network.support_mask().T
-    budgets = np.asarray(budgets)
+    budgets = np.array([network.target_budget(j) for j in range(n)])
 
     def score(chunk):
         adversaries = np.array(chunk, dtype=int)
@@ -434,21 +444,19 @@ def _unpinned_scorer(params, p, budgets):
         pinned = np.zeros((sets, n), dtype=bool)
         pinned[rows, adversaries] = True
         rhs = np.where(pinned, 1.0, params.intrinsic) * theta
-        z0 = rhs @ minv.T
-        if not budgets[adversaries].any():
-            # No targets: every re-weighted matrix is M itself, so z = z0.
-            yield z0.sum(axis=1), np.zeros((sets, k, n), dtype=bool), np.arange(sets)
-            return
-        received = z0 @ weights.T
-        gain = p * sensitivity * (z0[rows, adversaries][:, :, None] - received[:, None, :])
+        z = rhs @ minv.T
+        received = z @ weights.T
+        gain = p * sensitivity * (z[rows, adversaries][:, :, None] - received[:, None, :])
         chosen = _top_targets(
             gain, listeners[adversaries] & ~pinned[:, None, :], budgets[adversaries]
         )
-        hits = np.zeros((sets, n, n), dtype=bool)
-        hits[rows, :, adversaries] = chosen
-        matrix = np.eye(n) - (1.0 - theta)[:, None] * _reweighted(weights, hits, p)
-        check_conditioned(matrix, lambda b: f"adversary set {chunk[b]}")
-        z = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
+        # With no target chosen every re-weighted matrix is M itself: z0 stands.
+        if chosen.any():
+            hits = np.zeros((sets, n, n), dtype=bool)
+            hits[rows, :, adversaries] = chosen
+            matrix = np.eye(n) - (1.0 - theta)[:, None] * _reweighted(weights, hits, p)
+            check_conditioned(matrix, lambda b: f"adversary set {chunk[b]}")
+            z = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
         yield z.sum(axis=1), chosen, np.arange(sets)
 
     return score
@@ -465,41 +473,35 @@ def run_ablation(scenario):
     wo_both       planner plans on the unattacked model (adversary set
                   maximizes plain g with intrinsic 1), targets uniform
 
-    All four run on the shared leader search: ``full`` is approx
-    solve_attack, ``wo_targeting`` the exact scorer and ``wo_both`` the
-    unpinned scorer at zero target budgets, and ``wo_pinning`` the
-    unpinned scorer at the target budgets.  Whatever each planner
-    believes, the emitted config is validated and scored under the real
-    attacked dynamics, so the rows isolate how much each modeling
-    ingredient contributes.
+    Each mode is one row of ``_ABLATION_MODELS``.  A pinned model runs the
+    approx search of solve_attack, a drifting one ``_unpinned_scorer``,
+    both on the shared leader search; a model with targeting off plans at
+    p = 0.  Whatever each planner believes, the emitted config carries the
+    scenario's p and is validated and scored under the real attacked
+    dynamics, so the rows isolate how much each modeling ingredient
+    contributes.
     """
     network, params = generate(scenario)
     baseline_g = closed_form_outcome(params).g
     leader_size = _resolve_leader_size(scenario, network)
-    n = network.agent_count
-    p = scenario.p
-    target_budgets = [network.target_budget(j) for j in range(n)]
+
+    def leader_sets():
+        return [combinations(range(network.agent_count), leader_size)]
+
     rows = []
-    for mode_index, mode in enumerate(ABLATION_MODES):
+    for mode_index, (mode, (pinned, targeting)) in enumerate(_ABLATION_MODELS.items()):
         start = time.perf_counter()
-        if mode == "full":
-            plan = solve_attack(params, p, leader_size, follower_mode="approx")
-            config = plan.config
-            leader_evals = plan.leader_evaluations
-            candidates = plan.follower_candidates
+        p = scenario.p if targeting else 0.0
+        if pinned:
+            key, _, sets, configs, _ = _search(params, p, leader_sets, "approx", None)
         else:
-            scorer = _exact_scorer if mode == "wo_targeting" else _unpinned_scorer
-            budgets = target_budgets if mode == "wo_pinning" else [0] * n
-            (adversaries, items), _, leader_evals, candidates = _leader_search(
-                [combinations(range(n), leader_size)], scorer(params, p, budgets=budgets)
-            )
-            if mode != "wo_pinning":
-                rng = _substream(scenario.seed, STREAM_ABLATION, mode_index)
-                items = _random_targets(network, adversaries, rng)
-            config = AttackConfig(adversaries=adversaries, targets=items, influence_magnitude=p)
-        rows.append(
-            _result_row(scenario, mode, params, baseline_g, config, start, leader_evals, candidates)
-        )
+            key, _, sets, configs = _leader_search(leader_sets(), _unpinned_scorer(params, p))
+        adversaries, items = key
+        if not targeting:
+            rng = _substream(scenario.seed, STREAM_ABLATION, mode_index)
+            items = _random_targets(network, adversaries, rng)
+        config = AttackConfig(adversaries, items, scenario.p)
+        rows.append(_result_row(scenario, mode, params, baseline_g, config, start, sets, configs))
     rows.sort(key=lambda row: (row.scenario_id, row.strategy))
     return rows
 
@@ -511,8 +513,7 @@ def benchmark(scenario, repeats=3):
     across repeats; config_count reports the size of the naive exhaustive
     space for the same leader size.
     """
-    if not isinstance(repeats, int) or repeats < 1:
-        raise ValidationError(f"repeats must be a positive int, got {repeats!r}")
+    _check_count(repeats, "repeats")
     network, params = generate(scenario)
     leader_size = _resolve_leader_size(scenario, network)
     totals, per_eval = [], []

@@ -18,6 +18,10 @@ from .errors import ConvergenceError
 # Reciprocal-condition-number floor below which a solve is rejected.
 RCOND_MIN = 1e-12
 
+# Stopping rule of spectral_radius.
+POWER_MAX_ITERATIONS = 2000
+POWER_TOL = 1e-13
+
 
 def factor_conditioned(matrix):
     """LU-factor a square matrix, rejecting ill-conditioned input.
@@ -116,15 +120,15 @@ def _collatz_wielandt(w, v):
     return float(ratio[positive].min()), float(ratio.max())
 
 
-def spectral_radius(matrix, max_iterations=2000, tol=1e-13, threshold=None):
+def spectral_radius(matrix, threshold=None):
     """Upper bound on the spectral radius of an entrywise nonnegative matrix.
 
     Power iteration on A + sI from the all-ones vector, with s a fiftieth
     of the largest row sum: the shift leaves the Perron vector alone but
     keeps periodic (for example bipartite) matrices from cycling.  It
-    stops when the max-normalized iterate moves by at most ``tol``, or at
-    the iteration cap, and returns the Collatz-Wielandt bound
-    max_i (A v)_i / v_i at the final iterate v.  Because v is positive,
+    stops when the max-normalized iterate moves by at most POWER_TOL, or
+    after POWER_MAX_ITERATIONS products, and returns the Collatz-Wielandt
+    bound max_i (A v)_i / v_i at the final iterate v.  Because v is positive,
     that bound is never below the spectral radius, up to the rounding of
     the last product; it is tight once v has converged.
 
@@ -140,7 +144,7 @@ def spectral_radius(matrix, max_iterations=2000, tol=1e-13, threshold=None):
     v = np.ones(n)
     w = a @ v
     shift = 0.02 * float(np.max(w))
-    for iteration in range(max_iterations):
+    for iteration in range(POWER_MAX_ITERATIONS):
         if threshold is not None:
             lower, upper = _collatz_wielandt(w, v)
             if upper < threshold or lower > threshold:
@@ -150,7 +154,7 @@ def spectral_radius(matrix, max_iterations=2000, tol=1e-13, threshold=None):
         if norm == 0.0:
             return 0.0
         step /= norm
-        if np.max(np.abs(step - v)) <= tol or iteration == max_iterations - 1:
+        if np.max(np.abs(step - v)) <= POWER_TOL or iteration == POWER_MAX_ITERATIONS - 1:
             break
         v = step
         w = a @ v

@@ -28,9 +28,10 @@ Gains are nonnegative up to rounding and additive to first order when
 several adversaries pick the same target.
 
 Both modes, and the ablation's planner models in ``harness``, run on one
-driver, ``_leader_search``: it takes adversary sets
-LEADER_CHUNK at a time, has a scorer yield the exact g of batches of
-configurations, and keeps the lexicographic argmax.
+loop, ``_leader_search``: it takes adversary sets LEADER_CHUNK at a time,
+has a scorer yield the exact g of batches of configurations, and keeps
+the lexicographic argmax.  The ablation's pinned models run the
+approx search itself, at p = 0 when targeting is off.
 
 * The approx scorer gets z0 and c from ``_SchurGains``, which inverts
   the full n x n system I - (I - Theta) W once per search;
@@ -42,13 +43,12 @@ configurations, and keeps the lexicographic argmax.
   full system passes ``linalg.invert_conditioned``; every set's
   restricted system, its k x k pivot block and its re-scored system pass
   ``linalg.check_conditioned``.
-* The exact scorer serves exact solve_attack, exact solve_follower,
-  brute_force_oracle and the ablation's ``wo_targeting``.  Each agent's
-  within-budget target subsets are a table of boolean masks in canonical
-  (size, lex) order; a set keeps the rows that avoid it, and its joint
-  choices are decoded in mixed radix, last adversary fastest
-  (itertools.product order).  CONFIG_CHUNK configurations at a time are
-  stacked, guarded and solved together.
+* The exact scorer serves exact solve_attack, exact solve_follower and
+  brute_force_oracle.  Each agent's within-budget target subsets are a
+  table of boolean masks in canonical (size, lex) order; a set keeps the
+  rows that avoid it, and its joint choices are decoded in mixed radix,
+  last adversary fastest (itertools.product order).  CONFIG_CHUNK
+  configurations at a time are stacked, guarded and solved together.
 
 solve_attack and solve_follower run one entry, ``_search``, in either
 mode.  Exact mode prunes with a certified bound.  For a set A, z0 its base
@@ -70,8 +70,8 @@ tie still reaches the tie rule.  The slack (``_SchurGains.slack``) is 64 n
 eps kappa_1(M) max(|g|, n), one rounding rule that grows with the
 conditioning of the full system.  Every set still passes the cap check, and
 follower_candidates still counts every configuration of every set, solved or
-certified unable to win.  brute_force_oracle and ``wo_targeting`` stay
-exhaustive: the oracle is the reference the pruned search is tested against.
+certified unable to win.  brute_force_oracle stays exhaustive: it is the
+reference the pruned search is tested against.
 
 ``check_conditioned`` clears a stack by a diagonal-dominance bound, or
 else by the exact rcond; both guards name the adversary set they reject.
@@ -434,16 +434,16 @@ def _subset_masks(network, agent, budget):
     return masks
 
 
-def _exact_scorer(params, p, budgets=None, prune=None):
+def _exact_scorer(params, p, prune=None):
     """score(chunk) for _leader_search: every joint target choice of every set.
 
-    Adversary a may target at most budgets[a] eligible out-neighbours
-    (default: its target budget).  Its choices are rows of a per-agent
-    table of masks in canonical (size, lex) order, built on first use;
-    a set's joint choices are decoded in mixed radix, last adversary
-    fastest, which is itertools.product order.  CONFIG_CHUNK
-    configurations at a time are decoded; those kept are stacked, guarded
-    by ``linalg.check_conditioned`` and solved together.
+    Adversary a may target at most its target budget of eligible
+    out-neighbours.  Its choices are rows of a per-agent table of masks in
+    canonical (size, lex) order, built on first use; a set's joint choices
+    are decoded in mixed radix, last adversary fastest, which is
+    itertools.product order.  CONFIG_CHUNK configurations at a time are
+    decoded; those kept are stacked, guarded by ``linalg.check_conditioned``
+    and solved together.
 
     With ``prune = (gains, threshold)``, gains a _SchurGains, a decoded
     configuration is stacked only if its first-order bound, sum(z0) + k
@@ -451,8 +451,6 @@ def _exact_scorer(params, p, budgets=None, prune=None):
     set), reaches ``threshold``; the others are left unsolved.
     """
     network = params.network
-    if budgets is None:
-        budgets = [network.target_budget(j) for j in range(params.n)]
     tables = {}
 
     def score(chunk):
@@ -465,7 +463,7 @@ def _exact_scorer(params, p, budgets=None, prune=None):
         agents = np.unique(adversaries).tolist()
         for j in agents:
             if j not in tables:
-                tables[j] = _subset_masks(network, j, budgets[j])
+                tables[j] = _subset_masks(network, j, network.target_budget(j))
         table = np.concatenate([tables[j] for j in agents])
         agent_of = np.repeat(agents, [len(tables[j]) for j in agents])
         blocks = _restricted_blocks(params, adversaries)

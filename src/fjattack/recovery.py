@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import THETA_MIN, FjParameters, closed_form_outcome
+from .dynamics import THETA_MIN, FjParameters, _check_count, _check_unit_vector, closed_form_outcome
 from .errors import ConvergenceError, ValidationError
 
 # Above this value of a_i the weight scale 1 - a_i is considered degenerate.
@@ -55,11 +55,7 @@ class RecoveryProblem:
             raise ValidationError(f"ridge must be nonnegative, got {self.ridge!r}")
         intrinsic = self.intrinsic
         if intrinsic is not None:
-            intrinsic = np.array(intrinsic, dtype=float)
-            if intrinsic.shape != (n,):
-                raise ValidationError(f"intrinsic must have shape ({n},)")
-            if (intrinsic < 0).any() or (intrinsic > 1).any():
-                raise ValidationError("intrinsic opinions must lie in [0, 1]")
+            intrinsic = _check_unit_vector(np.array(intrinsic, dtype=float), n, "intrinsic")
             intrinsic.setflags(write=False)
         if self.truth is not None and self.truth.network != self.network:
             raise ValidationError("truth parameters live on a different network")
@@ -240,8 +236,7 @@ def recovery_robustness(problem, noise_levels, seeds=5):
     truth = problem.truth
     if truth is None:
         raise ValidationError("robustness sweep needs problem.truth")
-    if seeds < 1:
-        raise ValidationError(f"seeds must be positive, got {seeds!r}")
+    _check_count(seeds, "seeds")
     mask = problem.network.support_mask()
     true_g = closed_form_outcome(truth).g
     rows = []

@@ -317,6 +317,7 @@ def test_simulate_rejects_nonpositive_trajectory_count(tmp_path, capsys, count):
     (
         ("theta_dist must be", {"theta_dist": 0.5}),
         ("theta_dist must be", {"theta_dist": [0.1]}),
+        ("theta_dist must be", {"theta_dist": "01"}),
         ("s_dist must be", {"s_dist": ["low", "high"]}),
         ("p must be", {"p": "abc"}),
         ("edge_prob must be", {"topology": "erdos_renyi", "edge_prob": "x"}),
@@ -328,7 +329,7 @@ def test_simulate_rejects_nonpositive_trajectory_count(tmp_path, capsys, count):
         ),
     ),
     ids=(
-        "theta_scalar", "theta_short", "s_text", "p_text", "edge_prob_text",
+        "theta_scalar", "theta_short", "theta_text", "s_text", "p_text", "edge_prob_text",
         "leader_size_bool", "seed_bool", "network_file_list",
     ),
 )

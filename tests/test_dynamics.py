@@ -22,10 +22,14 @@ from fjattack import (
     FjParameters,
     InfluenceNetwork,
     OpinionTrajectory,
+    RecoveryProblem,
+    Scenario,
     ValidationError,
     apply_adversarial_weights,
+    benchmark,
     closed_form_outcome,
     fj_step,
+    recovery_robustness,
     simulate,
     simulate_adversarial,
 )
@@ -546,6 +550,29 @@ def test_spectral_radius_stops_once_the_threshold_is_decided():
         assert decided >= radius * (1.0 - 1e-12) - 1e-15
         if abs(radius - threshold) > 1e-6 * threshold:
             assert (decided > threshold) == (radius > threshold)
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    (
+        ("seeds", lambda: recovery_robustness(problem_with_truth(), [0.0], seeds=2.5)),
+        ("seeds", lambda: recovery_robustness(problem_with_truth(), [0.0], seeds=True)),
+        ("agent_count", lambda: InfluenceNetwork(True, ())),
+        ("rounds", lambda: OpinionTrajectory(rounds=True, values=np.zeros((2, 2)))),
+        ("repeats", lambda: benchmark(Scenario(n=5), repeats=True)),
+    ),
+    ids=("seeds_fraction", "seeds_bool", "agent_count_bool", "rounds_bool", "repeats_bool"),
+)
+def test_counts_reject_bools_and_non_ints(name, build):
+    with pytest.raises(ValidationError, match=f"^{name} must be an int >= 1, got "):
+        build()
+
+
+def problem_with_truth():
+    network = complete_network(3)
+    truth = random_params(np.random.default_rng(0), network)
+    trajectory = simulate(truth, np.full(3, 0.5), 4)
+    return RecoveryProblem(network=network, trajectories=(trajectory,), truth=truth)
 
 
 def test_trajectory_validation():

@@ -14,7 +14,9 @@ import pytest
 from scipy.linalg import lu_solve
 
 import fjattack
+from conftest import restricted_outcome
 from fjattack import (
+    ABLATION_MODES,
     CapExceededError,
     ConvergenceError,
     Scenario,
@@ -216,8 +218,32 @@ def test_ablation_rows_share_baseline():
 def test_ablation_counts_one_configuration_per_set():
     scenario = Scenario(scenario_id="cnt", topology="complete", n=9, seed=13)
     rows = {row.strategy: row for row in run_ablation(scenario)}
-    for mode in ("full", "wo_pinning"):
+    for mode in ABLATION_MODES:
         assert rows[mode].follower_candidates == rows[mode].leader_evals == 36, mode
+
+
+@pytest.mark.parametrize("topology", ["complete", "erdos_renyi", "ring", "star"])
+def test_ablation_wo_targeting_plans_the_untargeted_pinned_argmax(monkeypatch, topology):
+    # wo_targeting's set maximizes the pinned g with no targets; the
+    # first set in enumeration order wins a tie.
+    configs = {}
+    real_row = fjattack.harness._result_row
+
+    def row_spy(scenario, strategy, params, baseline_g, config, *rest):
+        configs[strategy] = config
+        return real_row(scenario, strategy, params, baseline_g, config, *rest)
+
+    monkeypatch.setattr(fjattack.harness, "_result_row", row_spy)
+    for n in range(4, 12):
+        scenario = Scenario(scenario_id="wt", topology=topology, n=n, seed=500 + n)
+        network, params = generate(scenario)
+        run_ablation(scenario)
+        best_set, best_g = None, -np.inf
+        for adversaries in combinations(range(n), network.leader_budget()):
+            g = restricted_outcome(params, adversaries, (), 0.0)
+            if g > best_g:
+                best_set, best_g = adversaries, g
+        assert configs["wo_targeting"].adversaries == best_set, n
 
 
 def test_ablation_zero_target_budgets_collapse():
@@ -338,16 +364,15 @@ def test_unpinned_scorer_matches_per_set_reference(topology):
         scenario = Scenario(scenario_id="up", topology=topology, n=n, seed=300 + n)
         network, params = generate(scenario)
         size = network.leader_budget()
-        budgets = [network.target_budget(j) for j in range(n)]
         key, model_g, sets, configs = _leader_search(
-            [combinations(range(n), size)], _unpinned_scorer(params, scenario.p, budgets)
+            [combinations(range(n), size)], _unpinned_scorer(params, scenario.p)
         )
         expected_key, expected_g = reference_wo_pinning(params, scenario.p, size)
         assert key == expected_key
         assert model_g == pytest.approx(expected_g, rel=1e-13)
         assert sets == configs == math.comb(n, size)
         (adversaries, items), model_g, _, _ = _leader_search(
-            [combinations(range(n), size)], _unpinned_scorer(params, scenario.p, [0] * n)
+            [combinations(range(n), size)], _unpinned_scorer(params, 0.0)
         )
         expected_adversaries, expected_g = reference_wo_both(params, size)
         assert adversaries == expected_adversaries
@@ -369,11 +394,10 @@ def test_ablation_rows_do_not_depend_on_leader_chunk(monkeypatch, leader_chunk):
 
 def test_unpinned_scorer_is_conditioning_guarded(monkeypatch):
     network, params = generate(Scenario(scenario_id="g", topology="complete", n=10, seed=1))
-    budgets = [network.target_budget(j) for j in range(10)]
-    score = _unpinned_scorer(params, 1e-3, budgets)
+    score = _unpinned_scorer(params, 1e-3)
     monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", 1.0)
     with pytest.raises(ConvergenceError, match=r"adversary set \(0, 1, 2\)"):
         _leader_search([combinations(range(10), 3)], score)
     # The set-independent factorization is guarded when the scorer is built.
     with pytest.raises(ConvergenceError):
-        _unpinned_scorer(params, 1e-3, budgets)
+        _unpinned_scorer(params, 1e-3)

@@ -288,3 +288,14 @@ def test_robustness_requires_truth_and_seeds():
         recovery_robustness(with_truth, [0.0], seeds=0)
     with pytest.raises(ValidationError):
         recovery_robustness(with_truth, [-0.1], seeds=2)
+
+
+def test_problem_rejects_nan_intrinsic():
+    # recover would otherwise fail deep inside LAPACK's SVD.
+    problem = round_trip_problem(7, n=5)
+    intrinsic = np.full(5, 0.5)
+    intrinsic[2] = np.nan
+    with pytest.raises(ValidationError, match=r"^intrinsic entries must lie in \[0, 1\], got nan$"):
+        RecoveryProblem(
+            network=problem.network, trajectories=problem.trajectories, intrinsic=intrinsic
+        )
