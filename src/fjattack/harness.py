@@ -437,8 +437,7 @@ def _unpinned_scorer(params, p):
     listeners = network.support_mask().T
     budgets = np.array([network.target_budget(j) for j in range(n)])
 
-    def score(chunk):
-        adversaries = np.array(chunk, dtype=int)
+    def score(adversaries):
         sets, k = adversaries.shape
         rows = np.arange(sets)[:, None]
         pinned = np.zeros((sets, n), dtype=bool)
@@ -455,7 +454,7 @@ def _unpinned_scorer(params, p):
             hits = np.zeros((sets, n, n), dtype=bool)
             hits[rows, :, adversaries] = chosen
             matrix = np.eye(n) - (1.0 - theta)[:, None] * _reweighted(weights, hits, p)
-            check_conditioned(matrix, lambda b: f"adversary set {chunk[b]}")
+            check_conditioned(matrix, lambda b: f"adversary set {tuple(adversaries[b].tolist())}")
             z = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
         yield z.sum(axis=1), chosen, np.arange(sets)
 

@@ -73,6 +73,35 @@ follower_candidates still counts every configuration of every set, solved or
 certified unable to win.  brute_force_oracle stays exhaustive: it is the
 reference the pruned search is tested against.
 
+Both modes also skip whole adversary sets.  Pinned g0(A) = sum(z0) + |A|
+is monotone and submodular in A (Gionis, Terzi & Tsaparas, "Opinion
+Maximization in Social Networks", SDM 2013).  Read z_i(A) off a walk from
+i: at agent j it is absorbed with value 1 if j is in A; else it stops with
+value s_j with probability theta_j, or moves to k with probability
+(1 - theta_j) w_jk.  Couple it with the walk that ignores A, stopping at
+X_T.  Then z_i(A) = E[s_{X_T}] + E[(1 - s_{X_T}) 1{the walk meets A by
+T}]: the indicator is a coverage function of A and 1 - s >= 0, so every
+z_i, and g0 = sum_i z_i, is monotone and submodular.  Hence g0(A) <=
+g0(empty) + sum over v in A of Delta_v, with Delta_v = g0({v}) -
+g0(empty).  The gains only fall as A grows: for unpinned i, 1 - r_i falls
+because pinning agents at 1 raises z0, and c_i falls because the inverse
+of a principal submatrix of an M-matrix is entrywise nonnegative and at
+most the same block of the full inverse.  So an adversary's top-budget
+gains under A are at most top_v, its top-budget gains with nobody pinned
+over all its out-neighbours, and
+
+    UB(A) <= B(A) = g0(empty) + sum over v in A of (Delta_v + top_v).
+
+``_SchurGains.leader_bounds`` scores every agent once per search, off the
+full inverse.  ``_leader_search`` scores the first chunk as it comes; after
+that only the sets with B(A) >= incumbent - slack, gathered into full
+chunks in enumeration order.  A set is skipped only when its bound is
+strictly below that threshold, so no set that could win or tie is lost, and
+the argmax does not depend on which sets share a chunk: the plan is full
+enumeration's, bit for bit.  A skipped set still counts in
+leader_evaluations (and, in exact mode, its configurations in
+follower_candidates) as covered.
+
 ``check_conditioned`` clears a stack by a diagonal-dominance bound, or
 else by the exact rcond; both guards name the adversary set they reject.
 ``marginal_gains`` and approx ``solve_follower`` run the same kernel and
@@ -87,11 +116,12 @@ adversary tuple, then the smaller canonical target tuple.
 import math
 import time
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, islice
+from itertools import chain, combinations, groupby, islice
 
 import numpy as np
 
 from .adversary import DEFAULT_P, AttackConfig, _restricted_blocks, _reweighted_systems
+from .dynamics import _check_count
 from .errors import CapExceededError, ValidationError
 from .linalg import check_conditioned, invert_conditioned
 
@@ -129,19 +159,26 @@ class MarginalGains:
 class AttackPlan:
     """Search result: the chosen attack plus bookkeeping about the search.
 
+    leader_evaluations counts every adversary set of the searched sizes:
+    scored, or skipped because its leader bound B(A) certifies that it
+    cannot win.  B(A) caps UB(A) because pinned g0 is submodular (an
+    absorbing-walk coverage argument) and the gains only fall as A grows
+    (M-matrix monotonicity); see the module docstring.
+
     upper_bound is, in approx and exact mode, the largest first-order
-    bound UB(A) over the searched sets.  No configuration of any searched
-    set has a larger exact g, up to the rounding slack, so an approx
-    plan's certified gap is upper_bound - predicted_g.  The oracle
-    reports its best g, which its exhaustive search certifies.
+    bound UB(A) over the scored sets, which is the largest over every
+    set: a skipped set's UB(A) lies below the best g, which is at most
+    the winner's UB(A).  No configuration of any set has a larger exact
+    g, up to the rounding slack, so an approx plan's certified gap is
+    upper_bound - predicted_g.  The oracle reports its best g, which its
+    exhaustive search certifies.
 
     follower_candidates counts, in exact mode and for the oracle, every
     configuration of every searched set, which equals count_configurations
     over the searched leader sizes.  The oracle solves each one; exact
-    mode solves only those its bound cannot rule out and certifies the
-    rest.  In approx mode it counts the one configuration per adversary
-    set that the search re-scores, so it equals leader_evaluations.
-    wall_time is in seconds.
+    mode solves only those its bounds cannot rule out and certifies the
+    rest.  In approx mode it counts one configuration per set, so it
+    equals leader_evaluations.  wall_time is in seconds.
     """
 
     config: AttackConfig
@@ -173,7 +210,7 @@ def _check_leader_size(network, leader_size):
         )
     if leader_size is None:
         return budget
-    if not 1 <= leader_size <= budget:
+    if _check_count(leader_size, "leader_size") > budget:
         raise ValidationError(
             f"leader_size {leader_size} outside the feasible range 1..{budget}"
         )
@@ -284,9 +321,12 @@ class _SchurGains:
     """
 
     def __init__(self, params, p):
+        self.params = params
         self.system = np.eye(params.n) - (1.0 - params.stubbornness)[:, None] * params.influence
         self.p = p
         self.minv = None
+        self.kappa = None
+        self.scores = None
 
     def inverse(self):
         if self.minv is None:
@@ -303,14 +343,45 @@ class _SchurGains:
         Both are sums of n entries.  The systems solved for g have inverses
         entrywise at most M^-1: each is a principal submatrix of the
         M-matrix M, or one with smaller off-diagonal weights.  The Schur
-        gains are read off M^-1 itself.  So each entry's error stays within
-        a few ulps of max(|g|, n) times kappa_1(M) = ||M||_1 ||M^-1||_1.  The
-        allowance is 64 n eps kappa_1(M) max(|g|, n), with recovery's
-        multiplier for its own optimality test; it is never zero.
+        gains and the leader bounds are read off M^-1 itself.  So each
+        entry's error stays within a few ulps of max(|g|, n) times
+        kappa_1(M) = ||M||_1 ||M^-1||_1.  The allowance is
+        64 n eps kappa_1(M) max(|g|, n), with recovery's multiplier for its
+        own optimality test; it is never zero.
         """
         n = len(self.system)
-        kappa = np.abs(self.system).sum(axis=0).max() * np.abs(self.inverse()).sum(axis=0).max()
-        return 64.0 * n * np.finfo(float).eps * kappa * max(abs(g), n)
+        if self.kappa is None:
+            self.kappa = (
+                np.abs(self.system).sum(axis=0).max() * np.abs(self.inverse()).sum(axis=0).max()
+            )
+        return 64.0 * n * np.finfo(float).eps * self.kappa * max(abs(g), n)
+
+    def leader_bounds(self, adversaries):
+        """B(A) = g(empty) + sum of s_v over v in A, for a (sets, k) stack.
+
+        With nobody pinned, z = M^-1 Theta s is the plain fixed point and
+        1^T M^-1 is g's response to a unit injected at each agent.  Pinning
+        v alone adds (1 - z_v) / Minv_vv times column v of M^-1 to z, so
+        g rises by Delta_v = (1 - z_v) colsum(M^-1)_v / Minv_vv; the gains
+        are m = p (1 - W z) (1 - Theta) M^-T 1; and s_v = Delta_v + top_v,
+        top_v being v's top-budget positive gains over its out-neighbours
+        other than itself.  B(A) >= UB(A), see the module docstring.  The
+        scores are computed on first use, off the inverse the search holds.
+        """
+        if self.scores is None:
+            params = self.params
+            network = params.network
+            minv = self.inverse()
+            z = minv @ (params.stubbornness * params.intrinsic)
+            reach = minv.sum(axis=0)
+            pin = (1.0 - z) * reach / np.diag(minv)
+            gain = self.p * (1.0 - params.influence @ z) * (1.0 - params.stubbornness) * reach
+            others = network.support_mask().T & ~np.eye(params.n, dtype=bool)
+            budgets = np.array([network.target_budget(j) for j in range(params.n)])
+            top = _top_targets(gain, others[None], budgets[None])[0]
+            self.scores = z.sum(), pin + np.where(top, gain, 0.0).sum(axis=1)
+        empty, scores = self.scores
+        return empty + scores[adversaries].sum(axis=1)
 
 
 def _approx_scorer(params, p, gains, bounds):
@@ -332,15 +403,14 @@ def _approx_scorer(params, p, gains, bounds):
     listeners = network.support_mask().T
     budgets = np.array([network.target_budget(j) for j in range(n)])
 
-    def score(chunk):
-        adversaries = np.array(chunk, dtype=int)
+    def score(adversaries):
         sets, k = adversaries.shape
         rows = np.arange(sets)[:, None]
         blocks = _restricted_blocks(params, adversaries)
         pinned, unpinned, w_uu, w_ua, open_minded, base_rhs = blocks
 
         def label(b):
-            return f"adversary set {chunk[b]}"
+            return f"adversary set {tuple(adversaries[b].tolist())}"
 
         check_conditioned(np.eye(n - k) - open_minded[:, :, None] * w_uu, label)
         z0, gain = gains(adversaries, blocks, label)
@@ -358,35 +428,63 @@ def _approx_scorer(params, p, gains, bounds):
     return score
 
 
-def _leader_search(leader_sets, score):
+def _stack(chunk):
+    """A list of same-size sets as a (sets, k) index array."""
+    k = len(chunk[0])
+    flat = np.fromiter(chain.from_iterable(chunk), dtype=np.intp, count=len(chunk) * k)
+    return flat.reshape(len(chunk), k)
+
+
+def _leader_search(leader_sets, score, admit=None):
     """Score the configurations a scorer yields for every set; keep the best.
 
     ``leader_sets`` is a sequence of iterables of sorted same-size sets,
-    taken LEADER_CHUNK at a time.  ``score(chunk)`` yields (g, chosen,
-    owner) batches: the exact g of each configuration it scores (all of
-    them, unless it prunes), its (batch, k, n) target mask and the index
-    of its set in the chunk.  Higher g wins; an exact tie goes to the
-    smaller (adversaries, items) key.  Returns
-    ((adversaries, items), g, sets scored, configurations scored).
+    taken LEADER_CHUNK at a time.  ``score(chunk)``, chunk a (sets, k)
+    index array, yields (g, chosen, owner) batches: the exact g of each
+    configuration it scores (all of them, unless it prunes), its
+    (batch, k, n) target mask and the index of its set in the chunk.
+    Higher g wins; an exact tie goes to the smaller (adversaries, items)
+    key, so the result does not depend on which sets share a chunk.
+
+    ``admit(adversaries, incumbent)``, if given, sees every LEADER_CHUNK
+    sets as a (sets, k) array together with the best g so far (-inf
+    before any set is scored) and returns their keep flags.  Only kept
+    sets are scored, gathered LEADER_CHUNK at a time in enumeration order;
+    the others count as covered.  Returns
+    ((adversaries, items), g, sets covered, configurations scored).
     """
     best_key, best_g, sets, configs = None, -math.inf, 0, 0
+
+    def chunks(group):
+        nonlocal sets
+        group, pending = iter(group), None
+        while batch := list(islice(group, LEADER_CHUNK)):
+            sets += len(batch)
+            batch = _stack(batch)
+            if admit is not None:
+                batch = batch[admit(batch, best_g)]
+            pending = batch if pending is None else np.concatenate([pending, batch])
+            if len(pending) >= LEADER_CHUNK:
+                yield pending[:LEADER_CHUNK]
+                pending = pending[LEADER_CHUNK:]
+        if pending is not None and len(pending):
+            yield pending
+
     for group in leader_sets:
-        group = iter(group)
-        while chunk := list(islice(group, LEADER_CHUNK)):
+        for chunk in chunks(group):
             for g, chosen, owner in score(chunk):
                 configs += len(g)
                 top = g.max()
                 if top < best_g:
                     continue
                 for c in np.flatnonzero(g == top).tolist():
-                    leaders = chunk[owner[c]]
+                    leaders = tuple(chunk[owner[c]].tolist())
                     items = tuple(
                         (j, tuple(np.flatnonzero(chosen[c, col]).tolist()))
                         for col, j in enumerate(leaders)
                     )
                     if top > best_g or (leaders, items) < best_key:
                         best_key, best_g = (leaders, items), float(top)
-            sets += len(chunk)
     return best_key, best_g, sets, configs
 
 
@@ -453,12 +551,11 @@ def _exact_scorer(params, p, prune=None):
     network = params.network
     tables = {}
 
-    def score(chunk):
-        adversaries = np.array(chunk, dtype=int)
+    def score(adversaries):
         sets, k = adversaries.shape
 
         def label(b):
-            return f"adversary set {chunk[b]}"
+            return f"adversary set {tuple(adversaries[b].tolist())}"
 
         agents = np.unique(adversaries).tolist()
         for j in agents:
@@ -518,51 +615,64 @@ def _search(params, p, leader_sets, mode, cap):
     """The search of solve_attack and solve_follower in follower ``mode``.
 
     ``leader_sets()`` returns fresh groups of sets, as _leader_search takes
-    them.  Approx mode runs the approx scorer once.  Exact mode calls
-    ``leader_sets`` twice and prunes with a certified bound.  Its first
-    pass is the approx search: its best g is a feasible incumbent, and it
-    gives every set's first-order bound UB(A), which no configuration of A
-    exceeds.  Every set must stay within ``cap`` configurations, checked
-    before its chunk is scored.  The second pass runs the exact scorer over
-    the sets with UB(A) >= the threshold incumbent - slack
-    (``_SchurGains.slack``), and stacks only their configurations whose own
-    bound clears the same threshold.  The comparisons are non-strict, so
-    every configuration that could tie the optimum bitwise is solved.
+    them; it is called once.  Approx mode runs the approx scorer over the
+    sets whose leader bound B(A) (``_SchurGains.leader_bounds``) reaches
+    the threshold best g so far - slack (``_SchurGains.slack``); the first
+    chunk is scored whole, so its sets are guarded before the full system
+    is inverted.  Exact mode prunes with certified bounds.  Its first pass
+    is that approx search: its best g is a feasible incumbent, and it gives
+    every scored set's first-order bound UB(A), which no configuration of
+    A exceeds.  Every set, scored or not, must stay within ``cap``
+    configurations, checked before any of its chunk is scored.  The second
+    pass runs the exact scorer over the scored sets with UB(A) >= the
+    final threshold, and stacks only their configurations whose own bound
+    clears it.  The comparisons are non-strict, so every set and
+    configuration that could tie the optimum bitwise is solved.
     Returns ((adversaries, items), g, sets, configurations, max UB(A)).
-    Approx mode counts the configurations _leader_search scores, one per
-    set; exact mode counts all those of every set, solved or certified
-    unable to beat the incumbent.
+    Both counts cover every set: approx mode counts one configuration per
+    set, exact mode all those of every set, solved or certified unable to
+    beat the incumbent.
     """
     if mode not in ("approx", "exact"):
         raise ValidationError(f"unknown follower mode {mode!r}")
     gains = _SchurGains(params, p)
     bounds = []
     approx = _approx_scorer(params, p, gains, bounds)
+
+    def admit(adversaries, incumbent):
+        if incumbent == -math.inf:
+            return np.ones(len(adversaries), dtype=bool)
+        return gains.leader_bounds(adversaries) >= incumbent - gains.slack(incumbent)
+
     if mode == "approx":
-        key, g, sets, configs = _leader_search(leader_sets(), approx)
-        return key, g, sets, configs, max(float(b.max()) for b in bounds)
-    counted = []
+        key, g, sets, _ = _leader_search(leader_sets(), approx, admit)
+        return key, g, sets, sets, max(float(b.max()) for b in bounds)
+    counted, scored = [], []
     space_sizes = _space_sizer(params.network)
 
-    def first_pass(chunk):
-        sizes = space_sizes(np.array(chunk, dtype=int))
+    def capped(adversaries, incumbent):
+        sizes = space_sizes(adversaries)
         if cap is not None and (sizes > cap).any():
             size = sizes[np.argmax(sizes > cap)]
             raise CapExceededError(f"exact follower space has {size} configurations, cap is {cap}")
         counted.append(int(sizes.sum()))
-        return approx(chunk)
+        return admit(adversaries, incumbent)
 
-    _, incumbent, sets, _ = _leader_search(leader_sets(), first_pass)
+    def first_pass(adversaries):
+        scored.append(adversaries)
+        return approx(adversaries)
+
+    _, incumbent, sets, _ = _leader_search(leader_sets(), first_pass, capped)
     threshold = incumbent - gains.slack(incumbent)
-    bounds = np.concatenate(bounds)
-    # compress stops at the end of each group without reading past it, so
-    # the one iterator of keep flags walks the groups in order.
-    keep = iter((bounds >= threshold).tolist())
-    survivors = [compress(group, keep) for group in leader_sets()]
+    # The first pass scored its chunks in enumeration order, one size each.
+    survivors = [
+        [tuple(s) for chunk, ub in pairs for s in chunk[ub >= threshold].tolist()]
+        for _, pairs in groupby(zip(scored, bounds), key=lambda pair: pair[0].shape[1])
+    ]
     key, best_g, _, _ = _leader_search(
         survivors, _exact_scorer(params, p, prune=(gains, threshold))
     )
-    return key, best_g, sets, sum(counted), float(bounds.max())
+    return key, best_g, sets, sum(counted), max(float(b.max()) for b in bounds)
 
 
 def solve_attack(
@@ -577,7 +687,9 @@ def solve_attack(
 
     Enumerates every adversary set of ``leader_size`` (default: the full
     adversary budget (n - 1) // 3; with ``all_leader_sizes`` every size
-    from 1 up to the budget) and solves the follower problem for each.
+    from 1 up to the budget) and solves the follower problem for each
+    whose leader bound can still reach the best g found so far; the plan
+    is the one solving every set gives.
     In exact mode every set must stay within ``cap`` configurations, and
     only the sets and configurations whose first-order bound can reach
     the approx incumbent are solved.  The returned plan's predicted_g is
@@ -645,7 +757,7 @@ def count_configurations(network, leader_size=None):
     """
     if leader_size is None:
         leader_size = network.leader_budget()
-    if not 0 <= leader_size <= network.agent_count:
+    if _check_count(leader_size, "leader_size", minimum=0) > network.agent_count:
         raise ValidationError(
             f"leader_size {leader_size} outside 0..{network.agent_count}"
         )
@@ -653,8 +765,7 @@ def count_configurations(network, leader_size=None):
     sets = combinations(range(network.agent_count), leader_size)
     total = 0
     while chunk := list(islice(sets, LEADER_CHUNK)):
-        adversaries = np.array(chunk, dtype=int).reshape(len(chunk), leader_size)
-        total += int(space_sizes(adversaries).sum())
+        total += int(space_sizes(_stack(chunk)).sum())
     return total
 
 

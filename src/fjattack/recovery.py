@@ -242,7 +242,7 @@ def recovery_robustness(problem, noise_levels, seeds=5):
     rows = []
     for level_index, level in enumerate(noise_levels):
         level = float(level)
-        if level < 0.0:
+        if not np.isfinite(level) or level < 0.0:
             raise ValidationError(f"noise level must be nonnegative, got {level!r}")
         theta_errors, weight_errors, g_errors = [], [], []
         for seed in range(seeds):

@@ -46,7 +46,9 @@ from fjattack.linalg import check_conditioned, factor_conditioned, invert_condit
 from fjattack.optimizer import (
     CONFIG_CHUNK,
     LEADER_CHUNK,
+    _approx_scorer,
     _exact_scorer,
+    _leader_search,
     _schur_gains,
     _SchurGains,
 )
@@ -460,11 +462,10 @@ def test_first_order_bound_holds_for_every_configuration():
             gains = _SchurGains(params, p)
             score = _exact_scorer(params, p)
             for k in range(1, params.network.leader_budget() + 1):
-                chunk = list(combinations(range(params.n), k))
-                sets = np.array(chunk)
+                sets = np.array(list(combinations(range(params.n), k)))
                 z0, gain = gains(sets, _restricted_blocks(params, sets), str)
                 base = z0.sum(axis=1) + k
-                for g, chosen, owner in score(chunk):
+                for g, chosen, owner in score(sets):
                     bound = base[owner] + (chosen.sum(axis=1) * gain[owner]).sum(axis=1)
                     slack = np.array([gains.slack(x) for x in g])
                     assert (g <= bound + slack).all(), name
@@ -537,6 +538,109 @@ def test_pruned_exact_keeps_winners_that_undercut_the_incumbent_by_rounding():
         assert bound >= incumbent - gains.slack(incumbent)
         undercut += bound < incumbent
     assert undercut >= 1
+
+
+THETA_REGIMES = ((0.2, 0.8), (0.0, 0.05), (0.0, 1.0))
+
+
+def regime_instances(sizes, topologies=("complete", "erdos_renyi", "ring", "star")):
+    for topology in topologies:
+        for theta in THETA_REGIMES:
+            for n in sizes:
+                _, params = generate(Scenario(topology=topology, n=n, seed=n, theta_dist=theta))
+                yield f"{topology}-{theta}-{n}", params
+
+
+def test_leader_bound_covers_every_set():
+    # B(A) = g(empty) + sum of the members' scores caps the set's first-order
+    # bound UB(A) and every exact g of the set, up to the rounding slack.
+    # Exact g is solved for every configuration where a size has at most
+    # 20,000 (all but complete n = 9 and 10).
+    checked = 0
+    for name, params in regime_instances(range(6, 11)):
+        for p in (1e-3, 0.2):
+            gains = _SchurGains(params, p)
+            bounds = []
+            approx, exact = _approx_scorer(params, p, gains, bounds), _exact_scorer(params, p)
+            for k in range(1, params.network.leader_budget() + 1):
+                sets = np.array(list(combinations(range(params.n), k)))
+                leader = gains.leader_bounds(sets)
+                list(approx(sets))
+                assert (bounds[-1] <= leader + gains.slack(bounds[-1].max())).all(), name
+                if count_configurations(params.network, k) > 20_000:
+                    continue
+                for g, _, owner in exact(sets):
+                    assert (g <= leader[owner] + gains.slack(g.max())).all(), name
+                    checked += len(g)
+    assert checked > 100_000
+
+
+def assert_pruned_matches_enumeration(name, params, sizes, p=1e-3):
+    """solve_attack against _leader_search over every set, unpruned; returns
+    the number of sets the pruned search scored."""
+    scored = []
+    real_scorer = fjattack.optimizer._approx_scorer
+
+    def scorer_spy(*args):
+        score = real_scorer(*args)
+
+        def spied(adversaries):
+            scored.append(len(adversaries))
+            return score(adversaries)
+
+        return spied
+
+    bounds = []
+    (adversaries, items), g, sets, _ = _leader_search(
+        [combinations(range(params.n), k) for k in sizes],
+        _approx_scorer(params, p, _SchurGains(params, p), bounds),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fjattack.optimizer, "_approx_scorer", scorer_spy)
+        plan = solve_attack(params, p=p, leader_size=sizes[-1], all_leader_sizes=len(sizes) > 1)
+    assert plan.config == AttackConfig(adversaries, items, p), name
+    assert float.hex(plan.predicted_g) == float.hex(g), name
+    assert float.hex(plan.upper_bound) == float.hex(max(b.max() for b in bounds)), name
+    assert plan.leader_evaluations == plan.follower_candidates == sets, name
+    return sum(scored)
+
+
+def test_pruned_leader_search_matches_enumeration():
+    # From n = 13 the sets outnumber LEADER_CHUNK, so the bound prunes.
+    pruned = 0
+    for name, params in regime_instances(range(13, 17)):
+        budget = params.network.leader_budget()
+        scored = assert_pruned_matches_enumeration(name, params, (budget,))
+        pruned += scored < math.comb(params.n, budget)
+    for name, params in regime_instances((13,), ("complete", "erdos_renyi")):
+        assert_pruned_matches_enumeration(name, params, range(1, 5))
+    assert pruned >= 16
+
+
+def test_pruned_leader_search_keeps_star_ties_at_zero_slack(monkeypatch):
+    # Star leaves hear only the hub, so many sets tie; with no slack the
+    # strict comparison alone must keep every set that can win or tie.
+    monkeypatch.setattr(_SchurGains, "slack", lambda self, g: 0.0)
+    for name, params in regime_instances(range(13, 17), ("star",)):
+        assert_pruned_matches_enumeration(name, params, (params.network.leader_budget(),))
+
+
+def test_leader_bound_keeps_a_later_size_tie_at_zero_slack(monkeypatch):
+    # Fully stubborn agents with 0/1 opinions make every sum exact: (1,)
+    # and every pair holding 1 and a 1-opinion agent tie at g = sum(s) + 1,
+    # and B((0, 1)) equals that g bitwise.  Size 1 fills the first chunk,
+    # so (1,) is the incumbent when (0, 1), the smaller key, meets its
+    # bound; only a non-strict comparison keeps it.
+    network = complete_network(7)
+    base = random_params(np.random.default_rng(16), network)
+    intrinsic = np.ones(7)
+    intrinsic[1] = 0.0
+    params = FjParameters(network, intrinsic, np.ones(7), base.influence)
+    monkeypatch.setattr(_SchurGains, "slack", lambda self, g: 0.0)
+    assert_pruned_matches_enumeration("stubborn ties", params, (1, 2))
+    plan = solve_attack(params, p=1e-3, all_leader_sizes=True)
+    assert plan.config.adversaries == (0, 1)
+    assert plan.predicted_g == 7.0
 
 
 def test_plan_json_carries_the_upper_bound():
@@ -736,14 +840,30 @@ def test_approx_search_guards_base_and_rescore_systems(monkeypatch):
         inverted.append(stack.shape)
         return invert_conditioned(stack, label)
 
+    scored = []
+    real_scorer = fjattack.optimizer._approx_scorer
+
+    def scorer_spy(*args):
+        score = real_scorer(*args)
+
+        def spied(adversaries):
+            scored.append(len(adversaries))
+            return score(adversaries)
+
+        return spied
+
     monkeypatch.setattr(fjattack.optimizer, "check_conditioned", check_spy)
     monkeypatch.setattr(fjattack.optimizer, "invert_conditioned", invert_spy)
+    monkeypatch.setattr(fjattack.optimizer, "_approx_scorer", scorer_spy)
     _, params = generate(Scenario(topology="complete", n=14, seed=1))
     plan = solve_attack(params, p=1e-3)
-    # Each set's restricted M_UU and its re-scored system, then its Minv_AA.
-    assert sum(shape[0] for shape in checked if shape[1:] == (10, 10)) == 2 * 1001
-    assert sum(shape[0] for shape in checked if shape[1:] == (4, 4)) == 1001
-    assert plan.leader_evaluations == 1001
+    # Every scored set's restricted M_UU and re-scored system, then its
+    # Minv_AA.  The leader bound leaves some of the 1,001 sets unscored,
+    # yet every set counts as covered.
+    assert 0 < sum(scored) < 1001
+    assert sum(shape[0] for shape in checked if shape[1:] == (10, 10)) == 2 * sum(scored)
+    assert sum(shape[0] for shape in checked if shape[1:] == (4, 4)) == sum(scored)
+    assert plan.leader_evaluations == plan.follower_candidates == 1001
     # The full M, once per search.
     assert inverted == [(1, 14, 14)]
 
@@ -868,6 +988,23 @@ def test_small_instance_rejection():
     big_net, big_params = random_instance(51, n=9)
     with pytest.raises(ValidationError):
         solve_attack(big_params, p=1e-3, leader_size=5)
+
+
+@pytest.mark.parametrize("leader_size", (True, 2.5, "2"))
+def test_leader_size_must_be_an_int(leader_size):
+    network, params = random_instance(50, n=10)
+    with pytest.raises(ValidationError, match=r"^leader_size must be an int >= 1, got "):
+        solve_attack(params, p=1e-3, leader_size=leader_size)
+    with pytest.raises(ValidationError, match=r"^leader_size must be an int >= 0, got "):
+        count_configurations(network, leader_size)
+
+
+def test_leader_size_range_messages():
+    network, params = random_instance(50, n=10)
+    with pytest.raises(ValidationError, match=r"^leader_size 4 outside the feasible range 1\.\.3$"):
+        solve_attack(params, p=1e-3, leader_size=4)
+    with pytest.raises(ValidationError, match=r"^leader_size 11 outside 0\.\.10$"):
+        count_configurations(network, 11)
 
 
 def test_exact_cap_enforced():

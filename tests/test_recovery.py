@@ -290,6 +290,13 @@ def test_robustness_requires_truth_and_seeds():
         recovery_robustness(with_truth, [-0.1], seeds=2)
 
 
+@pytest.mark.parametrize("level", (float("nan"), float("inf")))
+def test_robustness_rejects_non_finite_noise(level):
+    problem = round_trip_problem(23, n=5)
+    with pytest.raises(ValidationError, match=r"^noise level must be nonnegative, got (nan|inf)$"):
+        recovery_robustness(problem, [level], seeds=2)
+
+
 def test_problem_rejects_nan_intrinsic():
     # recover would otherwise fail deep inside LAPACK's SVD.
     problem = round_trip_problem(7, n=5)
