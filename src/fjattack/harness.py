@@ -8,11 +8,12 @@ a strategy to a run never perturbs instance generation.  Result rows are
 sorted by (scenario id, strategy name) before emission; wall-clock fields
 are the only nondeterministic output.
 
-Every planner runs on the optimizer's one leader search,
-``optimizer._leader_search``: the comparison's ``ours_*`` strategies
-through solve_attack, and the ablation's models through the approx
-search (pinned adversaries) or ``_unpinned_scorer`` (drifting
-adversaries), each at the scenario's p or, with targeting off, at p = 0.
+Every planner keeps the optimizer's one argmax and tie rule: the
+comparison's ``ours_*`` strategies through solve_attack, and the
+ablation's models through the approx search (pinned adversaries, the
+optimizer's leader tree) or ``_unpinned_scorer`` over every set with
+``optimizer._leader_search`` (drifting adversaries), each at the
+scenario's p or, with targeting off, at p = 0.
 Each strategy's config is validated and re-scored under the true
 attacked dynamics by one row builder, ``_result_row``.
 A scenario's leader size passes ``optimizer._check_leader_size`` before
@@ -51,6 +52,7 @@ from .optimizer import (
     _leader_search,
     _SchurGains,
     _search,
+    _set_label,
     _subset_masks,
     _top_targets,
     baseline_variant,
@@ -454,7 +456,7 @@ def _unpinned_scorer(params, p):
             hits = np.zeros((sets, n, n), dtype=bool)
             hits[rows, :, adversaries] = chosen
             matrix = np.eye(n) - (1.0 - theta)[:, None] * _reweighted(weights, hits, p)
-            check_conditioned(matrix, lambda b: f"adversary set {tuple(adversaries[b].tolist())}")
+            check_conditioned(matrix, _set_label(adversaries))
             z = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
         yield z.sum(axis=1), chosen, np.arange(sets)
 
@@ -492,7 +494,7 @@ def run_ablation(scenario):
         start = time.perf_counter()
         p = scenario.p if targeting else 0.0
         if pinned:
-            key, _, sets, configs, _ = _search(params, p, leader_sets, "approx", None)
+            key, _, sets, configs, _ = _search(params, p, "approx", None, (leader_size,))
         else:
             key, _, sets, configs = _leader_search(leader_sets(), _unpinned_scorer(params, p))
         adversaries, items = key

@@ -1,6 +1,6 @@
 """Two-level search for the most damaging attack configuration.
 
-The leader level enumerates adversary sets of a given size; the follower
+The leader level searches the adversary sets of a given size; the follower
 level picks each adversary's targets.  The follower comes in two modes:
 
 * ``exact`` finds the best joint target choice across the adversaries
@@ -27,17 +27,20 @@ unrestricted system (``_SchurGains``).
 Gains are nonnegative up to rounding and additive to first order when
 several adversaries pick the same target.
 
-Both modes, and the ablation's planner models in ``harness``, run on one
-loop, ``_leader_search``: it takes adversary sets LEADER_CHUNK at a time,
-has a scorer yield the exact g of batches of configurations, and keeps
-the lexicographic argmax.  The ablation's pinned models run the
-approx search itself, at p = 0 when targeting is off.
+Every search scores stacks of at most LEADER_CHUNK sets: a scorer yields
+the exact g of batches of configurations, and ``_Argmax`` keeps the
+lexicographic argmax.  Approx solve_attack picks the sets to score with
+the leader tree (``_leader_tree``, below); the exact pass, the oracle,
+one-set solve_follower and the ablation's drifting models walk their sets
+with ``_leader_search``.  The ablation's pinned models run the approx
+search itself, at p = 0 when targeting is off.
 
 * The approx scorer gets z0 and c from ``_SchurGains``, which inverts
   the full n x n system I - (I - Theta) W once per search;
   ``_schur_gains`` reads every set's z0 and c off that inverse through
-  the Schur complement, with one (sets, n) product and one
-  batched k x k solve each.  ``_top_targets`` (a masked stable top-budget
+  the Schur complement, with one one-row product per set and one
+  batched k x k solve each.  Every product is per set, so a set reads
+  the same numbers whichever stack it rides in.  ``_top_targets`` (a masked stable top-budget
   selection, shared with the ablation's unpinned scorer) picks the
   targets, and one batched solve re-scores the re-weighted systems.  The
   full system passes ``linalg.invert_conditioned``; every set's
@@ -63,7 +66,7 @@ r <= 1 (W's rows sum to 1 and opinions lie in [0, 1]).  Its maximum over T,
 UB(A), adds each adversary's top-budget positive gains to sum(z0) + |A|:
 exactly what the approx scorer assembles.  So the approx search runs first;
 its best g, an exact evaluation of a feasible configuration, is the
-incumbent.  The exact scorer then visits only the sets with UB(A) >=
+incumbent.  The exact scorer then visits only the scored sets with UB(A) >=
 incumbent - slack and solves only their configurations whose own bound
 clears the same threshold.  The comparisons are non-strict, so every bitwise
 tie still reaches the tie rule.  The slack (``_SchurGains.slack``) is 64 n
@@ -73,32 +76,40 @@ follower_candidates still counts every configuration of every set, solved or
 certified unable to win.  brute_force_oracle stays exhaustive: it is the
 reference the pruned search is tested against.
 
-Both modes also skip whole adversary sets.  Pinned g0(A) = sum(z0) + |A|
-is monotone and submodular in A (Gionis, Terzi & Tsaparas, "Opinion
+Approx mode does not enumerate adversary sets: ``_leader_tree`` runs a
+certified branch-and-bound over them.  Pinned g0(A) = sum(z0) + |A| is
+monotone and submodular in A (Gionis, Terzi & Tsaparas, "Opinion
 Maximization in Social Networks", SDM 2013).  Read z_i(A) off a walk from
 i: at agent j it is absorbed with value 1 if j is in A; else it stops with
 value s_j with probability theta_j, or moves to k with probability
 (1 - theta_j) w_jk.  Couple it with the walk that ignores A, stopping at
 X_T.  Then z_i(A) = E[s_{X_T}] + E[(1 - s_{X_T}) 1{the walk meets A by
 T}]: the indicator is a coverage function of A and 1 - s >= 0, so every
-z_i, and g0 = sum_i z_i, is monotone and submodular.  Hence g0(A) <=
-g0(empty) + sum over v in A of Delta_v, with Delta_v = g0({v}) -
-g0(empty).  The gains only fall as A grows: for unpinned i, 1 - r_i falls
-because pinning agents at 1 raises z0, and c_i falls because the inverse
-of a principal submatrix of an M-matrix is entrywise nonnegative and at
-most the same block of the full inverse.  So an adversary's top-budget
-gains under A are at most top_v, its top-budget gains with nobody pinned
-over all its out-neighbours, and
+z_i, and g0 = sum_i z_i, is monotone and submodular.  Hence for A
+containing S, g0(A) <= g0(S) + sum over v in A - S of Delta_v(S), with
+Delta_v(S) = g0(S + {v}) - g0(S).  The gains only fall as A grows: for
+unpinned i, 1 - r_i falls because pinning agents at 1 raises z0, and c_i
+falls because the inverse of a principal submatrix of an M-matrix is
+entrywise nonnegative and at most the same block of the full inverse.  So
+an adversary's top-budget gains under A are at most top_j(m(S)), its
+top-budget gains under S, and for every completion A of S from the
+candidates C
 
-    UB(A) <= B(A) = g0(empty) + sum over v in A of (Delta_v + top_v).
+    UB(A) <= UB+(S, C) = g0(S) + sum over j in S of top_j(m(S))
+                         + the largest k - |S| values of
+                           Delta_v(S) + top_v(m(S)) over v in C.
 
-``_SchurGains.leader_bounds`` scores every agent once per search, off the
-full inverse.  ``_leader_search`` scores the first chunk as it comes; after
-that only the sets with B(A) >= incumbent - slack, gathered into full
-chunks in enumeration order.  A set is skipped only when its bound is
-strictly below that threshold, so no set that could win or tie is lost, and
-the argmax does not depend on which sets share a chunk: the plan is full
-enumeration's, bit for bit.  A skipped set still counts in
+The tree grows sorted sets: the children of S are S + {v} for v > max S.
+A node carries R, the restricted inverse (M_UU)^-1 embedded in n x n, and
+z, its pinned fixed point; a child is one rank-1 downdate of its parent
+(``_SchurGains.pin``), and every number of the bound is read off (R, z)
+with no solve (``_SchurGains.scores``).  A greedy dive (the lazy-greedy
+seed of Leskovec et al., KDD 2007) scores its set first.  A child is
+dropped only when its bound, from the parent's data, is strictly below
+incumbent - slack, so no set that could win or tie is lost; the leaves
+are scored by the approx scorer, whose per-set numbers do not depend on
+the stack, and the argmax does not depend on the order: the plan is full
+enumeration's, bit for bit.  An unscored set still counts in
 leader_evaluations (and, in exact mode, its configurations in
 follower_candidates) as covered.
 
@@ -116,7 +127,7 @@ adversary tuple, then the smaller canonical target tuple.
 import math
 import time
 from dataclasses import dataclass
-from itertools import chain, combinations, groupby, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -128,10 +139,11 @@ from .linalg import check_conditioned, invert_conditioned
 # Exhaustive target enumeration refuses to look at more configurations than this.
 DEFAULT_CONFIG_CAP = 10_000_000
 
-# Adversary sets scored together by _leader_search.  An approx search's
-# allocations peak near 0.55 MB at n = 14 and 0.9 MB at n = 20 (complete
-# graphs, tracemalloc); of 32-1024 sets per chunk, 128 ran fastest at both
-# sizes.
+# Adversary sets scored together, and leader-tree nodes expanded together.
+# Of 32-1024 sets per chunk, 128 ran fastest for flat enumeration at n = 14
+# and 20.  The tree holds at most one chunk of nodes, n^2 floats each, per
+# depth: an approx plan peaks near 0.47 MB at n = 14 and 7.9 MB at
+# Erdos-Renyi n = 30 (tracemalloc).
 LEADER_CHUNK = 128
 
 # Configurations stacked into one guarded batched solve by the exact scorer.
@@ -160,14 +172,15 @@ class AttackPlan:
     """Search result: the chosen attack plus bookkeeping about the search.
 
     leader_evaluations counts every adversary set of the searched sizes:
-    scored, or skipped because its leader bound B(A) certifies that it
-    cannot win.  B(A) caps UB(A) because pinned g0 is submodular (an
-    absorbing-walk coverage argument) and the gains only fall as A grows
-    (M-matrix monotonicity); see the module docstring.
+    scored, or left unscored because the leader tree's bound on a partial
+    set certifies that none of its completions can win.  The bound caps
+    UB(A) because pinned g0 is submodular (an absorbing-walk coverage
+    argument) and the gains only fall as A grows (M-matrix monotonicity);
+    see the module docstring.
 
     upper_bound is, in approx and exact mode, the largest first-order
     bound UB(A) over the scored sets, which is the largest over every
-    set: a skipped set's UB(A) lies below the best g, which is at most
+    set: an unscored set's UB(A) lies below the best g, which is at most
     the winner's UB(A).  No configuration of any set has a larger exact
     g, up to the rounding slack, so an approx plan's certified gap is
     upper_bound - predicted_g.  The oracle reports its best g, which its
@@ -237,16 +250,12 @@ def marginal_gains(params, adversaries, p=DEFAULT_P):
     adversaries, p = _check_adversary_set(params.network, adversaries, p)
     stack = np.array([adversaries])
     blocks = _restricted_blocks(params, stack)
-    _, unpinned, w_uu, _, open_minded, _ = blocks
-
-    def label(b):
-        return f"adversary set {adversaries}"
-
-    check_conditioned(np.eye(w_uu.shape[1]) - open_minded[:, :, None] * w_uu, label)
+    label = _set_label(stack)
+    _check_restricted(blocks, label)
     z0, gain = _SchurGains(params, p)(stack, blocks, label)
     return MarginalGains(
         adversaries=adversaries,
-        unpinned=tuple(unpinned[0].tolist()),
+        unpinned=tuple(blocks[1][0].tolist()),
         base_fixed_point=z0[0],
         gain=gain[0],
     )
@@ -260,7 +269,7 @@ def solve_follower(params, adversaries, p=DEFAULT_P, mode="approx", cap=DEFAULT_
     solve_attack's search on the one set.
     """
     adversaries, p = _check_adversary_set(params.network, adversaries, p)
-    (_, items), g, _, _, _ = _search(params, p, lambda: [[adversaries]], mode, cap)
+    (_, items), g, _, _, _ = _search(params, p, mode, cap, (len(adversaries),), adversaries)
     return dict(items), g
 
 
@@ -274,9 +283,8 @@ def _top_targets(gain, eligible, budgets):
     """
     eligible = eligible & (gain > 0.0)
     order = np.argsort(np.where(eligible, -gain, np.inf), axis=2, kind="stable")
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(order.shape[2]), axis=2)
-    return eligible & (rank < budgets[:, :, None])
+    # The inverse permutation of each row's order is its rank.
+    return eligible & (np.argsort(order, axis=2) < budgets[:, :, None])
 
 
 def _schur_gains(minv, adversaries, blocks, p, label):
@@ -298,11 +306,14 @@ def _schur_gains(minv, adversaries, blocks, p, label):
     adversary_mass = w_ua.sum(axis=2)
     rhs = np.zeros(pinned.shape)
     rhs[rows, unpinned] = base_rhs + open_minded * adversary_mass
-    y = rhs @ minv.T
+    # Stacked one-row products, not one GEMM over the stack: a GEMM's
+    # rounding depends on how many sets share it, and a set must read the
+    # same z0 and gains whichever stack it rides in.
+    y = np.matmul(rhs[:, None, :], minv.T)[:, 0]
     t = np.linalg.solve(minv_aa, y[rows, adversaries][:, :, None])
     # minv.T[adversaries][b, a, i] = Minv[i, A_a]: Minv_UA t for every row.
     z0 = (y[:, None, :] - np.matmul(t.transpose(0, 2, 1), minv.T[adversaries]))[:, 0]
-    v = (~pinned) @ minv
+    v = np.matmul(np.where(pinned, 0.0, 1.0)[:, None, :], minv)[:, 0]
     u = np.linalg.solve(minv_aa.transpose(0, 2, 1), v[rows, adversaries][:, :, None])
     c = (v[:, None, :] - np.matmul(u.transpose(0, 2, 1), minv[adversaries]))[:, 0]
     z0, c = z0[rows, unpinned], open_minded * c[rows, unpinned]
@@ -313,11 +324,17 @@ def _schur_gains(minv, adversaries, blocks, p, label):
 
 
 class _SchurGains:
-    """z0 and gains of stacks of sets off one inverse of the full system.
+    """z0 and gains off one inverse of the full system M = I - (I - Theta) W.
 
-    Calling it runs _schur_gains on the inverse of M = I - (I - Theta) W.
-    M passes ``invert_conditioned`` when first needed, so a caller can
-    guard its first chunk's sets before the full system.
+    Calling it runs _schur_gains on a stack of sets.  M passes
+    ``invert_conditioned`` when first needed, so a caller can guard sets'
+    restricted systems before the full system.
+
+    The other methods serve the leader tree.  A node is a sorted partial
+    set S with two arrays: R, the restricted inverse (M_UU)^-1 embedded in
+    n x n with zero rows and columns on S, and z, the pinned fixed point,
+    1 on S.  Nodes travel as stacks (sets, R, z) of shapes (m, |S|),
+    (m, n, n) and (m, n).
     """
 
     def __init__(self, params, p):
@@ -326,7 +343,7 @@ class _SchurGains:
         self.p = p
         self.minv = None
         self.kappa = None
-        self.scores = None
+        self.targets = None
 
     def inverse(self):
         if self.minv is None:
@@ -343,7 +360,7 @@ class _SchurGains:
         Both are sums of n entries.  The systems solved for g have inverses
         entrywise at most M^-1: each is a principal submatrix of the
         M-matrix M, or one with smaller off-diagonal weights.  The Schur
-        gains and the leader bounds are read off M^-1 itself.  So each
+        gains and the tree's nodes are read off M^-1 itself.  So each
         entry's error stays within a few ulps of max(|g|, n) times
         kappa_1(M) = ||M||_1 ||M^-1||_1.  The allowance is
         64 n eps kappa_1(M) max(|g|, n), with recovery's multiplier for its
@@ -356,32 +373,92 @@ class _SchurGains:
             )
         return 64.0 * n * np.finfo(float).eps * self.kappa * max(abs(g), n)
 
-    def leader_bounds(self, adversaries):
-        """B(A) = g(empty) + sum of s_v over v in A, for a (sets, k) stack.
-
-        With nobody pinned, z = M^-1 Theta s is the plain fixed point and
-        1^T M^-1 is g's response to a unit injected at each agent.  Pinning
-        v alone adds (1 - z_v) / Minv_vv times column v of M^-1 to z, so
-        g rises by Delta_v = (1 - z_v) colsum(M^-1)_v / Minv_vv; the gains
-        are m = p (1 - W z) (1 - Theta) M^-T 1; and s_v = Delta_v + top_v,
-        top_v being v's top-budget positive gains over its out-neighbours
-        other than itself.  B(A) >= UB(A), see the module docstring.  The
-        scores are computed on first use, off the inverse the search holds.
-        """
-        if self.scores is None:
-            params = self.params
+    def root(self):
+        """The tree's root: nobody pinned, R = M^-1 and z = M^-1 Theta s."""
+        params = self.params
+        if self.targets is None:
             network = params.network
-            minv = self.inverse()
-            z = minv @ (params.stubbornness * params.intrinsic)
-            reach = minv.sum(axis=0)
-            pin = (1.0 - z) * reach / np.diag(minv)
-            gain = self.p * (1.0 - params.influence @ z) * (1.0 - params.stubbornness) * reach
             others = network.support_mask().T & ~np.eye(params.n, dtype=bool)
             budgets = np.array([network.target_budget(j) for j in range(params.n)])
-            top = _top_targets(gain, others[None], budgets[None])[0]
-            self.scores = z.sum(), pin + np.where(top, gain, 0.0).sum(axis=1)
-        empty, scores = self.scores
-        return empty + scores[adversaries].sum(axis=1)
+            self.targets = others[None], budgets[None]
+        minv = self.inverse()
+        z = minv @ (params.stubbornness * params.intrinsic)
+        return np.empty((1, 0), dtype=np.intp), minv[None], z[None]
+
+    def scores(self, nodes):
+        """(base, s) of a stack of nodes, read off (R, z) with no solve.
+
+        The gains are m = p (1 - W z) (1 - Theta) 1^T R, zero on S, and
+        top_j is agent j's top-budget positive gains over its out-neighbours
+        other than itself (``_top_targets``).  S is where R's diagonal is
+        0; elsewhere it is at least 1 (see ``pin``).  Pinning v adds
+        (1 - z_v) R[:, v] / R_vv to z, so g0 rises by
+        Delta_v = (1 - z_v) (1^T R)_v / R_vv.  base = g0(S) + the sum of
+        top_j over j in S, with g0(S) = sum(z); s_v = Delta_v + top_v for v
+        outside S and -inf on S.
+        """
+        _, inverse, z = nodes
+        params = self.params
+        diagonal = np.diagonal(inverse, axis1=1, axis2=2)
+        pinned = diagonal == 0.0
+        reach = inverse.sum(axis=1)
+        gain = self.p * (1.0 - z @ params.influence.T) * (1.0 - params.stubbornness) * reach
+        others, budgets = self.targets
+        top = np.where(_top_targets(gain[:, None, :], others, budgets), gain[:, None, :], 0.0)
+        top = top.sum(axis=2)
+        delta = (1.0 - z) * reach / np.where(pinned, 1.0, diagonal)
+        scores = np.where(pinned, -np.inf, delta + top)
+        return z.sum(axis=1) + np.where(pinned, top, 0.0).sum(axis=1), scores
+
+    def pin(self, nodes, owner, v):
+        """The children S + {v[c]} of nodes owner[c]: one rank-1 downdate each.
+
+        R' = R - R[:, v] R[v, :] / R_vv and z' = z + (1 - z_v) R[:, v] / R_vv,
+        with row and column v of R' zeroed and z'_v = 1.  The pivot R_vv is
+        at least 1, since M^-1 = sum of B^t >= I for the M-matrix M = I - B.
+        """
+        sets, inverse, z = nodes
+        c = np.arange(len(v))
+        inverse, z = inverse[owner], z[owner]
+        column = inverse[c, :, v]
+        pivot = column[c, v]
+        inverse -= column[:, :, None] * (inverse[c, v, :] / pivot[:, None])[:, None, :]
+        inverse[c, v, :] = 0.0
+        inverse[c, :, v] = 0.0
+        z += ((1.0 - z[c, v]) / pivot)[:, None] * column
+        z[c, v] = 1.0
+        return np.concatenate([sets[owner], v[:, None]], axis=1), inverse, z
+
+
+def _child_bounds(sets, base, scores, k):
+    """(m, n) bounds on every size-k completion through each child S + {v}.
+
+    ``sets`` holds the nodes' S and (base, scores) is their
+    ``_SchurGains.scores``.  The children of S are S + {v} for v > max S
+    that leave room for k - |S| - 1 more agents above v.  Child v's bound
+    is base + s_v + the largest k - |S| - 1 values of s_u over u > v; it is
+    -inf where v is no child.  Its largest value is UB+(S, C), C = {v > max S}.
+    """
+    m, n = scores.shape
+    later = k - sets.shape[1] - 1
+    agents = np.arange(n)
+    last = sets[:, -1:] if sets.shape[1] else np.full((m, 1), -1)
+    bound = base[:, None] + scores
+    if later:
+        rest = np.where(agents[None, :] > agents[:, None], scores[:, None, :], -np.inf)
+        bound = bound - np.sort(-rest, axis=2)[:, :, :later].sum(axis=2)
+    return np.where((agents > last) & (agents < n - later), bound, -np.inf)
+
+
+def _set_label(adversaries):
+    """label(b) naming set b of a (sets, k) array in a guard's error."""
+    return lambda b: f"adversary set {tuple(adversaries[b].tolist())}"
+
+
+def _check_restricted(blocks, label):
+    """Guard every set's restricted M_UU = I - (I - Theta_U) W_UU."""
+    _, _, w_uu, _, open_minded, _ = blocks
+    check_conditioned(np.eye(w_uu.shape[1]) - open_minded[:, :, None] * w_uu, label)
 
 
 def _approx_scorer(params, p, gains, bounds):
@@ -393,10 +470,9 @@ def _approx_scorer(params, p, gains, bounds):
     re-score builds its systems as adversarial_outcome does.  Each chunk's
     first-order bounds UB(A) = sum(z0) + k + the chosen gains, which no
     configuration of A exceeds, are appended to ``bounds`` as one array.
-    Each set's restricted M_UU and re-weighted system pass
-    ``check_conditioned``; ``gains`` inverts the full M after the first
-    chunk's restricted systems are checked, so a rejected set is named
-    first.
+    Every product is per set, so a set's g, targets and UB(A) do not depend
+    on which sets share its chunk.  Each set's restricted M_UU and
+    re-weighted system pass ``check_conditioned``.
     """
     network = params.network
     n = params.n
@@ -408,11 +484,8 @@ def _approx_scorer(params, p, gains, bounds):
         rows = np.arange(sets)[:, None]
         blocks = _restricted_blocks(params, adversaries)
         pinned, unpinned, w_uu, w_ua, open_minded, base_rhs = blocks
-
-        def label(b):
-            return f"adversary set {tuple(adversaries[b].tolist())}"
-
-        check_conditioned(np.eye(n - k) - open_minded[:, :, None] * w_uu, label)
+        label = _set_label(adversaries)
+        _check_restricted(blocks, label)
         z0, gain = gains(adversaries, blocks, label)
         chosen = _top_targets(
             gain[:, None, :], listeners[adversaries] & ~pinned[:, None, :], budgets[adversaries]
@@ -428,64 +501,139 @@ def _approx_scorer(params, p, gains, bounds):
     return score
 
 
-def _stack(chunk):
-    """A list of same-size sets as a (sets, k) index array."""
-    k = len(chunk[0])
-    flat = np.fromiter(chain.from_iterable(chunk), dtype=np.intp, count=len(chunk) * k)
-    return flat.reshape(len(chunk), k)
+def _chunks(leader_sets):
+    """(sets, k) index arrays of LEADER_CHUNK sets at a time, from a
+    sequence of iterables of sorted same-size sets."""
+    for group in leader_sets:
+        group = iter(group)
+        while chunk := list(islice(group, LEADER_CHUNK)):
+            k = len(chunk[0])
+            flat = np.fromiter(chain.from_iterable(chunk), dtype=np.intp, count=len(chunk) * k)
+            yield flat.reshape(len(chunk), k)
 
 
-def _leader_search(leader_sets, score, admit=None):
+class _Argmax:
+    """The best configuration scored so far, and how many were scored.
+
+    Higher g wins; an exact tie goes to the smaller (adversaries, items)
+    key, so the result does not depend on the order in which sets are
+    scored or on which sets share a chunk.  g is -inf before any score.
+    """
+
+    def __init__(self):
+        self.key, self.g, self.configs = None, -math.inf, 0
+
+    def score(self, score, chunk):
+        """Keep the best configuration ``score(chunk)`` yields.
+
+        ``score(chunk)``, chunk a (sets, k) index array, yields (g, chosen,
+        owner) batches: the exact g of each configuration it scores (all of
+        them, unless it prunes), its (batch, k, n) target mask and the
+        index of its set in the chunk.
+        """
+        for g, chosen, owner in score(chunk):
+            self.configs += len(g)
+            top = g.max()
+            if top < self.g:
+                continue
+            for c in np.flatnonzero(g == top).tolist():
+                leaders = tuple(chunk[owner[c]].tolist())
+                items = tuple(
+                    (j, tuple(np.flatnonzero(chosen[c, col]).tolist()))
+                    for col, j in enumerate(leaders)
+                )
+                if top > self.g or (leaders, items) < self.key:
+                    self.key, self.g = (leaders, items), float(top)
+
+
+def _leader_search(leader_sets, score):
     """Score the configurations a scorer yields for every set; keep the best.
 
     ``leader_sets`` is a sequence of iterables of sorted same-size sets,
-    taken LEADER_CHUNK at a time.  ``score(chunk)``, chunk a (sets, k)
-    index array, yields (g, chosen, owner) batches: the exact g of each
-    configuration it scores (all of them, unless it prunes), its
-    (batch, k, n) target mask and the index of its set in the chunk.
-    Higher g wins; an exact tie goes to the smaller (adversaries, items)
-    key, so the result does not depend on which sets share a chunk.
-
-    ``admit(adversaries, incumbent)``, if given, sees every LEADER_CHUNK
-    sets as a (sets, k) array together with the best g so far (-inf
-    before any set is scored) and returns their keep flags.  Only kept
-    sets are scored, gathered LEADER_CHUNK at a time in enumeration order;
-    the others count as covered.  Returns
-    ((adversaries, items), g, sets covered, configurations scored).
+    scored LEADER_CHUNK at a time; ``score`` and the tie rule are those
+    of ``_Argmax``.  Returns
+    ((adversaries, items), g, sets, configurations scored).
     """
-    best_key, best_g, sets, configs = None, -math.inf, 0, 0
+    best, sets = _Argmax(), 0
+    for chunk in _chunks(leader_sets):
+        sets += len(chunk)
+        best.score(score, chunk)
+    return best.key, best.g, sets, best.configs
 
-    def chunks(group):
-        nonlocal sets
-        group, pending = iter(group), None
-        while batch := list(islice(group, LEADER_CHUNK)):
-            sets += len(batch)
-            batch = _stack(batch)
-            if admit is not None:
-                batch = batch[admit(batch, best_g)]
-            pending = batch if pending is None else np.concatenate([pending, batch])
-            if len(pending) >= LEADER_CHUNK:
-                yield pending[:LEADER_CHUNK]
-                pending = pending[LEADER_CHUNK:]
-        if pending is not None and len(pending):
-            yield pending
 
-    for group in leader_sets:
-        for chunk in chunks(group):
-            for g, chosen, owner in score(chunk):
-                configs += len(g)
-                top = g.max()
-                if top < best_g:
-                    continue
-                for c in np.flatnonzero(g == top).tolist():
-                    leaders = tuple(chunk[owner[c]].tolist())
-                    items = tuple(
-                        (j, tuple(np.flatnonzero(chosen[c, col]).tolist()))
-                        for col, j in enumerate(leaders)
-                    )
-                    if top > best_g or (leaders, items) < best_key:
-                        best_key, best_g = (leaders, items), float(top)
-    return best_key, best_g, sets, configs
+def _leader_tree(params, gains, sizes, score):
+    """Certified branch-and-bound over the adversary sets of ``sizes``.
+
+    Scores, with ``score`` (the approx scorer), every set that could beat
+    or tie the best g found so far, and returns the argmax of full
+    enumeration, ((adversaries, items), g).  The first LEADER_CHUNK sets
+    in enumeration order have their restricted systems guarded before the
+    full system is inverted, so a rejected set is named first.  The sizes
+    run largest first and share one incumbent.
+    """
+    first = next(_chunks([combinations(range(params.n), k) for k in sorted(sizes)]))
+    _check_restricted(_restricted_blocks(params, first), _set_label(first))
+    best = _Argmax()
+    for k in sorted(sizes, reverse=True):
+        _branch_and_bound(gains, k, score, best)
+    return best.key, best.g
+
+
+def _branch_and_bound(gains, k, score, best):
+    """One size of _leader_tree, sharing ``best`` (an _Argmax).
+
+    The size is skipped when no child of the root reaches the incumbent
+    - ``gains.slack``.  Otherwise a greedy dive from the root sets the first
+    incumbent: k rank-1 steps, each pinning the agent with the largest
+    s_v = Delta_v + top_v (the lowest index on a tie); the set it ends at
+    is scored.  The tree then grows sorted sets depth first, LEADER_CHUNK
+    children at a time, best bound first.  A child is dropped, before its
+    (R, z) is built, only when its bound from the parent's data
+    (``_child_bounds``) is strictly below the incumbent - ``gains.slack``,
+    so every set that could win or tie bitwise reaches the tie rule.  The
+    children at depth k are the leaves, scored LEADER_CHUNK at a time.  At
+    most one chunk of nodes per depth is held at once, so memory stays
+    O(k LEADER_CHUNK n^2).
+    """
+    stack = []
+
+    def threshold():
+        return best.g - gains.slack(best.g)
+
+    def expand(nodes, bound):
+        owner, v = np.nonzero(bound >= threshold())
+        bound = bound[owner, v]
+        order = np.argsort(-bound, kind="stable")
+        for lo in reversed(range(0, len(order), LEADER_CHUNK)):
+            part = order[lo : lo + LEADER_CHUNK]
+            stack.append((nodes, owner[part], v[part], bound[part]))
+
+    root = gains.root()
+    base, scores = gains.scores(root)
+    bound = _child_bounds(root[0], base, scores, k)
+    if best.key is not None and not (bound >= threshold()).any():
+        return
+    nodes = root
+    for step in range(k):
+        if step:
+            _, scores = gains.scores(nodes)
+        nodes = gains.pin(nodes, np.zeros(1, dtype=np.intp), np.argmax(scores, axis=1))
+    greedy = np.sort(nodes[0], axis=1)
+    best.score(score, greedy)
+    expand(root, bound)
+    while stack:
+        nodes, owner, v, bound = stack.pop()
+        keep = bound >= threshold()
+        owner, v = owner[keep], v[keep]
+        if nodes[0].shape[1] < k - 1:
+            if len(v):
+                children = gains.pin(nodes, owner, v)
+                expand(children, _child_bounds(children[0], *gains.scores(children), k))
+            continue
+        leaves = np.concatenate([nodes[0][owner], v[:, None]], axis=1)
+        leaves = leaves[(leaves != greedy).any(axis=1)]
+        if len(leaves):
+            best.score(score, leaves)
 
 
 def _space_sizer(network):
@@ -553,10 +701,7 @@ def _exact_scorer(params, p, prune=None):
 
     def score(adversaries):
         sets, k = adversaries.shape
-
-        def label(b):
-            return f"adversary set {tuple(adversaries[b].tolist())}"
-
+        label = _set_label(adversaries)
         agents = np.unique(adversaries).tolist()
         for j in agents:
             if j not in tables:
@@ -611,23 +756,24 @@ def _exact_scorer(params, p, prune=None):
     return score
 
 
-def _search(params, p, leader_sets, mode, cap):
+def _search(params, p, mode, cap, sizes, adversaries=None):
     """The search of solve_attack and solve_follower in follower ``mode``.
 
-    ``leader_sets()`` returns fresh groups of sets, as _leader_search takes
-    them; it is called once.  Approx mode runs the approx scorer over the
-    sets whose leader bound B(A) (``_SchurGains.leader_bounds``) reaches
-    the threshold best g so far - slack (``_SchurGains.slack``); the first
-    chunk is scored whole, so its sets are guarded before the full system
-    is inverted.  Exact mode prunes with certified bounds.  Its first pass
-    is that approx search: its best g is a feasible incumbent, and it gives
+    Searches every set of ``sizes``, or, given ``adversaries``, that one
+    set.  Approx mode scores sets with the approx scorer: the one set
+    directly, every set of ``sizes`` through the leader tree
+    (``_leader_tree``), which scores only the sets whose bound reaches the
+    best g so far - slack (``_SchurGains.slack``).  Exact mode prunes with
+    certified bounds.  It first counts every set's configurations,
+    unscored, and every set must stay within ``cap``.  Its first pass is
+    that approx search: its best g is a feasible incumbent, and it gives
     every scored set's first-order bound UB(A), which no configuration of
-    A exceeds.  Every set, scored or not, must stay within ``cap``
-    configurations, checked before any of its chunk is scored.  The second
-    pass runs the exact scorer over the scored sets with UB(A) >= the
-    final threshold, and stacks only their configurations whose own bound
-    clears it.  The comparisons are non-strict, so every set and
-    configuration that could tie the optimum bitwise is solved.
+    A exceeds.  The second pass runs the exact scorer over the scored sets
+    with UB(A) >= the final threshold, and stacks only their
+    configurations whose own bound clears it.  A set the tree did not
+    score has UB(A) <= its tree bound, below that threshold.  The
+    comparisons are non-strict, so every set and configuration that could
+    tie the optimum bitwise is solved.
     Returns ((adversaries, items), g, sets, configurations, max UB(A)).
     Both counts cover every set: approx mode counts one configuration per
     set, exact mode all those of every set, solved or certified unable to
@@ -635,44 +781,40 @@ def _search(params, p, leader_sets, mode, cap):
     """
     if mode not in ("approx", "exact"):
         raise ValidationError(f"unknown follower mode {mode!r}")
+
+    def leader_sets():
+        if adversaries is not None:
+            return [[adversaries]]
+        return [combinations(range(params.n), k) for k in sizes]
+
+    if mode == "exact":
+        configs = _count_configurations(params.network, leader_sets(), cap)
     gains = _SchurGains(params, p)
-    bounds = []
+    bounds, scored = [], []
     approx = _approx_scorer(params, p, gains, bounds)
 
-    def admit(adversaries, incumbent):
-        if incumbent == -math.inf:
-            return np.ones(len(adversaries), dtype=bool)
-        return gains.leader_bounds(adversaries) >= incumbent - gains.slack(incumbent)
+    def first_pass(chunk):
+        scored.append(chunk)
+        return approx(chunk)
 
+    if adversaries is not None:
+        key, incumbent, sets, _ = _leader_search(leader_sets(), first_pass)
+    else:
+        key, incumbent = _leader_tree(params, gains, sizes, first_pass)
+        sets = sum(math.comb(params.n, k) for k in sizes)
+    upper = max(float(b.max()) for b in bounds)
     if mode == "approx":
-        key, g, sets, _ = _leader_search(leader_sets(), approx, admit)
-        return key, g, sets, sets, max(float(b.max()) for b in bounds)
-    counted, scored = [], []
-    space_sizes = _space_sizer(params.network)
-
-    def capped(adversaries, incumbent):
-        sizes = space_sizes(adversaries)
-        if cap is not None and (sizes > cap).any():
-            size = sizes[np.argmax(sizes > cap)]
-            raise CapExceededError(f"exact follower space has {size} configurations, cap is {cap}")
-        counted.append(int(sizes.sum()))
-        return admit(adversaries, incumbent)
-
-    def first_pass(adversaries):
-        scored.append(adversaries)
-        return approx(adversaries)
-
-    _, incumbent, sets, _ = _leader_search(leader_sets(), first_pass, capped)
+        return key, incumbent, sets, sets, upper
     threshold = incumbent - gains.slack(incumbent)
-    # The first pass scored its chunks in enumeration order, one size each.
-    survivors = [
-        [tuple(s) for chunk, ub in pairs for s in chunk[ub >= threshold].tolist()]
-        for _, pairs in groupby(zip(scored, bounds), key=lambda pair: pair[0].shape[1])
-    ]
+    survivors = {}
+    for chunk, ub in zip(scored, bounds):
+        kept = map(tuple, chunk[ub >= threshold].tolist())
+        survivors.setdefault(chunk.shape[1], set()).update(kept)
     key, best_g, _, _ = _leader_search(
-        survivors, _exact_scorer(params, p, prune=(gains, threshold))
+        [sorted(survivors[k]) for k in sorted(survivors)],
+        _exact_scorer(params, p, prune=(gains, threshold)),
     )
-    return key, best_g, sets, sum(counted), max(float(b.max()) for b in bounds)
+    return key, best_g, sets, configs, upper
 
 
 def solve_attack(
@@ -685,11 +827,11 @@ def solve_attack(
 ):
     """Search adversary sets and their best responses for the largest g.
 
-    Enumerates every adversary set of ``leader_size`` (default: the full
+    Searches the adversary sets of ``leader_size`` (default: the full
     adversary budget (n - 1) // 3; with ``all_leader_sizes`` every size
-    from 1 up to the budget) and solves the follower problem for each
-    whose leader bound can still reach the best g found so far; the plan
-    is the one solving every set gives.
+    from 1 up to the budget, largest first) by branch and bound, and
+    solves the follower problem for each set the bound cannot rule out;
+    the plan is the one solving every set gives.
     In exact mode every set must stay within ``cap`` configurations, and
     only the sets and configurations whose first-order bound can reach
     the approx incumbent are solved.  The returned plan's predicted_g is
@@ -701,11 +843,8 @@ def solve_attack(
     leader_size = _check_leader_size(network, leader_size)
     sizes = range(1, network.leader_budget() + 1) if all_leader_sizes else (leader_size,)
 
-    def leader_sets():
-        return [combinations(range(network.agent_count), size) for size in sizes]
-
     (adversaries, items), best_g, sets, configs, upper = _search(
-        params, p, leader_sets, follower_mode, cap
+        params, p, follower_mode, cap, sizes
     )
     return AttackPlan(
         config=AttackConfig(adversaries, items, p),
@@ -761,11 +900,20 @@ def count_configurations(network, leader_size=None):
         raise ValidationError(
             f"leader_size {leader_size} outside 0..{network.agent_count}"
         )
+    return _count_configurations(network, [combinations(range(network.agent_count), leader_size)])
+
+
+def _count_configurations(network, leader_sets, cap=None):
+    """Configurations of every set in ``leader_sets`` (as _leader_search
+    takes them); raises CapExceededError if one set has more than ``cap``."""
     space_sizes = _space_sizer(network)
-    sets = combinations(range(network.agent_count), leader_size)
     total = 0
-    while chunk := list(islice(sets, LEADER_CHUNK)):
-        total += int(space_sizes(_stack(chunk)).sum())
+    for chunk in _chunks(leader_sets):
+        sizes = space_sizes(chunk)
+        if cap is not None and (sizes > cap).any():
+            size = sizes[np.argmax(sizes > cap)]
+            raise CapExceededError(f"exact follower space has {size} configurations, cap is {cap}")
+        total += int(sizes.sum())
     return total
 
 

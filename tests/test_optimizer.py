@@ -14,7 +14,7 @@ a forward and a transposed solve, the top-budget pick, and one re-score.
 import json
 import math
 import re
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import numpy as np
 import pytest
@@ -47,6 +47,10 @@ from fjattack.optimizer import (
     CONFIG_CHUNK,
     LEADER_CHUNK,
     _approx_scorer,
+    _Argmax,
+    _branch_and_bound,
+    _child_bounds,
+    _chunks,
     _exact_scorer,
     _leader_search,
     _schur_gains,
@@ -551,11 +555,26 @@ def regime_instances(sizes, topologies=("complete", "erdos_renyi", "ring", "star
                 yield f"{topology}-{theta}-{n}", params
 
 
+def tree_path_bounds(gains, k):
+    """Every size-k set in combinations order, walked down the leader tree
+    unpruned, with the smallest of the child bounds along its path: the
+    tree drops the set only when one of them is below its threshold.  Each
+    child bound is at most its parent's UB+(S, C)."""
+    nodes, path = gains.root(), np.array([np.inf])
+    for _ in range(k):
+        bound = _child_bounds(nodes[0], *gains.scores(nodes), k)
+        owner, v = np.nonzero(np.isfinite(bound))
+        path = np.minimum(path[owner], bound[owner, v])
+        nodes = gains.pin(nodes, owner, v)
+    return nodes[0], path
+
+
 def test_leader_bound_covers_every_set():
-    # B(A) = g(empty) + sum of the members' scores caps the set's first-order
-    # bound UB(A) and every exact g of the set, up to the rounding slack.
-    # Exact g is solved for every configuration where a size has at most
-    # 20,000 (all but complete n = 9 and 10).
+    # The tree's node bounds, read off each parent's (R, z) by rank-1
+    # downdates, cap every completion's first-order bound UB(A) and every
+    # exact g of it, up to the rounding slack, at every depth.  Exact g is
+    # solved for every configuration where a size has at most 20,000 (all
+    # but complete n = 9 and 10).
     checked = 0
     for name, params in regime_instances(range(6, 11)):
         for p in (1e-3, 0.2):
@@ -563,16 +582,73 @@ def test_leader_bound_covers_every_set():
             bounds = []
             approx, exact = _approx_scorer(params, p, gains, bounds), _exact_scorer(params, p)
             for k in range(1, params.network.leader_budget() + 1):
-                sets = np.array(list(combinations(range(params.n), k)))
-                leader = gains.leader_bounds(sets)
+                sets, path = tree_path_bounds(gains, k)
+                assert sets.tolist() == [list(s) for s in combinations(range(params.n), k)]
                 list(approx(sets))
-                assert (bounds[-1] <= leader + gains.slack(bounds[-1].max())).all(), name
+                assert (bounds[-1] <= path + gains.slack(bounds[-1].max())).all(), name
                 if count_configurations(params.network, k) > 20_000:
                     continue
                 for g, _, owner in exact(sets):
-                    assert (g <= leader[owner] + gains.slack(g.max())).all(), name
+                    assert (g <= path[owner] + gains.slack(g.max())).all(), name
                     checked += len(g)
     assert checked > 100_000
+
+
+def test_tree_downdates_match_direct_restricted_reads():
+    # Every node's R and z, built from M^-1 by one rank-1 downdate per
+    # pinned agent, against the inverse of its restricted M_UU and its
+    # pinned fixed point solved directly.  The tolerance, n eps kappa_1(M),
+    # is a 64n-th of the slack.
+    for name, params in regime_instances(range(6, 11)):
+        gains = _SchurGains(params, 1e-3)
+        n, k = params.n, params.network.leader_budget()
+        kappa = np.abs(gains.system).sum(axis=0).max() * np.abs(gains.inverse()).sum(axis=0).max()
+        tolerance = n * np.finfo(float).eps * kappa
+        nodes = gains.root()
+        for _ in range(k):
+            owner, v = np.nonzero(np.isfinite(_child_bounds(nodes[0], *gains.scores(nodes), k)))
+            nodes = gains.pin(nodes, owner, v)
+            sets, inverse, z = nodes
+            rows = np.arange(len(sets))[:, None]
+            pinned, unpinned, w_uu, w_ua, open_minded, base_rhs = _restricted_blocks(params, sets)
+            restricted = np.eye(n - sets.shape[1]) - open_minded[:, :, None] * w_uu
+            direct = np.zeros_like(inverse)
+            direct[rows[:, :, None], unpinned[:, :, None], unpinned[:, None, :]] = np.linalg.inv(
+                restricted
+            )
+            fixed = np.ones_like(z)
+            rhs = base_rhs + open_minded * w_ua.sum(axis=2)
+            fixed[rows, unpinned] = np.linalg.solve(restricted, rhs[:, :, None])[:, :, 0]
+            scale = np.abs(direct).max(axis=(1, 2))
+            assert (np.abs(inverse - direct).max(axis=(1, 2)) <= tolerance * scale).all(), name
+            assert np.abs(z - fixed).max() <= tolerance, name
+            # Pinned rows and columns are zeroed exactly, pinned z set to 1.
+            assert not inverse[pinned].any() and not inverse.transpose(0, 2, 1)[pinned].any()
+            assert (z[pinned] == 1.0).all()
+
+
+def test_approx_reads_do_not_depend_on_the_stack():
+    # A set's g, target mask and UB(A) are bitwise the same read alone, in
+    # its enumeration chunk or in a shuffled stack, so the tree, which
+    # scores leaves in small stacks, keeps enumeration's plans and bounds.
+    for topology in ("complete", "erdos_renyi", "ring", "star"):
+        for n, seed in ((10, 1), (14, 2), (20, 3)):
+            _, params = generate(Scenario(topology=topology, n=n, seed=seed))
+            bounds = []
+            score = _approx_scorer(params, 1e-3, _SchurGains(params, 1e-3), bounds)
+
+            def read(stack):
+                ((g, chosen, _),) = score(stack)
+                return g, chosen, bounds[-1]
+
+            chunk = next(_chunks([combinations(range(n), params.network.leader_budget())]))
+            shuffle = np.random.default_rng(seed).permutation(len(chunk))
+            together = read(chunk)
+            shuffled = [x[np.argsort(shuffle)] for x in read(chunk[shuffle])]
+            for b in range(len(chunk)):
+                alone = read(chunk[b : b + 1])
+                for x, y, z in zip(alone, together, shuffled):
+                    assert x[0].tobytes() == y[b].tobytes() == z[b].tobytes(), (topology, n, b)
 
 
 def assert_pruned_matches_enumeration(name, params, sizes, p=1e-3):
@@ -606,41 +682,113 @@ def assert_pruned_matches_enumeration(name, params, sizes, p=1e-3):
 
 
 def test_pruned_leader_search_matches_enumeration():
-    # From n = 13 the sets outnumber LEADER_CHUNK, so the bound prunes.
+    # n = 13..17 in every regime and n = 19 in the hard one (theta in
+    # (0, 0.05)), where the bounds are loosest.
     pruned = 0
-    for name, params in regime_instances(range(13, 17)):
+    instances = chain(
+        regime_instances(range(13, 18)),
+        (
+            (name, params)
+            for name, params in regime_instances((19,))
+            if "(0.0, 0.05)" in name
+        ),
+    )
+    for name, params in instances:
         budget = params.network.leader_budget()
         scored = assert_pruned_matches_enumeration(name, params, (budget,))
         pruned += scored < math.comb(params.n, budget)
     for name, params in regime_instances((13,), ("complete", "erdos_renyi")):
         assert_pruned_matches_enumeration(name, params, range(1, 5))
-    assert pruned >= 16
+    assert pruned >= 60
 
 
 def test_pruned_leader_search_keeps_star_ties_at_zero_slack(monkeypatch):
     # Star leaves hear only the hub, so many sets tie; with no slack the
     # strict comparison alone must keep every set that can win or tie.
     monkeypatch.setattr(_SchurGains, "slack", lambda self, g: 0.0)
-    for name, params in regime_instances(range(13, 17), ("star",)):
+    for name, params in regime_instances(range(13, 20), ("star",)):
         assert_pruned_matches_enumeration(name, params, (params.network.leader_budget(),))
 
 
 def test_leader_bound_keeps_a_later_size_tie_at_zero_slack(monkeypatch):
-    # Fully stubborn agents with 0/1 opinions make every sum exact: (1,)
-    # and every pair holding 1 and a 1-opinion agent tie at g = sum(s) + 1,
-    # and B((0, 1)) equals that g bitwise.  Size 1 fills the first chunk,
-    # so (1,) is the incumbent when (0, 1), the smaller key, meets its
-    # bound; only a non-strict comparison keeps it.
+    # Fully stubborn agents with 0/1 opinions make every sum exact: (0,)
+    # and every pair holding 0 tie at g = sum(s) + 1, and the tree's bound
+    # for (0,) equals that g bitwise.  Size 2 runs first, so (0, 1) is the
+    # incumbent when (0,), the smaller key, meets its bound; only a
+    # non-strict comparison keeps it.
     network = complete_network(7)
     base = random_params(np.random.default_rng(16), network)
     intrinsic = np.ones(7)
-    intrinsic[1] = 0.0
+    intrinsic[0] = 0.0
     params = FjParameters(network, intrinsic, np.ones(7), base.influence)
     monkeypatch.setattr(_SchurGains, "slack", lambda self, g: 0.0)
     assert_pruned_matches_enumeration("stubborn ties", params, (1, 2))
     plan = solve_attack(params, p=1e-3, all_leader_sizes=True)
-    assert plan.config.adversaries == (0, 1)
+    assert plan.config.adversaries == (0,)
     assert plan.predicted_g == 7.0
+
+
+def scored_sets_by_size_order(params, order, p=1e-3):
+    """The tree over the sizes in ``order`` with one shared incumbent:
+    ((adversaries, items), g, sets scored)."""
+    gains, scored = _SchurGains(params, p), []
+    approx = _approx_scorer(params, p, gains, [])
+
+    def spied(adversaries):
+        scored.append(len(adversaries))
+        return approx(adversaries)
+
+    best = _Argmax()
+    for k in order:
+        _branch_and_bound(gains, k, spied, best)
+    return best.key, best.g, sum(scored)
+
+
+def spy_on_scored_sets(monkeypatch):
+    """A list that collects, as tuples, every set the approx scorer gets."""
+    scored = []
+    real_scorer = fjattack.optimizer._approx_scorer
+
+    def scorer_spy(*args):
+        score = real_scorer(*args)
+
+        def spied(adversaries):
+            scored.extend(map(tuple, adversaries.tolist()))
+            return score(adversaries)
+
+        return spied
+
+    monkeypatch.setattr(fjattack.optimizer, "_approx_scorer", scorer_spy)
+    return scored
+
+
+def test_all_leader_sizes_runs_the_largest_size_first(monkeypatch):
+    # The argmax does not depend on the order; searching the largest size
+    # first gives the smaller sizes a strong incumbent.
+    _, params = generate(Scenario(topology="complete", n=14, seed=11))
+    scored = spy_on_scored_sets(monkeypatch)
+    plan = solve_attack(params, p=1e-3, all_leader_sizes=True)
+    key, g, smallest_first = scored_sets_by_size_order(params, (1, 2, 3, 4))
+    assert (plan.config, plan.predicted_g) == (AttackConfig(*key, 1e-3), g)
+    assert scored_sets_by_size_order(params, (4, 3, 2, 1)) == (key, g, len(scored))
+    assert len(scored) < smallest_first
+
+
+def test_leader_tree_scores_every_set_that_ties_its_bound(monkeypatch):
+    # Fully stubborn agents with opinions 0, 0, 0, 1, 1, 1, 1 make every sum
+    # exact: the pairs of {0, 1, 2} all reach g = 6, and so do their bounds
+    # in the tree.  The greedy dive scores (0, 1); the other two pairs meet
+    # a bound equal to the incumbent bitwise, and only non-strict
+    # comparisons send them on to the tie rule.
+    network = complete_network(7)
+    base = random_params(np.random.default_rng(16), network)
+    intrinsic = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+    params = FjParameters(network, intrinsic, np.ones(7), base.influence)
+    monkeypatch.setattr(_SchurGains, "slack", lambda self, g: 0.0)
+    scored = spy_on_scored_sets(monkeypatch)
+    plan = solve_attack(params, p=1e-3, leader_size=2)
+    assert (plan.config.adversaries, plan.predicted_g) == ((0, 1), 6.0)
+    assert sorted(scored) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_plan_json_carries_the_upper_bound():
@@ -857,15 +1005,17 @@ def test_approx_search_guards_base_and_rescore_systems(monkeypatch):
     monkeypatch.setattr(fjattack.optimizer, "_approx_scorer", scorer_spy)
     _, params = generate(Scenario(topology="complete", n=14, seed=1))
     plan = solve_attack(params, p=1e-3)
-    # Every scored set's restricted M_UU and re-scored system, then its
-    # Minv_AA.  The leader bound leaves some of the 1,001 sets unscored,
-    # yet every set counts as covered.
+    # First the restricted M_UU of the first 128 sets in enumeration order,
+    # unscored, then the full M, once per search.
+    assert checked[0] == (LEADER_CHUNK, 10, 10)
+    assert inverted == [(1, 14, 14)]
+    # Then every scored set's restricted M_UU and re-scored system, and its
+    # Minv_AA.  The tree leaves most of the 1,001 sets unscored, yet every
+    # set counts as covered.
     assert 0 < sum(scored) < 1001
-    assert sum(shape[0] for shape in checked if shape[1:] == (10, 10)) == 2 * sum(scored)
+    assert sum(shape[0] for shape in checked[1:] if shape[1:] == (10, 10)) == 2 * sum(scored)
     assert sum(shape[0] for shape in checked if shape[1:] == (4, 4)) == sum(scored)
     assert plan.leader_evaluations == plan.follower_candidates == 1001
-    # The full M, once per search.
-    assert inverted == [(1, 14, 14)]
 
 
 def with_open_minded_agents(params):
