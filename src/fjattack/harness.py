@@ -417,11 +417,12 @@ def _unpinned_scorer(params, p):
 
     Adversaries keep their stubbornness but take intrinsic opinion 1 and
     keep drifting with everyone else, so the model is plain dynamics on
-    all n agents with M = I - (I - Theta) W for every set.  The guarded
-    inverse of M that the approx planner uses (``_SchurGains.inverse``),
-    taken when the scorer is built, gives the sensitivity
-    c = (I - Theta) M^-T 1 and, through one product per chunk, every set's
-    fixed point z0.  Adversary j's gain on agent i is p c_i (z0_j - (W z0)_i);
+    all n agents with M = I - (I - Theta) W for every set, and no set is
+    pinned out of it.  So the planner's leader tree, which pins, has
+    nothing to read here: only its root, the guarded inverse of M
+    (``_SchurGains.inverse``), taken when the scorer is built, gives the
+    sensitivity c = (I - Theta) M^-T 1 and, through one product per chunk,
+    every set's fixed point z0.  Adversary j's gain on agent i is p c_i (z0_j - (W z0)_i);
     each adversary keeps its top target-budget eligible targets with a
     positive gain.  A boolean stack marks them, ``adversary._reweighted``
     re-weights W by the attack's one rule, and the chunk's n x n systems

@@ -14,38 +14,39 @@ The first-order score of pointing one more adversary at agent i is
 
     m_i = p * (1 - r_i) * c_i
 
-where r_i is the opinion mass row i already receives at the unattacked
-pinned fixed point (weighted base opinions of its unpinned in-neighbors
-plus the weight it places on adversaries, which broadcast 1), and c_i
+where r_i = (W z)_i is the opinion mass row i already receives at the
+unattacked pinned fixed point z (adversaries broadcast 1), and c_i
 measures how strongly a unit injected into agent i's mixing moves g.
-Writing M = I - (I - Theta_U) W_UU for the restricted system, c is
+Writing M = I - (I - Theta) W and U for the unpinned agents, c is
 
-    c = (I - Theta_U) M^-T 1
+    c = (I - Theta_U) (M_UU)^-T 1.
 
-so both the base fixed point and c come from one inverse of the full
-unrestricted system (``_SchurGains``).
 Gains are nonnegative up to rounding and additive to first order when
 several adversaries pick the same target.
 
+One kernel, ``_SchurGains``, gives every set's z and gains.  It inverts
+the full n x n system M once per search.  A node of the leader tree is a
+sorted partial set S with R = (M_UU)^-1 embedded in n x n, z and 1^T R;
+pinning one more agent is one rank-1 downdate of all three
+(``_SchurGains.pin``), and m = p (1 - W z) (1 - Theta) 1^T R.  A set is
+read off its canonical node: the set pinned from the root in index order,
+its last agent applied to z and 1^T R only.  Every step is elementwise or
+a per-set one-row product, so a set reads the same bits whichever stack
+carries it and whether the tree, marginal_gains or solve_follower reaches
+it.
+
 Every search scores stacks of at most LEADER_CHUNK sets: a scorer yields
 the exact g of batches of configurations, and ``_Argmax`` keeps the
-lexicographic argmax.  Approx solve_attack picks the sets to score with
-the leader tree (``_leader_tree``, below); the exact pass, the oracle,
-one-set solve_follower and the ablation's drifting models walk their sets
-with ``_leader_search``.  The ablation's pinned models run the approx
-search itself, at p = 0 when targeting is off.
+lexicographic argmax.  solve_attack and solve_follower run one entry,
+``_search``, in either mode; it walks the sets with the leader tree.  The
+oracle and the ablation's drifting models walk every set with
+``_leader_search``.  The ablation's pinned models run the approx search
+itself, at p = 0 when targeting is off.
 
-* The approx scorer gets z0 and c from ``_SchurGains``, which inverts
-  the full n x n system I - (I - Theta) W once per search;
-  ``_schur_gains`` reads every set's z0 and c off that inverse through
-  the Schur complement, with one one-row product per set and one
-  batched k x k solve each.  Every product is per set, so a set reads
-  the same numbers whichever stack it rides in.  ``_top_targets`` (a masked stable top-budget
-  selection, shared with the ablation's unpinned scorer) picks the
-  targets, and one batched solve re-scores the re-weighted systems.  The
-  full system passes ``linalg.invert_conditioned``; every set's
-  restricted system, its k x k pivot block and its re-scored system pass
-  ``linalg.check_conditioned``.
+* The approx scorer picks each adversary's targets with ``_top_targets``
+  (a masked stable top-budget selection, shared with the ablation's
+  unpinned scorer), and one batched solve re-scores the re-weighted
+  systems.
 * The exact scorer serves exact solve_attack, exact solve_follower and
   brute_force_oracle.  Each agent's within-budget target subsets are a
   table of boolean masks in canonical (size, lex) order; a set keeps the
@@ -53,42 +54,43 @@ search itself, at p = 0 when targeting is off.
   last adversary fastest (itertools.product order).  CONFIG_CHUNK
   configurations at a time are stacked, guarded and solved together.
 
-solve_attack and solve_follower run one entry, ``_search``, in either
-mode.  Exact mode prunes with a certified bound.  For a set A, z0 its base
-fixed point and m its gains, every targeting T obeys
+Both modes prune with certified bounds.  For a set A, z its pinned fixed
+point and m its gains, every targeting T obeys
 
-    g(A, T) <= sum(z0) + |A| + sum over adversaries j of sum_{i in T_j} m_i
+    g(A, T) <= sum(z) + sum over adversaries j of sum_{i in T_j} m_i
 
 because the remainder is -1^T M'^-1 Delta M^-1 D (1 - r) <= 0: M and the
 re-weighted M' are nonsingular M-matrices, so their inverses are entrywise
 nonnegative (Berman & Plemmons, ch. 6), Delta >= 0, and the received mass
 r <= 1 (W's rows sum to 1 and opinions lie in [0, 1]).  Its maximum over T,
-UB(A), adds each adversary's top-budget positive gains to sum(z0) + |A|:
-exactly what the approx scorer assembles.  So the approx search runs first;
-its best g, an exact evaluation of a feasible configuration, is the
-incumbent.  The exact scorer then visits only the scored sets with UB(A) >=
-incumbent - slack and solves only their configurations whose own bound
-clears the same threshold.  The comparisons are non-strict, so every bitwise
-tie still reaches the tie rule.  The slack (``_SchurGains.slack``) is 64 n
-eps kappa_1(M) max(|g|, n), one rounding rule that grows with the
-conditioning of the full system.  Every set still passes the cap check, and
-follower_candidates still counts every configuration of every set, solved or
-certified unable to win.  brute_force_oracle stays exhaustive: it is the
-reference the pruned search is tested against.
+UB(A), adds each adversary's top-budget positive gains to sum(z): exactly
+what the approx scorer assembles.  Exact mode scores each leaf chunk in one
+visit: first with its approx configurations, whose exact g can raise the
+incumbent, then with the exact scorer, which skips a set whose UB(A) is
+below the live threshold incumbent - slack before decoding any of its
+configurations, and solves only the configurations whose own bound reaches
+it.  g lies in [0, n], so the slack is constant and the threshold only
+rises: whatever was pruned early lies below the final threshold too.  The
+comparisons are non-strict, so every bitwise tie still reaches the tie
+rule.  The slack (``_SchurGains.slack``) is 64 n eps kappa_1(M) max(|g|,
+n), one rounding rule that grows with the conditioning of the full system.
+Every set still passes the cap check, and follower_candidates still counts
+every configuration of every set, solved or certified unable to win.
+brute_force_oracle stays exhaustive: it is the reference the pruned search
+is tested against.
 
-Approx mode does not enumerate adversary sets: ``_leader_tree`` runs a
-certified branch-and-bound over them.  Pinned g0(A) = sum(z0) + |A| is
-monotone and submodular in A (Gionis, Terzi & Tsaparas, "Opinion
-Maximization in Social Networks", SDM 2013).  Read z_i(A) off a walk from
-i: at agent j it is absorbed with value 1 if j is in A; else it stops with
-value s_j with probability theta_j, or moves to k with probability
-(1 - theta_j) w_jk.  Couple it with the walk that ignores A, stopping at
-X_T.  Then z_i(A) = E[s_{X_T}] + E[(1 - s_{X_T}) 1{the walk meets A by
-T}]: the indicator is a coverage function of A and 1 - s >= 0, so every
-z_i, and g0 = sum_i z_i, is monotone and submodular.  Hence for A
+The leader tree (``_branch_and_bound``) does not enumerate adversary sets.
+Pinned g0(A) = sum(z) is monotone and submodular in A (Gionis, Terzi &
+Tsaparas, "Opinion Maximization in Social Networks", SDM 2013).  Read
+z_i(A) off a walk from i: at agent j it is absorbed with value 1 if j is in
+A; else it stops with value s_j with probability theta_j, or moves to k
+with probability (1 - theta_j) w_jk.  Couple it with the walk that ignores
+A, stopping at X_T.  Then z_i(A) = E[s_{X_T}] + E[(1 - s_{X_T}) 1{the walk
+meets A by T}]: the indicator is a coverage function of A and 1 - s >= 0,
+so every z_i, and g0 = sum_i z_i, is monotone and submodular.  Hence for A
 containing S, g0(A) <= g0(S) + sum over v in A - S of Delta_v(S), with
 Delta_v(S) = g0(S + {v}) - g0(S).  The gains only fall as A grows: for
-unpinned i, 1 - r_i falls because pinning agents at 1 raises z0, and c_i
+unpinned i, 1 - r_i falls because pinning agents at 1 raises z, and c_i
 falls because the inverse of a principal submatrix of an M-matrix is
 entrywise nonnegative and at most the same block of the full inverse.  So
 an adversary's top-budget gains under A are at most top_j(m(S)), its
@@ -99,25 +101,24 @@ candidates C
                          + the largest k - |S| values of
                            Delta_v(S) + top_v(m(S)) over v in C.
 
-The tree grows sorted sets: the children of S are S + {v} for v > max S.
-A node carries R, the restricted inverse (M_UU)^-1 embedded in n x n, and
-z, its pinned fixed point; a child is one rank-1 downdate of its parent
-(``_SchurGains.pin``), and every number of the bound is read off (R, z)
-with no solve (``_SchurGains.scores``).  A greedy dive (the lazy-greedy
-seed of Leskovec et al., KDD 2007) scores its set first.  A child is
-dropped only when its bound, from the parent's data, is strictly below
-incumbent - slack, so no set that could win or tie is lost; the leaves
-are scored by the approx scorer, whose per-set numbers do not depend on
-the stack, and the argmax does not depend on the order: the plan is full
+The tree grows sorted sets: the children of S are S + {v} for v > max S,
+and every number of the bound is read off a node with no solve
+(``_SchurGains.scores``).  A greedy dive (the lazy-greedy seed of Leskovec
+et al., KDD 2007) chooses the first set to score.  A child is dropped only
+when its bound, from the parent's data, is strictly below incumbent -
+slack, so no set that could win or tie is lost; the leaves are read off
+their parents (``_SchurGains.leaves``) with the bits of their canonical
+nodes, and the argmax does not depend on the order: the plan is full
 enumeration's, bit for bit.  An unscored set still counts in
 leader_evaluations (and, in exact mode, its configurations in
 follower_candidates) as covered.
 
-``check_conditioned`` clears a stack by a diagonal-dominance bound, or
-else by the exact rcond; both guards name the adversary set they reject.
-``marginal_gains`` and approx ``solve_follower`` run the same kernel and
-scorer on a one-set stack.  Every exact score, stacked or one at a time
-(``adversarial_outcome``), builds its system with
+The full system passes ``linalg.invert_conditioned``; every scored set's
+restricted system and every re-scored system pass
+``linalg.check_conditioned``, which clears a stack by a diagonal-dominance
+bound, or else by the exact rcond, and names the adversary set it rejects.
+A node read divides only by pivots R_vv >= 1.  Every exact score, stacked
+or one at a time (``adversarial_outcome``), builds its system with
 ``adversary._reweighted_systems``; only the LAPACK solve differs.
 
 Tie-breaking is deterministic everywhere: higher g wins, then the smaller
@@ -181,17 +182,19 @@ class AttackPlan:
     upper_bound is, in approx and exact mode, the largest first-order
     bound UB(A) over the scored sets, which is the largest over every
     set: an unscored set's UB(A) lies below the best g, which is at most
-    the winner's UB(A).  No configuration of any set has a larger exact
-    g, up to the rounding slack, so an approx plan's certified gap is
-    upper_bound - predicted_g.  The oracle reports its best g, which its
-    exhaustive search certifies.
+    the winner's UB(A).  Each set's UB(A) is read off its canonical node,
+    so both modes report the same bits.  No configuration of any set has
+    a larger exact g, up to the rounding slack, so an approx plan's
+    certified gap is upper_bound - predicted_g.  The oracle reports its
+    best g, which its exhaustive search certifies.
 
     follower_candidates counts, in exact mode and for the oracle, every
     configuration of every searched set, which equals count_configurations
     over the searched leader sizes.  The oracle solves each one; exact
-    mode solves only those its bounds cannot rule out and certifies the
-    rest.  In approx mode it counts one configuration per set, so it
-    equals leader_evaluations.  wall_time is in seconds.
+    mode, in its one pass over the leader tree, solves only those its
+    bounds cannot rule out and certifies the rest.  In approx mode it
+    counts one configuration per set, so it equals leader_evaluations.
+    wall_time is in seconds.
     """
 
     config: AttackConfig
@@ -242,21 +245,22 @@ def marginal_gains(params, adversaries, p=DEFAULT_P):
 
         m_i = p * (1 - r_i) * c_i      for unpinned i,  m_i = 0 otherwise.
 
-    z0 and c are read off the inverse of the full system I - (I - Theta) W
-    (``_schur_gains`` on a one-set stack), so their rounding grows with
-    kappa_1 of that system, not of the restricted one.  The set's restricted
-    system and its block of the inverse pass ``check_conditioned``.
+    z0 and c are read off the set's node in the leader tree
+    (``_SchurGains.read``), which pins the set into the inverse of the full
+    system I - (I - Theta) W one agent at a time, so their rounding grows
+    with kappa_1 of that system, not of the restricted one.  The set's
+    restricted system passes ``check_conditioned`` first.
     """
     adversaries, p = _check_adversary_set(params.network, adversaries, p)
     stack = np.array([adversaries])
     blocks = _restricted_blocks(params, stack)
-    label = _set_label(stack)
-    _check_restricted(blocks, label)
-    z0, gain = _SchurGains(params, p)(stack, blocks, label)
+    _check_restricted(blocks, _set_label(stack))
+    z, gain = _SchurGains(params, p).read(stack)
+    unpinned = blocks[1][0]
     return MarginalGains(
         adversaries=adversaries,
-        unpinned=tuple(blocks[1][0].tolist()),
-        base_fixed_point=z0[0],
+        unpinned=tuple(unpinned.tolist()),
+        base_fixed_point=z[0, unpinned],
         gain=gain[0],
     )
 
@@ -287,63 +291,36 @@ def _top_targets(gain, eligible, budgets):
     return eligible & (np.argsort(order, axis=2) < budgets[:, :, None])
 
 
-def _schur_gains(minv, adversaries, blocks, p, label):
-    """Base fixed point z0 over U and the (sets, n) gains of a stack of sets.
-
-    ``minv`` is the inverse of the full M = I - (I - Theta) W and
-    ``blocks`` the stack's _restricted_blocks.  With A a set and U the
-    rest, (M_UU)^-1 = Minv_UU - Minv_UA (Minv_AA)^-1 Minv_AU (Hager 1989),
-    so z0 = (M_UU)^-1 b_U and c = (I - Theta_U) (M_UU)^-T 1 cost one
-    (sets, n) @ (n, n) product each and a k x k solve against Minv_AA,
-    resp. its transpose; the gains are those of marginal_gains.  Every
-    Minv_AA passes ``check_conditioned``, naming set b by ``label(b)``.
-    """
-    sets, k = adversaries.shape
-    rows = np.arange(sets)[:, None]
-    pinned, unpinned, w_uu, w_ua, open_minded, base_rhs = blocks
-    minv_aa = minv[adversaries[:, :, None], adversaries[:, None, :]]
-    check_conditioned(minv_aa, label)
-    adversary_mass = w_ua.sum(axis=2)
-    rhs = np.zeros(pinned.shape)
-    rhs[rows, unpinned] = base_rhs + open_minded * adversary_mass
-    # Stacked one-row products, not one GEMM over the stack: a GEMM's
-    # rounding depends on how many sets share it, and a set must read the
-    # same z0 and gains whichever stack it rides in.
-    y = np.matmul(rhs[:, None, :], minv.T)[:, 0]
-    t = np.linalg.solve(minv_aa, y[rows, adversaries][:, :, None])
-    # minv.T[adversaries][b, a, i] = Minv[i, A_a]: Minv_UA t for every row.
-    z0 = (y[:, None, :] - np.matmul(t.transpose(0, 2, 1), minv.T[adversaries]))[:, 0]
-    v = np.matmul(np.where(pinned, 0.0, 1.0)[:, None, :], minv)[:, 0]
-    u = np.linalg.solve(minv_aa.transpose(0, 2, 1), v[rows, adversaries][:, :, None])
-    c = (v[:, None, :] - np.matmul(u.transpose(0, 2, 1), minv[adversaries]))[:, 0]
-    z0, c = z0[rows, unpinned], open_minded * c[rows, unpinned]
-    received = np.matmul(w_uu, z0[:, :, None])[:, :, 0] + adversary_mass
-    gain = np.zeros(pinned.shape)
-    gain[rows, unpinned] = p * (1.0 - received) * c
-    return z0, gain
-
-
 class _SchurGains:
-    """z0 and gains off one inverse of the full system M = I - (I - Theta) W.
+    """The leader tree's nodes, and every set's z and gains read off them.
 
-    Calling it runs _schur_gains on a stack of sets.  M passes
-    ``invert_conditioned`` when first needed, so a caller can guard sets'
-    restricted systems before the full system.
+    M = I - (I - Theta) W is inverted once, through ``invert_conditioned``,
+    when first needed, so a caller can guard sets' restricted systems
+    before the full system.  A node is a sorted partial set S with three
+    arrays: R, the restricted inverse (M_UU)^-1 embedded in n x n with zero
+    rows and columns on S; z, the pinned fixed point, 1 on S; and 1^T R,
+    zero on S.  Nodes travel as stacks (sets, R, z, 1^T R) of shapes
+    (m, |S|), (m, n, n), (m, n) and (m, n).  The root pins nobody.
 
-    The other methods serve the leader tree.  A node is a sorted partial
-    set S with two arrays: R, the restricted inverse (M_UU)^-1 embedded in
-    n x n with zero rows and columns on S, and z, the pinned fixed point,
-    1 on S.  Nodes travel as stacks (sets, R, z) of shapes (m, |S|),
-    (m, n, n) and (m, n).
+    A set's z and gains come from its canonical node: the set pinned from
+    the root in index order, which is how the tree reaches it, with its
+    last agent applied to z and 1^T R only (``leaves``, ``read``).  Every
+    step is elementwise or a per-set one-row product, so a set reads the
+    same bits whichever stack carries it and whichever caller reaches it.
     """
 
     def __init__(self, params, p):
+        network = params.network
         self.params = params
         self.system = np.eye(params.n) - (1.0 - params.stubbornness)[:, None] * params.influence
         self.p = p
+        # Agent j may target its out-neighbours other than itself.
+        self.others = network.support_mask().T & ~np.eye(params.n, dtype=bool)
+        self.budgets = np.array([network.target_budget(j) for j in range(params.n)])
         self.minv = None
         self.kappa = None
-        self.targets = None
+        self.start = None
+        self.last = None, None
 
     def inverse(self):
         if self.minv is None:
@@ -351,20 +328,16 @@ class _SchurGains:
             self.minv = full[0]
         return self.minv
 
-    def __call__(self, adversaries, blocks, label):
-        return _schur_gains(self.inverse(), adversaries, blocks, self.p, label)
-
     def slack(self, g):
         """Rounding allowance when a computed first-order bound meets a computed g.
 
         Both are sums of n entries.  The systems solved for g have inverses
         entrywise at most M^-1: each is a principal submatrix of the
-        M-matrix M, or one with smaller off-diagonal weights.  The Schur
-        gains and the tree's nodes are read off M^-1 itself.  So each
-        entry's error stays within a few ulps of max(|g|, n) times
-        kappa_1(M) = ||M||_1 ||M^-1||_1.  The allowance is
-        64 n eps kappa_1(M) max(|g|, n), with recovery's multiplier for its
-        own optimality test; it is never zero.
+        M-matrix M, or one with smaller off-diagonal weights.  The nodes
+        are read off M^-1 itself.  So each entry's error stays within a few
+        ulps of max(|g|, n) times kappa_1(M) = ||M||_1 ||M^-1||_1.  The
+        allowance is 64 n eps kappa_1(M) max(|g|, n), with recovery's
+        multiplier for its own optimality test; it is never zero.
         """
         n = len(self.system)
         if self.kappa is None:
@@ -373,61 +346,106 @@ class _SchurGains:
             )
         return 64.0 * n * np.finfo(float).eps * self.kappa * max(abs(g), n)
 
+    def threshold(self, g):
+        """The least bound that can still beat or tie an incumbent g."""
+        return g - self.slack(g)
+
     def root(self):
         """The tree's root: nobody pinned, R = M^-1 and z = M^-1 Theta s."""
-        params = self.params
-        if self.targets is None:
-            network = params.network
-            others = network.support_mask().T & ~np.eye(params.n, dtype=bool)
-            budgets = np.array([network.target_budget(j) for j in range(params.n)])
-            self.targets = others[None], budgets[None]
-        minv = self.inverse()
-        z = minv @ (params.stubbornness * params.intrinsic)
-        return np.empty((1, 0), dtype=np.intp), minv[None], z[None]
+        if self.start is None:
+            params = self.params
+            minv = self.inverse()
+            z = minv @ (params.stubbornness * params.intrinsic)
+            nobody = np.empty((1, 0), dtype=np.intp)
+            self.start = nobody, minv[None], z[None], minv.sum(axis=0)[None]
+        return self.start
+
+    def marginal(self, z, reach):
+        """m = p (1 - W z) (1 - Theta) 1^T R of a stack of nodes' z and 1^T R.
+
+        W z is one one-row product per node, not one GEMM over the stack,
+        whose rounding would depend on how many nodes share it.  m is zero
+        on S, where 1^T R is.
+        """
+        received = np.matmul(z[:, None, :], self.params.influence.T)[:, 0]
+        return self.p * (1.0 - received) * (1.0 - self.params.stubbornness) * reach
 
     def scores(self, nodes):
-        """(base, s) of a stack of nodes, read off (R, z) with no solve.
+        """(base, s) of a stack of nodes, read off (R, z, 1^T R) with no solve.
 
-        The gains are m = p (1 - W z) (1 - Theta) 1^T R, zero on S, and
         top_j is agent j's top-budget positive gains over its out-neighbours
-        other than itself (``_top_targets``).  S is where R's diagonal is
-        0; elsewhere it is at least 1 (see ``pin``).  Pinning v adds
+        other than itself (``_top_targets``).  S is where R's diagonal is 0;
+        elsewhere it is at least 1 (see ``pin``).  Pinning v adds
         (1 - z_v) R[:, v] / R_vv to z, so g0 rises by
         Delta_v = (1 - z_v) (1^T R)_v / R_vv.  base = g0(S) + the sum of
         top_j over j in S, with g0(S) = sum(z); s_v = Delta_v + top_v for v
         outside S and -inf on S.
         """
-        _, inverse, z = nodes
-        params = self.params
+        _, inverse, z, reach = nodes
         diagonal = np.diagonal(inverse, axis1=1, axis2=2)
         pinned = diagonal == 0.0
-        reach = inverse.sum(axis=1)
-        gain = self.p * (1.0 - z @ params.influence.T) * (1.0 - params.stubbornness) * reach
-        others, budgets = self.targets
-        top = np.where(_top_targets(gain[:, None, :], others, budgets), gain[:, None, :], 0.0)
+        gain = self.marginal(z, reach)[:, None, :]
+        top = np.where(_top_targets(gain, self.others[None], self.budgets[None]), gain, 0.0)
         top = top.sum(axis=2)
         delta = (1.0 - z) * reach / np.where(pinned, 1.0, diagonal)
         scores = np.where(pinned, -np.inf, delta + top)
         return z.sum(axis=1) + np.where(pinned, top, 0.0).sum(axis=1), scores
 
+    def _step(self, nodes, owner, v):
+        """(R[:, v], R[v, :] / R_vv, z', 1^T R') of the children S + {v[c]}
+        of nodes owner[c]: z' = z + (1 - z_v) R[:, v] / R_vv and
+        1^T R' = 1^T R - (1^T R)_v R[v, :] / R_vv, with z'_v = 1 and
+        (1^T R')_v = 0."""
+        _, inverse, z, reach = nodes
+        c = np.arange(len(v))
+        z, reach, column = z[owner], reach[owner], inverse[owner, :, v]
+        pivot = column[c, v]
+        row = inverse[owner, v, :] / pivot[:, None]
+        z += ((1.0 - z[c, v]) / pivot)[:, None] * column
+        reach -= reach[c, v][:, None] * row
+        z[c, v], reach[c, v] = 1.0, 0.0
+        return column, row, z, reach
+
     def pin(self, nodes, owner, v):
         """The children S + {v[c]} of nodes owner[c]: one rank-1 downdate each.
 
-        R' = R - R[:, v] R[v, :] / R_vv and z' = z + (1 - z_v) R[:, v] / R_vv,
-        with row and column v of R' zeroed and z'_v = 1.  The pivot R_vv is
-        at least 1, since M^-1 = sum of B^t >= I for the M-matrix M = I - B.
+        R' = R - R[:, v] R[v, :] / R_vv with row and column v zeroed, and z'
+        and 1^T R' as ``_step`` gives them.  The pivot R_vv is at least 1,
+        since M^-1 = sum of B^t >= I for the M-matrix M = I - B.
         """
-        sets, inverse, z = nodes
+        column, row, z, reach = self._step(nodes, owner, v)
         c = np.arange(len(v))
-        inverse, z = inverse[owner], z[owner]
-        column = inverse[c, :, v]
-        pivot = column[c, v]
-        inverse -= column[:, :, None] * (inverse[c, v, :] / pivot[:, None])[:, None, :]
+        inverse = nodes[1][owner]
+        inverse -= column[:, :, None] * row[:, None, :]
         inverse[c, v, :] = 0.0
         inverse[c, :, v] = 0.0
-        z += ((1.0 - z[c, v]) / pivot)[:, None] * column
-        z[c, v] = 1.0
-        return np.concatenate([sets[owner], v[:, None]], axis=1), inverse, z
+        return np.concatenate([nodes[0][owner], v[:, None]], axis=1), inverse, z, reach
+
+    def leaves(self, nodes, owner, v):
+        """The sets S + {v[c]} of nodes owner[c], read without building R.
+
+        Their (z, gains) are kept, so ``read`` of the returned stack, by
+        the scorers that score it next, does not pin them again.
+        """
+        _, _, z, reach = self._step(nodes, owner, v)
+        sets = np.concatenate([nodes[0][owner], v[:, None]], axis=1)
+        self.last = sets, (z, self.marginal(z, reach))
+        return sets
+
+    def read(self, adversaries):
+        """(z, gains) of a (sets, k) stack of sorted sets, off their canonical nodes.
+
+        z is the pinned fixed point (1 on the set) and the gains are zero
+        on the set.
+        """
+        if self.last[0] is not adversaries:
+            sets, k = adversaries.shape
+            nodes, owner = self.root(), np.zeros(sets, dtype=np.intp)
+            for col in range(k - 1):
+                nodes, owner = self.pin(nodes, owner, adversaries[:, col]), np.arange(sets)
+            self.leaves(nodes, owner, adversaries[:, -1])
+            self.last = adversaries, self.last[1]
+        return self.last[1]
 
 
 def _child_bounds(sets, base, scores, k):
@@ -462,22 +480,19 @@ def _check_restricted(blocks, label):
 
 
 def _approx_scorer(params, p, gains, bounds):
-    """score(chunk) for _leader_search: the approx follower of every set.
+    """score(chunk), as _Argmax takes it: the approx follower of every set.
 
     Yields one batch per chunk: the exact g of every set's chosen targets,
-    the (sets, k, n) boolean choice mask and the set indices.  z0 and the
-    gains come from ``gains`` (a _SchurGains), as in marginal_gains; the
-    re-score builds its systems as adversarial_outcome does.  Each chunk's
-    first-order bounds UB(A) = sum(z0) + k + the chosen gains, which no
-    configuration of A exceeds, are appended to ``bounds`` as one array.
-    Every product is per set, so a set's g, targets and UB(A) do not depend
-    on which sets share its chunk.  Each set's restricted M_UU and
+    the (sets, k, n) boolean choice mask and the set indices.  z and the
+    gains come from the sets' canonical nodes (``gains.read``, gains a
+    _SchurGains), as in marginal_gains; the re-score builds its systems as
+    adversarial_outcome does.  Each chunk's first-order bounds
+    UB(A) = sum(z) + the chosen gains, which no configuration of A
+    exceeds, are appended to ``bounds`` as one array.  Every product is
+    per set, so a set's g, targets and UB(A) do not depend on which sets
+    share its chunk.  Each set's restricted M_UU, before its read, and its
     re-weighted system pass ``check_conditioned``.
     """
-    network = params.network
-    n = params.n
-    listeners = network.support_mask().T
-    budgets = np.array([network.target_budget(j) for j in range(n)])
 
     def score(adversaries):
         sets, k = adversaries.shape
@@ -486,11 +501,10 @@ def _approx_scorer(params, p, gains, bounds):
         pinned, unpinned, w_uu, w_ua, open_minded, base_rhs = blocks
         label = _set_label(adversaries)
         _check_restricted(blocks, label)
-        z0, gain = gains(adversaries, blocks, label)
-        chosen = _top_targets(
-            gain[:, None, :], listeners[adversaries] & ~pinned[:, None, :], budgets[adversaries]
-        )
-        bounds.append(z0.sum(axis=1) + k + np.einsum("bkn,bn->b", chosen, gain))
+        fixed, gain = gains.read(adversaries)
+        eligible = gains.others[adversaries] & ~pinned[:, None, :]
+        chosen = _top_targets(gain[:, None, :], eligible, gains.budgets[adversaries])
+        bounds.append(fixed.sum(axis=1) + np.einsum("bkn,bn->b", chosen, gain))
         matrix, rhs = _reweighted_systems(
             w_uu, w_ua, open_minded, base_rhs, chosen[rows, :, unpinned], p
         )
@@ -561,47 +575,29 @@ def _leader_search(leader_sets, score):
     return best.key, best.g, sets, best.configs
 
 
-def _leader_tree(params, gains, sizes, score):
-    """Certified branch-and-bound over the adversary sets of ``sizes``.
-
-    Scores, with ``score`` (the approx scorer), every set that could beat
-    or tie the best g found so far, and returns the argmax of full
-    enumeration, ((adversaries, items), g).  The first LEADER_CHUNK sets
-    in enumeration order have their restricted systems guarded before the
-    full system is inverted, so a rejected set is named first.  The sizes
-    run largest first and share one incumbent.
-    """
-    first = next(_chunks([combinations(range(params.n), k) for k in sorted(sizes)]))
-    _check_restricted(_restricted_blocks(params, first), _set_label(first))
-    best = _Argmax()
-    for k in sorted(sizes, reverse=True):
-        _branch_and_bound(gains, k, score, best)
-    return best.key, best.g
-
-
 def _branch_and_bound(gains, k, score, best):
-    """One size of _leader_tree, sharing ``best`` (an _Argmax).
+    """Certified branch-and-bound over the size-k sets, sharing ``best`` (an _Argmax).
 
-    The size is skipped when no child of the root reaches the incumbent
-    - ``gains.slack``.  Otherwise a greedy dive from the root sets the first
-    incumbent: k rank-1 steps, each pinning the agent with the largest
-    s_v = Delta_v + top_v (the lowest index on a tie); the set it ends at
-    is scored.  The tree then grows sorted sets depth first, LEADER_CHUNK
-    children at a time, best bound first.  A child is dropped, before its
-    (R, z) is built, only when its bound from the parent's data
-    (``_child_bounds``) is strictly below the incumbent - ``gains.slack``,
-    so every set that could win or tie bitwise reaches the tie rule.  The
-    children at depth k are the leaves, scored LEADER_CHUNK at a time.  At
-    most one chunk of nodes per depth is held at once, so memory stays
+    Scores, with ``score``, every set that could beat or tie the best g
+    found so far, so ``best`` ends as the argmax of full enumeration.  The
+    size is skipped when no child of the root reaches the threshold
+    ``gains.threshold(best.g)``.  Otherwise a greedy dive from the root
+    chooses the first set to score: k - 1 rank-1 steps, each pinning the
+    agent with the largest s_v = Delta_v + top_v (the lowest index on a
+    tie), then the best such agent of the last node.  The tree then grows
+    sorted sets depth first, LEADER_CHUNK children at a time, best bound
+    first.  A child is dropped, before its (R, z) is built, only when its
+    bound from the parent's data (``_child_bounds``) is strictly below the
+    threshold, so every set that could win or tie bitwise reaches the tie
+    rule.  The children at depth k are the leaves: ``gains.leaves`` reads
+    them off their parents and ``score`` gets them LEADER_CHUNK at a time.
+    At most one chunk of nodes per depth is held at once, so memory stays
     O(k LEADER_CHUNK n^2).
     """
     stack = []
 
-    def threshold():
-        return best.g - gains.slack(best.g)
-
     def expand(nodes, bound):
-        owner, v = np.nonzero(bound >= threshold())
+        owner, v = np.nonzero(bound >= gains.threshold(best.g))
         bound = bound[owner, v]
         order = np.argsort(-bound, kind="stable")
         for lo in reversed(range(0, len(order), LEADER_CHUNK)):
@@ -611,29 +607,27 @@ def _branch_and_bound(gains, k, score, best):
     root = gains.root()
     base, scores = gains.scores(root)
     bound = _child_bounds(root[0], base, scores, k)
-    if best.key is not None and not (bound >= threshold()).any():
+    if best.key is not None and not (bound >= gains.threshold(best.g)).any():
         return
     nodes = root
-    for step in range(k):
-        if step:
-            _, scores = gains.scores(nodes)
+    for _ in range(k - 1):
         nodes = gains.pin(nodes, np.zeros(1, dtype=np.intp), np.argmax(scores, axis=1))
-    greedy = np.sort(nodes[0], axis=1)
+        _, scores = gains.scores(nodes)
+    greedy = np.sort(np.concatenate([nodes[0], np.argmax(scores, axis=1)[:, None]], axis=1))
     best.score(score, greedy)
     expand(root, bound)
     while stack:
         nodes, owner, v, bound = stack.pop()
-        keep = bound >= threshold()
+        keep = bound >= gains.threshold(best.g)
         owner, v = owner[keep], v[keep]
         if nodes[0].shape[1] < k - 1:
             if len(v):
                 children = gains.pin(nodes, owner, v)
                 expand(children, _child_bounds(children[0], *gains.scores(children), k))
             continue
-        leaves = np.concatenate([nodes[0][owner], v[:, None]], axis=1)
-        leaves = leaves[(leaves != greedy).any(axis=1)]
-        if len(leaves):
-            best.score(score, leaves)
+        fresh = (nodes[0][owner] != greedy[:, :-1]).any(axis=1) | (v != greedy[0, -1])
+        if fresh.any():
+            best.score(score, gains.leaves(nodes, owner[fresh], v[fresh]))
 
 
 def _space_sizer(network):
@@ -681,7 +675,7 @@ def _subset_masks(network, agent, budget):
 
 
 def _exact_scorer(params, p, prune=None):
-    """score(chunk) for _leader_search: every joint target choice of every set.
+    """score(chunk), as _Argmax takes it: every joint target choice of every set.
 
     Adversary a may target at most its target budget of eligible
     out-neighbours.  Its choices are rows of a per-agent table of masks in
@@ -691,10 +685,16 @@ def _exact_scorer(params, p, prune=None):
     decoded; those kept are stacked, guarded by ``linalg.check_conditioned``
     and solved together.
 
-    With ``prune = (gains, threshold)``, gains a _SchurGains, a decoded
-    configuration is stacked only if its first-order bound, sum(z0) + k
-    plus the gains of its targets (each table row's sum taken once per
-    set), reaches ``threshold``; the others are left unsolved.
+    With ``prune = (gains, best)``, gains a _SchurGains and best the
+    search's _Argmax, the threshold is the live ``gains.threshold(best.g)``
+    and a configuration's first-order bound is sum(z) plus the gains of its
+    targets (each table row's sum taken once per set), z and the gains read
+    off the set's canonical node (``gains.read``).  A set whose largest
+    bound, UB(A), is below the threshold is skipped before any of its
+    configurations is decoded.  Rounding is monotone, so UB(A) is bitwise
+    the largest of its configurations' bounds.  Of the other sets, a
+    decoded configuration is stacked only if its own bound reaches the
+    threshold; the rest are left unsolved.
     """
     network = params.network
     tables = {}
@@ -711,9 +711,9 @@ def _exact_scorer(params, p, prune=None):
         blocks = _restricted_blocks(params, adversaries)
         _, unpinned, *system = blocks
         if prune is not None:
-            gains, threshold = prune
-            z0, gain = gains(adversaries, blocks, label)
-            base = z0.sum(axis=1) + k
+            gains, best = prune
+            fixed, gain = gains.read(adversaries)
+            base = fixed.sum(axis=1)
         # Per adversary column, the rows of its agent's table that avoid the
         # set, grouped by set in canonical order: set b's count[b, col]
         # choices start at kept[col][first[b, col]], and with pruning
@@ -728,6 +728,10 @@ def _exact_scorer(params, p, prune=None):
                 sums.append(np.einsum("rn,rn->r", table[row], gain[which]))
         first = np.cumsum(count, axis=0) - count
         configs = count.prod(axis=1)
+        if prune is not None:
+            # Every set keeps the empty choice, so each reduceat group is nonempty.
+            top = base + sum(np.maximum.reduceat(sums[col], first[:, col]) for col in range(k))
+            configs[top < gains.threshold(best.g)] = 0
         ends = np.cumsum(configs)
         for lo in range(0, int(ends[-1]), CONFIG_CHUNK):
             index = np.arange(lo, min(lo + CONFIG_CHUNK, int(ends[-1])))
@@ -740,7 +744,7 @@ def _exact_scorer(params, p, prune=None):
                 local //= radix
             if prune is not None:
                 bound = base[owner] + sum(sums[col][position[:, col]] for col in range(k))
-                survive = np.flatnonzero(bound >= threshold)
+                survive = np.flatnonzero(bound >= gains.threshold(best.g))
                 if not survive.size:
                     continue
                 owner, position = owner[survive], position[survive]
@@ -759,25 +763,22 @@ def _exact_scorer(params, p, prune=None):
 def _search(params, p, mode, cap, sizes, adversaries=None):
     """The search of solve_attack and solve_follower in follower ``mode``.
 
-    Searches every set of ``sizes``, or, given ``adversaries``, that one
-    set.  Approx mode scores sets with the approx scorer: the one set
-    directly, every set of ``sizes`` through the leader tree
-    (``_leader_tree``), which scores only the sets whose bound reaches the
-    best g so far - slack (``_SchurGains.slack``).  Exact mode prunes with
-    certified bounds.  It first counts every set's configurations,
-    unscored, and every set must stay within ``cap``.  Its first pass is
-    that approx search: its best g is a feasible incumbent, and it gives
-    every scored set's first-order bound UB(A), which no configuration of
-    A exceeds.  The second pass runs the exact scorer over the scored sets
-    with UB(A) >= the final threshold, and stacks only their
-    configurations whose own bound clears it.  A set the tree did not
-    score has UB(A) <= its tree bound, below that threshold.  The
-    comparisons are non-strict, so every set and configuration that could
-    tie the optimum bitwise is solved.
-    Returns ((adversaries, items), g, sets, configurations, max UB(A)).
-    Both counts cover every set: approx mode counts one configuration per
-    set, exact mode all those of every set, solved or certified unable to
-    beat the incumbent.
+    One pass: searches every set of ``sizes`` with the leader tree
+    (``_branch_and_bound``, largest size first, one shared incumbent), or,
+    given ``adversaries``, that one set.  The approx scorer scores each set
+    the search reaches; its g, an exact evaluation of a feasible
+    configuration, can raise the incumbent.  Exact mode first counts every
+    set's configurations, unscored, and every set must stay within
+    ``cap``; then the exact scorer scores each chunk right after the
+    approx scorer, pruned against the live threshold (``_exact_scorer``).
+    The threshold only rises, since g lies in [0, n] and the slack is
+    constant, so whatever it pruned lies below the final one too.  Before
+    the full system is inverted, the restricted systems of the first
+    LEADER_CHUNK sets in enumeration order are guarded, so a rejected set
+    is named first.  Returns ((adversaries, items), g, sets,
+    configurations, max UB(A)).  Both counts cover every set: approx mode
+    counts one configuration per set, exact mode all those of every set,
+    solved or certified unable to beat the incumbent.
     """
     if mode not in ("approx", "exact"):
         raise ValidationError(f"unknown follower mode {mode!r}")
@@ -787,34 +788,26 @@ def _search(params, p, mode, cap, sizes, adversaries=None):
             return [[adversaries]]
         return [combinations(range(params.n), k) for k in sizes]
 
+    gains, best, bounds = _SchurGains(params, p), _Argmax(), []
+    scorers = [_approx_scorer(params, p, gains, bounds)]
     if mode == "exact":
         configs = _count_configurations(params.network, leader_sets(), cap)
-    gains = _SchurGains(params, p)
-    bounds, scored = [], []
-    approx = _approx_scorer(params, p, gains, bounds)
+        scorers.append(_exact_scorer(params, p, prune=(gains, best)))
+    first = next(_chunks(leader_sets()))
 
-    def first_pass(chunk):
-        scored.append(chunk)
-        return approx(chunk)
+    def score(chunk):
+        return chain.from_iterable(scorer(chunk) for scorer in scorers)
 
     if adversaries is not None:
-        key, incumbent, sets, _ = _leader_search(leader_sets(), first_pass)
+        best.score(score, first)
+        sets = 1
     else:
-        key, incumbent = _leader_tree(params, gains, sizes, first_pass)
+        _check_restricted(_restricted_blocks(params, first), _set_label(first))
+        for k in sorted(sizes, reverse=True):
+            _branch_and_bound(gains, k, score, best)
         sets = sum(math.comb(params.n, k) for k in sizes)
     upper = max(float(b.max()) for b in bounds)
-    if mode == "approx":
-        return key, incumbent, sets, sets, upper
-    threshold = incumbent - gains.slack(incumbent)
-    survivors = {}
-    for chunk, ub in zip(scored, bounds):
-        kept = map(tuple, chunk[ub >= threshold].tolist())
-        survivors.setdefault(chunk.shape[1], set()).update(kept)
-    key, best_g, _, _ = _leader_search(
-        [sorted(survivors[k]) for k in sorted(survivors)],
-        _exact_scorer(params, p, prune=(gains, threshold)),
-    )
-    return key, best_g, sets, configs, upper
+    return best.key, best.g, sets, configs if mode == "exact" else sets, upper
 
 
 def solve_attack(
@@ -831,11 +824,13 @@ def solve_attack(
     adversary budget (n - 1) // 3; with ``all_leader_sizes`` every size
     from 1 up to the budget, largest first) by branch and bound, and
     solves the follower problem for each set the bound cannot rule out;
-    the plan is the one solving every set gives.
-    In exact mode every set must stay within ``cap`` configurations, and
-    only the sets and configurations whose first-order bound can reach
-    the approx incumbent are solved.  The returned plan's predicted_g is
-    always an exact evaluation of the winning configuration.
+    the plan is the one solving every set gives.  Both modes walk the
+    tree once.  In exact mode every set must stay within ``cap``
+    configurations, and each set the tree reaches is scored first by
+    its approx configuration, then by the configurations whose
+    first-order bound can still reach the best g found so far.  The
+    returned plan's predicted_g is always an exact evaluation of the
+    winning configuration.
     """
     start = time.perf_counter()
     network = params.network

@@ -53,7 +53,6 @@ from fjattack.optimizer import (
     _chunks,
     _exact_scorer,
     _leader_search,
-    _schur_gains,
     _SchurGains,
 )
 from test_adversary import three_agent_instance
@@ -458,8 +457,9 @@ def bound_instances():
 
 
 def test_first_order_bound_holds_for_every_configuration():
-    # g(A, T) <= sum(z0) + |A| + the gains of T's targets, counted once per
-    # adversary that picks them, up to the stated rounding allowance.
+    # g(A, T) <= sum(z) + the gains of T's targets, counted once per
+    # adversary that picks them, up to the stated rounding allowance; z is
+    # the pinned fixed point, 1 on A.
     checked = 0
     for name, params in bound_instances():
         for p in (1e-3, 0.2):
@@ -467,8 +467,8 @@ def test_first_order_bound_holds_for_every_configuration():
             score = _exact_scorer(params, p)
             for k in range(1, params.network.leader_budget() + 1):
                 sets = np.array(list(combinations(range(params.n), k)))
-                z0, gain = gains(sets, _restricted_blocks(params, sets), str)
-                base = z0.sum(axis=1) + k
+                z, gain = gains.read(sets)
+                base = z.sum(axis=1)
                 for g, chosen, owner in score(sets):
                     bound = base[owner] + (chosen.sum(axis=1) * gain[owner]).sum(axis=1)
                     slack = np.array([gains.slack(x) for x in g])
@@ -502,6 +502,53 @@ def test_pruned_exact_matches_the_oracle():
         assert_pruned_exact_matches_oracle(name, params)
 
 
+def test_exact_mode_is_one_pass(monkeypatch):
+    # Exact solve_attack and exact solve_follower never walk their sets with
+    # _leader_search.  The exact scorer gets each chunk the approx scorer
+    # gets, right after it: the greedy set and the tree's leaves, each once.
+    def walk(*args):
+        raise AssertionError("exact mode walked its sets with _leader_search")
+
+    received = []
+    real_scorers = {
+        name: getattr(fjattack.optimizer, name) for name in ("_approx_scorer", "_exact_scorer")
+    }
+
+    def spy(name):
+        def scorer_spy(*args, **kwargs):
+            score = real_scorers[name](*args, **kwargs)
+
+            def spied(adversaries):
+                received.append((name, tuple(map(tuple, adversaries.tolist()))))
+                return score(adversaries)
+
+            return spied
+
+        return scorer_spy
+
+    for name in real_scorers:
+        monkeypatch.setattr(fjattack.optimizer, name, spy(name))
+    monkeypatch.setattr(fjattack.optimizer, "_leader_search", walk)
+    _, wide = generate(Scenario(topology="erdos_renyi", n=16, seed=11))
+    several = 0
+    for name, params in chain(
+        regime_instances((10, 12), ("erdos_renyi", "ring")), [("erdos_renyi-16", wide)]
+    ):
+        received.clear()
+        plan = solve_attack(params, p=1e-3, follower_mode="exact")
+        approx, exact = received[0::2], received[1::2]
+        assert {scorer for scorer, _ in approx} == {"_approx_scorer"}, name
+        assert [chunk for _, chunk in approx] == [chunk for _, chunk in exact], name
+        sets = [s for _, chunk in exact for s in chunk]
+        assert len(set(sets)) == len(sets) and plan.config.adversaries in sets, name
+        several += len(sets) > 1
+        received.clear()
+        solve_follower(params, plan.config.adversaries, p=1e-3, mode="exact")
+        one = (plan.config.adversaries,)
+        assert received == [("_approx_scorer", one), ("_exact_scorer", one)], name
+    assert several >= 3
+
+
 def test_pruned_exact_keeps_every_tie_at_the_bound(monkeypatch):
     # Star leaves hear only the hub, so a pinned hub's targets all have gain
     # 0 and every configuration of its set ties at the set's bound; the
@@ -520,8 +567,8 @@ def test_pruned_exact_keeps_every_tie_at_the_bound(monkeypatch):
     exact_ties = 0
     for params, oracle in instances:
         sets = np.array([oracle.config.adversaries])
-        z0, _ = _SchurGains(params, 1e-3)(sets, _restricted_blocks(params, sets), str)
-        if z0.sum() + sets.shape[1] == solve_attack(params, p=1e-3).predicted_g:
+        z, _ = _SchurGains(params, 1e-3).read(sets)
+        if z.sum() == solve_attack(params, p=1e-3).predicted_g:
             assert_pruned_exact_matches_oracle("star at zero slack", params)
             exact_ties += 1
     assert exact_ties >= 1
@@ -535,9 +582,9 @@ def test_pruned_exact_keeps_winners_that_undercut_the_incumbent_by_rounding():
         incumbent = solve_attack(params, p=1e-3).predicted_g
         sets = np.array([oracle.config.adversaries])
         gains = _SchurGains(params, 1e-3)
-        z0, gain = gains(sets, _restricted_blocks(params, sets), str)
+        z, gain = gains.read(sets)
         chosen = [i for _, targets in oracle.config.targets for i in targets]
-        bound = z0.sum() + sets.shape[1] + gain[0, chosen].sum()
+        bound = z.sum() + gain[0, chosen].sum()
         # Where bound < incumbent, a zero slack would prune the winner.
         assert bound >= incumbent - gains.slack(incumbent)
         undercut += bound < incumbent
@@ -595,10 +642,10 @@ def test_leader_bound_covers_every_set():
 
 
 def test_tree_downdates_match_direct_restricted_reads():
-    # Every node's R and z, built from M^-1 by one rank-1 downdate per
-    # pinned agent, against the inverse of its restricted M_UU and its
-    # pinned fixed point solved directly.  The tolerance, n eps kappa_1(M),
-    # is a 64n-th of the slack.
+    # Every node's R, z and 1^T R, built from M^-1 by one rank-1 downdate
+    # per pinned agent, against the inverse of its restricted M_UU, its
+    # column sums and its pinned fixed point solved directly.  The
+    # tolerance, n eps kappa_1(M), is a 64n-th of the slack.
     for name, params in regime_instances(range(6, 11)):
         gains = _SchurGains(params, 1e-3)
         n, k = params.n, params.network.leader_budget()
@@ -608,7 +655,7 @@ def test_tree_downdates_match_direct_restricted_reads():
         for _ in range(k):
             owner, v = np.nonzero(np.isfinite(_child_bounds(nodes[0], *gains.scores(nodes), k)))
             nodes = gains.pin(nodes, owner, v)
-            sets, inverse, z = nodes
+            sets, inverse, z, reach = nodes
             rows = np.arange(len(sets))[:, None]
             pinned, unpinned, w_uu, w_ua, open_minded, base_rhs = _restricted_blocks(params, sets)
             restricted = np.eye(n - sets.shape[1]) - open_minded[:, :, None] * w_uu
@@ -622,18 +669,50 @@ def test_tree_downdates_match_direct_restricted_reads():
             scale = np.abs(direct).max(axis=(1, 2))
             assert (np.abs(inverse - direct).max(axis=(1, 2)) <= tolerance * scale).all(), name
             assert np.abs(z - fixed).max() <= tolerance, name
+            error = np.abs(reach - direct.sum(axis=1)).max(axis=1)
+            assert (error <= n * tolerance * scale).all(), name
             # Pinned rows and columns are zeroed exactly, pinned z set to 1.
             assert not inverse[pinned].any() and not inverse.transpose(0, 2, 1)[pinned].any()
-            assert (z[pinned] == 1.0).all()
+            assert (z[pinned] == 1.0).all() and not reach[pinned].any()
 
 
-def test_approx_reads_do_not_depend_on_the_stack():
+def record_approx_reads(monkeypatch):
+    """A list that collects, for every set the approx scorer scores, the
+    set and the bytes of its g, target mask and UB(A)."""
+    reads = []
+    real_scorer = fjattack.optimizer._approx_scorer
+
+    def scorer_spy(params, p, gains, bounds):
+        score = real_scorer(params, p, gains, bounds)
+
+        def spied(adversaries):
+            for g, chosen, owner in score(adversaries):
+                reads.extend(
+                    (tuple(adversaries[b].tolist()), (g[b], chosen[b], bounds[-1][b]))
+                    for b in owner.tolist()
+                )
+                yield g, chosen, owner
+
+        return spied
+
+    monkeypatch.setattr(fjattack.optimizer, "_approx_scorer", scorer_spy)
+    return reads
+
+
+def test_approx_reads_do_not_depend_on_the_stack(monkeypatch):
     # A set's g, target mask and UB(A) are bitwise the same read alone, in
-    # its enumeration chunk or in a shuffled stack, so the tree, which
-    # scores leaves in small stacks, keeps enumeration's plans and bounds.
+    # its enumeration chunk or in a shuffled stack.  Every set the tree
+    # scores, the greedy set first among them, reads the same bits as
+    # one-set solve_follower and as the scorer over enumeration, which pin
+    # it from the root; at n <= 14 so does every leaf of the unpruned tree,
+    # read off its parent.  So the tree keeps enumeration's plans and bounds.
+    def same(x, y):
+        return all(a.tobytes() == b.tobytes() for a, b in zip(x, y))
+
     for topology in ("complete", "erdos_renyi", "ring", "star"):
         for n, seed in ((10, 1), (14, 2), (20, 3)):
             _, params = generate(Scenario(topology=topology, n=n, seed=seed))
+            k = params.network.leader_budget()
             bounds = []
             score = _approx_scorer(params, 1e-3, _SchurGains(params, 1e-3), bounds)
 
@@ -641,7 +720,7 @@ def test_approx_reads_do_not_depend_on_the_stack():
                 ((g, chosen, _),) = score(stack)
                 return g, chosen, bounds[-1]
 
-            chunk = next(_chunks([combinations(range(n), params.network.leader_budget())]))
+            chunk = next(_chunks([combinations(range(n), k)]))
             shuffle = np.random.default_rng(seed).permutation(len(chunk))
             together = read(chunk)
             shuffled = [x[np.argsort(shuffle)] for x in read(chunk[shuffle])]
@@ -649,6 +728,41 @@ def test_approx_reads_do_not_depend_on_the_stack():
                 alone = read(chunk[b : b + 1])
                 for x, y, z in zip(alone, together, shuffled):
                     assert x[0].tobytes() == y[b].tobytes() == z[b].tobytes(), (topology, n, b)
+
+            with pytest.MonkeyPatch.context() as patch:
+                reads = record_approx_reads(patch)
+                plan = solve_attack(params, p=1e-3)
+                tree = dict(reads)
+                assert len(tree) == len(reads) and plan.config.adversaries in tree
+                for adversaries, numbers in tree.items():
+                    reads.clear()
+                    _, g = solve_follower(params, adversaries, p=1e-3)
+                    ((_, alone),) = reads
+                    assert same(numbers, alone), (topology, n, adversaries)
+                    assert float.hex(g) == float.hex(float(numbers[0])), (topology, n)
+            index = {s: i for i, s in enumerate(combinations(range(n), k))}
+            chunks = np.array(list(combinations(range(n), k)))
+            for lo in sorted({index[s] // LEADER_CHUNK * LEADER_CHUNK for s in tree}):
+                enumerated = read(chunks[lo : lo + LEADER_CHUNK])
+                for adversaries, numbers in tree.items():
+                    if lo <= index[adversaries] < lo + LEADER_CHUNK:
+                        b = index[adversaries] - lo
+                        assert same(numbers, [x[b] for x in enumerated]), (topology, n)
+            if n > 14:
+                continue
+            gains = _SchurGains(params, 1e-3)
+            leaf_score = _approx_scorer(params, 1e-3, gains, bounds)
+            nodes = gains.root()
+            for depth in range(k):
+                owner, v = np.nonzero(np.isfinite(_child_bounds(nodes[0], *gains.scores(nodes), k)))
+                if depth < k - 1:
+                    nodes = gains.pin(nodes, owner, v)
+            for lo in range(0, len(v), LEADER_CHUNK):
+                part = slice(lo, lo + LEADER_CHUNK)
+                leaves = gains.leaves(nodes, owner[part], v[part])
+                assert (leaves == chunks[part]).all()
+                ((g, chosen, _),) = leaf_score(leaves)
+                assert same((g, chosen, bounds[-1]), read(chunks[part])), (topology, n, lo)
 
 
 def assert_pruned_matches_enumeration(name, params, sizes, p=1e-3):
@@ -1009,12 +1123,13 @@ def test_approx_search_guards_base_and_rescore_systems(monkeypatch):
     # unscored, then the full M, once per search.
     assert checked[0] == (LEADER_CHUNK, 10, 10)
     assert inverted == [(1, 14, 14)]
-    # Then every scored set's restricted M_UU and re-scored system, and its
-    # Minv_AA.  The tree leaves most of the 1,001 sets unscored, yet every
+    # Then every scored set's restricted M_UU and re-scored system.  Its
+    # node read divides only by pivots R_vv >= 1, so no (k, k) block is
+    # guarded.  The tree leaves most of the 1,001 sets unscored, yet every
     # set counts as covered.
     assert 0 < sum(scored) < 1001
     assert sum(shape[0] for shape in checked[1:] if shape[1:] == (10, 10)) == 2 * sum(scored)
-    assert sum(shape[0] for shape in checked if shape[1:] == (4, 4)) == sum(scored)
+    assert {shape[1:] for shape in checked} == {(10, 10)}
     assert plan.leader_evaluations == plan.follower_candidates == 1001
 
 
@@ -1043,22 +1158,24 @@ def test_schur_gains_match_scalar_marginal_gains(topology, tmp_path):
         for instance in (params, with_open_minded_agents(params)):
             if instance is None:
                 continue
-            system = np.eye(n) - (1.0 - instance.stubbornness)[:, None] * instance.influence
-            minv = invert_conditioned(system[None], str)[0]
+            gains = _SchurGains(instance, p)
             for k in range(1, params.network.leader_budget() + 1):
                 sets = np.array(list(combinations(range(n), k))[::5])
-                blocks = _restricted_blocks(instance, sets)
-                z0, gain = _schur_gains(minv, sets, blocks, p, str)
+                z, gain = gains.read(sets)
+                unpinned = _restricted_blocks(instance, sets)[1]
                 for b, adversaries in enumerate(sets.tolist()):
                     reference_z0, reference_gain = scalar_marginal_gains(
                         instance, adversaries, p
                     )
-                    np.testing.assert_allclose(z0[b], reference_z0, rtol=1e-12, atol=1e-12)
+                    assert (z[b, adversaries] == 1.0).all()
+                    np.testing.assert_allclose(
+                        z[b, unpinned[b]], reference_z0, rtol=1e-12, atol=1e-12
+                    )
                     # Relative to the larger of p and the set's largest gain,
                     # since some sets have every gain zero up to rounding.
                     scale = max(p, np.abs(reference_gain).max())
                     assert np.abs(gain[b] - reference_gain).max() <= 1e-12 * scale
-                # The public wrapper: the kernel on a one-set stack.
+                # The public wrapper: the node read of a one-set stack.
                 public = marginal_gains(instance, sets[0], p)
                 reference_z0, reference_gain = scalar_marginal_gains(instance, sets[0], p)
                 assert public.adversaries == tuple(sets[0].tolist())
