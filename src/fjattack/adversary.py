@@ -194,7 +194,8 @@ def _reweighted_systems(w_uu, w_ua, open_minded, base_rhs, hits, p):
 
 def _reweighted(rows, hits, p):
     """Attacked rows of W; hits[..., i, j] marks i as a target of adversary j."""
-    return rows * (1.0 - hits.sum(axis=-1) * p)[..., None] + p * hits
+    attacked = rows * (1.0 - hits.sum(axis=-1) * p)[..., None]
+    return np.add(attacked, p, out=attacked, where=hits)
 
 
 def _targeted_rows(config, n):
@@ -274,11 +275,17 @@ def simulate_adversarial(params, config, z0, rounds, enforce_budgets=True):
     if z_init.shape == (params.n,):  # _simulate rejects every other shape
         z_init[adversaries] = 1.0
     rows, hits = _targeted_rows(config, params.n)
+    attacked = _reweighted(params.influence[rows], hits, config.influence_magnitude)
+    del hits
     targets, sources = params.network._support
     influence = params.influence[targets, sources]
-    attacked = _reweighted(params.influence[rows], hits, config.influence_magnitude)
-    on = np.isin(targets, rows)
-    influence[on] = attacked[np.searchsorted(rows, targets[on]), sources[on]]
+    targeted = np.zeros(params.n, dtype=bool)
+    targeted[rows] = True
+    # The edges into the targeted rows, sorted by (source, target) as the
+    # edge list is: the support of the transposed stack, in C order.
+    influence[targeted[targets]] = attacked.T[params.network.support_mask()[rows].T]
+    # The rollout needs only the edge weights.
+    del rows, attacked
     return _simulate(params, influence, z_init, rounds, adversaries, 1.0)
 
 

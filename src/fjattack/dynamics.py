@@ -243,15 +243,17 @@ def _rollout(params, influence, z0, rounds, pinned, pinned_value):
     """(rounds + 1, n) array: row 0 is z0, row t + 1 the update of row t.
 
     ``influence`` is W gathered on the edges (source j, target i), in
-    canonical order.  Each round is one ``bincount`` over the edges of the
-    terms (1 - theta_i) * w_ij * z_j, plus theta * s; the result is clipped to
+    canonical order, a fresh array that is scaled in place by 1 - theta_i.
+    Each round is one ``bincount`` over the edges of the terms
+    (1 - theta_i) * w_ij * z_j, plus theta * s; the result is clipped to
     [0, 1] and the pinned agents are set to ``pinned_value``.  The inputs
     are taken as validated.
     """
     n = params.n
     targets, sources = params.network._support
     theta = params.stubbornness
-    weights = (1.0 - theta)[targets] * influence
+    weights = influence
+    weights *= (1.0 - theta)[targets]
     anchor = theta * params.intrinsic
     pinned = np.array(pinned, dtype=np.intp)
     values = np.empty((rounds + 1, n))

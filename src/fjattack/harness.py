@@ -427,18 +427,19 @@ def _unpinned_scorer(params, p):
     positive gain.  A boolean stack marks them, ``adversary._reweighted``
     re-weights W by the attack's one rule, and the chunk's n x n systems
     are guarded by ``check_conditioned`` and re-scored in one batched
-    solve.  A chunk in which no set chose a target, as at p = 0 or with
-    zero target budgets, keeps z0 instead, which is what that solve would
-    return.  Yields one configuration per set.
+    solve.  At p = 0, or with zero target budgets, every gain is 0 or
+    untakeable, so no gain is computed.  A chunk in which no set chose a
+    target keeps z0 instead, which is what that solve would return.
+    Yields one configuration per set.
     """
     network = params.network
     theta = params.stubbornness
     weights = params.influence
     n = params.n
-    minv = _SchurGains(params, p).inverse()
+    gains = _SchurGains(params, p)
+    minv, targeting = gains.inverse(), gains.targeting
     sensitivity = (1.0 - theta) * minv.sum(axis=0)
-    listeners = network.support_mask().T
-    budgets = np.array([network.target_budget(j) for j in range(n)])
+    listeners, budgets = network.support_mask().T, gains.budgets
 
     def score(adversaries):
         sets, k = adversaries.shape
@@ -447,11 +448,13 @@ def _unpinned_scorer(params, p):
         pinned[rows, adversaries] = True
         rhs = np.where(pinned, 1.0, params.intrinsic) * theta
         z = rhs @ minv.T
-        received = z @ weights.T
-        gain = p * sensitivity * (z[rows, adversaries][:, :, None] - received[:, None, :])
-        chosen = _top_targets(
-            gain, listeners[adversaries] & ~pinned[:, None, :], budgets[adversaries]
-        )
+        chosen = np.zeros((sets, k, n), dtype=bool)
+        if targeting:
+            received = z @ weights.T
+            gain = p * sensitivity * (z[rows, adversaries][:, :, None] - received[:, None, :])
+            chosen = _top_targets(
+                gain, listeners[adversaries] & ~pinned[:, None, :], budgets[adversaries]
+            )
         # With no target chosen every re-weighted matrix is M itself: z0 stands.
         if chosen.any():
             hits = np.zeros((sets, n, n), dtype=bool)

@@ -25,15 +25,17 @@ Gains are nonnegative up to rounding and additive to first order when
 several adversaries pick the same target.
 
 One kernel, ``_SchurGains``, gives every set's z and gains.  It inverts
-the full n x n system M once per search.  A node of the leader tree is a
-sorted partial set S with R = (M_UU)^-1 embedded in n x n, z and 1^T R;
-pinning one more agent is one rank-1 downdate of all three
-(``_SchurGains.pin``), and m = p (1 - W z) (1 - Theta) 1^T R.  A set is
-read off its canonical node: the set pinned from the root in index order,
-its last agent applied to z and 1^T R only.  Every step is elementwise or
-a per-set one-row product, so a set reads the same bits whichever stack
-carries it and whether the tree, marginal_gains or solve_follower reaches
-it.
+the full n x n system M once per search, and ranks the agents once: by
+descending root score s_v = Delta_v + top_v (below), the index breaking
+ties.  A node of the leader tree is a partial set S, pinned in rank
+order, with R = (M_UU)^-1 embedded in n x n, z and 1^T R; pinning one
+more agent is one rank-1 downdate of all three (``_SchurGains.pin``), and
+m = p (1 - W z) (1 - Theta) 1^T R.  A set is read off its canonical node:
+the set pinned from the root in rank order, its last agent applied to z
+and 1^T R only.  Every step is elementwise or a per-set one-row product,
+so a set reads the same bits whichever stack carries it and whether the
+tree, marginal_gains or solve_follower reaches it.  At p = 0 every gain
+is exactly 0, and no gain is computed.
 
 Every search scores stacks of at most LEADER_CHUNK sets: a scorer yields
 the exact g of batches of configurations, and ``_Argmax`` keeps the
@@ -101,24 +103,39 @@ candidates C
                          + the largest k - |S| values of
                            Delta_v(S) + top_v(m(S)) over v in C.
 
-The tree grows sorted sets: the children of S are S + {v} for v > max S,
-and every number of the bound is read off a node with no solve
-(``_SchurGains.scores``).  A greedy dive (the lazy-greedy seed of Leskovec
-et al., KDD 2007) chooses the first set to score.  A child is dropped only
-when its bound, from the parent's data, is strictly below incumbent -
-slack, so no set that could win or tie is lost; the leaves are read off
-their parents (``_SchurGains.leaves``) with the bits of their canonical
-nodes, and the argmax does not depend on the order: the plan is full
-enumeration's, bit for bit.  An unscored set still counts in
-leader_evaluations (and, in exact mode, its configurations in
-follower_candidates) as covered.
+The tree grows sets in rank order: the children of S are S + {v} for v
+ranked after S's last agent, so a child's completions draw only on agents
+ranked after it, and the best-scoring agents come first (ordering
+candidates by score is standard for branch-and-bound over submodular
+objectives: Nemhauser, Wolsey & Fisher, Math. Programming 1978).  Every
+number of the bound is read off a node with no solve
+(``_SchurGains.scores``); the sums of largest values it needs do not
+depend on how ties are ordered, so they take one sort and a masked
+cumulative count, not a rank per agent.  A greedy dive (the lazy-greedy
+seed of Leskovec et al., KDD 2007) chooses the first set to score; its
+nodes are reused for the greedy set's canonical read as far as it pinned
+in rank order.  A child is scored from its parent's R before its own R
+is built, and built only if one of its children can still reach the
+threshold.  A child is dropped only when its bound, from the parent's
+data, is strictly below incumbent - slack, so no set that could win or
+tie is lost; the leaves are read off their parents (``_SchurGains.leaves``)
+with the bits of their canonical nodes, and the argmax does not depend on
+the order: the plan is full enumeration's, bit for bit.  An unscored set
+still counts in leader_evaluations (and, in exact mode, its
+configurations in follower_candidates) as covered.
 
 The full system passes ``linalg.invert_conditioned``; every scored set's
 restricted system and every re-scored system pass
 ``linalg.check_conditioned``, which clears a stack by a diagonal-dominance
 bound, or else by the exact rcond, and names the adversary set it rejects.
-A node read divides only by pivots R_vv >= 1.  Every exact score, stacked
-or one at a time (``adversarial_outcome``), builds its system with
+An unscored set is guarded only when the full system is refused, to name
+the first refused set: while M passes, so does every restricted M_UU.  M
+is a nonsingular M-matrix, so ||M_UU||_1 <= ||M||_1 (a principal
+submatrix), and 0 <= (M_UU)^-1 <= (M^-1)_UU entrywise (the node's R, see
+``_SchurGains.pin``), so ||(M_UU)^-1||_1 <= ||M^-1||_1 and
+kappa_1(M_UU) <= kappa_1(M).  A node read divides only by pivots
+R_vv >= 1.  Every exact score, stacked or one at a time
+(``adversarial_outcome``), builds its system with
 ``adversary._reweighted_systems``; only the LAPACK solve differs.
 
 Tie-breaking is deterministic everywhere: higher g wins, then the smaller
@@ -134,18 +151,31 @@ import numpy as np
 
 from .adversary import DEFAULT_P, AttackConfig, _restricted_blocks, _reweighted_systems
 from .dynamics import _check_count
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, ConvergenceError, ValidationError
 from .linalg import check_conditioned, invert_conditioned
 
 # Exhaustive target enumeration refuses to look at more configurations than this.
 DEFAULT_CONFIG_CAP = 10_000_000
 
-# Adversary sets scored together, and leader-tree nodes expanded together.
+# Adversary sets scored together, and leader-tree leaves read together.
 # Of 32-1024 sets per chunk, 128 ran fastest for flat enumeration at n = 14
-# and 20.  The tree holds at most one chunk of nodes, n^2 floats each, per
-# depth: an approx plan peaks near 0.47 MB at n = 14 and 7.9 MB at
-# Erdos-Renyi n = 30 (tracemalloc).
+# and 20.
 LEADER_CHUNK = 128
+
+# Bytes of R held per chunk of inner leader-tree nodes, n^2 floats each:
+# LEADER_CHUNK nodes up to n = 30, fewer above (11 at n = 100).  The tree
+# holds at most one chunk per depth, so its nodes peak near (k - 1)
+# NODE_BYTES: 7.4 MB at n = 30 and 29 MB at n = 100 (k = 33).  Measured
+# with tracemalloc, an approx plan peaks near 0.04 MB at complete n = 14,
+# 0.4 MB at Erdos-Renyi n = 30, 4.4 MB at n = 40, 14.5 MB at n = 60 and
+# 28 MB at n = 100 (edge probability 0.05, after its first minute).
+NODE_BYTES = LEADER_CHUNK * 30 * 30 * 8
+
+
+def _node_chunk(n):
+    """Inner leader-tree nodes built together at n agents."""
+    return max(1, min(LEADER_CHUNK, NODE_BYTES // (8 * n * n)))
+
 
 # Configurations stacked into one guarded batched solve by the exact scorer.
 # An exact search peaks near 1.9 MB at n = 12 and 4.4 MB at n = 20 (1.8M
@@ -296,14 +326,15 @@ class _SchurGains:
 
     M = I - (I - Theta) W is inverted once, through ``invert_conditioned``,
     when first needed, so a caller can guard sets' restricted systems
-    before the full system.  A node is a sorted partial set S with three
-    arrays: R, the restricted inverse (M_UU)^-1 embedded in n x n with zero
-    rows and columns on S; z, the pinned fixed point, 1 on S; and 1^T R,
-    zero on S.  Nodes travel as stacks (sets, R, z, 1^T R) of shapes
-    (m, |S|), (m, n, n), (m, n) and (m, n).  The root pins nobody.
+    before the full system.  A node is a partial set S, its agents in the
+    order they were pinned, with three arrays: R, the restricted inverse
+    (M_UU)^-1 embedded in n x n with zero rows and columns on S; z, the
+    pinned fixed point, 1 on S; and 1^T R, zero on S.  Nodes travel as
+    stacks (sets, R, z, 1^T R) of shapes (m, |S|), (m, n, n), (m, n) and
+    (m, n).  The root pins nobody, and its scores fix ``rank``.
 
     A set's z and gains come from its canonical node: the set pinned from
-    the root in index order, which is how the tree reaches it, with its
+    the root in rank order, which is how the tree reaches it, with its
     last agent applied to z and 1^T R only (``leaves``, ``read``).  Every
     step is elementwise or a per-set one-row product, so a set reads the
     same bits whichever stack carries it and whichever caller reaches it.
@@ -317,9 +348,19 @@ class _SchurGains:
         # Agent j may target its out-neighbours other than itself.
         self.others = network.support_mask().T & ~np.eye(params.n, dtype=bool)
         self.budgets = np.array([network.target_budget(j) for j in range(params.n)])
+        # Whether any gain can be taken: at p = 0 every gain is exactly 0,
+        # and with every budget 0 nobody may target.
+        self.targeting = bool(p) and bool(self.budgets.any())
+        # The agents with a budget, and each one's targets padded with n.
+        self.targeters = np.flatnonzero(self.budgets)
+        owner, target = np.nonzero(self.others[self.targeters])
+        count = np.bincount(owner, minlength=len(self.targeters))
+        self.targets = np.full((len(self.targeters), count.max(initial=0)), params.n)
+        self.targets[owner, np.arange(len(owner)) - (np.cumsum(count) - count)[owner]] = target
         self.minv = None
         self.kappa = None
         self.start = None
+        self.rank = None
         self.last = None, None
 
     def inverse(self):
@@ -351,42 +392,72 @@ class _SchurGains:
         return g - self.slack(g)
 
     def root(self):
-        """The tree's root: nobody pinned, R = M^-1 and z = M^-1 Theta s."""
+        """The tree's root: nobody pinned, R = M^-1 and z = M^-1 Theta s.
+
+        Its scores fix the rank: ``rank[v]`` is agent v's place in the
+        order of descending root score s_v, the index breaking ties.
+        """
         if self.start is None:
             params = self.params
             minv = self.inverse()
             z = minv @ (params.stubbornness * params.intrinsic)
             nobody = np.empty((1, 0), dtype=np.intp)
-            self.start = nobody, minv[None], z[None], minv.sum(axis=0)[None]
-        return self.start
+            nodes = nobody, minv[None], z[None], minv.sum(axis=0)[None]
+            self.start = nodes, self.scores(*nodes[2:], np.diagonal(minv)[None])
+            order = np.argsort(-self.start[1][1][0], kind="stable")
+            self.rank = np.argsort(order)
+        return self.start[0]
+
+    def root_scores(self):
+        """``scores`` of the root, computed once."""
+        self.root()
+        return self.start[1]
 
     def marginal(self, z, reach):
         """m = p (1 - W z) (1 - Theta) 1^T R of a stack of nodes' z and 1^T R.
 
         W z is one one-row product per node, not one GEMM over the stack,
         whose rounding would depend on how many nodes share it.  m is zero
-        on S, where 1^T R is.
+        on S, where 1^T R is, and everywhere at p = 0.
         """
+        if not self.p:
+            return np.zeros_like(z)
         received = np.matmul(z[:, None, :], self.params.influence.T)[:, 0]
         return self.p * (1.0 - received) * (1.0 - self.params.stubbornness) * reach
 
-    def scores(self, nodes):
-        """(base, s) of a stack of nodes, read off (R, z, 1^T R) with no solve.
+    def top_sums(self, gain):
+        """top_j of a (m, n) stack of gains: agent j's top-budget positive
+        gains over its out-neighbours other than itself, summed.
 
-        top_j is agent j's top-budget positive gains over its out-neighbours
-        other than itself (``_top_targets``).  S is where R's diagonal is 0;
-        elsewhere it is at least 1 (see ``pin``).  Pinning v adds
-        (1 - z_v) R[:, v] / R_vv to z, so g0 rises by
+        A sum does not depend on how equal gains are ordered, so no rank
+        of the targets is built: each agent's targets' gains are gathered,
+        floored at 0, sorted and the last budget of them summed.  With no
+        gain to take every top_j is 0.
+        """
+        m, n = gain.shape
+        top = np.zeros((m, n))
+        if not self.targeting:
+            return top
+        floored = np.concatenate([np.maximum(gain, 0.0), np.zeros((m, 1))], axis=1)
+        pool = floored[:, self.targets]
+        pool.sort(axis=2)
+        width = pool.shape[2]
+        kept = np.arange(width) >= width - self.budgets[self.targeters, None]
+        top[:, self.targeters] = np.where(kept, pool, 0.0).sum(axis=2)
+        return top
+
+    def scores(self, z, reach, diagonal):
+        """(base, s) of a stack of nodes, from their z, 1^T R and R's diagonal.
+
+        top_j is agent j's top-budget positive gains (``top_sums``).  S is
+        where R's diagonal is 0; elsewhere it is at least 1 (see ``pin``).
+        Pinning v adds (1 - z_v) R[:, v] / R_vv to z, so g0 rises by
         Delta_v = (1 - z_v) (1^T R)_v / R_vv.  base = g0(S) + the sum of
         top_j over j in S, with g0(S) = sum(z); s_v = Delta_v + top_v for v
         outside S and -inf on S.
         """
-        _, inverse, z, reach = nodes
-        diagonal = np.diagonal(inverse, axis1=1, axis2=2)
         pinned = diagonal == 0.0
-        gain = self.marginal(z, reach)[:, None, :]
-        top = np.where(_top_targets(gain, self.others[None], self.budgets[None]), gain, 0.0)
-        top = top.sum(axis=2)
+        top = self.top_sums(self.marginal(z, reach))
         delta = (1.0 - z) * reach / np.where(pinned, 1.0, diagonal)
         scores = np.where(pinned, -np.inf, delta + top)
         return z.sum(axis=1) + np.where(pinned, top, 0.0).sum(axis=1), scores
@@ -406,14 +477,29 @@ class _SchurGains:
         z[c, v], reach[c, v] = 1.0, 0.0
         return column, row, z, reach
 
-    def pin(self, nodes, owner, v):
+    def children(self, nodes, owner, v):
+        """The children S + {v[c]} of nodes owner[c], without building R'.
+
+        Returns (step, diag R'): ``step`` is what ``_step`` gives, for
+        ``pin`` to finish, and diag R' = diag R - R[:, v] R[v, :] / R_vv,
+        zero at v, is bitwise the diagonal ``pin`` builds.  ``scores``
+        reads a child off (z', 1^T R', diag R').
+        """
+        step = self._step(nodes, owner, v)
+        column, row = step[:2]
+        diagonal = np.diagonal(nodes[1], axis1=1, axis2=2)[owner] - column * row
+        diagonal[np.arange(len(v)), v] = 0.0
+        return step, diagonal
+
+    def pin(self, nodes, owner, v, step=None):
         """The children S + {v[c]} of nodes owner[c]: one rank-1 downdate each.
 
         R' = R - R[:, v] R[v, :] / R_vv with row and column v zeroed, and z'
-        and 1^T R' as ``_step`` gives them.  The pivot R_vv is at least 1,
-        since M^-1 = sum of B^t >= I for the M-matrix M = I - B.
+        and 1^T R' as ``_step`` gives them, or as ``step`` holds them.  The
+        pivot R_vv is at least 1, since M^-1 = sum of B^t >= I for the
+        M-matrix M = I - B.
         """
-        column, row, z, reach = self._step(nodes, owner, v)
+        column, row, z, reach = self._step(nodes, owner, v) if step is None else step
         c = np.arange(len(v))
         inverse = nodes[1][owner]
         inverse -= column[:, :, None] * row[:, None, :]
@@ -424,11 +510,12 @@ class _SchurGains:
     def leaves(self, nodes, owner, v):
         """The sets S + {v[c]} of nodes owner[c], read without building R.
 
-        Their (z, gains) are kept, so ``read`` of the returned stack, by
-        the scorers that score it next, does not pin them again.
+        Returns them as a (sets, k) stack of sorted sets; their (z, gains)
+        are kept, so ``read`` of the returned stack, by the scorers that
+        score it next, does not pin them again.
         """
         _, _, z, reach = self._step(nodes, owner, v)
-        sets = np.concatenate([nodes[0][owner], v[:, None]], axis=1)
+        sets = np.sort(np.concatenate([nodes[0][owner], v[:, None]], axis=1), axis=1)
         self.last = sets, (z, self.marginal(z, reach))
         return sets
 
@@ -441,31 +528,41 @@ class _SchurGains:
         if self.last[0] is not adversaries:
             sets, k = adversaries.shape
             nodes, owner = self.root(), np.zeros(sets, dtype=np.intp)
+            pins = np.take_along_axis(
+                adversaries, np.argsort(self.rank[adversaries], axis=1), axis=1
+            )
             for col in range(k - 1):
-                nodes, owner = self.pin(nodes, owner, adversaries[:, col]), np.arange(sets)
-            self.leaves(nodes, owner, adversaries[:, -1])
+                nodes, owner = self.pin(nodes, owner, pins[:, col]), np.arange(sets)
+            self.leaves(nodes, owner, pins[:, -1])
             self.last = adversaries, self.last[1]
         return self.last[1]
 
 
-def _child_bounds(sets, base, scores, k):
+def _child_bounds(rank, sets, base, scores, k):
     """(m, n) bounds on every size-k completion through each child S + {v}.
 
-    ``sets`` holds the nodes' S and (base, scores) is their
-    ``_SchurGains.scores``.  The children of S are S + {v} for v > max S
-    that leave room for k - |S| - 1 more agents above v.  Child v's bound
-    is base + s_v + the largest k - |S| - 1 values of s_u over u > v; it is
-    -inf where v is no child.  Its largest value is UB+(S, C), C = {v > max S}.
+    ``sets`` holds the nodes' S in rank order, (base, scores) is their
+    ``_SchurGains.scores`` and ``rank`` the agents' rank.  The children of
+    S are S + {v} for v ranked after S's last agent, leaving room for
+    L = k - |S| - 1 more agents ranked after v.  Child v's bound is
+    base + s_v + the largest L values of s_u over u ranked after v; it is
+    -inf where v is no child.  Its largest value is UB+(S, C), C the agents
+    ranked after S.  The sum does not depend on how equal scores are
+    ordered, so no sort per child is needed: each node's scores are sorted
+    once, and one masked cumulative count along that order keeps, for each
+    v, the first L that rank after v.
     """
     m, n = scores.shape
     later = k - sets.shape[1] - 1
-    agents = np.arange(n)
-    last = sets[:, -1:] if sets.shape[1] else np.full((m, 1), -1)
+    after = rank[sets[:, -1:]] if sets.shape[1] else np.full((m, 1), -1)
     bound = base[:, None] + scores
     if later:
-        rest = np.where(agents[None, :] > agents[:, None], scores[:, None, :], -np.inf)
-        bound = bound - np.sort(-rest, axis=2)[:, :, :later].sum(axis=2)
-    return np.where((agents > last) & (agents < n - later), bound, -np.inf)
+        order = np.argsort(-scores, axis=1)
+        above = rank[order][:, None, :] > rank[None, :, None]
+        above &= np.cumsum(above, axis=2, dtype=np.int16) <= later
+        ranked = np.take_along_axis(scores, order, axis=1)
+        bound = bound + np.where(above, ranked[:, None, :], 0.0).sum(axis=2)
+    return np.where((rank > after) & (rank < n - later), bound, -np.inf)
 
 
 def _set_label(adversaries):
@@ -491,7 +588,9 @@ def _approx_scorer(params, p, gains, bounds):
     exceeds, are appended to ``bounds`` as one array.  Every product is
     per set, so a set's g, targets and UB(A) do not depend on which sets
     share its chunk.  Each set's restricted M_UU, before its read, and its
-    re-weighted system pass ``check_conditioned``.
+    re-weighted system pass ``check_conditioned``.  With no gain to take
+    (``gains.targeting`` false, as at p = 0) no target is chosen and the
+    top-target step is skipped.
     """
 
     def score(adversaries):
@@ -502,8 +601,10 @@ def _approx_scorer(params, p, gains, bounds):
         label = _set_label(adversaries)
         _check_restricted(blocks, label)
         fixed, gain = gains.read(adversaries)
-        eligible = gains.others[adversaries] & ~pinned[:, None, :]
-        chosen = _top_targets(gain[:, None, :], eligible, gains.budgets[adversaries])
+        chosen = np.zeros((sets, k, params.n), dtype=bool)
+        if gains.targeting:
+            eligible = gains.others[adversaries] & ~pinned[:, None, :]
+            chosen = _top_targets(gain[:, None, :], eligible, gains.budgets[adversaries])
         bounds.append(fixed.sum(axis=1) + np.einsum("bkn,bn->b", chosen, gain))
         matrix, rhs = _reweighted_systems(
             w_uu, w_ua, open_minded, base_rhs, chosen[rows, :, unpinned], p
@@ -584,50 +685,73 @@ def _branch_and_bound(gains, k, score, best):
     ``gains.threshold(best.g)``.  Otherwise a greedy dive from the root
     chooses the first set to score: k - 1 rank-1 steps, each pinning the
     agent with the largest s_v = Delta_v + top_v (the lowest index on a
-    tie), then the best such agent of the last node.  The tree then grows
-    sorted sets depth first, LEADER_CHUNK children at a time, best bound
-    first.  A child is dropped, before its (R, z) is built, only when its
-    bound from the parent's data (``_child_bounds``) is strictly below the
-    threshold, so every set that could win or tie bitwise reaches the tie
-    rule.  The children at depth k are the leaves: ``gains.leaves`` reads
-    them off their parents and ``score`` gets them LEADER_CHUNK at a time.
-    At most one chunk of nodes per depth is held at once, so memory stays
-    O(k LEADER_CHUNK n^2).
+    tie), then the best such agent of the last node.  The greedy set is
+    read off its canonical node, pinned in rank order, so the dive's nodes
+    are reused for as long as its pins follow that order (its first always
+    does: the root's best agent ranks first), and only the rest is pinned
+    again.
+
+    The tree then grows sets in rank order (``gains.rank``) depth first,
+    best bound first.  A child is dropped, before anything of it is read,
+    only when its bound from the parent's data (``_child_bounds``) is
+    strictly below the threshold, so every set that could win or tie
+    bitwise reaches the tie rule.  A kept inner child is scored off its
+    parent's R (``gains.children``), and its own R is built
+    (``gains.pin``) only if one of its children reaches the threshold.
+    The children at depth k are the leaves: ``gains.leaves`` reads them
+    off their parents and ``score`` gets them LEADER_CHUNK at a time.
+    Inner children are taken at most ``_node_chunk(n)`` at a time, and one
+    such chunk of nodes per depth is held, so the nodes peak near
+    (k - 1) NODE_BYTES.
     """
-    stack = []
+    root = gains.root()
+    rank, stack = gains.rank, []
+    inner = _node_chunk(len(rank))
 
     def expand(nodes, bound):
         owner, v = np.nonzero(bound >= gains.threshold(best.g))
         bound = bound[owner, v]
         order = np.argsort(-bound, kind="stable")
-        for lo in reversed(range(0, len(order), LEADER_CHUNK)):
-            part = order[lo : lo + LEADER_CHUNK]
+        size = inner if nodes[0].shape[1] < k - 1 else LEADER_CHUNK
+        for lo in reversed(range(0, len(order), size)):
+            part = order[lo : lo + size]
             stack.append((nodes, owner[part], v[part], bound[part]))
 
-    root = gains.root()
-    base, scores = gains.scores(root)
-    bound = _child_bounds(root[0], base, scores, k)
+    base, scores = gains.root_scores()
+    bound = _child_bounds(rank, root[0], base, scores, k)
     if best.key is not None and not (bound >= gains.threshold(best.g)).any():
         return
-    nodes = root
+    one = np.zeros(1, dtype=np.intp)
+    path = [root]
     for _ in range(k - 1):
-        nodes = gains.pin(nodes, np.zeros(1, dtype=np.intp), np.argmax(scores, axis=1))
-        _, scores = gains.scores(nodes)
-    greedy = np.sort(np.concatenate([nodes[0], np.argmax(scores, axis=1)[:, None]], axis=1))
-    best.score(score, greedy)
+        nodes = gains.pin(path[-1], one, np.argmax(scores, axis=1))
+        _, scores = gains.scores(*nodes[2:], np.diagonal(nodes[1], axis1=1, axis2=2))
+        path.append(nodes)
+    dive = np.append(path[-1][0][0], np.argmax(scores[0]))
+    canonical = dive[np.argsort(rank[dive])]
+    reused = np.argmin(np.append(dive[: k - 1] == canonical[: k - 1], False))
+    nodes = path[reused]
+    for v in canonical[reused : k - 1]:
+        nodes = gains.pin(nodes, one, v[None])
+    best.score(score, gains.leaves(nodes, one, canonical[-1:]))
     expand(root, bound)
     while stack:
         nodes, owner, v, bound = stack.pop()
-        keep = bound >= gains.threshold(best.g)
+        threshold = gains.threshold(best.g)
+        keep = bound >= threshold
         owner, v = owner[keep], v[keep]
-        if nodes[0].shape[1] < k - 1:
-            if len(v):
-                children = gains.pin(nodes, owner, v)
-                expand(children, _child_bounds(children[0], *gains.scores(children), k))
-            continue
-        fresh = (nodes[0][owner] != greedy[:, :-1]).any(axis=1) | (v != greedy[0, -1])
-        if fresh.any():
-            best.score(score, gains.leaves(nodes, owner[fresh], v[fresh]))
+        if nodes[0].shape[1] == k - 1:
+            fresh = (nodes[0][owner] != canonical[:-1]).any(axis=1) | (v != canonical[-1])
+            if fresh.any():
+                best.score(score, gains.leaves(nodes, owner[fresh], v[fresh]))
+        elif len(v):
+            sets = np.concatenate([nodes[0][owner], v[:, None]], axis=1)
+            step, diagonal = gains.children(nodes, owner, v)
+            bound = _child_bounds(rank, sets, *gains.scores(*step[2:], diagonal), k)
+            alive = (bound >= threshold).any(axis=1)
+            if alive.any():
+                step = [x[alive] for x in step]
+                expand(gains.pin(nodes, owner[alive], v[alive], step), bound[alive])
 
 
 def _space_sizer(network):
@@ -772,10 +896,11 @@ def _search(params, p, mode, cap, sizes, adversaries=None):
     ``cap``; then the exact scorer scores each chunk right after the
     approx scorer, pruned against the live threshold (``_exact_scorer``).
     The threshold only rises, since g lies in [0, n] and the slack is
-    constant, so whatever it pruned lies below the final one too.  Before
-    the full system is inverted, the restricted systems of the first
-    LEADER_CHUNK sets in enumeration order are guarded, so a rejected set
-    is named first.  Returns ((adversaries, items), g, sets,
+    constant, so whatever it pruned lies below the final one too.  The
+    full system is inverted first; only if it is refused are the
+    restricted systems of the first LEADER_CHUNK sets in enumeration order
+    guarded, so a refused set is named first, and otherwise the full
+    system's error stands.  Returns ((adversaries, items), g, sets,
     configurations, max UB(A)).  Both counts cover every set: approx mode
     counts one configuration per set, exact mode all those of every set,
     solved or certified unable to beat the incumbent.
@@ -793,16 +918,20 @@ def _search(params, p, mode, cap, sizes, adversaries=None):
     if mode == "exact":
         configs = _count_configurations(params.network, leader_sets(), cap)
         scorers.append(_exact_scorer(params, p, prune=(gains, best)))
-    first = next(_chunks(leader_sets()))
 
     def score(chunk):
         return chain.from_iterable(scorer(chunk) for scorer in scorers)
 
     if adversaries is not None:
-        best.score(score, first)
+        best.score(score, np.array([adversaries]))
         sets = 1
     else:
-        _check_restricted(_restricted_blocks(params, first), _set_label(first))
+        try:
+            gains.inverse()
+        except ConvergenceError:
+            first = next(_chunks(leader_sets()))
+            _check_restricted(_restricted_blocks(params, first), _set_label(first))
+            raise
         for k in sorted(sizes, reverse=True):
             _branch_and_bound(gains, k, score, best)
         sets = sum(math.comb(params.n, k) for k in sizes)

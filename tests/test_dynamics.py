@@ -18,6 +18,7 @@ from conftest import (
     random_params,
 )
 from fjattack import (
+    AttackConfig,
     ConvergenceError,
     FjParameters,
     InfluenceNetwork,
@@ -262,6 +263,25 @@ def test_simulate_adversarial_builds_no_parameters_and_no_dense_matrix(monkeypat
     assert built == []
     # Less than one dense float W: only the targeted rows are re-weighted.
     assert peak < n * n * 8
+
+
+def test_simulate_adversarial_peak_when_most_agents_are_targeted():
+    # Complete n = 300 with 99 adversaries targeting all 201 other agents:
+    # |E| is close to n^2 and the re-weighted rows cover two thirds of W.
+    # The rollout holds only the edge weights and one gathered edge array,
+    # so the peak stays under three edge-length float arrays (2.15 MB).
+    network = complete_network(300)
+    params = random_params(np.random.default_rng(300), network)
+    others = list(range(99, 300))
+    targets = {j: tuple(others[(3 * j + t) % 201] for t in range(3)) for j in range(99)}
+    config = AttackConfig(tuple(range(99)), targets, 1e-3)
+    tracemalloc.start()
+    try:
+        simulate_adversarial(params, config, np.full(300, 0.5), 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(network.edges) * 8
 
 
 def test_sparse_rollout_matches_dense_reference():

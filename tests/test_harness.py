@@ -392,6 +392,21 @@ def test_ablation_rows_do_not_depend_on_leader_chunk(monkeypatch, leader_chunk):
     assert got == expected
 
 
+def test_unpinned_scorer_takes_no_gain_step_at_zero_magnitude(monkeypatch):
+    # The ablation's drifting model with targeting off plans at p = 0,
+    # where every gain is 0: it chooses no target without computing one.
+    network, params = generate(Scenario(scenario_id="z", topology="complete", n=9, seed=2))
+    expected = _leader_search([combinations(range(9), 2)], _unpinned_scorer(params, 0.0))
+
+    def refuse(*args):
+        raise AssertionError("top-target step at p = 0")
+
+    monkeypatch.setattr(fjattack.harness, "_top_targets", refuse)
+    got = _leader_search([combinations(range(9), 2)], _unpinned_scorer(params, 0.0))
+    assert got == expected
+    assert all(targets == () for _, targets in got[0][1])
+
+
 def test_unpinned_scorer_is_conditioning_guarded(monkeypatch):
     network, params = generate(Scenario(scenario_id="g", topology="complete", n=10, seed=1))
     score = _unpinned_scorer(params, 1e-3)

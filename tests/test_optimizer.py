@@ -54,6 +54,8 @@ from fjattack.optimizer import (
     _exact_scorer,
     _leader_search,
     _SchurGains,
+    _search,
+    _top_targets,
 )
 from test_adversary import three_agent_instance
 
@@ -602,14 +604,19 @@ def regime_instances(sizes, topologies=("complete", "erdos_renyi", "ring", "star
                 yield f"{topology}-{theta}-{n}", params
 
 
+def node_scores(gains, nodes):
+    """``gains.scores`` of a stack of built nodes, read off R's diagonal."""
+    return gains.scores(*nodes[2:], np.diagonal(nodes[1], axis1=1, axis2=2))
+
+
 def tree_path_bounds(gains, k):
-    """Every size-k set in combinations order, walked down the leader tree
-    unpruned, with the smallest of the child bounds along its path: the
+    """Every size-k set, walked down the leader tree unpruned (pinned in
+    rank order), with the smallest of the child bounds along its path: the
     tree drops the set only when one of them is below its threshold.  Each
     child bound is at most its parent's UB+(S, C)."""
     nodes, path = gains.root(), np.array([np.inf])
     for _ in range(k):
-        bound = _child_bounds(nodes[0], *gains.scores(nodes), k)
+        bound = _child_bounds(gains.rank, nodes[0], *node_scores(gains, nodes), k)
         owner, v = np.nonzero(np.isfinite(bound))
         path = np.minimum(path[owner], bound[owner, v])
         nodes = gains.pin(nodes, owner, v)
@@ -630,7 +637,9 @@ def test_leader_bound_covers_every_set():
             approx, exact = _approx_scorer(params, p, gains, bounds), _exact_scorer(params, p)
             for k in range(1, params.network.leader_budget() + 1):
                 sets, path = tree_path_bounds(gains, k)
-                assert sets.tolist() == [list(s) for s in combinations(range(params.n), k)]
+                assert (np.diff(gains.rank[sets], axis=1) > 0).all()
+                sets = np.sort(sets, axis=1)
+                assert sorted(map(tuple, sets.tolist())) == list(combinations(range(params.n), k))
                 list(approx(sets))
                 assert (bounds[-1] <= path + gains.slack(bounds[-1].max())).all(), name
                 if count_configurations(params.network, k) > 20_000:
@@ -645,7 +654,9 @@ def test_tree_downdates_match_direct_restricted_reads():
     # Every node's R, z and 1^T R, built from M^-1 by one rank-1 downdate
     # per pinned agent, against the inverse of its restricted M_UU, its
     # column sums and its pinned fixed point solved directly.  The
-    # tolerance, n eps kappa_1(M), is a 64n-th of the slack.
+    # tolerance, n eps kappa_1(M), is a 64n-th of the slack.  The tree
+    # scores a child before it builds R': its z, 1^T R and diagonal from
+    # ``children`` are bitwise those of the built node.
     for name, params in regime_instances(range(6, 11)):
         gains = _SchurGains(params, 1e-3)
         n, k = params.n, params.network.leader_budget()
@@ -653,11 +664,16 @@ def test_tree_downdates_match_direct_restricted_reads():
         tolerance = n * np.finfo(float).eps * kappa
         nodes = gains.root()
         for _ in range(k):
-            owner, v = np.nonzero(np.isfinite(_child_bounds(nodes[0], *gains.scores(nodes), k)))
+            bound = _child_bounds(gains.rank, nodes[0], *node_scores(gains, nodes), k)
+            owner, v = np.nonzero(np.isfinite(bound))
+            (_, _, light_z, light_reach), diagonal = gains.children(nodes, owner, v)
             nodes = gains.pin(nodes, owner, v)
             sets, inverse, z, reach = nodes
+            assert diagonal.tobytes() == np.diagonal(inverse, axis1=1, axis2=2).tobytes()
+            assert light_z.tobytes() == z.tobytes() and light_reach.tobytes() == reach.tobytes()
             rows = np.arange(len(sets))[:, None]
-            pinned, unpinned, w_uu, w_ua, open_minded, base_rhs = _restricted_blocks(params, sets)
+            blocks = _restricted_blocks(params, np.sort(sets, axis=1))
+            pinned, unpinned, w_uu, w_ua, open_minded, base_rhs = blocks
             restricted = np.eye(n - sets.shape[1]) - open_minded[:, :, None] * w_uu
             direct = np.zeros_like(inverse)
             direct[rows[:, :, None], unpinned[:, :, None], unpinned[:, None, :]] = np.linalg.inv(
@@ -702,10 +718,12 @@ def record_approx_reads(monkeypatch):
 def test_approx_reads_do_not_depend_on_the_stack(monkeypatch):
     # A set's g, target mask and UB(A) are bitwise the same read alone, in
     # its enumeration chunk or in a shuffled stack.  Every set the tree
-    # scores, the greedy set first among them, reads the same bits as
-    # one-set solve_follower and as the scorer over enumeration, which pin
-    # it from the root; at n <= 14 so does every leaf of the unpruned tree,
-    # read off its parent.  So the tree keeps enumeration's plans and bounds.
+    # scores, the greedy set first among them (read off the dive's nodes
+    # where the dive pinned in rank order), reads the same bits as one-set
+    # solve_follower and as the scorer over enumeration, which pin it from
+    # the root in rank order; at n <= 14 so does every leaf of the
+    # unpruned tree, read off its parent.  So the tree keeps enumeration's
+    # plans and bounds.
     def same(x, y):
         return all(a.tobytes() == b.tobytes() for a, b in zip(x, y))
 
@@ -754,15 +772,18 @@ def test_approx_reads_do_not_depend_on_the_stack(monkeypatch):
             leaf_score = _approx_scorer(params, 1e-3, gains, bounds)
             nodes = gains.root()
             for depth in range(k):
-                owner, v = np.nonzero(np.isfinite(_child_bounds(nodes[0], *gains.scores(nodes), k)))
+                bound = _child_bounds(gains.rank, nodes[0], *node_scores(gains, nodes), k)
+                owner, v = np.nonzero(np.isfinite(bound))
                 if depth < k - 1:
                     nodes = gains.pin(nodes, owner, v)
+            covered = []
             for lo in range(0, len(v), LEADER_CHUNK):
                 part = slice(lo, lo + LEADER_CHUNK)
                 leaves = gains.leaves(nodes, owner[part], v[part])
-                assert (leaves == chunks[part]).all()
+                covered.extend(map(tuple, leaves.tolist()))
                 ((g, chosen, _),) = leaf_score(leaves)
-                assert same((g, chosen, bounds[-1]), read(chunks[part])), (topology, n, lo)
+                assert same((g, chosen, bounds[-1]), read(leaves.copy())), (topology, n, lo)
+            assert sorted(covered) == list(combinations(range(n), k))
 
 
 def assert_pruned_matches_enumeration(name, params, sizes, p=1e-3):
@@ -816,11 +837,154 @@ def test_pruned_leader_search_matches_enumeration():
     assert pruned >= 60
 
 
+def test_ranked_tree_matches_enumeration_on_small_grids():
+    # n = 6..12 in every topology and theta regime, at the full budget.
+    for name, params in regime_instances(range(6, 13)):
+        assert_pruned_matches_enumeration(name, params, (params.network.leader_budget(),))
+
+
+def test_rank_free_sums_match_a_full_selection():
+    # top_sums and _child_bounds sum their largest values without a rank
+    # per agent.  On values drawn from a few levels (ties, zeros and
+    # negatives), on networks whose target budgets run from 0 up, they
+    # match _top_targets' selection and a full sort within rounding.
+    rng = np.random.default_rng(5)
+    levels = np.array([-0.5, 0.0, 0.25, 0.5, 1.0])
+    budgets_seen = set()
+    for topology in ("complete", "erdos_renyi", "ring", "star"):
+        for n in (5, 9, 14):
+            _, params = generate(Scenario(topology=topology, n=n, seed=n))
+            gains = _SchurGains(params, 1e-3)
+            budgets_seen.add(int(gains.budgets.max()))
+            gain = rng.choice(levels, size=(40, n))
+            chosen = _top_targets(gain[:, None, :], gains.others[None], gains.budgets[None])
+            want = np.where(chosen, gain[:, None, :], 0.0).sum(axis=2)
+            assert np.abs(gains.top_sums(gain) - want).max() <= 1e-15 * n, (topology, n)
+            k = params.network.leader_budget()
+            rank = rng.permutation(n)
+            for size in range(k):
+                picks = [rng.choice(n, size, replace=False) for _ in range(30)]
+                picks = [sorted(pick, key=rank.__getitem__) for pick in picks]
+                sets = np.array(picks, dtype=np.intp).reshape(30, size)
+                scores = rng.choice(levels, size=(30, n))
+                scores[np.arange(30)[:, None], sets] = -np.inf
+                base = rng.choice(levels, size=30)
+                bound = _child_bounds(rank, sets, base, scores, k)
+                later = k - size - 1
+                for b in range(30):
+                    last = rank[sets[b, -1]] if size else -1
+                    for v in range(n):
+                        if not last < rank[v] < n - later:
+                            assert bound[b, v] == -np.inf
+                            continue
+                        rest = -np.sort(-scores[b, rank > rank[v]])[:later]
+                        want = base[b] + scores[b, v] + rest.sum()
+                        assert abs(bound[b, v] - want) <= 1e-15 * n, (topology, n, size)
+    assert budgets_seen >= {0, 1, 2}
+
+
+def count_tree_work(monkeypatch):
+    """[nodes pinned, sets scored], counted by spies on ``_SchurGains.pin``
+    and on the approx scorer."""
+    work = [0, 0]
+    real_pin = _SchurGains.pin
+    real_scorer = fjattack.optimizer._approx_scorer
+
+    def pin_spy(self, nodes, owner, v, step=None):
+        work[0] += len(v)
+        return real_pin(self, nodes, owner, v, step)
+
+    def scorer_spy(*args):
+        score = real_scorer(*args)
+
+        def spied(adversaries):
+            work[1] += len(adversaries)
+            return score(adversaries)
+
+        return spied
+
+    monkeypatch.setattr(_SchurGains, "pin", pin_spy)
+    monkeypatch.setattr(fjattack.optimizer, "_approx_scorer", scorer_spy)
+    return work
+
+
+@pytest.mark.parametrize("topology", ("erdos_renyi", "ring"))
+def test_ranked_tree_work_stays_small_at_n_40(monkeypatch, topology):
+    # With the children taken in index order, these plans pinned 74,452
+    # (Erdos-Renyi) and 693,086 (ring, where every target budget is 0)
+    # nodes to certify the greedy set.  Ranked by root score, the tree
+    # certifies it after a few hundred, and scores next to nothing else.
+    _, params = generate(Scenario(topology=topology, n=40, seed=1))
+    work = count_tree_work(monkeypatch)
+    plan = solve_attack(params, p=1e-3)
+    pinned, scored = work
+    assert pinned <= 2_000 and scored <= 16, (pinned, scored)
+    assert plan.leader_evaluations == math.comb(40, 13)
+
+
+def test_greedy_set_is_pinned_once(monkeypatch):
+    # The dive pins k - 1 agents in greedy order; the greedy set is read
+    # off its canonical node, pinned in rank order, reusing the dive's
+    # nodes for the prefix where the two orders agree.  So it costs the
+    # dive's k - 1 pins plus one per agent past that prefix.
+    canonical_dives = 0
+    for topology in ("complete", "erdos_renyi", "star"):
+        for seed in range(4):
+            _, params = generate(Scenario(topology=topology, n=14, seed=seed))
+            k = params.network.leader_budget()
+            pins, first = [], []
+            real_pin = _SchurGains.pin
+            real_scorer = fjattack.optimizer._approx_scorer
+
+            def pin_spy(self, nodes, owner, v, step=None):
+                pins.append(v.tolist())
+                return real_pin(self, nodes, owner, v, step)
+
+            def scorer_spy(*args):
+                score = real_scorer(*args)
+
+                def spied(adversaries):
+                    first.append((len(pins), adversaries[0].tolist()))
+                    return score(adversaries)
+
+                return spied
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_SchurGains, "pin", pin_spy)
+                patch.setattr(fjattack.optimizer, "_approx_scorer", scorer_spy)
+                solve_attack(params, p=1e-3)
+            count, greedy = first[0]
+            gains = _SchurGains(params, 1e-3)
+            gains.root()
+            dive = [v for (v,) in pins[: k - 1]]
+            canonical = sorted(greedy, key=lambda a: gains.rank[a])
+            reused = next((i for i in range(k - 1) if dive[i] != canonical[i]), k - 1)
+            assert reused >= 1 and count == 2 * (k - 1) - reused, (topology, seed)
+            canonical_dives += reused == k - 1
+    assert canonical_dives >= 2
+
+
+def test_zero_magnitude_takes_no_gain_step(monkeypatch):
+    # At p = 0 every gain is exactly 0: node scores and the approx scorer
+    # skip the top-target step, and no target is chosen.
+    def refuse(*args):
+        raise AssertionError("top-target step at p = 0")
+
+    monkeypatch.setattr(fjattack.optimizer, "_top_targets", refuse)
+    _, params = generate(Scenario(topology="complete", n=10, seed=3))
+    gains = _SchurGains(params, 0.0)
+    assert not gains.targeting
+    assert not gains.top_sums(np.ones((2, 10))).any()
+    (adversaries, items), g, _, _, upper = _search(params, 0.0, "approx", None, (3,))
+    assert all(targets == () for _, targets in items)
+    assert upper >= g
+
+
 def test_pruned_leader_search_keeps_star_ties_at_zero_slack(monkeypatch):
     # Star leaves hear only the hub, so many sets tie; with no slack the
     # strict comparison alone must keep every set that can win or tie.
     monkeypatch.setattr(_SchurGains, "slack", lambda self, g: 0.0)
-    for name, params in regime_instances(range(13, 20), ("star",)):
+    for name, params in regime_instances(range(6, 20), ("star",)):
         assert_pruned_matches_enumeration(name, params, (params.network.leader_budget(),))
 
 
@@ -1092,14 +1256,14 @@ def test_approx_search_guards_the_full_system(monkeypatch):
 
 
 def test_approx_search_guards_base_and_rescore_systems(monkeypatch):
-    checked, inverted = [], []
+    calls = []
 
     def check_spy(stack, label):
-        checked.append(stack.shape)
+        calls.append(("check", stack.shape))
         return check_conditioned(stack, label)
 
     def invert_spy(stack, label):
-        inverted.append(stack.shape)
+        calls.append(("invert", stack.shape))
         return invert_conditioned(stack, label)
 
     scored = []
@@ -1119,17 +1283,19 @@ def test_approx_search_guards_base_and_rescore_systems(monkeypatch):
     monkeypatch.setattr(fjattack.optimizer, "_approx_scorer", scorer_spy)
     _, params = generate(Scenario(topology="complete", n=14, seed=1))
     plan = solve_attack(params, p=1e-3)
-    # First the restricted M_UU of the first 128 sets in enumeration order,
-    # unscored, then the full M, once per search.
-    assert checked[0] == (LEADER_CHUNK, 10, 10)
-    assert inverted == [(1, 14, 14)]
-    # Then every scored set's restricted M_UU and re-scored system.  Its
-    # node read divides only by pivots R_vv >= 1, so no (k, k) block is
+    # The full M first, once per search: it is accepted, so no unscored
+    # set is guarded (a principal submatrix of an M-matrix is no worse
+    # conditioned in the 1-norm).
+    assert calls[0] == ("invert", (1, 14, 14))
+    assert [call for call in calls if call[0] == "invert"] == [calls[0]]
+    # Then only every scored set's restricted M_UU and re-scored system.
+    # Its node read divides only by pivots R_vv >= 1, so no (k, k) block is
     # guarded.  The tree leaves most of the 1,001 sets unscored, yet every
     # set counts as covered.
+    checked = [shape for kind, shape in calls if kind == "check"]
     assert 0 < sum(scored) < 1001
-    assert sum(shape[0] for shape in checked[1:] if shape[1:] == (10, 10)) == 2 * sum(scored)
     assert {shape[1:] for shape in checked} == {(10, 10)}
+    assert sum(shape[0] for shape in checked) == 2 * sum(scored)
     assert plan.leader_evaluations == plan.follower_candidates == 1001
 
 
