@@ -31,10 +31,8 @@ from .harness import (
     ABLATION_MODES,
     COMPARISON_STRATEGIES,
     TOPOLOGIES,
-    BenchmarkSummary,
     ResultRow,
     Scenario,
-    benchmark,
     generate,
     run_ablation,
     run_comparison,
@@ -67,7 +65,6 @@ __all__ = [
     "AdversarialOutcome",
     "AttackConfig",
     "AttackPlan",
-    "BenchmarkSummary",
     "CapExceededError",
     "ConvergenceError",
     "DEFAULT_P",
@@ -86,7 +83,6 @@ __all__ = [
     "adversarial_outcome",
     "apply_adversarial_weights",
     "baseline_variant",
-    "benchmark",
     "brute_force_oracle",
     "closed_form_outcome",
     "count_configurations",

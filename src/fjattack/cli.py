@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: gen-network, simulate, attack-plan, recover, compare, ablate,
-benchmark, count.  Scenario files are JSON (see harness.Scenario); result
-tables are written as CSV and JSON side by side unless --format narrows
-that down.  Exit codes: 0 on success, 2 on validation problems, 3 when an
-exact-mode run was skipped because its enumeration exceeded the cap.
+count.  attack-plan prints a plan's wall time and both search counters,
+and count the size of the naive configuration space.  Scenario files are
+JSON (see harness.Scenario); result tables are written as CSV and JSON
+side by side unless --format narrows that down.  Exit codes: 0 on
+success, 2 on validation problems, 3 when an exact-mode run was skipped
+because its enumeration exceeded the cap.
 """
 
 import argparse
@@ -21,7 +23,6 @@ from .errors import CapExceededError, ConvergenceError, ValidationError
 from .harness import (
     Scenario,
     RESULT_HEADER,
-    benchmark,
     generate,
     result_rows_to_csv,
     result_rows_to_json,
@@ -76,6 +77,8 @@ def cmd_simulate(args):
     params = fileio.load_parameters(args.network)
     if args.trajectories < 1:
         raise ValidationError(f"--trajectories must be at least 1, got {args.trajectories}")
+    if args.z0 is not None and args.trajectories != 1:
+        raise ValidationError(f"--z0 starts one rollout, got --trajectories {args.trajectories}")
     config = fileio.load_config(args.config) if args.config else None
     if args.z0 is not None:
         try:
@@ -178,32 +181,6 @@ def cmd_ablate(args):
     return 0
 
 
-def cmd_benchmark(args):
-    scenario = _load_scenario(args)
-    summary = benchmark(scenario, repeats=args.repeats)
-    header = ["scenario_id", "mean_solve_time_s", "mean_leader_eval_ms", "config_count", "repeats"]
-    row = [
-        scenario.scenario_id,
-        fileio.format_sig(summary.mean_solve_time, 6),
-        fileio.format_sig(summary.mean_leader_eval_time * 1e3, 6),
-        str(summary.config_count),
-        str(args.repeats),
-    ]
-    payload = {
-        "mean_solve_time_s": summary.mean_solve_time,
-        "mean_leader_eval_ms": summary.mean_leader_eval_time * 1e3,
-        "config_count": summary.config_count,
-        "repeats": args.repeats,
-    }
-    _write_tables(args, f"{scenario.scenario_id}_benchmark", header, [row], payload)
-    print(
-        f"mean solve {summary.mean_solve_time:.4f} s, "
-        f"mean leader eval {summary.mean_leader_eval_time * 1e3:.4f} ms, "
-        f"naive configurations {summary.config_count}"
-    )
-    return 0
-
-
 def cmd_count(args):
     if args.network:
         params = fileio.load_parameters(args.network)
@@ -265,7 +242,9 @@ def build_parser():
     sp.add_argument("--scenario", required=True)
     sp.add_argument("--strategies", default=DEFAULT_COMPARE_STRATEGIES)
     sp.add_argument("--seed", type=int, help="override the scenario seed")
-    sp.add_argument("--cap", type=int, default=None, help="exact-mode configuration cap")
+    sp.add_argument(
+        "--cap", type=int, default=DEFAULT_CONFIG_CAP, help="exact-mode configuration cap"
+    )
     sp.add_argument("--out-dir", default=".")
     sp.add_argument("--format", choices=("csv", "json"), default=None)
     sp.set_defaults(handler=cmd_compare)
@@ -276,14 +255,6 @@ def build_parser():
     sp.add_argument("--out-dir", default=".")
     sp.add_argument("--format", choices=("csv", "json"), default=None)
     sp.set_defaults(handler=cmd_ablate)
-
-    sp = sub.add_parser("benchmark", help="time the planner and count the naive space")
-    sp.add_argument("--scenario", required=True)
-    sp.add_argument("--repeats", type=int, default=3)
-    sp.add_argument("--seed", type=int, help="override the scenario seed")
-    sp.add_argument("--out-dir", default=".")
-    sp.add_argument("--format", choices=("csv", "json"), default=None)
-    sp.set_defaults(handler=cmd_benchmark)
 
     sp = sub.add_parser("count", help="exact size of the naive configuration space")
     group = sp.add_mutually_exclusive_group(required=True)

@@ -1,5 +1,5 @@
-"""Seeded experiment harness: instance generation, strategy comparison,
-planner ablations, and runtime benchmarks.
+"""Seeded experiment harness: instance generation, strategy comparison
+and planner ablations.
 
 Everything here is a pure function of the scenario: one master seed feeds
 independently keyed substreams (topology, stubbornness, intrinsic
@@ -16,14 +16,15 @@ optimizer's leader tree) or ``_unpinned_scorer`` over every set with
 scenario's p or, with targeting off, at p = 0.
 Each strategy's config is validated and re-scored under the true
 attacked dynamics by one row builder, ``_result_row``.
-A scenario's leader size passes ``optimizer._check_leader_size`` before
-any strategy runs, and a malformed field raises ValidationError.
+A scenario's leader size passes ``optimizer._check_leader_size``, and a
+comparison's cap ``optimizer._check_cap``, before any strategy runs; a
+malformed field raises ValidationError.
 """
 
+import math
 import time
 from dataclasses import astuple, dataclass, fields, replace
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,16 +48,15 @@ from .fileio import format_sig, load_parameters, round_sig
 from .linalg import check_conditioned
 from .optimizer import (
     DEFAULT_CONFIG_CAP,
+    _check_cap,
     _check_leader_size,
     _check_magnitude,
     _leader_search,
     _SchurGains,
     _search,
     _set_label,
-    _subset_masks,
     _top_targets,
     baseline_variant,
-    count_configurations,
     solve_attack,
 )
 
@@ -223,12 +223,6 @@ class ResultRow:
     status: str = "ok"
 
 
-class BenchmarkSummary(NamedTuple):
-    mean_solve_time: float
-    mean_leader_eval_time: float
-    config_count: int
-
-
 def _complete_edges(n):
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
@@ -311,12 +305,33 @@ def _resolve_leader_size(scenario, network):
 
 
 def _random_targets(network, adversaries, rng):
-    """Uniform draw of one feasible target subset per adversary."""
+    """Uniform draw of one feasible target subset per adversary.
+
+    Adversary j's choices are the subsets of at most its target budget of
+    eligible out-neighbours that are not adversaries, in the canonical
+    (size, lex) order of ``optimizer._subset_masks``.  One draw picks a
+    choice's rank, which is unranked without listing the choices.
+    """
+    barred = set(adversaries)
     targets = {}
     for j in adversaries:
-        subsets = _subset_masks(network, j, network.target_budget(j))
-        subsets = subsets[~subsets[:, list(adversaries)].any(axis=1)]
-        targets[j] = np.flatnonzero(subsets[int(rng.integers(len(subsets)))])
+        eligible = [i for i in network.out_neighbors(j) if i != j and i not in barred]
+        m = len(eligible)
+        per_size = [math.comb(m, size) for size in range(network.target_budget(j) + 1)]
+        rank = int(rng.integers(sum(per_size)))
+        size = 0
+        while rank >= per_size[size]:
+            rank -= per_size[size]
+            size += 1
+        chosen, start = [], 0
+        for left in range(size, 0, -1):
+            # The next block of subsets takes eligible[start]; skip it unless rank is in it.
+            while rank >= (block := math.comb(m - start - 1, left - 1)):
+                rank -= block
+                start += 1
+            chosen.append(eligible[start])
+            start += 1
+        targets[j] = np.array(chosen, dtype=np.intp)
     return targets
 
 
@@ -360,18 +375,19 @@ def _result_row(scenario, strategy, params, baseline_g, config, start, leader_ev
     )
 
 
-def run_comparison(scenario, strategies, cap=None):
+def run_comparison(scenario, strategies, cap=DEFAULT_CONFIG_CAP):
     """Score each strategy on the scenario's one shared instance.
 
     All strategies see the identical parameters and p; every selected
     config is re-validated and re-scored through the closed-form outcome
     so the comparison is apples to apples.  An exact-mode strategy whose
-    enumeration exceeds the cap yields a row with status "skipped" instead
-    of aborting the run.
+    enumeration exceeds the cap (None for no cap) yields a row with status
+    "skipped" instead of aborting the run.
     """
     for strategy in strategies:
         if strategy not in COMPARISON_STRATEGIES:
             raise ValidationError(f"unknown strategy {strategy!r}")
+    _check_cap(cap)
     network, params = generate(scenario)
     baseline_g = closed_form_outcome(params).g
     leader_size = _resolve_leader_size(scenario, network)
@@ -388,7 +404,7 @@ def run_comparison(scenario, strategies, cap=None):
                     scenario.p,
                     leader_size,
                     follower_mode=strategy.removeprefix("ours_"),
-                    cap=DEFAULT_CONFIG_CAP if cap is None else cap,
+                    cap=cap,
                 )
                 config = plan.config
                 leader_evals = plan.leader_evaluations
@@ -509,28 +525,6 @@ def run_ablation(scenario):
         rows.append(_result_row(scenario, mode, params, baseline_g, config, start, sets, configs))
     rows.sort(key=lambda row: (row.scenario_id, row.strategy))
     return rows
-
-
-def benchmark(scenario, repeats=3):
-    """Time the approx planner end to end; returns a BenchmarkSummary.
-
-    mean_leader_eval_time averages wall time per adversary-set evaluation
-    across repeats; config_count reports the size of the naive exhaustive
-    space for the same leader size.
-    """
-    _check_count(repeats, "repeats")
-    network, params = generate(scenario)
-    leader_size = _resolve_leader_size(scenario, network)
-    totals, per_eval = [], []
-    for _ in range(repeats):
-        plan = solve_attack(params, scenario.p, leader_size, follower_mode="approx")
-        totals.append(plan.wall_time)
-        per_eval.append(plan.wall_time / plan.leader_evaluations)
-    return BenchmarkSummary(
-        mean_solve_time=float(np.mean(totals)),
-        mean_leader_eval_time=float(np.mean(per_eval)),
-        config_count=count_configurations(network, leader_size),
-    )
 
 
 def _json_number(value, digits=12):

@@ -270,6 +270,12 @@ def _check_magnitude(p):
     return p
 
 
+def _check_cap(cap):
+    """Reject a configuration cap that is neither None (no cap) nor an int >= 1."""
+    if cap is not None:
+        _check_count(cap, "cap")
+
+
 def marginal_gains(params, adversaries, p=DEFAULT_P):
     """First-order gain in g per added targeting edge, for a fixed adversary set.
 
@@ -303,6 +309,7 @@ def solve_follower(params, adversaries, p=DEFAULT_P, mode="approx", cap=DEFAULT_
     solve_attack's search on the one set.
     """
     adversaries, p = _check_adversary_set(params.network, adversaries, p)
+    _check_cap(cap)
     (_, items), g, _, _, _ = _search(params, p, mode, cap, (len(adversaries),), adversaries)
     return dict(items), g
 
@@ -955,16 +962,17 @@ def solve_attack(
     solves the follower problem for each set the bound cannot rule out;
     the plan is the one solving every set gives.  Both modes walk the
     tree once.  In exact mode every set must stay within ``cap``
-    configurations, and each set the tree reaches is scored first by
-    its approx configuration, then by the configurations whose
-    first-order bound can still reach the best g found so far.  The
-    returned plan's predicted_g is always an exact evaluation of the
-    winning configuration.
+    configurations (None: no cap; every mode checks it), and each set
+    the tree reaches is scored first by its approx configuration, then
+    by the configurations whose first-order bound can still reach the
+    best g found so far.  The returned plan's predicted_g is always an
+    exact evaluation of the winning configuration.
     """
     start = time.perf_counter()
     network = params.network
     p = _check_magnitude(p)
     leader_size = _check_leader_size(network, leader_size)
+    _check_cap(cap)
     sizes = range(1, network.leader_budget() + 1) if all_leader_sizes else (leader_size,)
 
     (adversaries, items), best_g, sets, configs, upper = _search(
@@ -986,15 +994,16 @@ def brute_force_oracle(params, p=DEFAULT_P, leader_size=None, cap=DEFAULT_CONFIG
     Scores every (adversary set, joint target choice) pair with the same
     engine and tie-breaking order as exact solve_attack, without its
     pruning: every configuration is solved.  Refuses to run if the full
-    space exceeds ``cap`` configurations.  upper_bound is the best g, the
-    only bound an exhaustive search certifies.
+    space exceeds ``cap`` configurations (None: no cap).  upper_bound is
+    the best g, the only bound an exhaustive search certifies.
     """
     start = time.perf_counter()
     network = params.network
     p = _check_magnitude(p)
     leader_size = _check_leader_size(network, leader_size)
+    _check_cap(cap)
     total = count_configurations(network, leader_size)
-    if total > cap:
+    if cap is not None and total > cap:
         raise CapExceededError(f"{total} feasible configurations exceed the cap of {cap}")
     leader_sets = [combinations(range(network.agent_count), leader_size)]
     (adversaries, items), best_g, sets, configs = _leader_search(

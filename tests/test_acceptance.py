@@ -27,7 +27,6 @@ from fjattack import (
     Scenario,
     adversarial_outcome,
     apply_adversarial_weights,
-    benchmark,
     brute_force_oracle,
     closed_form_outcome,
     count_configurations,
@@ -259,18 +258,17 @@ def test_07_recovery_round_trip():
 def test_08_search_space_count_and_planner_speed():
     count = count_configurations(complete_network(13))
     scenario = Scenario(scenario_id="acc8", topology="complete", n=12, seed=42)
-    summary = benchmark(scenario, repeats=3)
-    ok = (
-        count == 204_211_150_000
-        and summary.mean_solve_time <= 5.0
-        and summary.mean_leader_eval_time <= 0.050
-    )
+    _, params = generate(scenario)
+    plans = [solve_attack(params, scenario.p, follower_mode="approx") for _ in range(3)]
+    mean_solve = float(np.mean([plan.wall_time for plan in plans]))
+    per_eval = float(np.mean([plan.wall_time / plan.leader_evaluations for plan in plans]))
+    ok = count == 204_211_150_000 and mean_solve <= 5.0 and per_eval <= 0.050
     report(
         "criterion 8 tractability",
         ok,
         f"13-agent complete count {count} == 204211150000, "
-        f"n=12 mean solve {summary.mean_solve_time:.3f}s <= 5s, "
-        f"per-evaluation {summary.mean_leader_eval_time * 1e3:.3f}ms <= 50ms",
+        f"n=12 mean solve {mean_solve:.3f}s <= 5s, "
+        f"per-evaluation {per_eval * 1e3:.3f}ms <= 50ms",
     )
 
 
@@ -314,9 +312,8 @@ def test_09_harness_runs_are_deterministic(tmp_path):
         assert main(["compare"] + base) == 0
         assert main(["compare"] + base + ["--format", "json"]) == 0
         assert main(["ablate"] + base) == 0
-        assert main(["benchmark"] + base) == 0
         out_dirs.append(out)
-    names = ("det_compare.csv", "det_compare.json", "det_ablation.csv", "det_benchmark.json")
+    names = ("det_compare.csv", "det_compare.json", "det_ablation.csv")
     stable = [
         name
         for name in names

@@ -174,29 +174,6 @@ def test_ablate_outputs(tmp_path):
     ]
 
 
-@pytest.mark.parametrize(
-    "fmt, written",
-    [(None, {"csv", "json"}), ("csv", {"csv"}), ("json", {"json"})],
-    ids=["default", "csv", "json"],
-)
-def test_benchmark_output(tmp_path, capsys, fmt, written):
-    scenario = write_scenario(tmp_path)
-    code = main([
-        "benchmark", "--scenario", str(scenario),
-        "--repeats", "2", "--out-dir", str(tmp_path),
-    ] + ([] if fmt is None else ["--format", fmt]))
-    assert code == 0
-    assert {path.suffix[1:] for path in tmp_path.glob("demo_benchmark.*")} == written
-    # complete 8-graph: C(8,2) pairs, each with (1 + 6 + C(6,2))^2 target choices
-    count = 28 * 22 * 22
-    if "json" in written:
-        assert read_json(tmp_path / "demo_benchmark.json")["config_count"] == count
-    if "csv" in written:
-        header, row = (tmp_path / "demo_benchmark.csv").read_text().splitlines()
-        assert dict(zip(header.split(","), row.split(",")))["config_count"] == str(count)
-    assert "mean solve" in capsys.readouterr().out
-
-
 def test_count_paths(tmp_path, capsys):
     network = write_network(tmp_path, {"n": 13})
     assert main(["count", "--network", str(network)]) == 0
@@ -310,6 +287,39 @@ def test_simulate_rejects_nonpositive_trajectory_count(tmp_path, capsys, count):
     assert code == 2
     assert "--trajectories must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "demo_network_trajectories.json").exists()
+
+
+def test_simulate_rejects_z0_with_several_trajectories(tmp_path, capsys):
+    network = write_network(tmp_path)
+    code = main([
+        "simulate", "--network", str(network), "--rounds", "5",
+        "--z0", ",".join(["0.5"] * 8), "--trajectories", "3", "--out-dir", str(tmp_path),
+    ])
+    assert code == 2
+    assert "--z0 starts one rollout, got --trajectories 3" in capsys.readouterr().err
+    assert not (tmp_path / "demo_network_trajectories.json").exists()
+
+
+def test_negative_cap_exits_two(tmp_path, capsys):
+    network = write_network(tmp_path)
+    scenario = write_scenario(tmp_path)
+    for argv in (
+        ["attack-plan", "--network", str(network), "--mode", "approx"],
+        ["attack-plan", "--network", str(network), "--mode", "exact"],
+        ["compare", "--scenario", str(scenario), "--strategies", "random,ours_exact"],
+    ):
+        assert main(argv + ["--cap", "-1", "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cap must be an int >= 1, got -1")
+    assert not list(tmp_path.glob("*_attack_plan.json")) + list(tmp_path.glob("*_compare.*"))
+
+
+def test_benchmark_is_not_a_subcommand(tmp_path, capsys):
+    scenario = write_scenario(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["benchmark", "--scenario", str(scenario), "--out-dir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'benchmark'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("demo_benchmark.*"))
 
 
 @pytest.mark.parametrize(

@@ -24,15 +24,14 @@ from fjattack import (
     InfluenceNetwork,
     OpinionTrajectory,
     RecoveryProblem,
-    Scenario,
     ValidationError,
     apply_adversarial_weights,
-    benchmark,
     closed_form_outcome,
     fj_step,
     recovery_robustness,
     simulate,
     simulate_adversarial,
+    solve_attack,
 )
 from fjattack.dynamics import SPECTRAL_MARGIN
 from fjattack.linalg import spectral_radius
@@ -579,13 +578,17 @@ def test_spectral_radius_stops_once_the_threshold_is_decided():
         ("seeds", lambda: recovery_robustness(problem_with_truth(), [0.0], seeds=True)),
         ("agent_count", lambda: InfluenceNetwork(True, ())),
         ("rounds", lambda: OpinionTrajectory(rounds=True, values=np.zeros((2, 2)))),
-        ("repeats", lambda: benchmark(Scenario(n=5), repeats=True)),
+        ("cap", lambda: solve_attack(planner_params(), cap=True)),
     ),
-    ids=("seeds_fraction", "seeds_bool", "agent_count_bool", "rounds_bool", "repeats_bool"),
+    ids=("seeds_fraction", "seeds_bool", "agent_count_bool", "rounds_bool", "cap_bool"),
 )
 def test_counts_reject_bools_and_non_ints(name, build):
     with pytest.raises(ValidationError, match=f"^{name} must be an int >= 1, got "):
         build()
+
+
+def planner_params():
+    return random_params(np.random.default_rng(0), complete_network(5))
 
 
 def problem_with_truth():

@@ -1,4 +1,4 @@
-"""Scenario generation, strategy comparisons, ablations, and benchmarks.
+"""Scenario generation, strategy comparisons and ablations.
 
 Determinism is the load-bearing property here: everything a scenario file
 produces must be reproducible bit for bit, wall-clock fields aside, so the
@@ -21,8 +21,6 @@ from fjattack import (
     ConvergenceError,
     Scenario,
     ValidationError,
-    benchmark,
-    count_configurations,
     generate,
     run_ablation,
     run_comparison,
@@ -30,12 +28,13 @@ from fjattack import (
 from fjattack.fileio import parameters_to_json, save_parameters
 from fjattack.harness import (
     RESULT_HEADER,
+    _random_targets,
     _unpinned_scorer,
     result_rows_to_csv,
     result_rows_to_json,
 )
 from fjattack.linalg import factor_conditioned, solve_conditioned
-from fjattack.optimizer import _leader_search
+from fjattack.optimizer import _leader_search, _subset_masks
 
 
 def test_generate_complete_shape():
@@ -131,9 +130,8 @@ def test_scenario_json_round_trip():
         lambda scenario: run_comparison(scenario, ["random"]),
         lambda scenario: run_comparison(scenario, ["variant_I"]),
         lambda scenario: run_ablation(scenario),
-        lambda scenario: benchmark(scenario, repeats=1),
     ),
-    ids=("random", "variant_I", "ablation", "benchmark"),
+    ids=("random", "variant_I", "ablation"),
 )
 def test_leader_size_is_checked_once_for_every_entry(entry):
     with pytest.raises(ValidationError, match=r"^leader_size 9 outside the feasible range 1\.\.1$"):
@@ -187,6 +185,72 @@ def test_comparison_cap_marks_skipped_and_continues():
     assert skipped.status == "skipped"
     assert math.isnan(skipped.g_attack) and math.isnan(skipped.delta_g)
     assert by_name["variant_I"].status == "ok"
+
+
+@pytest.mark.parametrize("cap", ("x", -1, 0, True, 2.5))
+def test_comparison_checks_its_cap_before_any_strategy(cap, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a strategy ran before the cap was checked")
+
+    monkeypatch.setattr(fjattack.harness, "generate", unreachable)
+    scenario = Scenario(scenario_id="z", topology="complete", n=8, seed=5)
+    with pytest.raises(ValidationError, match=r"^cap must be an int >= 1, got "):
+        run_comparison(scenario, ["random", "ours_exact"], cap=cap)
+
+
+def test_comparison_cap_none_means_no_cap():
+    scenario = Scenario(scenario_id="z", topology="complete", n=8, seed=5)
+    unbounded = run_comparison(scenario, ["ours_exact"], cap=None)
+    default = run_comparison(scenario, ["ours_exact"])
+    assert strip_wall_times(result_rows_to_json(unbounded)) == strip_wall_times(
+        result_rows_to_json(default)
+    )
+    assert unbounded[0].status == "ok"
+
+
+def enumerated_random_targets(network, adversaries, rng):
+    """Reference draw: list every choice in (size, lex) order, pick one by rank."""
+    targets = {}
+    for j in adversaries:
+        subsets = _subset_masks(network, j, network.target_budget(j))
+        subsets = subsets[~subsets[:, list(adversaries)].any(axis=1)]
+        targets[j] = np.flatnonzero(subsets[int(rng.integers(len(subsets)))])
+    return targets
+
+
+def test_random_targets_unrank_the_enumerated_draw(monkeypatch):
+    listed = []
+    monkeypatch.setattr(
+        fjattack.optimizer, "_subset_masks", lambda *args: listed.append(args)
+    )
+    assert not hasattr(fjattack.harness, "_subset_masks")
+    cases = 0
+    for topology in ("complete", "ring", "star", "erdos_renyi"):
+        for n in range(5, 15):
+            for seed in range(3):
+                network, _ = generate(Scenario(topology=topology, n=n, seed=seed))
+                picks = np.random.default_rng([seed, n])
+                k = network.leader_budget()
+                for draw in range(5):
+                    adversaries = tuple(sorted(picks.choice(n, size=k, replace=False).tolist()))
+                    got = _random_targets(network, adversaries, np.random.default_rng(draw))
+                    want = enumerated_random_targets(
+                        network, adversaries, np.random.default_rng(draw)
+                    )
+                    assert got.keys() == want.keys()
+                    for j in adversaries:
+                        assert got[j].dtype == want[j].dtype
+                        assert got[j].tolist() == want[j].tolist()
+                    cases += 1
+    assert cases == 4 * 10 * 3 * 5
+    assert listed == []
+
+
+def test_random_strategy_runs_on_a_complete_forty_agent_network():
+    # 4.7e7 target choices per adversary: listing them is out of reach.
+    scenario = Scenario(scenario_id="r40", topology="complete", n=40, seed=1)
+    (row,) = run_comparison(scenario, ["random"])
+    assert row.status == "ok"
 
 
 def test_comparison_approx_beats_variants_on_average():
@@ -263,17 +327,6 @@ def test_ablation_full_wins_on_average():
             totals[row.strategy] += row.delta_g
     for mode in ("wo_pinning", "wo_targeting", "wo_both"):
         assert totals["full"] >= totals[mode] - 1e-12
-
-
-def test_benchmark_reports_counts_and_times():
-    scenario = Scenario(scenario_id="bm", topology="complete", n=9, seed=3)
-    summary = benchmark(scenario, repeats=2)
-    network, _ = generate(scenario)
-    assert summary.config_count == count_configurations(network)
-    assert summary.mean_solve_time > 0.0
-    assert summary.mean_leader_eval_time > 0.0
-    with pytest.raises(ValidationError):
-        benchmark(scenario, repeats=0)
 
 
 def strip_wall_times(rows_json):

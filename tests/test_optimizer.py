@@ -344,6 +344,42 @@ def test_exact_cap_is_per_set_and_oracle_cap_is_total():
     assert brute_force_oracle(params, p=1e-3, cap=total).config == plan.config
 
 
+def test_cap_none_means_no_cap_in_every_entry():
+    _, params = random_instance(31, n=9, density=0.6)
+    _, total, _ = scalar_exact_search(params, 2)
+    oracle = brute_force_oracle(params, p=1e-3, cap=None)
+    assert oracle.config == brute_force_oracle(params, p=1e-3, cap=total).config
+    plan = solve_attack(params, p=1e-3, follower_mode="exact", cap=None)
+    assert plan.config == oracle.config and plan.follower_candidates == total
+    targets, g = solve_follower(params, plan.config.adversaries, 1e-3, "exact", cap=None)
+    assert AttackConfig(plan.config.adversaries, targets, 1e-3) == plan.config
+    assert g == plan.predicted_g
+
+
+@pytest.mark.parametrize("cap", ("x", -1, 0, True, 2.5))
+@pytest.mark.parametrize(
+    "entry",
+    (
+        lambda params, cap: solve_attack(params, 1e-3, follower_mode="approx", cap=cap),
+        lambda params, cap: solve_attack(params, 1e-3, follower_mode="exact", cap=cap),
+        lambda params, cap: solve_follower(params, (0, 1), 1e-3, "approx", cap=cap),
+        lambda params, cap: solve_follower(params, (0, 1), 1e-3, "exact", cap=cap),
+        lambda params, cap: brute_force_oracle(params, 1e-3, cap=cap),
+    ),
+    ids=("attack_approx", "attack_exact", "follower_approx", "follower_exact", "oracle"),
+)
+def test_cap_is_checked_in_every_mode(entry, cap, monkeypatch):
+    _, params = random_instance(31, n=9, density=0.6)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("searched before the cap was checked")
+
+    monkeypatch.setattr(fjattack.optimizer, "_search", unreachable)
+    monkeypatch.setattr(fjattack.optimizer, "_leader_search", unreachable)
+    with pytest.raises(ValidationError, match=r"^cap must be an int >= 1, got "):
+        entry(params, cap)
+
+
 def test_exact_and_oracle_paths_are_conditioning_guarded(monkeypatch):
     _, params = random_instance(60, n=8, density=0.6)
     monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", 1.0)
