@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .adversary import adversarial_outcome, simulate_adversarial
+from .adversary import DEFAULT_P, adversarial_outcome, simulate_adversarial
 from .dynamics import closed_form_outcome, simulate
 from .errors import CapExceededError, ConvergenceError, ValidationError
 from .harness import (
@@ -222,7 +222,7 @@ def build_parser():
 
     sp = sub.add_parser("attack-plan", help="search for the most damaging attack")
     sp.add_argument("--network", required=True, help="network + parameter JSON file")
-    sp.add_argument("--p", type=float, default=1e-3)
+    sp.add_argument("--p", type=float, default=DEFAULT_P)
     sp.add_argument("--leader-size", type=int, default=None)
     sp.add_argument("--mode", choices=("approx", "exact"), default="approx")
     sp.add_argument("--all-leader-sizes", action="store_true")

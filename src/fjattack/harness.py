@@ -247,9 +247,10 @@ def _star_edges(n):
 def _erdos_renyi_edges(n, edge_prob, rng):
     edges = []
     for src in range(n):
-        for dst in range(n):
-            if src != dst and rng.random() < edge_prob:
-                edges.append((src, dst))
+        # One draw per other agent, in index order: dst skips src.
+        dst = np.flatnonzero(rng.random(n - 1) < edge_prob)
+        dst[dst >= src] += 1
+        edges.extend((src, d) for d in dst.tolist())
     # Repair agents that ended up with nobody to listen to.
     in_counts = [0] * n
     for _, dst in edges:
@@ -304,6 +305,23 @@ def _resolve_leader_size(scenario, network):
     return _check_leader_size(network, size)
 
 
+def _uniform_below(total, rng):
+    """A uniform int in [0, total): one ``rng.integers`` draw while total
+    fits in int64; above that, an int of total's bit length built from
+    63-bit words, drawn again until it falls below total."""
+    if total < 2**63:
+        return int(rng.integers(total))
+    bits = total.bit_length()
+    words = -(-bits // 63)
+    while True:
+        value = 0
+        for word in rng.integers(2**63, size=words).tolist():
+            value = value << 63 | word
+        value >>= 63 * words - bits
+        if value < total:
+            return value
+
+
 def _random_targets(network, adversaries, rng):
     """Uniform draw of one feasible target subset per adversary.
 
@@ -318,7 +336,7 @@ def _random_targets(network, adversaries, rng):
         eligible = [i for i in network.out_neighbors(j) if i != j and i not in barred]
         m = len(eligible)
         per_size = [math.comb(m, size) for size in range(network.target_budget(j) + 1)]
-        rank = int(rng.integers(sum(per_size)))
+        rank = _uniform_below(sum(per_size), rng)
         size = 0
         while rank >= per_size[size]:
             rank -= per_size[size]
@@ -436,7 +454,7 @@ def _unpinned_scorer(params, p):
     all n agents with M = I - (I - Theta) W for every set, and no set is
     pinned out of it.  So the planner's leader tree, which pins, has
     nothing to read here: only its root, the guarded inverse of M
-    (``_SchurGains.inverse``), taken when the scorer is built, gives the
+    (``_SchurGains.minv``), taken when the scorer is built, gives the
     sensitivity c = (I - Theta) M^-T 1 and, through one product per chunk,
     every set's fixed point z0.  Adversary j's gain on agent i is p c_i (z0_j - (W z0)_i);
     each adversary keeps its top target-budget eligible targets with a
@@ -453,7 +471,7 @@ def _unpinned_scorer(params, p):
     weights = params.influence
     n = params.n
     gains = _SchurGains(params, p)
-    minv, targeting = gains.inverse(), gains.targeting
+    minv, targeting = gains.minv, gains.targeting
     sensitivity = (1.0 - theta) * minv.sum(axis=0)
     listeners, budgets = network.support_mask().T, gains.budgets
 

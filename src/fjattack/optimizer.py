@@ -124,12 +124,13 @@ the order: the plan is full enumeration's, bit for bit.  An unscored set
 still counts in leader_evaluations (and, in exact mode, its
 configurations in follower_candidates) as covered.
 
-The full system passes ``linalg.invert_conditioned``; every scored set's
-restricted system and every re-scored system pass
-``linalg.check_conditioned``, which clears a stack by a diagonal-dominance
-bound, or else by the exact rcond, and names the adversary set it rejects.
-An unscored set is guarded only when the full system is refused, to name
-the first refused set: while M passes, so does every restricted M_UU.  M
+The full system passes ``linalg.invert_conditioned`` as the kernel is
+built; every scored set's restricted system and every re-scored system
+pass ``linalg.check_conditioned``, which clears a stack by a
+diagonal-dominance bound, or else by the exact rcond, and names the
+adversary set it rejects.  Unscored sets are guarded only if M is
+refused, so that ``_search`` names a refused set first on either entry:
+while M passes, so does every restricted M_UU.  M
 is a nonsingular M-matrix, so ||M_UU||_1 <= ||M||_1 (a principal
 submatrix), and 0 <= (M_UU)^-1 <= (M^-1)_UU entrywise (the node's R, see
 ``_SchurGains.pin``), so ||(M_UU)^-1||_1 <= ||M^-1||_1 and
@@ -331,14 +332,15 @@ def _top_targets(gain, eligible, budgets):
 class _SchurGains:
     """The leader tree's nodes, and every set's z and gains read off them.
 
-    M = I - (I - Theta) W is inverted once, through ``invert_conditioned``,
-    when first needed, so a caller can guard sets' restricted systems
-    before the full system.  A node is a partial set S, its agents in the
-    order they were pinned, with three arrays: R, the restricted inverse
-    (M_UU)^-1 embedded in n x n with zero rows and columns on S; z, the
-    pinned fixed point, 1 on S; and 1^T R, zero on S.  Nodes travel as
-    stacks (sets, R, z, 1^T R) of shapes (m, |S|), (m, n, n), (m, n) and
-    (m, n).  The root pins nobody, and its scores fix ``rank``.
+    M = I - (I - Theta) W is inverted (``minv``, through
+    ``invert_conditioned``, which refuses an ill-conditioned M) when the
+    kernel is built, with kappa_1(M), the root and its scores.  A node is
+    a partial set S, its agents in the order they were pinned, with three
+    arrays: R, the restricted inverse (M_UU)^-1 embedded in n x n with
+    zero rows and columns on S; z, the pinned fixed point, 1 on S; and
+    1^T R, zero on S.  Nodes travel as stacks (sets, R, z, 1^T R) of
+    shapes (m, |S|), (m, n, n), (m, n) and (m, n).  The root pins nobody,
+    and its scores fix ``rank``.
 
     A set's z and gains come from its canonical node: the set pinned from
     the root in rank order, which is how the tree reaches it, with its
@@ -364,17 +366,16 @@ class _SchurGains:
         count = np.bincount(owner, minlength=len(self.targeters))
         self.targets = np.full((len(self.targeters), count.max(initial=0)), params.n)
         self.targets[owner, np.arange(len(owner)) - (np.cumsum(count) - count)[owner]] = target
-        self.minv = None
-        self.kappa = None
-        self.start = None
-        self.rank = None
+        self.minv = invert_conditioned(self.system[None], lambda b: "system I - (I - Theta) W")[0]
+        self.kappa = np.abs(self.system).sum(axis=0).max() * np.abs(self.minv).sum(axis=0).max()
+        # The root pins nobody: R = M^-1 and z = M^-1 Theta s.
+        z = self.minv @ (params.stubbornness * params.intrinsic)
+        nobody = np.empty((1, 0), dtype=np.intp)
+        self.root = nobody, self.minv[None], z[None], self.minv.sum(axis=0)[None]
+        self.root_scores = self.scores(*self.root[2:], np.diagonal(self.minv)[None])
+        # rank[v]: v's place in descending root score, the index breaking ties.
+        self.rank = np.argsort(np.argsort(-self.root_scores[1][0], kind="stable"))
         self.last = None, None
-
-    def inverse(self):
-        if self.minv is None:
-            full = invert_conditioned(self.system[None], lambda b: "system I - (I - Theta) W")
-            self.minv = full[0]
-        return self.minv
 
     def slack(self, g):
         """Rounding allowance when a computed first-order bound meets a computed g.
@@ -388,37 +389,11 @@ class _SchurGains:
         multiplier for its own optimality test; it is never zero.
         """
         n = len(self.system)
-        if self.kappa is None:
-            self.kappa = (
-                np.abs(self.system).sum(axis=0).max() * np.abs(self.inverse()).sum(axis=0).max()
-            )
         return 64.0 * n * np.finfo(float).eps * self.kappa * max(abs(g), n)
 
     def threshold(self, g):
         """The least bound that can still beat or tie an incumbent g."""
         return g - self.slack(g)
-
-    def root(self):
-        """The tree's root: nobody pinned, R = M^-1 and z = M^-1 Theta s.
-
-        Its scores fix the rank: ``rank[v]`` is agent v's place in the
-        order of descending root score s_v, the index breaking ties.
-        """
-        if self.start is None:
-            params = self.params
-            minv = self.inverse()
-            z = minv @ (params.stubbornness * params.intrinsic)
-            nobody = np.empty((1, 0), dtype=np.intp)
-            nodes = nobody, minv[None], z[None], minv.sum(axis=0)[None]
-            self.start = nodes, self.scores(*nodes[2:], np.diagonal(minv)[None])
-            order = np.argsort(-self.start[1][1][0], kind="stable")
-            self.rank = np.argsort(order)
-        return self.start[0]
-
-    def root_scores(self):
-        """``scores`` of the root, computed once."""
-        self.root()
-        return self.start[1]
 
     def marginal(self, z, reach):
         """m = p (1 - W z) (1 - Theta) 1^T R of a stack of nodes' z and 1^T R.
@@ -534,7 +509,7 @@ class _SchurGains:
         """
         if self.last[0] is not adversaries:
             sets, k = adversaries.shape
-            nodes, owner = self.root(), np.zeros(sets, dtype=np.intp)
+            nodes, owner = self.root, np.zeros(sets, dtype=np.intp)
             pins = np.take_along_axis(
                 adversaries, np.argsort(self.rank[adversaries], axis=1), axis=1
             )
@@ -711,8 +686,7 @@ def _branch_and_bound(gains, k, score, best):
     such chunk of nodes per depth is held, so the nodes peak near
     (k - 1) NODE_BYTES.
     """
-    root = gains.root()
-    rank, stack = gains.rank, []
+    root, rank, stack = gains.root, gains.rank, []
     inner = _node_chunk(len(rank))
 
     def expand(nodes, bound):
@@ -724,7 +698,7 @@ def _branch_and_bound(gains, k, score, best):
             part = order[lo : lo + size]
             stack.append((nodes, owner[part], v[part], bound[part]))
 
-    base, scores = gains.root_scores()
+    base, scores = gains.root_scores
     bound = _child_bounds(rank, root[0], base, scores, k)
     if best.key is not None and not (bound >= gains.threshold(best.g)).any():
         return
@@ -766,26 +740,24 @@ def _space_sizer(network):
     set in a (sets, k) array.
 
     Adversary a of a set chooses among the subsets of at most its target
-    budget of its out-neighbours that avoid the set.  The count table is filled
-    on first use and shared by every call of ``sizes``, so each of its
-    entries is computed once.
+    budget of its out-neighbours that avoid the set.  The count table is
+    filled once, when the sizer is built, and shared by every call.
     """
     degree = np.array([network.out_degree(j) for j in range(network.agent_count)])
     support = network.support_mask()
     # subsets[j, o]: agent j's choices when o of its out-neighbours are
-    # adversaries too; filled[j] entries of row j are computed.
-    subsets = np.zeros((network.agent_count, degree.max() + 1), dtype=object)
-    filled = np.zeros(network.agent_count, dtype=int)
+    # adversaries too, F(d - o) for F(m) = sum_{s <= budget} C(m, s), which
+    # obeys F(0) = 1 and F(t + 1) = 2 F(t) - C(t, budget); C(t, budget) is
+    # 0 below t = budget, 1 at it, and C(t - 1, budget) t / (t - budget) above.
+    subsets = np.zeros((len(degree), degree.max() + 1), dtype=object)
+    for j, d in enumerate(degree.tolist()):
+        budget, choices, comb = network.target_budget(j), [1], 0
+        for t in range(d):
+            comb = comb * t // (t - budget) if t > budget else int(t == budget)
+            choices.append(2 * choices[-1] - comb)
+        subsets[j, : d + 1] = choices[::-1]
 
     def sizes(adversaries):
-        agents = np.unique(adversaries)
-        top = np.minimum(adversaries.shape[1], degree[agents]) + 1
-        rows = (agents, degree[agents], filled[agents], top)
-        for j, d, start, stop in zip(*(x.tolist() for x in rows)):
-            for o in range(start, stop):
-                budget = network.target_budget(j)
-                subsets[j, o] = sum(math.comb(d - o, s) for s in range(budget + 1))
-        filled[agents] = np.maximum(filled[agents], top)
         overlap = support[adversaries[:, None, :], adversaries[:, :, None]].sum(axis=2)
         return subsets[adversaries, overlap].prod(axis=1)
 
@@ -904,13 +876,14 @@ def _search(params, p, mode, cap, sizes, adversaries=None):
     approx scorer, pruned against the live threshold (``_exact_scorer``).
     The threshold only rises, since g lies in [0, n] and the slack is
     constant, so whatever it pruned lies below the final one too.  The
-    full system is inverted first; only if it is refused are the
-    restricted systems of the first LEADER_CHUNK sets in enumeration order
-    guarded, so a refused set is named first, and otherwise the full
-    system's error stands.  Returns ((adversaries, items), g, sets,
-    configurations, max UB(A)).  Both counts cover every set: approx mode
-    counts one configuration per set, exact mode all those of every set,
-    solved or certified unable to beat the incumbent.
+    kernel (``_SchurGains``) is built once, after the count pass, for
+    either entry.  If it refuses the full system, the restricted systems
+    of the first LEADER_CHUNK sets in enumeration order (the one set, if
+    given) are guarded, so a refused set is named first, and otherwise
+    the full system's error stands.  Returns ((adversaries, items), g,
+    sets, configurations, max UB(A)).  Both counts cover every set: approx
+    mode counts one configuration per set, exact mode all those of every
+    set, solved or certified unable to beat the incumbent.
     """
     if mode not in ("approx", "exact"):
         raise ValidationError(f"unknown follower mode {mode!r}")
@@ -920,10 +893,17 @@ def _search(params, p, mode, cap, sizes, adversaries=None):
             return [[adversaries]]
         return [combinations(range(params.n), k) for k in sizes]
 
-    gains, best, bounds = _SchurGains(params, p), _Argmax(), []
-    scorers = [_approx_scorer(params, p, gains, bounds)]
     if mode == "exact":
         configs = _count_configurations(params.network, leader_sets(), cap)
+    try:
+        gains = _SchurGains(params, p)
+    except ConvergenceError:
+        first = next(_chunks(leader_sets()))
+        _check_restricted(_restricted_blocks(params, first), _set_label(first))
+        raise
+    best, bounds = _Argmax(), []
+    scorers = [_approx_scorer(params, p, gains, bounds)]
+    if mode == "exact":
         scorers.append(_exact_scorer(params, p, prune=(gains, best)))
 
     def score(chunk):
@@ -933,12 +913,6 @@ def _search(params, p, mode, cap, sizes, adversaries=None):
         best.score(score, np.array([adversaries]))
         sets = 1
     else:
-        try:
-            gains.inverse()
-        except ConvergenceError:
-            first = next(_chunks(leader_sets()))
-            _check_restricted(_restricted_blocks(params, first), _set_label(first))
-            raise
         for k in sorted(sizes, reverse=True):
             _branch_and_bound(gains, k, score, best)
         sets = sum(math.comb(params.n, k) for k in sizes)

@@ -262,6 +262,16 @@ def test_config_structural_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "targets",
+    ([(1, (0,)), (1, (3,))], [(1, ()), (np.int64(1), (0,))], [(2, ()), ("1", ()), (1, (0,))]),
+    ids=("same_int", "numpy_int", "text_key"),
+)
+def test_config_rejects_two_target_entries_for_one_adversary(targets):
+    with pytest.raises(ValidationError, match=r"^adversary 1 has two target entries$"):
+        AttackConfig(adversaries=(1, 2), targets=targets, influence_magnitude=0.1)
+
+
 def test_config_canonical_form():
     a = AttackConfig(adversaries=(2, 1), targets={1: (5, 3)}, influence_magnitude=0.1)
     b = AttackConfig(

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from fjattack import Scenario, ValidationError, generate
-from fjattack.cli import main
+from fjattack.adversary import DEFAULT_P
+from fjattack.cli import build_parser, main
 from fjattack.fileio import read_json, save_parameters, write_json
 
 
@@ -146,6 +147,22 @@ def test_compare_csv_and_exit_codes(tmp_path):
     lines = (tmp_path / "demo_compare.csv").read_text().strip().splitlines()
     assert lines[0].startswith("scenario_id,strategy,")
     assert len(lines) == 4
+
+
+def test_exact_attack_plan_over_the_cap_is_skipped(tmp_path, capsys):
+    network = write_network(tmp_path)
+    code = main([
+        "attack-plan", "--network", str(network), "--mode", "exact", "--cap", "1",
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("skipped: exact follower space has ")
+    assert not list(tmp_path.glob("*_attack_plan.json"))
+
+
+def test_attack_plan_magnitude_defaults_to_the_package_default():
+    args = build_parser().parse_args(["attack-plan", "--network", "net.json"])
+    assert args.p == DEFAULT_P
 
 
 def test_compare_skipped_exact_returns_three(tmp_path):

@@ -5,6 +5,7 @@ plain fixed-point iteration for the equilibrium, so any indexing or
 vectorization mistake in the library shows up as a disagreement.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -486,6 +487,21 @@ def test_parameters_validation():
     bad_s = dict(good, intrinsic=np.array([-0.1, 0.8]))
     with pytest.raises(ValidationError):
         FjParameters(**bad_s)
+
+
+@pytest.mark.parametrize(
+    "influence, message",
+    (
+        (np.eye(3), "influence must have shape (2, 2), got (3, 3)"),
+        (np.full(4, 0.5), "influence must have shape (2, 2), got (4,)"),
+        ([[0.0, 1.0], [-1.0, 2.0]], "influence weights must be nonnegative"),
+    ),
+    ids=("square", "flat", "negative"),
+)
+def test_parameters_name_a_malformed_influence(influence, message):
+    network = InfluenceNetwork(2, ((0, 1), (1, 0)))
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        FjParameters(network, np.array([0.2, 0.8]), np.array([0.5, 0.5]), influence)
 
 
 def test_parameters_zero_stubbornness_spectral_gate():

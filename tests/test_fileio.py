@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import random_feasible_config, random_instance
 from fjattack import (
     AttackConfig,
     InfluenceNetwork,
+    OpinionTrajectory,
     ValidationError,
     simulate,
 )
@@ -116,6 +118,58 @@ def test_trajectories_round_trip(tmp_path):
     for got, want in zip(loaded, trajectories):
         assert got.rounds == want.rounds
         assert np.array_equal(got.values, want.values)
+
+
+def written(path, payload):
+    write_json(path, payload)
+    return path
+
+
+@pytest.mark.parametrize(
+    "act, message",
+    (
+        (
+            lambda path: load_trajectories(written(path, {"trajectories": [[[0.5], [0.5]]]})),
+            "missing required key 'n'",
+        ),
+        (
+            lambda path: load_trajectories(written(path, {"n": 1})),
+            "missing required key 'trajectories'",
+        ),
+        (
+            lambda path: load_trajectories(written(path, {"n": 2, "trajectories": []})),
+            "no trajectories",
+        ),
+        (
+            lambda path: load_trajectories(written(path, {"n": 2, "trajectories": [[[0.5, 0.5]]]})),
+            "trajectory 0 must be (rounds + 1) x 2 with rounds >= 1",
+        ),
+        (
+            lambda path: load_trajectories(
+                written(path, {"n": 2, "trajectories": [[[0.5, 0.5]] * 2, [[0.5, 0.5, 0.5]] * 2]})
+            ),
+            "trajectory 1 must be (rounds + 1) x 2 with rounds >= 1",
+        ),
+        (
+            lambda path: load_trajectories(written(path, {"n": 2, "trajectories": [[0.5, 0.5]] * 2})),
+            "trajectory 0 must be (rounds + 1) x 2 with rounds >= 1",
+        ),
+        (
+            lambda path: save_trajectories(
+                (
+                    OpinionTrajectory(rounds=1, values=np.full((2, 1), 0.5)),
+                    OpinionTrajectory(rounds=1, values=np.full((2, 2), 0.5)),
+                ),
+                path,
+            ),
+            "trajectories disagree on agent count: [1, 2]",
+        ),
+    ),
+    ids=("no_n", "no_trajectories_key", "empty", "one_row", "wide", "flat", "mixed_sizes"),
+)
+def test_trajectory_files_name_what_is_malformed(tmp_path, act, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        act(tmp_path / "trajectories.json")
 
 
 def test_csv_text_formatting():

@@ -28,7 +28,9 @@ from fjattack import (
 from fjattack.fileio import parameters_to_json, save_parameters
 from fjattack.harness import (
     RESULT_HEADER,
+    _erdos_renyi_edges,
     _random_targets,
+    _uniform_below,
     _unpinned_scorer,
     result_rows_to_csv,
     result_rows_to_json,
@@ -118,10 +120,53 @@ def test_scenario_json_round_trip():
         leader_size=2,
     )
     assert Scenario.from_json(scenario.to_json()) == scenario
+    custom = Scenario(scenario_id="k", topology="custom", network_file="net.json", seed=3)
+    assert custom.to_json()["network_file"] == "net.json"
+    assert Scenario.from_json(custom.to_json()) == custom
     with pytest.raises(ValidationError):
         Scenario.from_json({"id": "a", "topology": "complete", "n": 5, "bogus": 1})
     with pytest.raises(ValidationError):
         Scenario(scenario_id="bad", topology="moebius", n=5)
+
+
+@pytest.mark.parametrize(
+    "field, dist",
+    (("theta_dist", (0.8, 0.2)), ("s_dist", [1.0, 0.0]), ("s_dist", (0.5, 0.4999))),
+    ids=("theta", "s", "s_close"),
+)
+def test_scenario_ranges_need_low_at_most_high(field, dist):
+    with pytest.raises(ValidationError, match=f"^{field} must have low <= high, got "):
+        Scenario(scenario_id="r", topology="complete", n=5, **{field: dist})
+
+
+def per_pair_erdos_renyi_edges(n, edge_prob, rng):
+    """Reference generator: one ``rng.random()`` call per ordered pair."""
+    edges = []
+    for src in range(n):
+        for dst in range(n):
+            if src != dst and rng.random() < edge_prob:
+                edges.append((src, dst))
+    in_counts = [0] * n
+    for _, dst in edges:
+        in_counts[dst] += 1
+    for dst in range(n):
+        if in_counts[dst] == 0:
+            candidates = [src for src in range(n) if src != dst]
+            edges.append((candidates[int(rng.integers(len(candidates)))], dst))
+    return edges
+
+
+def test_erdos_renyi_draws_match_the_per_pair_loop():
+    # One draw per source row reads the same stream as one per pair, so
+    # the edges, the repair draws and the state left behind all agree.
+    for n in (2, 3, 7, 30, 100):
+        for edge_prob in (0.0, 0.02, 0.3, 0.97, 1.0):
+            for seed in range(3):
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = _erdos_renyi_edges(n, edge_prob, got_rng)
+                assert got == per_pair_erdos_renyi_edges(n, edge_prob, want_rng), (n, edge_prob)
+                assert all(type(x) is int for edge in got for x in edge)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize(
@@ -251,6 +296,24 @@ def test_random_strategy_runs_on_a_complete_forty_agent_network():
     scenario = Scenario(scenario_id="r40", topology="complete", n=40, seed=1)
     (row,) = run_comparison(scenario, ["random"])
     assert row.status == "ok"
+
+
+def test_random_strategy_draws_beyond_int64_on_a_complete_hundred_agent_network():
+    # Each adversary has about 6.0e19 target choices, more than one int64
+    # draw reaches (2^63 is about 9.2e18).
+    scenario = Scenario(scenario_id="r100", topology="complete", n=100, seed=1)
+    (row,) = run_comparison(scenario, ["random"])
+    assert row.status == "ok"
+    # Below 2^63 a rank is one rng.integers draw, as before; above, it is
+    # read off 63-bit words and always lands in range.
+    for total in (1, 5, 2**63 - 1):
+        assert _uniform_below(total, np.random.default_rng(7)) == int(
+            np.random.default_rng(7).integers(total)
+        )
+    for total in (2**63, 3 * 2**63 + 1, 10**40):
+        draws = [_uniform_below(total, np.random.default_rng(seed)) for seed in range(200)]
+        assert all(0 <= x < total for x in draws)
+        assert min(draws) < total // 4 and max(draws) > 3 * total // 4
 
 
 def test_comparison_approx_beats_variants_on_average():

@@ -55,6 +55,7 @@ from fjattack.optimizer import (
     _leader_search,
     _SchurGains,
     _search,
+    _space_sizer,
     _top_targets,
 )
 from test_adversary import three_agent_instance
@@ -650,7 +651,7 @@ def tree_path_bounds(gains, k):
     rank order), with the smallest of the child bounds along its path: the
     tree drops the set only when one of them is below its threshold.  Each
     child bound is at most its parent's UB+(S, C)."""
-    nodes, path = gains.root(), np.array([np.inf])
+    nodes, path = gains.root, np.array([np.inf])
     for _ in range(k):
         bound = _child_bounds(gains.rank, nodes[0], *node_scores(gains, nodes), k)
         owner, v = np.nonzero(np.isfinite(bound))
@@ -696,9 +697,9 @@ def test_tree_downdates_match_direct_restricted_reads():
     for name, params in regime_instances(range(6, 11)):
         gains = _SchurGains(params, 1e-3)
         n, k = params.n, params.network.leader_budget()
-        kappa = np.abs(gains.system).sum(axis=0).max() * np.abs(gains.inverse()).sum(axis=0).max()
+        kappa = np.abs(gains.system).sum(axis=0).max() * np.abs(gains.minv).sum(axis=0).max()
         tolerance = n * np.finfo(float).eps * kappa
-        nodes = gains.root()
+        nodes = gains.root
         for _ in range(k):
             bound = _child_bounds(gains.rank, nodes[0], *node_scores(gains, nodes), k)
             owner, v = np.nonzero(np.isfinite(bound))
@@ -806,7 +807,7 @@ def test_approx_reads_do_not_depend_on_the_stack(monkeypatch):
                 continue
             gains = _SchurGains(params, 1e-3)
             leaf_score = _approx_scorer(params, 1e-3, gains, bounds)
-            nodes = gains.root()
+            nodes = gains.root
             for depth in range(k):
                 bound = _child_bounds(gains.rank, nodes[0], *node_scores(gains, nodes), k)
                 owner, v = np.nonzero(np.isfinite(bound))
@@ -991,7 +992,6 @@ def test_greedy_set_is_pinned_once(monkeypatch):
                 solve_attack(params, p=1e-3)
             count, greedy = first[0]
             gains = _SchurGains(params, 1e-3)
-            gains.root()
             dive = [v for (v,) in pins[: k - 1]]
             canonical = sorted(greedy, key=lambda a: gains.rank[a])
             reused = next((i for i in range(k - 1) if dive[i] != canonical[i]), k - 1)
@@ -1289,6 +1289,9 @@ def test_approx_search_guards_the_full_system(monkeypatch):
     monkeypatch.setattr(fjattack.optimizer, "check_conditioned", lambda stack, label: None)
     with pytest.raises(ConvergenceError, match=r"system I - \(I - Theta\) W"):
         solve_attack(params, p=1e-3)
+    for mode in ("approx", "exact"):
+        with pytest.raises(ConvergenceError, match=r"system I - \(I - Theta\) W"):
+            solve_follower(params, (2, 5), 1e-3, mode=mode)
 
 
 def test_approx_search_guards_base_and_rescore_systems(monkeypatch):
@@ -1497,6 +1500,30 @@ def test_count_small_cases_by_hand():
     assert count_configurations(complete_network(7)) == 21 * 36
 
 
+def test_space_sizer_matches_direct_subset_sums():
+    # The table is filled by a recurrence in exact integers; each set's
+    # count is the product over its adversaries of sum_s C(d - o, s), up to
+    # the target budget, with o the adversaries among the out-neighbours.
+    checked = 0
+    for topology in ("complete", "erdos_renyi", "ring", "star"):
+        for n in (4, 9, 30, 61):
+            network, _ = generate(Scenario(topology=topology, n=n, seed=n))
+            support, rng = network.support_mask(), np.random.default_rng(n)
+            sizes = _space_sizer(network)
+            for k in sorted({1, 2, min(5, n), n - 1, n}):
+                sets = np.sort([rng.choice(n, size=k, replace=False) for _ in range(20)], axis=1)
+                for count, members in zip(sizes(sets), sets.tolist()):
+                    direct = 1
+                    for j in members:
+                        left = network.out_degree(j) - int(support[members, j].sum())
+                        direct *= sum(
+                            math.comb(left, s) for s in range(network.target_budget(j) + 1)
+                        )
+                    assert type(count) is int and count == direct, (topology, n, k)
+                    checked += 1
+    assert checked == 4 * (4 + 3 * 5) * 20
+
+
 def test_thirteen_agent_leader_enumeration():
     network = complete_network(13)
     params = random_params(np.random.default_rng(77), network)
@@ -1574,6 +1601,18 @@ def test_variant_external_scores():
         baseline_variant(params, "II", leader_size=1)
     with pytest.raises(ValidationError):
         baseline_variant(params, "nope", leader_size=1)
+
+
+@pytest.mark.parametrize(
+    "scores",
+    ([0.1, 0.9, 0.3, 0.2], np.ones((5, 1)), [0.1, np.nan, 0.3, 0.2, 0.8], [0.1, np.inf] * 2 + [0.0]),
+    ids=("short", "column", "nan", "inf"),
+)
+@pytest.mark.parametrize("variant", ("II", "III"))
+def test_variant_rejects_malformed_external_scores(variant, scores):
+    params = random_params(np.random.default_rng(15), complete_network(5))
+    with pytest.raises(ValidationError, match=r"^external_scores must be 5 finite values$"):
+        baseline_variant(params, variant, leader_size=1, external_scores=scores)
 
 
 def test_exact_solver_dominates_variants():

@@ -164,6 +164,17 @@ def test_problem_validation():
         )
 
 
+@pytest.mark.parametrize("seed, n", ((8, 5), (9, 6)), ids=("same_size", "larger"))
+def test_problem_rejects_truth_on_another_network(seed, n):
+    problem = round_trip_problem(7, n=5)
+    other = round_trip_problem(seed, n=n).truth
+    assert other.network != problem.network
+    with pytest.raises(ValidationError, match="^truth parameters live on a different network$"):
+        RecoveryProblem(
+            network=problem.network, trajectories=problem.trajectories, truth=other
+        )
+
+
 def test_ridge_shrinks_but_stays_feasible():
     problem = round_trip_problem(12, n=6)
     plain = recover(problem)
