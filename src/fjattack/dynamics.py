@@ -167,7 +167,10 @@ class FjParameters:
         w = np.array(self.influence, dtype=float)
         if w.shape != (n, n):
             raise ValidationError(f"influence must have shape ({n}, {n}), got {w.shape}")
-        if not np.all(np.isfinite(w)) or (w < 0).any():
+        finite = np.isfinite(w)
+        if not finite.all():
+            raise ValidationError(f"influence weights must be finite, got {float(w[~finite][0])!r}")
+        if (w < 0).any():
             raise ValidationError("influence weights must be nonnegative")
         off_support = w[~self.network.support_mask()]
         if off_support.size and (off_support != 0.0).any():

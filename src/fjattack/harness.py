@@ -45,14 +45,13 @@ from .dynamics import (
 )
 from .errors import CapExceededError, ValidationError
 from .fileio import format_sig, load_parameters, round_sig
-from .linalg import check_conditioned
+from .linalg import check_conditioned, invert_conditioned
 from .optimizer import (
     DEFAULT_CONFIG_CAP,
     _check_cap,
     _check_leader_size,
     _check_magnitude,
     _leader_search,
-    _SchurGains,
     _search,
     _set_label,
     _top_targets,
@@ -453,8 +452,8 @@ def _unpinned_scorer(params, p):
     keep drifting with everyone else, so the model is plain dynamics on
     all n agents with M = I - (I - Theta) W for every set, and no set is
     pinned out of it.  So the planner's leader tree, which pins, has
-    nothing to read here: only its root, the guarded inverse of M
-    (``_SchurGains.minv``), taken when the scorer is built, gives the
+    nothing to read here: only the guarded inverse of M
+    (``invert_conditioned``), taken when the scorer is built, gives the
     sensitivity c = (I - Theta) M^-T 1 and, through one product per chunk,
     every set's fixed point z0.  Adversary j's gain on agent i is p c_i (z0_j - (W z0)_i);
     each adversary keeps its top target-budget eligible targets with a
@@ -470,10 +469,12 @@ def _unpinned_scorer(params, p):
     theta = params.stubbornness
     weights = params.influence
     n = params.n
-    gains = _SchurGains(params, p)
-    minv, targeting = gains.minv, gains.targeting
+    system = np.eye(n) - (1.0 - theta)[:, None] * weights
+    minv = invert_conditioned(system[None], lambda b: "system I - (I - Theta) W")[0]
     sensitivity = (1.0 - theta) * minv.sum(axis=0)
-    listeners, budgets = network.support_mask().T, gains.budgets
+    listeners = network.support_mask().T
+    budgets = np.array([network.target_budget(j) for j in range(n)])
+    targeting = bool(p) and bool(budgets.any())
 
     def score(adversaries):
         sets, k = adversaries.shape

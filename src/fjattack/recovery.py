@@ -124,23 +124,27 @@ def _simplex_least_squares(design, response, ridge):
 
     Primal active-set method (Lawson & Hanson), started from the projected
     sum-constrained solution.  Each step solves the sum-constrained
-    problem on the free coordinates.  If that solution has a negative
-    entry, the iterate moves toward it until the first free coordinate
-    reaches zero, which is then fixed.  Otherwise the iterate takes the
-    solution and frees the fixed coordinate whose gradient falls furthest
-    below the free ones, by more than a rounding slack; when none does,
-    the KKT conditions hold.  Each step fixes or frees one coordinate; past
-    3m steps the solve raises ConvergenceError.
+    problem on the free coordinates; while all are free that is the
+    start's solution, reused, so a fit that clips nothing solves once.  If
+    it has a negative entry, the iterate moves toward it until the first
+    free coordinate reaches zero, which is then fixed.  Otherwise the
+    iterate takes the solution and frees the fixed coordinate whose
+    gradient falls furthest below the free ones, by more than a rounding
+    slack; when none does, the KKT conditions hold.  Each step fixes or
+    frees one coordinate; past 3m steps the solve raises ConvergenceError.
     """
     m = design.shape[1]
     gram = design.T @ design + ridge * np.eye(m)
     linear = design.T @ response
     slack = 64.0 * m * np.finfo(float).eps * max(np.abs(gram).max(), np.abs(linear).max())
-    beta = project_to_simplex(_sum_constrained(gram, linear))
+    start = _sum_constrained(gram, linear)
+    beta = project_to_simplex(start)
     free = beta > 0.0
     for _ in range(3 * m):
-        target = np.zeros(m)
-        target[free] = _sum_constrained(gram[np.ix_(free, free)], linear[free])
+        target = start
+        if not free.all():
+            target = np.zeros(m)
+            target[free] = _sum_constrained(gram[np.ix_(free, free)], linear[free])
         blocking = np.flatnonzero(free & (target < 0.0))
         if blocking.size:
             ratios = beta[blocking] / (beta[blocking] - target[blocking])
@@ -163,9 +167,12 @@ def recover(problem):
     """Fit stubbornness and influence weights to the observed trajectories.
 
     Each agent is fitted independently on the simplex-constrained linear
-    model described in the module docstring, stacking the update rows of
-    every trajectory.  Stubbornness estimates are floored at the
-    contraction threshold so the returned parameters always validate.
+    model described in the module docstring.  Every trajectory's update
+    rows are stacked once, z(t) in ``before`` and z(t + 1) in ``after``;
+    agent i's design is s_i beside its in-neighbours' columns of
+    ``before``, and its response is column i of ``after``.  Stubbornness
+    estimates are floored at the contraction threshold so the returned
+    parameters always validate.
     """
     network = problem.network
     n = network.agent_count
@@ -173,33 +180,24 @@ def recover(problem):
         intrinsic = np.array(problem.intrinsic)
     else:
         intrinsic = np.array(problem.trajectories[0].values[0])
+    before = np.vstack([trajectory.values[:-1] for trajectory in problem.trajectories])
+    after = np.vstack([trajectory.values[1:] for trajectory in problem.trajectories])
     theta = np.empty(n)
     weights = np.zeros((n, n))
     residuals = np.empty(n)
     flags = []
     for i in range(n):
         support = list(network.in_neighbors(i))
-        blocks = []
-        responses = []
-        for trajectory in problem.trajectories:
-            values = trajectory.values
-            rows = values.shape[0] - 1
-            block = np.column_stack(
-                [np.full(rows, intrinsic[i]), values[:-1][:, support]]
-            )
-            blocks.append(block)
-            responses.append(values[1:, i])
-        design = np.vstack(blocks)
-        response = np.concatenate(responses)
+        design = np.column_stack([np.full(len(before), intrinsic[i]), before[:, support]])
+        response = np.ascontiguousarray(after[:, i])
         beta = _simplex_least_squares(design, response, problem.ridge)
         stubborn = float(beta[0])
-        # A row that full stubbornness explains exactly as well has no
-        # weight information; canonicalize those fits to theta = 1 so the
-        # ambiguity is reported instead of an arbitrary optimum.
-        pure = np.zeros(len(support) + 1)
-        pure[0] = 1.0
+        # Full stubbornness predicts s_i, the design's column 0.  A row it
+        # explains exactly as well has no weight information; canonicalize
+        # those fits to theta = 1 so the ambiguity is reported instead of an
+        # arbitrary optimum.
         fit_rms = float(np.sqrt(np.mean((design @ beta - response) ** 2)))
-        pure_rms = float(np.sqrt(np.mean((design @ pure - response) ** 2)))
+        pure_rms = float(np.sqrt(np.mean((design[:, 0] - response) ** 2)))
         degenerate = stubborn > STUBBORN_CEILING or pure_rms <= fit_rms + 1e-12
         rank_deficient = np.linalg.matrix_rank(design) < len(support) + 1
         flags.append(bool(degenerate or rank_deficient))
@@ -213,11 +211,8 @@ def recover(problem):
         theta[i] = min(max(stubborn, THETA_MIN), 1.0)
         weights[i, support] = row
         residuals[i] = fit_rms
-    params = FjParameters(
-        network=network, intrinsic=intrinsic, stubbornness=theta, influence=weights
-    )
     return RecoveryResult(
-        params=params,
+        params=FjParameters(network, intrinsic, theta, weights),
         per_agent_residual=residuals,
         identifiability_flags=tuple(flags),
     )

@@ -495,8 +495,10 @@ def test_parameters_validation():
         (np.eye(3), "influence must have shape (2, 2), got (3, 3)"),
         (np.full(4, 0.5), "influence must have shape (2, 2), got (4,)"),
         ([[0.0, 1.0], [-1.0, 2.0]], "influence weights must be nonnegative"),
+        ([[0.0, 1.0], [np.nan, 0.0]], "influence weights must be finite, got nan"),
+        ([[0.0, 1.0], [np.inf, 0.0]], "influence weights must be finite, got inf"),
     ),
-    ids=("square", "flat", "negative"),
+    ids=("square", "flat", "negative", "nan", "inf"),
 )
 def test_parameters_name_a_malformed_influence(influence, message):
     network = InfluenceNetwork(2, ((0, 1), (1, 0)))

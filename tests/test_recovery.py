@@ -5,6 +5,7 @@ fit reproduce them; the first trajectory always starts at the intrinsic
 opinions because that row doubles as the estimate of s when none is given.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from fjattack import (
     recovery_robustness,
     simulate,
 )
+from fjattack import recovery
 from fjattack.recovery import _simplex_least_squares
 
 
@@ -191,7 +193,12 @@ def test_ridge_shrinks_but_stays_feasible():
 
 
 def agent_rows(params, runs):
-    """Each agent's stacked (design, response), built as ``recover`` builds them."""
+    """Each agent's (design, response), stacked trajectory by trajectory.
+
+    The per-trajectory reference: ``recover`` stacks every trajectory once
+    and slices each agent's rows out of the stack, and its fits must equal
+    the fits on these rows bit for bit.
+    """
     for i in range(params.n):
         support = list(params.network.in_neighbors(i))
         design = np.vstack(
@@ -220,25 +227,100 @@ def assert_simplex_kkt(design, response, ridge, beta):
     return not on.all()
 
 
+def noisy_erdos_renyi(seed):
+    """Erdos-Renyi n = 8 parameters and five 30-round runs with +-1e-2 noise."""
+    _, params = generate(Scenario(topology="erdos_renyi", n=8, edge_prob=0.3, seed=seed))
+    rng = np.random.default_rng(seed)
+    runs = []
+    for _ in range(5):
+        values = simulate(params, rng.uniform(0.0, 1.0, 8), 30).values
+        runs.append(np.clip(values + rng.uniform(-1e-2, 1e-2, values.shape), 0.0, 1.0))
+    return params, runs
+
+
 def test_noisy_fits_with_active_simplex_constraint_meet_kkt():
-    # Noisy Erdos-Renyi n = 8 rows (five 30-round trajectories, +-1e-2
-    # noise) whose fit sets some coefficient to zero, on a gradient scale
-    # of 50-200.  The active-set solve ends on the support's own KKT
+    # Noisy rows whose fit sets some coefficient to zero, on a gradient
+    # scale of 50-200.  The active-set solve ends on the support's own KKT
     # system, so the conditions hold to rounding, not to an iteration cap.
     active = 0
     for seed in (4, 16, 32):
-        _, params = generate(
-            Scenario(topology="erdos_renyi", n=8, edge_prob=0.3, seed=seed)
-        )
-        rng = np.random.default_rng(seed)
-        runs = []
-        for _ in range(5):
-            values = simulate(params, rng.uniform(0.0, 1.0, 8), 30).values
-            runs.append(np.clip(values + rng.uniform(-1e-2, 1e-2, values.shape), 0.0, 1.0))
+        params, runs = noisy_erdos_renyi(seed)
         for design, response in agent_rows(params, runs):
             beta = _simplex_least_squares(design, response, 0.0)
             active += assert_simplex_kkt(design, response, 0.0, beta)
     assert active == 3
+
+
+def test_interior_fit_solves_once_and_clipped_fit_ends_on_kkt(monkeypatch):
+    # The active-set solve starts from the sum-constrained solution and
+    # reuses it while every coordinate is free, so a fit that clips nothing
+    # solves one KKT system, of the full support.  A fit that clips a
+    # coordinate goes on to solve the smaller free system, and still ends
+    # on a KKT point.
+    solve = recovery._sum_constrained
+    sizes = []
+    monkeypatch.setattr(
+        recovery, "_sum_constrained", lambda gram, linear: sizes.append(len(linear)) or solve(gram, linear)
+    )
+    interior = clipped = 0
+    for seed in (4, 16, 32):
+        params, runs = noisy_erdos_renyi(seed)
+        for design, response in agent_rows(params, runs):
+            sizes.clear()
+            beta = _simplex_least_squares(design, response, 0.0)
+            m = design.shape[1]
+            if assert_simplex_kkt(design, response, 0.0, beta):
+                clipped += 1
+                assert sizes[0] == m and len(sizes) >= 2 and max(sizes[1:]) < m
+            else:
+                interior += 1
+                assert sizes == [m]
+    assert (interior, clipped) == (21, 3)
+
+
+def test_recover_matches_per_trajectory_rows_bitwise(monkeypatch):
+    # recover slices each agent's rows out of one stack of every
+    # trajectory.  Its fits, residuals and flags must equal, bit for bit,
+    # those on agent_rows' per-trajectory stacks: four topologies, clean
+    # and 1e-2-noisy runs of 30, 1, 12 and 5 rounds, ridge 0 and 1e-3.
+    # Rounding depends on the design's memory order, so equal values alone
+    # would not do.
+    solve = recovery._simplex_least_squares
+    fits = []
+    monkeypatch.setattr(
+        recovery, "_simplex_least_squares", lambda *args: fits.append(solve(*args)) or fits[-1]
+    )
+    active = 0
+    for topology, seed in itertools.product(("erdos_renyi", "complete", "ring", "star"), range(2)):
+        n = 6 + seed
+        _, params = generate(Scenario(topology=topology, n=n, edge_prob=0.4, seed=seed))
+        rng = np.random.default_rng([seed, n])
+        clean = [simulate(params, rng.uniform(0.0, 1.0, n), rounds).values for rounds in (30, 1, 12, 5)]
+        for noise in (0.0, 1e-2):
+            runs = [np.clip(v + rng.uniform(-noise, noise, v.shape), 0.0, 1.0) for v in clean]
+            trajectories = tuple(
+                OpinionTrajectory(rounds=len(v) - 1, values=v, pinned=()) for v in runs
+            )
+            for ridge in (0.0, 1e-3):
+                fits.clear()
+                result = recover(
+                    RecoveryProblem(
+                        network=params.network,
+                        trajectories=trajectories,
+                        ridge=ridge,
+                        intrinsic=params.intrinsic,
+                    )
+                )
+                for i, (design, response) in enumerate(agent_rows(params, runs)):
+                    beta = solve(design, response, ridge)
+                    assert np.array_equal(fits[i], beta)
+                    active += bool((beta == 0.0).any())
+                    stubborn = result.params.stubbornness[i] == 1.0
+                    prediction = design[:, 0] if stubborn else design @ beta
+                    assert result.per_agent_residual[i] == np.sqrt(np.mean((prediction - response) ** 2))
+                    rank_deficient = np.linalg.matrix_rank(design) < design.shape[1]
+                    assert result.identifiability_flags[i] == (stubborn or rank_deficient)
+    assert active > 0
 
 
 def test_simplex_fits_meet_kkt_across_noise_and_ridge():
