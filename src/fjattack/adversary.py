@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import FjParameters, _simulate
+from .dynamics import FjParameters, _as_float, _as_int, _simulate
 from .errors import ValidationError
 from .linalg import solve_conditioned
 
@@ -53,7 +53,7 @@ class AttackConfig:
     influence_magnitude: float = DEFAULT_P
 
     def __post_init__(self):
-        adversaries = tuple(sorted(int(a) for a in self.adversaries))
+        adversaries = tuple(sorted(_as_int(a, "adversary") for a in self.adversaries))
         if len(set(adversaries)) != len(adversaries):
             raise ValidationError(f"duplicate adversaries in {adversaries}")
         adv_set = set(adversaries)
@@ -61,12 +61,12 @@ class AttackConfig:
         raw = self.targets.items() if hasattr(self.targets, "items") else self.targets
         by_adv = {}
         for j, target_list in raw:
-            j = int(j)
+            j = _as_int(j, "target key")
             if j not in adv_set:
                 raise ValidationError(f"targets listed for non-adversary {j}")
             if j in by_adv:
                 raise ValidationError(f"adversary {j} has two target entries")
-            targets = tuple(sorted(int(i) for i in target_list))
+            targets = tuple(sorted(_as_int(i, "target") for i in target_list))
             if len(set(targets)) != len(targets):
                 raise ValidationError(f"adversary {j} targets an agent twice")
             for i in targets:
@@ -75,7 +75,7 @@ class AttackConfig:
             by_adv[j] = targets
         canon = tuple((j, by_adv.get(j, ())) for j in adversaries)
 
-        p = float(self.influence_magnitude)
+        p = _as_float(self.influence_magnitude, "influence magnitude")
         if not np.isfinite(p) or p <= 0.0:
             raise ValidationError(f"influence magnitude must be positive, got {p!r}")
         counts = {}

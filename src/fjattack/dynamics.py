@@ -23,6 +23,7 @@ Row i of a round sums its in-neighbours' terms in increasing source order,
 so every rollout is deterministic.
 """
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,11 +43,32 @@ ROW_SUM_TOL = 1e-9
 SPECTRAL_MARGIN = 1e-9
 
 
+def _as_int(value, name, rule="an int"):
+    """``value`` as a Python int: anything ``operator.index`` takes but a
+    bool, so 1.5, True and "1" are refused, not cut to 1."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be {rule}, got {value!r}")
+
+
+def _as_float(value, name):
+    """``value`` as a float, or a ValidationError if it is no number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a number, got {value!r}") from None
+
+
 def _check_count(value, name, minimum=1):
-    """``value``, checked to be an int, not a bool, of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValidationError(f"{name} must be an int >= {minimum}, got {value!r}")
-    return value
+    """``value`` as an int (``_as_int``) of at least ``minimum``."""
+    rule = f"an int >= {minimum}"
+    count = _as_int(value, name, rule)
+    if count < minimum:
+        raise ValidationError(f"{name} must be {rule}, got {value!r}")
+    return count
 
 
 def _check_unit(values, name):
@@ -82,6 +104,7 @@ class InfluenceNetwork:
 
     def __post_init__(self):
         n = _check_count(self.agent_count, "agent_count")
+        object.__setattr__(self, "agent_count", n)
         edges = np.array(self.edges, dtype=np.int64)
         if edges.size == 0:
             edges = edges.reshape(0, 2)
@@ -210,7 +233,7 @@ class OpinionTrajectory:
     pinned: tuple = ()
 
     def __post_init__(self):
-        _check_count(self.rounds, "rounds")
+        object.__setattr__(self, "rounds", _check_count(self.rounds, "rounds"))
         values = np.array(self.values, dtype=float)
         if values.ndim != 2 or values.shape[0] != self.rounds + 1:
             raise ValidationError(
@@ -219,7 +242,8 @@ class OpinionTrajectory:
         _check_unit(values, "trajectory entries")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "pinned", tuple(sorted(int(i) for i in self.pinned)))
+        pinned = tuple(sorted(_as_int(i, "pinned agent") for i in self.pinned))
+        object.__setattr__(self, "pinned", pinned)
 
     @property
     def n(self):
@@ -234,7 +258,7 @@ class Outcome(NamedTuple):
 
 
 def _check_pinned(pinned, n, pinned_value):
-    pinned = tuple(sorted({int(i) for i in pinned}))
+    pinned = tuple(sorted({_as_int(i, "pinned agent") for i in pinned}))
     for i in pinned:
         if not 0 <= i < n:
             raise ValidationError(f"pinned agent {i} out of range for {n} agents")
@@ -304,7 +328,7 @@ def _simulate(params, influence, z0, rounds, pinned, pinned_value):
     n = params.n
     z0 = _check_unit_vector(z0, n, "z0")
     pinned = _check_pinned(pinned, n, pinned_value)
-    _check_count(rounds, "rounds")
+    rounds = _check_count(rounds, "rounds")
     values = _rollout(params, influence, z0, rounds, pinned, pinned_value)
     return OpinionTrajectory(rounds=rounds, values=values, pinned=pinned)
 

@@ -39,6 +39,7 @@ from .dynamics import (
     THETA_MIN,
     FjParameters,
     InfluenceNetwork,
+    _as_float,
     _check_count,
     _check_unit,
     closed_form_outcome,
@@ -114,13 +115,6 @@ def _substream(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _as_float(name, value):
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a number, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One fully seeded experiment configuration.
@@ -152,9 +146,9 @@ class Scenario:
                     f"custom topology needs a network_file path, got {self.network_file!r}"
                 )
         else:
-            _check_count(self.n, "n", 2)
+            object.__setattr__(self, "n", _check_count(self.n, "n", 2))
         if self.topology == "erdos_renyi":
-            edge_prob = _as_float("edge_prob", self.edge_prob)
+            edge_prob = _as_float(self.edge_prob, "edge_prob")
             _check_unit(edge_prob, "edge_prob")
             object.__setattr__(self, "edge_prob", edge_prob)
         for name, dist in (("theta_dist", self.theta_dist), ("s_dist", self.s_dist)):
@@ -167,10 +161,10 @@ class Scenario:
             if low > high:
                 raise ValidationError(f"{name} must have low <= high, got {dist!r}")
             object.__setattr__(self, name, (low, high))
-        object.__setattr__(self, "p", _check_magnitude(_as_float("p", self.p)))
-        _check_count(self.seed, "seed", 0)
+        object.__setattr__(self, "p", _check_magnitude(_as_float(self.p, "p")))
+        object.__setattr__(self, "seed", _check_count(self.seed, "seed", 0))
         if self.leader_size != "budget":
-            _check_count(self.leader_size, "leader_size")
+            object.__setattr__(self, "leader_size", _check_count(self.leader_size, "leader_size"))
 
     @classmethod
     def from_json(cls, payload, default_id="scenario"):

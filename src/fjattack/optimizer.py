@@ -29,32 +29,32 @@ the full n x n system M once per search, and ranks the agents once: by
 descending root score s_v = Delta_v + top_v (below), the index breaking
 ties.  A node of the leader tree is a partial set S, pinned in rank
 order, with R = (M_UU)^-1 embedded in n x n, z and 1^T R; pinning one
-more agent is one rank-1 downdate of all three (``_SchurGains.pin``), and
-m = p (1 - W z) (1 - Theta) 1^T R.  A set is read off its canonical node:
-the set pinned from the root in rank order, its last agent applied to z
-and 1^T R only.  Every step is elementwise or a per-set one-row product,
-so a set reads the same bits whichever stack carries it and whether the
-tree, marginal_gains or solve_follower reaches it.  At p = 0 every gain
-is exactly 0, and no gain is computed.
+more agent is one rank-1 downdate of all three (``_SchurGains.step``,
+then ``pin``), and m = p (1 - W z) (1 - Theta) 1^T R.  A set is read off
+its canonical node: the set pinned from the root in rank order, its last
+agent applied to z and 1^T R only.  Every step is elementwise or a per-set
+one-row product, so a set reads the same bits whichever stack carries it
+and whether the tree, marginal_gains or solve_follower reaches it.  At
+p = 0 every gain is exactly 0, and no gain is computed.
 
-Every search scores stacks of at most LEADER_CHUNK sets: a scorer yields
-the exact g of batches of configurations, and ``_Argmax`` keeps the
-lexicographic argmax.  solve_attack and solve_follower run one entry,
-``_search``, in either mode; it walks the sets with the leader tree.  The
-oracle and the ablation's drifting models walk every set with
-``_leader_search``.  The ablation's pinned models run the approx search
-itself, at p = 0 when targeting is off.
+Every search scores stacks of at most LEADER_CHUNK sets: a scorer takes a
+chunk with its read (z, gains) and yields the exact g of batches of
+configurations; ``_Argmax`` keeps the lexicographic argmax.  solve_attack
+and solve_follower run one entry, ``_search``, in either mode; it walks
+the sets with the leader tree.  The oracle and the ablation's drifting
+models walk every set with ``_leader_search``.  The ablation's pinned
+models run the approx search itself, at p = 0 when targeting is off.
 
 * The approx scorer picks each adversary's targets with ``_top_targets``
   (a masked stable top-budget selection, shared with the ablation's
-  unpinned scorer), and one batched solve re-scores the re-weighted
-  systems.
+  unpinned scorer); one guarded, batched solve (``_rescore``) re-scores
+  the re-weighted systems.
 * The exact scorer serves exact solve_attack, exact solve_follower and
   brute_force_oracle.  Each agent's within-budget target subsets are a
   table of boolean masks in canonical (size, lex) order; a set keeps the
   rows that avoid it, and its joint choices are decoded in mixed radix,
   last adversary fastest (itertools.product order).  CONFIG_CHUNK
-  configurations at a time are stacked, guarded and solved together.
+  configurations at a time are re-scored together, by ``_rescore`` too.
 
 Both modes prune with certified bounds.  For a set A, z its pinned fixed
 point and m its gains, every targeting T obeys
@@ -151,7 +151,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .adversary import DEFAULT_P, AttackConfig, _restricted_blocks, _reweighted_systems
-from .dynamics import _check_count
+from .dynamics import _as_float, _check_count
 from .errors import CapExceededError, ConvergenceError, ValidationError
 from .linalg import check_conditioned, invert_conditioned
 
@@ -257,7 +257,7 @@ def _check_leader_size(network, leader_size):
         )
     if leader_size is None:
         return budget
-    if _check_count(leader_size, "leader_size") > budget:
+    if (leader_size := _check_count(leader_size, "leader_size")) > budget:
         raise ValidationError(
             f"leader_size {leader_size} outside the feasible range 1..{budget}"
         )
@@ -265,7 +265,7 @@ def _check_leader_size(network, leader_size):
 
 
 def _check_magnitude(p):
-    p = float(p)
+    p = _as_float(p, "influence magnitude")
     if not np.isfinite(p) or not 0.0 < p < 1.0:
         raise ValidationError(f"influence magnitude must lie in (0, 1), got {p!r}")
     return p
@@ -347,6 +347,7 @@ class _SchurGains:
     last agent applied to z and 1^T R only (``leaves``, ``read``).  Every
     step is elementwise or a per-set one-row product, so a set reads the
     same bits whichever stack carries it and whichever caller reaches it.
+    Reads are returned, never kept: after ``__init__`` nothing changes.
     """
 
     def __init__(self, params, p):
@@ -375,7 +376,6 @@ class _SchurGains:
         self.root_scores = self.scores(*self.root[2:], np.diagonal(self.minv)[None])
         # rank[v]: v's place in descending root score, the index breaking ties.
         self.rank = np.argsort(np.argsort(-self.root_scores[1][0], kind="stable"))
-        self.last = None, None
 
     def slack(self, g):
         """Rounding allowance when a computed first-order bound meets a computed g.
@@ -444,11 +444,15 @@ class _SchurGains:
         scores = np.where(pinned, -np.inf, delta + top)
         return z.sum(axis=1) + np.where(pinned, top, 0.0).sum(axis=1), scores
 
-    def _step(self, nodes, owner, v):
-        """(R[:, v], R[v, :] / R_vv, z', 1^T R') of the children S + {v[c]}
-        of nodes owner[c]: z' = z + (1 - z_v) R[:, v] / R_vv and
-        1^T R' = 1^T R - (1^T R)_v R[v, :] / R_vv, with z'_v = 1 and
-        (1^T R')_v = 0."""
+    def step(self, nodes, owner, v):
+        """The children S + {v[c]} of nodes owner[c], without building R'.
+
+        Returns (owner, v, R[:, v], R[v, :] / R_vv, z', 1^T R', diag R'),
+        for ``pin`` to finish and ``scores`` to read off the last three:
+        z' = z + (1 - z_v) R[:, v] / R_vv, 1^T R' = 1^T R - (1^T R)_v R[v, :]
+        / R_vv and diag R' = diag R - R[:, v] R[v, :] / R_vv, bitwise the
+        diagonal ``pin`` builds, with z'_v = 1 and (1^T R')_v = diag R'_v = 0.
+        """
         _, inverse, z, reach = nodes
         c = np.arange(len(v))
         z, reach, column = z[owner], reach[owner], inverse[owner, :, v]
@@ -456,32 +460,18 @@ class _SchurGains:
         row = inverse[owner, v, :] / pivot[:, None]
         z += ((1.0 - z[c, v]) / pivot)[:, None] * column
         reach -= reach[c, v][:, None] * row
-        z[c, v], reach[c, v] = 1.0, 0.0
-        return column, row, z, reach
+        diagonal = np.diagonal(inverse, axis1=1, axis2=2)[owner] - column * row
+        z[c, v], reach[c, v], diagonal[c, v] = 1.0, 0.0, 0.0
+        return owner, v, column, row, z, reach, diagonal
 
-    def children(self, nodes, owner, v):
-        """The children S + {v[c]} of nodes owner[c], without building R'.
-
-        Returns (step, diag R'): ``step`` is what ``_step`` gives, for
-        ``pin`` to finish, and diag R' = diag R - R[:, v] R[v, :] / R_vv,
-        zero at v, is bitwise the diagonal ``pin`` builds.  ``scores``
-        reads a child off (z', 1^T R', diag R').
-        """
-        step = self._step(nodes, owner, v)
-        column, row = step[:2]
-        diagonal = np.diagonal(nodes[1], axis1=1, axis2=2)[owner] - column * row
-        diagonal[np.arange(len(v)), v] = 0.0
-        return step, diagonal
-
-    def pin(self, nodes, owner, v, step=None):
-        """The children S + {v[c]} of nodes owner[c]: one rank-1 downdate each.
+    def pin(self, nodes, step):
+        """The children a ``step`` of ``nodes`` holds: one rank-1 downdate each.
 
         R' = R - R[:, v] R[v, :] / R_vv with row and column v zeroed, and z'
-        and 1^T R' as ``_step`` gives them, or as ``step`` holds them.  The
-        pivot R_vv is at least 1, since M^-1 = sum of B^t >= I for the
-        M-matrix M = I - B.
+        and 1^T R' as ``step`` holds them.  The pivot R_vv is at least 1,
+        since M^-1 = sum of B^t >= I for the M-matrix M = I - B.
         """
-        column, row, z, reach = self._step(nodes, owner, v) if step is None else step
+        owner, v, column, row, z, reach, _ = step
         c = np.arange(len(v))
         inverse = nodes[1][owner]
         inverse -= column[:, :, None] * row[:, None, :]
@@ -490,34 +480,22 @@ class _SchurGains:
         return np.concatenate([nodes[0][owner], v[:, None]], axis=1), inverse, z, reach
 
     def leaves(self, nodes, owner, v):
-        """The sets S + {v[c]} of nodes owner[c], read without building R.
-
-        Returns them as a (sets, k) stack of sorted sets; their (z, gains)
-        are kept, so ``read`` of the returned stack, by the scorers that
-        score it next, does not pin them again.
-        """
-        _, _, z, reach = self._step(nodes, owner, v)
+        """(sets, z, gains) of the sets S + {v[c]} of nodes owner[c], read
+        without building R: a (sets, k) stack of sorted sets, their pinned
+        fixed points (1 on the set) and their gains (zero on the set)."""
+        *_, z, reach, _ = self.step(nodes, owner, v)
         sets = np.sort(np.concatenate([nodes[0][owner], v[:, None]], axis=1), axis=1)
-        self.last = sets, (z, self.marginal(z, reach))
-        return sets
+        return sets, z, self.marginal(z, reach)
 
     def read(self, adversaries):
-        """(z, gains) of a (sets, k) stack of sorted sets, off their canonical nodes.
-
-        z is the pinned fixed point (1 on the set) and the gains are zero
-        on the set.
-        """
-        if self.last[0] is not adversaries:
-            sets, k = adversaries.shape
-            nodes, owner = self.root, np.zeros(sets, dtype=np.intp)
-            pins = np.take_along_axis(
-                adversaries, np.argsort(self.rank[adversaries], axis=1), axis=1
-            )
-            for col in range(k - 1):
-                nodes, owner = self.pin(nodes, owner, pins[:, col]), np.arange(sets)
-            self.leaves(nodes, owner, pins[:, -1])
-            self.last = adversaries, self.last[1]
-        return self.last[1]
+        """(z, gains) of a (sets, k) stack of sorted sets, as ``leaves`` reads
+        them off their canonical nodes, pinned from the root in rank order."""
+        sets, k = adversaries.shape
+        nodes, owner = self.root, np.zeros(sets, dtype=np.intp)
+        pins = np.take_along_axis(adversaries, np.argsort(self.rank[adversaries], axis=1), axis=1)
+        for col in range(k - 1):
+            nodes, owner = self.pin(nodes, self.step(nodes, owner, pins[:, col])), np.arange(sets)
+        return self.leaves(nodes, owner, pins[:, -1])[1:]
 
 
 def _child_bounds(rank, sets, base, scores, k):
@@ -558,42 +536,51 @@ def _check_restricted(blocks, label):
     check_conditioned(np.eye(w_uu.shape[1]) - open_minded[:, :, None] * w_uu, label)
 
 
-def _approx_scorer(params, p, gains, bounds):
-    """score(chunk), as _Argmax takes it: the approx follower of every set.
-
-    Yields one batch per chunk: the exact g of every set's chosen targets,
-    the (sets, k, n) boolean choice mask and the set indices.  z and the
-    gains come from the sets' canonical nodes (``gains.read``, gains a
-    _SchurGains), as in marginal_gains; the re-score builds its systems as
-    adversarial_outcome does.  Each chunk's first-order bounds
-    UB(A) = sum(z) + the chosen gains, which no configuration of A
-    exceeds, are appended to ``bounds`` as one array.  Every product is
-    per set, so a set's g, targets and UB(A) do not depend on which sets
-    share its chunk.  Each set's restricted M_UU, before its read, and its
-    re-weighted system pass ``check_conditioned``.  With no gain to take
-    (``gains.targeting`` false, as at p = 0) no target is chosen and the
-    top-target step is skipped.
+def _rescore(batches, p):
+    """(g, chosen, owner) of each batch (blocks, chosen, owner, label): the
+    exact g of each configuration chosen[c], a (k, n) target mask, on the
+    set whose ``_restricted_blocks`` (past ``pinned``) are member c of
+    ``blocks``; each re-weighted system passes ``check_conditioned``.  A
+    batch's blocks are released once its systems are built, its other arrays
+    only after the next batch's exist: freed at once, they let glibc trim the
+    heap and fault it back in (oracle +8%, plan_exact pool, 2-core host).
     """
-
-    def score(adversaries):
-        sets, k = adversaries.shape
-        rows = np.arange(sets)[:, None]
-        blocks = _restricted_blocks(params, adversaries)
-        pinned, unpinned, w_uu, w_ua, open_minded, base_rhs = blocks
-        label = _set_label(adversaries)
-        _check_restricted(blocks, label)
-        fixed, gain = gains.read(adversaries)
-        chosen = np.zeros((sets, k, params.n), dtype=bool)
-        if gains.targeting:
-            eligible = gains.others[adversaries] & ~pinned[:, None, :]
-            chosen = _top_targets(gain[:, None, :], eligible, gains.budgets[adversaries])
-        bounds.append(fixed.sum(axis=1) + np.einsum("bkn,bn->b", chosen, gain))
-        matrix, rhs = _reweighted_systems(
-            w_uu, w_ua, open_minded, base_rhs, chosen[rows, :, unpinned], p
-        )
+    for blocks, chosen, owner, label in batches:
+        unpinned, *system = blocks
+        hits = chosen[np.arange(len(chosen))[:, None], :, unpinned]
+        matrix, rhs = _reweighted_systems(*system, hits, p)
+        del blocks, system
         check_conditioned(matrix, label)
         z = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
-        yield z.sum(axis=1) + k, chosen, np.arange(sets)
+        yield z.sum(axis=1) + chosen.shape[1], chosen, owner
+
+
+def _approx_scorer(params, p, gains, bounds):
+    """score(chunk, z, gains), as _Argmax takes it: the approx follower of every set.
+
+    Yields one batch per chunk (``_rescore``): the exact g of every set's
+    chosen targets, the (sets, k, n) boolean choice mask and the set
+    indices.  z and the gains are the chunk's read, passed in with it, and
+    ``gains`` the _SchurGains that read it.  Each chunk's first-order
+    bounds UB(A) = sum(z) + the chosen gains, which no configuration of A
+    exceeds, are appended to ``bounds`` as one array.  Every product is per
+    set, so a set's g, targets and UB(A) do not depend on which sets share
+    its chunk.  Each set's restricted M_UU and its re-weighted system pass
+    ``check_conditioned``.  With no gain to take (``gains.targeting`` false,
+    as at p = 0) no target is chosen and the top-target step is skipped.
+    """
+
+    def score(adversaries, fixed, gain):
+        sets, k = adversaries.shape
+        blocks = _restricted_blocks(params, adversaries)
+        label = _set_label(adversaries)
+        _check_restricted(blocks, label)
+        chosen = np.zeros((sets, k, params.n), dtype=bool)
+        if gains.targeting:
+            eligible = gains.others[adversaries] & ~blocks[0][:, None, :]
+            chosen = _top_targets(gain[:, None, :], eligible, gains.budgets[adversaries])
+        bounds.append(fixed.sum(axis=1) + np.einsum("bkn,bn->b", chosen, gain))
+        yield from _rescore([(blocks[1:], chosen, np.arange(sets), label)], p)
 
     return score
 
@@ -620,15 +607,14 @@ class _Argmax:
     def __init__(self):
         self.key, self.g, self.configs = None, -math.inf, 0
 
-    def score(self, score, chunk):
-        """Keep the best configuration ``score(chunk)`` yields.
-
-        ``score(chunk)``, chunk a (sets, k) index array, yields (g, chosen,
-        owner) batches: the exact g of each configuration it scores (all of
-        them, unless it prunes), its (batch, k, n) target mask and the
-        index of its set in the chunk.
+    def score(self, score, chunk, *read):
+        """Keep the best configuration ``score(chunk, *read)`` yields: chunk
+        is a (sets, k) index array, ``read`` its (z, gains) if the scorer
+        takes them.  The scorer yields (g, chosen, owner) batches: the exact
+        g of each configuration it scores (all of them, unless it prunes),
+        its (batch, k, n) target mask and the index of its set in the chunk.
         """
-        for g, chosen, owner in score(chunk):
+        for g, chosen, owner in score(chunk, *read):
             self.configs += len(g)
             top = g.max()
             if top < self.g:
@@ -647,8 +633,8 @@ def _leader_search(leader_sets, score):
     """Score the configurations a scorer yields for every set; keep the best.
 
     ``leader_sets`` is a sequence of iterables of sorted same-size sets,
-    scored LEADER_CHUNK at a time; ``score`` and the tie rule are those
-    of ``_Argmax``.  Returns
+    scored LEADER_CHUNK at a time, each chunk alone, with no read; ``score``
+    and the tie rule are those of ``_Argmax``.  Returns
     ((adversaries, items), g, sets, configurations scored).
     """
     best, sets = _Argmax(), 0
@@ -678,13 +664,13 @@ def _branch_and_bound(gains, k, score, best):
     only when its bound from the parent's data (``_child_bounds``) is
     strictly below the threshold, so every set that could win or tie
     bitwise reaches the tie rule.  A kept inner child is scored off its
-    parent's R (``gains.children``), and its own R is built
+    parent's R (``gains.step``), and its own R is built from that step
     (``gains.pin``) only if one of its children reaches the threshold.
     The children at depth k are the leaves: ``gains.leaves`` reads them
-    off their parents and ``score`` gets them LEADER_CHUNK at a time.
-    Inner children are taken at most ``_node_chunk(n)`` at a time, and one
-    such chunk of nodes per depth is held, so the nodes peak near
-    (k - 1) NODE_BYTES.
+    off their parents, and ``score`` gets them LEADER_CHUNK at a time with
+    their (z, gains).  Inner children are taken at most ``_node_chunk(n)``
+    at a time, and one such chunk of nodes per depth is held, so the nodes
+    peak near (k - 1) NODE_BYTES.
     """
     root, rank, stack = gains.root, gains.rank, []
     inner = _node_chunk(len(rank))
@@ -705,16 +691,16 @@ def _branch_and_bound(gains, k, score, best):
     one = np.zeros(1, dtype=np.intp)
     path = [root]
     for _ in range(k - 1):
-        nodes = gains.pin(path[-1], one, np.argmax(scores, axis=1))
-        _, scores = gains.scores(*nodes[2:], np.diagonal(nodes[1], axis1=1, axis2=2))
-        path.append(nodes)
+        step = gains.step(path[-1], one, np.argmax(scores, axis=1))
+        _, scores = gains.scores(*step[4:])
+        path.append(gains.pin(path[-1], step))
     dive = np.append(path[-1][0][0], np.argmax(scores[0]))
     canonical = dive[np.argsort(rank[dive])]
     reused = np.argmin(np.append(dive[: k - 1] == canonical[: k - 1], False))
     nodes = path[reused]
     for v in canonical[reused : k - 1]:
-        nodes = gains.pin(nodes, one, v[None])
-    best.score(score, gains.leaves(nodes, one, canonical[-1:]))
+        nodes = gains.pin(nodes, gains.step(nodes, one, v[None]))
+    best.score(score, *gains.leaves(nodes, one, canonical[-1:]))
     expand(root, bound)
     while stack:
         nodes, owner, v, bound = stack.pop()
@@ -724,15 +710,14 @@ def _branch_and_bound(gains, k, score, best):
         if nodes[0].shape[1] == k - 1:
             fresh = (nodes[0][owner] != canonical[:-1]).any(axis=1) | (v != canonical[-1])
             if fresh.any():
-                best.score(score, gains.leaves(nodes, owner[fresh], v[fresh]))
+                best.score(score, *gains.leaves(nodes, owner[fresh], v[fresh]))
         elif len(v):
             sets = np.concatenate([nodes[0][owner], v[:, None]], axis=1)
-            step, diagonal = gains.children(nodes, owner, v)
-            bound = _child_bounds(rank, sets, *gains.scores(*step[2:], diagonal), k)
+            step = gains.step(nodes, owner, v)
+            bound = _child_bounds(rank, sets, *gains.scores(*step[4:]), k)
             alive = (bound >= threshold).any(axis=1)
             if alive.any():
-                step = [x[alive] for x in step]
-                expand(gains.pin(nodes, owner[alive], v[alive], step), bound[alive])
+                expand(gains.pin(nodes, [x[alive] for x in step]), bound[alive])
 
 
 def _space_sizer(network):
@@ -777,32 +762,32 @@ def _subset_masks(network, agent, budget):
     return masks
 
 
-def _exact_scorer(params, p, prune=None):
-    """score(chunk), as _Argmax takes it: every joint target choice of every set.
+def _exact_scorer(params, p, threshold=None):
+    """score(chunk, z, gains), as _Argmax takes it: every joint target choice of every set.
 
     Adversary a may target at most its target budget of eligible
     out-neighbours.  Its choices are rows of a per-agent table of masks in
     canonical (size, lex) order, built on first use; a set's joint choices
     are decoded in mixed radix, last adversary fastest, which is
     itertools.product order.  CONFIG_CHUNK configurations at a time are
-    decoded; those kept are stacked, guarded by ``linalg.check_conditioned``
-    and solved together.
+    decoded; those kept are re-scored together (``_rescore``).
 
-    With ``prune = (gains, best)``, gains a _SchurGains and best the
-    search's _Argmax, the threshold is the live ``gains.threshold(best.g)``
-    and a configuration's first-order bound is sum(z) plus the gains of its
-    targets (each table row's sum taken once per set), z and the gains read
-    off the set's canonical node (``gains.read``).  A set whose largest
-    bound, UB(A), is below the threshold is skipped before any of its
-    configurations is decoded.  Rounding is monotone, so UB(A) is bitwise
-    the largest of its configurations' bounds.  Of the other sets, a
-    decoded configuration is stacked only if its own bound reaches the
-    threshold; the rest are left unsolved.
+    The scorer prunes iff it is given ``threshold``, a function of no
+    arguments that returns the live threshold (``gains.threshold(best.g)``
+    in ``_search``); the oracle gives none, and no read.  A pruned chunk
+    comes with its z and gains, and a configuration's first-order bound is
+    sum(z) plus the gains of its targets (each table row's sum taken once
+    per set).  A set whose largest bound, UB(A), is below the threshold is
+    skipped before any of its configurations is decoded.  Rounding is
+    monotone, so UB(A) is bitwise the largest of its configurations'
+    bounds.  Of the other sets, a decoded configuration is stacked only if
+    its own bound reaches the threshold; the rest are left unsolved.
     """
     network = params.network
+    prune = threshold is not None
     tables = {}
 
-    def score(adversaries):
+    def score(adversaries, fixed=None, gain=None):
         sets, k = adversaries.shape
         label = _set_label(adversaries)
         agents = np.unique(adversaries).tolist()
@@ -811,12 +796,7 @@ def _exact_scorer(params, p, prune=None):
                 tables[j] = _subset_masks(network, j, network.target_budget(j))
         table = np.concatenate([tables[j] for j in agents])
         agent_of = np.repeat(agents, [len(tables[j]) for j in agents])
-        blocks = _restricted_blocks(params, adversaries)
-        _, unpinned, *system = blocks
-        if prune is not None:
-            gains, best = prune
-            fixed, gain = gains.read(adversaries)
-            base = fixed.sum(axis=1)
+        blocks = _restricted_blocks(params, adversaries)[1:]
         # Per adversary column, the rows of its agent's table that avoid the
         # set, grouped by set in canonical order: set b's count[b, col]
         # choices start at kept[col][first[b, col]], and with pruning
@@ -827,38 +807,37 @@ def _exact_scorer(params, p, prune=None):
             which, row = np.nonzero((free & (agent_of[:, None] == adversaries[:, col])).T)
             kept.append(row)
             count[:, col] = np.bincount(which, minlength=sets)
-            if prune is not None:
+            if prune:
                 sums.append(np.einsum("rn,rn->r", table[row], gain[which]))
         first = np.cumsum(count, axis=0) - count
         configs = count.prod(axis=1)
-        if prune is not None:
+        if prune:
+            base = fixed.sum(axis=1)
             # Every set keeps the empty choice, so each reduceat group is nonempty.
             top = base + sum(np.maximum.reduceat(sums[col], first[:, col]) for col in range(k))
-            configs[top < gains.threshold(best.g)] = 0
+            configs[top < threshold()] = 0
         ends = np.cumsum(configs)
-        for lo in range(0, int(ends[-1]), CONFIG_CHUNK):
-            index = np.arange(lo, min(lo + CONFIG_CHUNK, int(ends[-1])))
-            owner = np.searchsorted(ends, index, side="right")
-            local = index - (ends - configs)[owner]
-            position = np.empty((len(index), k), dtype=np.int64)
-            for col in reversed(range(k)):
-                radix = count[owner, col]
-                position[:, col] = first[owner, col] + local % radix
-                local //= radix
-            if prune is not None:
-                bound = base[owner] + sum(sums[col][position[:, col]] for col in range(k))
-                survive = np.flatnonzero(bound >= gains.threshold(best.g))
-                if not survive.size:
-                    continue
-                owner, position = owner[survive], position[survive]
-            chosen = np.stack(
-                [table[kept[col][position[:, col]]] for col in range(k)], axis=1
-            )
-            hits = chosen[np.arange(len(owner))[:, None], :, unpinned[owner]]
-            matrix, rhs = _reweighted_systems(*(x[owner] for x in system), hits, p)
-            check_conditioned(matrix, lambda c: label(owner[c]))
-            z = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
-            yield z.sum(axis=1) + k, chosen, owner
+
+        def batches():
+            for lo in range(0, int(ends[-1]), CONFIG_CHUNK):
+                index = np.arange(lo, min(lo + CONFIG_CHUNK, int(ends[-1])))
+                owner = np.searchsorted(ends, index, side="right")
+                local = index - (ends - configs)[owner]
+                position = np.empty((len(index), k), dtype=np.int64)
+                for col in reversed(range(k)):
+                    radix = count[owner, col]
+                    position[:, col] = first[owner, col] + local % radix
+                    local //= radix
+                if prune:
+                    bound = base[owner] + sum(sums[col][position[:, col]] for col in range(k))
+                    survive = np.flatnonzero(bound >= threshold())
+                    if not survive.size:
+                        continue
+                    owner, position = owner[survive], position[survive]
+                chosen = np.stack([table[kept[col][position[:, col]]] for col in range(k)], axis=1)
+                yield [x[owner] for x in blocks], chosen, owner, lambda c: label(owner[c])
+
+        yield from _rescore(batches(), p)
 
     return score
 
@@ -874,16 +853,17 @@ def _search(params, p, mode, cap, sizes, adversaries=None):
     set's configurations, unscored, and every set must stay within
     ``cap``; then the exact scorer scores each chunk right after the
     approx scorer, pruned against the live threshold (``_exact_scorer``).
-    The threshold only rises, since g lies in [0, n] and the slack is
-    constant, so whatever it pruned lies below the final one too.  The
-    kernel (``_SchurGains``) is built once, after the count pass, for
-    either entry.  If it refuses the full system, the restricted systems
-    of the first LEADER_CHUNK sets in enumeration order (the one set, if
-    given) are guarded, so a refused set is named first, and otherwise
-    the full system's error stands.  Returns ((adversaries, items), g,
-    sets, configurations, max UB(A)).  Both counts cover every set: approx
-    mode counts one configuration per set, exact mode all those of every
-    set, solved or certified unable to beat the incumbent.
+    Both get each chunk with its read: off the tree's leaves, or the one
+    set's ``gains.read``.  The threshold only rises, since g lies in
+    [0, n] and the slack is constant, so whatever it pruned lies below the
+    final one too.  The kernel (``_SchurGains``) is built once, after the
+    count pass, for either entry.  If it refuses the full system, the
+    restricted systems of the first LEADER_CHUNK sets in enumeration order
+    (the one set, if given) are guarded, so a refused set is named first,
+    and otherwise the full system's error stands.  Returns ((adversaries,
+    items), g, sets, configurations, max UB(A)).  Both counts cover every
+    set: approx mode counts one configuration per set, exact mode all
+    those of every set, solved or certified unable to beat the incumbent.
     """
     if mode not in ("approx", "exact"):
         raise ValidationError(f"unknown follower mode {mode!r}")
@@ -904,13 +884,14 @@ def _search(params, p, mode, cap, sizes, adversaries=None):
     best, bounds = _Argmax(), []
     scorers = [_approx_scorer(params, p, gains, bounds)]
     if mode == "exact":
-        scorers.append(_exact_scorer(params, p, prune=(gains, best)))
+        scorers.append(_exact_scorer(params, p, lambda: gains.threshold(best.g)))
 
-    def score(chunk):
-        return chain.from_iterable(scorer(chunk) for scorer in scorers)
+    def score(chunk, *read):
+        return chain.from_iterable(scorer(chunk, *read) for scorer in scorers)
 
     if adversaries is not None:
-        best.score(score, np.array([adversaries]))
+        chunk = np.array([adversaries])
+        best.score(score, chunk, *gains.read(chunk))
         sets = 1
     else:
         for k in sorted(sizes, reverse=True):
@@ -1003,7 +984,7 @@ def count_configurations(network, leader_size=None):
     """
     if leader_size is None:
         leader_size = network.leader_budget()
-    if _check_count(leader_size, "leader_size", minimum=0) > network.agent_count:
+    if (leader_size := _check_count(leader_size, "leader_size", minimum=0)) > network.agent_count:
         raise ValidationError(
             f"leader_size {leader_size} outside 0..{network.agent_count}"
         )

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import THETA_MIN, FjParameters, _check_count, _check_unit_vector, closed_form_outcome
+from .dynamics import THETA_MIN, FjParameters, _as_float, _check_count, _check_unit_vector
+from .dynamics import closed_form_outcome
 from .errors import ConvergenceError, ValidationError
 
 # Above this value of a_i the weight scale 1 - a_i is considered degenerate.
@@ -50,7 +51,7 @@ class RecoveryProblem:
                 raise ValidationError(
                     f"trajectory {k} has {trajectory.n} agents, network has {n}"
                 )
-        ridge = float(self.ridge)
+        ridge = _as_float(self.ridge, "ridge")
         if not np.isfinite(ridge) or ridge < 0.0:
             raise ValidationError(f"ridge must be nonnegative, got {self.ridge!r}")
         intrinsic = self.intrinsic
@@ -236,7 +237,7 @@ def recovery_robustness(problem, noise_levels, seeds=5):
     true_g = closed_form_outcome(truth).g
     rows = []
     for level_index, level in enumerate(noise_levels):
-        level = float(level)
+        level = _as_float(level, "noise level")
         if not np.isfinite(level) or level < 0.0:
             raise ValidationError(f"noise level must be nonnegative, got {level!r}")
         theta_errors, weight_errors, g_errors = [], [], []

@@ -4,7 +4,10 @@ Each test works inside its own tmp_path, writes the files a user would,
 and asserts on exit codes plus the artifacts left behind.
 """
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,3 +384,49 @@ def test_leader_size_beyond_the_budget_exits_two(tmp_path, capsys):
     ])
     assert code == 2
     assert "leader_size 9 outside the feasible range 1..1" in capsys.readouterr().err
+
+
+def readme_synopsis():
+    """{subcommand: (required options, optional options)} from the README's
+    CLI synopsis: a line starting "fjattack <subcommand>" and the indented
+    lines after it, an option optional when it sits in brackets."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    commands = {}
+    for line in block.splitlines():
+        if line.startswith("fjattack "):
+            name = line.split()[1]
+            commands[name] = line
+        elif line.strip():
+            commands[name] += " " + line
+    synopsis = {}
+    for name, text in commands.items():
+        optional = set(re.findall(r"--[\w-]+", " ".join(re.findall(r"\[[^\]]*\]", text))))
+        required = set(re.findall(r"--[\w-]+", re.sub(r"\[[^\]]*\]", "", text)))
+        synopsis[name] = required, optional
+    return synopsis
+
+
+def test_readme_synopsis_matches_the_parser():
+    # An option of a required group of alternatives (count's --network |
+    # --scenario) counts as required.
+    (subparsers,) = (
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    parsers = {}
+    for name, parser in subparsers.choices.items():
+        grouped = {
+            action for group in parser._mutually_exclusive_groups if group.required
+            for action in group._group_actions
+        }
+        options = [action for action in parser._actions if action.option_strings]
+        parsers[name] = tuple(
+            {
+                max(action.option_strings, key=len) for action in options
+                if not isinstance(action, argparse._HelpAction)
+                and (action.required or action in grouped) == required
+            }
+            for required in (True, False)
+        )
+    assert readme_synopsis() == parsers

@@ -5,8 +5,10 @@ plain fixed-point iteration for the equilibrium, so any indexing or
 vectorization mistake in the library shows up as a disagreement.
 """
 
+import json
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from conftest import (
 )
 from fjattack import (
     AttackConfig,
+    Scenario,
     ConvergenceError,
     FjParameters,
     InfluenceNetwork,
@@ -33,6 +36,7 @@ from fjattack import (
     simulate,
     simulate_adversarial,
     solve_attack,
+    solve_follower,
 )
 from fjattack.dynamics import SPECTRAL_MARGIN
 from fjattack.linalg import spectral_radius
@@ -602,6 +606,85 @@ def test_spectral_radius_stops_once_the_threshold_is_decided():
 )
 def test_counts_reject_bools_and_non_ints(name, build):
     with pytest.raises(ValidationError, match=f"^{name} must be an int >= 1, got "):
+        build()
+
+
+@pytest.mark.parametrize(
+    "message, build",
+    (
+        ("adversary must be an int, got 1.5", lambda: AttackConfig((1.5,), {})),
+        ("adversary must be an int, got True", lambda: AttackConfig((True,), {})),
+        ("adversary must be an int, got '1'", lambda: AttackConfig(("1",), {})),
+        (
+            "target key must be an int, got '1'",
+            lambda: AttackConfig((1, 2), [(2, ()), ("1", ()), (1, (0,))]),
+        ),
+        ("target must be an int, got 0.5", lambda: AttackConfig((1,), {1: (0.5,)})),
+        ("adversary must be an int, got 0.9", lambda: solve_follower(planner_params(), (0.9, 2))),
+        (
+            "pinned agent must be an int, got 1.5",
+            lambda: simulate(planner_params(), np.full(5, 0.5), 3, pinned=[1.5]),
+        ),
+        (
+            "pinned agent must be an int, got True",
+            lambda: fj_step(planner_params(), np.full(5, 0.5), pinned=[True]),
+        ),
+        (
+            "pinned agent must be an int, got '1'",
+            lambda: OpinionTrajectory(rounds=1, values=np.zeros((2, 2)), pinned=("1",)),
+        ),
+    ),
+    ids=(
+        "adversary_fraction",
+        "adversary_bool",
+        "adversary_text",
+        "target_key_text",
+        "target_fraction",
+        "follower_set_fraction",
+        "simulate_pinned_fraction",
+        "step_pinned_bool",
+        "trajectory_pinned_text",
+    ),
+)
+def test_agent_indices_must_be_ints(message, build):
+    # Indices are never cut to an int: 1.5, True and "1" are not agent 1.
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_numpy_integers_pass_as_python_ints():
+    config = AttackConfig((np.int64(2), np.int32(0)), {np.int64(2): np.array([1, 3])})
+    assert config == AttackConfig((0, 2), {2: (1, 3)})
+    assert [type(x) for x in (*config.adversaries, *config.targets[1][1])] == [int] * 4
+    network = InfluenceNetwork(np.int64(3), ((0, 1), (1, 2), (2, 0)))
+    assert type(network.agent_count) is int
+    params = planner_params()
+    trajectory = simulate(params, np.full(5, 0.5), np.int64(3), pinned=np.array([4, 1]))
+    assert type(trajectory.rounds) is int and trajectory.pinned == (1, 4)
+    assert [type(i) for i in trajectory.pinned] == [int, int]
+    plan = solve_attack(params, leader_size=np.int64(1), cap=np.int64(10))
+    assert len(plan.config.adversaries) == 1
+    scenario = Scenario(n=np.int64(9), seed=np.int64(1), leader_size=np.int64(2))
+    assert [type(x) for x in (scenario.n, scenario.seed, scenario.leader_size)] == [int] * 3
+    assert json.loads(json.dumps(scenario.to_json()))["n"] == 9
+
+
+@pytest.mark.parametrize(
+    "message, build",
+    (
+        ("influence magnitude must be a number, got 'x'", lambda: solve_attack(planner_params(), p="x")),
+        ("influence magnitude must be a number, got None", lambda: solve_attack(planner_params(), p=None)),
+        ("influence magnitude must be a number, got 'x'", lambda: AttackConfig((1,), {}, "x")),
+        ("ridge must be a number, got 'x'", lambda: replace(problem_with_truth(), ridge="x")),
+        (
+            "noise level must be a number, got 'x'",
+            lambda: recovery_robustness(problem_with_truth(), ["x"]),
+        ),
+    ),
+    ids=("solve_attack_text", "solve_attack_none", "config_text", "ridge_text", "noise_text"),
+)
+def test_non_numbers_are_validation_errors(message, build):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         build()
 
 

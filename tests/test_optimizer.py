@@ -454,9 +454,9 @@ def test_exact_engine_guards_every_configuration(monkeypatch):
     def scorer_spy(*args, **kwargs):
         score = real_scorer(*args, **kwargs)
 
-        def spied(chunk):
+        def spied(chunk, *read):
             exact_pass[0] = True
-            for g, chosen, owner in score(chunk):
+            for g, chosen, owner in score(chunk, *read):
                 solved.append(len(g))
                 yield g, chosen, owner
             exact_pass[0] = False
@@ -557,9 +557,9 @@ def test_exact_mode_is_one_pass(monkeypatch):
         def scorer_spy(*args, **kwargs):
             score = real_scorers[name](*args, **kwargs)
 
-            def spied(adversaries):
+            def spied(adversaries, *read):
                 received.append((name, tuple(map(tuple, adversaries.tolist()))))
-                return score(adversaries)
+                return score(adversaries, *read)
 
             return spied
 
@@ -656,7 +656,7 @@ def tree_path_bounds(gains, k):
         bound = _child_bounds(gains.rank, nodes[0], *node_scores(gains, nodes), k)
         owner, v = np.nonzero(np.isfinite(bound))
         path = np.minimum(path[owner], bound[owner, v])
-        nodes = gains.pin(nodes, owner, v)
+        nodes = gains.pin(nodes, gains.step(nodes, owner, v))
     return nodes[0], path
 
 
@@ -677,7 +677,7 @@ def test_leader_bound_covers_every_set():
                 assert (np.diff(gains.rank[sets], axis=1) > 0).all()
                 sets = np.sort(sets, axis=1)
                 assert sorted(map(tuple, sets.tolist())) == list(combinations(range(params.n), k))
-                list(approx(sets))
+                list(approx(sets, *gains.read(sets)))
                 assert (bounds[-1] <= path + gains.slack(bounds[-1].max())).all(), name
                 if count_configurations(params.network, k) > 20_000:
                     continue
@@ -693,7 +693,7 @@ def test_tree_downdates_match_direct_restricted_reads():
     # column sums and its pinned fixed point solved directly.  The
     # tolerance, n eps kappa_1(M), is a 64n-th of the slack.  The tree
     # scores a child before it builds R': its z, 1^T R and diagonal from
-    # ``children`` are bitwise those of the built node.
+    # ``step`` are bitwise those of the built node.
     for name, params in regime_instances(range(6, 11)):
         gains = _SchurGains(params, 1e-3)
         n, k = params.n, params.network.leader_budget()
@@ -703,8 +703,8 @@ def test_tree_downdates_match_direct_restricted_reads():
         for _ in range(k):
             bound = _child_bounds(gains.rank, nodes[0], *node_scores(gains, nodes), k)
             owner, v = np.nonzero(np.isfinite(bound))
-            (_, _, light_z, light_reach), diagonal = gains.children(nodes, owner, v)
-            nodes = gains.pin(nodes, owner, v)
+            *_, light_z, light_reach, diagonal = gains.step(nodes, owner, v)
+            nodes = gains.pin(nodes, gains.step(nodes, owner, v))
             sets, inverse, z, reach = nodes
             assert diagonal.tobytes() == np.diagonal(inverse, axis1=1, axis2=2).tobytes()
             assert light_z.tobytes() == z.tobytes() and light_reach.tobytes() == reach.tobytes()
@@ -729,6 +729,44 @@ def test_tree_downdates_match_direct_restricted_reads():
             assert (z[pinned] == 1.0).all() and not reach[pinned].any()
 
 
+def kernel_state(gains):
+    """Each attribute of a kernel by name: its identity and its contents,
+    arrays as bytes and tuples walked."""
+
+    def contents(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype, value.shape, value.tobytes()
+        if isinstance(value, tuple):
+            return tuple(map(contents, value))
+        return value
+
+    return {name: (id(value), contents(value)) for name, value in vars(gains).items()}
+
+
+def test_gain_kernel_keeps_no_search_state():
+    # The tree hands each leaf chunk its read, and ``read`` returns one, so
+    # after __init__ the kernel is read only: a search over several sizes
+    # and reads of interleaved stacks leave every attribute as it was, and
+    # a stack reads the same bits before and after the others.
+    for topology in ("complete", "erdos_renyi", "ring", "star"):
+        _, params = generate(Scenario(topology=topology, n=14, seed=1))
+        gains = _SchurGains(params, 1e-3)
+        before = kernel_state(gains)
+        best, score = _Argmax(), _approx_scorer(params, 1e-3, gains, [])
+        for k in (4, 3, 2):
+            _branch_and_bound(gains, k, score, best)
+        assert best.key is not None
+        stacks = [
+            np.array(list(combinations(range(14), k))[::stride])
+            for k, stride in ((4, 50), (2, 7), (4, 33), (1, 1))
+        ]
+        first = [gains.read(stack) for stack in stacks]
+        for stack, read in zip(reversed(stacks), reversed(first)):
+            again = gains.read(stack)
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(read, again)), topology
+        assert kernel_state(gains) == before, topology
+
+
 def record_approx_reads(monkeypatch):
     """A list that collects, for every set the approx scorer scores, the
     set and the bytes of its g, target mask and UB(A)."""
@@ -738,8 +776,8 @@ def record_approx_reads(monkeypatch):
     def scorer_spy(params, p, gains, bounds):
         score = real_scorer(params, p, gains, bounds)
 
-        def spied(adversaries):
-            for g, chosen, owner in score(adversaries):
+        def spied(adversaries, *read):
+            for g, chosen, owner in score(adversaries, *read):
                 reads.extend(
                     (tuple(adversaries[b].tolist()), (g[b], chosen[b], bounds[-1][b]))
                     for b in owner.tolist()
@@ -768,11 +806,11 @@ def test_approx_reads_do_not_depend_on_the_stack(monkeypatch):
         for n, seed in ((10, 1), (14, 2), (20, 3)):
             _, params = generate(Scenario(topology=topology, n=n, seed=seed))
             k = params.network.leader_budget()
-            bounds = []
-            score = _approx_scorer(params, 1e-3, _SchurGains(params, 1e-3), bounds)
+            bounds, kernel = [], _SchurGains(params, 1e-3)
+            score = _approx_scorer(params, 1e-3, kernel, bounds)
 
             def read(stack):
-                ((g, chosen, _),) = score(stack)
+                ((g, chosen, _),) = score(stack, *kernel.read(stack))
                 return g, chosen, bounds[-1]
 
             chunk = next(_chunks([combinations(range(n), k)]))
@@ -812,13 +850,13 @@ def test_approx_reads_do_not_depend_on_the_stack(monkeypatch):
                 bound = _child_bounds(gains.rank, nodes[0], *node_scores(gains, nodes), k)
                 owner, v = np.nonzero(np.isfinite(bound))
                 if depth < k - 1:
-                    nodes = gains.pin(nodes, owner, v)
+                    nodes = gains.pin(nodes, gains.step(nodes, owner, v))
             covered = []
             for lo in range(0, len(v), LEADER_CHUNK):
                 part = slice(lo, lo + LEADER_CHUNK)
-                leaves = gains.leaves(nodes, owner[part], v[part])
+                leaves, *leaf_read = gains.leaves(nodes, owner[part], v[part])
                 covered.extend(map(tuple, leaves.tolist()))
-                ((g, chosen, _),) = leaf_score(leaves)
+                ((g, chosen, _),) = leaf_score(leaves, *leaf_read)
                 assert same((g, chosen, bounds[-1]), read(leaves.copy())), (topology, n, lo)
             assert sorted(covered) == list(combinations(range(n), k))
 
@@ -832,16 +870,17 @@ def assert_pruned_matches_enumeration(name, params, sizes, p=1e-3):
     def scorer_spy(*args):
         score = real_scorer(*args)
 
-        def spied(adversaries):
+        def spied(adversaries, *read):
             scored.append(len(adversaries))
-            return score(adversaries)
+            return score(adversaries, *read)
 
         return spied
 
-    bounds = []
+    bounds, gains = [], _SchurGains(params, p)
+    approx = _approx_scorer(params, p, gains, bounds)
     (adversaries, items), g, sets, _ = _leader_search(
         [combinations(range(params.n), k) for k in sizes],
-        _approx_scorer(params, p, _SchurGains(params, p), bounds),
+        lambda chunk: approx(chunk, *gains.read(chunk)),
     )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fjattack.optimizer, "_approx_scorer", scorer_spy)
@@ -927,16 +966,16 @@ def count_tree_work(monkeypatch):
     real_pin = _SchurGains.pin
     real_scorer = fjattack.optimizer._approx_scorer
 
-    def pin_spy(self, nodes, owner, v, step=None):
-        work[0] += len(v)
-        return real_pin(self, nodes, owner, v, step)
+    def pin_spy(self, nodes, step):
+        work[0] += len(step[1])
+        return real_pin(self, nodes, step)
 
     def scorer_spy(*args):
         score = real_scorer(*args)
 
-        def spied(adversaries):
+        def spied(adversaries, *read):
             work[1] += len(adversaries)
-            return score(adversaries)
+            return score(adversaries, *read)
 
         return spied
 
@@ -973,16 +1012,16 @@ def test_greedy_set_is_pinned_once(monkeypatch):
             real_pin = _SchurGains.pin
             real_scorer = fjattack.optimizer._approx_scorer
 
-            def pin_spy(self, nodes, owner, v, step=None):
-                pins.append(v.tolist())
-                return real_pin(self, nodes, owner, v, step)
+            def pin_spy(self, nodes, step):
+                pins.append(step[1].tolist())
+                return real_pin(self, nodes, step)
 
             def scorer_spy(*args):
                 score = real_scorer(*args)
 
-                def spied(adversaries):
+                def spied(adversaries, *read):
                     first.append((len(pins), adversaries[0].tolist()))
-                    return score(adversaries)
+                    return score(adversaries, *read)
 
                 return spied
 
@@ -1048,9 +1087,9 @@ def scored_sets_by_size_order(params, order, p=1e-3):
     gains, scored = _SchurGains(params, p), []
     approx = _approx_scorer(params, p, gains, [])
 
-    def spied(adversaries):
+    def spied(adversaries, *read):
         scored.append(len(adversaries))
-        return approx(adversaries)
+        return approx(adversaries, *read)
 
     best = _Argmax()
     for k in order:
@@ -1066,9 +1105,9 @@ def spy_on_scored_sets(monkeypatch):
     def scorer_spy(*args):
         score = real_scorer(*args)
 
-        def spied(adversaries):
+        def spied(adversaries, *read):
             scored.extend(map(tuple, adversaries.tolist()))
-            return score(adversaries)
+            return score(adversaries, *read)
 
         return spied
 
@@ -1311,9 +1350,9 @@ def test_approx_search_guards_base_and_rescore_systems(monkeypatch):
     def scorer_spy(*args):
         score = real_scorer(*args)
 
-        def spied(adversaries):
+        def spied(adversaries, *read):
             scored.append(len(adversaries))
-            return score(adversaries)
+            return score(adversaries, *read)
 
         return spied
 
