@@ -110,7 +110,6 @@ def cmd_attack_plan(args):
         p=args.p,
         leader_size=args.leader_size,
         follower_mode=args.mode,
-        all_leader_sizes=args.all_leader_sizes,
         cap=args.cap,
     )
     g0 = closed_form_outcome(params).g
@@ -225,7 +224,6 @@ def build_parser():
     sp.add_argument("--p", type=float, default=DEFAULT_P)
     sp.add_argument("--leader-size", type=int, default=None)
     sp.add_argument("--mode", choices=("approx", "exact"), default="approx")
-    sp.add_argument("--all-leader-sizes", action="store_true")
     sp.add_argument("--cap", type=int, default=DEFAULT_CONFIG_CAP)
     sp.add_argument("--id", help="instance id for the CSV line (default: file stem)")
     sp.add_argument("--out-dir", default=".")

@@ -55,11 +55,14 @@ def _as_int(value, name, rule="an int"):
 
 
 def _as_float(value, name):
-    """``value`` as a float, or a ValidationError if it is no number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a number, got {value!r}") from None
+    """``value`` as a float, or a ValidationError if it is no number: a bool
+    or text is refused, not read as 1.0 or parsed."""
+    if not isinstance(value, (bool, np.bool_, str, bytes)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{name} must be a number, got {value!r}")
 
 
 def _check_count(value, name, minimum=1):

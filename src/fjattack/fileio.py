@@ -6,21 +6,24 @@ Network parameters travel as a single JSON object:
      "w": [[i, j, weight], ...]}
 
 where each w triple gives one nonzero influence entry (omitted entries are
-zero).  Floats are written with Python's shortest round-trip repr, so a
-save/load cycle is lossless.  Attack configurations and trajectories have
-similarly small schemas, documented on their writers.  Result tables are
-written both as CSV (6 significant digits) and JSON (12 significant
-digits); wall-clock fields are the only nondeterministic content.
+zero).  Counts and indices (n, edge endpoints, weight indices, adversaries
+and targets) must be JSON integers: 2.0, true and "2" are refused.  Floats
+are written with Python's shortest round-trip repr, so a save/load cycle is
+lossless.  Attack configurations and trajectories have similarly small
+schemas, documented on their writers.  Result tables are written both as
+CSV (6 significant digits) and JSON (12 significant digits); wall-clock
+fields are the only nondeterministic content.
 """
 
 import csv
 import io
 import json
+from itertools import chain, compress, cycle
 
 import numpy as np
 
 from .adversary import AttackConfig
-from .dynamics import FjParameters, InfluenceNetwork, OpinionTrajectory
+from .dynamics import FjParameters, InfluenceNetwork, OpinionTrajectory, _as_float, _as_int
 from .errors import ValidationError
 
 
@@ -67,11 +70,15 @@ def _require(payload, key, path):
 
 
 def check_integral(values, what):
-    """Pass JSON counts or indices through if all are integers, so int() never truncates 2.7."""
-    array = np.asarray(values, dtype=float)
-    bad = (np.trunc(array) != array) | (np.abs(array) > 2.0**53)
-    if bad.any():
-        raise ValidationError(f"{what} must be an integer, got {float(array[bad][0])!r}")
+    """Refuse the first of the JSON counts or indices ``values`` that is no int.
+
+    Of the values JSON holds, the one integer rule (``dynamics._as_int``)
+    takes only an int: 2.0, true and "2" are refused, not read as 2.  A type
+    test passes the ints, and ``_as_int`` refuses the first other value.
+    """
+    for value in values:
+        if type(value) is not int:
+            _as_int(value, what, "an integer")
     return values
 
 
@@ -107,9 +114,10 @@ def _records(values, width, what):
 def _read_network(payload, path, what):
     """The InfluenceNetwork of a file's n and edges; ``what`` names the file kind."""
     try:
-        n = int(check_integral(_require(payload, "n", path), "n"))
-        edges = _records(_require(payload, "edges", path), 2, "edges")
-        check_integral(edges, "edge endpoint")
+        (n,) = check_integral([_require(payload, "n", path)], "n")
+        raw = _require(payload, "edges", path)
+        edges = _records(raw, 2, "edges")
+        check_integral(chain.from_iterable(raw), "edge endpoint")
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed {what} ({exc})") from exc
     return InfluenceNetwork(agent_count=n, edges=edges.astype(np.int64))
@@ -127,8 +135,11 @@ def load_parameters(path):
     try:
         theta = np.asarray(_require(payload, "theta", path), dtype=float)
         s = np.asarray(_require(payload, "s", path), dtype=float)
-        entries = _records(_require(payload, "w", path), 3, "weight entries")
-        check_integral(entries[:, :2], "weight index")
+        raw = _require(payload, "w", path)
+        entries = _records(raw, 3, "weight entries")
+        # The (i, j) of each [i, j, weight], in file order.
+        indices = compress(chain.from_iterable(raw), cycle((True, True, False)))
+        check_integral(indices, "weight index")
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed parameter file ({exc})") from exc
     index = entries[:, :2].astype(np.int64)
@@ -161,12 +172,11 @@ def load_config(path):
     payload = read_json(path)
     try:
         adversaries = check_integral(_require(payload, "adversaries", path), "adversary")
-        adversaries = [int(j) for j in adversaries]
         targets = {
-            int(j): [int(i) for i in check_integral(chosen, "target")]
+            int(j): check_integral(chosen, "target")
             for j, chosen in _require(payload, "targets", path).items()
         }
-        p = float(_require(payload, "p", path))
+        p = _as_float(_require(payload, "p", path), "p")
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed attack config ({exc})") from exc
     return AttackConfig(adversaries=adversaries, targets=targets, influence_magnitude=p)
@@ -192,7 +202,7 @@ def save_trajectories(trajectories, path):
 def load_trajectories(path):
     payload = read_json(path)
     try:
-        n = int(check_integral(_require(payload, "n", path), "n"))
+        (n,) = check_integral([_require(payload, "n", path)], "n")
         raw = [np.array(rows, dtype=float) for rows in _require(payload, "trajectories", path)]
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed trajectory file ({exc})") from exc

@@ -518,18 +518,15 @@ def run_ablation(scenario):
     network, params = generate(scenario)
     baseline_g = closed_form_outcome(params).g
     leader_size = _resolve_leader_size(scenario, network)
-
-    def leader_sets():
-        return [combinations(range(network.agent_count), leader_size)]
-
     rows = []
     for mode_index, (mode, (pinned, targeting)) in enumerate(_ABLATION_MODELS.items()):
         start = time.perf_counter()
         p = scenario.p if targeting else 0.0
         if pinned:
-            key, _, sets, configs, _ = _search(params, p, "approx", None, (leader_size,))
+            key, _, sets, configs, _ = _search(params, p, "approx", None, leader_size)
         else:
-            key, _, sets, configs = _leader_search(leader_sets(), _unpinned_scorer(params, p))
+            leader_sets = combinations(range(network.agent_count), leader_size)
+            key, _, sets, configs = _leader_search(leader_sets, _unpinned_scorer(params, p))
         adversaries, items = key
         if not targeting:
             rng = _substream(scenario.seed, STREAM_ABLATION, mode_index)

@@ -1,7 +1,8 @@
 """Two-level search for the most damaging attack configuration.
 
-The leader level searches the adversary sets of a given size; the follower
-level picks each adversary's targets.  The follower comes in two modes:
+The leader level searches the adversary sets of one size, by default the
+adversary budget (below: no smaller size does better); the follower level
+picks each adversary's targets.  The follower comes in two modes:
 
 * ``exact`` finds the best joint target choice across the adversaries
   (subject to a configuration cap), solving every choice a certified
@@ -139,6 +140,26 @@ R_vv >= 1.  Every exact score, stacked or one at a time
 (``adversarial_outcome``), builds its system with
 ``adversary._reweighted_systems``; only the LAPACK solve differs.
 
+A search covers one leader size, since in exact mode the best g never
+falls as the size grows.  Let g*(k) be the best exact g over the size-k
+configurations, k below the budget, and (A, T) one that attains it.  Take
+any agent v outside A, and let A' = A + {v}, T'_j = T_j - {v} for j in
+A, and let v target nobody.  (A', T') is feasible: each T'_j lies within
+T_j and avoids A'.  Targeting re-weights only the targets' rows, so the
+two attacks' pinned FJ updates differ only in row v, which (A', T') pins
+at 1.  The update is z -> b + B z with B >= 0 entrywise, so it is monotone
+in z; from (A, T)'s fixed point z it leaves every entry but v unchanged
+and raises z_v to 1 (opinions lie in [0, 1]), so iterating it from z
+rises entrywise to the fixed point z' of (A', T').  Hence g(A', T') =
+sum(z') >= sum(z), and g*(k + 1) >= g*(k).  Approx mode has no such
+proof: at A' it re-picks every adversary's targets by first-order gains,
+which may do worse than A's own choice.  Measured instead, over complete,
+Erdos-Renyi, ring and star networks, three theta regimes, seeds 0-2 and
+p in {1e-3, 0.2}, the best plan over every size 1..budget was the budget
+size's plan in all 576 approx plans (n = 7-14) and all 216 exact plans
+(n = 7-9).  A smaller set that ties the budget size bitwise is not
+searched, so the budget size's plan stands.
+
 Tie-breaking is deterministic everywhere: higher g wins, then the smaller
 adversary tuple, then the smaller canonical target tuple.
 """
@@ -203,7 +224,7 @@ class MarginalGains:
 class AttackPlan:
     """Search result: the chosen attack plus bookkeeping about the search.
 
-    leader_evaluations counts every adversary set of the searched sizes:
+    leader_evaluations counts every adversary set of the leader size:
     scored, or left unscored because the leader tree's bound on a partial
     set certifies that none of its completions can win.  The bound caps
     UB(A) because pinned g0 is submodular (an absorbing-walk coverage
@@ -221,7 +242,7 @@ class AttackPlan:
 
     follower_candidates counts, in exact mode and for the oracle, every
     configuration of every searched set, which equals count_configurations
-    over the searched leader sizes.  The oracle solves each one; exact
+    at the leader size.  The oracle solves each one; exact
     mode, in its one pass over the leader tree, solves only those its
     bounds cannot rule out and certifies the rest.  In approx mode it
     counts one configuration per set, so it equals leader_evaluations.
@@ -311,7 +332,7 @@ def solve_follower(params, adversaries, p=DEFAULT_P, mode="approx", cap=DEFAULT_
     """
     adversaries, p = _check_adversary_set(params.network, adversaries, p)
     _check_cap(cap)
-    (_, items), g, _, _, _ = _search(params, p, mode, cap, (len(adversaries),), adversaries)
+    (_, items), g, _, _, _ = _search(params, p, mode, cap, len(adversaries), adversaries)
     return dict(items), g
 
 
@@ -586,14 +607,13 @@ def _approx_scorer(params, p, gains, bounds):
 
 
 def _chunks(leader_sets):
-    """(sets, k) index arrays of LEADER_CHUNK sets at a time, from a
-    sequence of iterables of sorted same-size sets."""
-    for group in leader_sets:
-        group = iter(group)
-        while chunk := list(islice(group, LEADER_CHUNK)):
-            k = len(chunk[0])
-            flat = np.fromiter(chain.from_iterable(chunk), dtype=np.intp, count=len(chunk) * k)
-            yield flat.reshape(len(chunk), k)
+    """(sets, k) index arrays of LEADER_CHUNK sets at a time, from an
+    iterable of sorted same-size sets."""
+    leader_sets = iter(leader_sets)
+    while chunk := list(islice(leader_sets, LEADER_CHUNK)):
+        k = len(chunk[0])
+        flat = np.fromiter(chain.from_iterable(chunk), dtype=np.intp, count=len(chunk) * k)
+        yield flat.reshape(len(chunk), k)
 
 
 class _Argmax:
@@ -632,8 +652,8 @@ class _Argmax:
 def _leader_search(leader_sets, score):
     """Score the configurations a scorer yields for every set; keep the best.
 
-    ``leader_sets`` is a sequence of iterables of sorted same-size sets,
-    scored LEADER_CHUNK at a time, each chunk alone, with no read; ``score``
+    ``leader_sets`` is an iterable of sorted same-size sets, scored
+    LEADER_CHUNK at a time, each chunk alone, with no read; ``score``
     and the tie rule are those of ``_Argmax``.  Returns
     ((adversaries, items), g, sets, configurations scored).
     """
@@ -645,12 +665,11 @@ def _leader_search(leader_sets, score):
 
 
 def _branch_and_bound(gains, k, score, best):
-    """Certified branch-and-bound over the size-k sets, sharing ``best`` (an _Argmax).
+    """Certified branch-and-bound over the size-k sets, into ``best`` (an _Argmax).
 
     Scores, with ``score``, every set that could beat or tie the best g
-    found so far, so ``best`` ends as the argmax of full enumeration.  The
-    size is skipped when no child of the root reaches the threshold
-    ``gains.threshold(best.g)``.  Otherwise a greedy dive from the root
+    found so far, so ``best`` ends as the argmax of full enumeration; the
+    threshold is ``gains.threshold(best.g)``.  A greedy dive from the root
     chooses the first set to score: k - 1 rank-1 steps, each pinning the
     agent with the largest s_v = Delta_v + top_v (the lowest index on a
     tie), then the best such agent of the last node.  The greedy set is
@@ -686,8 +705,6 @@ def _branch_and_bound(gains, k, score, best):
 
     base, scores = gains.root_scores
     bound = _child_bounds(rank, root[0], base, scores, k)
-    if best.key is not None and not (bound >= gains.threshold(best.g)).any():
-        return
     one = np.zeros(1, dtype=np.intp)
     path = [root]
     for _ in range(k - 1):
@@ -842,17 +859,17 @@ def _exact_scorer(params, p, threshold=None):
     return score
 
 
-def _search(params, p, mode, cap, sizes, adversaries=None):
+def _search(params, p, mode, cap, leader_size, adversaries=None):
     """The search of solve_attack and solve_follower in follower ``mode``.
 
-    One pass: searches every set of ``sizes`` with the leader tree
-    (``_branch_and_bound``, largest size first, one shared incumbent), or,
-    given ``adversaries``, that one set.  The approx scorer scores each set
-    the search reaches; its g, an exact evaluation of a feasible
-    configuration, can raise the incumbent.  Exact mode first counts every
-    set's configurations, unscored, and every set must stay within
-    ``cap``; then the exact scorer scores each chunk right after the
-    approx scorer, pruned against the live threshold (``_exact_scorer``).
+    One pass: searches every set of ``leader_size`` with the leader tree
+    (``_branch_and_bound``), or, given ``adversaries``, that one set.  The
+    approx scorer scores each set the search reaches; its g, an exact
+    evaluation of a feasible configuration, can raise the incumbent.  Exact
+    mode first counts every set's configurations, unscored, and every set
+    must stay within ``cap``; then the exact scorer scores each chunk right
+    after the approx scorer, pruned against the live threshold
+    (``_exact_scorer``).
     Both get each chunk with its read: off the tree's leaves, or the one
     set's ``gains.read``.  The threshold only rises, since g lies in
     [0, n] and the slack is constant, so whatever it pruned lies below the
@@ -870,8 +887,8 @@ def _search(params, p, mode, cap, sizes, adversaries=None):
 
     def leader_sets():
         if adversaries is not None:
-            return [[adversaries]]
-        return [combinations(range(params.n), k) for k in sizes]
+            return [adversaries]
+        return combinations(range(params.n), leader_size)
 
     if mode == "exact":
         configs = _count_configurations(params.network, leader_sets(), cap)
@@ -894,9 +911,8 @@ def _search(params, p, mode, cap, sizes, adversaries=None):
         best.score(score, chunk, *gains.read(chunk))
         sets = 1
     else:
-        for k in sorted(sizes, reverse=True):
-            _branch_and_bound(gains, k, score, best)
-        sets = sum(math.comb(params.n, k) for k in sizes)
+        _branch_and_bound(gains, leader_size, score, best)
+        sets = math.comb(params.n, leader_size)
     upper = max(float(b.max()) for b in bounds)
     return best.key, best.g, sets, configs if mode == "exact" else sets, upper
 
@@ -906,14 +922,13 @@ def solve_attack(
     p=DEFAULT_P,
     leader_size=None,
     follower_mode="approx",
-    all_leader_sizes=False,
     cap=DEFAULT_CONFIG_CAP,
 ):
     """Search adversary sets and their best responses for the largest g.
 
     Searches the adversary sets of ``leader_size`` (default: the full
-    adversary budget (n - 1) // 3; with ``all_leader_sizes`` every size
-    from 1 up to the budget, largest first) by branch and bound, and
+    adversary budget (n - 1) // 3, whose best g no smaller size beats in
+    exact mode; see the module docstring) by branch and bound, and
     solves the follower problem for each set the bound cannot rule out;
     the plan is the one solving every set gives.  Both modes walk the
     tree once.  In exact mode every set must stay within ``cap``
@@ -928,10 +943,8 @@ def solve_attack(
     p = _check_magnitude(p)
     leader_size = _check_leader_size(network, leader_size)
     _check_cap(cap)
-    sizes = range(1, network.leader_budget() + 1) if all_leader_sizes else (leader_size,)
-
     (adversaries, items), best_g, sets, configs, upper = _search(
-        params, p, follower_mode, cap, sizes
+        params, p, follower_mode, cap, leader_size
     )
     return AttackPlan(
         config=AttackConfig(adversaries, items, p),
@@ -960,9 +973,8 @@ def brute_force_oracle(params, p=DEFAULT_P, leader_size=None, cap=DEFAULT_CONFIG
     total = count_configurations(network, leader_size)
     if cap is not None and total > cap:
         raise CapExceededError(f"{total} feasible configurations exceed the cap of {cap}")
-    leader_sets = [combinations(range(network.agent_count), leader_size)]
     (adversaries, items), best_g, sets, configs = _leader_search(
-        leader_sets, _exact_scorer(params, p)
+        combinations(range(network.agent_count), leader_size), _exact_scorer(params, p)
     )
     return AttackPlan(
         config=AttackConfig(adversaries, items, p),
@@ -988,12 +1000,12 @@ def count_configurations(network, leader_size=None):
         raise ValidationError(
             f"leader_size {leader_size} outside 0..{network.agent_count}"
         )
-    return _count_configurations(network, [combinations(range(network.agent_count), leader_size)])
+    return _count_configurations(network, combinations(range(network.agent_count), leader_size))
 
 
 def _count_configurations(network, leader_sets, cap=None):
-    """Configurations of every set in ``leader_sets`` (as _leader_search
-    takes them); raises CapExceededError if one set has more than ``cap``."""
+    """Configurations of every set in ``leader_sets``, an iterable of sorted
+    same-size sets; raises CapExceededError if one set has more than ``cap``."""
     space_sizes = _space_sizer(network)
     total = 0
     for chunk in _chunks(leader_sets):

@@ -680,8 +680,35 @@ def test_numpy_integers_pass_as_python_ints():
             "noise level must be a number, got 'x'",
             lambda: recovery_robustness(problem_with_truth(), ["x"]),
         ),
+        ("influence magnitude must be a number, got True", lambda: AttackConfig((1,), {}, True)),
+        (
+            "influence magnitude must be a number, got np.True_",
+            lambda: solve_attack(planner_params(), p=np.True_),
+        ),
+        ("ridge must be a number, got True", lambda: replace(problem_with_truth(), ridge=True)),
+        ("p must be a number, got '0.002'", lambda: Scenario(p="0.002")),
+        (
+            "edge_prob must be a number, got b'0.5'",
+            lambda: Scenario(topology="erdos_renyi", edge_prob=b"0.5"),
+        ),
+        (
+            "noise level must be a number, got False",
+            lambda: recovery_robustness(problem_with_truth(), [False]),
+        ),
     ),
-    ids=("solve_attack_text", "solve_attack_none", "config_text", "ridge_text", "noise_text"),
+    ids=(
+        "solve_attack_text",
+        "solve_attack_none",
+        "config_text",
+        "ridge_text",
+        "noise_text",
+        "config_bool",
+        "solve_attack_numpy_bool",
+        "ridge_bool",
+        "scenario_numeric_text",
+        "edge_prob_bytes",
+        "noise_bool",
+    ),
 )
 def test_non_numbers_are_validation_errors(message, build):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):

@@ -201,11 +201,44 @@ def test_parameters_reject_non_integral_counts_and_indices(tmp_path, override):
         load_parameters(path)
 
 
-def test_integral_floats_load_as_ints(tmp_path):
-    path = tmp_path / "params.json"
-    write_json(path, {**TWO_AGENTS, "n": 2.0, "edges": [[0.0, 1], [1, 0.0]]})
-    params = load_parameters(path)
-    assert params.n == 2 and params.network.edges == ((0, 1), (1, 0))
+def test_integral_floats_booleans_and_text_are_refused(tmp_path):
+    # Files keep the one integer rule, dynamics._as_int: 2.0, true and "2"
+    # are no count or index, and the first of them is named.
+    path = tmp_path / "file.json"
+    config = {"adversaries": [1, 2], "targets": {"1": [0]}, "p": 0.001}
+    trajectories = {"n": 2, "trajectories": [[[0.5, 0.5], [0.5, 0.5]]]}
+    cases = (
+        (load_parameters, {**TWO_AGENTS, "n": 2.0}, "n must be an integer, got 2.0"),
+        (load_parameters, {**TWO_AGENTS, "n": True}, "n must be an integer, got True"),
+        (
+            load_parameters,
+            {**TWO_AGENTS, "edges": [[0, 1], [1, 0.0], [True, 1]]},
+            "edge endpoint must be an integer, got 0.0",
+        ),
+        (
+            load_parameters,
+            {**TWO_AGENTS, "edges": [[0, 1], ["1", 0]]},
+            "edge endpoint must be an integer, got '1'",
+        ),
+        (
+            load_parameters,
+            {**TWO_AGENTS, "w": [[0, 1, 1.0], [True, 0, 1.0]]},
+            "weight index must be an integer, got True",
+        ),
+        (load_trajectories, {**trajectories, "n": 2.0}, "n must be an integer, got 2.0"),
+        (
+            load_config,
+            {**config, "adversaries": [True, 2.0]},
+            "adversary must be an integer, got True",
+        ),
+        (load_config, {**config, "targets": {"1": [0.0]}}, "target must be an integer, got 0.0"),
+        (load_config, {**config, "p": True}, "p must be a number, got True"),
+        (load_config, {**config, "p": "0.001"}, "p must be a number, got '0.001'"),
+    )
+    for load, payload, message in cases:
+        write_json(path, payload)
+        with pytest.raises(ValidationError, match=re.escape(f"({message})")):
+            load(path)
 
 
 def test_parameters_name_the_first_out_of_range_weight_entry(tmp_path):

@@ -481,14 +481,14 @@ def test_unpinned_scorer_matches_per_set_reference(topology):
         network, params = generate(scenario)
         size = network.leader_budget()
         key, model_g, sets, configs = _leader_search(
-            [combinations(range(n), size)], _unpinned_scorer(params, scenario.p)
+            combinations(range(n), size), _unpinned_scorer(params, scenario.p)
         )
         expected_key, expected_g = reference_wo_pinning(params, scenario.p, size)
         assert key == expected_key
         assert model_g == pytest.approx(expected_g, rel=1e-13)
         assert sets == configs == math.comb(n, size)
         (adversaries, items), model_g, _, _ = _leader_search(
-            [combinations(range(n), size)], _unpinned_scorer(params, 0.0)
+            combinations(range(n), size), _unpinned_scorer(params, 0.0)
         )
         expected_adversaries, expected_g = reference_wo_both(params, size)
         assert adversaries == expected_adversaries
@@ -512,13 +512,13 @@ def test_unpinned_scorer_takes_no_gain_step_at_zero_magnitude(monkeypatch):
     # The ablation's drifting model with targeting off plans at p = 0,
     # where every gain is 0: it chooses no target without computing one.
     network, params = generate(Scenario(scenario_id="z", topology="complete", n=9, seed=2))
-    expected = _leader_search([combinations(range(9), 2)], _unpinned_scorer(params, 0.0))
+    expected = _leader_search(combinations(range(9), 2), _unpinned_scorer(params, 0.0))
 
     def refuse(*args):
         raise AssertionError("top-target step at p = 0")
 
     monkeypatch.setattr(fjattack.harness, "_top_targets", refuse)
-    got = _leader_search([combinations(range(9), 2)], _unpinned_scorer(params, 0.0))
+    got = _leader_search(combinations(range(9), 2), _unpinned_scorer(params, 0.0))
     assert got == expected
     assert all(targets == () for _, targets in got[0][1])
 
@@ -528,7 +528,7 @@ def test_unpinned_scorer_is_conditioning_guarded(monkeypatch):
     score = _unpinned_scorer(params, 1e-3)
     monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", 1.0)
     with pytest.raises(ConvergenceError, match=r"adversary set \(0, 1, 2\)"):
-        _leader_search([combinations(range(10), 3)], score)
+        _leader_search(combinations(range(10), 3), score)
     # The set-independent factorization is guarded when the scorer is built.
     with pytest.raises(ConvergenceError):
         _unpinned_scorer(params, 1e-3)

@@ -241,20 +241,22 @@ def test_exact_engine_matches_scalar_enumeration():
     for name, params in exact_engine_instances():
         network = params.network
         budget = network.leader_budget()
-        by_size = {k: scalar_exact_search(params, k) for k in range(1, budget + 1)}
-        for sizes in ((budget,), range(1, budget + 1)):
-            config, g = best_scored([by_size[k][0] for k in sizes])
-            total = sum(by_size[k][1] for k in sizes)
-            assert total == sum(count_configurations(network, k) for k in sizes), name
-            exact = solve_attack(
-                params, p=1e-3, follower_mode="exact", all_leader_sizes=len(sizes) > 1
-            )
+        slack, best = _SchurGains(params, 1e-3).slack, 0.0
+        for k in range(1, budget + 1):
+            (config, g), total, _ = scalar_exact_search(params, k)
+            assert total == count_configurations(network, k), name
+            exact = solve_attack(params, p=1e-3, leader_size=k, follower_mode="exact")
             assert exact.config == config, name
             assert exact.predicted_g == pytest.approx(g, abs=1e-12), name
             assert exact.follower_candidates == total, name
-            assert exact.leader_evaluations == sum(math.comb(params.n, k) for k in sizes)
+            assert exact.leader_evaluations == math.comb(params.n, k), name
+            # The module docstring's proof: pinning one more agent, which
+            # targets nobody, keeps a size-k configuration feasible and
+            # raises its fixed point, so g*(k + 1) >= g*(k).
+            assert exact.predicted_g >= best - slack(best), name
+            best = exact.predicted_g
             checked += 1
-        (config, g), total, _ = by_size[budget]
+        # config, g and total are the budget size's now.
         oracle = brute_force_oracle(params, p=1e-3)
         assert oracle.config == config, name
         assert oracle.predicted_g == pytest.approx(g, abs=1e-12), name
@@ -262,7 +264,9 @@ def test_exact_engine_matches_scalar_enumeration():
         targets, follower_g = solve_follower(params, config.adversaries, 1e-3, mode="exact")
         assert AttackConfig(config.adversaries, targets, 1e-3) == config, name
         assert follower_g == pytest.approx(g, abs=1e-12), name
-    assert checked == 2 * (4 + 3 * 7)
+    # Budgets 1, 1, 1, 2 on complete n = 4..7, and 1, 1, 1, 2, 2, 2, 3 on
+    # the other topologies at n = 4..10.
+    assert checked == 5 + 3 * 12
 
 
 def test_exact_solve_follower_matches_scalar_enumeration():
@@ -282,12 +286,11 @@ def test_exact_engine_chunk_boundaries(monkeypatch, chunks):
     monkeypatch.setattr(fjattack.optimizer, "CONFIG_CHUNK", chunks[1])
     for seed in (21, 22, 23):
         network, params = random_instance(seed, n=8, density=0.5)
-        by_size = [scalar_exact_search(params, k) for k in (1, 2)]
-        config, g = best_scored([best for best, _, _ in by_size])
-        plan = solve_attack(params, p=1e-3, follower_mode="exact", all_leader_sizes=True)
+        (config, g), total, _ = scalar_exact_search(params, network.leader_budget())
+        plan = solve_attack(params, p=1e-3, follower_mode="exact")
         assert plan.config == config
         assert plan.predicted_g == pytest.approx(g, abs=1e-12)
-        assert plan.follower_candidates == sum(total for _, total, _ in by_size)
+        assert plan.follower_candidates == total
 
 
 def stubborn_target_instance():
@@ -316,8 +319,8 @@ def test_exact_ties_go_to_the_smallest_key(monkeypatch, config_chunk):
     assert targets == {0: (1, 5)}
     alone = AttackConfig((0,), {0: (5,)}, 1e-3)
     assert g == adversarial_outcome(params, alone).g_value
-    # Agreeing, fully stubborn agents: every configuration of every size
-    # yields g = n exactly, so the smallest set with no targets wins.
+    # Agreeing, fully stubborn agents: every configuration yields g = n
+    # exactly, so the smallest pair with no targets wins.
     base = random_params(np.random.default_rng(16), complete_network(7))
     flat = FjParameters(
         network=base.network,
@@ -325,11 +328,11 @@ def test_exact_ties_go_to_the_smallest_key(monkeypatch, config_chunk):
         stubbornness=np.ones(7),
         influence=base.influence,
     )
-    relaxed = solve_attack(flat, p=1e-3, follower_mode="exact", all_leader_sizes=True)
-    assert relaxed.config == AttackConfig((0,), {}, 1e-3)
-    assert relaxed.predicted_g == 7.0
+    plan = solve_attack(flat, p=1e-3, follower_mode="exact")
+    assert plan.config == AttackConfig((0, 1), {}, 1e-3)
+    assert plan.predicted_g == 7.0
     oracle = brute_force_oracle(flat, p=1e-3)
-    assert oracle.config == AttackConfig((0, 1), {}, 1e-3)
+    assert oracle.config == plan.config
 
 
 def test_exact_cap_is_per_set_and_oracle_cap_is_total():
@@ -745,7 +748,7 @@ def kernel_state(gains):
 
 def test_gain_kernel_keeps_no_search_state():
     # The tree hands each leaf chunk its read, and ``read`` returns one, so
-    # after __init__ the kernel is read only: a search over several sizes
+    # after __init__ the kernel is read only: searches at several sizes
     # and reads of interleaved stacks leave every attribute as it was, and
     # a stack reads the same bits before and after the others.
     for topology in ("complete", "erdos_renyi", "ring", "star"):
@@ -813,7 +816,7 @@ def test_approx_reads_do_not_depend_on_the_stack(monkeypatch):
                 ((g, chosen, _),) = score(stack, *kernel.read(stack))
                 return g, chosen, bounds[-1]
 
-            chunk = next(_chunks([combinations(range(n), k)]))
+            chunk = next(_chunks(combinations(range(n), k)))
             shuffle = np.random.default_rng(seed).permutation(len(chunk))
             together = read(chunk)
             shuffled = [x[np.argsort(shuffle)] for x in read(chunk[shuffle])]
@@ -861,9 +864,10 @@ def test_approx_reads_do_not_depend_on_the_stack(monkeypatch):
             assert sorted(covered) == list(combinations(range(n), k))
 
 
-def assert_pruned_matches_enumeration(name, params, sizes, p=1e-3):
-    """solve_attack against _leader_search over every set, unpruned; returns
-    the number of sets the pruned search scored."""
+def assert_pruned_matches_enumeration(name, params, k, p=1e-3):
+    """solve_attack at leader size k against _leader_search over every
+    size-k set, unpruned; returns the number of sets the pruned search
+    scored."""
     scored = []
     real_scorer = fjattack.optimizer._approx_scorer
 
@@ -879,12 +883,11 @@ def assert_pruned_matches_enumeration(name, params, sizes, p=1e-3):
     bounds, gains = [], _SchurGains(params, p)
     approx = _approx_scorer(params, p, gains, bounds)
     (adversaries, items), g, sets, _ = _leader_search(
-        [combinations(range(params.n), k) for k in sizes],
-        lambda chunk: approx(chunk, *gains.read(chunk)),
+        combinations(range(params.n), k), lambda chunk: approx(chunk, *gains.read(chunk))
     )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fjattack.optimizer, "_approx_scorer", scorer_spy)
-        plan = solve_attack(params, p=p, leader_size=sizes[-1], all_leader_sizes=len(sizes) > 1)
+        plan = solve_attack(params, p=p, leader_size=k)
     assert plan.config == AttackConfig(adversaries, items, p), name
     assert float.hex(plan.predicted_g) == float.hex(g), name
     assert float.hex(plan.upper_bound) == float.hex(max(b.max() for b in bounds)), name
@@ -906,17 +909,19 @@ def test_pruned_leader_search_matches_enumeration():
     )
     for name, params in instances:
         budget = params.network.leader_budget()
-        scored = assert_pruned_matches_enumeration(name, params, (budget,))
+        scored = assert_pruned_matches_enumeration(name, params, budget)
         pruned += scored < math.comb(params.n, budget)
+    # Below the budget too.
     for name, params in regime_instances((13,), ("complete", "erdos_renyi")):
-        assert_pruned_matches_enumeration(name, params, range(1, 5))
+        for k in range(1, 4):
+            assert_pruned_matches_enumeration(name, params, k)
     assert pruned >= 60
 
 
 def test_ranked_tree_matches_enumeration_on_small_grids():
     # n = 6..12 in every topology and theta regime, at the full budget.
     for name, params in regime_instances(range(6, 13)):
-        assert_pruned_matches_enumeration(name, params, (params.network.leader_budget(),))
+        assert_pruned_matches_enumeration(name, params, params.network.leader_budget())
 
 
 def test_rank_free_sums_match_a_full_selection():
@@ -1050,7 +1055,7 @@ def test_zero_magnitude_takes_no_gain_step(monkeypatch):
     gains = _SchurGains(params, 0.0)
     assert not gains.targeting
     assert not gains.top_sums(np.ones((2, 10))).any()
-    (adversaries, items), g, _, _, upper = _search(params, 0.0, "approx", None, (3,))
+    (adversaries, items), g, _, _, upper = _search(params, 0.0, "approx", None, 3)
     assert all(targets == () for _, targets in items)
     assert upper >= g
 
@@ -1060,41 +1065,7 @@ def test_pruned_leader_search_keeps_star_ties_at_zero_slack(monkeypatch):
     # strict comparison alone must keep every set that can win or tie.
     monkeypatch.setattr(_SchurGains, "slack", lambda self, g: 0.0)
     for name, params in regime_instances(range(6, 20), ("star",)):
-        assert_pruned_matches_enumeration(name, params, (params.network.leader_budget(),))
-
-
-def test_leader_bound_keeps_a_later_size_tie_at_zero_slack(monkeypatch):
-    # Fully stubborn agents with 0/1 opinions make every sum exact: (0,)
-    # and every pair holding 0 tie at g = sum(s) + 1, and the tree's bound
-    # for (0,) equals that g bitwise.  Size 2 runs first, so (0, 1) is the
-    # incumbent when (0,), the smaller key, meets its bound; only a
-    # non-strict comparison keeps it.
-    network = complete_network(7)
-    base = random_params(np.random.default_rng(16), network)
-    intrinsic = np.ones(7)
-    intrinsic[0] = 0.0
-    params = FjParameters(network, intrinsic, np.ones(7), base.influence)
-    monkeypatch.setattr(_SchurGains, "slack", lambda self, g: 0.0)
-    assert_pruned_matches_enumeration("stubborn ties", params, (1, 2))
-    plan = solve_attack(params, p=1e-3, all_leader_sizes=True)
-    assert plan.config.adversaries == (0,)
-    assert plan.predicted_g == 7.0
-
-
-def scored_sets_by_size_order(params, order, p=1e-3):
-    """The tree over the sizes in ``order`` with one shared incumbent:
-    ((adversaries, items), g, sets scored)."""
-    gains, scored = _SchurGains(params, p), []
-    approx = _approx_scorer(params, p, gains, [])
-
-    def spied(adversaries, *read):
-        scored.append(len(adversaries))
-        return approx(adversaries, *read)
-
-    best = _Argmax()
-    for k in order:
-        _branch_and_bound(gains, k, spied, best)
-    return best.key, best.g, sum(scored)
+        assert_pruned_matches_enumeration(name, params, params.network.leader_budget())
 
 
 def spy_on_scored_sets(monkeypatch):
@@ -1113,18 +1084,6 @@ def spy_on_scored_sets(monkeypatch):
 
     monkeypatch.setattr(fjattack.optimizer, "_approx_scorer", scorer_spy)
     return scored
-
-
-def test_all_leader_sizes_runs_the_largest_size_first(monkeypatch):
-    # The argmax does not depend on the order; searching the largest size
-    # first gives the smaller sizes a strong incumbent.
-    _, params = generate(Scenario(topology="complete", n=14, seed=11))
-    scored = spy_on_scored_sets(monkeypatch)
-    plan = solve_attack(params, p=1e-3, all_leader_sizes=True)
-    key, g, smallest_first = scored_sets_by_size_order(params, (1, 2, 3, 4))
-    assert (plan.config, plan.predicted_g) == (AttackConfig(*key, 1e-3), g)
-    assert scored_sets_by_size_order(params, (4, 3, 2, 1)) == (key, g, len(scored))
-    assert len(scored) < smallest_first
 
 
 def test_leader_tree_scores_every_set_that_ties_its_bound(monkeypatch):
@@ -1230,21 +1189,20 @@ def scalar_best_response(params, adversaries, p):
     return tuple(items), restricted_outcome(params, adversaries, items, p)
 
 
-def reference_attack(params, sizes, p=1e-3):
-    """Scalar reference planner: scalar_best_response on every adversary set
-    in combinations order; an exact tie keeps the smaller set, which within
-    one size is the first one enumerated."""
+def reference_attack(params, k, p=1e-3):
+    """Scalar reference planner: scalar_best_response on every size-k
+    adversary set in combinations order; an exact tie keeps the first one
+    enumerated, the smaller set."""
     best_g, best = -np.inf, None
-    for size in sizes:
-        for adversaries in combinations(range(params.n), size):
-            items, g = scalar_best_response(params, adversaries, p)
-            if g > best_g or (g == best_g and adversaries < best[0]):
-                best_g, best = g, (adversaries, items)
+    for adversaries in combinations(range(params.n), k):
+        items, g = scalar_best_response(params, adversaries, p)
+        if g > best_g:
+            best_g, best = g, (adversaries, items)
     return AttackConfig(best[0], best[1], p), best_g
 
 
-def assert_matches_reference(plan, params, sizes):
-    config, g = reference_attack(params, sizes)
+def assert_matches_reference(plan, params, k):
+    config, g = reference_attack(params, k)
     assert plan.config == config
     assert plan.predicted_g == pytest.approx(g, abs=1e-12)
     return config
@@ -1262,23 +1220,13 @@ def test_batched_approx_matches_scalar_reference(topology, tmp_path):
         _, params = generate(scenario)
         for leader_size in sorted({1, params.network.leader_budget()}):
             plan = solve_attack(params, p=1e-3, leader_size=leader_size)
-            assert_matches_reference(plan, params, (leader_size,))
+            assert_matches_reference(plan, params, leader_size)
 
 
-def test_batched_approx_all_leader_sizes_matches_reference():
-    for topology in ("complete", "erdos_renyi"):
-        _, params = generate(Scenario(topology=topology, n=11, seed=5))
-        plan = solve_attack(params, p=1e-3, all_leader_sizes=True)
-        assert_matches_reference(plan, params, range(1, 4))
-        assert plan.leader_evaluations == 11 + 55 + 165
-
-
-@pytest.mark.parametrize("all_leader_sizes", (False, True))
-def test_approx_counts_one_configuration_per_set(all_leader_sizes):
+def test_approx_counts_one_configuration_per_set():
     _, params = generate(Scenario(topology="erdos_renyi", n=11, seed=5))
-    plan = solve_attack(params, p=1e-3, all_leader_sizes=all_leader_sizes)
-    sets = 11 + 55 + 165 if all_leader_sizes else 165
-    assert plan.follower_candidates == plan.leader_evaluations == sets
+    plan = solve_attack(params, p=1e-3)
+    assert plan.follower_candidates == plan.leader_evaluations == 165
 
 
 def test_unknown_follower_mode_is_one_error():
@@ -1293,7 +1241,7 @@ def test_unknown_follower_mode_is_one_error():
 def test_batched_approx_winner_beyond_first_chunk():
     _, params = generate(Scenario(topology="complete", n=14, seed=0))
     plan = solve_attack(params, p=1e-3)
-    config = assert_matches_reference(plan, params, (4,))
+    config = assert_matches_reference(plan, params, 4)
     assert list(combinations(range(14), 4)).index(config.adversaries) >= LEADER_CHUNK
 
 
@@ -1308,11 +1256,10 @@ def test_exact_ties_go_to_the_smallest_set():
         stubbornness=np.ones(7),
         influence=base.influence,
     )
-    assert solve_attack(params, p=1e-3).config.adversaries == (0, 1)
-    relaxed = solve_attack(params, p=1e-3, all_leader_sizes=True)
-    assert relaxed.config.adversaries == (0,)
-    assert relaxed.predicted_g == 7.0
-    assert_matches_reference(relaxed, params, (1, 2))
+    plan = solve_attack(params, p=1e-3)
+    assert plan.config.adversaries == (0, 1)
+    assert plan.predicted_g == 7.0
+    assert_matches_reference(plan, params, 2)
 
 
 def test_approx_search_is_conditioning_guarded(monkeypatch):
@@ -1479,15 +1426,21 @@ def test_plan_invariants_and_determinism():
 
 
 def test_leader_size_relaxation_is_monotone():
-    network, params = random_instance(42, n=10, density=0.9)
-    budget = network.leader_budget()
-    fixed = [
-        solve_attack(params, p=1e-3, leader_size=k).predicted_g
-        for k in range(1, budget + 1)
-    ]
-    relaxed = solve_attack(params, p=1e-3, all_leader_sizes=True)
-    assert relaxed.predicted_g >= max(fixed) - 1e-12
-    assert relaxed.predicted_g == pytest.approx(max(fixed), abs=1e-12)
+    # Approx mode has no proof that a larger size does no worse (exact mode
+    # does: test_exact_engine_matches_scalar_enumeration), so it is
+    # measured per size on every topology and theta regime, at a weak and a
+    # strong influence magnitude; the default plan is the budget size's.
+    instances = chain(regime_instances(range(7, 15)), [("dense", random_instance(42, 10, 0.9)[1])])
+    for name, params in instances:
+        slack = _SchurGains(params, 1e-3).slack
+        for p in (1e-3, 0.2):
+            best = [
+                solve_attack(params, p=p, leader_size=k).predicted_g
+                for k in range(1, params.network.leader_budget() + 1)
+            ]
+            for smaller, larger in zip(best, best[1:]):
+                assert larger >= smaller - slack(smaller), (name, p)
+            assert solve_attack(params, p=p).predicted_g == best[-1], (name, p)
 
 
 def test_small_instance_rejection():
