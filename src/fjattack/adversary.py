@@ -263,11 +263,13 @@ def simulate_adversarial(params, config, z0, rounds, enforce_budgets=True):
     same fixed point as ``adversarial_outcome``.
 
     Only the targeted rows are re-weighted, straight onto the edge list:
-    no n x n array and no second FjParameters.  Support, non-negativity
-    and row sums hold by construction, and the pinned rollout contracts:
-    (I - Theta_U) W'_UU <= (I - Theta_U) W_UU entrywise (the +p lands in
-    adversary columns, the scale is <= 1), a principal submatrix of the
-    (I - Theta) W that ``params`` passed (Perron-Frobenius monotonicity).
+    no n x n float array and no second FjParameters.  The edge list is in
+    row order, so the re-weighted rows' support entries, read in C order,
+    are their edges' new weights.  Support, non-negativity and row sums hold
+    by construction, and the pinned rollout contracts: (I - Theta_U) W'_UU
+    <= (I - Theta_U) W_UU entrywise (the +p lands in adversary columns, the
+    scale is <= 1), a principal submatrix of the (I - Theta) W that
+    ``params`` passed (Perron-Frobenius monotonicity).
     """
     config.validate_against(params.network, enforce_budgets)
     adversaries = list(config.adversaries)
@@ -281,9 +283,7 @@ def simulate_adversarial(params, config, z0, rounds, enforce_budgets=True):
     influence = params.influence[targets, sources]
     targeted = np.zeros(params.n, dtype=bool)
     targeted[rows] = True
-    # The edges into the targeted rows, sorted by (source, target) as the
-    # edge list is: the support of the transposed stack, in C order.
-    influence[targeted[targets]] = attacked.T[params.network.support_mask()[rows].T]
+    influence[targeted[targets]] = attacked[params.network.support_mask()[rows]]
     # The rollout needs only the edge weights.
     del rows, attacked
     return _simulate(params, influence, z_init, rounds, adversaries, 1.0)

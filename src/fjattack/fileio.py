@@ -74,12 +74,35 @@ def check_integral(values, what):
 
     Of the values JSON holds, the one integer rule (``dynamics._as_int``)
     takes only an int: 2.0, true and "2" are refused, not read as 2.  A type
-    test passes the ints, and ``_as_int`` refuses the first other value.
+    test passes a list of ints, and ``_as_int`` refuses the first other value.
     """
-    for value in values:
-        if type(value) is not int:
-            _as_int(value, what, "an integer")
+    if set(map(type, values)) - {int}:
+        for value in values:
+            if type(value) is not int:
+                _as_int(value, what, "an integer")
     return values
+
+
+def _numbers(values, what):
+    """A JSON list of numbers as a float array.
+
+    The number rule (``dynamics._as_float``) refuses the first entry that is
+    no number: true and "0.5" are refused, not read as 1.0 and 0.5.  A type
+    test passes a list of ints and floats, and ``_as_float`` refuses the
+    first other value.
+    """
+    if set(map(type, values)) - {int, float}:
+        for value in values:
+            if type(value) not in (int, float):
+                _as_float(value, what)
+    return np.array(values, dtype=float)
+
+
+def _flat_records(records, width, what):
+    """The entries of a JSON list of ``width``-long lists, flattened in record order."""
+    if set(map(type, records)) - {list} or set(map(len, records)) - {width}:
+        raise ValueError(f"{what} must be lists of {width} numbers")
+    return list(chain.from_iterable(records))
 
 
 def parameters_to_json(params):
@@ -101,26 +124,26 @@ def save_parameters(params, path):
     write_json(path, parameters_to_json(params))
 
 
-def _records(values, width, what):
-    """JSON list of fixed-width numeric records as an (m, width) float array."""
-    array = np.asarray(values, dtype=float)
-    if array.size == 0:
-        array = array.reshape(0, width)
-    if array.ndim != 2 or array.shape[1] != width:
-        raise ValueError(f"{what} must be lists of {width} numbers")
-    return array
+def _number_rows(rows):
+    """A JSON list of equal-length number lists as a 2-D float array.
+
+    Any other list reads as the 1-D array of its entries, which the caller's
+    shape check refuses; either way every entry passes the number rule.
+    """
+    if set(map(type, rows)) - {list} or len(set(map(len, rows))) != 1:
+        return _numbers(rows, "trajectory entry")
+    return _numbers(list(chain.from_iterable(rows)), "trajectory entry").reshape(len(rows), -1)
 
 
 def _read_network(payload, path, what):
     """The InfluenceNetwork of a file's n and edges; ``what`` names the file kind."""
     try:
         (n,) = check_integral([_require(payload, "n", path)], "n")
-        raw = _require(payload, "edges", path)
-        edges = _records(raw, 2, "edges")
-        check_integral(chain.from_iterable(raw), "edge endpoint")
-    except (TypeError, ValueError) as exc:
+        ends = check_integral(_flat_records(_require(payload, "edges", path), 2, "edges"), "edge endpoint")
+        edges = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: malformed {what} ({exc})") from exc
-    return InfluenceNetwork(agent_count=n, edges=edges.astype(np.int64))
+    return InfluenceNetwork(agent_count=n, edges=edges)
 
 
 def load_network(path):
@@ -133,16 +156,15 @@ def load_parameters(path):
     network = _read_network(payload, path, "parameter file")
     n = network.agent_count
     try:
-        theta = np.asarray(_require(payload, "theta", path), dtype=float)
-        s = np.asarray(_require(payload, "s", path), dtype=float)
-        raw = _require(payload, "w", path)
-        entries = _records(raw, 3, "weight entries")
+        theta = _numbers(_require(payload, "theta", path), "theta")
+        s = _numbers(_require(payload, "s", path), "s")
+        entries = _flat_records(_require(payload, "w", path), 3, "weight entries")
         # The (i, j) of each [i, j, weight], in file order.
-        indices = compress(chain.from_iterable(raw), cycle((True, True, False)))
-        check_integral(indices, "weight index")
-    except (TypeError, ValueError) as exc:
+        index = check_integral(list(compress(entries, cycle((True, True, False)))), "weight index")
+        index = np.array(index, dtype=np.int64).reshape(-1, 2)
+        weights = _numbers(entries[2::3], "weight")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: malformed parameter file ({exc})") from exc
-    index = entries[:, :2].astype(np.int64)
     outside = ((index < 0) | (index >= n)).any(axis=1)
     if outside.any():
         i, j = index[np.argmax(outside)].tolist()
@@ -152,7 +174,7 @@ def load_parameters(path):
     _, last = np.unique(keys[::-1], return_index=True)
     last = len(keys) - 1 - last
     w = np.zeros((n, n))
-    w[index[last, 0], index[last, 1]] = entries[last, 2]
+    w[index[last, 0], index[last, 1]] = weights[last]
     return FjParameters(network=network, intrinsic=s, stubbornness=theta, influence=w)
 
 
@@ -203,8 +225,8 @@ def load_trajectories(path):
     payload = read_json(path)
     try:
         (n,) = check_integral([_require(payload, "n", path)], "n")
-        raw = [np.array(rows, dtype=float) for rows in _require(payload, "trajectories", path)]
-    except (TypeError, ValueError) as exc:
+        raw = [_number_rows(rows) for rows in _require(payload, "trajectories", path)]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: malformed trajectory file ({exc})") from exc
     if not raw:
         raise ValidationError(f"{path}: no trajectories")

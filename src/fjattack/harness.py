@@ -154,7 +154,7 @@ class Scenario:
         for name, dist in (("theta_dist", self.theta_dist), ("s_dist", self.s_dist)):
             try:
                 # Text iterates too: "01" would otherwise read as (0, 1).
-                low, high = (float(x) for x in (() if isinstance(dist, str) else dist))
+                low, high = (_as_float(x, name) for x in (() if isinstance(dist, str) else dist))
             except (TypeError, ValueError):
                 raise ValidationError(f"{name} must be a [low, high] pair, got {dist!r}") from None
             _check_unit((low, high), name)

@@ -123,6 +123,9 @@ def _collatz_wielandt(w, v):
 def spectral_radius(matrix, threshold=None):
     """Upper bound on the spectral radius of an entrywise nonnegative matrix.
 
+    ``matrix`` is a dense array or a scipy.sparse matrix (CSR, say): only
+    products with it are formed, so a sparse one is never densified.
+
     Power iteration on A + sI from the all-ones vector, with s a fiftieth
     of the largest row sum: the shift leaves the Perron vector alone but
     keeps periodic (for example bipartite) matrices from cycling.  It
@@ -137,7 +140,7 @@ def spectral_radius(matrix, threshold=None):
     one side of it, and returns the upper end: below the threshold if
     the radius is, above it if the radius is.
     """
-    a = np.asarray(matrix, dtype=float)
+    a = matrix if hasattr(matrix, "tocsr") else np.asarray(matrix, dtype=float)
     n = a.shape[0]
     if n == 0:
         return 0.0

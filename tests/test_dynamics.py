@@ -38,6 +38,7 @@ from fjattack import (
     solve_attack,
     solve_follower,
 )
+from fjattack import dynamics
 from fjattack.dynamics import SPECTRAL_MARGIN
 from fjattack.linalg import spectral_radius
 
@@ -288,19 +289,74 @@ def test_simulate_adversarial_peak_when_most_agents_are_targeted():
     assert peak < 3 * len(network.edges) * 8
 
 
-def test_sparse_rollout_matches_dense_reference():
-    rng = np.random.default_rng(911)
-    n = 1000
-    listens = rng.random((n, n)) < 0.02
+def large_network(rng, n=1000, density=0.02):
+    """Erdos-Renyi network built from one dense draw, plus a ring so every
+    agent has an in-neighbour."""
+    listens = rng.random((n, n)) < density
     np.fill_diagonal(listens, False)
     listens[np.arange(n), (np.arange(n) + 1) % n] = True
     targets, sources = np.nonzero(listens)
-    network = InfluenceNetwork(n, tuple(zip(sources.tolist(), targets.tolist())))
-    params = random_params(rng, network)
-    z0 = rng.uniform(0.0, 1.0, n)
+    return InfluenceNetwork(n, tuple(zip(sources.tolist(), targets.tolist())))
+
+
+def test_sparse_rollout_matches_dense_reference():
+    rng = np.random.default_rng(911)
+    params = random_params(rng, large_network(rng))
+    z0 = rng.uniform(0.0, 1.0, params.n)
     want = dense_rollout(params, z0, 50, (3, 500), 1.0)
     got = simulate(params, z0, 50, pinned=(3, 500)).values
     assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def every_rollout(params, config, z0, pinned):
+    """simulate, fj_step and simulate_adversarial rows, pinned and unpinned."""
+    return (
+        simulate(params, z0, 12).values,
+        simulate(params, z0, 12, pinned=pinned, pinned_value=0.25).values,
+        fj_step(params, z0),
+        fj_step(params, z0, pinned=pinned),
+        simulate_adversarial(params, config, z0, 12).values,
+    )
+
+
+def test_rollout_kernels_agree_bitwise(monkeypatch):
+    # Below SPARSE_MIN_EDGES a round is a bincount over the edges, at or above
+    # it a CSR product; both sum each row from 0 in source order.
+    rng = np.random.default_rng(913)
+    networks = [large_network(rng)]
+    assert len(networks[0].edges) >= 20_000
+    for trial in range(24):
+        topology = ("complete", "erdos_renyi", "ring", "star")[trial % 4]
+        n = int(rng.integers(4, 41))
+        networks.append(InfluenceNetwork(n, topology_edges(topology, n, rng)))
+    for network in networks:
+        params = random_params(rng, network)
+        n = network.agent_count
+        config = random_feasible_config(rng, network, p=0.05) or AttackConfig((0,), {})
+        z0 = rng.uniform(0.0, 1.0, n)
+        pinned = tuple(rng.choice(n, size=2, replace=False).tolist())
+        kernels = []
+        for threshold in (0, len(network.edges) + 1):
+            monkeypatch.setattr(dynamics, "SPARSE_MIN_EDGES", threshold)
+            kernels.append(every_rollout(params, config, z0, pinned))
+        sparse, counted = kernels
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(sparse, counted))
+
+
+def test_rollout_kernel_follows_the_edge_count(monkeypatch):
+    rng = np.random.default_rng(914)
+    small = random_params(rng, complete_network(8))
+    large = random_params(rng, large_network(rng, n=300, density=0.05))
+    assert len(small.network.edges) < dynamics.SPARSE_MIN_EDGES <= len(large.network.edges)
+    built = []
+    original = InfluenceNetwork._csr
+    monkeypatch.setattr(
+        InfluenceNetwork, "_csr", lambda network, weights: built.append(network) or original(network, weights)
+    )
+    for params in (small, large):
+        simulate(params, np.full(params.n, 0.5), 3)
+        fj_step(params, np.full(params.n, 0.5))
+    assert built == [large.network, large.network]
 
 
 def test_simulate_rejects_zero_rounds():
@@ -457,6 +513,21 @@ def test_network_validation_names_the_first_offending_edge():
         InfluenceNetwork(3, ((0, 1, 2),))
 
 
+def test_network_refuses_an_uncovered_agent_before_any_n_sized_work():
+    # Two edges cannot give 10^9 agents an in-neighbour each: the refusal
+    # names the first agent without one and allocates nothing of size n.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"^agent 2 has no in-neighbors$"):
+            InfluenceNetwork(10**9, ((0, 1), (1, 0)))
+        with pytest.raises(ValidationError, match=r"^agent 0 has no in-neighbors$"):
+            InfluenceNetwork(10**9, ((0, 5), (3, 7)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def test_network_budgets_and_degrees():
     network = complete_network(7)
     assert network.leader_budget() == 2
@@ -485,6 +556,11 @@ def test_parameters_validation():
     off_support = dict(good, influence=np.array([[0.5, 0.5], [1.0, 0.0]]))
     with pytest.raises(ValidationError):
         FjParameters(**off_support)
+    # Row 0 moves its weight off its one edge (1 -> 0) onto 2 -> 0: as many
+    # nonzeros as W has edges, but not on them.
+    path = InfluenceNetwork(3, ((1, 0), (0, 1), (2, 1), (0, 2)))
+    with pytest.raises(ValidationError, match="outside the edge set"):
+        FjParameters(path, np.full(3, 0.5), np.full(3, 0.5), [[0.0, 0.0, 1.0], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0]])
     bad_theta = dict(good, stubbornness=np.array([0.5, 1.5]))
     with pytest.raises(ValidationError):
         FjParameters(**bad_theta)
@@ -591,6 +667,26 @@ def test_spectral_radius_stops_once_the_threshold_is_decided():
         assert decided >= radius * (1.0 - 1e-12) - 1e-15
         if abs(radius - threshold) > 1e-6 * threshold:
             assert (decided > threshold) == (radius > threshold)
+
+
+def test_spectral_radius_of_a_csr_matrix_bounds_and_decides_as_dense():
+    from scipy.sparse import csr_array
+
+    rng = np.random.default_rng(44)
+    limit = 1.0 - SPECTRAL_MARGIN
+    for _ in range(200):
+        m = int(rng.integers(1, 12))
+        matrix = rng.random((m, m)) * (rng.random((m, m)) < 0.35)
+        radius = np.max(np.abs(np.linalg.eigvals(matrix)))
+        sparse = csr_array(matrix)
+        assert spectral_radius(sparse) >= radius * (1.0 - 1e-12) - 1e-15
+        assert abs(spectral_radius(sparse) - spectral_radius(matrix)) <= 1e-12
+        if abs(radius - limit) > 1e-6:
+            assert (spectral_radius(sparse, threshold=limit) > limit) == (radius > limit)
+    for last_theta in (3e-9, 1e-6):
+        ring = periodic_ring(last_theta)
+        matrix = (1.0 - ring["stubbornness"])[:, None] * ring["influence"]
+        assert (spectral_radius(csr_array(matrix), threshold=limit) > limit) == (last_theta < 1e-6)
 
 
 @pytest.mark.parametrize(

@@ -90,6 +90,10 @@ def test_parameters_load_errors(tmp_path):
     )
     with pytest.raises(ValidationError):
         load_parameters(path2)
+    # Two edges cannot cover 10^9 agents: refused before any n-sized work.
+    write_json(path, {**TWO_AGENTS, "n": 10**9})
+    with pytest.raises(ValidationError, match=r"agent 2 has no in-neighbors$"):
+        load_parameters(path)
 
 
 def test_config_round_trip(tmp_path):
@@ -203,7 +207,8 @@ def test_parameters_reject_non_integral_counts_and_indices(tmp_path, override):
 
 def test_integral_floats_booleans_and_text_are_refused(tmp_path):
     # Files keep the one integer rule, dynamics._as_int: 2.0, true and "2"
-    # are no count or index, and the first of them is named.
+    # are no count or index, and the first of them is named.  Values keep the
+    # one number rule, dynamics._as_float: true and "0.5" are no number.
     path = tmp_path / "file.json"
     config = {"adversaries": [1, 2], "targets": {"1": [0]}, "p": 0.001}
     trajectories = {"n": 2, "trajectories": [[[0.5, 0.5], [0.5, 0.5]]]}
@@ -225,7 +230,31 @@ def test_integral_floats_booleans_and_text_are_refused(tmp_path):
             {**TWO_AGENTS, "w": [[0, 1, 1.0], [True, 0, 1.0]]},
             "weight index must be an integer, got True",
         ),
+        (
+            load_parameters,
+            {**TWO_AGENTS, "w": [[0, 1, 1.0], [1, 0, "1.0"]]},
+            "weight must be a number, got '1.0'",
+        ),
+        (
+            load_parameters,
+            {**TWO_AGENTS, "w": [[0, 1, True], [1, 0, 1.0]]},
+            "weight must be a number, got True",
+        ),
+        (load_parameters, {**TWO_AGENTS, "theta": ["0.5", 0.5]}, "theta must be a number, got '0.5'"),
+        (load_parameters, {**TWO_AGENTS, "theta": [0.5, True]}, "theta must be a number, got True"),
+        (load_parameters, {**TWO_AGENTS, "s": [False, 0.5]}, "s must be a number, got False"),
+        (load_parameters, {**TWO_AGENTS, "s": [0.5, None]}, "s must be a number, got None"),
         (load_trajectories, {**trajectories, "n": 2.0}, "n must be an integer, got 2.0"),
+        (
+            load_trajectories,
+            {"n": 2, "trajectories": [[[0.5, 0.5], [0.5, "0.5"]]]},
+            "trajectory entry must be a number, got '0.5'",
+        ),
+        (
+            load_trajectories,
+            {"n": 2, "trajectories": [[[0.5, 0.5], [0.5, 0.5]], [[True, 0.5], [0.5, 0.5]]]},
+            "trajectory entry must be a number, got True",
+        ),
         (
             load_config,
             {**config, "adversaries": [True, 2.0]},

@@ -139,6 +139,16 @@ def test_scenario_ranges_need_low_at_most_high(field, dist):
         Scenario(scenario_id="r", topology="complete", n=5, **{field: dist})
 
 
+@pytest.mark.parametrize(
+    "field, dist",
+    (("theta_dist", (False, "0.5")), ("s_dist", (True, True)), ("theta_dist", (0.2, "0.8"))),
+    ids=("bool_and_text", "bools", "text"),
+)
+def test_scenario_range_bounds_keep_the_number_rule(field, dist):
+    with pytest.raises(ValidationError, match=rf"^{field} must be a \[low, high\] pair, got "):
+        Scenario(scenario_id="r", topology="complete", n=5, **{field: dist})
+
+
 def per_pair_erdos_renyi_edges(n, edge_prob, rng):
     """Reference generator: one ``rng.random()`` call per ordered pair."""
     edges = []
