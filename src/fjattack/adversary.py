@@ -16,6 +16,9 @@ fixed point of the restricted system
     z_U = (I_U - (I_U - Theta_U) W_UU)^-1 (Theta_U s_U + (I_U - Theta_U) W_UA 1)
 
 and the attack outcome is g = sum(z_U) + |A|, which lies in [|A|, N].
+On a large sparse network ``adversarial_outcome`` reaches z_U as
+``dynamics.closed_form_outcome`` reaches z*, by a bracket on the attacked
+edge weights that ``simulate_adversarial`` rolls out.
 """
 
 from dataclasses import dataclass
@@ -23,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import FjParameters, _as_float, _as_int, _simulate
+from .dynamics import FjParameters, _as_float, _as_int, _bracket, _bracket_cap, _simulate
 from .errors import ValidationError
 from .linalg import solve_conditioned
 
@@ -179,8 +182,9 @@ def _reweighted_systems(w_uu, w_ua, open_minded, base_rhs, hits, p):
     """Matrix and right-hand side of each re-weighted restricted system.
 
     hits[b, u, a] marks unpinned agent u as a target of adversary a.  Every
-    exact score in the package builds its system here: the planners'
-    stacks, and adversarial_outcome's one-member stack.
+    dense exact score in the package builds its system here: the planners'
+    stacks, and adversarial_outcome's one-member stack where it solves
+    densely.
     """
     scale = (1.0 - hits.sum(axis=2) * p)[:, :, None]
     # In place on fresh arrays: the same products, without the temporaries.
@@ -209,6 +213,25 @@ def _targeted_rows(config, n):
     return rows, hits
 
 
+def _attacked_influence(params, config):
+    """W on the edge list, in row order, with the targeted rows re-weighted.
+
+    The array ``_kernel`` takes: W gathered on the network's ``_support``,
+    where each targeted row's edges, ``_row_pointer[r]:_row_pointer[r + 1]``,
+    are re-weighted by ``_reweighted``.  Every target is an out-neighbour of
+    its adversary, so the +p lands on an edge.  Support, non-negativity and
+    row sums hold by construction; no n x n array is built.
+    """
+    rows, hits = _targeted_rows(config, params.n)
+    targets, sources = params.network._support
+    bounds = params.network._row_pointer
+    influence = params.influence[targets, sources]
+    for row, hit in zip(rows.tolist(), hits):
+        edges = slice(bounds[row], bounds[row + 1])
+        influence[edges] = _reweighted(influence[edges], hit[sources[edges]], config.influence_magnitude)
+    return influence
+
+
 def apply_adversarial_weights(params, config, enforce_budgets=True):
     """Return a copy of ``params`` with the attack's weight perturbation applied.
 
@@ -230,25 +253,44 @@ def apply_adversarial_weights(params, config, enforce_budgets=True):
 def adversarial_outcome(params, config, enforce_budgets=True):
     """Closed-form outcome of an attack with adversaries pinned at opinion 1.
 
-    Solves the restricted fixed point over the non-adversarial agents and
-    returns g = sum(z_U) + |A|.
+    Solves the restricted fixed point over the non-adversarial agents U and
+    returns g = sum(z_U) + |A|.  The system is M' = I_U - B' with
+    B' = (I_U - Theta_U) W'_UU, W' the attacked weights.  It is solved as
+    ``dynamics.closed_form_outcome`` solves M, on the same gate
+    (``_bracket_cap``).  Below it, or when the bracket stops early, it is
+    the rcond-guarded dense solve of the restricted system
+    (``_restricted_blocks``, ``_reweighted_systems``), which raises
+    ConvergenceError if M' is too badly conditioned to trust.  Above it, it
+    is the midpoint of the bracket on the attacked edge weights that
+    ``simulate_adversarial`` rolls out (``_attacked_influence``), with the
+    adversaries held at 1: no n x n gather and no LU.  The unpinned gap
+    after T rounds is B'^T 1_U, so the width w is ||B'^T||_inf; as there,
+    kappa_inf(M') <= 2 T / (1 - w), and each entry of z_U is within w / 2
+    of the fixed point, plus at most (d + 2) u T of rounding.
     """
     config.validate_against(params.network, enforce_budgets)
     adversaries = config.adversaries
     if len(adversaries) >= params.n:
         raise ValidationError("every agent is adversarial; nothing to evaluate")
-    stack = np.array(adversaries, dtype=int).reshape(1, -1)
-    _, unpinned, w_uu, w_ua, open_minded, base_rhs = _restricted_blocks(params, stack)
-    hits = np.zeros(w_ua.shape, dtype=bool)
-    for a, (_, targets) in enumerate(config.targets):
-        hits[0, np.searchsorted(unpinned[0], targets), a] = True
-    matrix, rhs = _reweighted_systems(
-        w_uu, w_ua, open_minded, base_rhs, hits, config.influence_magnitude
-    )
-    z_u = solve_conditioned(matrix[0], rhs[0])
+    cap = _bracket_cap(params)
+    z = _bracket(params, _attacked_influence(params, config), adversaries, cap) if cap else None
+    if z is not None:
+        unpinned = np.delete(np.arange(params.n), adversaries)
+        z_u = z[unpinned]
+    else:
+        stack = np.array(adversaries, dtype=int).reshape(1, -1)
+        _, unpinned, w_uu, w_ua, open_minded, base_rhs = _restricted_blocks(params, stack)
+        unpinned = unpinned[0]
+        hits = np.zeros(w_ua.shape, dtype=bool)
+        for a, (_, targets) in enumerate(config.targets):
+            hits[0, np.searchsorted(unpinned, targets), a] = True
+        matrix, rhs = _reweighted_systems(
+            w_uu, w_ua, open_minded, base_rhs, hits, config.influence_magnitude
+        )
+        z_u = solve_conditioned(matrix[0], rhs[0])
     return AdversarialOutcome(
         config=config,
-        unpinned=tuple(unpinned[0].tolist()),
+        unpinned=tuple(unpinned.tolist()),
         fixed_point=z_u,
         g_value=float(z_u.sum()) + len(adversaries),
     )
@@ -262,11 +304,9 @@ def simulate_adversarial(params, config, z0, rounds, enforce_budgets=True):
     holds every adversary at 1 on each update.  Its tail converges to the
     same fixed point as ``adversarial_outcome``.
 
-    Only the targeted rows are re-weighted, straight onto the edge list:
-    no n x n float array and no second FjParameters.  The edge list is in
-    row order, so the re-weighted rows' support entries, read in C order,
-    are their edges' new weights.  Support, non-negativity and row sums hold
-    by construction, and the pinned rollout contracts: (I - Theta_U) W'_UU
+    Only the targeted rows are re-weighted, straight onto the edge list
+    (``_attacked_influence``): no n x n float array and no second
+    FjParameters.  The pinned rollout contracts: (I - Theta_U) W'_UU
     <= (I - Theta_U) W_UU entrywise (the +p lands in adversary columns, the
     scale is <= 1), a principal submatrix of the (I - Theta) W that
     ``params`` passed (Perron-Frobenius monotonicity).
@@ -276,16 +316,7 @@ def simulate_adversarial(params, config, z0, rounds, enforce_budgets=True):
     z_init = np.array(z0, dtype=float)
     if z_init.shape == (params.n,):  # _simulate rejects every other shape
         z_init[adversaries] = 1.0
-    rows, hits = _targeted_rows(config, params.n)
-    attacked = _reweighted(params.influence[rows], hits, config.influence_magnitude)
-    del hits
-    targets, sources = params.network._support
-    influence = params.influence[targets, sources]
-    targeted = np.zeros(params.n, dtype=bool)
-    targeted[rows] = True
-    influence[targeted[targets]] = attacked[params.network.support_mask()[rows]]
-    # The rollout needs only the edge weights.
-    del rows, attacked
+    influence = _attacked_influence(params, config)
     return _simulate(params, influence, z_init, rounds, adversaries, 1.0)
 
 

@@ -23,9 +23,23 @@ rounds cost O(rounds * |E|) instead of O(rounds * n^2).  A round is one
 weighted ``bincount`` below SPARSE_MIN_EDGES edges and one CSR product with
 (I - Theta) W at or above it; both sum row i's terms from 0 in increasing
 source order, so every rollout is deterministic and the two kernels agree
-bit for bit.
+bit for bit.  A single round (``fj_step``) always takes the ``bincount``:
+near SPARSE_MIN_EDGES edges a CSR matrix costs more to build than one round
+saves.
+
+The fixed point of a large sparse network comes from the same round
+(``_bracket``): run it from all zeros and from all ones at once.  The
+update z -> Theta s + (I - Theta) W z has a nonnegative matrix and maps
+[0, 1]^n into itself, so the lower iterate rises to z* and the upper one
+falls to it, and their gap is B^t 1 with B = (I - Theta) W.  Once the gap
+is below BRACKET_TOL the midpoint is the answer, and the rounds it took
+prove the system well conditioned.  The bracket runs from SPARSE_MIN_EDGES
+edges and only while its projected rounds cost less than one dense LU
+(``_bracket_cap``); otherwise, and below the gate, the fixed point is the
+rcond-guarded dense solve (``linalg.solve_conditioned``).
 """
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -52,6 +66,22 @@ SPECTRAL_MARGIN = 1e-9
 # edge, and building the CSR matrix 15-40 us per rollout.  A 30- or 200-round
 # ``simulate`` broke even between 800 and 1,250 edges.
 SPARSE_MIN_EDGES = 1000
+
+# Width of the fixed-point bracket at which ``_bracket`` stops.  Its midpoint
+# is then within half of it of z*, up to the rounding of the rounds.
+BRACKET_TOL = 1e-14
+
+# Cost model of ``_bracket_cap``, in seconds.  Measured on a shared 2-core
+# x86-64 host (numpy 2.4, scipy 1.17, OpenBLAS) on Erdos-Renyi, ring and
+# complete networks with n = 100-2,000 and 2,000-80,000 edges: the dense
+# path (form I - (I - Theta) W, LU, gecon, solve) took 0.14 ms at n = 100,
+# 0.5 ms at 200, 5.5 ms at 500, 20-26 ms at 1,000 and 100-110 ms at 2,000,
+# which 7 ps * n^3 + 12 ns * n^2 fits or undercuts by up to 30%; a bracket
+# round (two CSR products, add, clip, pin and the width) took 13 us + 1.7 ns
+# per edge + 10 ns per agent, or up to 20% less.  At n = 1,000 and 20,000
+# edges that is 19 ms against 57 us: a cap of 333 rounds.
+DENSE_SOLVE_COST = (7e-12, 1.2e-8)  # per n^3, per n^2
+BRACKET_ROUND_COST = (1.3e-5, 1.7e-9, 1e-8)  # per round, per edge, per agent
 
 
 def _as_int(value, name, rule="an int"):
@@ -321,39 +351,54 @@ def _check_pinned(pinned, n, pinned_value):
     return pinned
 
 
-def _rollout(params, influence, z0, rounds, pinned, pinned_value):
-    """(rounds + 1, n) array: row 0 is z0, row t + 1 the update of row t.
+def _kernel(params, influence, rounds):
+    """(mix, anchor) of a rollout round: z -> mix(z) + anchor is the update.
 
     ``influence`` is W gathered on the edges in row order (the network's
-    ``_support``), a fresh array that is scaled in place by 1 - theta_i.
-    Each round sums the terms (1 - theta_i) * w_ij * z_j of each row i, adds
-    theta * s, clips the result to [0, 1] and sets the pinned agents to
-    ``pinned_value``.  Below SPARSE_MIN_EDGES edges the sum is one
-    ``bincount`` over the edges, at or above it one product with the CSR
-    matrix (I - Theta) W; each sums a row from 0 in increasing source order,
-    so both give the same bits.  The inputs are taken as validated.
+    ``_support``), a fresh array that is scaled in place by 1 - theta_i;
+    mix(z) sums the terms (1 - theta_i) * w_ij * z_j of each row i and
+    anchor is theta * s.  For one round, or below SPARSE_MIN_EDGES edges,
+    the sum is one ``bincount`` over the edges; otherwise it is one product
+    with the CSR matrix (I - Theta) W.  Each sums a row from 0 in increasing
+    source order, so both give the same bits.
     """
     n = params.n
     targets, sources = params.network._support
     theta = params.stubbornness
     weights = influence
     weights *= (1.0 - theta)[targets]
-    if len(weights) >= SPARSE_MIN_EDGES:
+    if rounds > 1 and len(weights) >= SPARSE_MIN_EDGES:
         mix = params.network._csr(weights).dot
     else:
 
         def mix(z):
             return np.bincount(targets, weights=weights * z[sources], minlength=n)
 
-    anchor = theta * params.intrinsic
+    return mix, theta * params.intrinsic
+
+
+def _advance(mix, anchor, z, out, pinned, pinned_value):
+    """One round into ``out`` (which may be ``z``): mix, add theta * s,
+    clip to [0, 1] and set the pinned agents to ``pinned_value``."""
+    np.add(mix(z), anchor, out=out)
+    # The method, not np.clip: the same clip ufunc without np.clip's
+    # dispatch, which cost more than a whole bincount round at n = 8.
+    out.clip(0.0, 1.0, out=out)
+    out[pinned] = pinned_value
+
+
+def _rollout(params, influence, z0, rounds, pinned, pinned_value):
+    """(rounds + 1, n) array: row 0 is z0, row t + 1 the update of row t.
+
+    ``influence`` is W on the edge list, as ``_kernel`` takes it.  Each
+    round is ``_advance``.  The inputs are taken as validated.
+    """
+    mix, anchor = _kernel(params, influence, rounds)
     pinned = np.array(pinned, dtype=np.intp)
-    values = np.empty((rounds + 1, n))
+    values = np.empty((rounds + 1, params.n))
     values[0] = z0
     for t in range(rounds):
-        row = values[t + 1]
-        np.add(mix(values[t]), anchor, out=row)
-        np.clip(row, 0.0, 1.0, out=row)
-        row[pinned] = pinned_value
+        _advance(mix, anchor, values[t], values[t + 1], pinned, pinned_value)
     return values
 
 
@@ -364,8 +409,8 @@ def fj_step(params, z, pinned=(), pinned_value=1.0):
     ``pinned_value`` instead.  The result of the convex mixing is clipped
     to [0, 1] to strip floating-point dust; in exact arithmetic the update
     maps [0, 1]^n into itself.  The update is one round of the rollout
-    kernel (``_rollout``): O(|E|), with each agent summing its in-neighbours
-    in source order.
+    kernel (``_rollout``): one ``bincount`` over the edges, O(|E|), with
+    each agent summing its in-neighbours in source order.
     """
     n = params.n
     z = _check_unit_vector(z, n, "z")
@@ -396,13 +441,105 @@ def _simulate(params, influence, z0, rounds, pinned, pinned_value):
     return OpinionTrajectory(rounds=rounds, values=values, pinned=pinned)
 
 
+def _bracket_cap(params):
+    """Rounds ``_bracket`` may run on ``params``' network, or 0 to solve densely.
+
+    0 below SPARSE_MIN_EDGES edges, a check that costs O(1).  Otherwise the
+    cap is the number of rounds that cost as much as one dense solve of the
+    n x n system, under the cost model of DENSE_SOLVE_COST and
+    BRACKET_ROUND_COST, and 0 when that many rounds are not expected to
+    close the bracket at the shrink rate 1 - mean(theta).  The rows of
+    (I - Theta) W sum to 1 - theta_i, so the rate lies between
+    1 - max(theta) and 1 - min(theta), and on the package's networks it
+    sat near 1 - mean(theta) (0.51 against 0.52 on Erdos-Renyi n = 200).
+    The estimate only picks the path: where it is too hopeful the bracket
+    stops itself after a few rounds, and where it is too gloomy the dense
+    solve runs.  Against the bound 1 - max(theta) it keeps networks of
+    some 200 agents and 2,000 edges, where the cap is about 30 rounds and
+    the bracket needs about 50, from paying 4 rounds before their LU.
+    """
+    edges = len(params.network._support[0])
+    if edges < SPARSE_MIN_EDGES:
+        return 0
+    n = params.n
+    per_cube, per_square = DENSE_SOLVE_COST
+    per_round, per_edge, per_agent = BRACKET_ROUND_COST
+    cap = int(n * n * (per_cube * n + per_square) / (per_round + per_edge * edges + per_agent * n))
+    theta_mean = float(params.stubbornness.mean())
+    if theta_mean < 1.0 and cap * math.log1p(-theta_mean) > math.log(BRACKET_TOL):
+        return 0
+    return cap
+
+
+def _bracket(params, influence, pinned, cap):
+    """Fixed point of the rollout round with ``pinned`` agents held at 1, or None.
+
+    Runs ``_advance`` on a lower iterate from all zeros and an upper one
+    from all ones, the pinned agents at 1 in both, and returns their
+    midpoint once the width max_i (upper_i - lower_i) is at most
+    BRACKET_TOL.  From round 4 on it projects the rounds still needed from
+    the width's shrink rate per round over the last two rounds, and returns
+    None, for the caller to solve densely, as soon as the projection passes
+    ``cap`` or the width did not shrink over those two rounds.  Two rounds,
+    not one: on a bipartite network, a star whose hub has theta = 0 say,
+    the width shrinks only every other round.  Round 4, not 3: the early
+    rates run high (round 1's is max_i (1 - theta_i)), and on 31 networks
+    of 150-600 agents that passed the gate the rate from rounds 1-3 stopped
+    one bracket that would have closed within its cap, from rounds 2-4 none.
+    ``influence`` is as ``_kernel`` takes it.
+    """
+    n = params.n
+    mix, anchor = _kernel(params, influence, cap)
+    pinned = np.array(pinned, dtype=np.intp)
+    lower = np.zeros(n)
+    lower[pinned] = 1.0
+    upper = np.ones(n)
+    gap = np.empty(n)
+    widths = [1.0]
+    for t in range(1, cap + 1):
+        _advance(mix, anchor, lower, lower, pinned, 1.0)
+        _advance(mix, anchor, upper, upper, pinned, 1.0)
+        width = float(np.subtract(upper, lower, out=gap).max())
+        if width <= BRACKET_TOL:
+            return (lower + upper) / 2
+        widths.append(width)
+        if t > 3:
+            shrink = width / widths[t - 2]
+            if shrink >= 1.0 or t + 2 * math.log(BRACKET_TOL / width) / math.log(shrink) > cap:
+                return None
+    return None
+
+
 def closed_form_outcome(params):
     """Fixed point z* = (I - (I - Theta) W)^-1 Theta s and its sum g.
 
-    Raises ConvergenceError if the system matrix is singular or too badly
-    conditioned to trust.
+    Write B = (I - Theta) W and M = I - B.  Below SPARSE_MIN_EDGES edges,
+    or where ``_bracket_cap`` finds that the bracket would cost more than a
+    dense LU, z* is the rcond-guarded dense solve of M z = Theta s, which
+    raises ConvergenceError if M is singular or too badly conditioned to
+    trust.
+
+    Otherwise z* is the midpoint of the bracket (``_bracket``): the rollout
+    round run from all zeros and from all ones.  After T rounds their gap
+    is B^T 1, so since B >= 0 the width w, the largest gap, is ||B^T||_inf.
+    That proves M well conditioned: M^-1 = (I + B + ... + B^(T-1))
+    (I - B^T)^-1 and ||B||_inf <= 1, so ||M^-1||_inf <= T / (1 - w) and,
+    with ||M||_inf <= 2, kappa_inf(M) <= 2 T / (1 - w), about 2 T at the
+    stop (w <= BRACKET_TOL, T within the cap of some hundreds): far inside
+    the 1 / RCOND_MIN = 1e12 the dense path allows.  Error bound: in exact
+    arithmetic z* lies in the bracket, so each midpoint entry is within
+    w / 2 <= BRACKET_TOL / 2 of it.  Each round's rounding is at most
+    (d + 2) u per entry (d the largest in-degree, u the unit roundoff), and
+    B^k carries a round's error forward at most ||B^k||_inf = w_k, so the
+    iterates drift by at most (d + 2) u (w_0 + ... + w_(T-1)) <= (d + 2) u T
+    to first order; on a network with rate 0.5, about 2 (d + 2) u.  If the
+    shrink rate projects past the cap, the bracket stops early and the
+    dense solve runs as below the gate, bit for bit.
     """
-    theta = params.stubbornness
-    system = np.eye(params.n) - (1.0 - theta)[:, None] * params.influence
-    z = solve_conditioned(system, theta * params.intrinsic)
+    cap = _bracket_cap(params)
+    z = _bracket(params, params.influence[params.network._support], (), cap) if cap else None
+    if z is None:
+        theta = params.stubbornness
+        system = np.eye(params.n) - (1.0 - theta)[:, None] * params.influence
+        z = solve_conditioned(system, theta * params.intrinsic)
     return Outcome(fixed_point=z, g=float(z.sum()))

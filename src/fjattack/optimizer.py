@@ -136,9 +136,13 @@ is a nonsingular M-matrix, so ||M_UU||_1 <= ||M||_1 (a principal
 submatrix), and 0 <= (M_UU)^-1 <= (M^-1)_UU entrywise (the node's R, see
 ``_SchurGains.pin``), so ||(M_UU)^-1||_1 <= ||M^-1||_1 and
 kappa_1(M_UU) <= kappa_1(M).  A node read divides only by pivots
-R_vv >= 1.  Every exact score, stacked or one at a time
-(``adversarial_outcome``), builds its system with
-``adversary._reweighted_systems``; only the LAPACK solve differs.
+R_vv >= 1.  Every exact score here, stacked or one at a time, builds
+its system with ``adversary._reweighted_systems``; so does
+``adversarial_outcome`` below the bracket gate (``dynamics._bracket_cap``)
+and whenever its bracket stops early, where only the LAPACK solve differs.
+At or above the gate, on a network of at least SPARSE_MIN_EDGES edges, it
+brackets the fixed point with two monotone rollouts instead, with no
+dense system; the planners' networks lie far below that gate.
 
 A search covers one leader size, since in exact mode the best g never
 falls as the size grows.  Let g*(k) be the best exact g over the size-k

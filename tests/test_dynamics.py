@@ -29,16 +29,18 @@ from fjattack import (
     OpinionTrajectory,
     RecoveryProblem,
     ValidationError,
+    adversarial_outcome,
     apply_adversarial_weights,
     closed_form_outcome,
     fj_step,
+    generate,
     recovery_robustness,
     simulate,
     simulate_adversarial,
     solve_attack,
     solve_follower,
 )
-from fjattack import dynamics
+from fjattack import adversary, dynamics
 from fjattack.dynamics import SPECTRAL_MARGIN
 from fjattack.linalg import spectral_radius
 
@@ -343,20 +345,263 @@ def test_rollout_kernels_agree_bitwise(monkeypatch):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(sparse, counted))
 
 
-def test_rollout_kernel_follows_the_edge_count(monkeypatch):
-    rng = np.random.default_rng(914)
-    small = random_params(rng, complete_network(8))
-    large = random_params(rng, large_network(rng, n=300, density=0.05))
-    assert len(small.network.edges) < dynamics.SPARSE_MIN_EDGES <= len(large.network.edges)
+def spy_csr(monkeypatch):
+    """A list that records the network of every ``_csr`` build."""
     built = []
     original = InfluenceNetwork._csr
     monkeypatch.setattr(
         InfluenceNetwork, "_csr", lambda network, weights: built.append(network) or original(network, weights)
     )
+    return built
+
+
+def test_rollout_kernel_follows_the_edge_count(monkeypatch):
+    rng = np.random.default_rng(914)
+    small = random_params(rng, complete_network(8))
+    large = random_params(rng, large_network(rng, n=300, density=0.05))
+    assert len(small.network.edges) < dynamics.SPARSE_MIN_EDGES <= len(large.network.edges)
+    built = spy_csr(monkeypatch)
     for params in (small, large):
         simulate(params, np.full(params.n, 0.5), 3)
         fj_step(params, np.full(params.n, 0.5))
-    assert built == [large.network, large.network]
+    # fj_step's one round is a bincount at any edge count.
+    assert built == [large.network]
+
+
+def test_one_round_never_builds_a_csr_matrix(monkeypatch):
+    # A single round is always the bincount: near SPARSE_MIN_EDGES edges a
+    # CSR matrix costs more to build than the one round it would serve.
+    rng = np.random.default_rng(915)
+    params = random_params(rng, large_network(rng))
+    config = random_feasible_config(rng, params.network, p=0.01, require_target=True)
+    z0 = rng.uniform(0.0, 1.0, params.n)
+    built = spy_csr(monkeypatch)
+    step = fj_step(params, z0)
+    pinned_step = fj_step(params, z0, pinned=(3, 500), pinned_value=0.25)
+    one_round = simulate(params, z0, 1).values
+    attacked = simulate_adversarial(params, config, z0, 1).values
+    assert built == []
+    want = dense_rollout(params, z0, 1)
+    assert np.max(np.abs(step - want[1])) <= 1e-15
+    assert np.array_equal(one_round[1], step)
+    assert np.max(np.abs(pinned_step - dense_rollout(params, z0, 1, (3, 500), 0.25)[1])) <= 1e-15
+    assert np.array_equal(attacked, simulate_adversarial(params, config, z0, 2).values[:2])
+
+
+def clip_rollout(params, z0, rounds, pinned, pinned_value):
+    """The rollout as a bincount over the edges with np.clip, row by row."""
+    targets, sources = params.network._support
+    theta = params.stubbornness
+    weights = params.influence[targets, sources] * (1.0 - theta)[targets]
+    values = [np.array(z0, dtype=float)]
+    for _ in range(rounds):
+        z = np.bincount(targets, weights=weights * values[-1][sources], minlength=params.n)
+        z = np.clip(z + theta * params.intrinsic, 0.0, 1.0)
+        z[list(pinned)] = pinned_value
+        values.append(z)
+    return np.array(values)
+
+
+def test_rollout_clips_as_np_clip_did_signed_zeros_included():
+    rng = np.random.default_rng(916)
+    for network in (complete_network(8), large_network(rng, n=300, density=0.05)):
+        params = random_params(rng, network)
+        theta = np.array(params.stubbornness)
+        theta[:3] = 0.0
+        intrinsic = np.array(params.intrinsic)
+        intrinsic[3:6] = -0.0
+        params = FjParameters(network, intrinsic, theta, params.influence)
+        z0 = rng.uniform(0.0, 1.0, params.n)
+        z0[[0, 2, 4]] = -0.0
+        for pinned, pinned_value in (((), 1.0), ((1, 5), -0.0), ((0, 7), 0.0)):
+            want = clip_rollout(params, z0, 6, pinned, pinned_value)
+            got = simulate(params, z0, 6, pinned=pinned, pinned_value=pinned_value).values
+            assert got.tobytes() == want.tobytes()
+            assert np.signbit(got).any()
+            step = fj_step(params, z0, pinned=pinned, pinned_value=pinned_value)
+            assert step.tobytes() == want[1].tobytes()
+
+
+def large_instance(topology, n, zero_theta, seed):
+    """The package's own scenario on n agents (about 20 in-neighbours each on
+    Erdos-Renyi), with theta = 0 on 1% of the agents if ``zero_theta``."""
+    params = generate(Scenario(topology=topology, n=n, edge_prob=20 / n, seed=seed))[1]
+    if not zero_theta:
+        return params
+    theta = np.array(params.stubbornness)
+    theta[np.random.default_rng(seed).choice(n, n // 100, replace=False)] = 0.0
+    return FjParameters(params.network, params.intrinsic, theta, params.influence)
+
+
+def heavy_attack(network, k=10, p=0.01):
+    """The k agents of largest out-degree, each targeting its first eligible
+    out-neighbours up to its budget."""
+    degrees = [network.out_degree(a) for a in range(network.agent_count)]
+    adversaries = sorted(np.argsort(degrees, kind="stable")[-k:].tolist())
+    targets = {
+        j: [i for i in network.out_neighbors(j) if i not in adversaries][: network.target_budget(j)]
+        for j in adversaries
+    }
+    return AttackConfig(tuple(adversaries), targets, p)
+
+
+def fixed_point_paths(monkeypatch):
+    """A list that records each fixed point's path: "bracket" for a bracket
+    that closed, "stopped" for one that stopped early, "dense" for each
+    rcond-guarded dense solve."""
+    paths = []
+    bracket, solve = dynamics._bracket, dynamics.solve_conditioned
+
+    def spy_bracket(*args):
+        z = bracket(*args)
+        paths.append("stopped" if z is None else "bracket")
+        return z
+
+    def spy_solve(*args):
+        paths.append("dense")
+        return solve(*args)
+
+    for module in (dynamics, adversary):
+        monkeypatch.setattr(module, "_bracket", spy_bracket)
+        monkeypatch.setattr(module, "solve_conditioned", spy_solve)
+    return paths
+
+
+def dense_outcomes(monkeypatch, params, config):
+    """closed_form_outcome and adversarial_outcome with the bracket gated off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "SPARSE_MIN_EDGES", 10**9)
+        return closed_form_outcome(params), adversarial_outcome(params, config)
+
+
+@pytest.mark.parametrize("zero_theta", [False, True], ids=["theta", "theta0"])
+@pytest.mark.parametrize(
+    "topology, n",
+    [("erdos_renyi", 500), ("erdos_renyi", 1000), ("erdos_renyi", 2000), ("ring", 1000), ("star", 1000)],
+)
+def test_bracket_matches_the_dense_solve(monkeypatch, topology, n, zero_theta):
+    params = large_instance(topology, n, zero_theta, seed=n + len(topology))
+    config = heavy_attack(params.network)
+    assert len(params.network.edges) >= dynamics.SPARSE_MIN_EDGES
+    # On the ring every out-degree is 2, so every target budget is 0.
+    assert any(config.target_map().values()) or topology == "ring"
+    want, want_attacked = dense_outcomes(monkeypatch, params, config)
+    paths = fixed_point_paths(monkeypatch)
+    got = closed_form_outcome(params)
+    got_attacked = adversarial_outcome(params, config)
+    assert paths == ["bracket", "bracket"]
+    assert np.max(np.abs(got.fixed_point - want.fixed_point)) <= 1e-13
+    assert abs(got.g - want.g) <= 1e-13 * n
+    assert got_attacked.unpinned == want_attacked.unpinned
+    assert np.max(np.abs(got_attacked.fixed_point - want_attacked.fixed_point)) <= 1e-13
+    assert abs(got_attacked.g_value - want_attacked.g_value) <= 1e-13 * n
+
+
+def test_bracket_with_many_adversaries_matches_the_dense_solve(monkeypatch):
+    rng = np.random.default_rng(917)
+    params = large_instance("erdos_renyi", 1000, True, seed=917)
+    for _ in range(3):
+        config = random_feasible_config(rng, params.network, p=0.01, require_target=True)
+        want = dense_outcomes(monkeypatch, params, config)[1]
+        paths = fixed_point_paths(monkeypatch)
+        got = adversarial_outcome(params, config)
+        monkeypatch.undo()
+        assert paths == ["bracket"]
+        assert np.max(np.abs(got.fixed_point - want.fixed_point)) <= 1e-13
+
+
+def test_slow_contraction_falls_back_to_the_dense_solve_bitwise(monkeypatch):
+    rng = np.random.default_rng(918)
+    half = 500
+    blocks = [large_network(rng, n=half, density=0.04) for _ in range(2)]
+    network = InfluenceNetwork(
+        2 * half, blocks[0].edges + tuple((s + half, t + half) for s, t in blocks[1].edges)
+    )
+    base = random_params(rng, network)
+    config = heavy_attack(network)
+    # With theta = 1e-4 everywhere the expected rate, 1 - 1e-4, cannot close
+    # the bracket within the cap, so it never starts.  With theta = 0.9 on
+    # the second of two unconnected blocks the mean rate, about 0.55, could,
+    # so it starts; the first block's width shrinks at 1 - 1e-4, or little
+    # faster with adversaries pinned, and stops it after round 4, the first
+    # round it is projected from.
+    slow = np.full(2 * half, 1e-4)
+    mixed = slow.copy()
+    mixed[half:] = 0.9
+    for theta, expected in ((slow, ["dense", "dense"]), (mixed, ["stopped", "dense"] * 2)):
+        params = FjParameters(network, base.intrinsic, theta, base.influence)
+        assert len(network.edges) >= dynamics.SPARSE_MIN_EDGES
+        want = dense_outcomes(monkeypatch, params, config)
+        rounds = []
+        advance = dynamics._advance
+        monkeypatch.setattr(dynamics, "_advance", lambda *args: rounds.append(1) or advance(*args))
+        paths = fixed_point_paths(monkeypatch)
+        got = closed_form_outcome(params), adversarial_outcome(params, config)
+        monkeypatch.undo()
+        assert paths == expected
+        # Two iterates for four rounds, in each of the two calls.
+        assert len(rounds) == (0 if expected[0] == "dense" else 16)
+        assert got[0].fixed_point.tobytes() == want[0].fixed_point.tobytes()
+        assert got[0].g == want[0].g
+        assert got[1].fixed_point.tobytes() == want[1].fixed_point.tobytes()
+        assert got[1].g_value == want[1].g_value
+
+
+def test_complete_network_of_100_stays_dense(monkeypatch):
+    # 9,900 edges pass SPARSE_MIN_EDGES, but an LU of 100 x 100 costs a few
+    # rounds, far fewer than a bracket is expected to need.
+    rng = np.random.default_rng(919)
+    params = random_params(rng, complete_network(100))
+    config = random_feasible_config(rng, params.network, p=0.001, require_target=True)
+    assert len(params.network.edges) == 9900
+    assert dynamics._bracket_cap(params) == 0
+    want = dense_outcomes(monkeypatch, params, config)
+    paths = fixed_point_paths(monkeypatch)
+    got = closed_form_outcome(params), adversarial_outcome(params, config)
+    assert paths == ["dense", "dense"]
+    assert got[0].fixed_point.tobytes() == want[0].fixed_point.tobytes()
+    assert got[1].fixed_point.tobytes() == want[1].fixed_point.tobytes()
+
+
+def test_bracket_gate_keeps_every_refusal(monkeypatch):
+    params = large_instance("erdos_renyi", 1000, False, seed=920)
+    network = params.network
+    n = network.agent_count
+    j = 0
+    outside = next(i for i in range(1, n) if i not in network.out_neighbors(j))
+    eligible = network.out_neighbors(j)
+    cases = [
+        (AttackConfig(tuple(range(n)), {}), False),
+        (AttackConfig((n,), {}), True),
+        (AttackConfig((j,), {j: (outside,)}), True),
+        (AttackConfig((j,), {j: eligible[: network.target_budget(j) + 1]}), True),
+        (AttackConfig(tuple(range(network.leader_budget() + 1)), {}), True),
+    ]
+    assert dynamics._bracket_cap(params) > 0
+    for config, enforce_budgets in cases:
+        refusals = []
+        for gate in (dynamics.SPARSE_MIN_EDGES, 10**9):
+            monkeypatch.setattr(dynamics, "SPARSE_MIN_EDGES", gate)
+            with pytest.raises(ValidationError) as refused:
+                adversarial_outcome(params, config, enforce_budgets)
+            refusals.append(str(refused.value))
+        assert refusals[0] == refusals[1]
+
+
+def test_attacked_edge_weights_are_the_dense_rows_bytes():
+    rng = np.random.default_rng(921)
+    networks = [large_network(rng), complete_network(300)]
+    for trial in range(20):
+        topology = ("complete", "erdos_renyi", "ring", "star")[trial % 4]
+        n = int(rng.integers(4, 41))
+        networks.append(InfluenceNetwork(n, topology_edges(topology, n, rng)))
+    for network in networks:
+        params = random_params(rng, network)
+        for p in (1e-3, 0.01):
+            config = random_feasible_config(rng, network, p=p) or AttackConfig((0,), {})
+            dense = apply_adversarial_weights(params, config, enforce_budgets=False)
+            got = adversary._attacked_influence(params, config)
+            assert got.tobytes() == dense.influence[network._support].tobytes()
 
 
 def test_simulate_rejects_zero_rounds():
