@@ -216,16 +216,17 @@ def _targeted_rows(config, n):
 def _attacked_influence(params, config):
     """W on the edge list, in row order, with the targeted rows re-weighted.
 
-    The array ``_kernel`` takes: W gathered on the network's ``_support``,
-    where each targeted row's edges, ``_row_pointer[r]:_row_pointer[r + 1]``,
-    are re-weighted by ``_reweighted``.  Every target is an out-neighbour of
+    The array ``_kernel`` takes: a copy of ``params._on_support``, W on the
+    network's ``_support``, where each targeted row's edges,
+    ``_row_pointer[r]:_row_pointer[r + 1]``, are re-weighted by
+    ``_reweighted``.  Every target is an out-neighbour of
     its adversary, so the +p lands on an edge.  Support, non-negativity and
     row sums hold by construction; no n x n array is built.
     """
     rows, hits = _targeted_rows(config, params.n)
-    targets, sources = params.network._support
+    sources = params.network._support[1]
     bounds = params.network._row_pointer
-    influence = params.influence[targets, sources]
+    influence = np.array(params._on_support)
     for row, hit in zip(rows.tolist(), hits):
         edges = slice(bounds[row], bounds[row + 1])
         influence[edges] = _reweighted(influence[edges], hit[sources[edges]], config.influence_magnitude)

@@ -259,7 +259,9 @@ class FjParameters:
     Both the support and the spectral checks read W on its edge list: W has
     no weight off the edges iff it has as many nonzeros as its edges carry,
     and the spectral check multiplies by (I - Theta) W as a CSR matrix, so
-    neither builds an n x n temporary.
+    neither builds an n x n temporary.  That gather, W on the network's
+    ``_support`` in row order, is kept frozen as ``_on_support``: every
+    rollout, bracket and file write reads W there, so none gathers it again.
     """
 
     network: InfluenceNetwork
@@ -298,11 +300,12 @@ class FjParameters:
                     f"dynamics do not contract: spectral radius {radius:.12f} "
                     f"with stubbornness below {THETA_MIN}"
                 )
-        for arr in (s, theta, w):
+        for arr in (s, theta, w, on_support):
             arr.setflags(write=False)
         object.__setattr__(self, "intrinsic", s)
         object.__setattr__(self, "stubbornness", theta)
         object.__setattr__(self, "influence", w)
+        object.__setattr__(self, "_on_support", on_support)
 
     @property
     def n(self):
@@ -355,18 +358,18 @@ def _kernel(params, influence, rounds):
     """(mix, anchor) of a rollout round: z -> mix(z) + anchor is the update.
 
     ``influence`` is W gathered on the edges in row order (the network's
-    ``_support``), a fresh array that is scaled in place by 1 - theta_i;
-    mix(z) sums the terms (1 - theta_i) * w_ij * z_j of each row i and
-    anchor is theta * s.  For one round, or below SPARSE_MIN_EDGES edges,
-    the sum is one ``bincount`` over the edges; otherwise it is one product
-    with the CSR matrix (I - Theta) W.  Each sums a row from 0 in increasing
-    source order, so both give the same bits.
+    ``_support``), such as ``params._on_support``; it is read, not written:
+    the kernel scales a copy by 1 - theta_i.  mix(z) sums the terms
+    (1 - theta_i) * w_ij * z_j of each row i and anchor is theta * s.  For
+    one round, or below SPARSE_MIN_EDGES edges, the sum is one ``bincount``
+    over the edges; otherwise it is one product with the CSR matrix
+    (I - Theta) W.  Each sums a row from 0 in increasing source order, so
+    both give the same bits.
     """
     n = params.n
     targets, sources = params.network._support
     theta = params.stubbornness
-    weights = influence
-    weights *= (1.0 - theta)[targets]
+    weights = influence * (1.0 - theta)[targets]
     if rounds > 1 and len(weights) >= SPARSE_MIN_EDGES:
         mix = params.network._csr(weights).dot
     else:
@@ -415,8 +418,7 @@ def fj_step(params, z, pinned=(), pinned_value=1.0):
     n = params.n
     z = _check_unit_vector(z, n, "z")
     pinned = _check_pinned(pinned, n, pinned_value)
-    influence = params.influence[params.network._support]
-    return _rollout(params, influence, z, 1, pinned, pinned_value)[1]
+    return _rollout(params, params._on_support, z, 1, pinned, pinned_value)[1]
 
 
 def simulate(params, z0, rounds, pinned=(), pinned_value=1.0):
@@ -427,8 +429,7 @@ def simulate(params, z0, rounds, pinned=(), pinned_value=1.0):
     rollout then costs O(rounds * |E|), each agent summing its
     in-neighbours in source order, and OpinionTrajectory checks every row.
     """
-    influence = params.influence[params.network._support]
-    return _simulate(params, influence, z0, rounds, pinned, pinned_value)
+    return _simulate(params, params._on_support, z0, rounds, pinned, pinned_value)
 
 
 def _simulate(params, influence, z0, rounds, pinned, pinned_value):
@@ -537,7 +538,7 @@ def closed_form_outcome(params):
     dense solve runs as below the gate, bit for bit.
     """
     cap = _bracket_cap(params)
-    z = _bracket(params, params.influence[params.network._support], (), cap) if cap else None
+    z = _bracket(params, params._on_support, (), cap) if cap else None
     if z is None:
         theta = params.stubbornness
         system = np.eye(params.n) - (1.0 - theta)[:, None] * params.influence

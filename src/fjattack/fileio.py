@@ -13,11 +13,27 @@ lossless.  Attack configurations and trajectories have similarly small
 schemas, documented on their writers.  Result tables are written both as
 CSV (6 significant digits) and JSON (12 significant digits); wall-clock
 fields are the only nondeterministic content.
+
+Every loader, and the writer that builds a parameter file's payload, runs
+with Python's cyclic garbage collector paused (``_collector_paused``): the
+decode, the record and type checks and the construction of the network
+and parameters.  A decoded payload is a tree of lists, dicts and scalars,
+some 40,000 lists for a network of 1,000 agents and 20,000 edges, and
+while it is alive every collection that the loader's own allocations
+trigger (the edge tuples of ``InfluenceNetwork``, say) walks all of it:
+a quarter of a load there, about 20 of 75 ms.  The pause delays no
+garbage: a JSON tree holds no reference cycle, so reference counting
+frees every part of it when the loader returns.  The collector is
+process-wide state, so the pause puts it back as it found it, on a
+refusal too: it re-enables the collector only if it was enabled on
+entry, and a caller that turned it off finds it off.
 """
 
 import csv
+import gc
 import io
 import json
+from contextlib import contextmanager
 from itertools import chain, compress, cycle
 
 import numpy as np
@@ -37,6 +53,18 @@ def format_sig(value, digits):
     if value is None or (isinstance(value, float) and np.isnan(value)):
         return ""
     return f"{value:.{digits}g}"
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector; re-enable it only if it was on."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def write_json(path, payload):
@@ -105,18 +133,24 @@ def _flat_records(records, width, what):
     return list(chain.from_iterable(records))
 
 
+@_collector_paused()
 def parameters_to_json(params):
-    w = params.influence
-    triples = []
-    for i, j in np.argwhere(w != 0.0):
-        triples.append([int(i), int(j), float(w[i, j])])
-    triples.sort(key=lambda t: (t[0], t[1]))
+    """The file payload of ``params``: W as its nonzero [i, j, weight] triples.
+
+    W is read on its edge list, ``_support``, which is in row order, sorted
+    by (i, j), and holds every nonzero (``FjParameters`` refuses weight off
+    the edges); an entry of 0.0 or -0.0 is left out, as ``w != 0.0`` does.
+    """
+    targets, sources = params.network._support
+    on_support = params._on_support
+    kept = on_support != 0.0
+    triples = zip(targets[kept].tolist(), sources[kept].tolist(), on_support[kept].tolist())
     return {
         "n": params.n,
-        "edges": [[src, dst] for src, dst in params.network.edges],
-        "theta": [float(x) for x in params.stubbornness],
-        "s": [float(x) for x in params.intrinsic],
-        "w": triples,
+        "edges": list(map(list, params.network.edges)),
+        "theta": params.stubbornness.tolist(),
+        "s": params.intrinsic.tolist(),
+        "w": list(map(list, triples)),
     }
 
 
@@ -146,11 +180,13 @@ def _read_network(payload, path, what):
     return InfluenceNetwork(agent_count=n, edges=edges)
 
 
+@_collector_paused()
 def load_network(path):
     """Network file for recovery: only n and edges are read."""
     return _read_network(read_json(path), path, "network file")
 
 
+@_collector_paused()
 def load_parameters(path):
     payload = read_json(path)
     network = _read_network(payload, path, "parameter file")
@@ -190,6 +226,7 @@ def save_config(config, path):
     write_json(path, config_to_json(config))
 
 
+@_collector_paused()
 def load_config(path):
     payload = read_json(path)
     try:
@@ -221,6 +258,7 @@ def save_trajectories(trajectories, path):
     write_json(path, trajectories_to_json(trajectories))
 
 
+@_collector_paused()
 def load_trajectories(path):
     payload = read_json(path)
     try:

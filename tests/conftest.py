@@ -32,6 +32,26 @@ def complete_network(n):
     )
 
 
+def topology_edges(topology, n, rng):
+    if topology == "complete":
+        return complete_network(n).edges
+    if topology == "erdos_renyi":
+        return random_network(rng, n, density=float(rng.uniform(0.1, 0.5))).edges
+    if topology == "ring":
+        return tuple((i, (i + d) % n) for i in range(n) for d in (1, n - 1))
+    return tuple(e for i in range(1, n) for e in ((0, i), (i, 0)))  # star
+
+
+def large_network(rng, n=1000, density=0.02):
+    """Erdos-Renyi network built from one dense draw, plus a ring so every
+    agent has an in-neighbour."""
+    listens = rng.random((n, n)) < density
+    np.fill_diagonal(listens, False)
+    listens[np.arange(n), (np.arange(n) + 1) % n] = True
+    targets, sources = np.nonzero(listens)
+    return InfluenceNetwork(n, tuple(zip(sources.tolist(), targets.tolist())))
+
+
 def random_params(rng, network, theta_range=(0.05, 0.95)):
     """Uniform opinions and stubbornness, Dirichlet rows on the support."""
     n = network.agent_count

@@ -15,10 +15,12 @@ import pytest
 
 from conftest import (
     complete_network,
+    large_network,
     random_feasible_config,
     random_instance,
     random_network,
     random_params,
+    topology_edges,
 )
 from fjattack import (
     AttackConfig,
@@ -174,16 +176,6 @@ def dense_rollout(params, z0, rounds, pinned=(), pinned_value=1.0):
     return np.array(values)
 
 
-def topology_edges(topology, n, rng):
-    if topology == "complete":
-        return complete_network(n).edges
-    if topology == "erdos_renyi":
-        return random_network(rng, n, density=float(rng.uniform(0.1, 0.5))).edges
-    if topology == "ring":
-        return tuple((i, (i + d) % n) for i in range(n) for d in (1, n - 1))
-    return tuple(e for i in range(1, n) for e in ((0, i), (i, 0)))  # star
-
-
 def test_rollout_matches_dense_reference():
     rng = np.random.default_rng(909)
     cases = {"theta_0_and_1": 0, "self_loops": 0, "pinned": 0}
@@ -291,14 +283,17 @@ def test_simulate_adversarial_peak_when_most_agents_are_targeted():
     assert peak < 3 * len(network.edges) * 8
 
 
-def large_network(rng, n=1000, density=0.02):
-    """Erdos-Renyi network built from one dense draw, plus a ring so every
-    agent has an in-neighbour."""
-    listens = rng.random((n, n)) < density
-    np.fill_diagonal(listens, False)
-    listens[np.arange(n), (np.arange(n) + 1) % n] = True
-    targets, sources = np.nonzero(listens)
-    return InfluenceNetwork(n, tuple(zip(sources.tolist(), targets.tolist())))
+def test_parameters_keep_w_on_the_edge_list_read_only():
+    # Every rollout, bracket and file write reads this one gather, so none
+    # may write to it.
+    rng = np.random.default_rng(915)
+    for network in (complete_network(6), large_network(rng, n=300, density=0.05)):
+        params = random_params(rng, network)
+        gather = params._on_support
+        assert gather.tobytes() == params.influence[network._support].tobytes()
+        assert not gather.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            gather[0] = 0.5
 
 
 def test_sparse_rollout_matches_dense_reference():

@@ -1,15 +1,24 @@
 """Serialization round-trips and the significant-digit formatting rules."""
 
+import gc
 import json
 import math
 import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from conftest import random_feasible_config, random_instance
+from conftest import (
+    large_network,
+    random_feasible_config,
+    random_instance,
+    random_params,
+    topology_edges,
+)
 from fjattack import (
     AttackConfig,
+    FjParameters,
     InfluenceNetwork,
     OpinionTrajectory,
     ValidationError,
@@ -20,6 +29,7 @@ from fjattack.fileio import (
     csv_text,
     format_sig,
     load_config,
+    load_network,
     load_parameters,
     load_trajectories,
     parameters_to_json,
@@ -129,46 +139,49 @@ def written(path, payload):
     return path
 
 
+MALFORMED_TRAJECTORY_FILES = (
+    (
+        lambda path: load_trajectories(written(path, {"trajectories": [[[0.5], [0.5]]]})),
+        "missing required key 'n'",
+    ),
+    (
+        lambda path: load_trajectories(written(path, {"n": 1})),
+        "missing required key 'trajectories'",
+    ),
+    (
+        lambda path: load_trajectories(written(path, {"n": 2, "trajectories": []})),
+        "no trajectories",
+    ),
+    (
+        lambda path: load_trajectories(written(path, {"n": 2, "trajectories": [[[0.5, 0.5]]]})),
+        "trajectory 0 must be (rounds + 1) x 2 with rounds >= 1",
+    ),
+    (
+        lambda path: load_trajectories(
+            written(path, {"n": 2, "trajectories": [[[0.5, 0.5]] * 2, [[0.5, 0.5, 0.5]] * 2]})
+        ),
+        "trajectory 1 must be (rounds + 1) x 2 with rounds >= 1",
+    ),
+    (
+        lambda path: load_trajectories(written(path, {"n": 2, "trajectories": [[0.5, 0.5]] * 2})),
+        "trajectory 0 must be (rounds + 1) x 2 with rounds >= 1",
+    ),
+    (
+        lambda path: save_trajectories(
+            (
+                OpinionTrajectory(rounds=1, values=np.full((2, 1), 0.5)),
+                OpinionTrajectory(rounds=1, values=np.full((2, 2), 0.5)),
+            ),
+            path,
+        ),
+        "trajectories disagree on agent count: [1, 2]",
+    ),
+)
+
+
 @pytest.mark.parametrize(
     "act, message",
-    (
-        (
-            lambda path: load_trajectories(written(path, {"trajectories": [[[0.5], [0.5]]]})),
-            "missing required key 'n'",
-        ),
-        (
-            lambda path: load_trajectories(written(path, {"n": 1})),
-            "missing required key 'trajectories'",
-        ),
-        (
-            lambda path: load_trajectories(written(path, {"n": 2, "trajectories": []})),
-            "no trajectories",
-        ),
-        (
-            lambda path: load_trajectories(written(path, {"n": 2, "trajectories": [[[0.5, 0.5]]]})),
-            "trajectory 0 must be (rounds + 1) x 2 with rounds >= 1",
-        ),
-        (
-            lambda path: load_trajectories(
-                written(path, {"n": 2, "trajectories": [[[0.5, 0.5]] * 2, [[0.5, 0.5, 0.5]] * 2]})
-            ),
-            "trajectory 1 must be (rounds + 1) x 2 with rounds >= 1",
-        ),
-        (
-            lambda path: load_trajectories(written(path, {"n": 2, "trajectories": [[0.5, 0.5]] * 2})),
-            "trajectory 0 must be (rounds + 1) x 2 with rounds >= 1",
-        ),
-        (
-            lambda path: save_trajectories(
-                (
-                    OpinionTrajectory(rounds=1, values=np.full((2, 1), 0.5)),
-                    OpinionTrajectory(rounds=1, values=np.full((2, 2), 0.5)),
-                ),
-                path,
-            ),
-            "trajectories disagree on agent count: [1, 2]",
-        ),
-    ),
+    MALFORMED_TRAJECTORY_FILES,
     ids=("no_n", "no_trajectories_key", "empty", "one_row", "wide", "flat", "mixed_sizes"),
 )
 def test_trajectory_files_name_what_is_malformed(tmp_path, act, message):
@@ -193,11 +206,10 @@ TWO_AGENTS = {
 }
 
 
-@pytest.mark.parametrize(
-    "override",
-    [{"n": 2.9}, {"edges": [[0, 1.6], [1, 0]]}, {"w": [[0, 1, 1.0], [1, 0.5, 1.0]]}],
-    ids=["count", "edge_endpoint", "weight_index"],
-)
+NON_INTEGRAL = ({"n": 2.9}, {"edges": [[0, 1.6], [1, 0]]}, {"w": [[0, 1, 1.0], [1, 0.5, 1.0]]})
+
+
+@pytest.mark.parametrize("override", NON_INTEGRAL, ids=["count", "edge_endpoint", "weight_index"])
 def test_parameters_reject_non_integral_counts_and_indices(tmp_path, override):
     path = tmp_path / "params.json"
     write_json(path, {**TWO_AGENTS, **override})
@@ -205,66 +217,69 @@ def test_parameters_reject_non_integral_counts_and_indices(tmp_path, override):
         load_parameters(path)
 
 
+CONFIG = {"adversaries": [1, 2], "targets": {"1": [0]}, "p": 0.001}
+TRAJECTORIES = {"n": 2, "trajectories": [[[0.5, 0.5], [0.5, 0.5]]]}
+
+# Files keep the one integer rule, dynamics._as_int: 2.0, true and "2" are no
+# count or index, and the first of them is named.  Values keep the one number
+# rule, dynamics._as_float: true and "0.5" are no number.
+NUMBER_RULE_REFUSALS = (
+    (load_parameters, {**TWO_AGENTS, "n": 2.0}, "n must be an integer, got 2.0"),
+    (load_parameters, {**TWO_AGENTS, "n": True}, "n must be an integer, got True"),
+    (
+        load_parameters,
+        {**TWO_AGENTS, "edges": [[0, 1], [1, 0.0], [True, 1]]},
+        "edge endpoint must be an integer, got 0.0",
+    ),
+    (
+        load_parameters,
+        {**TWO_AGENTS, "edges": [[0, 1], ["1", 0]]},
+        "edge endpoint must be an integer, got '1'",
+    ),
+    (
+        load_parameters,
+        {**TWO_AGENTS, "w": [[0, 1, 1.0], [True, 0, 1.0]]},
+        "weight index must be an integer, got True",
+    ),
+    (
+        load_parameters,
+        {**TWO_AGENTS, "w": [[0, 1, 1.0], [1, 0, "1.0"]]},
+        "weight must be a number, got '1.0'",
+    ),
+    (
+        load_parameters,
+        {**TWO_AGENTS, "w": [[0, 1, True], [1, 0, 1.0]]},
+        "weight must be a number, got True",
+    ),
+    (load_parameters, {**TWO_AGENTS, "theta": ["0.5", 0.5]}, "theta must be a number, got '0.5'"),
+    (load_parameters, {**TWO_AGENTS, "theta": [0.5, True]}, "theta must be a number, got True"),
+    (load_parameters, {**TWO_AGENTS, "s": [False, 0.5]}, "s must be a number, got False"),
+    (load_parameters, {**TWO_AGENTS, "s": [0.5, None]}, "s must be a number, got None"),
+    (load_trajectories, {**TRAJECTORIES, "n": 2.0}, "n must be an integer, got 2.0"),
+    (
+        load_trajectories,
+        {"n": 2, "trajectories": [[[0.5, 0.5], [0.5, "0.5"]]]},
+        "trajectory entry must be a number, got '0.5'",
+    ),
+    (
+        load_trajectories,
+        {"n": 2, "trajectories": [[[0.5, 0.5], [0.5, 0.5]], [[True, 0.5], [0.5, 0.5]]]},
+        "trajectory entry must be a number, got True",
+    ),
+    (
+        load_config,
+        {**CONFIG, "adversaries": [True, 2.0]},
+        "adversary must be an integer, got True",
+    ),
+    (load_config, {**CONFIG, "targets": {"1": [0.0]}}, "target must be an integer, got 0.0"),
+    (load_config, {**CONFIG, "p": True}, "p must be a number, got True"),
+    (load_config, {**CONFIG, "p": "0.001"}, "p must be a number, got '0.001'"),
+)
+
+
 def test_integral_floats_booleans_and_text_are_refused(tmp_path):
-    # Files keep the one integer rule, dynamics._as_int: 2.0, true and "2"
-    # are no count or index, and the first of them is named.  Values keep the
-    # one number rule, dynamics._as_float: true and "0.5" are no number.
     path = tmp_path / "file.json"
-    config = {"adversaries": [1, 2], "targets": {"1": [0]}, "p": 0.001}
-    trajectories = {"n": 2, "trajectories": [[[0.5, 0.5], [0.5, 0.5]]]}
-    cases = (
-        (load_parameters, {**TWO_AGENTS, "n": 2.0}, "n must be an integer, got 2.0"),
-        (load_parameters, {**TWO_AGENTS, "n": True}, "n must be an integer, got True"),
-        (
-            load_parameters,
-            {**TWO_AGENTS, "edges": [[0, 1], [1, 0.0], [True, 1]]},
-            "edge endpoint must be an integer, got 0.0",
-        ),
-        (
-            load_parameters,
-            {**TWO_AGENTS, "edges": [[0, 1], ["1", 0]]},
-            "edge endpoint must be an integer, got '1'",
-        ),
-        (
-            load_parameters,
-            {**TWO_AGENTS, "w": [[0, 1, 1.0], [True, 0, 1.0]]},
-            "weight index must be an integer, got True",
-        ),
-        (
-            load_parameters,
-            {**TWO_AGENTS, "w": [[0, 1, 1.0], [1, 0, "1.0"]]},
-            "weight must be a number, got '1.0'",
-        ),
-        (
-            load_parameters,
-            {**TWO_AGENTS, "w": [[0, 1, True], [1, 0, 1.0]]},
-            "weight must be a number, got True",
-        ),
-        (load_parameters, {**TWO_AGENTS, "theta": ["0.5", 0.5]}, "theta must be a number, got '0.5'"),
-        (load_parameters, {**TWO_AGENTS, "theta": [0.5, True]}, "theta must be a number, got True"),
-        (load_parameters, {**TWO_AGENTS, "s": [False, 0.5]}, "s must be a number, got False"),
-        (load_parameters, {**TWO_AGENTS, "s": [0.5, None]}, "s must be a number, got None"),
-        (load_trajectories, {**trajectories, "n": 2.0}, "n must be an integer, got 2.0"),
-        (
-            load_trajectories,
-            {"n": 2, "trajectories": [[[0.5, 0.5], [0.5, "0.5"]]]},
-            "trajectory entry must be a number, got '0.5'",
-        ),
-        (
-            load_trajectories,
-            {"n": 2, "trajectories": [[[0.5, 0.5], [0.5, 0.5]], [[True, 0.5], [0.5, 0.5]]]},
-            "trajectory entry must be a number, got True",
-        ),
-        (
-            load_config,
-            {**config, "adversaries": [True, 2.0]},
-            "adversary must be an integer, got True",
-        ),
-        (load_config, {**config, "targets": {"1": [0.0]}}, "target must be an integer, got 0.0"),
-        (load_config, {**config, "p": True}, "p must be a number, got True"),
-        (load_config, {**config, "p": "0.001"}, "p must be a number, got '0.001'"),
-    )
-    for load, payload, message in cases:
+    for load, payload, message in NUMBER_RULE_REFUSALS:
         write_json(path, payload)
         with pytest.raises(ValidationError, match=re.escape(f"({message})")):
             load(path)
@@ -285,16 +300,19 @@ def test_parameters_keep_the_last_duplicate_weight_entry(tmp_path):
     assert np.array_equal(load_parameters(path).influence, [[0.0, 1.0], [1.0, 0.0]])
 
 
+MALFORMED_RECORDS = (
+    {"edges": [[0, 1, 2], [1, 0, 2]]},
+    {"edges": [[0, 1], [1]]},
+    {"edges": [0, 1, 1, 0]},
+    {"w": [[0, 1], [1, 0]]},
+    {"w": [[0, 1, 1.0], [1, 0, "heavy"]]},
+    {"theta": ["half", 0.5]},
+)
+
+
 @pytest.mark.parametrize(
     "override",
-    [
-        {"edges": [[0, 1, 2], [1, 0, 2]]},
-        {"edges": [[0, 1], [1]]},
-        {"edges": [0, 1, 1, 0]},
-        {"w": [[0, 1], [1, 0]]},
-        {"w": [[0, 1, 1.0], [1, 0, "heavy"]]},
-        {"theta": ["half", 0.5]},
-    ],
+    MALFORMED_RECORDS,
     ids=["edge_triples", "ragged_edges", "flat_edges", "weight_pairs", "weight_text", "theta_text"],
 )
 def test_parameters_reject_malformed_records(tmp_path, override):
@@ -329,3 +347,101 @@ def test_config_rejects_non_integral_agents(tmp_path):
     write_json(path, {"adversaries": [1.5], "targets": {}, "p": 0.1})
     with pytest.raises(ValidationError, match="must be an integer"):
         load_config(path)
+
+
+@contextmanager
+def collector(enabled):
+    """Run the block with the cyclic garbage collector on or off, then restore it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", (True, False), ids=("collector_on", "collector_off"))
+def test_loads_and_writes_leave_the_collector_as_they_found_it(tmp_path, enabled):
+    # The loaders pause the collector while a payload is alive; a caller that
+    # turned it off must find it off, and one that left it on, on.
+    rng = np.random.default_rng(3)
+    network, params = random_instance(4, n=10, density=0.9)
+    paths = {kind: tmp_path / f"{kind}.json" for kind in ("parameters", "config", "trajectories")}
+    with collector(enabled):
+        save_parameters(params, paths["parameters"])
+        assert gc.isenabled() is enabled
+        save_config(random_feasible_config(rng, network), paths["config"])
+        save_trajectories((simulate(params, rng.uniform(0, 1, 10), 3),), paths["trajectories"])
+        for load, kind in (
+            (load_parameters, "parameters"),
+            (load_network, "parameters"),
+            (load_config, "config"),
+            (load_trajectories, "trajectories"),
+        ):
+            load(paths[kind])
+            assert gc.isenabled() is enabled
+
+
+def refused_by(load, payload):
+    return lambda path: load(written(path, payload))
+
+
+# Each refusal above; load_network also takes the ones in n and the edges.
+REFUSED_FILES = (
+    *(refused_by(load, payload) for load, payload, _ in NUMBER_RULE_REFUSALS),
+    *(refused_by(load_parameters, {**TWO_AGENTS, **bad}) for bad in NON_INTEGRAL + MALFORMED_RECORDS),
+    *(refused_by(load_network, {**TWO_AGENTS, **bad}) for bad in NON_INTEGRAL[:2] + MALFORMED_RECORDS[:3]),
+    *(act for act, _ in MALFORMED_TRAJECTORY_FILES),
+)
+
+
+@pytest.mark.parametrize("enabled", (True, False), ids=("collector_on", "collector_off"))
+@pytest.mark.parametrize("act", REFUSED_FILES)
+def test_refusals_leave_the_collector_as_they_found_it(tmp_path, act, enabled):
+    with collector(enabled):
+        with pytest.raises(ValidationError):
+            act(tmp_path / "file.json")
+        assert gc.isenabled() is enabled
+
+
+def dense_parameters_to_json(params):
+    """Reference writer: every nonzero of the dense W by ``argwhere``, sorted by (i, j)."""
+    w = params.influence
+    triples = []
+    for i, j in np.argwhere(w != 0.0):
+        triples.append([int(i), int(j), float(w[i, j])])
+    triples.sort(key=lambda t: (t[0], t[1]))
+    return {
+        "n": params.n,
+        "edges": [[src, dst] for src, dst in params.network.edges],
+        "theta": [float(x) for x in params.stubbornness],
+        "s": [float(x) for x in params.intrinsic],
+        "w": triples,
+    }
+
+
+def with_zero_weight(params, zero):
+    """``params`` with agent 0's first in-neighbour weight moved to its second,
+    leaving ``zero`` (0.0 or -0.0) on that edge."""
+    first, second = params.network.in_neighbors(0)[:2]
+    w = np.array(params.influence)
+    w[0, second] += w[0, first]
+    w[0, first] = zero
+    return FjParameters(params.network, params.intrinsic, params.stubbornness, w)
+
+
+def test_parameters_json_is_the_dense_writers_byte_for_byte():
+    rng = np.random.default_rng(17)
+    cases = []
+    for trial in range(24):
+        topology = ("complete", "erdos_renyi", "ring", "star")[trial % 4]
+        n = int(rng.integers(4, 60))
+        cases.append(random_params(rng, InfluenceNetwork(n, topology_edges(topology, n, rng))))
+    cases += [with_zero_weight(cases[0], zero) for zero in (0.0, -0.0)]
+    cases.append(random_params(rng, large_network(rng)))
+    for params in cases:
+        payload = parameters_to_json(params)
+        want = json.dumps(dense_parameters_to_json(params), indent=2, sort_keys=True)
+        assert json.dumps(payload, indent=2, sort_keys=True) == want
+    for params in cases[-3:-1]:
+        assert len(parameters_to_json(params)["w"]) == len(params.network.edges) - 1
