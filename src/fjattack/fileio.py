@@ -27,6 +27,29 @@ frees every part of it when the loader returns.  The collector is
 process-wide state, so the pause puts it back as it found it, on a
 refusal too: it re-enables the collector only if it was enabled on
 entry, and a caller that turned it off finds it off.
+
+Every JSON file has the bytes that ``json.dump(payload, f, indent=2,
+sort_keys=True)`` and a newline would write, so files stay diffable and a
+re-save is byte-stable.  ``json.dump`` itself is not used: any ``indent``
+sends it to the stdlib's pure-Python encoder, about 180 ms of a 190 ms
+save at 1,000 agents and 20,000 edges.  ``write_json`` walks in Python
+only the containers that hold containers, in the stdlib's order (sorted
+keys, then values), and hands the rest to the stdlib's C encoder, built
+with that encoder's own string, number and refusal rules
+(``encode_basestring_ascii``, ``float.__repr__``, NaN and Infinity, a
+TypeError for an object JSON cannot hold).  Its item separator is a line
+break and the indent of the items' level, so one C call renders a list of
+scalars with only the brackets' lines left to add.  A list of number rows
+(``edges``, ``w``, a trajectory's rounds) is one C call too, at the rows'
+item indent; the rows' own brackets then sit one level too deep and are
+moved by one ``replace`` of ``"],<line>["``.  That holds only if every
+"]" and "[" in the text is a row's bracket and every row opens a line, so
+the rows path is guarded: every row is a non-empty list or tuple of
+numbers, bools or nulls.  Any other list, an empty row or text among the
+rows say, is walked item by item.  The text is rendered before the file
+is opened, so a payload that cannot be written (an ``np.int64``, a cycle,
+refused with the stdlib's TypeError and ValueError) leaves no file or an
+old file's bytes.
 """
 
 import csv
@@ -34,7 +57,9 @@ import gc
 import io
 import json
 from contextlib import contextmanager
+from functools import cache
 from itertools import chain, compress, cycle
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -67,10 +92,96 @@ def _collector_paused():
             gc.enable()
 
 
+_INDENT = "  "
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_NUMBERS = _SCALARS - {str}
+
+
+@cache
+def _encoder(depth):
+    """The stdlib's C encoder, with ``json.dump(indent=2, sort_keys=True)``'s
+    rules, whose item separator starts a new line at ``depth`` indents."""
+    return c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii, None,
+        ": ", ",\n" + _INDENT * depth, True, False, True,
+    )
+
+
+def _render(value, depth, out, markers):
+    """Append the indent=2 text of ``value``, a container's items ``depth + 1``
+    indents deep, to ``out``; ``markers`` holds the ids of the containers
+    being rendered, to refuse a cycle."""
+    if isinstance(value, (list, tuple)):
+        if value:
+            _render_list(value, depth, out, markers)
+        else:
+            out.append("[]")
+    elif isinstance(value, dict):
+        if value:
+            _render_dict(value, depth, out, markers)
+        else:
+            out.append("{}")
+    else:
+        out += _encoder(0)(value, 0)
+
+
+def _enter(container, markers):
+    if id(container) in markers:
+        raise ValueError("Circular reference detected")
+    markers.add(id(container))
+
+
+def _render_list(items, depth, out, markers):
+    close = "\n" + _INDENT * depth
+    line = close + _INDENT
+    kinds = set(map(type, items))
+    if kinds <= _SCALARS:
+        # "[a,<line>b]" from one C call: only the brackets' lines are missing.
+        text = "".join(_encoder(depth + 1)(items, 0))
+        out += ("[", line, text[1:-1], close, "]")
+    elif kinds <= {list, tuple} and all(items) and set(map(type, chain.from_iterable(items))) <= _NUMBERS:
+        # Rows of numbers from one C call, "[[a,<row>b],<row>[c,<row>d]]":
+        # with no text in a row, every "]" and "[" is a row's bracket.
+        row = line + _INDENT
+        text = "".join(_encoder(depth + 2)(items, 0))
+        rows = text[2:-2].replace("]," + row + "[", line + "]," + line + "[" + row)
+        out += ("[", line, "[", row, rows, line, "]", close, "]")
+    else:
+        _enter(items, markers)
+        separator = "[" + line
+        for item in items:
+            out.append(separator)
+            separator = "," + line
+            _render(item, depth + 1, out, markers)
+        out += (close, "]")
+        markers.remove(id(items))
+
+
+def _render_dict(mapping, depth, out, markers):
+    _enter(mapping, markers)
+    close = "\n" + _INDENT * depth
+    separator = "{" + close + _INDENT
+    for key, value in sorted(mapping.items()):
+        if not isinstance(key, str):
+            if not (key is None or isinstance(key, (int, float))):
+                raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+            key = "".join(_encoder(0)(key, 0))
+        out += (separator, encode_basestring_ascii(key), ": ")
+        separator = "," + close + _INDENT
+        _render(value, depth + 1, out, markers)
+    out += (close, "}")
+    markers.remove(id(mapping))
+
+
 def write_json(path, payload):
+    """Write the bytes of ``json.dump(payload, f, indent=2, sort_keys=True)``
+    and a newline; the text is rendered before ``path`` is opened, so a
+    payload that cannot be written leaves no file behind."""
+    out = []
+    _render(payload, 0, out, set())
+    out.append("\n")
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.writelines(out)
 
 
 def read_json(path):
@@ -226,13 +337,26 @@ def save_config(config, path):
     write_json(path, config_to_json(config))
 
 
+def _target_key(key):
+    """A targets key as the adversary it names: only an int's own decimal
+    text, so " 2", "+2", "02" and "1_0" name no adversary, and no two keys
+    name one."""
+    try:
+        adversary = int(key)
+        if str(adversary) == key:
+            return adversary
+    except ValueError:
+        pass
+    raise ValueError(f"targets key must be an integer, got {key!r}")
+
+
 @_collector_paused()
 def load_config(path):
     payload = read_json(path)
     try:
         adversaries = check_integral(_require(payload, "adversaries", path), "adversary")
         targets = {
-            int(j): check_integral(chosen, "target")
+            _target_key(j): check_integral(chosen, "target")
             for j, chosen in _require(payload, "targets", path).items()
         }
         p = _as_float(_require(payload, "p", path), "p")
@@ -247,10 +371,7 @@ def trajectories_to_json(trajectories):
         raise ValidationError(f"trajectories disagree on agent count: {sorted(sizes)}")
     return {
         "n": sizes.pop(),
-        "trajectories": [
-            [[float(x) for x in row] for row in trajectory.values]
-            for trajectory in trajectories
-        ],
+        "trajectories": [trajectory.values.tolist() for trajectory in trajectories],
     }
 
 

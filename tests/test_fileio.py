@@ -21,9 +21,15 @@ from fjattack import (
     FjParameters,
     InfluenceNetwork,
     OpinionTrajectory,
+    RecoveryProblem,
+    Scenario,
     ValidationError,
+    recover,
+    run_comparison,
     simulate,
+    solve_attack,
 )
+from fjattack.harness import result_rows_to_json
 from fjattack.fileio import (
     config_to_json,
     csv_text,
@@ -33,10 +39,12 @@ from fjattack.fileio import (
     load_parameters,
     load_trajectories,
     parameters_to_json,
+    plan_to_json,
     round_sig,
     save_config,
     save_parameters,
     save_trajectories,
+    trajectories_to_json,
     write_json,
 )
 
@@ -272,6 +280,17 @@ NUMBER_RULE_REFUSALS = (
         "adversary must be an integer, got True",
     ),
     (load_config, {**CONFIG, "targets": {"1": [0.0]}}, "target must be an integer, got 0.0"),
+    # A targets key is an int's own decimal text: int() alone would read
+    # each of these as adversary 1 or 10, and "1" and "01" would collide.
+    *(
+        (load_config, {**CONFIG, "targets": {key: [0]}}, f"targets key must be an integer, got {key!r}")
+        for key in (" 1", "1 ", "+1", "01", "-0", "\u0661", "1_0", "1.0", "one", "")
+    ),
+    (
+        load_config,
+        {**CONFIG, "targets": {"1": [0], "01": [0]}},
+        "targets key must be an integer, got '01'",
+    ),
     (load_config, {**CONFIG, "p": True}, "p must be a number, got True"),
     (load_config, {**CONFIG, "p": "0.001"}, "p must be a number, got '0.001'"),
 )
@@ -445,3 +464,124 @@ def test_parameters_json_is_the_dense_writers_byte_for_byte():
         assert json.dumps(payload, indent=2, sort_keys=True) == want
     for params in cases[-3:-1]:
         assert len(parameters_to_json(params)["w"]) == len(params.network.edges) - 1
+
+
+def test_trajectories_json_holds_the_rollouts_python_floats(tmp_path):
+    # Reference: the per-entry float() loop that ``values.tolist()`` replaced.
+    network, params = random_instance(5, n=6)
+    rng = np.random.default_rng(8)
+    trajectories = tuple(simulate(params, rng.uniform(0, 1, 6), 7) for _ in range(2)) + (
+        OpinionTrajectory(rounds=1, values=[[-0.0, 1 / 3, 1.0, 0.0, 1e-300, 0.1]] * 2),
+    )
+    reference = {
+        "n": 6,
+        "trajectories": [[[float(x) for x in row] for row in t.values] for t in trajectories],
+    }
+    payload = trajectories_to_json(trajectories)
+    assert {type(x) for rows in payload["trajectories"] for row in rows for x in row} == {float}
+    path = tmp_path / "trajectories.json"
+    save_trajectories(trajectories, path)
+    assert path.read_text() == stdlib_text(reference)
+
+
+def stdlib_text(payload):
+    """Reference: the stdlib's pure-Python indent=2 encoder, which the writer replaced."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def real_payloads():
+    """Every kind of file the package writes, with a network of 1,000 agents among them."""
+    rng = np.random.default_rng(23)
+    network, params = random_instance(7, n=10, density=0.5)
+    trajectories = tuple(simulate(params, rng.uniform(0, 1, 10), 8) for _ in range(3))
+    recovered = recover(RecoveryProblem(network=network, trajectories=trajectories))
+    scenarios = [
+        Scenario(scenario_id="er", topology="erdos_renyi", n=9, seed=4),
+        Scenario(scenario_id="ring", topology="ring", n=7, theta_dist=(0.3, 0.6), leader_size=1),
+    ]
+    rows = run_comparison(scenarios[0], ["ours_approx", "ours_exact", "variant_I", "random"])
+    residual, flags = recovered.per_agent_residual, recovered.identifiability_flags
+    return {
+        "parameters": parameters_to_json(params),
+        "parameters_n1000": parameters_to_json(random_params(rng, large_network(rng))),
+        "trajectories": trajectories_to_json(trajectories),
+        "plan": plan_to_json(solve_attack(params)),
+        "config": config_to_json(random_feasible_config(rng, network, require_target=True)),
+        "recovered": parameters_to_json(recovered.params),
+        "recovery_report": {
+            "per_agent_residual": [round_sig(x, 12) for x in residual],
+            "identifiability_flags": list(flags),
+            "max_residual": round_sig(float(residual.max()), 12),
+            "flagged_agents": [i for i, flag in enumerate(flags) if flag],
+        },
+        "scenarios": [scenario.to_json() for scenario in scenarios],
+        "compare_rows": result_rows_to_json(rows),
+    }
+
+
+def test_written_files_are_the_stdlib_encoders_byte_for_byte(tmp_path):
+    path = tmp_path / "file.json"
+    for name, payload in real_payloads().items():
+        write_json(path, payload)
+        assert path.read_text() == stdlib_text(payload), name
+
+
+EDGE_PAYLOADS = {
+    "scalar": 0.1,
+    "text_scalar": "a]",
+    "null": None,
+    "non_finite": {"x": [math.nan, math.inf, -math.inf, -0.0], "rows": [[math.nan, -0.0], [math.inf, -math.inf]]},
+    "bool_and_null_in_rows": [[1.5, True, None], [False, 2, -3], [None]],
+    "big_ints": [[2**70, -(2**64)], [0, -1]],
+    "text": ["]", "[", ",", '"', "],\n  [", 'x"y', "caf\u00e9 \u2603 \u65e5\u672c", ["[1, 2]", "a,b"]],
+    "text_rows": [["]", "["], ["a,b", "]\n,["]],
+    "text_in_number_rows": [[1, 2], [3, "]"]],
+    "empty": {"list": [], "dict": {}, "rows": [[], []], "nested": [[[]], {}, [{}]]},
+    "empty_row_among_rows": [[1], [], [2, 3]],
+    "three_deep": [[[1, 2], [3]], [[4, 5, 6]], [[7], [8, 9]]],
+    "ragged": [[[1, [2, 3]], [[4], [5, 6, [7]]]], [[[]]], [1, [2], [[3]]], [[1, 2], 3]],
+    "tuples": (1, (2.5, 3), ((4,), ()), [(True, None)], [(1, 2), [3, 4]]),
+    "numpy_float64": [np.float64(0.1), [np.float64(-0.0), np.float64(np.nan)], {"x": np.float64(1e300)}],
+    "numpy_float64_rows": [[np.float64(0.5), 1.0], [np.float64(np.inf)]],
+    "int_keys": {3: [1], 10: {"a": 2}, -1: None, 0: []},
+    "scalar_keys": {1.5: [1], 2: "two", True: {}},
+    "null_key": {None: [[1]]},
+    "rows_in_dicts": {"a": {"b": [[1, 2], [3, 4]]}, "c": [{"d": [[5]]}]},
+}
+
+
+@pytest.mark.parametrize("payload", EDGE_PAYLOADS.values(), ids=EDGE_PAYLOADS.keys())
+def test_written_edge_cases_are_the_stdlib_encoders_byte_for_byte(tmp_path, payload):
+    path = tmp_path / "file.json"
+    write_json(path, payload)
+    assert path.read_text() == stdlib_text(payload)
+
+
+SELF_LIST = []
+SELF_LIST.append(SELF_LIST)
+SELF_DICT = {}
+SELF_DICT["self"] = [1, SELF_DICT]
+
+UNWRITABLE = {
+    "numpy_int64": ({"n": np.int64(3)}, TypeError),
+    "numpy_int64_in_rows": ([[1, 2], [3, np.int64(4)]], TypeError),
+    "tuple_key": ({(0, 1): 1.0}, TypeError),
+    "self_referencing_list": (SELF_LIST, ValueError),
+    "self_referencing_dict": (SELF_DICT, ValueError),
+}
+
+
+@pytest.mark.parametrize("payload, error", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+def test_unwritable_payloads_are_refused_as_the_stdlib_refuses_them(tmp_path, payload, error):
+    # The text is rendered before the file is opened: no file is made, and
+    # an existing one keeps its bytes.
+    with pytest.raises(error) as want:
+        stdlib_text(payload)
+    path = tmp_path / "file.json"
+    with pytest.raises(error, match=re.escape(str(want.value))):
+        write_json(path, payload)
+    assert not path.exists()
+    path.write_text("kept\n")
+    with pytest.raises(error):
+        write_json(path, payload)
+    assert path.read_text() == "kept\n"
