@@ -161,39 +161,83 @@ class OutcomeMetrics(NamedTuple):
     agreement_fraction: float
 
 
-def _restricted_blocks(params, adversaries):
-    """Stacked restricted systems for a (sets, k) array of sorted adversary sets.
+class _Systems(NamedTuple):
+    """Untargeted restricted systems of a stack of sets (``_restricted_systems``).
 
-    Returns (pinned, unpinned, W_UU, W_UA, 1 - theta_U, theta_U s_U), each
-    with a leading sets axis.
+    Each field has a leading sets axis.  ``unpinned`` lists a set's
+    unpinned agents U in increasing order, ``weights`` is [W_UU | W_UA],
+    its rows of W over U and then over its adversaries A,
+    ``open_minded`` is 1 - theta_U and ``base_rhs`` theta_U s_U.
+    ``matrix`` is M_UU = I - (I - Theta_U) W_UU and ``rhs`` is
+    Theta_U s_U + (I - Theta_U) W_UA 1.
+    """
+
+    unpinned: np.ndarray
+    weights: np.ndarray
+    open_minded: np.ndarray
+    base_rhs: np.ndarray
+    matrix: np.ndarray
+    rhs: np.ndarray
+
+
+def _restricted_systems(params, adversaries):
+    """(pinned, _Systems) of a (sets, k) array of sorted adversary sets.
+
+    A stable sort of each set's pinned mask lists U, then A, both in
+    increasing order, so one gather takes both blocks of W.
     """
     sets, k = adversaries.shape
     n = params.n
     pinned = np.zeros((sets, n), dtype=bool)
     pinned[np.arange(sets)[:, None], adversaries] = True
-    unpinned = np.nonzero(~pinned)[1].reshape(sets, n - k)
-    w_uu = params.influence[unpinned[:, :, None], unpinned[:, None, :]]
-    w_ua = params.influence[unpinned[:, :, None], adversaries[:, None, :]]
-    theta_u = params.stubbornness[unpinned]
-    return pinned, unpinned, w_uu, w_ua, 1.0 - theta_u, theta_u * params.intrinsic[unpinned]
+    order = np.argsort(pinned, axis=1, kind="stable")
+    unpinned = order[:, : n - k]
+    weights = params.influence[unpinned[:, :, None], order[:, None, :]]
+    theta_u = params.stubbornness.take(unpinned)
+    open_minded = 1.0 - theta_u
+    base_rhs = theta_u * params.intrinsic.take(unpinned)
+    matrix = np.eye(n - k) - open_minded[:, :, None] * weights[:, :, : n - k]
+    rhs = base_rhs + open_minded * weights[:, :, n - k :].sum(axis=2)
+    return pinned, _Systems(unpinned, weights, open_minded, base_rhs, matrix, rhs)
 
 
-def _reweighted_systems(w_uu, w_ua, open_minded, base_rhs, hits, p):
-    """Matrix and right-hand side of each re-weighted restricted system.
+def _reweighted_systems(systems, owner, hits, p):
+    """(matrix, rhs, rebuilt) of each re-weighted restricted system.
 
-    hits[b, u, a] marks unpinned agent u as a target of adversary a.  Every
-    dense exact score in the package builds its system here: the planners'
-    stacks, and adversarial_outcome's one-member stack where it solves
-    densely.
+    Member c is set owner[c] of ``systems`` (a ``_Systems``) with its
+    targets hits[a, c, u], which marks unpinned agent u as a target of
+    adversary a.  Every exact score in the package builds its system here:
+    the planners' stacks, and adversarial_outcome's one-member stack where
+    it solves densely.
+
+    Member c starts as a copy of its set's untargeted system, and only the
+    rows its targets hit are rebuilt: ``rebuilt`` lists them as rows
+    c m + u of the members' stacked (C m, m) rows.  Row u of the re-weighted
+    system is I_u - (1 - theta_u) (1 - h_u p) W_uU, where h_u adversaries
+    target u, and its right-hand side is theta_u s_u + (1 - theta_u)
+    sum_a ((1 - h_u p) w_ua + p [a targets u]).  A row nobody targets has
+    scale 1.0 - 0 * p == 1.0 and no +p, so the untargeted row is already its
+    bits; a targeted row is rebuilt with the same operations in the same
+    order.
     """
-    scale = (1.0 - hits.sum(axis=2) * p)[:, :, None]
-    # In place on fresh arrays: the same products, without the temporaries.
-    matrix = w_uu * scale
-    matrix *= open_minded[:, :, None]
-    np.subtract(np.eye(w_uu.shape[1]), matrix, out=matrix)
-    mass = w_ua * scale
-    mass += p * hits
-    return matrix, base_rhs + open_minded * mass.sum(axis=2)
+    k, _, m = hits.shape
+    matrix = systems.matrix.take(owner, axis=0)
+    rhs = systems.rhs.take(owner, axis=0)
+    count = hits.sum(axis=0).ravel()
+    (rebuilt,) = count.nonzero()
+    u = rebuilt % m
+    # Row b m + u of the sets' stacked rows, b = owner[c], for each rebuilt row.
+    source = owner.take(rebuilt // m) * m + u
+    open_minded = systems.open_minded.take(source)
+    # Both blocks of each rebuilt row, scaled: [W_uU | W_uA] (1 - h_u p).
+    rows = systems.weights.reshape(-1, m + k).take(source, axis=0)
+    rows *= (1.0 - count.take(rebuilt) * p)[:, None]
+    weights, mass = rows[:, :m], rows[:, m:]
+    weights *= open_minded[:, None]
+    matrix.reshape(-1, m)[rebuilt] = np.subtract(np.eye(m).take(u, axis=0), weights, out=weights)
+    mass += p * hits.reshape(k, count.size).take(rebuilt, axis=1).T
+    rhs.ravel()[rebuilt] = systems.base_rhs.take(source) + open_minded * mass.sum(axis=1)
+    return matrix, rhs, rebuilt
 
 
 def _reweighted(rows, hits, p):
@@ -260,7 +304,7 @@ def adversarial_outcome(params, config, enforce_budgets=True):
     ``dynamics.closed_form_outcome`` solves M, on the same gate
     (``_bracket_cap``).  Below it, or when the bracket stops early, it is
     the rcond-guarded dense solve of the restricted system
-    (``_restricted_blocks``, ``_reweighted_systems``), which raises
+    (``_restricted_systems``, ``_reweighted_systems``), which raises
     ConvergenceError if M' is too badly conditioned to trust.  Above it, it
     is the midpoint of the bracket on the attacked edge weights that
     ``simulate_adversarial`` rolls out (``_attacked_influence``), with the
@@ -280,13 +324,14 @@ def adversarial_outcome(params, config, enforce_budgets=True):
         z_u = z[unpinned]
     else:
         stack = np.array(adversaries, dtype=int).reshape(1, -1)
-        _, unpinned, w_uu, w_ua, open_minded, base_rhs = _restricted_blocks(params, stack)
-        unpinned = unpinned[0]
-        hits = np.zeros(w_ua.shape, dtype=bool)
-        for a, (_, targets) in enumerate(config.targets):
-            hits[0, np.searchsorted(unpinned, targets), a] = True
-        matrix, rhs = _reweighted_systems(
-            w_uu, w_ua, open_minded, base_rhs, hits, config.influence_magnitude
+        _, systems = _restricted_systems(params, stack)
+        unpinned = systems.unpinned[0]
+        pairs = [(a, i) for a, (_, targets) in enumerate(config.targets) for i in targets]
+        hits = np.zeros((len(adversaries), params.n), dtype=bool)
+        hits[tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)] = True
+        owner = np.zeros(1, dtype=np.intp)
+        matrix, rhs, _ = _reweighted_systems(
+            systems, owner, hits[:, None, unpinned], config.influence_magnitude
         )
         z_u = solve_conditioned(matrix[0], rhs[0])
     return AdversarialOutcome(

@@ -20,12 +20,12 @@ W is supported on the network's |E| edges, which the network keeps in row
 order (by target, then source) with a row pointer: the CSR layout of W.  A
 rollout runs over that edge list, not over the dense matrix, so ``rounds``
 rounds cost O(rounds * |E|) instead of O(rounds * n^2).  A round is one
-weighted ``bincount`` below SPARSE_MIN_EDGES edges and one CSR product with
-(I - Theta) W at or above it; both sum row i's terms from 0 in increasing
-source order, so every rollout is deterministic and the two kernels agree
-bit for bit.  A single round (``fj_step``) always takes the ``bincount``:
-near SPARSE_MIN_EDGES edges a CSR matrix costs more to build than one round
-saves.
+weighted ``bincount`` or one CSR product with (I - Theta) W; both sum row
+i's terms from 0 in increasing source order, so every rollout is
+deterministic and the two kernels agree bit for bit.  A rollout takes the
+CSR product when its rounds save more than the CSR matrix costs to build
+(``_kernel``): for many rounds from about SPARSE_MIN_EDGES edges on, for a
+single round (``fj_step``) from about six times that.
 
 The fixed point of a large sparse network comes from the same round
 (``_bracket``): run it from all zeros and from all ones at once.  The
@@ -59,12 +59,15 @@ ROW_SUM_TOL = 1e-9
 # The spectral radius of (I - Theta) W must stay below 1 by this margin.
 SPECTRAL_MARGIN = 1e-9
 
-# Edge count from which a rollout multiplies by (I - Theta) W as a scipy CSR
-# matrix instead of running a weighted ``bincount``.  Measured on one core of
-# a shared x86-64 host (numpy 2.4, scipy 1.17): a ``bincount`` round costs
-# about 1.4 us plus 5 ns per edge, a CSR round about 3.5 us plus 1.7 ns per
-# edge, and building the CSR matrix 15-40 us per rollout.  A 30- or 200-round
-# ``simulate`` broke even between 800 and 1,250 edges.
+# Edge count from which a round multiplies by (I - Theta) W as a scipy CSR
+# matrix faster than it runs a weighted ``bincount``; ``_kernel`` weighs the
+# CSR build against the rounds' savings.  Measured on one core of a shared
+# x86-64 host (numpy 2.4, scipy 1.17): a ``bincount`` round costs about 3 us
+# plus 5 ns per edge, a CSR round about 8 us plus 1 ns per edge, and
+# building the CSR matrix 15-40 us per rollout, about what five rounds save
+# at twice this edge count.  A 30- or 200-round ``simulate`` broke even
+# between 800 and 1,250 edges, a 2-round one between 2,700 and 5,100 and a
+# single round between 5,100 and 10,000.
 SPARSE_MIN_EDGES = 1000
 
 # Width of the fixed-point bracket at which ``_bracket`` stops.  Its midpoint
@@ -360,17 +363,21 @@ def _kernel(params, influence, rounds):
     ``influence`` is W gathered on the edges in row order (the network's
     ``_support``), such as ``params._on_support``; it is read, not written:
     the kernel scales a copy by 1 - theta_i.  mix(z) sums the terms
-    (1 - theta_i) * w_ij * z_j of each row i and anchor is theta * s.  For
-    one round, or below SPARSE_MIN_EDGES edges, the sum is one ``bincount``
-    over the edges; otherwise it is one product with the CSR matrix
-    (I - Theta) W.  Each sums a row from 0 in increasing source order, so
-    both give the same bits.
+    (1 - theta_i) * w_ij * z_j of each row i and anchor is theta * s.  The
+    sum is one product with the CSR matrix (I - Theta) W when the rollout's
+    rounds pay for building it: a CSR round saves time in proportion to
+    |E| - SPARSE_MIN_EDGES, and the build costs what five rounds save at
+    2 SPARSE_MIN_EDGES edges, so it is taken when
+    rounds (|E| - SPARSE_MIN_EDGES) >= 5 SPARSE_MIN_EDGES: from 6,000 edges
+    for one round, 3,500 for two and about 1,000 for many.  Otherwise the
+    sum is one ``bincount`` over the edges.  Each sums a row from 0 in
+    increasing source order, so both give the same bits.
     """
     n = params.n
     targets, sources = params.network._support
     theta = params.stubbornness
     weights = influence * (1.0 - theta)[targets]
-    if rounds > 1 and len(weights) >= SPARSE_MIN_EDGES:
+    if rounds * (len(weights) - SPARSE_MIN_EDGES) >= 5 * SPARSE_MIN_EDGES:
         mix = params.network._csr(weights).dot
     else:
 
@@ -412,8 +419,9 @@ def fj_step(params, z, pinned=(), pinned_value=1.0):
     ``pinned_value`` instead.  The result of the convex mixing is clipped
     to [0, 1] to strip floating-point dust; in exact arithmetic the update
     maps [0, 1]^n into itself.  The update is one round of the rollout
-    kernel (``_rollout``): one ``bincount`` over the edges, O(|E|), with
-    each agent summing its in-neighbours in source order.
+    kernel (``_rollout``), O(|E|), with each agent summing its
+    in-neighbours in source order: a ``bincount`` over the edges, or a CSR
+    product on networks large enough to pay for the matrix.
     """
     n = params.n
     z = _check_unit_vector(z, n, "z")

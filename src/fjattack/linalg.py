@@ -8,10 +8,8 @@ falls below ``RCOND_MIN``.  Silent garbage from a nearly singular solve is
 much harder to debug than an early ConvergenceError.
 """
 
-import warnings
-
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 from .errors import ConvergenceError
 
@@ -28,18 +26,17 @@ def factor_conditioned(matrix):
 
     Returns the ``(lu, piv)`` pair accepted by ``scipy.linalg.lu_solve``.
     Raises ConvergenceError when the 1-norm reciprocal condition estimate
-    is below RCOND_MIN (this covers exactly singular input as well).
+    is below RCOND_MIN (this covers exactly singular, and non-finite, input
+    as well).  The factor is LAPACK getrf's, as ``scipy.linalg.lu_factor``
+    returns it, without that wrapper's checks: on a 10 x 10 system they
+    cost about four times the factorization.
     """
     a = np.ascontiguousarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     anorm = np.linalg.norm(a, 1)
-    with warnings.catch_warnings():
-        # Exactly singular input makes lu_factor warn; the rcond check below
-        # turns that case into a ConvergenceError, so the warning is noise.
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(a)
-    gecon = get_lapack_funcs(("gecon",), (a,))[0]
+    getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (a,))
+    lu, piv, _ = getrf(a)
     rcond, info = gecon(lu, anorm, norm="1")
     if info != 0:
         raise ConvergenceError(f"condition estimate failed (info={info})")
@@ -81,7 +78,18 @@ def invert_conditioned(stack, label):
     return inverse
 
 
-def check_conditioned(stack, label):
+def varah_rows(rows, diagonal):
+    """(2 |a_ii| - sum_j |a_ij|, sum_j |a_ij|) of each row of a stack.
+
+    ``rows`` is a (..., m) stack of matrix rows and ``diagonal`` holds
+    each row's diagonal entry a_ii, so a (batch, m, m) stack of matrices
+    passes with its ``np.diagonal(stack, axis1=-2, axis2=-1)``.
+    """
+    row_sums = np.abs(rows).sum(axis=-1)
+    return 2.0 * np.abs(diagonal) - row_sums, row_sums
+
+
+def check_conditioned(stack, label, rows=None):
     """Reject ill-conditioned members of a (batch, m, m) stack of matrices.
 
     A member whose rows are strictly diagonally dominant with margin
@@ -91,11 +99,17 @@ def check_conditioned(stack, label):
     with room for the rounding of delta, pass without a factorization; the
     rest go through invert_conditioned, whose ConvergenceError names the
     member by ``label(b)``.
+
+    ``rows`` is the stack's ``varah_rows``, computed here if not given.  A
+    member's delta is the least of its rows' first entries and its norm
+    the largest of their second ones, so a caller that patches some rows
+    of a stack can patch their row data too instead of rescanning it.
     """
-    a = np.abs(stack)
-    m = a.shape[-1]
-    row_sums = a.sum(axis=-1)
-    margin = (2.0 * np.diagonal(a, axis1=-2, axis2=-1) - row_sums).min(axis=-1)
+    dominance, row_sums = (
+        varah_rows(stack, np.diagonal(stack, axis1=-2, axis2=-1)) if rows is None else rows
+    )
+    m = stack.shape[-1]
+    margin = dominance.min(axis=-1)
     norm = row_sums.max(axis=-1)
     rounding = 2.0 * m * np.finfo(float).eps * norm
     unsure = np.flatnonzero(~(margin - rounding > m * m * norm * RCOND_MIN))
@@ -104,8 +118,14 @@ def check_conditioned(stack, label):
 
 
 def solve_conditioned(matrix, rhs):
-    """Solve ``matrix @ x = rhs`` with an rcond guard."""
-    return lu_solve(factor_conditioned(matrix), np.asarray(rhs, dtype=float))
+    """Solve ``matrix @ x = rhs`` with an rcond guard.
+
+    The solve is LAPACK getrs on the guarded factor, as
+    ``scipy.linalg.lu_solve`` runs it.
+    """
+    lu, piv = factor_conditioned(matrix)
+    b = np.asarray(rhs, dtype=float)
+    return get_lapack_funcs(("getrs",), (lu, b))[0](lu, piv, b)[0]
 
 
 def _collatz_wielandt(w, v):

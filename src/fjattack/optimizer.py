@@ -57,6 +57,16 @@ models run the approx search itself, at p = 0 when targeting is off.
   last adversary fastest (itertools.product order).  CONFIG_CHUNK
   configurations at a time are re-scored together, by ``_rescore`` too.
 
+Both scorers build each chunk's untargeted restricted systems once
+(``_systems_with_varah``): per set, M_UU = I - (I - Theta_U) W_UU, its
+right-hand side and its rows' Varah data.  ``_rescore`` gives
+each configuration a copy of its set's system and rebuilds only the rows
+its targets re-weight (``adversary._reweighted_systems``).  A row nobody
+targets has scale 1.0 - 0 * p == 1.0, so it already has the bits a dense
+build gives it, and a rebuilt row repeats that build's operations in its
+order: every system, and the guard's decision on it, is the dense
+build's, bit for bit.
+
 Both modes prune with certified bounds.  For a set A, z its pinned fixed
 point and m its gains, every targeting T obeys
 
@@ -136,10 +146,11 @@ is a nonsingular M-matrix, so ||M_UU||_1 <= ||M||_1 (a principal
 submatrix), and 0 <= (M_UU)^-1 <= (M^-1)_UU entrywise (the node's R, see
 ``_SchurGains.pin``), so ||(M_UU)^-1||_1 <= ||M^-1||_1 and
 kappa_1(M_UU) <= kappa_1(M).  A node read divides only by pivots
-R_vv >= 1.  Every exact score here, stacked or one at a time, builds
-its system with ``adversary._reweighted_systems``; so does
-``adversarial_outcome`` below the bracket gate (``dynamics._bracket_cap``)
-and whenever its bracket stops early, where only the LAPACK solve differs.
+R_vv >= 1.  Every exact score here, stacked or one at a time, patches
+its set's untargeted system with ``adversary._reweighted_systems``, the
+package's one system builder; so does ``adversarial_outcome`` below the
+bracket gate (``dynamics._bracket_cap``) and whenever its bracket stops
+early, where only the LAPACK solve differs.
 At or above the gate, on a network of at least SPARSE_MIN_EDGES edges, it
 brackets the fixed point with two monotone rollouts instead, with no
 dense system; the planners' networks lie far below that gate.
@@ -175,10 +186,10 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .adversary import DEFAULT_P, AttackConfig, _restricted_blocks, _reweighted_systems
+from .adversary import DEFAULT_P, AttackConfig, _restricted_systems, _reweighted_systems
 from .dynamics import _as_float, _check_count
 from .errors import CapExceededError, ConvergenceError, ValidationError
-from .linalg import check_conditioned, invert_conditioned
+from .linalg import check_conditioned, invert_conditioned, varah_rows
 
 # Exhaustive target enumeration refuses to look at more configurations than this.
 DEFAULT_CONFIG_CAP = 10_000_000
@@ -204,8 +215,11 @@ def _node_chunk(n):
 
 
 # Configurations stacked into one guarded batched solve by the exact scorer.
-# An exact search peaks near 1.9 MB at n = 12 and 4.4 MB at n = 20 (1.8M
-# configurations); of 128-2048 per chunk, 256-1024 ran alike on plan_exact.
+# Measured with tracemalloc, brute_force_oracle peaks near 1.6 MB on
+# Erdos-Renyi n = 12 (edge probability 0.25, seed 3) and 3.8 MB at n = 20
+# (0.15, seed 3, 1.8M configurations); exact solve_attack near 0.1 MB.  Of
+# 128-2048 per chunk, 512-2048 ran within 3% of each other on the plan_exact
+# pool (seed 1, CPU time, one BLAS thread), 256 5% and 128 17% slower.
 CONFIG_CHUNK = 512
 
 
@@ -315,10 +329,9 @@ def marginal_gains(params, adversaries, p=DEFAULT_P):
     """
     adversaries, p = _check_adversary_set(params.network, adversaries, p)
     stack = np.array([adversaries])
-    blocks = _restricted_blocks(params, stack)
-    _check_restricted(blocks, _set_label(stack))
+    _, systems, _ = _guarded_systems(params, stack)
     z, gain = _SchurGains(params, p).read(stack)
-    unpinned = blocks[1][0]
+    unpinned = systems.unpinned[0]
     return MarginalGains(
         adversaries=adversaries,
         unpinned=tuple(unpinned.tolist()),
@@ -555,29 +568,47 @@ def _set_label(adversaries):
     return lambda b: f"adversary set {tuple(adversaries[b].tolist())}"
 
 
-def _check_restricted(blocks, label):
-    """Guard every set's restricted M_UU = I - (I - Theta_U) W_UU."""
-    _, _, w_uu, _, open_minded, _ = blocks
-    check_conditioned(np.eye(w_uu.shape[1]) - open_minded[:, :, None] * w_uu, label)
+def _systems_with_varah(params, adversaries):
+    """(pinned, systems, varah) of a (sets, k) array: its untargeted
+    restricted systems (``adversary._restricted_systems``) and the
+    ``linalg.varah_rows`` of every set's M_UU."""
+    pinned, systems = _restricted_systems(params, adversaries)
+    matrix = systems.matrix
+    return pinned, systems, varah_rows(matrix, np.diagonal(matrix, axis1=1, axis2=2))
+
+
+def _guarded_systems(params, adversaries):
+    """``_systems_with_varah``, every set's restricted M_UU = I - (I - Theta_U)
+    W_UU guarded by ``check_conditioned``."""
+    pinned, systems, varah = _systems_with_varah(params, adversaries)
+    check_conditioned(systems.matrix, _set_label(adversaries), varah)
+    return pinned, systems, varah
 
 
 def _rescore(batches, p):
-    """(g, chosen, owner) of each batch (blocks, chosen, owner, label): the
-    exact g of each configuration chosen[c], a (k, n) target mask, on the
-    set whose ``_restricted_blocks`` (past ``pinned``) are member c of
-    ``blocks``; each re-weighted system passes ``check_conditioned``.  A
-    batch's blocks are released once its systems are built, its other arrays
-    only after the next batch's exist: freed at once, they let glibc trim the
-    heap and fault it back in (oracle +8%, plan_exact pool, 2-core host).
+    """(g, chosen, owner) of each batch (systems, varah, owner, hits, chosen,
+    label): the exact g of each configuration c on set owner[c] of
+    ``systems``, the chunk's untargeted restricted systems
+    (``adversary._restricted_systems``) with their ``varah`` rows, and
+    hits[a, c, u] marking its unpinned agent u as a target of adversary a.
+    ``chosen[c]`` is configuration c's (k, n) target mask, read only by
+    whoever keeps it.  Each configuration gets a copy of its set's system
+    with only the rows its targets hit rebuilt
+    (``adversary._reweighted_systems``), and its set's Varah rows with
+    those rows' data recomputed.  A member's margin is the least of its
+    rows' and its norm the largest, so ``check_conditioned`` on the patched
+    rows decides what a scan of the whole stack would.
     """
-    for blocks, chosen, owner, label in batches:
-        unpinned, *system = blocks
-        hits = chosen[np.arange(len(chosen))[:, None], :, unpinned]
-        matrix, rhs = _reweighted_systems(*system, hits, p)
-        del blocks, system
-        check_conditioned(matrix, label)
+    for systems, varah, owner, hits, chosen, label in batches:
+        matrix, rhs, rebuilt = _reweighted_systems(systems, owner, hits, p)
+        m = matrix.shape[1]
+        rows = matrix.reshape(-1, m).take(rebuilt, axis=0)
+        diagonal = rows.ravel().take(np.arange(len(rebuilt)) * m + rebuilt % m)
+        dominance, row_sums = varah[0].take(owner, axis=0), varah[1].take(owner, axis=0)
+        dominance.ravel()[rebuilt], row_sums.ravel()[rebuilt] = varah_rows(rows, diagonal)
+        check_conditioned(matrix, label, (dominance, row_sums))
         z = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
-        yield z.sum(axis=1) + chosen.shape[1], chosen, owner
+        yield z.sum(axis=1) + len(hits), chosen, owner
 
 
 def _approx_scorer(params, p, gains, bounds):
@@ -590,22 +621,24 @@ def _approx_scorer(params, p, gains, bounds):
     bounds UB(A) = sum(z) + the chosen gains, which no configuration of A
     exceeds, are appended to ``bounds`` as one array.  Every product is per
     set, so a set's g, targets and UB(A) do not depend on which sets share
-    its chunk.  Each set's restricted M_UU and its re-weighted system pass
-    ``check_conditioned``.  With no gain to take (``gains.targeting`` false,
-    as at p = 0) no target is chosen and the top-target step is skipped.
+    its chunk.  Each set's restricted M_UU is built once, passes
+    ``check_conditioned`` and is the system its re-score patches; the
+    re-weighted system passes the guard too.  With no gain to take
+    (``gains.targeting`` false, as at p = 0) no target is chosen and the
+    top-target step is skipped.
     """
 
     def score(adversaries, fixed, gain):
         sets, k = adversaries.shape
-        blocks = _restricted_blocks(params, adversaries)
-        label = _set_label(adversaries)
-        _check_restricted(blocks, label)
+        pinned, systems, varah = _guarded_systems(params, adversaries)
         chosen = np.zeros((sets, k, params.n), dtype=bool)
         if gains.targeting:
-            eligible = gains.others[adversaries] & ~blocks[0][:, None, :]
+            eligible = gains.others[adversaries] & ~pinned[:, None, :]
             chosen = _top_targets(gain[:, None, :], eligible, gains.budgets[adversaries])
         bounds.append(fixed.sum(axis=1) + np.einsum("bkn,bn->b", chosen, gain))
-        yield from _rescore([(blocks[1:], chosen, np.arange(sets), label)], p)
+        owner = np.arange(sets)
+        hits = chosen.transpose(1, 0, 2)[:, owner[:, None], systems.unpinned]
+        yield from _rescore([(systems, varah, owner, hits, chosen, _set_label(adversaries))], p)
 
     return score
 
@@ -636,7 +669,9 @@ class _Argmax:
         is a (sets, k) index array, ``read`` its (z, gains) if the scorer
         takes them.  The scorer yields (g, chosen, owner) batches: the exact
         g of each configuration it scores (all of them, unless it prunes),
-        its (batch, k, n) target mask and the index of its set in the chunk.
+        its target masks, chosen[c] the (k, n) mask of configuration c, and
+        the index of its set in the chunk.  Only the masks of configurations
+        at or above the best g are read.
         """
         for g, chosen, owner in score(chunk, *read):
             self.configs += len(g)
@@ -644,9 +679,9 @@ class _Argmax:
             if top < self.g:
                 continue
             for c in np.flatnonzero(g == top).tolist():
-                leaders = tuple(chunk[owner[c]].tolist())
+                leaders, mask = tuple(chunk[owner[c]].tolist()), chosen[c]
                 items = tuple(
-                    (j, tuple(np.flatnonzero(chosen[c, col]).tolist()))
+                    (j, tuple(np.flatnonzero(mask[col]).tolist()))
                     for col, j in enumerate(leaders)
                 )
                 if top > self.g or (leaders, items) < self.key:
@@ -783,6 +818,20 @@ def _subset_masks(network, agent, budget):
     return masks
 
 
+class _Choices:
+    """Target masks of a batch of exact configurations, decoded when read:
+    ``[c]`` is configuration c's (k, n) mask (an index array or a slice
+    gives a stack), whose adversary col chose row
+    kept[col][position[c, col]] of ``table``."""
+
+    def __init__(self, table, kept, position):
+        self.table, self.kept, self.position = table, kept, position
+
+    def __getitem__(self, c):
+        rows = [row[self.position[c, col]] for col, row in enumerate(self.kept)]
+        return self.table[np.stack(rows, axis=-1)]
+
+
 def _exact_scorer(params, p, threshold=None):
     """score(chunk, z, gains), as _Argmax takes it: every joint target choice of every set.
 
@@ -791,7 +840,13 @@ def _exact_scorer(params, p, threshold=None):
     canonical (size, lex) order, built on first use; a set's joint choices
     are decoded in mixed radix, last adversary fastest, which is
     itertools.product order.  CONFIG_CHUNK configurations at a time are
-    decoded; those kept are re-scored together (``_rescore``).
+    decoded; those kept are re-scored together (``_rescore``).  Decoding a
+    configuration takes, per adversary, the index of its table row and
+    that row restricted to the set's unpinned agents, which is what the
+    re-score reads; its (k, n) target mask is built (``_Choices``) only
+    when ``_Argmax`` keeps it, at or above the best g.  The chunk's
+    untargeted systems and restricted rows are built once the first
+    configuration is kept, so a chunk pruned whole builds none.
 
     The scorer prunes iff it is given ``threshold``, a function of no
     arguments that returns the live threshold (``gains.threshold(best.g)``
@@ -817,19 +872,21 @@ def _exact_scorer(params, p, threshold=None):
                 tables[j] = _subset_masks(network, j, network.target_budget(j))
         table = np.concatenate([tables[j] for j in agents])
         agent_of = np.repeat(agents, [len(tables[j]) for j in agents])
-        blocks = _restricted_blocks(params, adversaries)[1:]
         # Per adversary column, the rows of its agent's table that avoid the
         # set, grouped by set in canonical order: set b's count[b, col]
-        # choices start at kept[col][first[b, col]], and with pruning
-        # sums[col] holds each kept row's gain for its set.
+        # choices start at kept[col][first[b, col]], which[col] names each
+        # kept row's set, and with pruning sums[col] holds each kept row's
+        # gain for its set.
         free = ~table[:, adversaries].any(axis=2)
-        kept, sums, count = [], [], np.empty((sets, k), dtype=np.int64)
+        kept, which, sums = [], [], []
+        count = np.empty((sets, k), dtype=np.int64)
         for col in range(k):
-            which, row = np.nonzero((free & (agent_of[:, None] == adversaries[:, col])).T)
+            of_set, row = np.nonzero((free & (agent_of[:, None] == adversaries[:, col])).T)
             kept.append(row)
-            count[:, col] = np.bincount(which, minlength=sets)
+            which.append(of_set)
+            count[:, col] = np.bincount(of_set, minlength=sets)
             if prune:
-                sums.append(np.einsum("rn,rn->r", table[row], gain[which]))
+                sums.append(np.einsum("rn,rn->r", table[row], gain[of_set]))
         first = np.cumsum(count, axis=0) - count
         configs = count.prod(axis=1)
         if prune:
@@ -840,6 +897,7 @@ def _exact_scorer(params, p, threshold=None):
         ends = np.cumsum(configs)
 
         def batches():
+            systems = None
             for lo in range(0, int(ends[-1]), CONFIG_CHUNK):
                 index = np.arange(lo, min(lo + CONFIG_CHUNK, int(ends[-1])))
                 owner = np.searchsorted(ends, index, side="right")
@@ -855,8 +913,16 @@ def _exact_scorer(params, p, threshold=None):
                     if not survive.size:
                         continue
                     owner, position = owner[survive], position[survive]
-                chosen = np.stack([table[kept[col][position[:, col]]] for col in range(k)], axis=1)
-                yield [x[owner] for x in blocks], chosen, owner, lambda c: label(owner[c])
+                if systems is None:
+                    # Built once a configuration is kept: each kept row,
+                    # restricted to its set's unpinned agents.
+                    _, systems, varah = _systems_with_varah(params, adversaries)
+                    restricted = [
+                        table[row[:, None], systems.unpinned[own]] for row, own in zip(kept, which)
+                    ]
+                hits = np.stack([restricted[col][position[:, col]] for col in range(k)])
+                chosen = _Choices(table, kept, position)
+                yield systems, varah, owner, hits, chosen, lambda c: label(owner[c])
 
         yield from _rescore(batches(), p)
 
@@ -899,8 +965,7 @@ def _search(params, p, mode, cap, leader_size, adversaries=None):
     try:
         gains = _SchurGains(params, p)
     except ConvergenceError:
-        first = next(_chunks(leader_sets()))
-        _check_restricted(_restricted_blocks(params, first), _set_label(first))
+        _guarded_systems(params, next(_chunks(leader_sets())))
         raise
     best, bounds = _Argmax(), []
     scorers = [_approx_scorer(params, p, gains, bounds)]

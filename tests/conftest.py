@@ -7,7 +7,6 @@ helpers return plain package objects and never cache state between calls.
 import numpy as np
 
 from fjattack import AttackConfig, FjParameters, InfluenceNetwork
-from fjattack.adversary import _restricted_blocks, _reweighted_systems
 from fjattack.linalg import solve_conditioned
 
 
@@ -108,14 +107,53 @@ def random_feasible_config(rng, network, p=1e-3, require_target=False):
     return AttackConfig(adversaries=adversaries, targets=targets, influence_magnitude=p)
 
 
+def restricted_blocks(params, adversaries):
+    """Reference blocks of the restricted systems of a (sets, k) array of
+    sorted adversary sets, gathered block by block: (pinned, unpinned,
+    W_UU, W_UA, 1 - theta_U, theta_U s_U), each with a leading sets axis."""
+    sets, k = adversaries.shape
+    n = params.n
+    pinned = np.zeros((sets, n), dtype=bool)
+    pinned[np.arange(sets)[:, None], adversaries] = True
+    unpinned = np.nonzero(~pinned)[1].reshape(sets, n - k)
+    w_uu = params.influence[unpinned[:, :, None], unpinned[:, None, :]]
+    w_ua = params.influence[unpinned[:, :, None], adversaries[:, None, :]]
+    theta_u = params.stubbornness[unpinned]
+    return pinned, unpinned, w_uu, w_ua, 1.0 - theta_u, theta_u * params.intrinsic[unpinned]
+
+
+def dense_reweighted_systems(w_uu, w_ua, open_minded, base_rhs, hits, p):
+    """Reference matrix and right-hand side of each re-weighted restricted
+    system, built densely from its set's blocks (``restricted_blocks``):
+    hits[b, u, a] marks unpinned agent u as a target of adversary a, and
+    every row is scaled, targeted or not.  The package patches only the
+    targeted rows of each set's untargeted system
+    (``adversary._reweighted_systems``) and must match this bit for bit."""
+    scale = (1.0 - hits.sum(axis=2) * p)[:, :, None]
+    matrix = w_uu * scale
+    matrix *= open_minded[:, :, None]
+    np.subtract(np.eye(w_uu.shape[1]), matrix, out=matrix)
+    mass = w_ua * scale
+    mass += p * hits
+    return matrix, base_rhs + open_minded * mass.sum(axis=2)
+
+
+def dense_varah_rows(stack):
+    """Reference Varah row data of a (batch, m, m) stack, scanned whole:
+    (2 |a_ii| - sum_j |a_ij|, sum_j |a_ij|) per row."""
+    a = np.abs(stack)
+    row_sums = a.sum(axis=-1)
+    return 2.0 * np.diagonal(a, axis1=-2, axis2=-1) - row_sums, row_sums
+
+
 def restricted_outcome(params, adversaries, items, p):
     """Exact g of one target choice at any p, zero and negative included,
     which AttackConfig rejects.  ``items`` holds (adversary, targets) pairs
     for some of the adversaries; the others pick no target."""
     stack = np.array([adversaries])
-    _, unpinned, w_uu, w_ua, open_minded, base_rhs = _restricted_blocks(params, stack)
+    _, unpinned, w_uu, w_ua, open_minded, base_rhs = restricted_blocks(params, stack)
     hits = np.zeros(w_ua.shape, dtype=bool)
     for j, targets in items:
         hits[0, np.searchsorted(unpinned[0], targets), list(adversaries).index(j)] = True
-    matrix, rhs = _reweighted_systems(w_uu, w_ua, open_minded, base_rhs, hits, p)
+    matrix, rhs = dense_reweighted_systems(w_uu, w_ua, open_minded, base_rhs, hits, p)
     return float(solve_conditioned(matrix[0], rhs[0]).sum()) + len(adversaries)

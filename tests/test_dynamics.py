@@ -317,8 +317,9 @@ def every_rollout(params, config, z0, pinned):
 
 
 def test_rollout_kernels_agree_bitwise(monkeypatch):
-    # Below SPARSE_MIN_EDGES a round is a bincount over the edges, at or above
-    # it a CSR product; both sum each row from 0 in source order.
+    # SPARSE_MIN_EDGES = 0 makes every rollout a CSR product, one more than
+    # the network's edges makes it a bincount over the edges; both sum each
+    # row from 0 in source order.
     rng = np.random.default_rng(913)
     networks = [large_network(rng)]
     assert len(networks[0].edges) >= 20_000
@@ -359,28 +360,46 @@ def test_rollout_kernel_follows_the_edge_count(monkeypatch):
     for params in (small, large):
         simulate(params, np.full(params.n, 0.5), 3)
         fj_step(params, np.full(params.n, 0.5))
-    # fj_step's one round is a bincount at any edge count.
+    # At about 4,800 edges fj_step's one round does not pay for the CSR matrix.
     assert built == [large.network]
 
 
-def test_one_round_never_builds_a_csr_matrix(monkeypatch):
-    # A single round is always the bincount: near SPARSE_MIN_EDGES edges a
-    # CSR matrix costs more to build than the one round it would serve.
+def test_one_round_takes_the_faster_kernel(monkeypatch):
+    # One round builds the CSR matrix only where the product pays for it:
+    # at about 20,000 edges, not at about 4,800, where two rounds already
+    # do.  On both sides of that crossover one round reads the same bits
+    # from either kernel.
     rng = np.random.default_rng(915)
-    params = random_params(rng, large_network(rng))
-    config = random_feasible_config(rng, params.network, p=0.01, require_target=True)
-    z0 = rng.uniform(0.0, 1.0, params.n)
-    built = spy_csr(monkeypatch)
-    step = fj_step(params, z0)
-    pinned_step = fj_step(params, z0, pinned=(3, 500), pinned_value=0.25)
-    one_round = simulate(params, z0, 1).values
-    attacked = simulate_adversarial(params, config, z0, 1).values
-    assert built == []
-    want = dense_rollout(params, z0, 1)
-    assert np.max(np.abs(step - want[1])) <= 1e-15
-    assert np.array_equal(one_round[1], step)
-    assert np.max(np.abs(pinned_step - dense_rollout(params, z0, 1, (3, 500), 0.25)[1])) <= 1e-15
-    assert np.array_equal(attacked, simulate_adversarial(params, config, z0, 2).values[:2])
+    middle = random_params(rng, large_network(rng, n=300, density=0.05))
+    large = random_params(rng, large_network(rng))
+    assert 3_500 <= len(middle.network.edges) < 6_000 and len(large.network.edges) >= 20_000
+    for params, csr in ((middle, False), (large, True)):
+        config = random_feasible_config(rng, params.network, p=0.01, require_target=True)
+        z0 = rng.uniform(0.0, 1.0, params.n)
+        with pytest.MonkeyPatch.context() as patch:
+            built = spy_csr(patch)
+            step = fj_step(params, z0)
+            pinned_step = fj_step(params, z0, pinned=(3, 200), pinned_value=0.25)
+            one_round = simulate(params, z0, 1).values
+            attacked = simulate_adversarial(params, config, z0, 1).values
+            assert built == ([params.network] * 4 if csr else [])
+            simulate(params, z0, 2)
+            assert built[-1:] == [params.network]
+        want = dense_rollout(params, z0, 1)
+        assert np.max(np.abs(step - want[1])) <= 1e-15
+        assert np.array_equal(one_round[1], step)
+        assert np.max(np.abs(pinned_step - dense_rollout(params, z0, 1, (3, 200), 0.25)[1])) <= 1e-15
+        assert np.array_equal(attacked, simulate_adversarial(params, config, z0, 2).values[:2])
+        # Each kernel forced: 0 edges make every rollout pay for CSR, one
+        # more than the network has makes none.
+        for threshold in (0, len(params.network.edges) + 1):
+            monkeypatch.setattr(dynamics, "SPARSE_MIN_EDGES", threshold)
+            assert fj_step(params, z0).tobytes() == step.tobytes()
+            pinned_again = fj_step(params, z0, pinned=(3, 200), pinned_value=0.25)
+            assert pinned_again.tobytes() == pinned_step.tobytes()
+            assert simulate(params, z0, 1).values.tobytes() == one_round.tobytes()
+            assert simulate_adversarial(params, config, z0, 1).values.tobytes() == attacked.tobytes()
+        monkeypatch.undo()
 
 
 def clip_rollout(params, z0, rounds, pinned, pinned_value):

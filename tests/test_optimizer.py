@@ -22,7 +22,15 @@ from scipy.linalg import lu_solve
 
 import fjattack.linalg
 import fjattack.optimizer
-from conftest import complete_network, random_instance, random_params, restricted_outcome
+from conftest import (
+    complete_network,
+    dense_reweighted_systems,
+    dense_varah_rows,
+    random_instance,
+    random_params,
+    restricted_blocks,
+    restricted_outcome,
+)
 from fjattack import (
     AttackConfig,
     CapExceededError,
@@ -40,9 +48,8 @@ from fjattack import (
     solve_attack,
     solve_follower,
 )
-from fjattack.adversary import _restricted_blocks
 from fjattack.fileio import plan_to_json, save_parameters
-from fjattack.linalg import check_conditioned, factor_conditioned, invert_conditioned
+from fjattack.linalg import check_conditioned, factor_conditioned, invert_conditioned, varah_rows
 from fjattack.optimizer import (
     CONFIG_CHUNK,
     LEADER_CHUNK,
@@ -446,11 +453,11 @@ def test_exact_engine_guards_every_configuration(monkeypatch):
     restricted = (params.n - params.network.leader_budget(),) * 2
     guarded, solved, exact_pass = [], [], [False]
 
-    def check_spy(stack, label):
+    def check_spy(stack, label, rows=None):
         # Only re-weighted systems solved by the exact scorer count.
         if exact_pass[0] and stack.shape[1:] == restricted:
             guarded.append(len(stack))
-        return check_conditioned(stack, label)
+        return check_conditioned(stack, label, rows)
 
     real_scorer = fjattack.optimizer._exact_scorer
 
@@ -512,12 +519,163 @@ def test_first_order_bound_holds_for_every_configuration():
                 z, gain = gains.read(sets)
                 base = z.sum(axis=1)
                 for g, chosen, owner in score(sets):
-                    bound = base[owner] + (chosen.sum(axis=1) * gain[owner]).sum(axis=1)
+                    bound = base[owner] + (chosen[:].sum(axis=1) * gain[owner]).sum(axis=1)
                     slack = np.array([gains.slack(x) for x in g])
                     assert (g <= bound + slack).all(), name
                     assert slack.min() > 0.0
                     checked += len(g)
     assert checked > 70_000
+
+
+def record_rescored_systems(patch):
+    """A list that collects, for every batch ``_rescore`` solves, [systems,
+    owner, hits, p, matrix, rhs, varah]: the builder's input, the system it
+    built and the Varah rows its guard read."""
+    batches = []
+    real_build = fjattack.optimizer._reweighted_systems
+    real_check = fjattack.optimizer.check_conditioned
+
+    def build_spy(systems, owner, hits, p):
+        matrix, rhs, rebuilt = real_build(systems, owner, hits, p)
+        batches.append([systems, owner, hits, p, matrix, rhs, None])
+        return matrix, rhs, rebuilt
+
+    def check_spy(stack, label, rows=None):
+        if batches and stack is batches[-1][4]:
+            batches[-1][6] = rows
+        return real_check(stack, label, rows)
+
+    patch.setattr(fjattack.optimizer, "_reweighted_systems", build_spy)
+    patch.setattr(fjattack.optimizer, "check_conditioned", check_spy)
+    return batches
+
+
+def test_patched_systems_are_the_dense_ones():
+    # Every system the searches solve, and the Varah rows its guard reads,
+    # is bitwise the dense build from its set's blocks, which scales every
+    # row: a row nobody targets has scale 1.0 and is the set's untargeted
+    # row, and a targeted row is rebuilt by the same operations.  Over the
+    # oracle, exact and approx search, on four topologies with and without
+    # theta = 0 agents, three magnitudes up to just under 1/k and every pair
+    # of chunk sizes.
+    chunks = list(product((1, 4, CONFIG_CHUNK), (1, 3, LEADER_CHUNK)))
+    cases = [
+        (topology, open_minded, magnitude)
+        for topology in ("complete", "erdos_renyi", "ring", "star")
+        for open_minded in (False, True)
+        for magnitude in range(3)
+    ]
+    members, rows_rebuilt, covered = 0, 0, set()
+    for index, (topology, open_minded, magnitude) in enumerate(cases):
+        _, params = generate(Scenario(topology=topology, n=7, seed=index))
+        if open_minded:
+            params = with_open_minded_agents(params)
+        k = params.network.leader_budget()
+        p = (1e-3, 0.2, float(np.nextafter(1.0 / k, 0.0)))[magnitude]
+        config_chunk, leader_chunk = chunks[index % len(chunks)]
+        covered.add((config_chunk, leader_chunk))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fjattack.optimizer, "CONFIG_CHUNK", config_chunk)
+            patch.setattr(fjattack.optimizer, "LEADER_CHUNK", leader_chunk)
+            batches = record_rescored_systems(patch)
+            brute_force_oracle(params, p=p)
+            solve_attack(params, p=p, follower_mode="exact")
+            solve_attack(params, p=p)
+        for systems, owner, hits, used_p, matrix, rhs, varah in batches:
+            assert used_p == p
+            sets = np.array([np.setdiff1d(np.arange(params.n), u) for u in systems.unpinned])
+            _, unpinned, w_uu, w_ua, open_minded_u, base_rhs = restricted_blocks(params, sets)
+            assert (unpinned == systems.unpinned).all()
+            want_matrix, want_rhs = dense_reweighted_systems(
+                w_uu[owner], w_ua[owner], open_minded_u[owner], base_rhs[owner],
+                hits.transpose(1, 2, 0), p,
+            )
+            assert matrix.tobytes() == want_matrix.tobytes(), (topology, index)
+            assert rhs.tobytes() == want_rhs.tobytes(), (topology, index)
+            for got, want in zip(varah, dense_varah_rows(want_matrix)):
+                assert got.tobytes() == want.tobytes(), (topology, index)
+            members += len(owner)
+            rows_rebuilt += int(hits.any(axis=0).sum())
+    assert covered == set(chunks)
+    assert members > 5_000 and rows_rebuilt > 7_000
+
+
+def guard_outcome(stack, label, rows=None):
+    """(message or None, bytes of each stack sent to invert_conditioned) of
+    ``check_conditioned``, given ``rows`` or scanning the stack."""
+    sent = []
+    real_invert = fjattack.linalg.invert_conditioned
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            fjattack.linalg,
+            "invert_conditioned",
+            lambda part, name: sent.append(part.tobytes()) or real_invert(part, name),
+        )
+        try:
+            check_conditioned(stack, label, rows)
+        except ConvergenceError as exc:
+            return str(exc), sent
+    return None, sent
+
+
+def test_guard_on_patched_rows_decides_as_the_dense_scan(monkeypatch):
+    # A stack whose rows were patched, with its Varah rows patched the way
+    # _rescore patches them, is refused or passed by check_conditioned
+    # exactly as when it scans the whole stack: the same members go to
+    # invert_conditioned, and the same one is named.  RCOND_MIN is set on
+    # some member's Varah bound, and an ulp either side of it.
+    rng = np.random.default_rng(2026)
+    label = lambda b: f"member {b}"
+    decided = {"pass": 0, "fallback": 0, "refused": 0}
+    for trial in range(80):
+        batch, m = int(rng.integers(1, 9)), int(rng.integers(2, 10))
+        stack = rng.uniform(-1.0, 1.0, (batch, m, m))
+        # Diagonals around the off-diagonal mass: some rows dominant, some not.
+        off = np.abs(stack).sum(axis=2) - np.abs(np.diagonal(stack, axis1=1, axis2=2))
+        stack[:, np.arange(m), np.arange(m)] = off * rng.uniform(0.95, 3.0, (batch, m))
+        dominance, row_sums = dense_varah_rows(stack)
+        c = rng.integers(batch, size=int(rng.integers(1, batch * m + 1)))
+        u = rng.integers(m, size=len(c))
+        rows = rng.uniform(-1.0, 1.0, (len(c), m))
+        rows[np.arange(len(c)), u] = np.abs(rows).sum(axis=1) * rng.uniform(0.95, 3.0, len(c))
+        stack[c, u] = rows
+        if trial % 2:
+            # A singular member: its last row patched to repeat its first.
+            c, u = np.append(c, c[0]), np.append(u, m - 1)
+            stack[c[0], m - 1] = stack[c[0], 0]
+        rows = stack[c, u]
+        dominance[c, u], row_sums[c, u] = varah_rows(rows, rows[np.arange(len(c)), u])
+        margin, norm = dominance.min(axis=1), row_sums.max(axis=1)
+        b = int(rng.integers(batch))
+        bound = (margin[b] - 2.0 * m * np.finfo(float).eps * norm[b]) / (m * m * norm[b])
+        for rcond in (1e-12, bound, np.nextafter(bound, 0.0), np.nextafter(bound, 1.0)):
+            if not 0.0 < rcond < 1.0:
+                continue
+            monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", float(rcond))
+            patched = guard_outcome(stack, label, (dominance, row_sums))
+            assert patched == guard_outcome(stack, label), (trial, rcond)
+            message, sent = patched
+            decided["refused" if message else "fallback" if sent else "pass"] += 1
+    assert min(decided.values()) >= 10, decided
+    # Through a search: with RCOND_MIN = 1 no Varah bound clears, every
+    # re-scored system falls through to invert_conditioned, and the first
+    # is refused with its set named, whether the guard reads the patched
+    # rows or scans the stack.
+    _, params = generate(Scenario(topology="erdos_renyi", n=8, seed=3))
+    monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", 1.0)
+    messages = []
+    for scan in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            if scan:
+                patch.setattr(
+                    fjattack.optimizer,
+                    "check_conditioned",
+                    lambda stack, name, rows=None: check_conditioned(stack, name),
+                )
+            with pytest.raises(ConvergenceError, match=r"^adversary set \(0, 1\): ") as refused:
+                brute_force_oracle(params, p=1e-3)
+            messages.append(str(refused.value))
+    assert messages[0] == messages[1]
 
 
 def assert_pruned_exact_matches_oracle(name, params, p=1e-3):
@@ -712,7 +870,7 @@ def test_tree_downdates_match_direct_restricted_reads():
             assert diagonal.tobytes() == np.diagonal(inverse, axis1=1, axis2=2).tobytes()
             assert light_z.tobytes() == z.tobytes() and light_reach.tobytes() == reach.tobytes()
             rows = np.arange(len(sets))[:, None]
-            blocks = _restricted_blocks(params, np.sort(sets, axis=1))
+            blocks = restricted_blocks(params, np.sort(sets, axis=1))
             pinned, unpinned, w_uu, w_ua, open_minded, base_rhs = blocks
             restricted = np.eye(n - sets.shape[1]) - open_minded[:, :, None] * w_uu
             direct = np.zeros_like(inverse)
@@ -1162,7 +1320,7 @@ def scalar_marginal_gains(params, adversaries, p):
     Returns z0 and the length-n gains."""
     stack = np.array([adversaries])
     _, unpinned, w_uu, w_ua, open_minded, base_rhs = (
-        block[0] for block in _restricted_blocks(params, stack)
+        block[0] for block in restricted_blocks(params, stack)
     )
     ones = np.ones(len(unpinned))
     factor = factor_conditioned(np.diag(ones) - open_minded[:, None] * w_uu)
@@ -1272,7 +1430,7 @@ def test_approx_search_is_conditioning_guarded(monkeypatch):
 def test_approx_search_guards_the_full_system(monkeypatch):
     _, params = random_instance(60, n=8, density=0.6)
     monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", 1.0)
-    monkeypatch.setattr(fjattack.optimizer, "check_conditioned", lambda stack, label: None)
+    monkeypatch.setattr(fjattack.optimizer, "check_conditioned", lambda stack, label, rows: None)
     with pytest.raises(ConvergenceError, match=r"system I - \(I - Theta\) W"):
         solve_attack(params, p=1e-3)
     for mode in ("approx", "exact"):
@@ -1283,9 +1441,9 @@ def test_approx_search_guards_the_full_system(monkeypatch):
 def test_approx_search_guards_base_and_rescore_systems(monkeypatch):
     calls = []
 
-    def check_spy(stack, label):
+    def check_spy(stack, label, rows=None):
         calls.append(("check", stack.shape))
-        return check_conditioned(stack, label)
+        return check_conditioned(stack, label, rows)
 
     def invert_spy(stack, label):
         calls.append(("invert", stack.shape))
@@ -1353,7 +1511,7 @@ def test_schur_gains_match_scalar_marginal_gains(topology, tmp_path):
             for k in range(1, params.network.leader_budget() + 1):
                 sets = np.array(list(combinations(range(n), k))[::5])
                 z, gain = gains.read(sets)
-                unpinned = _restricted_blocks(instance, sets)[1]
+                unpinned = restricted_blocks(instance, sets)[1]
                 for b, adversaries in enumerate(sets.tolist()):
                     reference_z0, reference_gain = scalar_marginal_gains(
                         instance, adversaries, p
