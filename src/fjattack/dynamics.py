@@ -135,21 +135,30 @@ def _check_unit_vector(values, n, name):
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InfluenceNetwork:
     """Directed influence graph on agents 0..agent_count-1.
 
     An edge (source, target) means the target listens to the source, i.e.
     w[target, source] may be nonzero.  Every agent must have at least one
     in-neighbor so each influence row has support to normalize over.
-    Self-loops are rejected unless ``allow_self_loops`` is set.  ``edges``
-    is kept sorted by (source, target); the support of W, ``_support``, is
-    kept in row order (by target, then source) with an int32 row pointer,
-    ``_row_pointer``: the CSR layout of W.
+    Self-loops are rejected unless ``allow_self_loops`` is set.
+
+    The support is kept once per order, as arrays and nothing else.
+    ``edges`` is a read-only (|E|, 2) int64 array of the distinct
+    (source, target) pairs sorted by source, then target, with a column
+    pointer, ``_column_pointer``, into it by source: it serves the
+    out-neighbours.  ``_support`` holds the same pairs in row order (by
+    target, then source) as (targets, sources) with an int32 row pointer,
+    ``_row_pointer``: the CSR layout of W, which the dynamics run on and
+    the in-neighbours are read from.  The neighbour methods build their
+    tuples of Python ints on demand.  Two networks are equal when their
+    agent counts, self-loop flags and edges are; a network is not
+    hashable.
     """
 
     agent_count: int
-    edges: tuple
+    edges: np.ndarray
     allow_self_loops: bool = False
 
     def __post_init__(self):
@@ -184,31 +193,65 @@ class InfluenceNetwork:
         targets, sources = np.divmod(_distinct(targets * n + sources), n)
         agents = np.arange(n + 1)
         row_pointer = np.searchsorted(targets, agents).astype(np.int32)
-        incoming = _slices(sources.tolist(), row_pointer.tolist())
-        if not all(incoming):
-            raise ValidationError(f"agent {incoming.index(())} has no in-neighbors")
-        tails, heads = np.divmod(np.sort(sources * n + targets), n)
-        heads = heads.tolist()
-        object.__setattr__(self, "edges", tuple(zip(tails.tolist(), heads)))
-        object.__setattr__(self, "_incoming", incoming)
-        object.__setattr__(self, "_outgoing", _slices(heads, np.searchsorted(tails, agents).tolist()))
+        uncovered = row_pointer[1:] == row_pointer[:-1]
+        if uncovered.any():
+            raise ValidationError(f"agent {int(np.argmax(uncovered))} has no in-neighbors")
+        edges = np.column_stack(np.divmod(np.sort(sources * n + targets), n))
+        column_pointer = np.searchsorted(edges[:, 0], agents)
+        for arr in (edges, targets, sources, row_pointer, column_pointer):
+            arr.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_column_pointer", column_pointer)
         object.__setattr__(self, "_support", (targets, sources))
         object.__setattr__(self, "_row_pointer", row_pointer)
 
+    def __eq__(self, other):
+        if not isinstance(other, InfluenceNetwork):
+            return NotImplemented
+        return (
+            self.agent_count == other.agent_count
+            and self.allow_self_loops == other.allow_self_loops
+            and np.array_equal(self.edges, other.edges)
+        )
+
+    # A hash would have to read every edge, and nothing keys a dict or set
+    # by a network, so a network has none.
+    __hash__ = None
+
+    def _span(self, pointer, agent):
+        """(start, stop) of agent's entries under one of the two pointers, as
+        Python ints; IndexError for an agent outside 0..n-1, which a negative
+        index would otherwise wrap to the far end of the pointer."""
+        if not 0 <= agent < self.agent_count:
+            raise IndexError(f"agent {agent} out of range for {self.agent_count} agents")
+        return pointer.item(agent), pointer.item(agent + 1)
+
     def in_neighbors(self, agent):
         """Agents whose opinions feed agent's update, in index order."""
-        return self._incoming[agent]
+        start, stop = self._span(self._row_pointer, agent)
+        return tuple(self._support[1][start:stop].tolist())
 
     def out_neighbors(self, agent):
         """Agents whose updates read agent's opinion, in index order."""
-        return self._outgoing[agent]
+        start, stop = self._span(self._column_pointer, agent)
+        return tuple(self.edges[start:stop, 1].tolist())
 
     def out_degree(self, agent):
-        return len(self._outgoing[agent])
+        start, stop = self._span(self._column_pointer, agent)
+        return stop - start
+
+    def out_degrees(self):
+        """Every agent's out-degree, as an int array."""
+        pointer = self._column_pointer
+        return pointer[1:] - pointer[:-1]
 
     def target_budget(self, agent):
         """Max number of this agent's out-neighbors an attacker may re-weight."""
-        return max(0, (self.out_degree(agent) - 1) // 3)
+        return _target_budget(self.out_degree(agent))
+
+    def target_budgets(self):
+        """Every agent's target budget, as an int array."""
+        return _target_budget(self.out_degrees())
 
     def leader_budget(self):
         """Max number of agents that may be turned adversarial."""
@@ -231,6 +274,12 @@ class InfluenceNetwork:
         return csr_array((weights, self._support[1], self._row_pointer), shape=(n, n))
 
 
+def _target_budget(degree):
+    """(d - 1) // 3 of an out-degree d, and 0 for d = 0: of an int, or of
+    each entry of an int array."""
+    return (degree - (degree > 0)) // 3
+
+
 def _distinct(values):
     """The distinct entries of an int array, sorted.
 
@@ -241,11 +290,6 @@ def _distinct(values):
     first = np.ones(len(values), dtype=bool)
     np.not_equal(values[1:], values[:-1], out=first[1:])
     return values[first]
-
-
-def _slices(flat, bounds):
-    """Tuple of the tuples flat[bounds[i]:bounds[i + 1]]."""
-    return tuple(tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,13 +20,13 @@ decode, the record and type checks and the construction of the network
 and parameters.  A decoded payload is a tree of lists, dicts and scalars,
 some 40,000 lists for a network of 1,000 agents and 20,000 edges, and
 while it is alive every collection that the loader's own allocations
-trigger (the edge tuples of ``InfluenceNetwork``, say) walks all of it:
-a quarter of a load there, about 20 of 75 ms.  The pause delays no
-garbage: a JSON tree holds no reference cycle, so reference counting
-frees every part of it when the loader returns.  The collector is
-process-wide state, so the pause puts it back as it found it, on a
-refusal too: it re-enables the collector only if it was enabled on
-entry, and a caller that turned it off finds it off.
+trigger (the decoder's lists, say) walks all of it: a quarter of a load
+there, about 20 of 75 ms, when the network still built per-edge tuples.
+The pause delays no garbage: a JSON tree holds no reference cycle, so
+reference counting frees every part of it when the loader returns.  The
+collector is process-wide state, so the pause puts it back as it found
+it, on a refusal too: it re-enables the collector only if it was enabled
+on entry, and a caller that turned it off finds it off.
 
 Every JSON file has the bytes that ``json.dump(payload, f, indent=2,
 sort_keys=True)`` and a newline would write, so files stay diffable and a
@@ -258,7 +258,7 @@ def parameters_to_json(params):
     triples = zip(targets[kept].tolist(), sources[kept].tolist(), on_support[kept].tolist())
     return {
         "n": params.n,
-        "edges": list(map(list, params.network.edges)),
+        "edges": params.network.edges.tolist(),
         "theta": params.stubbornness.tolist(),
         "s": params.intrinsic.tolist(),
         "w": list(map(list, triples)),

@@ -467,7 +467,7 @@ def _unpinned_scorer(params, p):
     minv = invert_conditioned(system[None], lambda b: "system I - (I - Theta) W")[0]
     sensitivity = (1.0 - theta) * minv.sum(axis=0)
     listeners = network.support_mask().T
-    budgets = np.array([network.target_budget(j) for j in range(n)])
+    budgets = network.target_budgets()
     targeting = bool(p) and bool(budgets.any())
 
     def score(adversaries):

@@ -202,7 +202,10 @@ LEADER_CHUNK = 128
 # Bytes of R held per chunk of inner leader-tree nodes, n^2 floats each:
 # LEADER_CHUNK nodes up to n = 30, fewer above (11 at n = 100).  The tree
 # holds at most one chunk per depth, so its nodes peak near (k - 1)
-# NODE_BYTES: 7.4 MB at n = 30 and 29 MB at n = 100 (k = 33).  Measured
+# NODE_BYTES: 7.4 MB at n = 30 and 29 MB at n = 100 (k = 33).  The greedy
+# dive that opens the walk holds one single-set node per depth, k - 1 R of
+# 8 n^2 bytes, until its set is read: 0.06 MB at n = 30, 2.6 MB at
+# n = 100 and 2.66 GB at n = 1,000 (k = 333).  Measured
 # with tracemalloc, an approx plan peaks near 0.04 MB at complete n = 14,
 # 0.4 MB at Erdos-Renyi n = 30, 4.4 MB at n = 40, 14.5 MB at n = 60 and
 # 28 MB at n = 100 (edge probability 0.05, after its first minute).
@@ -395,7 +398,7 @@ class _SchurGains:
         self.p = p
         # Agent j may target its out-neighbours other than itself.
         self.others = network.support_mask().T & ~np.eye(params.n, dtype=bool)
-        self.budgets = np.array([network.target_budget(j) for j in range(params.n)])
+        self.budgets = network.target_budgets()
         # Whether any gain can be taken: at p = 0 every gain is exactly 0,
         # and with every budget 0 nobody may target.
         self.targeting = bool(p) and bool(self.budgets.any())
@@ -728,7 +731,9 @@ def _branch_and_bound(gains, k, score, best):
     off their parents, and ``score`` gets them LEADER_CHUNK at a time with
     their (z, gains).  Inner children are taken at most ``_node_chunk(n)``
     at a time, and one such chunk of nodes per depth is held, so the nodes
-    peak near (k - 1) NODE_BYTES.
+    peak near (k - 1) NODE_BYTES.  Before the walk, the dive holds its k - 1
+    single-set nodes, (k - 1) 8 n^2 bytes of R, and lets them go once the
+    greedy set's canonical node is taken.
     """
     root, rank, stack = gains.root, gains.rank, []
     inner = _node_chunk(len(rank))
@@ -754,6 +759,7 @@ def _branch_and_bound(gains, k, score, best):
     canonical = dive[np.argsort(rank[dive])]
     reused = np.argmin(np.append(dive[: k - 1] == canonical[: k - 1], False))
     nodes = path[reused]
+    del path
     for v in canonical[reused : k - 1]:
         nodes = gains.pin(nodes, gains.step(nodes, one, v[None]))
     best.score(score, *gains.leaves(nodes, one, canonical[-1:]))
@@ -784,15 +790,15 @@ def _space_sizer(network):
     budget of its out-neighbours that avoid the set.  The count table is
     filled once, when the sizer is built, and shared by every call.
     """
-    degree = np.array([network.out_degree(j) for j in range(network.agent_count)])
+    degree = network.out_degrees()
     support = network.support_mask()
     # subsets[j, o]: agent j's choices when o of its out-neighbours are
     # adversaries too, F(d - o) for F(m) = sum_{s <= budget} C(m, s), which
     # obeys F(0) = 1 and F(t + 1) = 2 F(t) - C(t, budget); C(t, budget) is
     # 0 below t = budget, 1 at it, and C(t - 1, budget) t / (t - budget) above.
     subsets = np.zeros((len(degree), degree.max() + 1), dtype=object)
-    for j, d in enumerate(degree.tolist()):
-        budget, choices, comb = network.target_budget(j), [1], 0
+    for j, (d, budget) in enumerate(zip(degree.tolist(), network.target_budgets().tolist())):
+        choices, comb = [1], 0
         for t in range(d):
             comb = comb * t // (t - budget) if t > budget else int(t == budget)
             choices.append(2 * choices[-1] - comb)
@@ -1122,7 +1128,7 @@ def baseline_variant(params, variant, leader_size=None, p=DEFAULT_P, external_sc
 
     def scores(source):
         if source == "degree":
-            return np.array([float(network.out_degree(i)) for i in range(n)])
+            return network.out_degrees().astype(float)
         if source == "stubbornness":
             return np.array(params.stubbornness)
         if source == "intrinsic":

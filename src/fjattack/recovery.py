@@ -187,8 +187,10 @@ def recover(problem):
     weights = np.zeros((n, n))
     residuals = np.empty(n)
     flags = []
+    # Agent i's in-neighbours are its row of W's support, in source order.
+    sources, bounds = network._support[1], network._row_pointer.tolist()
     for i in range(n):
-        support = list(network.in_neighbors(i))
+        support = sources[bounds[i] : bounds[i + 1]]
         design = np.column_stack([np.full(len(before), intrinsic[i]), before[:, support]])
         response = np.ascontiguousarray(after[:, i])
         beta = _simplex_least_squares(design, response, problem.ridge)

@@ -33,9 +33,10 @@ def complete_network(n):
 
 def topology_edges(topology, n, rng):
     if topology == "complete":
-        return complete_network(n).edges
+        return tuple(map(tuple, complete_network(n).edges.tolist()))
     if topology == "erdos_renyi":
-        return random_network(rng, n, density=float(rng.uniform(0.1, 0.5))).edges
+        network = random_network(rng, n, density=float(rng.uniform(0.1, 0.5)))
+        return tuple(map(tuple, network.edges.tolist()))
     if topology == "ring":
         return tuple((i, (i + d) % n) for i in range(n) for d in (1, n - 1))
     return tuple(e for i in range(1, n) for e in ((0, i), (i, 0)))  # star

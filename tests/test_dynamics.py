@@ -528,9 +528,7 @@ def test_slow_contraction_falls_back_to_the_dense_solve_bitwise(monkeypatch):
     rng = np.random.default_rng(918)
     half = 500
     blocks = [large_network(rng, n=half, density=0.04) for _ in range(2)]
-    network = InfluenceNetwork(
-        2 * half, blocks[0].edges + tuple((s + half, t + half) for s, t in blocks[1].edges)
-    )
+    network = InfluenceNetwork(2 * half, np.concatenate([blocks[0].edges, blocks[1].edges + half]))
     base = random_params(rng, network)
     config = heavy_attack(network)
     # With theta = 1e-4 everywhere the expected rate, 1 - 1e-4, cannot close
@@ -753,12 +751,57 @@ def test_network_validation_matches_the_per_edge_loop():
             outcomes["ok"] += 1
             network = InfluenceNetwork(n, tuple(edges), allow_self_loops=allow)
             canon, incoming, outgoing, mask = expected
-            assert network.edges == canon
-            assert all(type(x) is int for edge in network.edges for x in edge)
+            assert network.edges.dtype == np.int64 and network.edges.shape == (len(canon), 2)
+            assert not network.edges.flags.writeable
+            assert list(map(tuple, network.edges.tolist())) == list(canon)
             assert [network.in_neighbors(i) for i in range(n)] == incoming
             assert [network.out_neighbors(i) for i in range(n)] == outgoing
+            budgets = [max(0, (len(out) - 1) // 3) for out in outgoing]
+            for i in range(n):
+                neighbors = network.in_neighbors(i) + network.out_neighbors(i)
+                assert all(type(x) is int for x in neighbors)
+                assert type(network.out_degree(i)) is int is type(network.target_budget(i))
+                assert network.out_degree(i) == len(network.out_neighbors(i))
+                assert network.target_budget(i) == budgets[i]
+            assert network.out_degrees().tolist() == list(map(len, outgoing))
+            assert network.target_budgets().tolist() == budgets
+            for agent in (-1, n):
+                with pytest.raises(IndexError, match=f"agent {agent} out of range for {n} agents"):
+                    network.in_neighbors(agent)
+                with pytest.raises(IndexError, match=f"agent {agent} out of range"):
+                    network.out_degree(agent)
             assert np.array_equal(network.support_mask(), mask)
     assert min(outcomes.values()) > 100
+
+
+def test_network_holds_its_support_as_arrays_only():
+    # The edges in (source, target) order, the same pairs in row order and
+    # their two pointers: about two edge arrays, and no per-edge Python
+    # object.  Tuples for the edges and each agent's neighbours took 3.4 MB.
+    pairs = np.array(large_network(np.random.default_rng(1001)).edges)
+    tracemalloc.start()
+    try:
+        network = InfluenceNetwork(1000, pairs)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(network.edges) == len(pairs) >= 19_000
+    assert held < 3 * pairs.nbytes
+
+
+def test_networks_are_equal_by_value_and_unhashable():
+    pairs = [(0, 1), (1, 2), (2, 0), (1, 0)]
+    network = InfluenceNetwork(3, pairs)
+    again = InfluenceNetwork(3, pairs[::-1] + pairs[:2])
+    assert network == again and not network != again
+    assert network != InfluenceNetwork(3, pairs[:3])
+    assert network != InfluenceNetwork(3, pairs, allow_self_loops=True)
+    assert network != InfluenceNetwork(4, pairs + [(0, 3), (3, 0)])
+    assert network != pairs
+    # Nothing keys a dict or set by a network, so none has a hash.
+    for value in (network, again):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
 
 
 def test_network_validation_names_the_first_offending_edge():
@@ -796,6 +839,10 @@ def test_network_budgets_and_degrees():
     assert star.out_degree(0) == 3
     assert star.target_budget(0) == 0
     assert star.target_budget(1) == 0
+    # Agents 2 and 3 have no out-neighbour, and a budget of 0, not -1.
+    assert star.out_degrees().tolist() == [3, 1, 0, 0]
+    assert star.target_budget(2) == 0
+    assert star.target_budgets().tolist() == [0, 0, 0, 0]
     assert sorted(star.out_neighbors(0)) == [1, 2, 3]
     assert sorted(star.in_neighbors(0)) == [1]
 

@@ -87,7 +87,7 @@ def test_parameters_json_shape():
     assert all(len(triple) == 3 for triple in payload["w"])
     # a (row, column, weight) triple corresponds to the edge column -> row
     as_edges = {(j, i) for i, j, _ in payload["w"]}
-    assert as_edges <= set(network.edges)
+    assert as_edges <= set(map(tuple, network.edges.tolist()))
 
 
 def test_parameters_load_errors(tmp_path):
@@ -432,7 +432,7 @@ def dense_parameters_to_json(params):
     triples.sort(key=lambda t: (t[0], t[1]))
     return {
         "n": params.n,
-        "edges": [[src, dst] for src, dst in params.network.edges],
+        "edges": [[src, dst] for src, dst in params.network.edges.tolist()],
         "theta": [float(x) for x in params.stubbornness],
         "s": [float(x) for x in params.intrinsic],
         "w": triples,
