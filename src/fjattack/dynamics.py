@@ -164,7 +164,14 @@ class InfluenceNetwork:
     def __post_init__(self):
         n = _check_count(self.agent_count, "agent_count")
         object.__setattr__(self, "agent_count", n)
-        edges = np.array(self.edges, dtype=np.int64)
+        edges = np.asarray(self.edges)
+        if edges.size and edges.dtype.kind not in "iu":
+            # Endpoints follow _as_int: a float, bool or text endpoint is
+            # refused, not cut to an int.  Only the dtype is read on the way
+            # in; a refusal walks the input for the endpoint to name.
+            for endpoint in np.asarray(self.edges, dtype=object).flat:
+                _as_int(endpoint, "edge endpoint")
+        edges = edges.astype(np.int64, copy=False)
         if edges.size == 0:
             edges = edges.reshape(0, 2)
         if edges.ndim != 2 or edges.shape[1] != 2:

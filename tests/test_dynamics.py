@@ -815,6 +815,33 @@ def test_network_validation_names_the_first_offending_edge():
         InfluenceNetwork(3, ((0, 1, 2),))
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    (
+        ([(0.7, 1), (True, 0)], r"^edge endpoint must be an int, got 0\.7$"),
+        ([("0", "1"), ("1", "0")], r"^edge endpoint must be an int, got '0'$"),
+        ([], r"^agent 0 has no in-neighbors$"),
+    ),
+    ids=("float_and_bool", "text", "empty"),
+)
+def test_network_refuses_endpoints_that_are_not_ints(edges, message):
+    # A float, bool or text endpoint was once cut to an int: the first two
+    # lists built the edges [[0, 1], [1, 0]].
+    with pytest.raises(ValidationError, match=message):
+        InfluenceNetwork(2, edges)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    (np.array([[0, 1], [1, 0]], dtype=np.int32), ((0, 1), (1, 0))),
+    ids=("int32_array", "tuple_of_ints"),
+)
+def test_network_takes_any_int_endpoints(edges):
+    network = InfluenceNetwork(2, edges)
+    assert network.edges.dtype == np.int64
+    assert network.edges.tolist() == [[0, 1], [1, 0]]
+
+
 def test_network_refuses_an_uncovered_agent_before_any_n_sized_work():
     # Two edges cannot give 10^9 agents an in-neighbour each: the refusal
     # names the first agent without one and allocates nothing of size n.

@@ -14,6 +14,7 @@ import pytest
 from conftest import random_instance, random_network, random_params
 from fjattack import (
     FjParameters,
+    InfluenceNetwork,
     OpinionTrajectory,
     RecoveryProblem,
     Scenario,
@@ -26,6 +27,7 @@ from fjattack import (
     simulate,
 )
 from fjattack import recovery
+from fjattack.dynamics import THETA_MIN
 from fjattack.recovery import _simplex_least_squares
 
 
@@ -196,8 +198,9 @@ def agent_rows(params, runs):
     """Each agent's (design, response), stacked trajectory by trajectory.
 
     The per-trajectory reference: ``recover`` stacks every trajectory once
-    and slices each agent's rows out of the stack, and its fits must equal
-    the fits on these rows bit for bit.
+    and slices each agent's rows out of the stack.  Like a lone agent's
+    design there, each design here is F-ordered at in-degree >= 2 and
+    C-ordered at in-degree 1.
     """
     for i in range(params.n):
         support = list(params.network.in_neighbors(i))
@@ -208,16 +211,24 @@ def agent_rows(params, runs):
         yield design, np.concatenate([run[1:, i] for run in runs])
 
 
-def assert_simplex_kkt(design, response, ridge, beta):
-    """Feasibility and the KKT conditions of the simplex least-squares fit.
+def fit_row(design, response, ridge):
+    """The simplex least-squares fit of one design, as a stack of one."""
+    return _simplex_least_squares(design[None], response[None], ridge)[0]
+
+
+def normal_equations(design, response, ridge):
+    return design.T @ design + ridge * np.eye(design.shape[1]), design.T @ response
+
+
+def assert_simplex_kkt(gram, linear, beta):
+    """Feasibility and the KKT conditions of the simplex least-squares fit
+    whose Gram matrix and linear term are given.
 
     At a simplex minimizer the gradient is equal across the support and no
     smaller off it.  Both hold to 1e-9 relative to the gradient's scale,
-    the larger of its two terms.
+    the larger of its two terms.  Returns whether a coordinate is clipped.
     """
     assert beta.min() >= 0.0 and beta.sum() == pytest.approx(1.0, abs=1e-12)
-    gram = design.T @ design + ridge * np.eye(beta.size)
-    linear = design.T @ response
     gradient = gram @ beta - linear
     tol = 1e-9 * max(np.abs(gram @ beta).max(), np.abs(linear).max())
     on = beta > 0.0
@@ -238,6 +249,15 @@ def noisy_erdos_renyi(seed):
     return params, runs
 
 
+def recover_runs(params, runs, ridge=0.0):
+    trajectories = tuple(OpinionTrajectory(rounds=len(v) - 1, values=v, pinned=()) for v in runs)
+    return recover(
+        RecoveryProblem(
+            network=params.network, trajectories=trajectories, ridge=ridge, intrinsic=params.intrinsic
+        )
+    )
+
+
 def test_noisy_fits_with_active_simplex_constraint_meet_kkt():
     # Noisy rows whose fit sets some coefficient to zero, on a gradient
     # scale of 50-200.  The active-set solve ends on the support's own KKT
@@ -246,81 +266,239 @@ def test_noisy_fits_with_active_simplex_constraint_meet_kkt():
     for seed in (4, 16, 32):
         params, runs = noisy_erdos_renyi(seed)
         for design, response in agent_rows(params, runs):
-            beta = _simplex_least_squares(design, response, 0.0)
-            active += assert_simplex_kkt(design, response, 0.0, beta)
+            beta = fit_row(design, response, 0.0)
+            active += assert_simplex_kkt(*normal_equations(design, response, 0.0), beta)
     assert active == 3
 
 
+def test_kkt_solve_is_lstsq_on_the_bordered_system():
+    # _sum_constrained calls LAPACK gelsd, the solve np.linalg.lstsq runs,
+    # with lstsq's default rcond, eps (m + 1).  On full-rank and rank-1
+    # designs it returns lstsq's solution; the SVD cut-off decides the
+    # rank-1 ones, whose Gram is singular.  Two LAPACK builds may round
+    # apart, hence the 1e-10 bound.
+    rng = np.random.default_rng(7)
+    params, runs = noisy_erdos_renyi(4)
+    constant = [np.tile(rng.uniform(0.0, 1.0, params.n), (7, 1))]
+    for rows in (runs, constant):
+        for design, response in agent_rows(params, rows):
+            gram, linear = normal_equations(design, response, 0.0)
+            m = len(linear)
+            kkt = np.ones((m + 1, m + 1))
+            kkt[:m, :m] = gram
+            kkt[m, m] = 0.0
+            expected = np.linalg.lstsq(kkt, np.append(linear, 1.0), rcond=None)[0][:m]
+            solved = recovery._sum_constrained(np.stack([gram, gram]), np.stack([linear, linear]))
+            assert np.array_equal(solved[0], solved[1])
+            assert np.max(np.abs(solved[0] - expected)) <= 1e-10
+
+
 def test_interior_fit_solves_once_and_clipped_fit_ends_on_kkt(monkeypatch):
-    # The active-set solve starts from the sum-constrained solution and
-    # reuses it while every coordinate is free, so a fit that clips nothing
-    # solves one KKT system, of the full support.  A fit that clips a
-    # coordinate goes on to solve the smaller free system, and still ends
-    # on a KKT point.
-    solve = recovery._sum_constrained
-    sizes = []
-    monkeypatch.setattr(
-        recovery, "_sum_constrained", lambda gram, linear: sizes.append(len(linear)) or solve(gram, linear)
-    )
+    # recover fits each in-degree's agents as one stack.  Every agent's
+    # start is one KKT system of its full support, solved with its stack's;
+    # a row whose start the simplex holds solves nothing more.  A row whose
+    # start clips a coordinate goes on to the active-set loop, which solves
+    # smaller free systems only and ends on a KKT point.
+    solve, loop, fit = recovery._sum_constrained, recovery._active_set, recovery._simplex_least_squares
+    starts, clipped_sizes, stacks = [], [], []
+
+    def spy_solve(gram, linear):
+        (clipped_sizes[-1] if looping else starts).extend([linear.shape[1]] * len(linear))
+        return solve(gram, linear)
+
+    def spy_loop(gram, linear, start, beta):
+        nonlocal looping
+        clipped_sizes.append([])
+        looping = True
+        try:
+            beta = loop(gram, linear, start, beta)
+        finally:
+            looping = False
+        assert 1 <= len(clipped_sizes[-1]) and max(clipped_sizes[-1]) < len(linear)
+        assert assert_simplex_kkt(gram, linear, beta)
+        return beta
+
+    def spy_fit(design, response, ridge):
+        stacks.append((design, response, ridge, fit(design, response, ridge)))
+        return stacks[-1][-1]
+
+    looping = False
+    monkeypatch.setattr(recovery, "_sum_constrained", spy_solve)
+    monkeypatch.setattr(recovery, "_active_set", spy_loop)
+    monkeypatch.setattr(recovery, "_simplex_least_squares", spy_fit)
     interior = clipped = 0
     for seed in (4, 16, 32):
         params, runs = noisy_erdos_renyi(seed)
-        for design, response in agent_rows(params, runs):
-            sizes.clear()
-            beta = _simplex_least_squares(design, response, 0.0)
-            m = design.shape[1]
-            if assert_simplex_kkt(design, response, 0.0, beta):
-                clipped += 1
-                assert sizes[0] == m and len(sizes) >= 2 and max(sizes[1:]) < m
-            else:
-                interior += 1
-                assert sizes == [m]
+        starts.clear()
+        clipped_sizes.clear()
+        stacks.clear()
+        recover_runs(params, runs)
+        degrees = [len(params.network.in_neighbors(i)) for i in range(params.n)]
+        assert sorted(starts) == sorted(d + 1 for d in degrees)
+        assert sum(len(design) for design, *_ in stacks) == params.n
+        for design, response, ridge, beta in stacks:
+            for k in range(len(design)):
+                assert_simplex_kkt(*normal_equations(design[k], response[k], ridge), beta[k])
+        clipped += len(clipped_sizes)
+        interior += params.n - len(clipped_sizes)
     assert (interior, clipped) == (21, 3)
 
 
-def test_recover_matches_per_trajectory_rows_bitwise(monkeypatch):
-    # recover slices each agent's rows out of one stack of every
-    # trajectory.  Its fits, residuals and flags must equal, bit for bit,
-    # those on agent_rows' per-trajectory stacks: four topologies, clean
-    # and 1e-2-noisy runs of 30, 1, 12 and 5 rounds, ridge 0 and 1e-3.
-    # Rounding depends on the design's memory order, so equal values alone
-    # would not do.
-    solve = recovery._simplex_least_squares
-    fits = []
+def test_start_with_a_negative_entry_its_projection_keeps_goes_to_the_loop(monkeypatch):
+    # A sum-constrained start can hold a negative entry of rounding size
+    # that its projection does not clip, when the entries sum to less than
+    # 1 by more.  It is no simplex point, so its row goes on to the
+    # active-set loop like a clipped one and ends nonnegative.
+    start = np.array([[0.6, 0.4 - 1e-16, -1e-17]])
+    assert (project_to_simplex(start) > 0.0).all()
+    solve = recovery._sum_constrained
     monkeypatch.setattr(
-        recovery, "_simplex_least_squares", lambda *args: fits.append(solve(*args)) or fits[-1]
+        recovery,
+        "_sum_constrained",
+        lambda gram, linear: start if linear.shape == start.shape else solve(gram, linear),
     )
+    # Rows fitted exactly by (0.6, 0.4, 0): the start above is theirs up to
+    # rounding.
+    design = np.random.default_rng(8).uniform(0.0, 1.0, (1, 20, 3))
+    beta = _simplex_least_squares(design, design @ np.array([0.6, 0.4, 0.0]), 0.0)[0]
+    assert beta[2] == 0.0 and beta.min() >= 0.0
+    assert np.max(np.abs(beta - [0.6, 0.4, 0.0])) <= 1e-12
+
+
+def reference_row(design, response, ridge):
+    """One agent's fit on its own design, read back as recover states it.
+
+    The per-row reference for ``recover``, which fits each in-degree's
+    agents as one stack: the Gram and linear term of the one design, its
+    start from the same KKT solve, the active-set loop from the start's
+    projection (a start the simplex holds is returned as it is), the RMS
+    residuals, the canonical theta = 1 fallback and the rank flag.
+    Returns (beta, theta, weight row, residual, flag).
+    """
+    m = design.shape[1]
+    gram, linear = normal_equations(design, response, ridge)
+    start = recovery._sum_constrained(gram[None], linear[None])[0]
+    beta = recovery._active_set(gram, linear, start, project_to_simplex(start))
+    stubborn = float(beta[0])
+    fit_rms = float(np.sqrt(np.mean((design @ beta - response) ** 2)))
+    pure_rms = float(np.sqrt(np.mean((design[:, 0] - response) ** 2)))
+    degenerate = stubborn > recovery.STUBBORN_CEILING or pure_rms <= fit_rms + 1e-12
+    if degenerate:
+        stubborn, fit_rms, row = 1.0, pure_rms, np.full(m - 1, 1.0 / (m - 1))
+    else:
+        row = beta[1:] / (1.0 - stubborn)
+        row /= row.sum()
+    rank_deficient = bool(np.linalg.matrix_rank(design) < m)
+    return beta, min(max(stubborn, THETA_MIN), 1.0), row, fit_rms, (degenerate, rank_deficient)
+
+
+def assert_recover_matches_rows(params, runs, ridge):
+    """recover on ``runs`` equals reference_row on agent_rows, bit for bit.
+
+    Rounding depends on each design's memory order, so equal values alone
+    would not do.  Returns each row's reference (beta, flag causes).
+    """
+    result = recover_runs(params, runs, ridge)
+    rows = []
+    for i, (design, response) in enumerate(agent_rows(params, runs)):
+        beta, theta, row, residual, causes = reference_row(design, response, ridge)
+        expected = np.zeros(params.n)
+        expected[list(params.network.in_neighbors(i))] = row
+        assert result.params.stubbornness[i] == theta
+        assert np.array_equal(result.params.influence[i], expected)
+        assert result.per_agent_residual[i] == residual
+        assert result.identifiability_flags[i] == any(causes)
+        rows.append((beta, causes))
+    return rows
+
+
+def test_recover_matches_per_trajectory_rows_bitwise():
+    # Four topologies, clean and 1e-2-noisy runs of 30, 1, 12 and 5 rounds,
+    # ridge 0 and 1e-3.  Erdos-Renyi and star networks mix in-degree 1
+    # (C-ordered designs) with in-degree >= 2 (F-ordered ones); ring and
+    # complete networks are one stack of one in-degree.
     active = 0
     for topology, seed in itertools.product(("erdos_renyi", "complete", "ring", "star"), range(2)):
         n = 6 + seed
         _, params = generate(Scenario(topology=topology, n=n, edge_prob=0.4, seed=seed))
+        degrees = {len(params.network.in_neighbors(i)) for i in range(n)}
+        assert (len(degrees) == 1) == (topology in ("complete", "ring"))
+        assert (1 in degrees and len(degrees) > 1) == (topology in ("erdos_renyi", "star"))
         rng = np.random.default_rng([seed, n])
         clean = [simulate(params, rng.uniform(0.0, 1.0, n), rounds).values for rounds in (30, 1, 12, 5)]
         for noise in (0.0, 1e-2):
             runs = [np.clip(v + rng.uniform(-noise, noise, v.shape), 0.0, 1.0) for v in clean]
-            trajectories = tuple(
-                OpinionTrajectory(rounds=len(v) - 1, values=v, pinned=()) for v in runs
-            )
             for ridge in (0.0, 1e-3):
-                fits.clear()
-                result = recover(
-                    RecoveryProblem(
-                        network=params.network,
-                        trajectories=trajectories,
-                        ridge=ridge,
-                        intrinsic=params.intrinsic,
-                    )
-                )
-                for i, (design, response) in enumerate(agent_rows(params, runs)):
-                    beta = solve(design, response, ridge)
-                    assert np.array_equal(fits[i], beta)
-                    active += bool((beta == 0.0).any())
-                    stubborn = result.params.stubbornness[i] == 1.0
-                    prediction = design[:, 0] if stubborn else design @ beta
-                    assert result.per_agent_residual[i] == np.sqrt(np.mean((prediction - response) ** 2))
-                    rank_deficient = np.linalg.matrix_rank(design) < design.shape[1]
-                    assert result.identifiability_flags[i] == (stubborn or rank_deficient)
+                rows = assert_recover_matches_rows(params, runs, ridge)
+                active += sum(bool((beta == 0.0).any()) for beta, _ in rows)
     assert active > 0
+
+
+def test_recover_splits_large_stacks_with_the_same_bits(monkeypatch):
+    # A stack holds at most STACK_ENTRIES design entries.  Split stacks,
+    # down to one agent each, fit every row with the bits of one stack.
+    _, params = generate(Scenario(topology="complete", n=7, seed=3))
+    rng = np.random.default_rng(3)
+    runs = []
+    for _ in range(2):
+        values = simulate(params, rng.uniform(0.0, 1.0, 7), 10).values
+        runs.append(np.clip(values + rng.uniform(-1e-2, 1e-2, values.shape), 0.0, 1.0))
+    fit = recovery._simplex_least_squares
+    stacks = []
+    monkeypatch.setattr(recovery, "_simplex_least_squares", lambda *args: stacks.append(len(args[0])) or fit(*args))
+    whole = recover_runs(params, runs)
+    assert stacks == [7]
+    for entries, sizes in ((2 * 7 * 20, [2, 2, 2, 1]), (1, [1] * 7)):
+        stacks.clear()
+        monkeypatch.setattr(recovery, "STACK_ENTRIES", entries)
+        split = recover_runs(params, runs)
+        assert stacks == sizes
+        assert np.array_equal(split.params.stubbornness, whole.params.stubbornness)
+        assert np.array_equal(split.params.influence, whole.params.influence)
+        assert np.array_equal(split.per_agent_residual, whole.per_agent_residual)
+        assert split.identifiability_flags == whole.identifiability_flags
+
+
+def test_recover_matches_rows_bitwise_with_self_loops():
+    # Self-loops put an agent's own column in its design.
+    rng = np.random.default_rng(5)
+    n = 7
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 3) % n) for i in range(0, n, 2)]
+    network = InfluenceNetwork(n, edges + [(i, i) for i in range(0, n, 3)], allow_self_loops=True)
+    params = random_params(rng, network, theta_range=(0.2, 0.8))
+    clean = [simulate(params, rng.uniform(0.0, 1.0, n), 20).values for _ in range(3)]
+    for noise, ridge in itertools.product((0.0, 1e-2), (0.0, 1e-3)):
+        runs = [np.clip(v + rng.uniform(-noise, noise, v.shape), 0.0, 1.0) for v in clean]
+        assert_recover_matches_rows(params, runs, ridge)
+
+
+def test_recover_matches_rows_bitwise_on_every_flag_branch():
+    # One stack holds fitted, fully stubborn and rank-deficient rows side
+    # by side: on a two-way ring every agent has in-degree 2, agents 0, 3
+    # and 4 ignore their neighbours, and 4 and 0 start at their intrinsic
+    # opinions, so agent 5's neighbours hold still.  A constant run then
+    # makes every design rank 1.
+    rng = np.random.default_rng(6)
+    n = 6
+    network = InfluenceNetwork(n, [(i, (i + 1) % n) for i in range(n)] + [((i + 1) % n, i) for i in range(n)])
+    base = random_params(rng, network, theta_range=(0.2, 0.8))
+    theta = np.array(base.stubbornness)
+    theta[[0, 3, 4]] = 1.0
+    params = FjParameters(network=network, intrinsic=base.intrinsic, stubbornness=theta, influence=base.influence)
+    runs = []
+    for _ in range(3):
+        start = rng.uniform(0.0, 1.0, n)
+        start[[4, 0]] = params.intrinsic[[4, 0]]
+        runs.append(simulate(params, start, 12).values)
+    seen = set()
+    for ridge in (0.0, 1e-3):
+        for _, (degenerate, rank_deficient) in assert_recover_matches_rows(params, runs, ridge):
+            seen.add((degenerate, rank_deficient))
+        constant = [np.tile(rng.uniform(0.0, 1.0, n), (7, 1))]
+        for _, causes in assert_recover_matches_rows(params, constant, ridge):
+            assert causes[1]
+            seen.add(causes)
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_simplex_fits_meet_kkt_across_noise_and_ridge():
@@ -338,14 +516,14 @@ def test_simplex_fits_meet_kkt_across_noise_and_ridge():
                 runs = [np.clip(v + rng.uniform(-noise, noise, v.shape), 0.0, 1.0) for v in clean]
                 for ridge in (0.0, 1e-3):
                     for design, response in agent_rows(params, runs):
-                        beta = _simplex_least_squares(design, response, ridge)
-                        active += assert_simplex_kkt(design, response, ridge, beta)
+                        beta = fit_row(design, response, ridge)
+                        active += assert_simplex_kkt(*normal_equations(design, response, ridge), beta)
             constant = [np.tile(rng.uniform(0.0, 1.0, n), (7, 1))]
             for ridge in (0.0, 1e-3):
                 for design, response in agent_rows(params, constant):
                     assert np.linalg.matrix_rank(design) == 1
-                    beta = _simplex_least_squares(design, response, ridge)
-                    assert_simplex_kkt(design, response, ridge, beta)
+                    beta = fit_row(design, response, ridge)
+                    assert_simplex_kkt(*normal_equations(design, response, ridge), beta)
     assert active > 0
 
 
