@@ -281,17 +281,18 @@ def apply_adversarial_weights(params, config, enforce_budgets=True):
     """Return a copy of ``params`` with the attack's weight perturbation applied.
 
     Stubbornness and intrinsic opinions are untouched; only the rows of
-    targeted agents change, and their sums are preserved.
+    targeted agents change, and their sums are preserved.  The targeted
+    rows are re-weighted on the edge list (``_attacked_influence``, as
+    ``simulate_adversarial`` rolls them out), and the copy is built from
+    those edge weights (``FjParameters._from_edge_weights``): W is not
+    copied or scanned densely, only scattered once.  The weights, and W on
+    the edges, have the bits a dense re-weighting of ``params.influence``
+    gives; off the edges W is +0.0, so a -0.0 there in ``params`` is not
+    carried over.
     """
     config.validate_against(params.network, enforce_budgets)
-    rows, hits = _targeted_rows(config, params.n)
-    w = np.array(params.influence)
-    w[rows] = _reweighted(w[rows], hits, config.influence_magnitude)
-    return FjParameters(
-        network=params.network,
-        intrinsic=params.intrinsic,
-        stubbornness=params.stubbornness,
-        influence=w,
+    return FjParameters._from_edge_weights(
+        params.network, params.intrinsic, params.stubbornness, _attacked_influence(params, config)
     )
 
 

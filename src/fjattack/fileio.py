@@ -299,6 +299,15 @@ def load_network(path):
 
 @_collector_paused()
 def load_parameters(path):
+    """The FjParameters of a parameter file.
+
+    A repeated [i, j, weight] keeps its last weight.  When every kept entry
+    lies on an edge, the weights are placed on the edge list and the
+    parameters built from it (``FjParameters._from_edge_weights``), with no
+    dense pass over W.  Otherwise W is built dense and goes through the
+    constructor, which names the problem; the parameters and every refusal
+    are the same either way.
+    """
     payload = read_json(path)
     network = _read_network(payload, path, "parameter file")
     n = network.agent_count
@@ -318,8 +327,16 @@ def load_parameters(path):
         raise ValidationError(f"{path}: weight entry ({i}, {j}) out of range")
     # A repeated (i, j) keeps its last value: assign only last occurrences.
     keys = index[:, 0] * n + index[:, 1]
-    _, last = np.unique(keys[::-1], return_index=True)
+    kept, last = np.unique(keys[::-1], return_index=True)
     last = len(keys) - 1 - last
+    # The edges in row order have sorted keys target * n + source.
+    targets, sources = network._support
+    edge_keys = targets * n + sources
+    position = np.searchsorted(edge_keys, kept)
+    if (edge_keys.take(position, mode="clip") == kept).all():
+        on_support = np.zeros(len(edge_keys))
+        on_support[position] = weights[last]
+        return FjParameters._from_edge_weights(network, s, theta, on_support)
     w = np.zeros((n, n))
     w[index[last, 0], index[last, 1]] = weights[last]
     return FjParameters(network=network, intrinsic=s, stubbornness=theta, influence=w)

@@ -57,15 +57,16 @@ models run the approx search itself, at p = 0 when targeting is off.
   last adversary fastest (itertools.product order).  CONFIG_CHUNK
   configurations at a time are re-scored together, by ``_rescore`` too.
 
-Both scorers build each chunk's untargeted restricted systems once
-(``_systems_with_varah``): per set, M_UU = I - (I - Theta_U) W_UU, its
-right-hand side and its rows' Varah data.  ``_rescore`` gives
-each configuration a copy of its set's system and rebuilds only the rows
-its targets re-weight (``adversary._reweighted_systems``).  A row nobody
-targets has scale 1.0 - 0 * p == 1.0, so it already has the bits a dense
-build gives it, and a rebuilt row repeats that build's operations in its
-order: every system, and the guard's decision on it, is the dense
-build's, bit for bit.
+A chunk's untargeted restricted systems are built once
+(``_systems_with_varah``) and handed to every scorer of the chunk: per
+set, M_UU = I - (I - Theta_U) W_UU, its right-hand side and its rows'
+Varah data.  ``_rescore`` gives each configuration a copy of its set's
+system and rebuilds only the rows its targets re-weight
+(``adversary._reweighted_systems``).  A row nobody targets has scale
+1.0 - 0 * p == 1.0, so it already has the bits a dense build gives it,
+and a rebuilt row repeats that build's operations in its order: every
+system, and the guard's decision on it, is the dense build's, bit for
+bit.
 
 Both modes prune with certified bounds.  For a set A, z its pinned fixed
 point and m its gains, every targeting T obeys
@@ -624,16 +625,17 @@ def _approx_scorer(params, p, gains, bounds):
     bounds UB(A) = sum(z) + the chosen gains, which no configuration of A
     exceeds, are appended to ``bounds`` as one array.  Every product is per
     set, so a set's g, targets and UB(A) do not depend on which sets share
-    its chunk.  Each set's restricted M_UU is built once, passes
+    its chunk.  Each set's restricted M_UU, given as ``built`` (the
+    ``_guarded_systems`` of the chunk) or else built here, passes
     ``check_conditioned`` and is the system its re-score patches; the
     re-weighted system passes the guard too.  With no gain to take
     (``gains.targeting`` false, as at p = 0) no target is chosen and the
     top-target step is skipped.
     """
 
-    def score(adversaries, fixed, gain):
+    def score(adversaries, fixed, gain, built=None):
         sets, k = adversaries.shape
-        pinned, systems, varah = _guarded_systems(params, adversaries)
+        pinned, systems, varah = _guarded_systems(params, adversaries) if built is None else built
         chosen = np.zeros((sets, k, params.n), dtype=bool)
         if gains.targeting:
             eligible = gains.others[adversaries] & ~pinned[:, None, :]
@@ -851,8 +853,10 @@ def _exact_scorer(params, p, threshold=None):
     that row restricted to the set's unpinned agents, which is what the
     re-score reads; its (k, n) target mask is built (``_Choices``) only
     when ``_Argmax`` keeps it, at or above the best g.  The chunk's
-    untargeted systems and restricted rows are built once the first
-    configuration is kept, so a chunk pruned whole builds none.
+    untargeted systems come as ``built`` (``_search`` builds them once for
+    both scorers) or are built here; they and the restricted rows are
+    taken once the first configuration is kept, so a chunk pruned whole
+    builds none.
 
     The scorer prunes iff it is given ``threshold``, a function of no
     arguments that returns the live threshold (``gains.threshold(best.g)``
@@ -869,7 +873,7 @@ def _exact_scorer(params, p, threshold=None):
     prune = threshold is not None
     tables = {}
 
-    def score(adversaries, fixed=None, gain=None):
+    def score(adversaries, fixed=None, gain=None, built=None):
         sets, k = adversaries.shape
         label = _set_label(adversaries)
         agents = np.unique(adversaries).tolist()
@@ -922,7 +926,7 @@ def _exact_scorer(params, p, threshold=None):
                 if systems is None:
                     # Built once a configuration is kept: each kept row,
                     # restricted to its set's unpinned agents.
-                    _, systems, varah = _systems_with_varah(params, adversaries)
+                    _, systems, varah = _systems_with_varah(params, adversaries) if built is None else built
                     restricted = [
                         table[row[:, None], systems.unpinned[own]] for row, own in zip(kept, which)
                     ]
@@ -947,9 +951,10 @@ def _search(params, p, mode, cap, leader_size, adversaries=None):
     after the approx scorer, pruned against the live threshold
     (``_exact_scorer``).
     Both get each chunk with its read: off the tree's leaves, or the one
-    set's ``gains.read``.  The threshold only rises, since g lies in
-    [0, n] and the slack is constant, so whatever it pruned lies below the
-    final one too.  The kernel (``_SchurGains``) is built once, after the
+    set's ``gains.read``, and with its untargeted restricted systems, built
+    and guarded once (``_guarded_systems``).  The threshold only rises,
+    since g lies in [0, n] and the slack is constant, so whatever it
+    pruned lies below the final one too.  The kernel (``_SchurGains``) is built once, after the
     count pass, for either entry.  If it refuses the full system, the
     restricted systems of the first LEADER_CHUNK sets in enumeration order
     (the one set, if given) are guarded, so a refused set is named first,
@@ -979,7 +984,8 @@ def _search(params, p, mode, cap, leader_size, adversaries=None):
         scorers.append(_exact_scorer(params, p, lambda: gains.threshold(best.g)))
 
     def score(chunk, *read):
-        return chain.from_iterable(scorer(chunk, *read) for scorer in scorers)
+        built = _guarded_systems(params, chunk)
+        return chain.from_iterable(scorer(chunk, *read, built) for scorer in scorers)
 
     if adversaries is not None:
         chunk = np.array([adversaries])

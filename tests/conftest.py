@@ -6,8 +6,9 @@ helpers return plain package objects and never cache state between calls.
 
 import numpy as np
 
-from fjattack import AttackConfig, FjParameters, InfluenceNetwork
-from fjattack.linalg import solve_conditioned
+from fjattack import AttackConfig, ConvergenceError, FjParameters, InfluenceNetwork, ValidationError
+from fjattack.dynamics import ROW_SUM_TOL, SPECTRAL_MARGIN, THETA_MIN
+from fjattack.linalg import solve_conditioned, spectral_radius
 
 
 def random_network(rng, n, density=0.4):
@@ -158,3 +159,67 @@ def restricted_outcome(params, adversaries, items, p):
         hits[0, np.searchsorted(unpinned[0], targets), list(adversaries).index(j)] = True
     matrix, rhs = dense_reweighted_systems(w_uu, w_ua, open_minded, base_rhs, hits, p)
     return float(solve_conditioned(matrix[0], rhs[0]).sum()) + len(adversaries)
+
+
+def dense_refusal(network, stubbornness, influence):
+    """(error type, message) of W's checks as a dense scan of all n^2
+    entries makes them, in their order (finite, nonnegative, no weight off
+    the edges, row sums, contraction), or None if W passes."""
+    w = np.array(influence, dtype=float)
+    finite = np.isfinite(w)
+    if not finite.all():
+        return ValidationError, f"influence weights must be finite, got {float(w[~finite][0])!r}"
+    if (w < 0).any():
+        return ValidationError, "influence weights must be nonnegative"
+    if (w[~network.support_mask()] != 0).any():
+        return ValidationError, "influence has nonzero weight outside the edge set"
+    row_sums = w.sum(axis=1)
+    bad = np.abs(row_sums - 1.0) > ROW_SUM_TOL
+    if bad.any():
+        i = int(np.argmax(bad))
+        return ValidationError, f"influence row {i} sums to {row_sums[i]!r}, expected 1 within {ROW_SUM_TOL}"
+    theta = np.asarray(stubbornness, dtype=float)
+    if (theta < THETA_MIN).any():
+        limit = 1.0 - SPECTRAL_MARGIN
+        radius = spectral_radius((1.0 - theta)[:, None] * w, threshold=limit)
+        if radius > limit:
+            return ConvergenceError, (
+                f"dynamics do not contract: spectral radius {radius:.12f} with stubbornness below {THETA_MIN}"
+            )
+    return None
+
+
+def malformed_instances(seed=0):
+    """(name, params, stubbornness, W, on_edges) of W, or theta, that
+    FjParameters refuses: valid parameters on four topologies with one
+    fault each, or two to see which one is named first.  ``on_edges``
+    tells whether every entry W changes lies on an edge."""
+    rng = np.random.default_rng(seed)
+    for topology in ("complete", "erdos_renyi", "ring", "star"):
+        n = int(rng.integers(5, 9))
+        params = random_params(rng, InfluenceNetwork(n, topology_edges(topology, n, rng)))
+        theta = params.stubbornness
+        targets, sources = params.network._support
+        off_rows, off_cols = np.nonzero(~params.network.support_mask())
+        # The first and last entries on and off the edges, in row-major order.
+        on = [(targets[0], sources[0]), (targets[-1], sources[-1])]
+        off = [(off_rows[0], off_cols[0]), (off_rows[-1], off_cols[-1])]
+        faults = {
+            "nan_on": ([(on[0], np.nan)], True),
+            "nan_off": ([(off[0], np.nan)], False),
+            "inf_on": ([(on[1], np.inf)], True),
+            "inf_off": ([(off[1], -np.inf)], False),
+            "negative_on": ([(on[0], -0.25)], True),
+            "negative_off": ([(off[1], -0.25)], False),
+            "positive_off": ([(off[0], 0.25)], False),
+            "row_sum": ([(on[1], params.influence[on[1]] + 1e-6)], True),
+            "negative_before_nan": ([(on[0], -0.25), (on[1], np.nan)], True),
+            "nan_off_and_inf_on": ([(off[0], np.nan), (on[1], np.inf)], False),
+            "inf_on_and_nan_off": ([(on[0], np.inf), (off[1], np.nan)], False),
+        }
+        for name, (entries, on_edges) in faults.items():
+            w = np.array(params.influence)
+            for index, value in entries:
+                w[index] = value
+            yield f"{topology}-{name}", params, theta, w, on_edges
+        yield f"{topology}-theta0", params, np.zeros(n), np.array(params.influence), True

@@ -5,6 +5,7 @@ pinned fixed-point iteration run to 1e-12; its numbers are frozen here so
 any regression in the closed form shows up directly.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,19 +15,25 @@ from conftest import (
     complete_network,
     random_feasible_config,
     random_instance,
+    random_params,
     restricted_outcome,
+    topology_edges,
 )
 from fjattack import (
     AttackConfig,
     FjParameters,
     InfluenceNetwork,
+    Scenario,
     ValidationError,
     adversarial_outcome,
     apply_adversarial_weights,
+    baseline_variant,
     closed_form_outcome,
+    generate,
     outcome_metrics,
     simulate_adversarial,
 )
+from fjattack.adversary import _reweighted, _targeted_rows
 
 
 def three_agent_instance():
@@ -106,6 +113,66 @@ def test_reweighting_preserves_row_sums():
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
         checked += 1
     assert checked >= 100
+
+
+def dense_attacked_parameters(params, config):
+    """apply_adversarial_weights as a dense re-weighting: copy W, re-weight
+    the targeted rows in place and validate the copy as a new FjParameters."""
+    rows, hits = _targeted_rows(config, params.n)
+    w = np.array(params.influence)
+    w[rows] = _reweighted(w[rows], hits, config.influence_magnitude)
+    return FjParameters(params.network, params.intrinsic, params.stubbornness, w)
+
+
+@pytest.fixture(scope="module")
+def replay_instance():
+    """Erdos-Renyi n = 1,000 with theta = 0 on 1% of the agents, so each
+    FjParameters runs the spectral check, and a 10-adversary attack."""
+    n = 1000
+    params = generate(Scenario(topology="erdos_renyi", n=n, edge_prob=0.02, seed=1))[1]
+    theta = np.array(params.stubbornness)
+    theta[np.random.default_rng(1).choice(n, n // 100, replace=False)] = 0.0
+    params = FjParameters(params.network, params.intrinsic, theta, params.influence)
+    return params, baseline_variant(params, "I", leader_size=10)
+
+
+def test_attacked_parameters_are_the_dense_reweightings_bits(replay_instance):
+    rng = np.random.default_rng(29)
+    cases = [replay_instance]
+    for trial in range(32):
+        topology = ("complete", "erdos_renyi", "ring", "star")[trial % 4]
+        n = int(rng.integers(7, 15))
+        network = InfluenceNetwork(n, topology_edges(topology, n, rng))
+        params = random_params(rng, network)
+        p = (1e-3, 0.05)[trial % 2]
+        # A ring's target budgets are 0; elsewhere draw until a target is picked.
+        config = AttackConfig((0,), {}, p)
+        for _ in range(20 if topology != "ring" else 0):
+            if drawn := random_feasible_config(rng, network, p=p, require_target=True):
+                config = drawn
+                break
+        cases.append((params, config))
+    targeted = 0
+    for params, config in cases:
+        got, want = apply_adversarial_weights(params, config), dense_attacked_parameters(params, config)
+        for field in ("influence", "_on_support", "intrinsic", "stubbornness"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        targeted += any(targets for _, targets in config.targets)
+    assert targeted >= 20
+
+
+def test_attacked_parameters_hold_one_dense_w(replay_instance):
+    # The attacked W is scattered once from its edge weights: no copy of
+    # params' W and no dense scan of the result.  The dense re-weighting
+    # peaked above two W (16 MB at n = 1,000).
+    params, config = replay_instance
+    tracemalloc.start()
+    try:
+        apply_adversarial_weights(params, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * params.n**2
 
 
 def test_worked_instance_outcome():

@@ -15,7 +15,9 @@ import pytest
 
 from conftest import (
     complete_network,
+    dense_refusal,
     large_network,
+    malformed_instances,
     random_feasible_config,
     random_instance,
     random_network,
@@ -821,12 +823,17 @@ def test_network_validation_names_the_first_offending_edge():
         ([(0.7, 1), (True, 0)], r"^edge endpoint must be an int, got 0\.7$"),
         ([("0", "1"), ("1", "0")], r"^edge endpoint must be an int, got '0'$"),
         ([], r"^agent 0 has no in-neighbors$"),
+        ([(True, 0), (1, 0), (0, 1)], r"^edge endpoint must be an int, got True$"),
+        ([(2**70, 0), (1, 0)], r"^edge endpoint 1180591620717411303424 out of range for 2 agents$"),
+        (np.array([[2**63, 0], [1, 0]], dtype=np.uint64), r"^edge endpoint 9223372036854775808 out of range"),
     ),
-    ids=("float_and_bool", "text", "empty"),
+    ids=("float_and_bool", "text", "empty", "bool_among_ints", "past_int64", "uint64_past_int64"),
 )
 def test_network_refuses_endpoints_that_are_not_ints(edges, message):
     # A float, bool or text endpoint was once cut to an int: the first two
-    # lists built the edges [[0, 1], [1, 0]].
+    # lists built the edges [[0, 1], [1, 0]], and so did a bool among ints,
+    # which an int array cast promoted before its dtype was read.  An int
+    # past int64 raised a bare OverflowError, or wrapped to a negative.
     with pytest.raises(ValidationError, match=message):
         InfluenceNetwork(2, edges)
 
@@ -917,6 +924,48 @@ def test_parameters_name_a_malformed_influence(influence, message):
     network = InfluenceNetwork(2, ((0, 1), (1, 0)))
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         FjParameters(network, np.array([0.2, 0.8]), np.array([0.5, 0.5]), influence)
+
+
+def test_malformed_w_is_refused_as_the_dense_scan_refused_it():
+    # The rule reads W on its edges; the constructor's one dense pass is the
+    # off-edge count.  Every refusal, through the dense constructor and, for
+    # faults on the edges, through the edge entry, names what a scan of all
+    # n^2 entries in the checks' order named.
+    edge_entries = 0
+    for name, params, theta, w, on_edges in malformed_instances():
+        error, message = dense_refusal(params.network, theta, w)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            FjParameters(params.network, params.intrinsic, theta, w)
+        if on_edges:
+            edge_entries += 1
+            on_support = w[params.network._support]
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                FjParameters._from_edge_weights(params.network, params.intrinsic, theta, on_support)
+    assert edge_entries == 4 * 6
+
+
+def test_edge_entry_builds_the_dense_constructors_parameters():
+    # W on the edges, -0.0 included, gives the dense constructor's bits.
+    rng = np.random.default_rng(77)
+    for trial in range(12):
+        topology = ("complete", "erdos_renyi", "ring", "star")[trial % 4]
+        n = int(rng.integers(4, 30))
+        params = random_params(rng, InfluenceNetwork(n, topology_edges(topology, n, rng)))
+        on_support = np.array(params._on_support)
+        if trial % 2:
+            # Each row's first edge hands its weight to the next and keeps -0.0.
+            pointer = params.network._row_pointer
+            for start, stop in zip(pointer[:-1].tolist(), pointer[1:].tolist()):
+                if stop - start > 1:
+                    on_support[start + 1] += on_support[start]
+                    on_support[start] = -0.0
+        w = np.zeros((n, n))
+        w[params.network._support] = on_support
+        dense = FjParameters(params.network, params.intrinsic, params.stubbornness, w)
+        edge = FjParameters._from_edge_weights(params.network, params.intrinsic, params.stubbornness, on_support)
+        for field in ("intrinsic", "stubbornness", "influence", "_on_support"):
+            assert getattr(edge, field).tobytes() == getattr(dense, field).tobytes()
+            assert not getattr(edge, field).flags.writeable
 
 
 def test_parameters_zero_stubbornness_spectral_gate():

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from conftest import (
+    dense_refusal,
     large_network,
+    malformed_instances,
     random_feasible_config,
     random_instance,
     random_params,
@@ -359,6 +361,73 @@ def test_parameters_load_as_the_per_entry_loop_did(tmp_path):
         assert np.array_equal(loaded.influence, w)
         assert np.array_equal(loaded.stubbornness, params.stubbornness)
         assert np.array_equal(loaded.intrinsic, params.intrinsic)
+
+
+def dense_load(path):
+    """load_parameters as a dense build: W from a per-entry loop, the last
+    of repeated entries winning, through the dense constructor."""
+    payload = json.loads(open(path).read())
+    n = payload["n"]
+    w = np.zeros((n, n))
+    for i, j, value in payload["w"]:
+        w[i, j] = value
+    network = InfluenceNetwork(n, np.array(payload["edges"], dtype=np.int64).reshape(-1, 2))
+    return FjParameters(network, payload["s"], payload["theta"], w)
+
+
+def test_parameters_load_as_the_dense_build_did(tmp_path, monkeypatch):
+    # Files with repeated entries, -0.0 on and off the edges and zero weights
+    # off them load to the dense build's bits, by the edge entry when every
+    # kept entry lies on an edge and by the dense constructor otherwise.
+    edge_entries = []
+    real = FjParameters._from_edge_weights.__func__
+
+    def spy(cls, *args):
+        edge_entries.append(True)
+        return real(cls, *args)
+
+    monkeypatch.setattr(FjParameters, "_from_edge_weights", classmethod(spy))
+    rng = np.random.default_rng(31)
+    for trial in range(24):
+        topology = ("complete", "erdos_renyi", "ring", "star")[trial % 4]
+        n = int(rng.integers(4, 30))
+        params = random_params(rng, InfluenceNetwork(n, topology_edges(topology, n, rng)))
+        payload = parameters_to_json(params)
+        triples = payload["w"]
+        # Each row's first weight moves to its second edge, leaving -0.0.
+        for first, second in zip(triples, triples[1:]):
+            if first[0] == second[0] and rng.random() < 0.5:
+                second[2] += first[2]
+                first[2] = -0.0
+        # Earlier entries for the same (i, j), with other weights, lose.
+        chosen = rng.choice(len(triples), size=len(triples) // 3, replace=False)
+        stale = [[triples[c][0], triples[c][1], float(rng.uniform(-1.0, 2.0))] for c in chosen]
+        triples[:0] = stale
+        off_edges = trial % 3 == 0
+        if off_edges:
+            rows, cols = np.nonzero(~params.network.support_mask())
+            triples += [[int(rows[k]), int(cols[k]), (0.0, -0.0)[k % 2]] for k in range(0, len(rows), 4)]
+        path = tmp_path / f"params_{trial}.json"
+        write_json(path, payload)
+        edge_entries.clear()
+        loaded, want = load_parameters(path), dense_load(path)
+        assert edge_entries == ([] if off_edges else [True])
+        for field in ("intrinsic", "stubbornness", "influence", "_on_support"):
+            assert getattr(loaded, field).tobytes() == getattr(want, field).tobytes()
+
+
+def test_malformed_w_in_a_file_is_refused_as_the_dense_scan_refused_it(tmp_path):
+    # Faults on the edges load by the edge entry, faults off them by the
+    # dense constructor; both name what a dense scan of W named.
+    path = tmp_path / "params.json"
+    for name, params, theta, w, _ in malformed_instances(seed=3):
+        payload = parameters_to_json(params)
+        payload["theta"] = theta.tolist()
+        payload["w"] = [[i, j, w[i, j]] for i, j in np.argwhere(w != 0.0).tolist()]
+        write_json(path, payload)
+        error, message = dense_refusal(params.network, theta, w)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            load_parameters(path)
 
 
 def test_config_rejects_non_integral_agents(tmp_path):

@@ -749,6 +749,38 @@ def test_exact_mode_is_one_pass(monkeypatch):
     assert several >= 3
 
 
+def test_exact_search_builds_each_chunks_systems_once(monkeypatch):
+    # Both scorers of a chunk take the one build of its untargeted
+    # restricted systems: one _restricted_systems call per scored chunk.
+    built, scored = [], []
+    real_systems = fjattack.optimizer._restricted_systems
+    real_scorer = fjattack.optimizer._approx_scorer
+
+    def systems_spy(params, adversaries):
+        built.append(adversaries.tolist())
+        return real_systems(params, adversaries)
+
+    def scorer_spy(*args):
+        score = real_scorer(*args)
+
+        def spied(adversaries, *read):
+            scored.append(adversaries.tolist())
+            return score(adversaries, *read)
+
+        return spied
+
+    monkeypatch.setattr(fjattack.optimizer, "_restricted_systems", systems_spy)
+    monkeypatch.setattr(fjattack.optimizer, "_approx_scorer", scorer_spy)
+    chunks = 0
+    for name, params in regime_instances((8, 11), ("erdos_renyi", "star")):
+        built.clear()
+        scored.clear()
+        solve_attack(params, p=1e-3, follower_mode="exact")
+        assert scored and built == scored, name
+        chunks += len(scored)
+    assert chunks > 2 * len(THETA_REGIMES) * 2
+
+
 def test_pruned_exact_keeps_every_tie_at_the_bound(monkeypatch):
     # Star leaves hear only the hub, so a pinned hub's targets all have gain
     # 0 and every configuration of its set ties at the set's bound; the
