@@ -11,9 +11,10 @@ are the only nondeterministic output.
 Every planner keeps the optimizer's one argmax and tie rule: the
 comparison's ``ours_*`` strategies through solve_attack, and the
 ablation's models through the approx search (pinned adversaries, the
-optimizer's leader tree) or ``_unpinned_scorer`` over every set with
-``optimizer._leader_search`` (drifting adversaries), each at the
-scenario's p or, with targeting off, at p = 0.
+optimizer's leader tree) or ``optimizer._drifting_search`` over every set
+(drifting adversaries), each at the scenario's p or, with targeting off,
+at p = 0.  Both build M and its inverse in the optimizer's one kernel;
+the harness scores no set itself.
 Each strategy's config is validated and re-scored under the true
 attacked dynamics by one row builder, ``_result_row``.
 A scenario's leader size passes ``optimizer._check_leader_size``, and a
@@ -24,14 +25,12 @@ malformed field raises ValidationError.
 import math
 import time
 from dataclasses import astuple, dataclass, fields, replace
-from itertools import combinations
 
 import numpy as np
 
 from .adversary import (
     DEFAULT_P,
     AttackConfig,
-    _reweighted,
     adversarial_outcome,
     outcome_metrics,
 )
@@ -46,16 +45,13 @@ from .dynamics import (
 )
 from .errors import CapExceededError, ValidationError
 from .fileio import format_sig, load_parameters, round_sig
-from .linalg import check_conditioned, invert_conditioned
 from .optimizer import (
     DEFAULT_CONFIG_CAP,
     _check_cap,
     _check_leader_size,
     _check_magnitude,
-    _leader_search,
+    _drifting_search,
     _search,
-    _set_label,
-    _top_targets,
     baseline_variant,
     solve_attack,
 )
@@ -439,63 +435,6 @@ def run_comparison(scenario, strategies, cap=DEFAULT_CONFIG_CAP):
     return rows
 
 
-def _unpinned_scorer(params, p):
-    """score(chunk) for _leader_search under the no-pinning planner model.
-
-    Adversaries keep their stubbornness but take intrinsic opinion 1 and
-    keep drifting with everyone else, so the model is plain dynamics on
-    all n agents with M = I - (I - Theta) W for every set, and no set is
-    pinned out of it.  So the planner's leader tree, which pins, has
-    nothing to read here: only the guarded inverse of M
-    (``invert_conditioned``), taken when the scorer is built, gives the
-    sensitivity c = (I - Theta) M^-T 1 and, through one product per chunk,
-    every set's fixed point z0.  Adversary j's gain on agent i is p c_i (z0_j - (W z0)_i);
-    each adversary keeps its top target-budget eligible targets with a
-    positive gain.  A boolean stack marks them, ``adversary._reweighted``
-    re-weights W by the attack's one rule, and the chunk's n x n systems
-    are guarded by ``check_conditioned`` and re-scored in one batched
-    solve.  At p = 0, or with zero target budgets, every gain is 0 or
-    untakeable, so no gain is computed.  A chunk in which no set chose a
-    target keeps z0 instead, which is what that solve would return.
-    Yields one configuration per set.
-    """
-    network = params.network
-    theta = params.stubbornness
-    weights = params.influence
-    n = params.n
-    system = np.eye(n) - (1.0 - theta)[:, None] * weights
-    minv = invert_conditioned(system[None], lambda b: "system I - (I - Theta) W")[0]
-    sensitivity = (1.0 - theta) * minv.sum(axis=0)
-    listeners = network.support_mask().T
-    budgets = network.target_budgets()
-    targeting = bool(p) and bool(budgets.any())
-
-    def score(adversaries):
-        sets, k = adversaries.shape
-        rows = np.arange(sets)[:, None]
-        pinned = np.zeros((sets, n), dtype=bool)
-        pinned[rows, adversaries] = True
-        rhs = np.where(pinned, 1.0, params.intrinsic) * theta
-        z = rhs @ minv.T
-        chosen = np.zeros((sets, k, n), dtype=bool)
-        if targeting:
-            received = z @ weights.T
-            gain = p * sensitivity * (z[rows, adversaries][:, :, None] - received[:, None, :])
-            chosen = _top_targets(
-                gain, listeners[adversaries] & ~pinned[:, None, :], budgets[adversaries]
-            )
-        # With no target chosen every re-weighted matrix is M itself: z0 stands.
-        if chosen.any():
-            hits = np.zeros((sets, n, n), dtype=bool)
-            hits[rows, :, adversaries] = chosen
-            matrix = np.eye(n) - (1.0 - theta)[:, None] * _reweighted(weights, hits, p)
-            check_conditioned(matrix, _set_label(adversaries))
-            z = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
-        yield z.sum(axis=1), chosen, np.arange(sets)
-
-    return score
-
-
 def run_ablation(scenario):
     """Score four planner models on one instance under the true dynamics.
 
@@ -508,12 +447,12 @@ def run_ablation(scenario):
                   maximizes plain g with intrinsic 1), targets uniform
 
     Each mode is one row of ``_ABLATION_MODELS``.  A pinned model runs the
-    approx search of solve_attack, a drifting one ``_unpinned_scorer``,
-    both on the shared leader search; a model with targeting off plans at
-    p = 0.  Whatever each planner believes, the emitted config carries the
-    scenario's p and is validated and scored under the real attacked
-    dynamics, so the rows isolate how much each modeling ingredient
-    contributes.
+    approx search of solve_attack, a drifting one
+    ``optimizer._drifting_search``, both on the optimizer's one kernel and
+    tie rule; a model with targeting off plans at p = 0.  Whatever each
+    planner believes, the emitted config carries the scenario's p and is
+    validated and scored under the real attacked dynamics, so the rows
+    isolate how much each modeling ingredient contributes.
     """
     network, params = generate(scenario)
     baseline_g = closed_form_outcome(params).g
@@ -525,8 +464,7 @@ def run_ablation(scenario):
         if pinned:
             key, _, sets, configs, _ = _search(params, p, "approx", None, leader_size)
         else:
-            leader_sets = combinations(range(network.agent_count), leader_size)
-            key, _, sets, configs = _leader_search(leader_sets, _unpinned_scorer(params, p))
+            key, _, sets, configs = _drifting_search(params, p, leader_size)
         adversaries, items = key
         if not targeting:
             rng = _substream(scenario.seed, STREAM_ABLATION, mode_index)

@@ -42,14 +42,17 @@ Every search scores stacks of at most LEADER_CHUNK sets: a scorer takes a
 chunk with its read (z, gains) and yields the exact g of batches of
 configurations; ``_Argmax`` keeps the lexicographic argmax.  solve_attack
 and solve_follower run one entry, ``_search``, in either mode; it walks
-the sets with the leader tree.  The oracle and the ablation's drifting
-models walk every set with ``_leader_search``.  The ablation's pinned
-models run the approx search itself, at p = 0 when targeting is off.
+the sets with the leader tree.  The oracle walks every set with
+``_leader_search``, and so does the ablation's drifting planner,
+``_drifting_search``, on the kernel's M^-1: its adversaries are not
+pinned, so the tree has nothing to read.  The ablation's pinned models
+run the approx search itself; either kind plans at p = 0 when targeting
+is off.
 
 * The approx scorer picks each adversary's targets with ``_top_targets``
-  (a masked stable top-budget selection, shared with the ablation's
-  unpinned scorer); one guarded, batched solve (``_rescore``) re-scores
-  the re-weighted systems.
+  (a masked stable top-budget selection, shared with the drifting
+  planner); one guarded, batched solve (``_rescore``) re-scores the
+  re-weighted systems.
 * The exact scorer serves exact solve_attack, exact solve_follower and
   brute_force_oracle.  Each agent's within-budget target subsets are a
   table of boolean masks in canonical (size, lex) order; a set keeps the
@@ -187,7 +190,7 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .adversary import DEFAULT_P, AttackConfig, _restricted_systems, _reweighted_systems
+from .adversary import DEFAULT_P, AttackConfig, _restricted_systems, _reweighted, _reweighted_systems
 from .dynamics import _as_float, _check_count
 from .errors import CapExceededError, ConvergenceError, ValidationError
 from .linalg import check_conditioned, invert_conditioned, varah_rows
@@ -201,15 +204,20 @@ DEFAULT_CONFIG_CAP = 10_000_000
 LEADER_CHUNK = 128
 
 # Bytes of R held per chunk of inner leader-tree nodes, n^2 floats each:
-# LEADER_CHUNK nodes up to n = 30, fewer above (11 at n = 100).  The tree
-# holds at most one chunk per depth, so its nodes peak near (k - 1)
-# NODE_BYTES: 7.4 MB at n = 30 and 29 MB at n = 100 (k = 33).  The greedy
-# dive that opens the walk holds one single-set node per depth, k - 1 R of
-# 8 n^2 bytes, until its set is read: 0.06 MB at n = 30, 2.6 MB at
-# n = 100 and 2.66 GB at n = 1,000 (k = 333).  Measured
-# with tracemalloc, an approx plan peaks near 0.04 MB at complete n = 14,
-# 0.4 MB at Erdos-Renyi n = 30, 4.4 MB at n = 40, 14.5 MB at n = 60 and
-# 28 MB at n = 100 (edge probability 0.05, after its first minute).
+# LEADER_CHUNK nodes up to n = 30, fewer above (11 at n = 100), and one
+# node past n = 339, where a node of 8 n^2 bytes outgrows NODE_BYTES.  The
+# tree holds at most one chunk per depth, so its nodes peak near (k - 1)
+# max(NODE_BYTES, 8 n^2): 7.4 MB at n = 30, 29 MB at n = 100 (k = 33) and
+# 2.66 GB at n = 1,000 (k = 333).  The greedy dive that opens the walk
+# holds only the nodes its set's canonical read can reuse, and the node it
+# steps from: k - 1 R at most, a few once its picks leave rank order.
+# Greedy-only (every child bound -inf; Erdos-Renyi, edge probability 0.02,
+# seed 1), tracemalloc puts the plan's peak at 9.1 R of 8 n^2 bytes at
+# n = 150 (1.6 MB), 13.4 at n = 400 (17 MB) and 7.2 at n = 1,000 (58 MB);
+# holding every dive node, it was 52.8 and 136 R at n = 150 and 400.
+# Measured with tracemalloc, an approx plan peaks near 0.04 MB at complete
+# n = 14, 0.4 MB at Erdos-Renyi n = 30, 4.4 MB at n = 40, 14.5 MB at n = 60
+# and 28 MB at n = 100 (edge probability 0.05, after its first minute).
 NODE_BYTES = LEADER_CHUNK * 30 * 30 * 8
 
 
@@ -708,6 +716,55 @@ def _leader_search(leader_sets, score):
     return best.key, best.g, sets, best.configs
 
 
+def _drifting_search(params, p, leader_size):
+    """The ablation's drifting planner: ``_leader_search`` over every set
+    of ``leader_size``, on the kernel's inverse of M.
+
+    Adversaries keep their stubbornness but take intrinsic opinion 1 and
+    keep drifting with everyone else, so the model is plain dynamics on
+    all n agents with M = I - (I - Theta) W for every set, and no set is
+    pinned out of it.  So the leader tree, which pins, has nothing to read
+    here: the kernel (``_SchurGains``) gives M^-1 and its root's 1^T M^-1,
+    hence the sensitivity c = (I - Theta) M^-T 1 and, through one product
+    per chunk, every set's fixed point z0.  Adversary j's gain on agent i
+    is p c_i (z0_j - (W z0)_i); each adversary keeps its top target-budget
+    eligible targets with a positive gain (``_top_targets``).  A boolean
+    stack marks them, ``adversary._reweighted`` re-weights W by the
+    attack's one rule, and the chunk's n x n systems are guarded by
+    ``check_conditioned`` and re-scored in one batched solve.  With no gain
+    to take (``gains.targeting`` false, as at p = 0) no gain is computed,
+    and a chunk in which no set chose a target keeps z0, which is what
+    that solve would return.  Returns ``_leader_search``'s result.
+    """
+    gains = _SchurGains(params, p)
+    theta, weights, n = params.stubbornness, params.influence, params.n
+    sensitivity = (1.0 - theta) * gains.root[3][0]
+
+    def score(adversaries):
+        sets, k = adversaries.shape
+        rows = np.arange(sets)[:, None]
+        pinned = np.zeros((sets, n), dtype=bool)
+        pinned[rows, adversaries] = True
+        rhs = np.where(pinned, 1.0, params.intrinsic) * theta
+        z = rhs @ gains.minv.T
+        chosen = np.zeros((sets, k, n), dtype=bool)
+        if gains.targeting:
+            received = z @ weights.T
+            gain = gains.p * sensitivity * (z[rows, adversaries][:, :, None] - received[:, None, :])
+            eligible = gains.others[adversaries] & ~pinned[:, None, :]
+            chosen = _top_targets(gain, eligible, gains.budgets[adversaries])
+        # With no target chosen every re-weighted matrix is M itself: z0 stands.
+        if chosen.any():
+            hits = np.zeros((sets, n, n), dtype=bool)
+            hits[rows, :, adversaries] = chosen
+            matrix = np.eye(n) - (1.0 - theta)[:, None] * _reweighted(weights, hits, gains.p)
+            check_conditioned(matrix, _set_label(adversaries))
+            z = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
+        yield z.sum(axis=1), chosen, np.arange(sets)
+
+    return _leader_search(combinations(range(n), leader_size), score)
+
+
 def _branch_and_bound(gains, k, score, best):
     """Certified branch-and-bound over the size-k sets, into ``best`` (an _Argmax).
 
@@ -733,9 +790,15 @@ def _branch_and_bound(gains, k, score, best):
     off their parents, and ``score`` gets them LEADER_CHUNK at a time with
     their (z, gains).  Inner children are taken at most ``_node_chunk(n)``
     at a time, and one such chunk of nodes per depth is held, so the nodes
-    peak near (k - 1) NODE_BYTES.  Before the walk, the dive holds its k - 1
-    single-set nodes, (k - 1) 8 n^2 bytes of R, and lets them go once the
-    greedy set's canonical node is taken.
+    peak near (k - 1) NODE_BYTES while one node fits in NODE_BYTES (n <=
+    339); past that a chunk is one node, and they peak near (k - 1) 8 n^2
+    bytes.  The dive keeps only the nodes the canonical read can reuse: at
+    each pick it drops every kept node whose last agent ranks above the
+    pick, and keeps a new node only while every earlier one is kept.  So
+    besides the node it steps from it holds that prefix, k - 1 single-set
+    nodes only if it pins in rank order throughout, and a few once its
+    picks leave rank order; it lets them go once the greedy set's
+    canonical node is taken.
     """
     root, rank, stack = gains.root, gains.rank, []
     inner = _node_chunk(len(rank))
@@ -752,15 +815,24 @@ def _branch_and_bound(gains, k, score, best):
     base, scores = gains.root_scores
     bound = _child_bounds(rank, root[0], base, scores, k)
     one = np.zeros(1, dtype=np.intp)
-    path = [root]
-    for _ in range(k - 1):
-        step = gains.step(path[-1], one, np.argmax(scores, axis=1))
+    nodes, path = root, [root]
+    for depth in range(k):
+        v = np.argmax(scores, axis=1)
+        # A node stays reusable while its agents rank in pin order, below every later pick.
+        while len(path) > 1 and rank[path[-1][0][0, -1]] > rank[v[0]]:
+            path.pop()
+        if depth == k - 1:
+            break
+        step = gains.step(nodes, one, v)
         _, scores = gains.scores(*step[4:])
-        path.append(gains.pin(path[-1], step))
-    dive = np.append(path[-1][0][0], np.argmax(scores[0]))
+        unbroken = path[-1] is nodes
+        nodes = gains.pin(nodes, step)
+        if unbroken:
+            path.append(nodes)
+    dive = np.append(nodes[0][0], v)
     canonical = dive[np.argsort(rank[dive])]
-    reused = np.argmin(np.append(dive[: k - 1] == canonical[: k - 1], False))
-    nodes = path[reused]
+    reused = len(path) - 1
+    nodes = path[-1]
     del path
     for v in canonical[reused : k - 1]:
         nodes = gains.pin(nodes, gains.step(nodes, one, v[None]))

@@ -31,12 +31,11 @@ from fjattack.harness import (
     _erdos_renyi_edges,
     _random_targets,
     _uniform_below,
-    _unpinned_scorer,
     result_rows_to_csv,
     result_rows_to_json,
 )
 from fjattack.linalg import factor_conditioned, solve_conditioned
-from fjattack.optimizer import _leader_search, _subset_masks
+from fjattack.optimizer import _drifting_search, _subset_masks
 
 
 def test_generate_complete_shape():
@@ -490,16 +489,12 @@ def test_unpinned_scorer_matches_per_set_reference(topology):
         scenario = Scenario(scenario_id="up", topology=topology, n=n, seed=300 + n)
         network, params = generate(scenario)
         size = network.leader_budget()
-        key, model_g, sets, configs = _leader_search(
-            combinations(range(n), size), _unpinned_scorer(params, scenario.p)
-        )
+        key, model_g, sets, configs = _drifting_search(params, scenario.p, size)
         expected_key, expected_g = reference_wo_pinning(params, scenario.p, size)
         assert key == expected_key
         assert model_g == pytest.approx(expected_g, rel=1e-13)
         assert sets == configs == math.comb(n, size)
-        (adversaries, items), model_g, _, _ = _leader_search(
-            combinations(range(n), size), _unpinned_scorer(params, 0.0)
-        )
+        (adversaries, items), model_g, _, _ = _drifting_search(params, 0.0, size)
         expected_adversaries, expected_g = reference_wo_both(params, size)
         assert adversaries == expected_adversaries
         assert model_g == pytest.approx(expected_g, rel=1e-13)
@@ -522,23 +517,57 @@ def test_unpinned_scorer_takes_no_gain_step_at_zero_magnitude(monkeypatch):
     # The ablation's drifting model with targeting off plans at p = 0,
     # where every gain is 0: it chooses no target without computing one.
     network, params = generate(Scenario(scenario_id="z", topology="complete", n=9, seed=2))
-    expected = _leader_search(combinations(range(9), 2), _unpinned_scorer(params, 0.0))
+    expected = _drifting_search(params, 0.0, 2)
 
     def refuse(*args):
         raise AssertionError("top-target step at p = 0")
 
-    monkeypatch.setattr(fjattack.harness, "_top_targets", refuse)
-    got = _leader_search(combinations(range(9), 2), _unpinned_scorer(params, 0.0))
+    monkeypatch.setattr(fjattack.optimizer, "_top_targets", refuse)
+    got = _drifting_search(params, 0.0, 2)
     assert got == expected
     assert all(targets == () for _, targets in got[0][1])
 
 
 def test_unpinned_scorer_is_conditioning_guarded(monkeypatch):
     network, params = generate(Scenario(scenario_id="g", topology="complete", n=10, seed=1))
-    score = _unpinned_scorer(params, 1e-3)
+    # A re-scored drifting system that fails the guard is refused with its set named.
+    real_check = fjattack.optimizer.check_conditioned
+
+    def refuse_drifting(matrix, label, *rest):
+        if matrix.shape[1:] == (10, 10):
+            raise ConvergenceError(f"{label(0)} refused")
+        return real_check(matrix, label, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fjattack.optimizer, "check_conditioned", refuse_drifting)
+        with pytest.raises(ConvergenceError, match=r"adversary set \(0, 1, 2\)"):
+            _drifting_search(params, 1e-3, 3)
+    # M itself is refused by the kernel, before any set is scored.
     monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", 1.0)
-    with pytest.raises(ConvergenceError, match=r"adversary set \(0, 1, 2\)"):
-        _leader_search(combinations(range(10), 3), score)
-    # The set-independent factorization is guarded when the scorer is built.
-    with pytest.raises(ConvergenceError):
-        _unpinned_scorer(params, 1e-3)
+    with pytest.raises(ConvergenceError, match=r"system I - \(I - Theta\) W"):
+        _drifting_search(params, 1e-3, 3)
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.0])
+def test_drifting_search_inverts_m_once_through_the_kernel(monkeypatch, p):
+    network, params = generate(Scenario(scenario_id="i", topology="erdos_renyi", n=10, seed=3))
+    calls = []
+    real_invert = fjattack.optimizer.invert_conditioned
+    real_init = fjattack.optimizer._SchurGains.__init__
+    building = []
+
+    def init_spy(self, *args):
+        building.append(True)
+        try:
+            real_init(self, *args)
+        finally:
+            building.pop()
+
+    def invert_spy(matrix, label):
+        calls.append((matrix.shape, bool(building), label(0)))
+        return real_invert(matrix, label)
+
+    monkeypatch.setattr(fjattack.optimizer, "invert_conditioned", invert_spy)
+    monkeypatch.setattr(fjattack.optimizer._SchurGains, "__init__", init_spy)
+    _drifting_search(params, p, network.leader_budget())
+    assert calls == [((1, 10, 10), True, "system I - (I - Theta) W")]
