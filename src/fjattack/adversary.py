@@ -202,7 +202,7 @@ def _restricted_systems(params, adversaries):
 
 
 def _reweighted_systems(systems, owner, hits, p):
-    """(matrix, rhs, rebuilt) of each re-weighted restricted system.
+    """(matrix, rhs) of each re-weighted restricted system.
 
     Member c is set owner[c] of ``systems`` (a ``_Systems``) with its
     targets hits[a, c, u], which marks unpinned agent u as a target of
@@ -211,12 +211,11 @@ def _reweighted_systems(systems, owner, hits, p):
     it solves densely.
 
     Member c starts as a copy of its set's untargeted system, and only the
-    rows its targets hit are rebuilt: ``rebuilt`` lists them as rows
-    c m + u of the members' stacked (C m, m) rows.  Row u of the re-weighted
-    system is I_u - (1 - theta_u) (1 - h_u p) W_uU, where h_u adversaries
-    target u, and its right-hand side is theta_u s_u + (1 - theta_u)
-    sum_a ((1 - h_u p) w_ua + p [a targets u]).  A row nobody targets has
-    scale 1.0 - 0 * p == 1.0 and no +p, so the untargeted row is already its
+    rows its targets hit are rebuilt.  Row u of the re-weighted system is
+    I_u - (1 - theta_u) (1 - h_u p) W_uU, where h_u adversaries target u,
+    and its right-hand side is theta_u s_u + (1 - theta_u) sum_a
+    ((1 - h_u p) w_ua + p [a targets u]).  A row nobody targets has scale
+    1.0 - 0 * p == 1.0 and no +p, so the untargeted row is already its
     bits; a targeted row is rebuilt with the same operations in the same
     order.
     """
@@ -237,7 +236,7 @@ def _reweighted_systems(systems, owner, hits, p):
     matrix.reshape(-1, m)[rebuilt] = np.subtract(np.eye(m).take(u, axis=0), weights, out=weights)
     mass += p * hits.reshape(k, count.size).take(rebuilt, axis=1).T
     rhs.ravel()[rebuilt] = systems.base_rhs.take(source) + open_minded * mass.sum(axis=1)
-    return matrix, rhs, rebuilt
+    return matrix, rhs
 
 
 def _reweighted(rows, hits, p):
@@ -331,7 +330,7 @@ def adversarial_outcome(params, config, enforce_budgets=True):
         hits = np.zeros((len(adversaries), params.n), dtype=bool)
         hits[tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)] = True
         owner = np.zeros(1, dtype=np.intp)
-        matrix, rhs, _ = _reweighted_systems(
+        matrix, rhs = _reweighted_systems(
             systems, owner, hits[:, None, unpinned], config.influence_magnitude
         )
         z_u = solve_conditioned(matrix[0], rhs[0])

@@ -78,18 +78,7 @@ def invert_conditioned(stack, label):
     return inverse
 
 
-def varah_rows(rows, diagonal):
-    """(2 |a_ii| - sum_j |a_ij|, sum_j |a_ij|) of each row of a stack.
-
-    ``rows`` is a (..., m) stack of matrix rows and ``diagonal`` holds
-    each row's diagonal entry a_ii, so a (batch, m, m) stack of matrices
-    passes with its ``np.diagonal(stack, axis1=-2, axis2=-1)``.
-    """
-    row_sums = np.abs(rows).sum(axis=-1)
-    return 2.0 * np.abs(diagonal) - row_sums, row_sums
-
-
-def check_conditioned(stack, label, rows=None):
+def check_conditioned(stack, label):
     """Reject ill-conditioned members of a (batch, m, m) stack of matrices.
 
     A member whose rows are strictly diagonally dominant with margin
@@ -99,15 +88,9 @@ def check_conditioned(stack, label, rows=None):
     with room for the rounding of delta, pass without a factorization; the
     rest go through invert_conditioned, whose ConvergenceError names the
     member by ``label(b)``.
-
-    ``rows`` is the stack's ``varah_rows``, computed here if not given.  A
-    member's delta is the least of its rows' first entries and its norm
-    the largest of their second ones, so a caller that patches some rows
-    of a stack can patch their row data too instead of rescanning it.
     """
-    dominance, row_sums = (
-        varah_rows(stack, np.diagonal(stack, axis1=-2, axis2=-1)) if rows is None else rows
-    )
+    row_sums = np.abs(stack).sum(axis=-1)
+    dominance = 2.0 * np.abs(np.diagonal(stack, axis1=-2, axis2=-1)) - row_sums
     m = stack.shape[-1]
     margin = dominance.min(axis=-1)
     norm = row_sums.max(axis=-1)
@@ -115,6 +98,17 @@ def check_conditioned(stack, label, rows=None):
     unsure = np.flatnonzero(~(margin - rounding > m * m * norm * RCOND_MIN))
     if unsure.size:
         invert_conditioned(stack[unsure], lambda b: label(int(unsure[b])))
+
+
+def certifies(kappa):
+    """Whether every matrix with 1-norm condition number at most ``kappa``
+    passes ``check_conditioned`` and ``invert_conditioned``.
+
+    True when kappa RCOND_MIN <= 1/2: each such matrix has rcond at least
+    2 RCOND_MIN, and the factor 2 covers the rounding of a computed rcond
+    and of ``kappa`` itself.  A NaN kappa certifies nothing.
+    """
+    return kappa * RCOND_MIN <= 0.5
 
 
 def solve_conditioned(matrix, rhs):

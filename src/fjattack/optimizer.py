@@ -51,8 +51,8 @@ is off.
 
 * The approx scorer picks each adversary's targets with ``_top_targets``
   (a masked stable top-budget selection, shared with the drifting
-  planner); one guarded, batched solve (``_rescore``) re-scores the
-  re-weighted systems.
+  planner); one batched solve (``_rescore``) re-scores the re-weighted
+  systems.
 * The exact scorer serves exact solve_attack, exact solve_follower and
   brute_force_oracle.  Each agent's within-budget target subsets are a
   table of boolean masks in canonical (size, lex) order; a set keeps the
@@ -61,15 +61,14 @@ is off.
   configurations at a time are re-scored together, by ``_rescore`` too.
 
 A chunk's untargeted restricted systems are built once
-(``_systems_with_varah``) and handed to every scorer of the chunk: per
-set, M_UU = I - (I - Theta_U) W_UU, its right-hand side and its rows'
-Varah data.  ``_rescore`` gives each configuration a copy of its set's
-system and rebuilds only the rows its targets re-weight
+(``adversary._restricted_systems``) and handed to every scorer of the
+chunk: per set, M_UU = I - (I - Theta_U) W_UU and its right-hand side.
+``_rescore`` gives each configuration a copy of its set's system and
+rebuilds only the rows its targets re-weight
 (``adversary._reweighted_systems``).  A row nobody targets has scale
 1.0 - 0 * p == 1.0, so it already has the bits a dense build gives it,
 and a rebuilt row repeats that build's operations in its order: every
-system, and the guard's decision on it, is the dense build's, bit for
-bit.
+system is the dense build's, bit for bit.
 
 Both modes prune with certified bounds.  For a set A, z its pinned fixed
 point and m its gains, every targeting T obeys
@@ -140,21 +139,46 @@ still counts in leader_evaluations (and, in exact mode, its
 configurations in follower_candidates) as covered.
 
 The full system passes ``linalg.invert_conditioned`` as the kernel is
-built; every scored set's restricted system and every re-scored system
-pass ``linalg.check_conditioned``, which clears a stack by a
-diagonal-dominance bound, or else by the exact rcond, and names the
-adversary set it rejects.  Unscored sets are guarded only if M is
-refused, so that ``_search`` names a refused set first on either entry:
-while M passes, so does every restricted M_UU.  M
-is a nonsingular M-matrix, so ||M_UU||_1 <= ||M||_1 (a principal
-submatrix), and 0 <= (M_UU)^-1 <= (M^-1)_UU entrywise (the node's R, see
-``_SchurGains.pin``), so ||(M_UU)^-1||_1 <= ||M^-1||_1 and
-kappa_1(M_UU) <= kappa_1(M).  A node read divides only by pivots
-R_vv >= 1.  Every exact score here, stacked or one at a time, patches
-its set's untargeted system with ``adversary._reweighted_systems``, the
-package's one system builder; so does ``adversarial_outcome`` below the
-bracket gate (``dynamics._bracket_cap``) and whenever its bracket stops
-early, where only the LAPACK solve differs.
+built, and one certificate then stands for every system a search
+solves.  Write B = (I - Theta) W >= 0, so M = I - B is a nonsingular
+M-matrix, and its diagonal is 1 since W has none.  A set's restricted
+system, re-weighted by a configuration's targets, is
+
+    M' = I - (I - Theta_U) diag(s) W_UU,    s_u = 1 - h_u p,
+
+with h_u the adversaries that target u (s = 1 untargeted).
+``_check_sharing`` refuses, before any scoring, every p at which a
+scored configuration could have h_u p >= 1, so 0 < s_u <= 1 and
+0 <= B' <= B_UU entrywise.  Hence M'^-1 = sum of B'^t is entrywise
+nonnegative and at most sum of B_UU^t = (M_UU)^-1, itself at most
+(M^-1)_UU (the node's R, see ``_SchurGains.pin``): ||M'^-1||_1 <=
+||M^-1||_1.  And ||M'||_1 <= 1 + ||B'||_1 <= 1 + ||B||_1 = ||M||_1.  So
+
+    kappa_1(M') <= kappa_1(M) = (1 + ||(I - Theta) W||_1) ||M^-1||_1,
+
+the certificate, read off the M^-1 the kernel holds.  When kappa_1(M)
+RCOND_MIN <= 1/2 (``linalg.certifies``), no ``check_conditioned`` on
+any of these systems can refuse, the factor 2 covering the rounding of a
+computed rcond: the search is certified, and builds and solves its
+systems with no guard.  An uncertified search runs
+``linalg.check_conditioned`` on every restricted and re-scored stack
+(the oracle on every re-scored one: each set's first configuration
+targets nobody, so its system is the set's restricted one, bit for bit).
+The guard clears a stack by a diagonal-dominance bound, or else by the
+exact rcond, and names the adversary set it rejects.  If the kernel
+refuses M, the restricted systems of the first LEADER_CHUNK sets in
+enumeration order are guarded, so that ``_search`` names a refused set
+first on either entry.  brute_force_oracle reads kappa_1(M) off one
+inversion (``np.linalg.cond``, inf where M is singular), so a refused M
+only leaves it uncertified, and marginal_gains guards its one set
+whatever the certificate.  The ablation's drifting planner keeps its
+guard: its re-weighting adds weight on adversary columns, where the
+entrywise bound fails.  A node read divides only by pivots R_vv >= 1.
+Every exact score here, stacked or one at a time, patches its set's
+untargeted system with ``adversary._reweighted_systems``, the package's
+one system builder; so does ``adversarial_outcome`` below the bracket
+gate (``dynamics._bracket_cap``) and whenever its bracket stops early,
+where only the LAPACK solve differs.
 At or above the gate, on a network of at least SPARSE_MIN_EDGES edges, it
 brackets the fixed point with two monotone rollouts instead, with no
 dense system; the planners' networks lie far below that gate.
@@ -193,7 +217,7 @@ import numpy as np
 from .adversary import DEFAULT_P, AttackConfig, _restricted_systems, _reweighted, _reweighted_systems
 from .dynamics import _as_float, _check_count
 from .errors import CapExceededError, ConvergenceError, ValidationError
-from .linalg import check_conditioned, invert_conditioned, varah_rows
+from .linalg import certifies, check_conditioned, invert_conditioned
 
 # Exhaustive target enumeration refuses to look at more configurations than this.
 DEFAULT_CONFIG_CAP = 10_000_000
@@ -226,7 +250,7 @@ def _node_chunk(n):
     return max(1, min(LEADER_CHUNK, NODE_BYTES // (8 * n * n)))
 
 
-# Configurations stacked into one guarded batched solve by the exact scorer.
+# Configurations stacked into one batched solve by the exact scorer.
 # Measured with tracemalloc, brute_force_oracle peaks near 1.6 MB on
 # Erdos-Renyi n = 12 (edge probability 0.25, seed 3) and 3.8 MB at n = 20
 # (0.15, seed 3, 1.8M configurations); exact solve_attack near 0.1 MB.  Of
@@ -322,6 +346,25 @@ def _check_magnitude(p):
     return p
 
 
+def _check_sharing(network, p, leader_size, adversaries=None):
+    """Refuse a p at which a scored choice could give an agent h p >= 1.
+
+    An agent that h adversaries target keeps its row of W scaled by
+    1 - h p, which AttackConfig requires to stay positive, and the
+    searches score every choice before any config is built.  h is at most
+    the smaller of the leader size and the most in-neighbours with a
+    target budget that one agent has; given ``adversaries``, the most of
+    its members with a budget among an outside agent's in-neighbours.
+    """
+    may_target = network.support_mask() & (network.target_budgets() > 0)
+    if adversaries is not None:
+        may_target = np.delete(may_target[:, adversaries], adversaries, axis=0)
+    shared = min(leader_size, int(may_target.sum(axis=1).max(initial=0)))
+    if shared * p >= 1.0:
+        message = f"lets {shared} adversaries target one agent; need p < 1/{shared}"
+        raise ValidationError(f"influence magnitude p={p!r} {message}")
+
+
 def _check_cap(cap):
     """Reject a configuration cap that is neither None (no cap) nor an int >= 1."""
     if cap is not None:
@@ -336,12 +379,15 @@ def marginal_gains(params, adversaries, p=DEFAULT_P):
     z0 and c are read off the set's node in the leader tree
     (``_SchurGains.read``), which pins the set into the inverse of the full
     system I - (I - Theta) W one agent at a time, so their rounding grows
-    with kappa_1 of that system, not of the restricted one.  The set's
-    restricted system passes ``check_conditioned`` first.
+    with kappa_1 of that system, not of the restricted one.  p must pass
+    the sharing rule of the set (``_check_sharing``).  Its one restricted
+    system passes ``check_conditioned`` first, whatever the kernel's
+    certificate, so a refused set is named before the full system.
     """
     adversaries, p = _check_adversary_set(params.network, adversaries, p)
+    _check_sharing(params.network, p, len(adversaries), adversaries)
     stack = np.array([adversaries])
-    _, systems, _ = _guarded_systems(params, stack)
+    _, systems = _guarded_systems(params, stack)
     z, gain = _SchurGains(params, p).read(stack)
     unpinned = systems.unpinned[0]
     return MarginalGains(
@@ -357,7 +403,8 @@ def solve_follower(params, adversaries, p=DEFAULT_P, mode="approx", cap=DEFAULT_
 
     ``targets`` maps every adversary to its (possibly empty) tuple of
     targets; ``g`` is the exact outcome of that choice.  Both modes run
-    solve_attack's search on the one set.
+    solve_attack's search on the one set, whose sharing rule
+    (``_check_sharing``) counts only the set's own members.
     """
     adversaries, p = _check_adversary_set(params.network, adversaries, p)
     _check_cap(cap)
@@ -379,18 +426,25 @@ def _top_targets(gain, eligible, budgets):
     return eligible & (np.argsort(order, axis=2) < budgets[:, :, None])
 
 
+def _full_system(params):
+    """M = I - (I - Theta) W."""
+    return np.eye(params.n) - (1.0 - params.stubbornness)[:, None] * params.influence
+
+
 class _SchurGains:
     """The leader tree's nodes, and every set's z and gains read off them.
 
     M = I - (I - Theta) W is inverted (``minv``, through
     ``invert_conditioned``, which refuses an ill-conditioned M) when the
-    kernel is built, with kappa_1(M), the root and its scores.  A node is
-    a partial set S, its agents in the order they were pinned, with three
-    arrays: R, the restricted inverse (M_UU)^-1 embedded in n x n with
-    zero rows and columns on S; z, the pinned fixed point, 1 on S; and
-    1^T R, zero on S.  Nodes travel as stacks (sets, R, z, 1^T R) of
-    shapes (m, |S|), (m, n, n), (m, n) and (m, n).  The root pins nobody,
-    and its scores fix ``rank``.
+    kernel is built, with kappa_1(M), the root and its scores;
+    ``certified`` tells whether kappa_1(M) certifies every system the
+    search solves (``linalg.certifies``; see the module docstring).  A
+    node is a partial set S, its agents in the order they were pinned,
+    with three arrays: R, the restricted inverse (M_UU)^-1 embedded in
+    n x n with zero rows and columns on S; z, the pinned fixed point, 1 on
+    S; and 1^T R, zero on S.  Nodes travel as stacks (sets, R, z, 1^T R)
+    of shapes (m, |S|), (m, n, n), (m, n) and (m, n).  The root pins
+    nobody, and its scores fix ``rank``.
 
     A set's z and gains come from its canonical node: the set pinned from
     the root in rank order, which is how the tree reaches it, with its
@@ -403,7 +457,10 @@ class _SchurGains:
     def __init__(self, params, p):
         network = params.network
         self.params = params
-        self.system = np.eye(params.n) - (1.0 - params.stubbornness)[:, None] * params.influence
+        self.system = _full_system(params)
+        self.minv = invert_conditioned(self.system[None], lambda b: "system I - (I - Theta) W")[0]
+        self.kappa = np.abs(self.system).sum(axis=0).max() * np.abs(self.minv).sum(axis=0).max()
+        self.certified = certifies(self.kappa)
         self.p = p
         # Agent j may target its out-neighbours other than itself.
         self.others = network.support_mask().T & ~np.eye(params.n, dtype=bool)
@@ -417,8 +474,6 @@ class _SchurGains:
         count = np.bincount(owner, minlength=len(self.targeters))
         self.targets = np.full((len(self.targeters), count.max(initial=0)), params.n)
         self.targets[owner, np.arange(len(owner)) - (np.cumsum(count) - count)[owner]] = target
-        self.minv = invert_conditioned(self.system[None], lambda b: "system I - (I - Theta) W")[0]
-        self.kappa = np.abs(self.system).sum(axis=0).max() * np.abs(self.minv).sum(axis=0).max()
         # The root pins nobody: R = M^-1 and z = M^-1 Theta s.
         z = self.minv @ (params.stubbornness * params.intrinsic)
         nobody = np.empty((1, 0), dtype=np.intp)
@@ -580,45 +635,31 @@ def _set_label(adversaries):
     return lambda b: f"adversary set {tuple(adversaries[b].tolist())}"
 
 
-def _systems_with_varah(params, adversaries):
-    """(pinned, systems, varah) of a (sets, k) array: its untargeted
-    restricted systems (``adversary._restricted_systems``) and the
-    ``linalg.varah_rows`` of every set's M_UU."""
-    pinned, systems = _restricted_systems(params, adversaries)
-    matrix = systems.matrix
-    return pinned, systems, varah_rows(matrix, np.diagonal(matrix, axis1=1, axis2=2))
-
-
 def _guarded_systems(params, adversaries):
-    """``_systems_with_varah``, every set's restricted M_UU = I - (I - Theta_U)
-    W_UU guarded by ``check_conditioned``."""
-    pinned, systems, varah = _systems_with_varah(params, adversaries)
-    check_conditioned(systems.matrix, _set_label(adversaries), varah)
-    return pinned, systems, varah
+    """``adversary._restricted_systems`` of a (sets, k) array, every set's
+    M_UU = I - (I - Theta_U) W_UU guarded by ``check_conditioned``."""
+    pinned, systems = _restricted_systems(params, adversaries)
+    check_conditioned(systems.matrix, _set_label(adversaries))
+    return pinned, systems
 
 
-def _rescore(batches, p):
-    """(g, chosen, owner) of each batch (systems, varah, owner, hits, chosen,
+def _rescore(batches, p, certified):
+    """(g, chosen, owner) of each batch (systems, owner, hits, chosen,
     label): the exact g of each configuration c on set owner[c] of
     ``systems``, the chunk's untargeted restricted systems
-    (``adversary._restricted_systems``) with their ``varah`` rows, and
-    hits[a, c, u] marking its unpinned agent u as a target of adversary a.
-    ``chosen[c]`` is configuration c's (k, n) target mask, read only by
-    whoever keeps it.  Each configuration gets a copy of its set's system
-    with only the rows its targets hit rebuilt
-    (``adversary._reweighted_systems``), and its set's Varah rows with
-    those rows' data recomputed.  A member's margin is the least of its
-    rows' and its norm the largest, so ``check_conditioned`` on the patched
-    rows decides what a scan of the whole stack would.
+    (``adversary._restricted_systems``), and hits[a, c, u] marking its
+    unpinned agent u as a target of adversary a.  ``chosen[c]`` is
+    configuration c's (k, n) target mask, read only by whoever keeps it.
+    Each configuration gets a copy of its set's system with only the rows
+    its targets hit rebuilt (``adversary._reweighted_systems``), and the
+    stack is solved in one batched LAPACK solve: with no guard if the
+    search is ``certified``, else after ``check_conditioned``, which names
+    the set of a refused member by ``label``.
     """
-    for systems, varah, owner, hits, chosen, label in batches:
-        matrix, rhs, rebuilt = _reweighted_systems(systems, owner, hits, p)
-        m = matrix.shape[1]
-        rows = matrix.reshape(-1, m).take(rebuilt, axis=0)
-        diagonal = rows.ravel().take(np.arange(len(rebuilt)) * m + rebuilt % m)
-        dominance, row_sums = varah[0].take(owner, axis=0), varah[1].take(owner, axis=0)
-        dominance.ravel()[rebuilt], row_sums.ravel()[rebuilt] = varah_rows(rows, diagonal)
-        check_conditioned(matrix, label, (dominance, row_sums))
+    for systems, owner, hits, chosen, label in batches:
+        matrix, rhs = _reweighted_systems(systems, owner, hits, p)
+        if not certified:
+            check_conditioned(matrix, label)
         z = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
         yield z.sum(axis=1) + len(hits), chosen, owner
 
@@ -634,16 +675,17 @@ def _approx_scorer(params, p, gains, bounds):
     exceeds, are appended to ``bounds`` as one array.  Every product is per
     set, so a set's g, targets and UB(A) do not depend on which sets share
     its chunk.  Each set's restricted M_UU, given as ``built`` (the
-    ``_guarded_systems`` of the chunk) or else built here, passes
-    ``check_conditioned`` and is the system its re-score patches; the
-    re-weighted system passes the guard too.  With no gain to take
+    chunk's systems, which ``_search`` guards unless ``gains.certified``)
+    or else built here, is the system its re-score patches; unless
+    ``gains.certified``, the re-weighted system passes
+    ``check_conditioned``.  With no gain to take
     (``gains.targeting`` false, as at p = 0) no target is chosen and the
     top-target step is skipped.
     """
 
     def score(adversaries, fixed, gain, built=None):
         sets, k = adversaries.shape
-        pinned, systems, varah = _guarded_systems(params, adversaries) if built is None else built
+        pinned, systems = built or _restricted_systems(params, adversaries)
         chosen = np.zeros((sets, k, params.n), dtype=bool)
         if gains.targeting:
             eligible = gains.others[adversaries] & ~pinned[:, None, :]
@@ -651,7 +693,7 @@ def _approx_scorer(params, p, gains, bounds):
         bounds.append(fixed.sum(axis=1) + np.einsum("bkn,bn->b", chosen, gain))
         owner = np.arange(sets)
         hits = chosen.transpose(1, 0, 2)[:, owner[:, None], systems.unpinned]
-        yield from _rescore([(systems, varah, owner, hits, chosen, _set_label(adversaries))], p)
+        yield from _rescore([(systems, owner, hits, chosen, _set_label(adversaries))], p, gains.certified)
 
     return score
 
@@ -885,6 +927,22 @@ def _space_sizer(network):
     return sizes
 
 
+def _space_bound(network, k):
+    """An upper bound on the configurations of every size-k set, summed.
+
+    F_j, the ``_space_sizer`` count of the set {j} (its table's
+    subsets[j, 0]), is agent j's count of target choices when none of its
+    out-neighbours is an adversary; an adversary's count only shrinks when
+    some are, so the total is at most e_k(F), the k-th elementary
+    symmetric polynomial of the F_j, summed here in exact integers in
+    O(nk).
+    """
+    e = [1] + [0] * k
+    for f in _space_sizer(network)(np.arange(network.agent_count)[:, None]).tolist():
+        e = [low + high * f for low, high in zip(e, [0] + e)]
+    return e[k]
+
+
 def _subset_masks(network, agent, budget):
     """Boolean (subsets, n) masks of the agent's target choices of at most
     ``budget`` out-neighbours, in canonical (size, lex) order."""
@@ -912,7 +970,7 @@ class _Choices:
         return self.table[np.stack(rows, axis=-1)]
 
 
-def _exact_scorer(params, p, threshold=None):
+def _exact_scorer(params, p, threshold=None, certified=False):
     """score(chunk, z, gains), as _Argmax takes it: every joint target choice of every set.
 
     Adversary a may target at most its target budget of eligible
@@ -928,7 +986,10 @@ def _exact_scorer(params, p, threshold=None):
     untargeted systems come as ``built`` (``_search`` builds them once for
     both scorers) or are built here; they and the restricted rows are
     taken once the first configuration is kept, so a chunk pruned whole
-    builds none.
+    builds none.  Unless ``certified`` (the search's certificate; see the
+    module docstring), every re-weighted stack passes
+    ``check_conditioned``; a set's first configuration targets nobody, so
+    its system is the set's restricted one, bit for bit.
 
     The scorer prunes iff it is given ``threshold``, a function of no
     arguments that returns the live threshold (``gains.threshold(best.g)``
@@ -998,15 +1059,15 @@ def _exact_scorer(params, p, threshold=None):
                 if systems is None:
                     # Built once a configuration is kept: each kept row,
                     # restricted to its set's unpinned agents.
-                    _, systems, varah = _systems_with_varah(params, adversaries) if built is None else built
+                    _, systems = built or _restricted_systems(params, adversaries)
                     restricted = [
                         table[row[:, None], systems.unpinned[own]] for row, own in zip(kept, which)
                     ]
                 hits = np.stack([restricted[col][position[:, col]] for col in range(k)])
                 chosen = _Choices(table, kept, position)
-                yield systems, varah, owner, hits, chosen, lambda c: label(owner[c])
+                yield systems, owner, hits, chosen, lambda c: label(owner[c])
 
-        yield from _rescore(batches(), p)
+        yield from _rescore(batches(), p, certified)
 
     return score
 
@@ -1024,14 +1085,18 @@ def _search(params, p, mode, cap, leader_size, adversaries=None):
     (``_exact_scorer``).
     Both get each chunk with its read: off the tree's leaves, or the one
     set's ``gains.read``, and with its untargeted restricted systems, built
-    and guarded once (``_guarded_systems``).  The threshold only rises,
-    since g lies in [0, n] and the slack is constant, so whatever it
-    pruned lies below the final one too.  The kernel (``_SchurGains``) is built once, after the
-    count pass, for either entry.  If it refuses the full system, the
+    once.  The threshold only rises, since g lies in [0, n] and the slack
+    is constant, so whatever it pruned lies below the final one too.  p
+    passes the sharing rule (``_check_sharing``) before anything is
+    counted or scored.  The kernel (``_SchurGains``) is built once, after
+    the count pass, for either entry.  If it refuses the full system, the
     restricted systems of the first LEADER_CHUNK sets in enumeration order
     (the one set, if given) are guarded, so a refused set is named first,
-    and otherwise the full system's error stands.  Returns ((adversaries,
-    items), g, sets, configurations, max UB(A)).  Both counts cover every
+    and otherwise the full system's error stands.  A certified kernel
+    (``gains.certified``) covers every restricted and re-scored system,
+    and none is guarded; otherwise each stack passes ``check_conditioned``
+    (``_guarded_systems``, ``_rescore``).  Returns ((adversaries, items),
+    g, sets, configurations, max UB(A)).  Both counts cover every
     set: approx mode counts one configuration per set, exact mode all
     those of every set, solved or certified unable to beat the incumbent.
     """
@@ -1043,6 +1108,7 @@ def _search(params, p, mode, cap, leader_size, adversaries=None):
             return [adversaries]
         return combinations(range(params.n), leader_size)
 
+    _check_sharing(params.network, p, leader_size, adversaries)
     if mode == "exact":
         configs = _count_configurations(params.network, leader_sets(), cap)
     try:
@@ -1053,10 +1119,10 @@ def _search(params, p, mode, cap, leader_size, adversaries=None):
     best, bounds = _Argmax(), []
     scorers = [_approx_scorer(params, p, gains, bounds)]
     if mode == "exact":
-        scorers.append(_exact_scorer(params, p, lambda: gains.threshold(best.g)))
+        scorers.append(_exact_scorer(params, p, lambda: gains.threshold(best.g), gains.certified))
 
     def score(chunk, *read):
-        built = _guarded_systems(params, chunk)
+        built = (_restricted_systems if gains.certified else _guarded_systems)(params, chunk)
         return chain.from_iterable(scorer(chunk, *read, built) for scorer in scorers)
 
     if adversaries is not None:
@@ -1090,6 +1156,12 @@ def solve_attack(
     by the configurations whose first-order bound can still reach the
     best g found so far.  The returned plan's predicted_g is always an
     exact evaluation of the winning configuration.
+
+    p lies in (0, 1), and below 1/h, where h is the most adversaries that
+    can target one agent: the smaller of the leader size and the largest
+    number of in-neighbours with a target budget that any agent has.
+    Otherwise a scored choice could scale a targeted row of W by
+    1 - h p <= 0, and ValidationError is raised before any scoring.
     """
     start = time.perf_counter()
     network = params.network
@@ -1114,20 +1186,30 @@ def brute_force_oracle(params, p=DEFAULT_P, leader_size=None, cap=DEFAULT_CONFIG
 
     Scores every (adversary set, joint target choice) pair with the same
     engine and tie-breaking order as exact solve_attack, without its
-    pruning: every configuration is solved.  Refuses to run if the full
-    space exceeds ``cap`` configurations (None: no cap).  upper_bound is
-    the best g, the only bound an exhaustive search certifies.
+    pruning: every configuration is solved.  p must pass the same sharing
+    rule as solve_attack.  Refuses to run if the full space exceeds
+    ``cap`` configurations (None: no cap); the space is counted only when
+    its upper bound e_k(F) (``_space_bound``) exceeds the cap.  M is
+    inverted once, by ``np.linalg.cond``, for the search's certificate
+    (see the module docstring): a certified oracle solves with no guard,
+    and an uncertified one, M refused or singular included, guards every
+    re-weighted stack.  upper_bound is the best g, the only bound an
+    exhaustive search certifies.
     """
     start = time.perf_counter()
     network = params.network
     p = _check_magnitude(p)
     leader_size = _check_leader_size(network, leader_size)
     _check_cap(cap)
-    total = count_configurations(network, leader_size)
-    if cap is not None and total > cap:
-        raise CapExceededError(f"{total} feasible configurations exceed the cap of {cap}")
+    _check_sharing(network, p, leader_size)
+    if cap is not None and _space_bound(network, leader_size) > cap:
+        total = count_configurations(network, leader_size)
+        if total > cap:
+            raise CapExceededError(f"{total} feasible configurations exceed the cap of {cap}")
+    # cond is inf where M is singular: a refused M leaves the oracle uncertified.
+    certified = certifies(np.linalg.cond(_full_system(params), 1))
     (adversaries, items), best_g, sets, configs = _leader_search(
-        combinations(range(network.agent_count), leader_size), _exact_scorer(params, p)
+        combinations(range(params.n), leader_size), _exact_scorer(params, p, certified=certified)
     )
     return AttackPlan(
         config=AttackConfig(adversaries, items, p),

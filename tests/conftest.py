@@ -140,14 +140,6 @@ def dense_reweighted_systems(w_uu, w_ua, open_minded, base_rhs, hits, p):
     return matrix, base_rhs + open_minded * mass.sum(axis=2)
 
 
-def dense_varah_rows(stack):
-    """Reference Varah row data of a (batch, m, m) stack, scanned whole:
-    (2 |a_ii| - sum_j |a_ij|, sum_j |a_ij|) per row."""
-    a = np.abs(stack)
-    row_sums = a.sum(axis=-1)
-    return 2.0 * np.diagonal(a, axis1=-2, axis2=-1) - row_sums, row_sums
-
-
 def restricted_outcome(params, adversaries, items, p):
     """Exact g of one target choice at any p, zero and negative included,
     which AttackConfig rejects.  ``items`` holds (adversary, targets) pairs

@@ -163,6 +163,22 @@ def test_exact_attack_plan_over_the_cap_is_skipped(tmp_path, capsys):
     assert not list(tmp_path.glob("*_attack_plan.json"))
 
 
+@pytest.mark.parametrize("mode", ("approx", "exact"))
+def test_attack_plan_refuses_a_p_that_two_adversaries_could_share(tmp_path, capsys, mode):
+    # Complete n = 8 with two adversaries: both may target one agent, and
+    # at p = 0.5 its row would be scaled by 1 - 2 p = 0.
+    network = write_network(tmp_path)
+    code = main([
+        "attack-plan", "--network", str(network), "--p", "0.5", "--mode", mode,
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: influence magnitude p=0.5 lets 2 adversaries target one agent; need p < 1/2\n"
+    )
+    assert not list(tmp_path.glob("*_attack_plan.json"))
+
+
 def test_attack_plan_magnitude_defaults_to_the_package_default():
     args = build_parser().parse_args(["attack-plan", "--network", "net.json"])
     assert args.p == DEFAULT_P

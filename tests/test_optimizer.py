@@ -26,7 +26,6 @@ import fjattack.optimizer
 from conftest import (
     complete_network,
     dense_reweighted_systems,
-    dense_varah_rows,
     random_instance,
     random_params,
     restricted_blocks,
@@ -50,7 +49,7 @@ from fjattack import (
     solve_follower,
 )
 from fjattack.fileio import plan_to_json, save_parameters
-from fjattack.linalg import check_conditioned, factor_conditioned, invert_conditioned, varah_rows
+from fjattack.linalg import check_conditioned, factor_conditioned, invert_conditioned
 from fjattack.optimizer import (
     CONFIG_CHUNK,
     LEADER_CHUNK,
@@ -392,6 +391,121 @@ def test_cap_is_checked_in_every_mode(entry, cap, monkeypatch):
         entry(params, cap)
 
 
+def test_sharing_rule_refuses_p_before_scoring(monkeypatch):
+    # Over a grid where two or three adversaries can share a target, every
+    # planner call either returns a plan that AttackConfig accepts (every
+    # targeted agent has |A_i| p < 1) or refuses p with ValidationError
+    # before any configuration is re-scored.  It refuses exactly when
+    # h p >= 1, h counted agent by agent.
+    rescored = []
+    real_rescore = fjattack.optimizer._rescore
+
+    def rescore_spy(*args):
+        rescored.append(True)
+        return real_rescore(*args)
+
+    monkeypatch.setattr(fjattack.optimizer, "_rescore", rescore_spy)
+    entries = {
+        "approx": lambda params, p: solve_attack(params, p=p),
+        "exact": lambda params, p: solve_attack(params, p=p, follower_mode="exact"),
+        "oracle": lambda params, p: brute_force_oracle(params, p=p),
+    }
+    outcomes = {"plan": 0, "refused": 0}
+    for topology in ("complete", "erdos_renyi", "ring", "star"):
+        for n in (7, 8, 10):
+            for seed in range(3):
+                _, params = generate(Scenario(topology=topology, n=n, seed=seed, edge_prob=0.6))
+                shared = sharing_bound(params.network, params.network.leader_budget())
+                for p in (0.45, 0.6, 0.9):
+                    for mode, entry in entries.items():
+                        rescored.clear()
+                        name = (topology, n, seed, p, mode)
+                        if shared * p >= 1.0:
+                            message = (
+                                f"influence magnitude p={p!r} lets {shared} adversaries "
+                                f"target one agent; need p < 1/{shared}"
+                            )
+                            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                                entry(params, p)
+                            assert not rescored, name
+                            outcomes["refused"] += 1
+                        else:
+                            plan = entry(params, p)
+                            config = plan.config
+                            AttackConfig(config.adversaries, config.targets, p).validate_against(
+                                params.network
+                            )
+                            outcomes["plan"] += 1
+    assert outcomes["plan"] + outcomes["refused"] == 324
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_sharing_rule_of_a_fixed_set_counts_its_members():
+    # Complete n = 8: any two agents share every other agent as a target,
+    # so the searches of size 2 refuse p = 0.5.  A one-set entry counts
+    # only its own members; solve_follower and marginal_gains of a pair
+    # refuse p = 0.5, and of a single adversary plan at any p < 1.
+    _, params = generate(Scenario(topology="complete", n=8, seed=11))
+    message = "influence magnitude p=0.5 lets 2 adversaries target one agent; need p < 1/2"
+    for entry in (
+        lambda: solve_attack(params, p=0.5),
+        lambda: brute_force_oracle(params, p=0.5),
+        lambda: solve_follower(params, (0, 1), 0.5, mode="exact"),
+        lambda: marginal_gains(params, (0, 1), 0.5),
+    ):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            entry()
+    p = float(np.nextafter(1.0, 0.0))
+    for mode in ("approx", "exact"):
+        targets, _ = solve_follower(params, (3,), p, mode=mode)
+        AttackConfig((3,), targets, p)
+    assert marginal_gains(params, (3,), p).gain.max() > 0.0
+    plan = solve_attack(params, p=p, leader_size=1)
+    assert plan.config.influence_magnitude == p
+    # On a star only the hub has a target budget, so no two adversaries
+    # ever share a target and every p < 1 plans.
+    _, star = generate(Scenario(topology="star", n=10, seed=1))
+    assert sharing_bound(star.network, star.network.leader_budget()) == 1
+    solve_attack(star, p=p, follower_mode="exact")
+
+
+def test_oracle_counts_the_space_only_when_its_bound_exceeds_the_cap(monkeypatch):
+    # The oracle skips the count pass when there is no cap or e_k(F), the
+    # bound over every agent's choices with no adversary among its
+    # out-neighbours, is within it.  Its follower_candidates are the
+    # configurations it solved, which is count_configurations.  A cap
+    # under the bound sends it to the count, which refuses a cap under
+    # the total and passes one at it.
+    counted = []
+    real_count = fjattack.optimizer.count_configurations
+
+    def count_spy(*args):
+        counted.append(True)
+        return real_count(*args)
+
+    monkeypatch.setattr(fjattack.optimizer, "count_configurations", count_spy)
+    loose = 0
+    for name, params in bound_instances():
+        network = params.network
+        k = network.leader_budget()
+        total = real_count(network)
+        bound = fjattack.optimizer._space_bound(network, k)
+        assert total <= bound, name
+        assert fjattack.optimizer._space_bound(network, 1) == real_count(network, 1), name
+        for cap in (None, bound):
+            counted.clear()
+            oracle = brute_force_oracle(params, p=1e-3, cap=cap)
+            assert oracle.follower_candidates == total and not counted, name
+        if bound > total:
+            loose += 1
+            counted.clear()
+            assert brute_force_oracle(params, p=1e-3, cap=total).follower_candidates == total
+            assert counted, name
+            with pytest.raises(CapExceededError, match=f"^{total} feasible configurations exceed the cap of {total - 1}$"):
+                brute_force_oracle(params, p=1e-3, cap=total - 1)
+    assert loose >= 10
+
+
 def test_exact_and_oracle_paths_are_conditioning_guarded(monkeypatch):
     _, params = random_instance(60, n=8, density=0.6)
     monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", 1.0)
@@ -448,19 +562,29 @@ def test_fixed_set_entries_reject_bad_sets_and_magnitudes(mode, adversaries, p, 
             solve_follower(params, adversaries, p, mode=mode)
 
 
-def test_exact_engine_guards_every_configuration(monkeypatch):
-    _, params = generate(Scenario(topology="erdos_renyi", n=12, edge_prob=0.25, seed=3))
-    total = count_configurations(params.network)
-    restricted = (params.n - params.network.leader_budget(),) * 2
+def spy_on_exact_guards(patch):
+    """(guarded, solved): lists that collect, while the exact scorer runs,
+    the sizes of the re-weighted stacks it sends to ``check_conditioned``
+    and of the batches of g it yields."""
     guarded, solved, exact_pass = [], [], [False]
-
-    def check_spy(stack, label, rows=None):
-        # Only re-weighted systems solved by the exact scorer count.
-        if exact_pass[0] and stack.shape[1:] == restricted:
-            guarded.append(len(stack))
-        return check_conditioned(stack, label, rows)
-
+    real_check = fjattack.optimizer.check_conditioned
+    real_rescore = fjattack.optimizer._rescore
     real_scorer = fjattack.optimizer._exact_scorer
+    rescoring = []
+
+    def check_spy(stack, label):
+        if exact_pass[0] and rescoring:
+            guarded.append(len(stack))
+        return real_check(stack, label)
+
+    def rescore_spy(batches, p, certified):
+        # Only stacks checked inside _rescore are re-weighted systems.
+        for batch in batches:
+            rescoring.append(True)
+            try:
+                yield from real_rescore([batch], p, certified)
+            finally:
+                rescoring.pop()
 
     def scorer_spy(*args, **kwargs):
         score = real_scorer(*args, **kwargs)
@@ -474,22 +598,45 @@ def test_exact_engine_guards_every_configuration(monkeypatch):
 
         return spied
 
-    monkeypatch.setattr(fjattack.optimizer, "check_conditioned", check_spy)
-    monkeypatch.setattr(fjattack.optimizer, "_exact_scorer", scorer_spy)
-    # The oracle solves, and guards, every configuration.
-    oracle = brute_force_oracle(params, p=1e-3)
-    assert sum(guarded) == sum(solved) == oracle.follower_candidates == total
-    assert max(guarded) <= CONFIG_CHUNK
-    # Pruned exact guards every configuration it solves.  It solves fewer
-    # than the winning set alone holds, so configurations of a surviving
-    # set are pruned too.
-    guarded.clear()
-    solved.clear()
-    plan = solve_attack(params, p=1e-3, follower_mode="exact")
-    assert plan.config == oracle.config
-    assert plan.follower_candidates == total
-    _, winner_configs = scalar_set_search(params, plan.config.adversaries)
-    assert 0 < sum(guarded) == sum(solved) < winner_configs
+    patch.setattr(fjattack.optimizer, "check_conditioned", check_spy)
+    patch.setattr(fjattack.optimizer, "_rescore", rescore_spy)
+    patch.setattr(fjattack.optimizer, "_exact_scorer", scorer_spy)
+    return guarded, solved
+
+
+def test_uncertified_exact_engine_guards_every_configuration(monkeypatch):
+    # With the certificate forced off, the oracle solves and guards every
+    # configuration, and pruned exact guards every configuration it
+    # solves.  It solves fewer than the winning set alone holds, so
+    # configurations of a surviving set are pruned too.  Certified, as
+    # this instance is, the same searches solve the same configurations
+    # and guard none.
+    _, params = generate(Scenario(topology="erdos_renyi", n=12, edge_prob=0.25, seed=3))
+    total = count_configurations(params.network)
+    assert _SchurGains(params, 1e-3).certified
+    plans = {}
+    for certified in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            if not certified:
+                patch.setattr(fjattack.optimizer, "certifies", lambda kappa: False)
+            guarded, solved = spy_on_exact_guards(patch)
+            oracle = brute_force_oracle(params, p=1e-3)
+            assert sum(solved) == oracle.follower_candidates == total
+            assert sum(guarded) == (0 if certified else total)
+            assert max(guarded, default=0) <= CONFIG_CHUNK
+            guarded.clear()
+            solved.clear()
+            plan = solve_attack(params, p=1e-3, follower_mode="exact")
+        assert plan.config == oracle.config
+        assert plan.follower_candidates == total
+        _, winner_configs = scalar_set_search(params, plan.config.adversaries)
+        assert 0 < sum(solved) < winner_configs
+        assert sum(guarded) == (0 if certified else sum(solved))
+        plans[certified] = [
+            (p.config, float.hex(p.predicted_g), float.hex(p.upper_bound), p.follower_candidates)
+            for p in (oracle, plan)
+        ]
+    assert plans[False] == plans[True]
 
 
 def bound_instances():
@@ -504,6 +651,56 @@ def bound_instances():
         yield f"{name}-theta1e-5", FjParameters(
             params.network, params.intrinsic, theta, params.influence
         )
+
+
+def sharing_bound(network, k, adversaries=None):
+    """The most adversaries that can target one agent, counted agent by
+    agent: in-neighbours with a target budget (of ``adversaries`` only, and
+    only outside agents, if given), at most k."""
+    pool = range(network.agent_count) if adversaries is None else adversaries
+    outside = [i for i in range(network.agent_count) if adversaries is None or i not in adversaries]
+    most = max(
+        sum(1 for j in network.in_neighbors(i) if j in pool and network.target_budget(j))
+        for i in outside
+    )
+    return min(k, most)
+
+
+def magnitudes_below_the_sharing_bound(network):
+    """1e-3, 0.2 and the largest p the sharing rule admits."""
+    shared = sharing_bound(network, network.leader_budget())
+    return 1e-3, 0.2, float(np.nextafter(1.0 / max(shared, 1), 0.0))
+
+
+def test_certified_searches_solve_unguarded_systems_that_pass_the_guard(monkeypatch):
+    # Every instance here is certified: kappa_1(M) RCOND_MIN <= 1/2, with
+    # kappa_1(M) near 1e5 where theta is scaled by 1e-5.  The oracle, exact
+    # and approx searches, and both modes of solve_follower, then send no
+    # stack to check_conditioned, and every re-weighted stack they solve
+    # passes it when checked afterwards.  Pruned exact still gives the
+    # oracle's plan, up to the largest p the sharing rule admits.
+    def refuse(stack, label):
+        raise AssertionError("a certified search guarded a stack")
+
+    solved = record_rescored_systems(monkeypatch)
+    monkeypatch.setattr(fjattack.optimizer, "check_conditioned", refuse)
+    members = 0
+    for name, params in bound_instances():
+        for p in magnitudes_below_the_sharing_bound(params.network):
+            assert _SchurGains(params, p).certified, name
+            solved.clear()
+            oracle = brute_force_oracle(params, p=p)
+            exact = solve_attack(params, p=p, follower_mode="exact")
+            approx = solve_attack(params, p=p)
+            for mode in ("approx", "exact"):
+                solve_follower(params, oracle.config.adversaries, p, mode=mode)
+            assert exact.config == oracle.config, (name, p)
+            assert float.hex(exact.predicted_g) == float.hex(oracle.predicted_g), (name, p)
+            assert approx.predicted_g <= oracle.predicted_g, (name, p)
+            for batch in solved:
+                check_conditioned(batch[4], str)
+                members += len(batch[4])
+    assert members > 100_000
 
 
 def test_first_order_bound_holds_for_every_configuration():
@@ -529,31 +726,24 @@ def test_first_order_bound_holds_for_every_configuration():
 
 
 def record_rescored_systems(patch):
-    """A list that collects, for every batch ``_rescore`` solves, [systems,
-    owner, hits, p, matrix, rhs, varah]: the builder's input, the system it
-    built and the Varah rows its guard read."""
+    """A list that collects, for every batch ``_rescore`` solves, (systems,
+    owner, hits, p, matrix, rhs): the builder's input and the system it
+    built."""
     batches = []
     real_build = fjattack.optimizer._reweighted_systems
-    real_check = fjattack.optimizer.check_conditioned
 
     def build_spy(systems, owner, hits, p):
-        matrix, rhs, rebuilt = real_build(systems, owner, hits, p)
-        batches.append([systems, owner, hits, p, matrix, rhs, None])
-        return matrix, rhs, rebuilt
-
-    def check_spy(stack, label, rows=None):
-        if batches and stack is batches[-1][4]:
-            batches[-1][6] = rows
-        return real_check(stack, label, rows)
+        matrix, rhs = real_build(systems, owner, hits, p)
+        batches.append((systems, owner, hits, p, matrix, rhs))
+        return matrix, rhs
 
     patch.setattr(fjattack.optimizer, "_reweighted_systems", build_spy)
-    patch.setattr(fjattack.optimizer, "check_conditioned", check_spy)
     return batches
 
 
 def test_patched_systems_are_the_dense_ones():
-    # Every system the searches solve, and the Varah rows its guard reads,
-    # is bitwise the dense build from its set's blocks, which scales every
+    # Every system the searches solve is bitwise the dense build from its
+    # set's blocks, which scales every
     # row: a row nobody targets has scale 1.0 and is the set's untargeted
     # row, and a targeted row is rebuilt by the same operations.  Over the
     # oracle, exact and approx search, on four topologies with and without
@@ -582,7 +772,7 @@ def test_patched_systems_are_the_dense_ones():
             brute_force_oracle(params, p=p)
             solve_attack(params, p=p, follower_mode="exact")
             solve_attack(params, p=p)
-        for systems, owner, hits, used_p, matrix, rhs, varah in batches:
+        for systems, owner, hits, used_p, matrix, rhs in batches:
             assert used_p == p
             sets = np.array([np.setdiff1d(np.arange(params.n), u) for u in systems.unpinned])
             _, unpinned, w_uu, w_ua, open_minded_u, base_rhs = restricted_blocks(params, sets)
@@ -593,17 +783,15 @@ def test_patched_systems_are_the_dense_ones():
             )
             assert matrix.tobytes() == want_matrix.tobytes(), (topology, index)
             assert rhs.tobytes() == want_rhs.tobytes(), (topology, index)
-            for got, want in zip(varah, dense_varah_rows(want_matrix)):
-                assert got.tobytes() == want.tobytes(), (topology, index)
             members += len(owner)
             rows_rebuilt += int(hits.any(axis=0).sum())
     assert covered == set(chunks)
     assert members > 5_000 and rows_rebuilt > 7_000
 
 
-def guard_outcome(stack, label, rows=None):
+def guard_outcome(stack, label):
     """(message or None, bytes of each stack sent to invert_conditioned) of
-    ``check_conditioned``, given ``rows`` or scanning the stack."""
+    ``check_conditioned`` on the stack."""
     sent = []
     real_invert = fjattack.linalg.invert_conditioned
     with pytest.MonkeyPatch.context() as patch:
@@ -613,18 +801,18 @@ def guard_outcome(stack, label, rows=None):
             lambda part, name: sent.append(part.tobytes()) or real_invert(part, name),
         )
         try:
-            check_conditioned(stack, label, rows)
+            check_conditioned(stack, label)
         except ConvergenceError as exc:
             return str(exc), sent
     return None, sent
 
 
-def test_guard_on_patched_rows_decides_as_the_dense_scan(monkeypatch):
-    # A stack whose rows were patched, with its Varah rows patched the way
-    # _rescore patches them, is refused or passed by check_conditioned
-    # exactly as when it scans the whole stack: the same members go to
-    # invert_conditioned, and the same one is named.  RCOND_MIN is set on
-    # some member's Varah bound, and an ulp either side of it.
+def test_guard_decides_by_the_varah_bound_or_the_exact_rcond(monkeypatch):
+    # check_conditioned passes a member whose Varah bound, from a per-row
+    # scan here, clears RCOND_MIN, and sends exactly the others to
+    # invert_conditioned, whose refusal names the member by its place in
+    # the whole stack.  RCOND_MIN is set on some member's Varah bound, and
+    # an ulp either side of it.
     rng = np.random.default_rng(2026)
     label = lambda b: f"member {b}"
     decided = {"pass": 0, "fallback": 0, "refused": 0}
@@ -634,49 +822,45 @@ def test_guard_on_patched_rows_decides_as_the_dense_scan(monkeypatch):
         # Diagonals around the off-diagonal mass: some rows dominant, some not.
         off = np.abs(stack).sum(axis=2) - np.abs(np.diagonal(stack, axis1=1, axis2=2))
         stack[:, np.arange(m), np.arange(m)] = off * rng.uniform(0.95, 3.0, (batch, m))
-        dominance, row_sums = dense_varah_rows(stack)
-        c = rng.integers(batch, size=int(rng.integers(1, batch * m + 1)))
-        u = rng.integers(m, size=len(c))
-        rows = rng.uniform(-1.0, 1.0, (len(c), m))
-        rows[np.arange(len(c)), u] = np.abs(rows).sum(axis=1) * rng.uniform(0.95, 3.0, len(c))
-        stack[c, u] = rows
         if trial % 2:
-            # A singular member: its last row patched to repeat its first.
-            c, u = np.append(c, c[0]), np.append(u, m - 1)
-            stack[c[0], m - 1] = stack[c[0], 0]
-        rows = stack[c, u]
-        dominance[c, u], row_sums[c, u] = varah_rows(rows, rows[np.arange(len(c)), u])
-        margin, norm = dominance.min(axis=1), row_sums.max(axis=1)
+            # A singular member: its last row repeats its first.
+            c = int(rng.integers(batch))
+            stack[c, m - 1] = stack[c, 0]
+        margin = np.array([min(2.0 * abs(a[i, i]) - np.abs(a[i]).sum() for i in range(m)) for a in stack])
+        norm = np.array([max(np.abs(a[i]).sum() for i in range(m)) for a in stack])
         b = int(rng.integers(batch))
         bound = (margin[b] - 2.0 * m * np.finfo(float).eps * norm[b]) / (m * m * norm[b])
         for rcond in (1e-12, bound, np.nextafter(bound, 0.0), np.nextafter(bound, 1.0)):
             if not 0.0 < rcond < 1.0:
                 continue
             monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", float(rcond))
-            patched = guard_outcome(stack, label, (dominance, row_sums))
-            assert patched == guard_outcome(stack, label), (trial, rcond)
-            message, sent = patched
+            rounding = 2.0 * m * np.finfo(float).eps * norm
+            unsure = np.flatnonzero(~(margin - rounding > m * m * norm * rcond))
+            message, sent = guard_outcome(stack, label)
+            assert sent == ([stack[unsure].tobytes()] if unsure.size else []), (trial, rcond)
+            want = None
+            if unsure.size:
+                try:
+                    invert_conditioned(stack[unsure], lambda c: label(int(unsure[c])))
+                except ConvergenceError as exc:
+                    want = str(exc)
+            assert message == want, (trial, rcond)
             decided["refused" if message else "fallback" if sent else "pass"] += 1
     assert min(decided.values()) >= 10, decided
-    # Through a search: with RCOND_MIN = 1 no Varah bound clears, every
-    # re-scored system falls through to invert_conditioned, and the first
-    # is refused with its set named, whether the guard reads the patched
-    # rows or scans the stack.
+    # Through a search: with RCOND_MIN = 1 the full system is refused, so
+    # the oracle is uncertified and guards every re-scored stack.  The
+    # first is refused with its set named, and its first configuration
+    # targets nobody: the message is the one the set's restricted system
+    # gets, bit for bit.
     _, params = generate(Scenario(topology="erdos_renyi", n=8, seed=3))
     monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", 1.0)
-    messages = []
-    for scan in (False, True):
-        with pytest.MonkeyPatch.context() as patch:
-            if scan:
-                patch.setattr(
-                    fjattack.optimizer,
-                    "check_conditioned",
-                    lambda stack, name, rows=None: check_conditioned(stack, name),
-                )
-            with pytest.raises(ConvergenceError, match=r"^adversary set \(0, 1\): ") as refused:
-                brute_force_oracle(params, p=1e-3)
-            messages.append(str(refused.value))
-    assert messages[0] == messages[1]
+    first = np.array([[0, 1]])
+    restricted = fjattack.optimizer._restricted_systems(params, first)[1].matrix
+    want, _ = guard_outcome(restricted, lambda b: "adversary set (0, 1)")
+    assert want.startswith("adversary set (0, 1): ")
+    with pytest.raises(ConvergenceError) as refused:
+        brute_force_oracle(params, p=1e-3)
+    assert str(refused.value) == want
 
 
 def assert_pruned_exact_matches_oracle(name, params, p=1e-3):
@@ -1485,7 +1669,7 @@ def test_approx_search_is_conditioning_guarded(monkeypatch):
 def test_approx_search_guards_the_full_system(monkeypatch):
     _, params = random_instance(60, n=8, density=0.6)
     monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", 1.0)
-    monkeypatch.setattr(fjattack.optimizer, "check_conditioned", lambda stack, label, rows: None)
+    monkeypatch.setattr(fjattack.optimizer, "check_conditioned", lambda stack, label: None)
     with pytest.raises(ConvergenceError, match=r"system I - \(I - Theta\) W"):
         solve_attack(params, p=1e-3)
     for mode in ("approx", "exact"):
@@ -1493,12 +1677,12 @@ def test_approx_search_guards_the_full_system(monkeypatch):
             solve_follower(params, (2, 5), 1e-3, mode=mode)
 
 
-def test_approx_search_guards_base_and_rescore_systems(monkeypatch):
+def test_approx_search_guards_only_when_uncertified(monkeypatch):
     calls = []
 
-    def check_spy(stack, label, rows=None):
+    def check_spy(stack, label):
         calls.append(("check", stack.shape))
-        return check_conditioned(stack, label, rows)
+        return check_conditioned(stack, label)
 
     def invert_spy(stack, label):
         calls.append(("invert", stack.shape))
@@ -1520,21 +1704,33 @@ def test_approx_search_guards_base_and_rescore_systems(monkeypatch):
     monkeypatch.setattr(fjattack.optimizer, "invert_conditioned", invert_spy)
     monkeypatch.setattr(fjattack.optimizer, "_approx_scorer", scorer_spy)
     _, params = generate(Scenario(topology="complete", n=14, seed=1))
-    plan = solve_attack(params, p=1e-3)
-    # The full M first, once per search: it is accepted, so no unscored
-    # set is guarded (a principal submatrix of an M-matrix is no worse
-    # conditioned in the 1-norm).
-    assert calls[0] == ("invert", (1, 14, 14))
-    assert [call for call in calls if call[0] == "invert"] == [calls[0]]
-    # Then only every scored set's restricted M_UU and re-scored system.
-    # Its node read divides only by pivots R_vv >= 1, so no (k, k) block is
-    # guarded.  The tree leaves most of the 1,001 sets unscored, yet every
-    # set counts as covered.
-    checked = [shape for kind, shape in calls if kind == "check"]
-    assert 0 < sum(scored) < 1001
-    assert {shape[1:] for shape in checked} == {(10, 10)}
-    assert sum(shape[0] for shape in checked) == 2 * sum(scored)
-    assert plan.leader_evaluations == plan.follower_candidates == 1001
+    plans = []
+    for certified in (True, False):
+        calls.clear()
+        scored.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            if not certified:
+                patch.setattr(fjattack.optimizer, "certifies", lambda kappa: False)
+            plan = solve_attack(params, p=1e-3)
+        plans.append((plan.config, float.hex(plan.predicted_g), float.hex(plan.upper_bound)))
+        # The full M first, once per search: it is accepted, so no unscored
+        # set is guarded (a principal submatrix of an M-matrix is no worse
+        # conditioned in the 1-norm).
+        assert calls[0] == ("invert", (1, 14, 14))
+        assert [call for call in calls if call[0] == "invert"] == [calls[0]]
+        # Certified, no scored set's restricted M_UU or re-scored system is
+        # guarded; uncertified, each one is.  A node read divides only by
+        # pivots R_vv >= 1, so no (k, k) block is guarded.  The tree leaves
+        # most of the 1,001 sets unscored, yet every set counts as covered.
+        checked = [shape for kind, shape in calls if kind == "check"]
+        assert 0 < sum(scored) < 1001
+        if certified:
+            assert not checked
+        else:
+            assert {shape[1:] for shape in checked} == {(10, 10)}
+            assert sum(shape[0] for shape in checked) == 2 * sum(scored)
+        assert plan.leader_evaluations == plan.follower_candidates == 1001
+    assert plans[0] == plans[1]
 
 
 def with_open_minded_agents(params):
