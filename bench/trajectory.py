@@ -1,9 +1,9 @@
-"""Write one point of the benchmark trajectory: BENCH_<date>_<sha>.json.
+"""Write points of the benchmark trajectory: one BENCH_<date>_<sha>.json per checkout.
 
-    python bench/trajectory.py [--root CHECKOUT] [--sha SHA] [--out-dir DIR]
+    python bench/trajectory.py [--root CHECKOUT [--sha SHA]] ... [--out-dir DIR]
 
-Measures the fjattack sources of ``--root`` (default: this checkout) with
-one BLAS thread, as perfbench does, and records:
+Measures the fjattack sources of each ``--root`` (default: this
+checkout) with one BLAS thread, as perfbench does, and records for each:
 
 * the host, the Python, numpy and scipy versions and the live BLAS
   thread count (``perfbench/run.py``'s ``environment``);
@@ -12,13 +12,16 @@ one BLAS thread, as perfbench does, and records:
   networks with n = 16 (``harness.generate``, seed 1, default settings);
 * perfbench plan_exact's pool (``workloads.PlanExact``, one pool seed):
   the time per op of ``count_configurations``, exact ``solve_attack`` and
-  ``brute_force_oracle``, each the median over passes of its mean over
+  ``brute_force_oracle``, each the median over rounds of its mean over
   the pool.
 
+Host speed drifts by tens of percent within minutes on a shared host, so
+checkouts measured one after the other are not comparable.  The
+measurement runs in rounds instead: each round times every checkout once,
+in a fresh process, alternating which goes first, and each figure is a
+median over the rounds.  Give every checkout to compare in one call.
 Each point also carries a digest of every answer it timed (configs and
-the bits of g), so two points show whether they planned the same.  A
-point says little without a point of another commit measured in the
-same session on the same host: host speed drifts between sessions.  The
+the bits of g), so two points show whether they planned the same.  The
 split of each run into search phases waits for a planner trace record.
 """
 
@@ -49,6 +52,9 @@ REPO = HERE.parent
 GRID = [("complete", n) for n in range(10, 21)] + [
     (topology, 16) for topology in ("erdos_renyi", "ring", "star")
 ]
+# Rounds over every checkout, timed plans per grid network per round, and
+# the perfbench plan_exact pool seed.
+ROUNDS, REPEATS, POOL_SEED = 7, 9, 1
 
 # What perfbench's own noise measurements (CHANGES.md FOUND lines) say a
 # pair of runs can resolve; the same limits bound a comparison of points.
@@ -66,12 +72,10 @@ RESOLUTION = [
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--root", type=Path, default=REPO, help="checkout whose src/ is measured")
-    parser.add_argument("--sha", help="commit of --root (default: git rev-parse of --root)")
-    parser.add_argument("--out-dir", type=Path, default=HERE, help="where the JSON file goes")
-    parser.add_argument("--repeats", type=int, default=21, help="timed plans per grid network")
-    parser.add_argument("--passes", type=int, default=5, help="timed passes over the pool")
-    parser.add_argument("--pool-seed", type=int, default=1, help="perfbench plan_exact pool seed")
+    parser.add_argument("--root", type=Path, action="append", help="checkout whose src/ is measured")
+    parser.add_argument("--sha", action="append", help="commit of each --root (default: git)")
+    parser.add_argument("--out-dir", type=Path, default=HERE, help="where the JSON files go")
+    parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     return parser.parse_args(argv)
 
 
@@ -87,17 +91,6 @@ def short_sha(root, sha):
         sys.exit(f"{root} is not a git checkout; give its commit with --sha")
 
 
-def import_package(root):
-    """Import fjattack from ``root``/src, then perfbench's helpers."""
-    sys.path[:0] = [str(root / "src"), str(REPO / "perfbench")]
-    import fjattack
-
-    source = Path(fjattack.__file__).resolve().parent
-    if source != (root / "src" / "fjattack").resolve():
-        sys.exit(f"imported fjattack from {source}, not from {root}")
-    return fjattack
-
-
 def timed(call):
     start = time.perf_counter()
     result = call()
@@ -109,86 +102,116 @@ def plan_answer(plan):
             float.hex(plan.upper_bound), plan.leader_evaluations, plan.follower_candidates]
 
 
-def measure_grid(fj, repeats, answers):
-    rows = []
+def measure_round(root):
+    """One round on the checkout at ``root``, in this process: a JSON-ready
+    dict of grid times, pool times per op, answers and the environment."""
+    sys.path[:0] = [str(root / "src"), str(REPO / "perfbench")]
+    import fjattack as fj
+
+    source = Path(fj.__file__).resolve().parent
+    if source != (root / "src" / "fjattack").resolve():
+        sys.exit(f"imported fjattack from {source}, not from {root}")
+    import run as perfbench
+    from spans import NullTracer
+    from workloads import PlanExact
+
+    answers, grid = [], []
     for topology, n in GRID:
         params = fj.generate(fj.Scenario(topology=topology, n=n, seed=1))[1]
+        # The first plan in a fresh process also pays one-time costs.
+        fj.solve_attack(params)
         times = []
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             seconds, plan = timed(lambda: fj.solve_attack(params))
             times.append(seconds)
+        grid.append({"times": times, "leader_evaluations": plan.leader_evaluations})
         answers.append(plan_answer(plan))
+    workload = PlanExact()
+    workload.setup(POOL_SEED, None, NullTracer())
+    pool = {"count": 0.0, "exact": 0.0, "oracle": 0.0}
+    for params in workload.pool:
+        seconds, count = timed(lambda: fj.count_configurations(params.network))
+        pool["count"] += seconds
+        seconds, exact = timed(lambda: fj.solve_attack(params, follower_mode="exact"))
+        pool["exact"] += seconds
+        seconds, oracle = timed(lambda: fj.brute_force_oracle(params))
+        pool["oracle"] += seconds
+        if exact.config != oracle.config or oracle.follower_candidates != count:
+            sys.exit("exact plan and oracle disagree on the plan_exact pool")
+        answers.append([plan_answer(exact), plan_answer(oracle)])
+    return {
+        "environment": perfbench.environment(),
+        "grid": grid,
+        "instances": len(workload.pool),
+        "pool": {name: seconds / len(workload.pool) for name, seconds in pool.items()},
+        "answers_sha256": hashlib.sha256(json.dumps(answers).encode()).hexdigest(),
+    }
+
+
+def summarize(rounds, sha):
+    """The BENCH point of one checkout from its rounds."""
+    digests = {one["answers_sha256"] for one in rounds}
+    if len(digests) != 1:
+        sys.exit(f"{sha}: rounds planned different answers")
+    grid = []
+    for index, (topology, n) in enumerate(GRID):
+        times = [t for one in rounds for t in one["grid"][index]["times"]]
         quartiles = statistics.quantiles(times, n=4)
-        rows.append({
+        grid.append({
             "topology": topology,
             "n": n,
             "median_s": statistics.median(times),
             "iqr_s": quartiles[2] - quartiles[0],
-            "runs": repeats,
-            "leader_evaluations": plan.leader_evaluations,
+            "runs": len(times),
+            "leader_evaluations": rounds[0]["grid"][index]["leader_evaluations"],
         })
-    return rows
-
-
-def measure_pool(fj, seed, passes, answers):
-    from spans import NullTracer
-    from workloads import PlanExact
-
-    workload = PlanExact()
-    workload.setup(seed, None, NullTracer())
-    parts = {"count": [], "exact": [], "oracle": []}
-    for index in range(passes):
-        spent = dict.fromkeys(parts, 0.0)
-        for params in workload.pool:
-            seconds, count = timed(lambda: fj.count_configurations(params.network))
-            spent["count"] += seconds
-            seconds, exact = timed(lambda: fj.solve_attack(params, follower_mode="exact"))
-            spent["exact"] += seconds
-            seconds, oracle = timed(lambda: fj.brute_force_oracle(params))
-            spent["oracle"] += seconds
-            if exact.config != oracle.config or oracle.follower_candidates != count:
-                sys.exit("exact plan and oracle disagree on the plan_exact pool")
-            if index == 0:
-                answers.append([plan_answer(exact), plan_answer(oracle)])
-        for name, seconds in spent.items():
-            parts[name].append(seconds / len(workload.pool))
-    result = {name: statistics.median(values) for name, values in parts.items()}
+    pool = {
+        f"{name}_s_per_op": statistics.median(one["pool"][name] for one in rounds)
+        for name in ("count", "exact", "oracle")
+    }
+    environment = rounds[0]["environment"]
+    environment["git_sha"] = sha
     return {
-        "pool_seed": seed,
-        "instances": len(workload.pool),
-        "passes": passes,
-        **{f"{name}_s_per_op": seconds for name, seconds in result.items()},
-        "total_s_per_op": sum(result.values()),
+        "date": datetime.date.today().isoformat(),
+        "sha": sha,
+        "environment": environment,
+        "rounds": len(rounds),
+        "approx_grid": grid,
+        "plan_exact_pool": {
+            "pool_seed": POOL_SEED,
+            "instances": rounds[0]["instances"],
+            **pool,
+            "total_s_per_op": sum(pool.values()),
+        },
+        "answers_sha256": digests.pop(),
+        "resolution": RESOLUTION,
+        "not_recorded": "the split of each run into search phases (needs a planner trace record)",
     }
 
 
 def main(argv=None):
     args = parse_args(argv)
-    root = args.root.resolve()
-    sha = short_sha(root, args.sha)
-    fj = import_package(root)
-    import run as perfbench
-
-    environment = perfbench.environment()
-    environment["git_sha"] = sha
-    answers = []
-    grid = measure_grid(fj, args.repeats, answers)
-    pool = measure_pool(fj, args.pool_seed, args.passes, answers)
-    date = datetime.date.today().isoformat()
-    point = {
-        "date": date,
-        "sha": sha,
-        "environment": environment,
-        "approx_grid": grid,
-        "plan_exact_pool": pool,
-        "answers_sha256": hashlib.sha256(json.dumps(answers).encode()).hexdigest(),
-        "resolution": RESOLUTION,
-        "not_recorded": "the split of each run into search phases (needs a planner trace record)",
-    }
+    if args.worker:
+        json.dump(measure_round(args.worker), sys.stdout)
+        return 0
+    roots = [root.resolve() for root in args.root or [REPO]]
+    shas = args.sha or [None] * len(roots)
+    if len(shas) != len(roots):
+        sys.exit("give --sha for every --root, or for none")
+    shas = [short_sha(root, sha) for root, sha in zip(roots, shas)]
+    rounds = {sha: [] for sha in shas}
+    for index in range(ROUNDS):
+        order = list(zip(roots, shas))
+        for root, sha in order if index % 2 == 0 else order[::-1]:
+            worker = [sys.executable, __file__, "--worker", str(root)]
+            done = subprocess.run(worker, check=True, capture_output=True, text=True)
+            rounds[sha].append(json.loads(done.stdout))
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    path = args.out_dir / f"BENCH_{date}_{sha}.json"
-    path.write_text(json.dumps(point, indent=2) + "\n")
-    print(path)
+    for sha in shas:
+        point = summarize(rounds[sha], sha)
+        path = args.out_dir / f"BENCH_{point['date']}_{sha}.json"
+        path.write_text(json.dumps(point, indent=2) + "\n")
+        print(path)
     return 0
 
 
