@@ -13,7 +13,12 @@ checkout) with one BLAS thread, as perfbench does, and records for each:
 * perfbench plan_exact's pool (``workloads.PlanExact``, one pool seed):
   the time per op of ``count_configurations``, exact ``solve_attack`` and
   ``brute_force_oracle``, each the median over rounds of its mean over
-  the pool.
+  the pool;
+* one ``run_ablation`` on Erdos-Renyi n = 22 (seed 1), whose drifting
+  planners score all C(22, 7) = 170,544 sets, and one approx
+  ``solve_follower`` on Erdos-Renyi n = 1,000 (edge probability 0.02,
+  seed 1) for the fixed set of agents 0..k-1, k the leader budget (333):
+  one timing of each per round, and their median over the rounds.
 
 Host speed drifts by tens of percent within minutes on a shared host, so
 checkouts measured one after the other are not comparable.  The
@@ -55,6 +60,10 @@ GRID = [("complete", n) for n in range(10, 21)] + [
 # Rounds over every checkout, timed plans per grid network per round, and
 # the perfbench plan_exact pool seed.
 ROUNDS, REPEATS, POOL_SEED = 7, 9, 1
+# The scenarios timed once per round: the ablation, and the network whose
+# fixed set solve_follower reads.
+ABLATION = {"topology": "erdos_renyi", "n": 22, "seed": 1}
+FOLLOWER = {"topology": "erdos_renyi", "n": 1000, "edge_prob": 0.02, "seed": 1}
 
 # What perfbench's own noise measurements (CHANGES.md FOUND lines) say a
 # pair of runs can resolve; the same limits bound a comparison of points.
@@ -112,6 +121,7 @@ def measure_round(root):
     if source != (root / "src" / "fjattack").resolve():
         sys.exit(f"imported fjattack from {source}, not from {root}")
     import run as perfbench
+    from fjattack.harness import result_rows_to_json
     from spans import NullTracer
     from workloads import PlanExact
 
@@ -139,11 +149,21 @@ def measure_round(root):
         if exact.config != oracle.config or oracle.follower_candidates != count:
             sys.exit("exact plan and oracle disagree on the plan_exact pool")
         answers.append([plan_answer(exact), plan_answer(oracle)])
+    once = {}
+    once["ablation_s"], rows = timed(lambda: fj.run_ablation(fj.Scenario(**ABLATION)))
+    for row in result_rows_to_json(rows):
+        row.pop("wall_time_ms")
+        answers.append(row)
+    params = fj.generate(fj.Scenario(**FOLLOWER))[1]
+    adversaries = tuple(range(params.network.leader_budget()))
+    once["follower_s"], (targets, g) = timed(lambda: fj.solve_follower(params, adversaries))
+    answers.append([sorted(targets.items()), float.hex(g)])
     return {
         "environment": perfbench.environment(),
         "grid": grid,
         "instances": len(workload.pool),
         "pool": {name: seconds / len(workload.pool) for name, seconds in pool.items()},
+        "once": once,
         "answers_sha256": hashlib.sha256(json.dumps(answers).encode()).hexdigest(),
     }
 
@@ -169,6 +189,16 @@ def summarize(rounds, sha):
         f"{name}_s_per_op": statistics.median(one["pool"][name] for one in rounds)
         for name in ("count", "exact", "oracle")
     }
+    once = {}
+    for name, scenario in (("ablation", ABLATION), ("follower", FOLLOWER)):
+        times = [one["once"][f"{name}_s"] for one in rounds]
+        quartiles = statistics.quantiles(times, n=4)
+        once[name] = {
+            **scenario,
+            "median_s": statistics.median(times),
+            "iqr_s": quartiles[2] - quartiles[0],
+            "runs": len(times),
+        }
     environment = rounds[0]["environment"]
     environment["git_sha"] = sha
     return {
@@ -183,6 +213,8 @@ def summarize(rounds, sha):
             **pool,
             "total_s_per_op": sum(pool.values()),
         },
+        "run_ablation": once["ablation"],
+        "solve_follower": once["follower"],
         "answers_sha256": digests.pop(),
         "resolution": RESOLUTION,
         "not_recorded": "the split of each run into search phases (needs a planner trace record)",

@@ -153,7 +153,10 @@ class InfluenceNetwork:
     An edge (source, target) means the target listens to the source, i.e.
     w[target, source] may be nonzero.  Every agent must have at least one
     in-neighbor so each influence row has support to normalize over.
-    Self-loops are rejected unless ``allow_self_loops`` is set.
+    A self-loop (i, i) is always refused, so no agent listens to itself:
+    W's diagonal is 0, M = I - (I - Theta) W has a diagonal of exactly 1,
+    and an agent is never its own out-neighbour.  The planners rely on
+    both: the optimizer's conditioning certificate and its target rules.
 
     The support is kept once per order, as arrays and nothing else.
     ``edges`` is a read-only (|E|, 2) int64 array of the distinct
@@ -164,13 +167,11 @@ class InfluenceNetwork:
     ``_row_pointer``: the CSR layout of W, which the dynamics run on and
     the in-neighbours are read from.  The neighbour methods build their
     tuples of Python ints on demand.  Two networks are equal when their
-    agent counts, self-loop flags and edges are; a network is not
-    hashable.
+    agent counts and edges are; a network is not hashable.
     """
 
     agent_count: int
     edges: np.ndarray
-    allow_self_loops: bool = False
 
     def __post_init__(self):
         n = _check_count(self.agent_count, "agent_count")
@@ -199,9 +200,7 @@ class InfluenceNetwork:
             raise ValidationError(f"edges must be (source, target) pairs, got shape {edges.shape}")
         sources, targets = edges.T
         outside = (edges < 0) | (edges >= n)
-        rejected = outside[:, 0] | outside[:, 1]
-        if not self.allow_self_loops:
-            rejected |= sources == targets
+        rejected = outside[:, 0] | outside[:, 1] | (sources == targets)
         if rejected.any():
             first = int(np.argmax(rejected))
             src, dst = edges[first].tolist()
@@ -236,11 +235,7 @@ class InfluenceNetwork:
     def __eq__(self, other):
         if not isinstance(other, InfluenceNetwork):
             return NotImplemented
-        return (
-            self.agent_count == other.agent_count
-            and self.allow_self_loops == other.allow_self_loops
-            and np.array_equal(self.edges, other.edges)
-        )
+        return self.agent_count == other.agent_count and np.array_equal(self.edges, other.edges)
 
     # A hash would have to read every edge, and nothing keys a dict or set
     # by a network, so a network has none.

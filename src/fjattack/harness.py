@@ -17,9 +17,10 @@ at p = 0.  Both build M and its inverse in the optimizer's one kernel;
 the harness scores no set itself.
 Each strategy's config is validated and re-scored under the true
 attacked dynamics by one row builder, ``_result_row``.
-A scenario's leader size passes ``optimizer._check_leader_size``, and a
-comparison's cap ``optimizer._check_cap``, before any strategy runs; a
-malformed field raises ValidationError.
+A scenario's leader size passes ``optimizer._check_leader_size``, its p
+the sharing rule ``optimizer._check_sharing``, and a comparison's cap
+``optimizer._check_cap``, before any strategy or model runs; a malformed
+field raises ValidationError.
 """
 
 import math
@@ -50,6 +51,7 @@ from .optimizer import (
     _check_cap,
     _check_leader_size,
     _check_magnitude,
+    _check_sharing,
     _drifting_search,
     _search,
     baseline_variant,
@@ -289,9 +291,12 @@ def generate(scenario):
 
 
 def _resolve_leader_size(scenario, network):
-    """The scenario's leader size, checked as every planner checks it."""
+    """The scenario's leader size, checked as every planner checks it; the
+    scenario's p then passes the sharing rule at that size."""
     size = None if scenario.leader_size == "budget" else scenario.leader_size
-    return _check_leader_size(network, size)
+    size = _check_leader_size(network, size)
+    _check_sharing(network, scenario.p, size)
+    return size
 
 
 def _uniform_below(total, rng):
@@ -322,7 +327,7 @@ def _random_targets(network, adversaries, rng):
     barred = set(adversaries)
     targets = {}
     for j in adversaries:
-        eligible = [i for i in network.out_neighbors(j) if i != j and i not in barred]
+        eligible = [i for i in network.out_neighbors(j) if i not in barred]
         m = len(eligible)
         per_size = [math.comb(m, size) for size in range(network.target_budget(j) + 1)]
         rank = _uniform_below(sum(per_size), rng)

@@ -141,8 +141,9 @@ configurations in follower_candidates) as covered.
 The full system passes ``linalg.invert_conditioned`` as the kernel is
 built, and one certificate then stands for every system a search
 solves.  Write B = (I - Theta) W >= 0, so M = I - B is a nonsingular
-M-matrix, and its diagonal is 1 since W has none.  A set's restricted
-system, re-weighted by a configuration's targets, is
+M-matrix, and its diagonal is 1: W's is 0, since ``InfluenceNetwork``
+refuses every self-loop.  A set's restricted system, re-weighted by a
+configuration's targets, is
 
     M' = I - (I - Theta_U) diag(s) W_UU,    s_u = 1 - h_u p,
 
@@ -462,8 +463,9 @@ class _SchurGains:
         self.kappa = np.abs(self.system).sum(axis=0).max() * np.abs(self.minv).sum(axis=0).max()
         self.certified = certifies(self.kappa)
         self.p = p
-        # Agent j may target its out-neighbours other than itself.
-        self.others = network.support_mask().T & ~np.eye(params.n, dtype=bool)
+        # Agent j may target its out-neighbours, never itself (a network has
+        # no self-loops); a C-order copy keeps each set's row gather fast.
+        self.others = network.support_mask().T.copy()
         self.budgets = network.target_budgets()
         # Whether any gain can be taken: at p = 0 every gain is exactly 0,
         # and with every budget 0 nobody may target.
@@ -514,7 +516,7 @@ class _SchurGains:
 
     def top_sums(self, gain):
         """top_j of a (m, n) stack of gains: agent j's top-budget positive
-        gains over its out-neighbours other than itself, summed.
+        gains over its out-neighbours, summed.
 
         A sum does not depend on how equal gains are ordered, so no rank
         of the targets is built: each agent's targets' gains are gathered,
@@ -776,8 +778,11 @@ def _drifting_search(params, p, leader_size):
     ``check_conditioned`` and re-scored in one batched solve.  With no gain
     to take (``gains.targeting`` false, as at p = 0) no gain is computed,
     and a chunk in which no set chose a target keeps z0, which is what
-    that solve would return.  Returns ``_leader_search``'s result.
+    that solve would return.  p passes the sharing rule
+    (``_check_sharing``) before anything is scored, as in ``_search``.
+    Returns ``_leader_search``'s result.
     """
+    _check_sharing(params.network, p, leader_size)
     gains = _SchurGains(params, p)
     theta, weights, n = params.stubbornness, params.influence, params.n
     sensitivity = (1.0 - theta) * gains.root[3][0]
@@ -946,7 +951,7 @@ def _space_bound(network, k):
 def _subset_masks(network, agent, budget):
     """Boolean (subsets, n) masks of the agent's target choices of at most
     ``budget`` out-neighbours, in canonical (size, lex) order."""
-    eligible = [i for i in network.out_neighbors(agent) if i != agent]
+    eligible = network.out_neighbors(agent)
     subsets = [c for size in range(budget + 1) for c in combinations(eligible, size)]
     masks = np.zeros((len(subsets), network.agent_count), dtype=bool)
     masks[

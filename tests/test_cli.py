@@ -179,6 +179,19 @@ def test_attack_plan_refuses_a_p_that_two_adversaries_could_share(tmp_path, caps
     assert not list(tmp_path.glob("*_attack_plan.json"))
 
 
+@pytest.mark.parametrize("command", (["compare", "--strategies", "random,variant_I,ours_approx"], ["ablate"]))
+def test_harness_runs_refuse_a_p_that_two_adversaries_could_share(tmp_path, capsys, command):
+    # The comparison and the ablation apply the planners' sharing rule
+    # before any strategy or model runs, and write no table.
+    scenario = write_scenario(tmp_path, seed=11, p=0.5)
+    code = main([*command, "--scenario", str(scenario), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: influence magnitude p=0.5 lets 2 adversaries target one agent; need p < 1/2\n"
+    )
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["scenario.json"]
+
+
 def test_attack_plan_magnitude_defaults_to_the_package_default():
     args = build_parser().parse_args(["attack-plan", "--network", "net.json"])
     assert args.p == DEFAULT_P

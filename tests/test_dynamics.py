@@ -180,15 +180,11 @@ def dense_rollout(params, z0, rounds, pinned=(), pinned_value=1.0):
 
 def test_rollout_matches_dense_reference():
     rng = np.random.default_rng(909)
-    cases = {"theta_0_and_1": 0, "self_loops": 0, "pinned": 0}
+    cases = {"theta_0_and_1": 0, "pinned": 0}
     for trial in range(120):
         topology = ("complete", "erdos_renyi", "ring", "star")[trial % 4]
         n = int(rng.integers(4, 41))
-        edges = topology_edges(topology, n, rng)
-        self_loops = trial % 3 == 0
-        if self_loops:
-            edges += tuple((i, i) for i in range(n) if rng.random() < 0.5)
-        network = InfluenceNetwork(n, edges, allow_self_loops=self_loops)
+        network = InfluenceNetwork(n, topology_edges(topology, n, rng))
         drawn = random_params(rng, network)
         theta = np.array(drawn.stubbornness)
         if trial % 2:
@@ -207,7 +203,6 @@ def test_rollout_matches_dense_reference():
         step = fj_step(params, want[7], pinned=pinned, pinned_value=pinned_value)
         assert np.max(np.abs(step - want[8])) <= 1e-15
         cases["theta_0_and_1"] += trial % 2
-        cases["self_loops"] += self_loops
         cases["pinned"] += bool(pinned)
     assert min(cases.values()) >= 20
 
@@ -699,7 +694,7 @@ def test_network_validation():
         InfluenceNetwork(3, ((0, 1), (1, 0)))  # agent 2 has no in-neighbor
 
 
-def reference_network(n, edges, allow_self_loops):
+def reference_network(n, edges):
     """The per-edge validation loop InfluenceNetwork once ran, kept as the
     reference for the vectorized one.  Returns the ValidationError message,
     or the canonical edges, in- and out-neighbor tuples and support mask."""
@@ -708,7 +703,7 @@ def reference_network(n, edges, allow_self_loops):
         src, dst = int(src), int(dst)
         if not (0 <= src < n and 0 <= dst < n):
             return f"edge ({src}, {dst}) out of range for {n} agents"
-        if src == dst and not allow_self_loops:
+        if src == dst:
             return f"self-loop on agent {src} is not allowed"
         if (src, dst) not in seen:
             seen.add((src, dst))
@@ -732,47 +727,51 @@ def test_network_validation_matches_the_per_edge_loop():
     outcomes = {"ok": 0, "error": 0}
     for trial in range(400):
         n = int(rng.integers(1, 13))
-        # A ring keeps most lists valid; random extra edges bring duplicates,
-        # and a few planted ones fall out of range or loop.
+        # A ring keeps most lists valid; random extra edges, redrawn until
+        # they leave the diagonal (but for n = 1), bring duplicates, and a
+        # few planted ones fall out of range or loop.
         edges = [(i, (i + 1) % n) for i in range(n) if trial % 5 or i]
-        edges += [tuple(rng.integers(0, n, 2).tolist()) for _ in range(rng.integers(0, 3 * n))]
+        for _ in range(rng.integers(0, 3 * n)):
+            src, dst = rng.integers(0, n, 2).tolist()
+            while src == dst and n > 1:
+                src, dst = rng.integers(0, n, 2).tolist()
+            edges.append((src, dst))
         edges += [edges[k] for k in rng.integers(0, len(edges), 3)] if edges else []
         for _ in range(rng.choice(3, p=[0.6, 0.25, 0.15])):
             bad = [(int(rng.integers(-2, 0)), 0), (0, n + int(rng.integers(0, 2)))]
             bad.append((int(rng.integers(0, n)),) * 2)
             edges.insert(int(rng.integers(0, len(edges) + 1)), bad[rng.integers(0, 3)])
         rng.shuffle(edges)
-        for allow in (False, True):
-            expected = reference_network(n, edges, allow)
-            if isinstance(expected, str):
-                outcomes["error"] += 1
-                with pytest.raises(ValidationError) as raised:
-                    InfluenceNetwork(n, tuple(edges), allow_self_loops=allow)
-                assert str(raised.value) == expected
-                continue
-            outcomes["ok"] += 1
-            network = InfluenceNetwork(n, tuple(edges), allow_self_loops=allow)
-            canon, incoming, outgoing, mask = expected
-            assert network.edges.dtype == np.int64 and network.edges.shape == (len(canon), 2)
-            assert not network.edges.flags.writeable
-            assert list(map(tuple, network.edges.tolist())) == list(canon)
-            assert [network.in_neighbors(i) for i in range(n)] == incoming
-            assert [network.out_neighbors(i) for i in range(n)] == outgoing
-            budgets = [max(0, (len(out) - 1) // 3) for out in outgoing]
-            for i in range(n):
-                neighbors = network.in_neighbors(i) + network.out_neighbors(i)
-                assert all(type(x) is int for x in neighbors)
-                assert type(network.out_degree(i)) is int is type(network.target_budget(i))
-                assert network.out_degree(i) == len(network.out_neighbors(i))
-                assert network.target_budget(i) == budgets[i]
-            assert network.out_degrees().tolist() == list(map(len, outgoing))
-            assert network.target_budgets().tolist() == budgets
-            for agent in (-1, n):
-                with pytest.raises(IndexError, match=f"agent {agent} out of range for {n} agents"):
-                    network.in_neighbors(agent)
-                with pytest.raises(IndexError, match=f"agent {agent} out of range"):
-                    network.out_degree(agent)
-            assert np.array_equal(network.support_mask(), mask)
+        expected = reference_network(n, edges)
+        if isinstance(expected, str):
+            outcomes["error"] += 1
+            with pytest.raises(ValidationError) as raised:
+                InfluenceNetwork(n, tuple(edges))
+            assert str(raised.value) == expected
+            continue
+        outcomes["ok"] += 1
+        network = InfluenceNetwork(n, tuple(edges))
+        canon, incoming, outgoing, mask = expected
+        assert network.edges.dtype == np.int64 and network.edges.shape == (len(canon), 2)
+        assert not network.edges.flags.writeable
+        assert list(map(tuple, network.edges.tolist())) == list(canon)
+        assert [network.in_neighbors(i) for i in range(n)] == incoming
+        assert [network.out_neighbors(i) for i in range(n)] == outgoing
+        budgets = [max(0, (len(out) - 1) // 3) for out in outgoing]
+        for i in range(n):
+            neighbors = network.in_neighbors(i) + network.out_neighbors(i)
+            assert all(type(x) is int for x in neighbors)
+            assert type(network.out_degree(i)) is int is type(network.target_budget(i))
+            assert network.out_degree(i) == len(network.out_neighbors(i))
+            assert network.target_budget(i) == budgets[i]
+        assert network.out_degrees().tolist() == list(map(len, outgoing))
+        assert network.target_budgets().tolist() == budgets
+        for agent in (-1, n):
+            with pytest.raises(IndexError, match=f"agent {agent} out of range for {n} agents"):
+                network.in_neighbors(agent)
+            with pytest.raises(IndexError, match=f"agent {agent} out of range"):
+                network.out_degree(agent)
+        assert np.array_equal(network.support_mask(), mask)
     assert min(outcomes.values()) > 100
 
 
@@ -797,7 +796,6 @@ def test_networks_are_equal_by_value_and_unhashable():
     again = InfluenceNetwork(3, pairs[::-1] + pairs[:2])
     assert network == again and not network != again
     assert network != InfluenceNetwork(3, pairs[:3])
-    assert network != InfluenceNetwork(3, pairs, allow_self_loops=True)
     assert network != InfluenceNetwork(4, pairs + [(0, 3), (3, 0)])
     assert network != pairs
     # Nothing keys a dict or set by a network, so none has a hash.
@@ -810,7 +808,7 @@ def test_network_validation_names_the_first_offending_edge():
     with pytest.raises(ValidationError, match=r"self-loop on agent 2"):
         InfluenceNetwork(3, ((0, 1), (2, 2), (0, 5), (1, 1)))
     with pytest.raises(ValidationError, match=r"edge \(0, 5\) out of range for 3 agents"):
-        InfluenceNetwork(3, ((0, 1), (0, 5), (2, 2), (-1, 0)), allow_self_loops=True)
+        InfluenceNetwork(3, ((0, 1), (0, 5), (2, 2), (-1, 0)))
     with pytest.raises(ValidationError, match=r"edge \(4, 4\) out of range"):
         InfluenceNetwork(3, ((4, 4), (1, 1)))
     with pytest.raises(ValidationError, match="pairs"):

@@ -306,6 +306,22 @@ def test_integral_floats_booleans_and_text_are_refused(tmp_path):
             load(path)
 
 
+def test_self_loops_are_refused_on_every_path(tmp_path):
+    # No network has a self-loop, however its edges arrive: a list, an
+    # int64 array (the constructor's fast path) or a file, through both
+    # loaders.  The planners' premises rest on it (InfluenceNetwork).
+    edges = [[0, 1], [1, 0], [1, 1], [0, 0]]
+    message = re.escape("self-loop on agent 1 is not allowed")
+    for given in (edges, np.array(edges, dtype=np.int64)):
+        with pytest.raises(ValidationError, match=message):
+            InfluenceNetwork(2, given)
+    path = tmp_path / "params.json"
+    write_json(path, {**TWO_AGENTS, "edges": edges, "w": [[0, 1, 0.5], [1, 0, 0.5], [1, 1, 0.5], [0, 0, 0.5]]})
+    for load in (load_parameters, load_network):
+        with pytest.raises(ValidationError, match=message):
+            load(path)
+
+
 def test_parameters_name_the_first_out_of_range_weight_entry(tmp_path):
     path = tmp_path / "params.json"
     weights = [[0, 1, 1.0], [1, 0, 1.0], [2, 0, 0.0], [0, -1, 0.0]]

@@ -7,6 +7,7 @@ tests lean on re-running and diffing serialized output.
 
 import json
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -571,3 +572,37 @@ def test_drifting_search_inverts_m_once_through_the_kernel(monkeypatch, p):
     monkeypatch.setattr(fjattack.optimizer._SchurGains, "__init__", init_spy)
     _drifting_search(params, p, network.leader_budget())
     assert calls == [((1, 10, 10), True, "system I - (I - Theta) W")]
+
+
+SHARED_TARGET = "influence magnitude p=0.5 lets 2 adversaries target one agent; need p < 1/2"
+
+
+@pytest.mark.parametrize("entry", ["compare", "ablate", "drifting"])
+def test_sharing_rule_is_applied_before_any_strategy_or_model(monkeypatch, entry):
+    # At p = 0.5 two adversaries that share a target would scale its row of
+    # W by 1 - 2 p = 0.  Unchecked, the drifting planner chose adversaries
+    # (6, 7) here, both targeting agents 1 and 3, and the comparison's
+    # random strategy built a config that AttackConfig refused.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a strategy, model or scorer ran before the sharing rule")
+
+    scenario = Scenario(scenario_id="s", topology="complete", n=8, seed=11, p=0.5)
+    _, params = generate(scenario)
+    for module, name in [
+        (fjattack.harness, "solve_attack"),
+        (fjattack.harness, "_random_config"),
+        (fjattack.harness, "baseline_variant"),
+        (fjattack.harness, "_search"),
+        (fjattack.harness, "_drifting_search"),
+        (fjattack.harness, "adversarial_outcome"),
+        (fjattack.optimizer, "_SchurGains"),
+        (fjattack.optimizer, "_leader_search"),
+    ]:
+        monkeypatch.setattr(module, name, unreachable)
+    with pytest.raises(ValidationError, match=re.escape(SHARED_TARGET)):
+        if entry == "compare":
+            run_comparison(scenario, ["random", "variant_I", "ours_approx"])
+        elif entry == "ablate":
+            run_ablation(scenario)
+        else:
+            _drifting_search(params, scenario.p, 2)

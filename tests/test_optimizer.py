@@ -59,6 +59,7 @@ from fjattack.optimizer import (
     _child_bounds,
     _chunks,
     _exact_scorer,
+    _full_system,
     _leader_search,
     _SchurGains,
     _search,
@@ -1017,6 +1018,27 @@ def regime_instances(sizes, topologies=("complete", "erdos_renyi", "ring", "star
             for n in sizes:
                 _, params = generate(Scenario(topology=topology, n=n, seed=n, theta_dist=theta))
                 yield f"{topology}-{theta}-{n}", params
+
+
+def test_networks_have_no_self_loops_so_the_certificate_premise_holds():
+    # A network refuses every self-loop, so W's diagonal is 0 and M = I -
+    # (I - Theta) W has a diagonal of exactly 1, theta = 0 agents included.
+    # Then ||M||_1 = 1 + ||(I - Theta) W||_1, and the kernel's kappa is the
+    # kappa_1(M) that the module docstring's certificate bounds by.
+    checked = 0
+    for name, drawn in regime_instances((5, 9, 13)):
+        for params in (drawn, with_open_minded_agents(drawn)):
+            if params is None:
+                continue
+            system = _full_system(params)
+            assert np.array_equal(np.diagonal(system), np.ones(params.n)), name
+            assert not np.diagonal(params.influence).any(), name
+            coupling = (1.0 - params.stubbornness)[:, None] * params.influence
+            inverse = np.linalg.inv(system)
+            kappa = (1.0 + np.abs(coupling).sum(axis=0).max()) * np.abs(inverse).sum(axis=0).max()
+            assert _SchurGains(params, 1e-3).kappa == pytest.approx(kappa, rel=1e-12), name
+            checked += 1
+    assert checked >= 60
 
 
 def node_scores(gains, nodes):

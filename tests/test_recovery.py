@@ -459,19 +459,6 @@ def test_recover_splits_large_stacks_with_the_same_bits(monkeypatch):
         assert split.identifiability_flags == whole.identifiability_flags
 
 
-def test_recover_matches_rows_bitwise_with_self_loops():
-    # Self-loops put an agent's own column in its design.
-    rng = np.random.default_rng(5)
-    n = 7
-    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 3) % n) for i in range(0, n, 2)]
-    network = InfluenceNetwork(n, edges + [(i, i) for i in range(0, n, 3)], allow_self_loops=True)
-    params = random_params(rng, network, theta_range=(0.2, 0.8))
-    clean = [simulate(params, rng.uniform(0.0, 1.0, n), 20).values for _ in range(3)]
-    for noise, ridge in itertools.product((0.0, 1e-2), (0.0, 1e-3)):
-        runs = [np.clip(v + rng.uniform(-noise, noise, v.shape), 0.0, 1.0) for v in clean]
-        assert_recover_matches_rows(params, runs, ridge)
-
-
 def test_recover_matches_rows_bitwise_on_every_flag_branch():
     # One stack holds fitted, fully stubborn and rank-deficient rows side
     # by side: on a two-way ring every agent has in-degree 2, agents 0, 3
