@@ -625,8 +625,8 @@ def closed_form_outcome(params):
     Write B = (I - Theta) W and M = I - B.  Below SPARSE_MIN_EDGES edges,
     or where ``_bracket_cap`` finds that the bracket would cost more than a
     dense LU, z* is the rcond-guarded dense solve of M z = Theta s, which
-    raises ConvergenceError if M is singular or too badly conditioned to
-    trust.
+    raises ConvergenceError, naming the system as the planners do, if M is
+    singular or too badly conditioned to trust.
 
     Otherwise z* is the midpoint of the bracket (``_bracket``): the rollout
     round run from all zeros and from all ones.  After T rounds their gap
@@ -650,5 +650,8 @@ def closed_form_outcome(params):
     if z is None:
         theta = params.stubbornness
         system = np.eye(params.n) - (1.0 - theta)[:, None] * params.influence
-        z = solve_conditioned(system, theta * params.intrinsic)
+        try:
+            z = solve_conditioned(system, theta * params.intrinsic)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"system I - (I - Theta) W: {exc}") from None
     return Outcome(fixed_point=z, g=float(z.sum()))

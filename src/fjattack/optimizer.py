@@ -138,11 +138,11 @@ the order: the plan is full enumeration's, bit for bit.  An unscored set
 still counts in leader_evaluations (and, in exact mode, its
 configurations in follower_candidates) as covered.
 
-The full system passes ``linalg.invert_conditioned`` as the kernel is
-built, and one certificate then stands for every system a search
-solves.  Write B = (I - Theta) W >= 0, so M = I - B is a nonsingular
-M-matrix, and its diagonal is 1: W's is 0, since ``InfluenceNetwork``
-refuses every self-loop.  A set's restricted system, re-weighted by a
+The full system passes ``_certified_inverse`` as the kernel is built,
+and one certificate then stands for every system a search solves.
+Write B = (I - Theta) W >= 0, so M = I - B is a nonsingular M-matrix,
+and its diagonal is 1: W's is 0, since ``InfluenceNetwork`` refuses
+every self-loop.  A set's restricted system, re-weighted by a
 configuration's targets, is
 
     M' = I - (I - Theta_U) diag(s) W_UU,    s_u = 1 - h_u p,
@@ -157,24 +157,17 @@ nonnegative and at most sum of B_UU^t = (M_UU)^-1, itself at most
 
     kappa_1(M') <= kappa_1(M) = (1 + ||(I - Theta) W||_1) ||M^-1||_1,
 
-the certificate, read off the M^-1 the kernel holds.  When kappa_1(M)
-RCOND_MIN <= 1/2 (``linalg.certifies``), no ``check_conditioned`` on
-any of these systems can refuse, the factor 2 covering the rounding of a
-computed rcond: the search is certified, and builds and solves its
-systems with no guard.  An uncertified search runs
-``linalg.check_conditioned`` on every restricted and re-scored stack
-(the oracle on every re-scored one: each set's first configuration
-targets nobody, so its system is the set's restricted one, bit for bit).
-The guard clears a stack by a diagonal-dominance bound, or else by the
-exact rcond, and names the adversary set it rejects.  If the kernel
-refuses M, the restricted systems of the first LEADER_CHUNK sets in
-enumeration order are guarded, so that ``_search`` names a refused set
-first on either entry.  brute_force_oracle reads kappa_1(M) off one
-inversion (``np.linalg.cond``, inf where M is singular), so a refused M
-only leaves it uncertified, and marginal_gains guards its one set
-whatever the certificate.  The ablation's drifting planner keeps its
-guard: its re-weighting adds weight on adversary columns, where the
-entrywise bound fails.  A node read divides only by pivots R_vv >= 1.
+the certificate, read off the M^-1 the kernel holds.  One rule follows:
+certified, or refused before scoring.  M is admitted only when
+kappa_1(M) RCOND_MIN <= 1/2 (``linalg.certifies``), so that no
+``check_conditioned`` on any system a search solves could refuse, the
+factor 2 covering the rounding of a computed rcond; every such system is
+built and solved with no guard.  Otherwise every entry (solve_attack,
+solve_follower, marginal_gains and brute_force_oracle) raises
+ConvergenceError naming the full system before any set is scored.  The
+ablation's drifting planner keeps its guard: its re-weighting adds
+weight on adversary columns, where the entrywise bound fails.  A node
+read divides only by pivots R_vv >= 1.
 Every exact score here, stacked or one at a time, patches its set's
 untargeted system with ``adversary._reweighted_systems``, the package's
 one system builder; so does ``adversarial_outcome`` below the bracket
@@ -381,16 +374,13 @@ def marginal_gains(params, adversaries, p=DEFAULT_P):
     (``_SchurGains.read``), which pins the set into the inverse of the full
     system I - (I - Theta) W one agent at a time, so their rounding grows
     with kappa_1 of that system, not of the restricted one.  p must pass
-    the sharing rule of the set (``_check_sharing``).  Its one restricted
-    system passes ``check_conditioned`` first, whatever the kernel's
-    certificate, so a refused set is named before the full system.
+    the sharing rule of the set (``_check_sharing``), and that system
+    its certificate (``_certified_inverse``), as in every search.
     """
     adversaries, p = _check_adversary_set(params.network, adversaries, p)
     _check_sharing(params.network, p, len(adversaries), adversaries)
-    stack = np.array([adversaries])
-    _, systems = _guarded_systems(params, stack)
-    z, gain = _SchurGains(params, p).read(stack)
-    unpinned = systems.unpinned[0]
+    z, gain = _SchurGains(params, p).read(np.array([adversaries]))
+    unpinned = np.delete(np.arange(params.n), adversaries)
     return MarginalGains(
         adversaries=adversaries,
         unpinned=tuple(unpinned.tolist()),
@@ -432,16 +422,31 @@ def _full_system(params):
     return np.eye(params.n) - (1.0 - params.stubbornness)[:, None] * params.influence
 
 
+def _certified_inverse(system):
+    """(M^-1, kappa_1(M)) of the full system M, refused unless certified.
+
+    M passes ``invert_conditioned``, and kappa_1(M) = ||M||_1 ||M^-1||_1
+    must certify every system a search solves (``linalg.certifies``; see
+    the module docstring); otherwise ConvergenceError names M and kappa_1.
+    """
+    label = "system I - (I - Theta) W"
+    inverse = invert_conditioned(system[None], lambda b: label)[0]
+    kappa = np.abs(system).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max()
+    if not certifies(kappa):
+        raise ConvergenceError(
+            f"{label}: kappa_1={kappa:.3e} is too large to certify (need kappa_1 RCOND_MIN <= 1/2)"
+        )
+    return inverse, kappa
+
+
 class _SchurGains:
     """The leader tree's nodes, and every set's z and gains read off them.
 
-    M = I - (I - Theta) W is inverted (``minv``, through
-    ``invert_conditioned``, which refuses an ill-conditioned M) when the
-    kernel is built, with kappa_1(M), the root and its scores;
-    ``certified`` tells whether kappa_1(M) certifies every system the
-    search solves (``linalg.certifies``; see the module docstring).  A
-    node is a partial set S, its agents in the order they were pinned,
-    with three arrays: R, the restricted inverse (M_UU)^-1 embedded in
+    M = I - (I - Theta) W is inverted (``minv``) when the kernel is
+    built, by ``_certified_inverse``, which refuses M unless kappa_1(M)
+    (``kappa``) certifies every system the search solves; with it come
+    the root and its scores.  A node is a partial set S, its agents in
+    the order they were pinned, with three arrays: R, the restricted inverse (M_UU)^-1 embedded in
     n x n with zero rows and columns on S; z, the pinned fixed point, 1 on
     S; and 1^T R, zero on S.  Nodes travel as stacks (sets, R, z, 1^T R)
     of shapes (m, |S|), (m, n, n), (m, n) and (m, n).  The root pins
@@ -459,9 +464,7 @@ class _SchurGains:
         network = params.network
         self.params = params
         self.system = _full_system(params)
-        self.minv = invert_conditioned(self.system[None], lambda b: "system I - (I - Theta) W")[0]
-        self.kappa = np.abs(self.system).sum(axis=0).max() * np.abs(self.minv).sum(axis=0).max()
-        self.certified = certifies(self.kappa)
+        self.minv, self.kappa = _certified_inverse(self.system)
         self.p = p
         # Agent j may target its out-neighbours, never itself (a network has
         # no self-loops); a C-order copy keeps each set's row gather fast.
@@ -632,36 +635,20 @@ def _child_bounds(rank, sets, base, scores, k):
     return np.where((rank > after) & (rank < n - later), bound, -np.inf)
 
 
-def _set_label(adversaries):
-    """label(b) naming set b of a (sets, k) array in a guard's error."""
-    return lambda b: f"adversary set {tuple(adversaries[b].tolist())}"
-
-
-def _guarded_systems(params, adversaries):
-    """``adversary._restricted_systems`` of a (sets, k) array, every set's
-    M_UU = I - (I - Theta_U) W_UU guarded by ``check_conditioned``."""
-    pinned, systems = _restricted_systems(params, adversaries)
-    check_conditioned(systems.matrix, _set_label(adversaries))
-    return pinned, systems
-
-
-def _rescore(batches, p, certified):
-    """(g, chosen, owner) of each batch (systems, owner, hits, chosen,
-    label): the exact g of each configuration c on set owner[c] of
-    ``systems``, the chunk's untargeted restricted systems
+def _rescore(batches, p):
+    """(g, chosen, owner) of each batch (systems, owner, hits, chosen): the
+    exact g of each configuration c on set owner[c] of ``systems``, the
+    chunk's untargeted restricted systems
     (``adversary._restricted_systems``), and hits[a, c, u] marking its
     unpinned agent u as a target of adversary a.  ``chosen[c]`` is
     configuration c's (k, n) target mask, read only by whoever keeps it.
     Each configuration gets a copy of its set's system with only the rows
     its targets hit rebuilt (``adversary._reweighted_systems``), and the
-    stack is solved in one batched LAPACK solve: with no guard if the
-    search is ``certified``, else after ``check_conditioned``, which names
-    the set of a refused member by ``label``.
+    stack is solved in one batched LAPACK solve with no guard: the
+    search's certificate (``_certified_inverse``) covers every such system.
     """
-    for systems, owner, hits, chosen, label in batches:
+    for systems, owner, hits, chosen in batches:
         matrix, rhs = _reweighted_systems(systems, owner, hits, p)
-        if not certified:
-            check_conditioned(matrix, label)
         z = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
         yield z.sum(axis=1) + len(hits), chosen, owner
 
@@ -677,10 +664,8 @@ def _approx_scorer(params, p, gains, bounds):
     exceeds, are appended to ``bounds`` as one array.  Every product is per
     set, so a set's g, targets and UB(A) do not depend on which sets share
     its chunk.  Each set's restricted M_UU, given as ``built`` (the
-    chunk's systems, which ``_search`` guards unless ``gains.certified``)
-    or else built here, is the system its re-score patches; unless
-    ``gains.certified``, the re-weighted system passes
-    ``check_conditioned``.  With no gain to take
+    chunk's systems, which ``_search`` builds once) or else built here, is
+    the system its re-score patches.  With no gain to take
     (``gains.targeting`` false, as at p = 0) no target is chosen and the
     top-target step is skipped.
     """
@@ -695,7 +680,7 @@ def _approx_scorer(params, p, gains, bounds):
         bounds.append(fixed.sum(axis=1) + np.einsum("bkn,bn->b", chosen, gain))
         owner = np.arange(sets)
         hits = chosen.transpose(1, 0, 2)[:, owner[:, None], systems.unpinned]
-        yield from _rescore([(systems, owner, hits, chosen, _set_label(adversaries))], p, gains.certified)
+        yield from _rescore([(systems, owner, hits, chosen)], p)
 
     return score
 
@@ -805,7 +790,7 @@ def _drifting_search(params, p, leader_size):
             hits = np.zeros((sets, n, n), dtype=bool)
             hits[rows, :, adversaries] = chosen
             matrix = np.eye(n) - (1.0 - theta)[:, None] * _reweighted(weights, hits, gains.p)
-            check_conditioned(matrix, _set_label(adversaries))
+            check_conditioned(matrix, lambda b: f"adversary set {tuple(adversaries[b].tolist())}")
             z = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
         yield z.sum(axis=1), chosen, np.arange(sets)
 
@@ -975,7 +960,7 @@ class _Choices:
         return self.table[np.stack(rows, axis=-1)]
 
 
-def _exact_scorer(params, p, threshold=None, certified=False):
+def _exact_scorer(params, p, threshold=None):
     """score(chunk, z, gains), as _Argmax takes it: every joint target choice of every set.
 
     Adversary a may target at most its target budget of eligible
@@ -991,10 +976,7 @@ def _exact_scorer(params, p, threshold=None, certified=False):
     untargeted systems come as ``built`` (``_search`` builds them once for
     both scorers) or are built here; they and the restricted rows are
     taken once the first configuration is kept, so a chunk pruned whole
-    builds none.  Unless ``certified`` (the search's certificate; see the
-    module docstring), every re-weighted stack passes
-    ``check_conditioned``; a set's first configuration targets nobody, so
-    its system is the set's restricted one, bit for bit.
+    builds none.
 
     The scorer prunes iff it is given ``threshold``, a function of no
     arguments that returns the live threshold (``gains.threshold(best.g)``
@@ -1013,7 +995,6 @@ def _exact_scorer(params, p, threshold=None, certified=False):
 
     def score(adversaries, fixed=None, gain=None, built=None):
         sets, k = adversaries.shape
-        label = _set_label(adversaries)
         agents = np.unique(adversaries).tolist()
         for j in agents:
             if j not in tables:
@@ -1070,9 +1051,9 @@ def _exact_scorer(params, p, threshold=None, certified=False):
                     ]
                 hits = np.stack([restricted[col][position[:, col]] for col in range(k)])
                 chosen = _Choices(table, kept, position)
-                yield systems, owner, hits, chosen, lambda c: label(owner[c])
+                yield systems, owner, hits, chosen
 
-        yield from _rescore(batches(), p, certified)
+        yield from _rescore(batches(), p)
 
     return score
 
@@ -1094,40 +1075,28 @@ def _search(params, p, mode, cap, leader_size, adversaries=None):
     is constant, so whatever it pruned lies below the final one too.  p
     passes the sharing rule (``_check_sharing``) before anything is
     counted or scored.  The kernel (``_SchurGains``) is built once, after
-    the count pass, for either entry.  If it refuses the full system, the
-    restricted systems of the first LEADER_CHUNK sets in enumeration order
-    (the one set, if given) are guarded, so a refused set is named first,
-    and otherwise the full system's error stands.  A certified kernel
-    (``gains.certified``) covers every restricted and re-scored system,
-    and none is guarded; otherwise each stack passes ``check_conditioned``
-    (``_guarded_systems``, ``_rescore``).  Returns ((adversaries, items),
-    g, sets, configurations, max UB(A)).  Both counts cover every
-    set: approx mode counts one configuration per set, exact mode all
-    those of every set, solved or certified unable to beat the incumbent.
+    the count pass, for either entry: it refuses an uncertified full
+    system before any set is scored, and no system past it is guarded.
+    Returns ((adversaries, items), g, sets, configurations, max UB(A)).
+    Both counts cover every set: approx mode counts one configuration per
+    set, exact mode all those of every set, solved or certified unable to
+    beat the incumbent.
     """
     if mode not in ("approx", "exact"):
         raise ValidationError(f"unknown follower mode {mode!r}")
 
-    def leader_sets():
-        if adversaries is not None:
-            return [adversaries]
-        return combinations(range(params.n), leader_size)
-
     _check_sharing(params.network, p, leader_size, adversaries)
     if mode == "exact":
-        configs = _count_configurations(params.network, leader_sets(), cap)
-    try:
-        gains = _SchurGains(params, p)
-    except ConvergenceError:
-        _guarded_systems(params, next(_chunks(leader_sets())))
-        raise
+        leader_sets = combinations(range(params.n), leader_size) if adversaries is None else [adversaries]
+        configs = _count_configurations(params.network, leader_sets, cap)
+    gains = _SchurGains(params, p)
     best, bounds = _Argmax(), []
     scorers = [_approx_scorer(params, p, gains, bounds)]
     if mode == "exact":
-        scorers.append(_exact_scorer(params, p, lambda: gains.threshold(best.g), gains.certified))
+        scorers.append(_exact_scorer(params, p, lambda: gains.threshold(best.g)))
 
     def score(chunk, *read):
-        built = (_restricted_systems if gains.certified else _guarded_systems)(params, chunk)
+        built = _restricted_systems(params, chunk)
         return chain.from_iterable(scorer(chunk, *read, built) for scorer in scorers)
 
     if adversaries is not None:
@@ -1167,6 +1136,11 @@ def solve_attack(
     number of in-neighbours with a target budget that any agent has.
     Otherwise a scored choice could scale a targeted row of W by
     1 - h p <= 0, and ValidationError is raised before any scoring.
+
+    A search answers only when kappa_1(M) RCOND_MIN <= 1/2, M = I -
+    (I - Theta) W, which certifies every system it solves; otherwise it
+    raises ConvergenceError naming the full system before any scoring
+    (see the module docstring).
     """
     start = time.perf_counter()
     network = params.network
@@ -1194,11 +1168,10 @@ def brute_force_oracle(params, p=DEFAULT_P, leader_size=None, cap=DEFAULT_CONFIG
     pruning: every configuration is solved.  p must pass the same sharing
     rule as solve_attack.  Refuses to run if the full space exceeds
     ``cap`` configurations (None: no cap); the space is counted only when
-    its upper bound e_k(F) (``_space_bound``) exceeds the cap.  M is
-    inverted once, by ``np.linalg.cond``, for the search's certificate
-    (see the module docstring): a certified oracle solves with no guard,
-    and an uncertified one, M refused or singular included, guards every
-    re-weighted stack.  upper_bound is the best g, the only bound an
+    its upper bound e_k(F) (``_space_bound``) exceeds the cap.  M must
+    pass the searches' certificate (``_certified_inverse``), so the
+    oracle answers where they do, refuses where they do, and solves with
+    no guard.  upper_bound is the best g, the only bound an
     exhaustive search certifies.
     """
     start = time.perf_counter()
@@ -1211,10 +1184,9 @@ def brute_force_oracle(params, p=DEFAULT_P, leader_size=None, cap=DEFAULT_CONFIG
         total = count_configurations(network, leader_size)
         if total > cap:
             raise CapExceededError(f"{total} feasible configurations exceed the cap of {cap}")
-    # cond is inf where M is singular: a refused M leaves the oracle uncertified.
-    certified = certifies(np.linalg.cond(_full_system(params), 1))
+    _certified_inverse(_full_system(params))
     (adversaries, items), best_g, sets, configs = _leader_search(
-        combinations(range(params.n), leader_size), _exact_scorer(params, p, certified=certified)
+        combinations(range(params.n), leader_size), _exact_scorer(params, p)
     )
     return AttackPlan(
         config=AttackConfig(adversaries, items, p),

@@ -45,11 +45,13 @@ from fjattack import (
     count_configurations,
     generate,
     marginal_gains,
+    run_ablation,
+    run_comparison,
     solve_attack,
     solve_follower,
 )
 from fjattack.fileio import plan_to_json, save_parameters
-from fjattack.linalg import check_conditioned, factor_conditioned, invert_conditioned
+from fjattack.linalg import certifies, check_conditioned, factor_conditioned, invert_conditioned
 from fjattack.optimizer import (
     CONFIG_CHUNK,
     LEADER_CHUNK,
@@ -507,19 +509,65 @@ def test_oracle_counts_the_space_only_when_its_bound_exceeds_the_cap(monkeypatch
     assert loose >= 10
 
 
+FULL_SYSTEM = r"^system I - \(I - Theta\) W: "
+
+
 def test_exact_and_oracle_paths_are_conditioning_guarded(monkeypatch):
+    # With RCOND_MIN = 1 the full system is refused, and every entry raises
+    # that refusal, naming the full system, not a set.
     _, params = random_instance(60, n=8, density=0.6)
     monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", 1.0)
-    with pytest.raises(ConvergenceError, match=r"adversary set \(0, 1\)"):
+    with pytest.raises(ConvergenceError, match=FULL_SYSTEM):
         solve_attack(params, p=1e-3, follower_mode="exact")
-    with pytest.raises(ConvergenceError, match=r"adversary set \(0, 1\)"):
+    with pytest.raises(ConvergenceError, match=FULL_SYSTEM):
         brute_force_oracle(params, p=1e-3)
-    with pytest.raises(ConvergenceError, match=r"adversary set \(2, 5\)"):
+    with pytest.raises(ConvergenceError, match=FULL_SYSTEM):
         solve_follower(params, (2, 5), 1e-3, mode="exact")
-    with pytest.raises(ConvergenceError, match=r"adversary set \(2, 5\)"):
+    with pytest.raises(ConvergenceError, match=FULL_SYSTEM):
         solve_follower(params, (2, 5), 1e-3, mode="approx")
-    with pytest.raises(ConvergenceError, match=r"adversary set \(2, 5\)"):
+    with pytest.raises(ConvergenceError, match=FULL_SYSTEM):
         marginal_gains(params, (2, 5), 1e-3)
+
+
+EDGE_ENTRIES = {
+    "attack_approx": lambda scenario, params: solve_attack(params, p=1e-3),
+    "attack_exact": lambda scenario, params: solve_attack(params, p=1e-3, follower_mode="exact"),
+    "follower_approx": lambda scenario, params: solve_follower(params, (0, 4), 1e-3, mode="approx"),
+    "follower_exact": lambda scenario, params: solve_follower(params, (0, 4), 1e-3, mode="exact"),
+    "marginal_gains": lambda scenario, params: marginal_gains(params, (0, 4), 1e-3),
+    "oracle": lambda scenario, params: brute_force_oracle(params, p=1e-3),
+    "ablation": lambda scenario, params: run_ablation(scenario),
+    "comparison": lambda scenario, params: run_comparison(scenario, ["ours_approx", "ours_exact"]),
+}
+
+
+@pytest.mark.parametrize("entry", EDGE_ENTRIES)
+def test_every_entry_refuses_an_uncertified_system_before_scoring(monkeypatch, entry):
+    # At the conditioning edge: RCOND_MIN at 0.75 / kappa_1(M) accepts M's
+    # rcond but does not certify it (kappa_1 RCOND_MIN > 1/2), and at
+    # 1.0001 / kappa_1(M) refuses M.  Either way every entry raises, naming
+    # the full system, before any scorer, leader walk or re-score runs.
+    ran = []
+    for name in (
+        "_approx_scorer", "_exact_scorer", "_rescore", "_leader_search", "_branch_and_bound"
+    ):
+        monkeypatch.setattr(
+            fjattack.optimizer, name, lambda *args, name=name, **kwargs: ran.append(name)
+        )
+    refused = 0
+    for topology in ("complete", "erdos_renyi", "ring", "star"):
+        for seed in range(3):
+            scenario = Scenario(topology=topology, n=9, seed=seed, p=1e-3)
+            _, params = generate(scenario)
+            kappa = np.linalg.cond(_full_system(params), 1)
+            for factor in (0.75, 1.0001):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(fjattack.linalg, "RCOND_MIN", factor / kappa)
+                    with pytest.raises(ConvergenceError, match=FULL_SYSTEM):
+                        EDGE_ENTRIES[entry](scenario, params)
+                assert not ran, (topology, seed, factor, ran)
+                refused += 1
+    assert refused == 24
 
 
 @pytest.mark.parametrize(
@@ -578,12 +626,12 @@ def spy_on_exact_guards(patch):
             guarded.append(len(stack))
         return real_check(stack, label)
 
-    def rescore_spy(batches, p, certified):
+    def rescore_spy(batches, p):
         # Only stacks checked inside _rescore are re-weighted systems.
         for batch in batches:
             rescoring.append(True)
             try:
-                yield from real_rescore([batch], p, certified)
+                yield from real_rescore([batch], p)
             finally:
                 rescoring.pop()
 
@@ -605,39 +653,33 @@ def spy_on_exact_guards(patch):
     return guarded, solved
 
 
-def test_uncertified_exact_engine_guards_every_configuration(monkeypatch):
-    # With the certificate forced off, the oracle solves and guards every
-    # configuration, and pruned exact guards every configuration it
-    # solves.  It solves fewer than the winning set alone holds, so
-    # configurations of a surviving set are pruned too.  Certified, as
-    # this instance is, the same searches solve the same configurations
-    # and guard none.
+def test_certified_exact_engine_guards_no_configuration(monkeypatch):
+    # This instance is certified, as every search that runs is.  The oracle
+    # solves every configuration, and pruned exact solves fewer than the
+    # winning set alone holds, so configurations of a surviving set are
+    # pruned too.  Each inverts M once and guards no configuration.
     _, params = generate(Scenario(topology="erdos_renyi", n=12, edge_prob=0.25, seed=3))
     total = count_configurations(params.network)
-    assert _SchurGains(params, 1e-3).certified
-    plans = {}
-    for certified in (False, True):
-        with pytest.MonkeyPatch.context() as patch:
-            if not certified:
-                patch.setattr(fjattack.optimizer, "certifies", lambda kappa: False)
-            guarded, solved = spy_on_exact_guards(patch)
-            oracle = brute_force_oracle(params, p=1e-3)
-            assert sum(solved) == oracle.follower_candidates == total
-            assert sum(guarded) == (0 if certified else total)
-            assert max(guarded, default=0) <= CONFIG_CHUNK
-            guarded.clear()
-            solved.clear()
-            plan = solve_attack(params, p=1e-3, follower_mode="exact")
-        assert plan.config == oracle.config
-        assert plan.follower_candidates == total
-        _, winner_configs = scalar_set_search(params, plan.config.adversaries)
-        assert 0 < sum(solved) < winner_configs
-        assert sum(guarded) == (0 if certified else sum(solved))
-        plans[certified] = [
-            (p.config, float.hex(p.predicted_g), float.hex(p.upper_bound), p.follower_candidates)
-            for p in (oracle, plan)
-        ]
-    assert plans[False] == plans[True]
+    assert certifies(_SchurGains(params, 1e-3).kappa)
+    inverted = []
+    real_invert = fjattack.optimizer.invert_conditioned
+    monkeypatch.setattr(
+        fjattack.optimizer,
+        "invert_conditioned",
+        lambda stack, label: inverted.append(stack.shape) or real_invert(stack, label),
+    )
+    guarded, solved = spy_on_exact_guards(monkeypatch)
+    oracle = brute_force_oracle(params, p=1e-3)
+    assert sum(solved) == oracle.follower_candidates == total
+    assert not guarded and inverted == [(1, 12, 12)]
+    inverted.clear()
+    solved.clear()
+    plan = solve_attack(params, p=1e-3, follower_mode="exact")
+    assert plan.config == oracle.config
+    assert plan.follower_candidates == total
+    _, winner_configs = scalar_set_search(params, plan.config.adversaries)
+    assert 0 < sum(solved) < winner_configs
+    assert not guarded and inverted == [(1, 12, 12)]
 
 
 def bound_instances():
@@ -688,7 +730,7 @@ def test_certified_searches_solve_unguarded_systems_that_pass_the_guard(monkeypa
     members = 0
     for name, params in bound_instances():
         for p in magnitudes_below_the_sharing_bound(params.network):
-            assert _SchurGains(params, p).certified, name
+            assert certifies(_SchurGains(params, p).kappa), name
             solved.clear()
             oracle = brute_force_oracle(params, p=p)
             exact = solve_attack(params, p=p, follower_mode="exact")
@@ -848,20 +890,13 @@ def test_guard_decides_by_the_varah_bound_or_the_exact_rcond(monkeypatch):
             assert message == want, (trial, rcond)
             decided["refused" if message else "fallback" if sent else "pass"] += 1
     assert min(decided.values()) >= 10, decided
-    # Through a search: with RCOND_MIN = 1 the full system is refused, so
-    # the oracle is uncertified and guards every re-scored stack.  The
-    # first is refused with its set named, and its first configuration
-    # targets nobody: the message is the one the set's restricted system
-    # gets, bit for bit.
+    # Through a search: with RCOND_MIN = 1 the full system is refused, and
+    # the oracle raises that refusal, naming the full system, before any
+    # set is scored.
     _, params = generate(Scenario(topology="erdos_renyi", n=8, seed=3))
     monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", 1.0)
-    first = np.array([[0, 1]])
-    restricted = fjattack.optimizer._restricted_systems(params, first)[1].matrix
-    want, _ = guard_outcome(restricted, lambda b: "adversary set (0, 1)")
-    assert want.startswith("adversary set (0, 1): ")
-    with pytest.raises(ConvergenceError) as refused:
+    with pytest.raises(ConvergenceError, match=FULL_SYSTEM):
         brute_force_oracle(params, p=1e-3)
-    assert str(refused.value) == want
 
 
 def assert_pruned_exact_matches_oracle(name, params, p=1e-3):
@@ -1681,25 +1716,17 @@ def test_exact_ties_go_to_the_smallest_set():
     assert_matches_reference(plan, params, 2)
 
 
-def test_approx_search_is_conditioning_guarded(monkeypatch):
-    _, params = random_instance(60, n=8, density=0.6)
-    monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", 1.0)
-    with pytest.raises(ConvergenceError, match=r"adversary set \(0, 1\)"):
-        solve_attack(params, p=1e-3)
-
-
 def test_approx_search_guards_the_full_system(monkeypatch):
     _, params = random_instance(60, n=8, density=0.6)
     monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", 1.0)
-    monkeypatch.setattr(fjattack.optimizer, "check_conditioned", lambda stack, label: None)
-    with pytest.raises(ConvergenceError, match=r"system I - \(I - Theta\) W"):
+    with pytest.raises(ConvergenceError, match=FULL_SYSTEM):
         solve_attack(params, p=1e-3)
     for mode in ("approx", "exact"):
-        with pytest.raises(ConvergenceError, match=r"system I - \(I - Theta\) W"):
+        with pytest.raises(ConvergenceError, match=FULL_SYSTEM):
             solve_follower(params, (2, 5), 1e-3, mode=mode)
 
 
-def test_approx_search_guards_only_when_uncertified(monkeypatch):
+def test_certified_approx_search_guards_no_set(monkeypatch):
     calls = []
 
     def check_spy(stack, label):
@@ -1726,33 +1753,16 @@ def test_approx_search_guards_only_when_uncertified(monkeypatch):
     monkeypatch.setattr(fjattack.optimizer, "invert_conditioned", invert_spy)
     monkeypatch.setattr(fjattack.optimizer, "_approx_scorer", scorer_spy)
     _, params = generate(Scenario(topology="complete", n=14, seed=1))
-    plans = []
-    for certified in (True, False):
-        calls.clear()
-        scored.clear()
-        with pytest.MonkeyPatch.context() as patch:
-            if not certified:
-                patch.setattr(fjattack.optimizer, "certifies", lambda kappa: False)
-            plan = solve_attack(params, p=1e-3)
-        plans.append((plan.config, float.hex(plan.predicted_g), float.hex(plan.upper_bound)))
-        # The full M first, once per search: it is accepted, so no unscored
-        # set is guarded (a principal submatrix of an M-matrix is no worse
-        # conditioned in the 1-norm).
-        assert calls[0] == ("invert", (1, 14, 14))
-        assert [call for call in calls if call[0] == "invert"] == [calls[0]]
-        # Certified, no scored set's restricted M_UU or re-scored system is
-        # guarded; uncertified, each one is.  A node read divides only by
-        # pivots R_vv >= 1, so no (k, k) block is guarded.  The tree leaves
-        # most of the 1,001 sets unscored, yet every set counts as covered.
-        checked = [shape for kind, shape in calls if kind == "check"]
-        assert 0 < sum(scored) < 1001
-        if certified:
-            assert not checked
-        else:
-            assert {shape[1:] for shape in checked} == {(10, 10)}
-            assert sum(shape[0] for shape in checked) == 2 * sum(scored)
-        assert plan.leader_evaluations == plan.follower_candidates == 1001
-    assert plans[0] == plans[1]
+    plan = solve_attack(params, p=1e-3)
+    # The full M is inverted once per search and certifies every system the
+    # search solves, so no scored set's restricted M_UU or re-scored system
+    # is guarded.  A node read divides only by pivots R_vv >= 1, so no
+    # (k, k) block is guarded either.
+    assert calls == [("invert", (1, 14, 14))]
+    # The tree leaves most of the 1,001 sets unscored, yet every set counts
+    # as covered.
+    assert 0 < sum(scored) < 1001
+    assert plan.leader_evaluations == plan.follower_candidates == 1001
 
 
 def with_open_minded_agents(params):
