@@ -1716,6 +1716,25 @@ def test_exact_ties_go_to_the_smallest_set():
     assert_matches_reference(plan, params, 2)
 
 
+def test_approx_search_is_conditioning_guarded(monkeypatch):
+    # The guard that once refused the first scored set, (0, 1), now refuses
+    # the full system before the approx scorer is built, so no set is named.
+    built = []
+    real_scorer = fjattack.optimizer._approx_scorer
+
+    def scorer_spy(*args):
+        built.append(args)
+        return real_scorer(*args)
+
+    monkeypatch.setattr(fjattack.optimizer, "_approx_scorer", scorer_spy)
+    _, params = random_instance(60, n=8, density=0.6)
+    monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", 1.0)
+    with pytest.raises(ConvergenceError, match=FULL_SYSTEM) as refused:
+        solve_attack(params, p=1e-3)
+    assert "adversary set" not in str(refused.value)
+    assert not built
+
+
 def test_approx_search_guards_the_full_system(monkeypatch):
     _, params = random_instance(60, n=8, density=0.6)
     monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", 1.0)
