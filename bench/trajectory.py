@@ -18,15 +18,21 @@ checkout) with one BLAS thread, as perfbench does, and records for each:
   planners score all C(22, 7) = 170,544 sets, and one approx
   ``solve_follower`` on Erdos-Renyi n = 1,000 (edge probability 0.02,
   seed 1) for the fixed set of agents 0..k-1, k the leader budget (333):
-  one timing of each per round, and their median over the rounds.
+  one timing of each per round, and their median over the rounds;
+* ``recover`` on perfbench fit_noisy's pool (``workloads.FitNoisy``, the
+  same pool seed, 400 problems, clean and noisy): the time per call, the
+  median over rounds of one pass's mean; and ``recover`` on complete
+  n = 120 (seed 1, five 30-round runs from uniform starts, s given), a
+  dense stack of (150, 120) designs: one timing per round, and the median.
 
 Host speed drifts by tens of percent within minutes on a shared host, so
 checkouts measured one after the other are not comparable.  The
 measurement runs in rounds instead: each round times every checkout once,
 in a fresh process, alternating which goes first, and each figure is a
 median over the rounds.  Give every checkout to compare in one call.
-Each point also carries a digest of every answer it timed (configs and
-the bits of g), so two points show whether they planned the same.  The
+Each point also carries a digest of every answer it timed (configs, the
+bits of g, and the bits of every recovered theta, W, residual and flag),
+so two points show whether they planned and fitted the same.  The
 split of each run into search phases waits for a planner trace record.
 """
 
@@ -51,6 +57,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 HERE = Path(__file__).resolve().parent
 REPO = HERE.parent
 
@@ -64,6 +72,9 @@ ROUNDS, REPEATS, POOL_SEED = 7, 9, 1
 # fixed set solve_follower reads.
 ABLATION = {"topology": "erdos_renyi", "n": 22, "seed": 1}
 FOLLOWER = {"topology": "erdos_renyi", "n": 1000, "edge_prob": 0.02, "seed": 1}
+# The dense recovery timed once per round: five runs of this many rounds.
+DENSE_RECOVER = {"topology": "complete", "n": 120, "seed": 1}
+DENSE_RUNS, DENSE_ROUNDS = 5, 30
 
 # What perfbench's own noise measurements (CHANGES.md FOUND lines) say a
 # pair of runs can resolve; the same limits bound a comparison of points.
@@ -111,6 +122,22 @@ def plan_answer(plan):
             float.hex(plan.upper_bound), plan.leader_evaluations, plan.follower_candidates]
 
 
+def recover_answer(result):
+    """The bits of one recovery: theta, W, residuals and flags."""
+    digest = hashlib.sha256()
+    for array in (result.params.stubbornness, result.params.influence, result.per_agent_residual):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update(bytes(result.identifiability_flags))
+    return digest.hexdigest()
+
+
+def dense_recovery_problem(fj):
+    params = fj.generate(fj.Scenario(**DENSE_RECOVER))[1]
+    rng = np.random.default_rng(DENSE_RECOVER["seed"])
+    runs = tuple(fj.simulate(params, rng.uniform(0.0, 1.0, params.n), DENSE_ROUNDS) for _ in range(DENSE_RUNS))
+    return fj.RecoveryProblem(network=params.network, trajectories=runs, intrinsic=params.intrinsic)
+
+
 def measure_round(root):
     """One round on the checkout at ``root``, in this process: a JSON-ready
     dict of grid times, pool times per op, answers and the environment."""
@@ -123,7 +150,7 @@ def measure_round(root):
     import run as perfbench
     from fjattack.harness import result_rows_to_json
     from spans import NullTracer
-    from workloads import PlanExact
+    from workloads import FitNoisy, PlanExact
 
     answers, grid = [], []
     for topology, n in GRID:
@@ -158,12 +185,24 @@ def measure_round(root):
     adversaries = tuple(range(params.network.leader_budget()))
     once["follower_s"], (targets, g) = timed(lambda: fj.solve_follower(params, adversaries))
     answers.append([sorted(targets.items()), float.hex(g)])
+    fit = FitNoisy()
+    fit.setup(POOL_SEED, None, NullTracer())
+    problems = [problem for clean, noisy, _ in fit.pool for problem in (clean, noisy)]
+    # A first pass pays the one-time costs.
+    for problem in problems:
+        fj.recover(problem)
+    recover_s, results = timed(lambda: [fj.recover(problem) for problem in problems])
+    answers.append([recover_answer(result) for result in results])
+    problem = dense_recovery_problem(fj)
+    once["dense_recover_s"], result = timed(lambda: fj.recover(problem))
+    answers.append(recover_answer(result))
     return {
         "environment": perfbench.environment(),
         "grid": grid,
         "instances": len(workload.pool),
         "pool": {name: seconds / len(workload.pool) for name, seconds in pool.items()},
         "once": once,
+        "recover_pool": {"problems": len(problems), "s_per_call": recover_s / len(problems)},
         "answers_sha256": hashlib.sha256(json.dumps(answers).encode()).hexdigest(),
     }
 
@@ -190,7 +229,8 @@ def summarize(rounds, sha):
         for name in ("count", "exact", "oracle")
     }
     once = {}
-    for name, scenario in (("ablation", ABLATION), ("follower", FOLLOWER)):
+    dense = {**DENSE_RECOVER, "runs": DENSE_RUNS, "rounds_per_run": DENSE_ROUNDS}
+    for name, scenario in (("ablation", ABLATION), ("follower", FOLLOWER), ("dense_recover", dense)):
         times = [one["once"][f"{name}_s"] for one in rounds]
         quartiles = statistics.quantiles(times, n=4)
         once[name] = {
@@ -215,6 +255,12 @@ def summarize(rounds, sha):
         },
         "run_ablation": once["ablation"],
         "solve_follower": once["follower"],
+        "recover_fit_noisy_pool": {
+            "pool_seed": POOL_SEED,
+            "problems": rounds[0]["recover_pool"]["problems"],
+            "s_per_call": statistics.median(one["recover_pool"]["s_per_call"] for one in rounds),
+        },
+        "recover_complete": once["dense_recover"],
         "answers_sha256": digests.pop(),
         "resolution": RESOLUTION,
         "not_recorded": "the split of each run into search phases (needs a planner trace record)",

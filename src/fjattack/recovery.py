@@ -16,13 +16,26 @@ row.
 
 The fits are independent but not made one at a time: the agents of equal
 in-degree d are fitted as one stack of (R, d + 1) designs (several stacks
-past ``STACK_ENTRIES`` entries).  A stack has one Gram product, one KKT
-solve per agent, one projection onto the simplex and one
-``np.linalg.matrix_rank`` call for its rank flags; only rows whose start
-the simplex does not hold go on to the active-set loop.  Each row gets the
-bits it would get on its own, because every design keeps the memory order
-``np.column_stack`` gives a lone agent's design: F-ordered at in-degree
-d >= 2, C-ordered at d = 1.
+past ``STACK_ENTRIES`` entries).  A stack has one XᵀX product, shared by
+the fits and the rank flags, and one KKT solve per agent.  Two cheap
+certificates then settle most rows without the full computation, and
+the rows they cannot settle get that computation (proofs at
+``_simplex_least_squares`` and ``_rank_deficient``):
+
+- a start whose least entry exceeds |sum - 1| + 8 (d + 1) eps is a
+  simplex point its projection keeps whole, so it is the row's minimizer;
+  only the other starts are projected onto the simplex, and only those
+  the simplex does not hold go on to the active-set loop;
+- a design with fewer rows than columns is rank deficient outright; in a
+  tall stack, R >= 8 (d + 1), a design whose XᵀX has its least eigenvalue
+  above 1e-8 times its largest is of full rank; only the other designs go
+  to ``np.linalg.matrix_rank``.
+
+On perfbench fit_noisy's pool (seed 1, 3,200 rows) 36 starts needed the
+projection and 4 designs the SVD.  Dense stacks, R < 8 (d + 1), keep the
+SVD of every design.  Each row gets the bits it would get on its own,
+because every design keeps the memory order ``np.column_stack`` gives a
+lone agent's design: F-ordered at in-degree d >= 2, C-ordered at d = 1.
 """
 
 from dataclasses import dataclass
@@ -42,6 +55,10 @@ STUBBORN_CEILING = 1.0 - 1e-9
 # stacks.  Each row is fitted as it would be alone, so the split changes no
 # bit, and a dense network's fit, all one in-degree, stays small.
 STACK_ENTRIES = 1 << 16
+
+# A tall design's rank is certified full, with no SVD, when the least
+# eigenvalue of its XᵀX exceeds this share of the largest (``_rank_deficient``).
+RANK_GAP = 1e-8
 
 _EPS = np.finfo(float).eps
 _gelsd, _gelsd_lwork = get_lapack_funcs(("gelsd", "gelsd_lwork"), dtype=np.float64)
@@ -92,7 +109,8 @@ class RecoveryResult:
 
     per_agent_residual is the root-mean-square one-step prediction error
     of the fitted row; identifiability_flags marks rows whose design
-    matrix is rank deficient or whose fitted stubbornness sits at 1.
+    matrix is rank deficient, whose fitted stubbornness sits at 1, or
+    whose agent is pinned in some trajectory.
     """
 
     params: FjParameters
@@ -199,29 +217,111 @@ def _active_set(gram, linear, start, beta):
     raise ConvergenceError(f"simplex least squares did not settle in {3 * m} active-set steps")
 
 
-def _simplex_least_squares(design, response, ridge):
+def _simplex_least_squares(design, response, ridge, cross):
     """Minimize 0.5 ||X b - y||^2 + 0.5 ridge ||b||^2 over the simplex, for
     each design X of a (g, R, m) stack and its response y of a (g, R) one.
 
-    The Gram matrices come from one stacked product and the sum-constrained
-    starts from one KKT solve each.  A start the simplex already holds, no
-    coordinate clipped by its projection and none negative, is that row's
-    minimizer: it solves one KKT system.  Every other row goes on to
-    ``_active_set`` from the stack's Gram, linear term and start.
+    ``cross`` is the stack's XᵀX, which the rank flags share; the Gram
+    matrices are cross + ridge I.  The sum-constrained starts come from
+    one KKT solve each.  A start the simplex already holds, no coordinate
+    clipped by its projection and none negative, is that row's minimizer:
+    it solves one KKT system.  Every other row goes on to ``_active_set``
+    from the stack's Gram, linear term, start and its projection.
+
+    Only the starts that an interior certificate cannot settle are
+    projected.  Let x be a start, with sum S over its m >= 2 entries (m is
+    at least 2, since every agent has an in-neighbour), S' the sum as
+    computed, u = eps / 2 the unit roundoff and c = (m - 1) u / (1 -
+    (m - 1) u).  If
+
+        min x > |S' - 1| + 8 m eps,
+
+    every entry is positive, so each computed sum of x, S' and the
+    projection's running sum C alike, lies within c S of S (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, section 4.2).  From
+    m min x <= S and S (1 - c) - 1 <= |S' - 1| < min x comes S <= 2 +
+    8 c, so |C - 1| <= |S' - 1| + 4.1 c.  The projection's shift at
+    rank m is tau = fl(fl(C - 1) / m), so
+
+        |tau| <= (|S' - 1| + 4.1 c)(1 + u)^2 / 2 < |S' - 1| + 8 m eps,
+
+    and every entry exceeds tau.  A computed difference of two floats has
+    the sign of the exact one, so the support test at rank m, min x -
+    tau > 0, holds, the projection shifts by this tau and keeps every
+    entry positive: the row is one the simplex holds, as the projection
+    would find.  The other rows are projected as a stack of their own;
+    ``project_to_simplex`` gives each row its lone-vector bits, so
+    ``_active_set`` gets the rows, and the bits, a projection of the whole
+    stack would give it.
 
     Each row rounds as it would alone, provided ``design[k]`` has the
     memory order it would have alone and ``response`` is C-contiguous: the
     products are BLAS calls whose rounding follows that order.
     """
     m = design.shape[2]
-    gram = np.matmul(design.transpose(0, 2, 1), design) + ridge * np.eye(m)
+    gram = cross + ridge * np.eye(m)
     linear = np.matmul(design.transpose(0, 2, 1), response[:, :, None])[:, :, 0]
     start = _sum_constrained(gram, linear)
-    projected = project_to_simplex(start)
     beta = start.copy()
-    for k in np.flatnonzero(~((projected > 0.0) & (start >= 0.0)).all(axis=1)):
-        beta[k] = _active_set(gram[k], linear[k], start[k], projected[k])
+    unsettled = np.flatnonzero(~(start.min(axis=1) > np.abs(start.sum(axis=1) - 1.0) + 8 * m * _EPS))
+    if unsettled.size:
+        projected = project_to_simplex(start[unsettled])
+        clipped = ~((projected > 0.0) & (start[unsettled] >= 0.0)).all(axis=1)
+        for k, point in zip(unsettled[clipped], projected[clipped]):
+            beta[k] = _active_set(gram[k], linear[k], start[k], point)
     return beta
+
+
+def _rank_deficient(design, cross):
+    """Whether ``np.linalg.matrix_rank`` finds each design of a (g, R, m)
+    stack rank deficient, given the stack's XᵀX ``cross``.
+
+    matrix_rank counts the computed singular values above its tolerance
+    t sigma_1, with t = max(R, m) eps and sigma_1 the largest computed one.
+    With R < m rows a design has at most R < m singular values, so it is
+    rank deficient outright.  In a tall stack, R >= 8 m, a design is of
+    full rank if
+
+        lambda_m > r lambda_1,    r = max(RANK_GAP, 64 R m eps),
+
+    where lambda_1 >= ... >= lambda_m are the eigenvalues ``eigvalsh``
+    computes for its XᵀX.  Write s_1 >= ... >= s_m for the exact
+    singular values of X.  The computed XᵀX is XᵀX + E with |E| <=
+    gamma_R |X|ᵀ|X| entrywise, gamma_R = R u / (1 - R u) and u = eps / 2
+    (Higham, section 3.5), so ||E||_2 <= gamma_R ||X||_F^2 <= 0.51 R m eps
+    s_1^2.  eigvalsh's eigenvalues are exact for that matrix perturbed by
+    F, ||F||_2 <= p eps ||XᵀX + E||_2 with p modest (about m).  By Weyl's
+    theorem (Golub & Van Loan, *Matrix Computations*, section 8.1) each
+    lambda_i then lies within e = ||E||_2 + ||F||_2 <= 0.64 R m eps s_1^2
+    of s_i^2 (as m <= R / 8), so e <= r s_1^2 / 100.  While r <= 1, which
+    holds below 7e13 design entries, a negative lambda_1 certifies
+    nothing, and
+
+        s_m^2 >= lambda_m - e > r lambda_1 - e >= r (s_1^2 - e) - e
+              >= 0.98 r s_1^2.
+
+    The SVD that matrix_rank runs moves each singular value by at most
+    q eps s_1, q modest (Golub & Van Loan, section 8.6), and t <= R eps;
+    both terms together stay below 2 R m eps s_1 <= r s_1 / 32, far below
+    s_m >= (0.98 r)^(1/2) s_1.  So the computed smallest singular value
+    clears t sigma_1, and matrix_rank reports full rank.  The rule cannot
+    certify a rank-deficient design: there s_m = 0, so lambda_m <= e <
+    r lambda_1.  Only the other designs go to matrix_rank, and so does
+    every design of a stack shorter than 8 m rows, where the eigenvalue
+    pass would mostly come on top of the SVD.
+    """
+    g, rows, m = design.shape
+    if rows < m:
+        return np.ones(g, dtype=bool)
+    if rows < 8 * m:
+        return np.linalg.matrix_rank(design) < m
+    eigenvalues = np.linalg.eigvalsh(cross)
+    gap = max(RANK_GAP, 64.0 * rows * m * _EPS)
+    unsettled = np.flatnonzero(~(eigenvalues[:, 0] > gap * eigenvalues[:, -1]))
+    deficient = np.zeros(g, dtype=bool)
+    if unsettled.size:
+        deficient[unsettled] = np.linalg.matrix_rank(design[unsettled]) < m
+    return deficient
 
 
 def recover(problem):
@@ -236,14 +336,22 @@ def recover(problem):
 
     The g agents of in-degree d are fitted together, as one (g, R, d + 1)
     stack of designs, or as several when g (d + 1) max(R, d + 2) exceeds
-    ``STACK_ENTRIES``.  A stack has one stacked Gram, one KKT solve per
-    agent, one ``np.linalg.matrix_rank`` call for the stack's rank flags
-    (each design keeps its own tolerance), and the projection, residuals
-    and weight rows computed for the whole stack.  A design is F-ordered at in-degree
-    d >= 2 and C-ordered at d = 1, the order ``np.column_stack`` gives a
-    lone agent's design, so each agent's fit has the bits of a fit on its
-    own.  Stubbornness estimates are floored at the contraction threshold
-    so the returned parameters always validate.
+    ``STACK_ENTRIES``.  A stack has one stacked XᵀX, shared by the fits
+    (``_simplex_least_squares``) and the rank flags (``_rank_deficient``),
+    one KKT solve per agent, and the residuals and weight rows computed
+    for the whole stack; the projection and ``np.linalg.matrix_rank`` run
+    only on the rows their certificates leave open.  A design is F-ordered
+    at in-degree d >= 2 and C-ordered at d = 1, the order
+    ``np.column_stack`` gives a lone agent's design, so each agent's fit
+    has the bits of a fit on its own.  Stubbornness estimates are floored
+    at the contraction threshold so the returned parameters always
+    validate.
+
+    An agent pinned in any trajectory did not follow the update rule
+    there, so it is not fitted: it gets the fallback of a row with no
+    weight information (theta = 1, a uniform row, the residual of s_i)
+    and is flagged.  Fitting such an agent on the trajectories where it
+    is free is left open.
     """
     network = problem.network
     n = network.agent_count
@@ -262,14 +370,17 @@ def recover(problem):
     # canonicalized to theta = 1, a uniform row and the residual of s_i, so
     # the ambiguity is reported instead of an arbitrary optimum.
     pure_rms = np.sqrt(((intrinsic[:, None] - after) ** 2).sum(axis=1) / rounds)
-    degenerate = np.empty(n, dtype=bool)
-    rank_deficient = np.empty(n, dtype=bool)
+    pinned = np.zeros(n, dtype=bool)
+    for trajectory in problem.trajectories:
+        pinned[list(trajectory.pinned)] = True
+    degenerate = pinned.copy()
+    rank_deficient = np.zeros(n, dtype=bool)
     # Agent i's in-neighbours are its row of W's support, in source order.
     targets, sources = network._support
     pointer = network._row_pointer
     degrees = np.diff(pointer)
-    for d in np.unique(degrees).tolist():
-        group = np.flatnonzero(degrees == d)
+    for d in np.unique(degrees[~pinned]).tolist():
+        group = np.flatnonzero((degrees == d) & ~pinned)
         size = max(1, STACK_ENTRIES // ((d + 1) * max(rounds, d + 2)))
         for first in range(0, len(group), size):
             agents = group[first : first + size]
@@ -281,12 +392,13 @@ def recover(problem):
             if d == 1:
                 design = np.ascontiguousarray(design)
             response = after[agents]
-            beta = _simplex_least_squares(design, response, problem.ridge)
+            cross = np.matmul(design.transpose(0, 2, 1), design)
+            beta = _simplex_least_squares(design, response, problem.ridge, cross)
             fitted = np.matmul(design, beta[:, :, None])[:, :, 0]
             stubborn[agents] = beta[:, 0]
             fit_rms[agents] = np.sqrt(((fitted - response) ** 2).sum(axis=1) / rounds)
             degenerate[agents] = (beta[:, 0] > STUBBORN_CEILING) | (pure_rms[agents] <= fit_rms[agents] + 1e-12)
-            rank_deficient[agents] = np.linalg.matrix_rank(design) < d + 1
+            rank_deficient[agents] = _rank_deficient(design, cross)
             kept = ~degenerate[agents]
             rows = beta[kept, 1:] / (1.0 - beta[kept, :1])
             weights[agents[kept, None], support[kept]] = rows / rows.sum(axis=1, keepdims=True)

@@ -211,9 +211,14 @@ def agent_rows(params, runs):
         yield design, np.concatenate([run[1:, i] for run in runs])
 
 
+def fit_stack(design, response, ridge):
+    """The simplex least-squares fits of a (g, R, m) stack of designs."""
+    return _simplex_least_squares(design, response, ridge, np.matmul(design.transpose(0, 2, 1), design))
+
+
 def fit_row(design, response, ridge):
     """The simplex least-squares fit of one design, as a stack of one."""
-    return _simplex_least_squares(design[None], response[None], ridge)[0]
+    return fit_stack(design[None], response[None], ridge)[0]
 
 
 def normal_equations(design, response, ridge):
@@ -318,8 +323,8 @@ def test_interior_fit_solves_once_and_clipped_fit_ends_on_kkt(monkeypatch):
         assert assert_simplex_kkt(gram, linear, beta)
         return beta
 
-    def spy_fit(design, response, ridge):
-        stacks.append((design, response, ridge, fit(design, response, ridge)))
+    def spy_fit(design, response, ridge, cross):
+        stacks.append((design, response, ridge, fit(design, response, ridge, cross)))
         return stacks[-1][-1]
 
     looping = False
@@ -360,7 +365,7 @@ def test_start_with_a_negative_entry_its_projection_keeps_goes_to_the_loop(monke
     # Rows fitted exactly by (0.6, 0.4, 0): the start above is theirs up to
     # rounding.
     design = np.random.default_rng(8).uniform(0.0, 1.0, (1, 20, 3))
-    beta = _simplex_least_squares(design, design @ np.array([0.6, 0.4, 0.0]), 0.0)[0]
+    beta = fit_stack(design, design @ np.array([0.6, 0.4, 0.0]), 0.0)[0]
     assert beta[2] == 0.0 and beta.min() >= 0.0
     assert np.max(np.abs(beta - [0.6, 0.4, 0.0])) <= 1e-12
 
@@ -486,6 +491,186 @@ def test_recover_matches_rows_bitwise_on_every_flag_branch():
             assert causes[1]
             seen.add(causes)
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def spy_certificates(monkeypatch):
+    """Record what the full computations behind recover's certificates see.
+
+    Returns a dict with the rows ``recover`` hands ``project_to_simplex``,
+    the starts it hands ``_active_set`` and the designs it hands
+    ``np.linalg.matrix_rank``.  ``reference_row`` projects with the test
+    module's own ``project_to_simplex`` and ranks one 2-D design, so only
+    its ``_active_set`` calls show up here.
+    """
+    project, loop, rank = recovery.project_to_simplex, recovery._active_set, np.linalg.matrix_rank
+    seen = {"projected": [], "looped": [], "ranked": []}
+
+    def spy_project(point):
+        seen["projected"].extend(np.atleast_2d(point))
+        return project(point)
+
+    def spy_loop(gram, linear, start, beta):
+        seen["looped"].append(start)
+        return loop(gram, linear, start, beta)
+
+    def spy_rank(design, *args, **kwargs):
+        if np.ndim(design) == 3:
+            seen["ranked"].extend(design)
+        return rank(design, *args, **kwargs)
+
+    monkeypatch.setattr(recovery, "project_to_simplex", spy_project)
+    monkeypatch.setattr(recovery, "_active_set", spy_loop)
+    monkeypatch.setattr(np.linalg, "matrix_rank", spy_rank)
+    return seen
+
+
+def gram_ratio(design):
+    """The least over the largest eigenvalue of XᵀX, as the rank certificate reads it."""
+    eigenvalues = np.linalg.eigvalsh(design.T @ design)
+    return eigenvalues[0] / eigenvalues[-1]
+
+
+def test_recover_matches_rows_bitwise_on_both_sides_of_each_certificate(monkeypatch):
+    # recover projects only the starts its interior certificate leaves open
+    # and runs matrix_rank only on the designs its Gram certificate leaves
+    # open; reference_row projects every start and ranks every design.
+    # Seeded designs on both sides of each certificate, ridge 0 and 1e-3,
+    # must get reference_row's bits.
+    seen = spy_certificates(monkeypatch)
+    rng = np.random.default_rng(34)
+    ratios = []
+    # Complete n = 6, five 30-round runs: one tall stack of (150, 6)
+    # designs.  Agent 2 copies agent 1 up to Gaussian noise, so every other
+    # agent's design holds a near-duplicate column pair.  Its Gram ratio,
+    # about 0.4 noise^2, crosses RANK_GAP between noise 1e-3 and 1e-4;
+    # matrix_rank finds those four designs rank deficient at noise 1e-15
+    # and 0, and of full rank at 1e-13.
+    _, params = generate(Scenario(topology="complete", n=6, seed=34))
+    for noise in (1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 1e-13, 1e-15, 0.0):
+        runs = [rng.uniform(0.05, 0.95, (31, 6)) for _ in range(5)]
+        for run in runs:
+            run[:, 2] = run[:, 1] + noise * rng.standard_normal(31)
+        for ridge in (0.0, 1e-3):
+            seen["ranked"].clear()
+            rows = assert_recover_matches_rows(params, runs, ridge)
+            designs = [design for design, _ in agent_rows(params, runs)]
+            ratios += [gram_ratio(design) for design in designs]
+            uncertified = [d for d in designs if not gram_ratio(d) > recovery.RANK_GAP]
+            assert len(seen["ranked"]) == len(uncertified)
+            assert all(np.array_equal(a, b) for a, b in zip(seen["ranked"], uncertified))
+            assert sum(causes[1] for _, causes in rows) == (4 if noise <= 1e-15 else 0)
+    assert min(ratios) < recovery.RANK_GAP < max(ratios)
+    # Fewer rows than columns: one 5-round run on complete n = 8 is rank
+    # deficient outright, and two 10-round runs on complete n = 6 are not
+    # tall (20 < 8 * 6 rows), so matrix_rank sees every design.
+    for n, rounds in ((8, (5,)), (6, (10, 10))):
+        _, params = generate(Scenario(topology="complete", n=n, seed=n))
+        runs = [simulate(params, rng.uniform(0.0, 1.0, n), r).values for r in rounds]
+        seen["ranked"].clear()
+        rows = assert_recover_matches_rows(params, runs, 0.0)
+        assert len(seen["ranked"]) == (0 if sum(rounds) < n else n)
+        assert all(causes[1] for _, causes in rows) == (sum(rounds) < n)
+    # A zero s column: agents 0 and 3 have s_i = 0, so their designs are
+    # rank deficient, and the Gram certificate must leave them open.
+    _, base = generate(Scenario(topology="erdos_renyi", n=8, edge_prob=0.4, seed=34))
+    intrinsic = np.array(base.intrinsic)
+    intrinsic[[0, 3]] = 0.0
+    params = FjParameters(base.network, intrinsic, base.stubbornness, base.influence)
+    runs = [simulate(params, rng.uniform(0.0, 1.0, 8), 30).values for _ in range(5)]
+    seen["ranked"].clear()
+    rows = assert_recover_matches_rows(params, runs, 0.0)
+    assert [causes[1] for _, causes in rows] == [i in (0, 3) for i in range(8)]
+    assert len(seen["ranked"]) == 2
+
+
+@pytest.mark.parametrize("side", (1, -1), ids=("above", "below"))
+def test_start_one_ulp_from_the_interior_margin_keeps_its_bits(monkeypatch, side):
+    # A start whose least entry exceeds |sum - 1| + 8 m eps is a simplex
+    # point its projection keeps whole, so recover does not project it.
+    # Agent 0 alone has in-degree 2, so its stack is one (150, 3) design,
+    # and its start is forced, as in the negative-entry test above, to
+    # (a, 0.4, t): a sums it to exactly 1, so the margin is 24 eps, and t
+    # lies 1 ulp above or below it.  Both sides keep reference_row's bits;
+    # only the one below is projected.
+    t = np.nextafter(24 * recovery._EPS, side * np.inf)
+    start = np.array([[1.0 - 0.4 - t, 0.4, t]])
+    margin = np.abs(start.sum(axis=1) - 1.0) + 8 * 3 * recovery._EPS
+    assert margin[0] == 24 * recovery._EPS and start.min() == np.nextafter(margin[0], side * np.inf)
+    solve = recovery._sum_constrained
+    monkeypatch.setattr(
+        recovery,
+        "_sum_constrained",
+        lambda gram, linear: start if linear.shape == start.shape else solve(gram, linear),
+    )
+    seen = spy_certificates(monkeypatch)
+    edges = [(1, 0), (2, 0), (0, 1), (0, 2)] + [(j, i) for i in (3, 4) for j in (0, 1, 2)]
+    network = InfluenceNetwork(5, edges)
+    rng = np.random.default_rng(8)
+    params = random_params(rng, network, theta_range=(0.2, 0.8))
+    runs = [simulate(params, rng.uniform(0.0, 1.0, 5), 30).values for _ in range(5)]
+    (beta, _), *_ = assert_recover_matches_rows(params, runs, 0.0)
+    assert np.array_equal(beta, start[0])
+    assert any(np.array_equal(row, start[0]) for row in seen["projected"]) == (side < 0)
+
+
+def test_projection_and_rank_svd_see_only_what_the_certificates_leave_open(monkeypatch):
+    # On fit_noisy-style instances (Erdos-Renyi n = 8, five 30-round runs,
+    # 1e-2 noise) project_to_simplex sees exactly the starts that go on to
+    # the active-set loop, and matrix_rank exactly the designs whose Gram
+    # ratio does not clear RANK_GAP.  Seed 6 holds one such design: agent
+    # 4's s_i is 1.2e-4, so its s column nearly vanishes, yet it has full
+    # rank.
+    seen = spy_certificates(monkeypatch)
+    looped = ranked = 0
+    for seed in (4, 6, 16, 32):
+        params, runs = noisy_erdos_renyi(seed)
+        for key in seen:
+            seen[key].clear()
+        result = recover_runs(params, runs)
+        assert len(seen["projected"]) == len(seen["looped"])
+        assert all(np.array_equal(a, b) for a, b in zip(seen["projected"], seen["looped"]))
+        designs = [design for design, _ in agent_rows(params, runs)]
+        uncertified = [d for d in designs if not gram_ratio(d) > recovery.RANK_GAP]
+        assert len(seen["ranked"]) == len(uncertified)
+        assert all(np.array_equal(a, b) for a, b in zip(seen["ranked"], uncertified))
+        assert not any(result.identifiability_flags)
+        looped += len(seen["looped"])
+        ranked += len(seen["ranked"])
+    assert (looped, ranked) == (3, 1)
+
+
+def test_agents_pinned_in_any_trajectory_get_the_fallback_row():
+    # Agents 2 and 5 are held at 1 in every run, so their updates follow
+    # no FJ row.  They are not fitted: each gets theta = 1, a uniform row,
+    # the residual of s_i and a flag.  Fitted as FJ agents, 5 came back
+    # unflagged with theta at its floor and weight on 2 of its 4
+    # in-neighbours.  The other agents keep the bits of the same runs
+    # recovered with nobody pinned.
+    _, params = generate(Scenario(topology="erdos_renyi", n=8, edge_prob=0.4, seed=3))
+    rng = np.random.default_rng(3)
+    pinned_runs = tuple(simulate(params, rng.uniform(0.0, 1.0, 8), 30, pinned=(2, 5)) for _ in range(5))
+    result = recover(RecoveryProblem(params.network, pinned_runs, intrinsic=params.intrinsic))
+    free = recover_runs(params, [run.values for run in pinned_runs])
+    after = np.vstack([run.values[1:] for run in pinned_runs])
+    for i in range(8):
+        if i in (2, 5):
+            support = list(params.network.in_neighbors(i))
+            expected = np.zeros(8)
+            expected[support] = 1.0 / len(support)
+            assert result.identifiability_flags[i]
+            assert result.params.stubbornness[i] == 1.0
+            assert np.array_equal(result.params.influence[i], expected)
+            assert result.per_agent_residual[i] == np.sqrt(((params.intrinsic[i] - after[:, i]) ** 2).sum() / 150)
+        else:
+            assert result.identifiability_flags[i] == free.identifiability_flags[i]
+            assert result.params.stubbornness[i] == free.params.stubbornness[i]
+            assert np.array_equal(result.params.influence[i], free.params.influence[i])
+            assert result.per_agent_residual[i] == free.per_agent_residual[i]
+    assert not free.identifiability_flags[5] and free.params.stubbornness[5] == THETA_MIN
+    # Pinned in one run only is pinned too.
+    once = (pinned_runs[0],) + tuple(simulate(params, rng.uniform(0.0, 1.0, 8), 30) for _ in range(4))
+    flags = recover(RecoveryProblem(params.network, once, intrinsic=params.intrinsic)).identifiability_flags
+    assert flags[2] and flags[5]
 
 
 def test_simplex_fits_meet_kkt_across_noise_and_ridge():
