@@ -383,13 +383,19 @@ def load_config(path):
 
 
 def trajectories_to_json(trajectories):
+    """The file payload of ``trajectories``: ``n`` and each run's values,
+    plus each run's pinned agents under ``pinned`` when some run pins one,
+    so a file with no pinned agent keeps its bytes."""
     sizes = {trajectory.n for trajectory in trajectories}
     if len(sizes) != 1:
         raise ValidationError(f"trajectories disagree on agent count: {sorted(sizes)}")
-    return {
+    payload = {
         "n": sizes.pop(),
         "trajectories": [trajectory.values.tolist() for trajectory in trajectories],
     }
+    if any(trajectory.pinned for trajectory in trajectories):
+        payload["pinned"] = [list(trajectory.pinned) for trajectory in trajectories]
+    return payload
 
 
 def save_trajectories(trajectories, path):
@@ -398,21 +404,32 @@ def save_trajectories(trajectories, path):
 
 @_collector_paused()
 def load_trajectories(path):
+    """The OpinionTrajectory runs of a trajectory file, each with the agents
+    its ``pinned`` entry names (none when the file has no ``pinned``)."""
     payload = read_json(path)
     try:
         (n,) = check_integral([_require(payload, "n", path)], "n")
         raw = [_number_rows(rows) for rows in _require(payload, "trajectories", path)]
+        pinned = payload.get("pinned", [[]] * len(raw))
+        if type(pinned) is not list or set(map(type, pinned)) - {list} or len(pinned) != len(raw):
+            raise ValueError("pinned must hold one list of agents per trajectory")
+        pinned = [check_integral(agents, "pinned agent") for agents in pinned]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: malformed trajectory file ({exc})") from exc
     if not raw:
         raise ValidationError(f"{path}: no trajectories")
     out = []
-    for index, values in enumerate(raw):
+    for index, (values, agents) in enumerate(zip(raw, pinned)):
         if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] != n:
             raise ValidationError(
                 f"{path}: trajectory {index} must be (rounds + 1) x {n} with rounds >= 1"
             )
-        out.append(OpinionTrajectory(rounds=values.shape[0] - 1, values=values))
+        outside = [agent for agent in agents if not 0 <= agent < n]
+        if outside:
+            raise ValidationError(
+                f"{path}: trajectory {index} pins agent {outside[0]}, out of range for {n} agents"
+            )
+        out.append(OpinionTrajectory(rounds=values.shape[0] - 1, values=values, pinned=agents))
     return out
 
 

@@ -36,8 +36,16 @@ projection and 4 designs the SVD.  Dense stacks, R < 8 (d + 1), keep the
 SVD of every design.  Each row gets the bits it would get on its own,
 because every design keeps the memory order ``np.column_stack`` gives a
 lone agent's design: F-ordered at in-degree d >= 2, C-ordered at d = 1.
+
+A stack keeps only the calls that need its designs: the gather, XᵀX, the
+fits, the fitted products and the rank flags.  What is done per agent
+after the fit runs once per fit, over all agents or over the edge list in
+row order: the residuals, the degenerate test, the weight rows and their
+uniform fallback, the stubbornness floor and the flags.  The result is
+built from those edge weights, with no dense pass over W (``recover``).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,14 +175,23 @@ def _sum_constrained(gram, linear):
     rhs = np.ones((g, m + 1))
     rhs[:, :m] = linear
     rcond = _EPS * (m + 1)
-    work, iwork, _ = _gelsd_lwork(m + 1, m + 1, 1, cond=rcond)
+    work, iwork = _gelsd_workspace(m + 1)
     solution = np.empty((g, m))
     for k in range(g):
-        x, _, _, info = _gelsd(kkt[k], rhs[k], int(work), iwork, cond=rcond)
+        x, _, _, info = _gelsd(kkt[k], rhs[k], work, iwork, cond=rcond)
         if info != 0:
             raise ConvergenceError(f"KKT least-squares solve did not converge (info={info})")
         solution[k] = x[:m]
     return solution
+
+
+@functools.lru_cache(maxsize=64)
+def _gelsd_workspace(size):
+    """gelsd's workspace sizes (work, iwork) for one size x size system,
+    queried once per size: a fit solves systems of a few sizes, its
+    in-degrees plus one and the active-set loop's smaller ones."""
+    work, iwork, _ = _gelsd_lwork(size, size, 1, cond=_EPS * size)
+    return int(work), iwork
 
 
 def _active_set(gram, linear, start, beta):
@@ -259,16 +276,20 @@ def _simplex_least_squares(design, response, ridge, cross):
     products are BLAS calls whose rounding follows that order.
     """
     m = design.shape[2]
-    gram = cross + ridge * np.eye(m)
+    # Adding 0 I would change no bit: x + 0.0 is x for every x but -0.0,
+    # and XᵀX, summed by matmul from +0.0, holds no -0.0.
+    gram = cross + ridge * np.eye(m) if ridge else cross
     linear = np.matmul(design.transpose(0, 2, 1), response[:, :, None])[:, :, 0]
     start = _sum_constrained(gram, linear)
+    settled = start.min(axis=1) > np.abs(start.sum(axis=1) - 1.0) + 8 * m * _EPS
+    if settled.all():
+        return start
+    unsettled = np.flatnonzero(~settled)
     beta = start.copy()
-    unsettled = np.flatnonzero(~(start.min(axis=1) > np.abs(start.sum(axis=1) - 1.0) + 8 * m * _EPS))
-    if unsettled.size:
-        projected = project_to_simplex(start[unsettled])
-        clipped = ~((projected > 0.0) & (start[unsettled] >= 0.0)).all(axis=1)
-        for k, point in zip(unsettled[clipped], projected[clipped]):
-            beta[k] = _active_set(gram[k], linear[k], start[k], point)
+    projected = project_to_simplex(start[unsettled])
+    clipped = ~((projected > 0.0) & (start[unsettled] >= 0.0)).all(axis=1)
+    for k, point in zip(unsettled[clipped], projected[clipped]):
+        beta[k] = _active_set(gram[k], linear[k], start[k], point)
     return beta
 
 
@@ -317,9 +338,10 @@ def _rank_deficient(design, cross):
         return np.linalg.matrix_rank(design) < m
     eigenvalues = np.linalg.eigvalsh(cross)
     gap = max(RANK_GAP, 64.0 * rows * m * _EPS)
-    unsettled = np.flatnonzero(~(eigenvalues[:, 0] > gap * eigenvalues[:, -1]))
+    certified = eigenvalues[:, 0] > gap * eigenvalues[:, -1]
     deficient = np.zeros(g, dtype=bool)
-    if unsettled.size:
+    if not certified.all():
+        unsettled = np.flatnonzero(~certified)
         deficient[unsettled] = np.linalg.matrix_rank(design[unsettled]) < m
     return deficient
 
@@ -336,16 +358,28 @@ def recover(problem):
 
     The g agents of in-degree d are fitted together, as one (g, R, d + 1)
     stack of designs, or as several when g (d + 1) max(R, d + 2) exceeds
-    ``STACK_ENTRIES``.  A stack has one stacked XᵀX, shared by the fits
-    (``_simplex_least_squares``) and the rank flags (``_rank_deficient``),
-    one KKT solve per agent, and the residuals and weight rows computed
-    for the whole stack; the projection and ``np.linalg.matrix_rank`` run
-    only on the rows their certificates leave open.  A design is F-ordered
-    at in-degree d >= 2 and C-ordered at d = 1, the order
-    ``np.column_stack`` gives a lone agent's design, so each agent's fit
-    has the bits of a fit on its own.  Stubbornness estimates are floored
-    at the contraction threshold so the returned parameters always
-    validate.
+    ``STACK_ENTRIES``.  A stack holds only the work that needs its
+    designs: the gather, one stacked XᵀX, shared by the fits
+    (``_simplex_least_squares``, one KKT solve per agent) and the rank
+    flags (``_rank_deficient``), and the fitted products; the projection
+    and ``np.linalg.matrix_rank`` run only on the rows their certificates
+    leave open.  A design is F-ordered at in-degree d >= 2 and C-ordered
+    at d = 1, the order ``np.column_stack`` gives a lone agent's design,
+    so each agent's fit has the bits of a fit on its own.
+
+    The stacks leave a_i, the fitted products and the rank flags per
+    agent, and v_ij on the edge list in row order.  Every step after them
+    runs once per fit, over all agents or all edges: the RMS residuals,
+    the degenerate test, the weight rows w_ij = v_ij / (1 - a_i) over
+    their sums with the uniform fallback, the stubbornness floor and the
+    flags.  Each step is elementwise, so a row gets the bits it would get
+    alone, except a row's sum: numpy sums a row of 8 or more entries
+    pairwise, so each row is summed as a row of its in-degree's (g, d)
+    block, as a lone agent's row would be.  Degenerate rows are masked
+    before any division.  The parameters are built from the edge weights
+    (``FjParameters._from_edge_weights``), with no dense pass over W.
+    Stubbornness estimates are floored at the contraction threshold so
+    the returned parameters always validate.
 
     An agent pinned in any trajectory did not follow the update rule
     there, so it is not fitted: it gets the fallback of a row with no
@@ -359,56 +393,67 @@ def recover(problem):
         intrinsic = np.array(problem.intrinsic)
     else:
         intrinsic = np.array(problem.trajectories[0].values[0])
-    before = np.vstack([trajectory.values[:-1] for trajectory in problem.trajectories]).T.copy()
-    after = np.vstack([trajectory.values[1:] for trajectory in problem.trajectories]).T.copy()
+    before = np.concatenate([trajectory.values[:-1] for trajectory in problem.trajectories]).T.copy()
+    after = np.concatenate([trajectory.values[1:] for trajectory in problem.trajectories]).T.copy()
     rounds = before.shape[1]
-    stubborn = np.empty(n)
-    weights = np.zeros((n, n))
-    fit_rms = np.empty(n)
-    # Full stubbornness predicts s_i, the design's column 0.  A row it
-    # explains exactly as well has no weight information; those fits are
-    # canonicalized to theta = 1, a uniform row and the residual of s_i, so
-    # the ambiguity is reported instead of an arbitrary optimum.
-    pure_rms = np.sqrt(((intrinsic[:, None] - after) ** 2).sum(axis=1) / rounds)
     pinned = np.zeros(n, dtype=bool)
-    for trajectory in problem.trajectories:
-        pinned[list(trajectory.pinned)] = True
-    degenerate = pinned.copy()
-    rank_deficient = np.zeros(n, dtype=bool)
+    pinned[[agent for trajectory in problem.trajectories for agent in trajectory.pinned]] = True
     # Agent i's in-neighbours are its row of W's support, in source order.
     targets, sources = network._support
     pointer = network._row_pointer
     degrees = np.diff(pointer)
-    for d in np.unique(degrees[~pinned]).tolist():
-        group = np.flatnonzero((degrees == d) & ~pinned)
+    # The stacks fill in each fitted agent's a_i, one-step prediction and
+    # rank flag, and its v_ij on the edge list; a pinned agent keeps 0s.
+    stubborn = np.zeros(n)
+    fitted = np.zeros_like(after)
+    rank_deficient = np.zeros(n, dtype=bool)
+    coefficients = np.zeros(len(targets))
+    layout = []
+    free = ~pinned
+    for d in np.unique(degrees[free]).tolist():
+        group = np.flatnonzero((degrees == d) & free)
+        positions = pointer[group, None] + np.arange(d)
+        layout.append((group, positions))
         size = max(1, STACK_ENTRIES // ((d + 1) * max(rounds, d + 2)))
         for first in range(0, len(group), size):
-            agents = group[first : first + size]
-            support = sources[pointer[agents, None] + np.arange(d)]
+            stack = slice(first, first + size)
+            agents = group[stack]
             columns = np.empty((len(agents), d + 1, rounds))
             columns[:, 0] = intrinsic[agents, None]
-            columns[:, 1:] = before[support]
+            columns[:, 1:] = before[sources[positions[stack]]]
             design = columns.transpose(0, 2, 1)
             if d == 1:
                 design = np.ascontiguousarray(design)
-            response = after[agents]
             cross = np.matmul(design.transpose(0, 2, 1), design)
-            beta = _simplex_least_squares(design, response, problem.ridge, cross)
-            fitted = np.matmul(design, beta[:, :, None])[:, :, 0]
+            beta = _simplex_least_squares(design, after[agents], problem.ridge, cross)
+            fitted[agents] = np.matmul(design, beta[:, :, None])[:, :, 0]
             stubborn[agents] = beta[:, 0]
-            fit_rms[agents] = np.sqrt(((fitted - response) ** 2).sum(axis=1) / rounds)
-            degenerate[agents] = (beta[:, 0] > STUBBORN_CEILING) | (pure_rms[agents] <= fit_rms[agents] + 1e-12)
+            coefficients[positions[stack]] = beta[:, 1:]
             rank_deficient[agents] = _rank_deficient(design, cross)
-            kept = ~degenerate[agents]
-            rows = beta[kept, 1:] / (1.0 - beta[kept, :1])
-            weights[agents[kept, None], support[kept]] = rows / rows.sum(axis=1, keepdims=True)
+    # Full stubbornness predicts s_i, the design's column 0.  A row it
+    # explains exactly as well has no weight information; those fits are
+    # canonicalized to theta = 1, a uniform row and the residual of s_i, so
+    # the ambiguity is reported instead of an arbitrary optimum.
+    fit_rms = np.sqrt(((fitted - after) ** 2).sum(axis=1) / rounds)
+    pure_rms = np.sqrt(((intrinsic[:, None] - after) ** 2).sum(axis=1) / rounds)
+    degenerate = pinned | (stubborn > STUBBORN_CEILING) | (pure_rms <= fit_rms + 1e-12)
+    # w_ij = v_ij / (1 - a_i) over its row's sum, with degenerate rows
+    # masked before either division, and each row summed as a row of its
+    # in-degree's (g, d) block, as a lone agent's row would be.
     uniform = degenerate[targets]
-    weights[targets[uniform], sources[uniform]] = 1.0 / degrees[targets[uniform]]
+    kept = ~uniform
+    on_support = np.zeros(len(targets))
+    on_support[kept] = coefficients[kept] / (1.0 - stubborn[targets[kept]])
+    totals = np.zeros(n)
+    for group, positions in layout:
+        totals[group] = on_support[positions].sum(axis=1)
+    on_support[kept] /= totals[targets[kept]]
+    on_support[uniform] = 1.0 / degrees[targets[uniform]]
     theta = np.minimum(np.maximum(np.where(degenerate, 1.0, stubborn), THETA_MIN), 1.0)
     residuals = np.where(degenerate, pure_rms, fit_rms)
     flags = degenerate | rank_deficient
     return RecoveryResult(
-        params=FjParameters(network, intrinsic, theta, weights),
+        params=FjParameters._from_edge_weights(network, intrinsic, theta, on_support),
         per_agent_residual=residuals,
         identifiability_flags=tuple(flags.tolist()),
     )

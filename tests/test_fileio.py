@@ -26,6 +26,7 @@ from fjattack import (
     RecoveryProblem,
     Scenario,
     ValidationError,
+    generate,
     recover,
     run_comparison,
     simulate,
@@ -142,6 +143,52 @@ def test_trajectories_round_trip(tmp_path):
     for got, want in zip(loaded, trajectories):
         assert got.rounds == want.rounds
         assert np.array_equal(got.values, want.values)
+
+
+def test_pinned_trajectories_round_trip_and_recover_alike(tmp_path):
+    # Five 30-round runs with agents 2 and 5 held at 1.  The file keeps
+    # each run's pinned agents, so recovering from it flags 2 and 5 with
+    # theta = 1, as recovering in memory does; from a file that dropped
+    # them, 5 came back unflagged with theta at its floor.
+    _, params = generate(Scenario(topology="erdos_renyi", n=8, edge_prob=0.4, seed=3))
+    rng = np.random.default_rng(3)
+    runs = tuple(simulate(params, rng.uniform(0.0, 1.0, 8), 30, pinned=(2, 5)) for _ in range(5))
+    path = tmp_path / "trajectories.json"
+    save_trajectories(runs, path)
+    assert path.read_text() == stdlib_text(trajectories_to_json(runs))
+    assert trajectories_to_json(runs)["pinned"] == [[2, 5]] * 5
+    loaded = load_trajectories(path)
+    assert [run.pinned for run in loaded] == [(2, 5)] * 5
+    in_memory = recover(RecoveryProblem(params.network, runs))
+    from_file = recover(RecoveryProblem(params.network, tuple(loaded)))
+    assert from_file.identifiability_flags == in_memory.identifiability_flags
+    assert from_file.identifiability_flags[2] and from_file.identifiability_flags[5]
+    assert np.array_equal(from_file.params.stubbornness, in_memory.params.stubbornness)
+    assert from_file.params.stubbornness[5] == 1.0
+    # A pin in one run of several is written for that run alone.
+    mixed = (runs[0], simulate(params, rng.uniform(0.0, 1.0, 8), 30))
+    save_trajectories(mixed, path)
+    assert [run.pinned for run in load_trajectories(path)] == [(2, 5), ()]
+
+
+@pytest.mark.parametrize(
+    "pinned, message",
+    [
+        ([[0]], "pinned must hold one list of agents per trajectory"),
+        ([0, 1], "pinned must hold one list of agents per trajectory"),
+        ({"0": [1]}, "pinned must hold one list of agents per trajectory"),
+        ([[0], [1.0]], "pinned agent must be an integer, got 1.0"),
+        ([[0], [True]], "pinned agent must be an integer, got True"),
+        ([[0], [2]], "trajectory 1 pins agent 2, out of range for 2 agents"),
+        ([[-1], []], "trajectory 0 pins agent -1, out of range for 2 agents"),
+    ],
+    ids=["count", "flat", "mapping", "float", "bool", "past_n", "negative"],
+)
+def test_trajectory_files_refuse_malformed_pins(tmp_path, pinned, message):
+    payload = {"n": 2, "trajectories": TRAJECTORIES["trajectories"] * 2, "pinned": pinned}
+    path = written(tmp_path / "trajectories.json", payload)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load_trajectories(path)
 
 
 def written(path, payload):

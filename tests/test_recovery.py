@@ -439,6 +439,24 @@ def test_recover_matches_per_trajectory_rows_bitwise():
     assert active > 0
 
 
+def test_recover_matches_rows_bitwise_past_in_degree_eight():
+    # From in-degree 8 on, numpy sums a row pairwise, eight running sums at
+    # a time, so a row sum's grouping depends on how the row is laid out.
+    # Agent i of 24 listens to the 1 + i % 12 agents after it: in-degrees 1
+    # to 12, two agents each.  Five 30-round runs make every stack tall.
+    n = 24
+    edges = [((i + k) % n, i) for i in range(n) for k in range(1, 2 + i % 12)]
+    network = InfluenceNetwork(n, edges)
+    rng = np.random.default_rng(24)
+    params = random_params(rng, network, theta_range=(0.2, 0.8))
+    assert sorted({len(network.in_neighbors(i)) for i in range(n)}) == list(range(1, 13))
+    clean = [simulate(params, rng.uniform(0.0, 1.0, n), 30).values for _ in range(5)]
+    for noise in (0.0, 1e-2):
+        runs = [np.clip(v + rng.uniform(-noise, noise, v.shape), 0.0, 1.0) for v in clean]
+        for ridge in (0.0, 1e-3):
+            assert_recover_matches_rows(params, runs, ridge)
+
+
 def test_recover_splits_large_stacks_with_the_same_bits(monkeypatch):
     # A stack holds at most STACK_ENTRIES design entries.  Split stacks,
     # down to one agent each, fit every row with the bits of one stack.
