@@ -30,10 +30,14 @@ checkouts measured one after the other are not comparable.  The
 measurement runs in rounds instead: each round times every checkout once,
 in a fresh process, alternating which goes first, and each figure is a
 median over the rounds.  Give every checkout to compare in one call.
-Each point also carries a digest of every answer it timed (configs, the
-bits of g, and the bits of every recovered theta, W, residual and flag),
-so two points show whether they planned and fitted the same.  The
-split of each run into search phases waits for a planner trace record.
+Points written by different calls do not compare, even for the same
+sources: the host's load, the session and this script change between
+calls.  A change's evidence is the pair of points that one call writes
+for its parent and for itself (ROADMAP item 1).  Each point also carries
+a digest of every answer it timed (configs, the bits of g, and the bits
+of every recovered theta, W, residual and flag), so two points show
+whether they planned and fitted the same.  The split of each run into
+search phases waits for a planner trace record.
 """
 
 import os

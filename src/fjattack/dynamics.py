@@ -433,8 +433,7 @@ class OpinionTrajectory:
         _check_unit(values, "trajectory entries")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        pinned = tuple(sorted(_as_int(i, "pinned agent") for i in self.pinned))
-        object.__setattr__(self, "pinned", pinned)
+        object.__setattr__(self, "pinned", _pinned_agents(self.pinned, values.shape[1]))
 
     @property
     def n(self):
@@ -448,11 +447,17 @@ class Outcome(NamedTuple):
     g: float
 
 
-def _check_pinned(pinned, n, pinned_value):
-    pinned = tuple(sorted({_as_int(i, "pinned agent") for i in pinned}))
+def _pinned_agents(pinned, n):
+    """The pinned agents as a sorted tuple, each an int in 0..n-1."""
+    pinned = tuple(sorted(_as_int(i, "pinned agent") for i in pinned))
     for i in pinned:
         if not 0 <= i < n:
             raise ValidationError(f"pinned agent {i} out of range for {n} agents")
+    return pinned
+
+
+def _check_pinned(pinned, n, pinned_value):
+    pinned = tuple(sorted(set(_pinned_agents(pinned, n))))
     _check_unit(pinned_value, "pinned_value")
     return pinned
 

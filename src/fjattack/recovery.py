@@ -37,12 +37,15 @@ SVD of every design.  Each row gets the bits it would get on its own,
 because every design keeps the memory order ``np.column_stack`` gives a
 lone agent's design: F-ordered at in-degree d >= 2, C-ordered at d = 1.
 
-A stack keeps only the calls that need its designs: the gather, XᵀX, the
-fits, the fitted products and the rank flags.  What is done per agent
-after the fit runs once per fit, over all agents or over the edge list in
-row order: the residuals, the degenerate test, the weight rows and their
-uniform fallback, the stubbornness floor and the flags.  The result is
-built from those edge weights, with no dense pass over W (``recover``).
+A fit lays its agents out once, sorted by in-degree, so that each stack
+is a contiguous run of agents, of edges and of design-column slots: a
+stack's designs are one gather of its run of slots, and its results are
+slice writes.  A stack keeps only the calls that need its designs: the
+gather, XᵀX, the fits, the fitted products and the rank flags.  What is
+done per agent after the fit runs once per fit, over all agents or over
+the edge list: the residuals, the degenerate test, the weight rows and
+their uniform fallback, the stubbornness floor and the flags.  The result
+is built from those edge weights, with no dense pass over W (``recover``).
 """
 
 import functools
@@ -68,7 +71,7 @@ STACK_ENTRIES = 1 << 16
 # eigenvalue of its XᵀX exceeds this share of the largest (``_rank_deficient``).
 RANK_GAP = 1e-8
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 _gelsd, _gelsd_lwork = get_lapack_funcs(("gelsd", "gelsd_lwork"), dtype=np.float64)
 
 
@@ -169,16 +172,19 @@ def _sum_constrained(gram, linear):
     trajectory columns flatten toward their fixed point.
     """
     g, m = linear.shape
-    kkt = np.ones((g, m + 1, m + 1))
-    kkt[:, :m, :m] = gram
-    kkt[:, m, m] = 0.0
+    # kkt[k] holds system k transposed, so kkt[k].T is the system in the
+    # Fortran order gelsd works in, and gelsd may overwrite it, and rhs[k],
+    # instead of copying them.
+    kkt = np.zeros((g, m + 1, m + 1))
+    kkt[:, :m, :m] = gram.transpose(0, 2, 1)
+    kkt[:, m, :m] = kkt[:, :m, m] = 1.0
     rhs = np.ones((g, m + 1))
     rhs[:, :m] = linear
     rcond = _EPS * (m + 1)
     work, iwork = _gelsd_workspace(m + 1)
     solution = np.empty((g, m))
     for k in range(g):
-        x, _, _, info = _gelsd(kkt[k], rhs[k], work, iwork, cond=rcond)
+        x, _, _, info = _gelsd(kkt[k].T, rhs[k], work, iwork, rcond, 1, 1)
         if info != 0:
             raise ConvergenceError(f"KKT least-squares solve did not converge (info={info})")
         solution[k] = x[:m]
@@ -281,10 +287,9 @@ def _simplex_least_squares(design, response, ridge, cross):
     gram = cross + ridge * np.eye(m) if ridge else cross
     linear = np.matmul(design.transpose(0, 2, 1), response[:, :, None])[:, :, 0]
     start = _sum_constrained(gram, linear)
-    settled = start.min(axis=1) > np.abs(start.sum(axis=1) - 1.0) + 8 * m * _EPS
-    if settled.all():
+    unsettled = (np.minimum.reduce(start, 1) <= abs(np.add.reduce(start, 1) - 1) + 8 * m * _EPS).nonzero()[0]
+    if not unsettled.size:
         return start
-    unsettled = np.flatnonzero(~settled)
     beta = start.copy()
     projected = project_to_simplex(start[unsettled])
     clipped = ~((projected > 0.0) & (start[unsettled] >= 0.0)).all(axis=1)
@@ -338,11 +343,9 @@ def _rank_deficient(design, cross):
         return np.linalg.matrix_rank(design) < m
     eigenvalues = np.linalg.eigvalsh(cross)
     gap = max(RANK_GAP, 64.0 * rows * m * _EPS)
-    certified = eigenvalues[:, 0] > gap * eigenvalues[:, -1]
-    deficient = np.zeros(g, dtype=bool)
-    if not certified.all():
-        unsettled = np.flatnonzero(~certified)
-        deficient[unsettled] = np.linalg.matrix_rank(design[unsettled]) < m
+    deficient = eigenvalues[:, 0] <= gap * eigenvalues[:, -1]
+    if np.count_nonzero(deficient):
+        deficient[deficient] = np.linalg.matrix_rank(design[deficient]) < m
     return deficient
 
 
@@ -356,10 +359,18 @@ def recover(problem):
     design is s_i beside its in-neighbours' rows of ``before``, and its
     response is row i of ``after``.
 
-    The g agents of in-degree d are fitted together, as one (g, R, d + 1)
-    stack of designs, or as several when g (d + 1) max(R, d + 2) exceeds
-    ``STACK_ENTRIES``.  A stack holds only the work that needs its
-    designs: the gather, one stacked XᵀX, shared by the fits
+    The fit has one layout.  One stable argsort puts the free agents in
+    order of in-degree, in index order within one, and the pinned agents
+    after them; each agent's edge positions are laid out from the row
+    pointer in that order.  Each agent owns d + 1 consecutive slots, one
+    per design column: s_i, then its in-neighbours' rows of ``before``,
+    and each slot names the row of one per-fit table of R-long columns
+    that it holds.  The g agents of in-degree d are then a contiguous run
+    of slots: they are fitted together, as one (g, R, d + 1) stack of
+    designs gathered from that run at once, or as several when
+    g (d + 1) max(R, d + 2) exceeds ``STACK_ENTRIES``, which also bounds
+    the memory a fit's designs take.  A stack holds only the work that
+    needs its designs: the gather, one stacked XᵀX, shared by the fits
     (``_simplex_least_squares``, one KKT solve per agent) and the rank
     flags (``_rank_deficient``), and the fitted products; the projection
     and ``np.linalg.matrix_rank`` run only on the rows their certificates
@@ -367,19 +378,21 @@ def recover(problem):
     at d = 1, the order ``np.column_stack`` gives a lone agent's design,
     so each agent's fit has the bits of a fit on its own.
 
-    The stacks leave a_i, the fitted products and the rank flags per
-    agent, and v_ij on the edge list in row order.  Every step after them
-    runs once per fit, over all agents or all edges: the RMS residuals,
-    the degenerate test, the weight rows w_ij = v_ij / (1 - a_i) over
-    their sums with the uniform fallback, the stubbornness floor and the
-    flags.  Each step is elementwise, so a row gets the bits it would get
-    alone, except a row's sum: numpy sums a row of 8 or more entries
+    Each stack writes (a_i, v_i.) into its slots, and its fitted products
+    and rank flags, by slice, in layout order.  Every step after the
+    stacks runs once per fit, over all agents or all edges: the RMS
+    residuals, the degenerate test, the weight rows w_ij = v_ij / (1 - a_i)
+    over their sums with the uniform fallback, the stubbornness floor and
+    the flags.  Each step is elementwise, so a row gets the bits it would
+    get alone, except a row's sum: numpy sums a row of 8 or more entries
     pairwise, so each row is summed as a row of its in-degree's (g, d)
-    block, as a lone agent's row would be.  Degenerate rows are masked
-    before any division.  The parameters are built from the edge weights
-    (``FjParameters._from_edge_weights``), with no dense pass over W.
-    Stubbornness estimates are floored at the contraction threshold so
-    the returned parameters always validate.
+    block, a reshape of the layout, as a lone agent's row would be.
+    Degenerate rows never divide by 1 - a_i or by a zero sum.  The
+    layout's inverse permutations put the results back in agent order and
+    in the support's edge order, and the parameters are built from the
+    edge weights (``FjParameters._from_edge_weights``), with no dense pass
+    over W.  Stubbornness estimates are floored at the contraction
+    threshold so the returned parameters always validate.
 
     An agent pinned in any trajectory did not follow the update rule
     there, so it is not fitted: it gets the fallback of a row with no
@@ -389,73 +402,88 @@ def recover(problem):
     """
     network = problem.network
     n = network.agent_count
-    if problem.intrinsic is not None:
-        intrinsic = np.array(problem.intrinsic)
-    else:
-        intrinsic = np.array(problem.trajectories[0].values[0])
-    before = np.concatenate([trajectory.values[:-1] for trajectory in problem.trajectories]).T.copy()
-    after = np.concatenate([trajectory.values[1:] for trajectory in problem.trajectories]).T.copy()
-    rounds = before.shape[1]
-    pinned = np.zeros(n, dtype=bool)
-    pinned[[agent for trajectory in problem.trajectories for agent in trajectory.pinned]] = True
+    intrinsic = problem.trajectories[0].values[0] if problem.intrinsic is None else problem.intrinsic
+    after = np.concatenate([trajectory.values[1:].T for trajectory in problem.trajectories], axis=1)
+    rounds = after.shape[1]
+    # Every design column is a row of ``table``: z_j(t) over every stacked t
+    # in row j (``before``), and s_j repeated in row n + j.
+    table = np.empty((2 * n, rounds))
+    np.concatenate([trajectory.values[:-1].T for trajectory in problem.trajectories], axis=1, out=table[:n])
+    table[n:] = intrinsic[:, None]
     # Agent i's in-neighbours are its row of W's support, in source order.
     targets, sources = network._support
     pointer = network._row_pointer
-    degrees = np.diff(pointer)
-    # The stacks fill in each fitted agent's a_i, one-step prediction and
-    # rank flag, and its v_ij on the edge list; a pinned agent keeps 0s.
-    stubborn = np.zeros(n)
-    fitted = np.zeros_like(after)
+    degrees = pointer[1:] - pointer[:-1]
+    # The layout: the free agents by in-degree, in index order within one,
+    # then the pinned ones, whose key is their in-degree plus n (an agent
+    # pinned in several trajectories gets n once).  Layout agent k owns the
+    # slot heads[k], for s_i and a_i, and one slot per in-neighbour j,
+    # tails[starts[k]:starts[k] + width[k]], for z_j and v_ij; layout edge
+    # e is edge edges[e] of the support, and slot q holds row source[q] of
+    # ``table``.  Each in-degree's agents, edges and slots are contiguous,
+    # so a stack's designs are one gather of its run of slots, and its
+    # results are slice writes.
+    key = degrees.copy()
+    key[[agent for trajectory in problem.trajectories for agent in trajectory.pinned]] += n
+    order = key.argsort(kind="stable")
+    key, width = key[order], degrees[order]
+    starts = width.cumsum() - width
+    owner = np.arange(n).repeat(width)
+    layout = np.arange(len(targets))
+    edges = layout + (pointer[order] - starts)[owner]
+    heads = starts + np.arange(n)
+    tails = layout + owner + 1
+    source = np.empty(n + len(targets), dtype=np.intp)
+    source[heads] = n + order
+    source[tails] = sources[edges]
+    response = after[order]
+    cuts = ((key[1:] != key[:-1]).nonzero()[0] + 1).tolist()
+    groups = [(a, b, int(width[a]), int(starts[a])) for a, b in zip([0, *cuts], [*cuts, n]) if key[a] < n]
+    # The stacks write each free agent's (a_i, v_i.) into its slots, and its
+    # one-step prediction and rank flag; a pinned agent keeps 0s.  errors[1]
+    # is the prediction of full stubbornness, s_i.
+    solution = np.zeros(len(source))
+    errors = np.zeros((2, n, rounds))
+    np.subtract(intrinsic[order][:, None], response, out=errors[1])
     rank_deficient = np.zeros(n, dtype=bool)
-    coefficients = np.zeros(len(targets))
-    layout = []
-    free = ~pinned
-    for d in np.unique(degrees[free]).tolist():
-        group = np.flatnonzero((degrees == d) & free)
-        positions = pointer[group, None] + np.arange(d)
-        layout.append((group, positions))
+    for first, end, d, edge in groups:
         size = max(1, STACK_ENTRIES // ((d + 1) * max(rounds, d + 2)))
-        for first in range(0, len(group), size):
-            stack = slice(first, first + size)
-            agents = group[stack]
-            columns = np.empty((len(agents), d + 1, rounds))
-            columns[:, 0] = intrinsic[agents, None]
-            columns[:, 1:] = before[sources[positions[stack]]]
-            design = columns.transpose(0, 2, 1)
-            if d == 1:
-                design = np.ascontiguousarray(design)
+        for top in range(first, end, size):
+            bottom = min(top + size, end)
+            # Agent k of in-degree d has its slots from edge + (k - first) d + k.
+            stack = slice(edge + (top - first) * d + top, edge + (bottom - first) * d + bottom)
+            design = table[source[stack]].reshape(-1, d + 1, rounds).transpose(0, 2, 1)
+            design = np.ascontiguousarray(design) if d == 1 else design
             cross = np.matmul(design.transpose(0, 2, 1), design)
-            beta = _simplex_least_squares(design, after[agents], problem.ridge, cross)
-            fitted[agents] = np.matmul(design, beta[:, :, None])[:, :, 0]
-            stubborn[agents] = beta[:, 0]
-            coefficients[positions[stack]] = beta[:, 1:]
-            rank_deficient[agents] = _rank_deficient(design, cross)
+            beta = _simplex_least_squares(design, response[top:bottom], problem.ridge, cross)
+            solution[stack].reshape(-1, d + 1)[...] = beta
+            np.matmul(design, beta[:, :, None], out=errors[0, top:bottom, :, None])
+            rank_deficient[top:bottom] = _rank_deficient(design, cross)
     # Full stubbornness predicts s_i, the design's column 0.  A row it
     # explains exactly as well has no weight information; those fits are
     # canonicalized to theta = 1, a uniform row and the residual of s_i, so
     # the ambiguity is reported instead of an arbitrary optimum.
-    fit_rms = np.sqrt(((fitted - after) ** 2).sum(axis=1) / rounds)
-    pure_rms = np.sqrt(((intrinsic[:, None] - after) ** 2).sum(axis=1) / rounds)
-    degenerate = pinned | (stubborn > STUBBORN_CEILING) | (pure_rms <= fit_rms + 1e-12)
-    # w_ij = v_ij / (1 - a_i) over its row's sum, with degenerate rows
-    # masked before either division, and each row summed as a row of its
-    # in-degree's (g, d) block, as a lone agent's row would be.
-    uniform = degenerate[targets]
-    kept = ~uniform
-    on_support = np.zeros(len(targets))
-    on_support[kept] = coefficients[kept] / (1.0 - stubborn[targets[kept]])
-    totals = np.zeros(n)
-    for group, positions in layout:
-        totals[group] = on_support[positions].sum(axis=1)
-    on_support[kept] /= totals[targets[kept]]
-    on_support[uniform] = 1.0 / degrees[targets[uniform]]
+    errors[0] -= response
+    fit_rms, pure_rms = np.sqrt(np.add.reduce(np.square(errors, out=errors), 2) / rounds)
+    stubborn = solution[heads]
+    degenerate = (key >= n) | (stubborn > STUBBORN_CEILING) | (pure_rms <= fit_rms + 1e-12)
+    # w_ij = v_ij / (1 - a_i) over its row's sum, each row summed as a row
+    # of its in-degree's (g, d) block, as a lone agent's row would be.  A
+    # degenerate row divides d 1s by 1 and then by their sum, d: it comes
+    # out 1 / d, the uniform row, with no division by 1 - a_i or by 0.
+    # Pinned rows are not summed; their sum is d from the start.
+    w = np.where(degenerate[owner], 1.0, solution[tails]) / np.where(degenerate, 1.0, 1.0 - stubborn)[owner]
+    totals = width.astype(float)
+    for first, end, d, edge in groups:
+        np.add.reduce(w[edge : edge + (end - first) * d].reshape(-1, d), 1, out=totals[first:end])
+    w /= totals[owner]
     theta = np.minimum(np.maximum(np.where(degenerate, 1.0, stubborn), THETA_MIN), 1.0)
-    residuals = np.where(degenerate, pure_rms, fit_rms)
-    flags = degenerate | rank_deficient
+    # Back from the layout to agent order, and to the support's edge order.
+    agent = order.argsort()
     return RecoveryResult(
-        params=FjParameters._from_edge_weights(network, intrinsic, theta, on_support),
-        per_agent_residual=residuals,
-        identifiability_flags=tuple(flags.tolist()),
+        params=FjParameters._from_edge_weights(network, intrinsic, theta[agent], w[edges.argsort()]),
+        per_agent_residual=np.where(degenerate, pure_rms, fit_rms)[agent],
+        identifiability_flags=tuple((degenerate | rank_deficient)[agent].tolist()),
     )
 
 

@@ -1209,3 +1209,17 @@ def test_trajectory_validation():
         OpinionTrajectory(rounds=2, values=np.zeros((2, 2)), pinned=())
     with pytest.raises(ValidationError):
         OpinionTrajectory(rounds=1, values=np.full((2, 2), 1.5), pinned=())
+
+
+@pytest.mark.parametrize("pinned, agent", [((-1,), -1), ((7,), 7), ((0, 3), 3)], ids=["negative", "past_n", "one_of_two"])
+def test_trajectory_refuses_pins_outside_its_agents(pinned, agent):
+    # A run of 3 agents pins only agents 0..2, by simulate's rule and message:
+    # -1 would wrap onto agent 2 wherever the pins index an array.
+    with pytest.raises(ValidationError, match=f"^pinned agent {agent} out of range for 3 agents$"):
+        OpinionTrajectory(rounds=1, values=np.full((2, 3), 0.5), pinned=pinned)
+
+
+def test_trajectory_keeps_valid_pins_sorted_with_duplicates():
+    trajectory = OpinionTrajectory(rounds=1, values=np.full((2, 3), 0.5), pinned=[2, np.int64(0), 2])
+    assert trajectory.pinned == (0, 2, 2)
+    assert [type(i) for i in trajectory.pinned] == [int, int, int]

@@ -482,6 +482,56 @@ def test_recover_splits_large_stacks_with_the_same_bits(monkeypatch):
         assert split.identifiability_flags == whole.identifiability_flags
 
 
+def test_recover_layout_matches_lone_fits_bitwise(monkeypatch):
+    # recover lays the agents out by in-degree, in index order within one,
+    # and fits each in-degree's run of agents as stacks of that run.  Here
+    # the in-degrees jump about with the agent index; agent 5, pinned in
+    # every run, sits inside the in-degree-3 group; agent 9 alone has
+    # in-degree 5; agents 2 and 12 have in-degree 9, past numpy's pairwise
+    # summation threshold; and STACK_ENTRIES is cut so that the in-degree-3
+    # group splits after its second agent and the in-degree-9 one after its
+    # first.  Every free row must have the bits of its own lone fit, and the
+    # pinned row those of the fallback.
+    degrees = [3, 1, 9, 3, 2, 3, 1, 3, 2, 5, 3, 1, 9, 3]
+    n, pinned = len(degrees), 5
+    network = InfluenceNetwork(n, [((i + k) % n, i) for i in range(n) for k in range(1, 1 + degrees[i])])
+    rng = np.random.default_rng(14)
+    params = random_params(rng, network, theta_range=(0.2, 0.8))
+    clean = [simulate(params, rng.uniform(0.0, 1.0, n), 30, pinned=(pinned,)).values for _ in range(5)]
+    runs = [np.clip(v + rng.uniform(-1e-2, 1e-2, v.shape), 0.0, 1.0) for v in clean]
+    runs = [np.where(np.arange(n) == pinned, v, noisy) for v, noisy in zip(clean, runs)]
+    fit = recovery._simplex_least_squares
+    stacks = []
+    monkeypatch.setattr(recovery, "_simplex_least_squares", lambda *args: stacks.append(len(args[0])) or fit(*args))
+    monkeypatch.setattr(recovery, "STACK_ENTRIES", 2 * 4 * 150)
+    result = recover(
+        RecoveryProblem(
+            network,
+            tuple(OpinionTrajectory(rounds=30, values=v, pinned=(pinned,)) for v in runs),
+            intrinsic=params.intrinsic,
+        )
+    )
+    # In-degree 1: agents 1, 6, 11; 2: 4, 8; 3: 0, 3 | 7, 10 | 13; 5: 9;
+    # 9: 2 | 12.
+    assert stacks == [3, 2, 2, 2, 1, 1, 1, 1]
+    after = np.vstack([v[1:] for v in runs])
+    for i, (design, response) in enumerate(agent_rows(params, runs)):
+        support = list(network.in_neighbors(i))
+        expected = np.zeros(n)
+        if i == pinned:
+            expected[support] = 1.0 / len(support)
+            theta, residual, flagged = 1.0, np.sqrt(((params.intrinsic[i] - after[:, i]) ** 2).sum() / 150), True
+        else:
+            _, theta, row, residual, causes = reference_row(design, response, 0.0)
+            expected[support] = row
+            flagged = any(causes)
+        assert result.params.stubbornness[i] == theta
+        assert np.array_equal(result.params.influence[i], expected)
+        assert result.per_agent_residual[i] == residual
+        assert result.identifiability_flags[i] == flagged
+    assert result.identifiability_flags[pinned] and not any(np.delete(result.identifiability_flags, pinned))
+
+
 def test_recover_matches_rows_bitwise_on_every_flag_branch():
     # One stack holds fitted, fully stubborn and rank-deficient rows side
     # by side: on a two-way ring every agent has in-degree 2, agents 0, 3
@@ -689,6 +739,24 @@ def test_agents_pinned_in_any_trajectory_get_the_fallback_row():
     once = (pinned_runs[0],) + tuple(simulate(params, rng.uniform(0.0, 1.0, 8), 30) for _ in range(4))
     flags = recover(RecoveryProblem(params.network, once, intrinsic=params.intrinsic)).identifiability_flags
     assert flags[2] and flags[5]
+
+
+@pytest.mark.parametrize("topology, n, agent", [("erdos_renyi", 8, -1), ("complete", 3, 7)], ids=["negative", "past_n"])
+def test_recover_refuses_pins_outside_the_network(topology, n, agent):
+    # Before trajectories range-checked their pins, recover read pinned=(-1,)
+    # on Erdos-Renyi n = 8 as agent 7 and flagged it, and pinned=(7,) on 3
+    # agents ended in a bare IndexError.  Both runs are now refused as built.
+    _, params = generate(Scenario(topology=topology, n=n, edge_prob=0.4, seed=3))
+    rng = np.random.default_rng(3)
+    runs = [simulate(params, rng.uniform(0.0, 1.0, n), 30).values for _ in range(5)]
+    with pytest.raises(ValidationError, match=f"^pinned agent {agent} out of range for {n} agents$"):
+        recover(
+            RecoveryProblem(
+                params.network,
+                tuple(OpinionTrajectory(rounds=30, values=values, pinned=(agent,)) for values in runs),
+                intrinsic=params.intrinsic,
+            )
+        )
 
 
 def test_simplex_fits_meet_kkt_across_noise_and_ridge():
