@@ -440,8 +440,8 @@ def recover(problem):
     cuts = ((key[1:] != key[:-1]).nonzero()[0] + 1).tolist()
     groups = [(a, b, int(width[a]), int(starts[a])) for a, b in zip([0, *cuts], [*cuts, n]) if key[a] < n]
     # The stacks write each free agent's (a_i, v_i.) into its slots, and its
-    # one-step prediction and rank flag; a pinned agent keeps 0s.  errors[1]
-    # is the prediction of full stubbornness, s_i.
+    # one-step prediction (into errors[0]) and rank flag; a pinned agent
+    # keeps 0s.  errors[1] is the error of full stubbornness's prediction, s_i.
     solution = np.zeros(len(source))
     errors = np.zeros((2, n, rounds))
     np.subtract(intrinsic[order][:, None], response, out=errors[1])

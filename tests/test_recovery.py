@@ -743,9 +743,9 @@ def test_agents_pinned_in_any_trajectory_get_the_fallback_row():
 
 @pytest.mark.parametrize("topology, n, agent", [("erdos_renyi", 8, -1), ("complete", 3, 7)], ids=["negative", "past_n"])
 def test_recover_refuses_pins_outside_the_network(topology, n, agent):
-    # Before trajectories range-checked their pins, recover read pinned=(-1,)
-    # on Erdos-Renyi n = 8 as agent 7 and flagged it, and pinned=(7,) on 3
-    # agents ended in a bare IndexError.  Both runs are now refused as built.
+    # recover indexes its arrays with the pins, where -1 would wrap onto
+    # agent n - 1 and 7 would run past 3 agents.  Runs carrying such a pin
+    # are refused as they are built, with simulate's message.
     _, params = generate(Scenario(topology=topology, n=n, edge_prob=0.4, seed=3))
     rng = np.random.default_rng(3)
     runs = [simulate(params, rng.uniform(0.0, 1.0, n), 30).values for _ in range(5)]
