@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import FjParameters, _as_float, _as_int, _bracket, _bracket_cap, _simulate
-from .errors import ValidationError
+from .dynamics import FjParameters, _bracket, _bracket_cap, _simulate
+from .errors import ValidationError, _as_int, _check_index, _check_magnitude, _check_vector
 from .linalg import solve_conditioned
 
 # Default per-edge influence magnitude p.
@@ -46,9 +46,10 @@ class AttackConfig:
 
     An empty adversary set is legal and makes the attack a no-op.
     Structural constraints checked here: adversaries distinct, targets
-    only for adversaries, no adversary is targeted, p > 0, and |A_i| p < 1
-    for every targeted agent i.  Constraints that need the graph
-    (membership, budgets) live in ``validate_against``.
+    only for adversaries, no adversary is targeted, p in (0, 1) (the
+    planners' rule, ``errors._check_magnitude``), and |A_i| p < 1 for every
+    targeted agent i.  Constraints that need the graph (membership,
+    budgets) live in ``validate_against``.
     """
 
     adversaries: tuple
@@ -78,9 +79,7 @@ class AttackConfig:
             by_adv[j] = targets
         canon = tuple((j, by_adv.get(j, ())) for j in adversaries)
 
-        p = _as_float(self.influence_magnitude, "influence magnitude")
-        if not np.isfinite(p) or p <= 0.0:
-            raise ValidationError(f"influence magnitude must be positive, got {p!r}")
+        p = _check_magnitude(self.influence_magnitude)
         counts = {}
         for _, targets in canon:
             for i in targets:
@@ -115,10 +114,8 @@ class AttackConfig:
         pass ``enforce_budgets=False`` to score diagnostic configs that a
         planner would never emit.
         """
-        n = network.agent_count
         for j in self.adversaries:
-            if not 0 <= j < n:
-                raise ValidationError(f"adversary {j} out of range for {n} agents")
+            _check_index(j, network.agent_count, "adversary")
         adv_set = set(self.adversaries)
         for j, targets in self.targets:
             allowed = set(network.out_neighbors(j)) - adv_set
@@ -276,6 +273,14 @@ def _attacked_influence(params, config):
     return influence
 
 
+def _check_solvable(config, network, enforce_budgets):
+    """``validate_against``, then refuse a config that pins every agent:
+    its restricted system has no unpinned agent to solve for."""
+    config.validate_against(network, enforce_budgets)
+    if len(config.adversaries) == network.agent_count:
+        raise ValidationError("every agent is adversarial; nothing to evaluate")
+
+
 def apply_adversarial_weights(params, config, enforce_budgets=True):
     """Return a copy of ``params`` with the attack's weight perturbation applied.
 
@@ -313,10 +318,8 @@ def adversarial_outcome(params, config, enforce_budgets=True):
     kappa_inf(M') <= 2 T / (1 - w), and each entry of z_U is within w / 2
     of the fixed point, plus at most (d + 2) u T of rounding.
     """
-    config.validate_against(params.network, enforce_budgets)
+    _check_solvable(config, params.network, enforce_budgets)
     adversaries = config.adversaries
-    if len(adversaries) >= params.n:
-        raise ValidationError("every agent is adversarial; nothing to evaluate")
     cap = _bracket_cap(params)
     z = _bracket(params, _attacked_influence(params, config), adversaries, cap) if cap else None
     if z is not None:
@@ -359,9 +362,8 @@ def simulate_adversarial(params, config, z0, rounds, enforce_budgets=True):
     """
     config.validate_against(params.network, enforce_budgets)
     adversaries = list(config.adversaries)
-    z_init = np.array(z0, dtype=float)
-    if z_init.shape == (params.n,):  # _simulate rejects every other shape
-        z_init[adversaries] = 1.0
+    z_init = _check_vector(z0, params.n, "z0")
+    z_init[adversaries] = 1.0
     influence = _attacked_influence(params, config)
     return _simulate(params, influence, z_init, rounds, adversaries, 1.0)
 

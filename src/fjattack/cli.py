@@ -19,7 +19,7 @@ import numpy as np
 from . import fileio
 from .adversary import DEFAULT_P, adversarial_outcome, simulate_adversarial
 from .dynamics import closed_form_outcome, simulate
-from .errors import CapExceededError, ConvergenceError, ValidationError
+from .errors import CapExceededError, ConvergenceError, ValidationError, _check_count
 from .harness import (
     Scenario,
     RESULT_HEADER,
@@ -75,8 +75,7 @@ def cmd_gen_network(args):
 
 def cmd_simulate(args):
     params = fileio.load_parameters(args.network)
-    if args.trajectories < 1:
-        raise ValidationError(f"--trajectories must be at least 1, got {args.trajectories}")
+    _check_count(args.trajectories, "--trajectories")
     if args.z0 is not None and args.trajectories != 1:
         raise ValidationError(f"--z0 starts one rollout, got --trajectories {args.trajectories}")
     config = fileio.load_config(args.config) if args.config else None

@@ -40,13 +40,13 @@ rcond-guarded dense solve (``linalg.solve_conditioned``).
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, _as_float, _as_int, _check_count, _check_finite
+from .errors import _check_index, _check_unit, _check_unit_vector, _numbers, check_integral
 from .linalg import solve_conditioned, spectral_radius
 
 # Stubbornness floor under which the contraction of (I - Theta) W is no
@@ -87,63 +87,13 @@ DENSE_SOLVE_COST = (7e-12, 1.2e-8)  # per n^3, per n^2
 BRACKET_ROUND_COST = (1.3e-5, 1.7e-9, 1e-8)  # per round, per edge, per agent
 
 
-def _as_int(value, name, rule="an int"):
-    """``value`` as a Python int: anything ``operator.index`` takes but a
-    bool, so 1.5, True and "1" are refused, not cut to 1."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValidationError(f"{name} must be {rule}, got {value!r}")
-
-
-def _as_float(value, name):
-    """``value`` as a float, or a ValidationError if it is no number: a bool
-    or text is refused, not read as 1.0 or parsed."""
-    if not isinstance(value, (bool, np.bool_, str, bytes)):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ValidationError(f"{name} must be a number, got {value!r}")
-
-
-def _check_count(value, name, minimum=1):
-    """``value`` as an int (``_as_int``) of at least ``minimum``."""
-    rule = f"an int >= {minimum}"
-    count = _as_int(value, name, rule)
-    if count < minimum:
-        raise ValidationError(f"{name} must be {rule}, got {value!r}")
-    return count
-
-
-def _check_unit(values, name):
-    """Reject a float array or scalar with an entry outside [0, 1], NaN included."""
-    values = np.asarray(values)
-    inside = (values >= 0.0) & (values <= 1.0)
-    if not inside.all():
-        raise ValidationError(f"{name} must lie in [0, 1], got {float(values[~inside].flat[0])!r}")
-
-
 def _check_weights(weights):
     """Refuse a non-finite, then a negative, entry of influence weights:
     the dense W, or W on its edges in row order, whose first non-finite
     entry is the dense W's when W is 0 off the edges."""
-    finite = np.isfinite(weights)
-    if not finite.all():
-        raise ValidationError(f"influence weights must be finite, got {float(weights[~finite][0])!r}")
+    _check_finite(weights, "influence weights")
     if (weights < 0).any():
         raise ValidationError("influence weights must be nonnegative")
-
-
-def _check_unit_vector(values, n, name):
-    """``values`` as a float array of shape (n,) with entries in [0, 1]."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (n,):
-        raise ValidationError(f"{name} must have shape ({n},), got {values.shape}")
-    _check_unit(values, f"{name} entries")
-    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,14 +135,12 @@ class InfluenceNetwork:
             # ints is not promoted to an int before the type test, and an
             # int past int64 is named, not an OverflowError.
             edges = np.asarray(edges, dtype=object)
-            if set(map(type, edges.flat)) - {int}:
-                for endpoint in edges.flat:
-                    _as_int(endpoint, "edge endpoint")
+            check_integral(edges.ravel().tolist(), "edge endpoint", "an int")
             try:
                 edges = edges.astype(np.int64)
             except OverflowError:
-                endpoint = next(e for e in edges.flat if not -(2**63) <= e < 2**63)
-                raise ValidationError(f"edge endpoint {endpoint} out of range for {n} agents") from None
+                for endpoint in edges.flat:
+                    _check_index(endpoint, n, "edge endpoint")
         edges = edges.astype(np.int64, copy=False)
         if edges.size == 0:
             edges = edges.reshape(0, 2)
@@ -372,10 +320,10 @@ class FjParameters:
         when ``on_support`` is None, else on the edge list."""
         network = self.network
         n = network.agent_count
-        s = _check_unit_vector(np.array(self.intrinsic, dtype=float), n, "intrinsic")
-        theta = _check_unit_vector(np.array(self.stubbornness, dtype=float), n, "stubbornness")
+        s = _check_unit_vector(self.intrinsic, n, "intrinsic")
+        theta = _check_unit_vector(self.stubbornness, n, "stubbornness")
         if on_support is None:
-            w = np.array(self.influence, dtype=float)
+            w = _numbers(self.influence, "influence entry")
             if w.shape != (n, n):
                 raise ValidationError(f"influence must have shape ({n}, {n}), got {w.shape}")
             on_support = w[network._support]
@@ -425,7 +373,7 @@ class OpinionTrajectory:
 
     def __post_init__(self):
         object.__setattr__(self, "rounds", _check_count(self.rounds, "rounds"))
-        values = np.array(self.values, dtype=float)
+        values = _numbers(self.values, "trajectory entry")
         if values.ndim != 2 or values.shape[0] != self.rounds + 1:
             raise ValidationError(
                 f"values must have shape (rounds + 1, n), got {values.shape}"
@@ -451,14 +399,13 @@ def _pinned_agents(pinned, n):
     """The pinned agents as a sorted tuple, each an int in 0..n-1."""
     pinned = tuple(sorted(_as_int(i, "pinned agent") for i in pinned))
     for i in pinned:
-        if not 0 <= i < n:
-            raise ValidationError(f"pinned agent {i} out of range for {n} agents")
+        _check_index(i, n, "pinned agent")
     return pinned
 
 
 def _check_pinned(pinned, n, pinned_value):
     pinned = tuple(sorted(set(_pinned_agents(pinned, n))))
-    _check_unit(pinned_value, "pinned_value")
+    _check_unit(_as_float(pinned_value, "pinned_value"), "pinned_value")
     return pinned
 
 

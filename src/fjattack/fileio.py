@@ -64,8 +64,8 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 import numpy as np
 
 from .adversary import AttackConfig
-from .dynamics import FjParameters, InfluenceNetwork, OpinionTrajectory, _as_float, _as_int
-from .errors import ValidationError
+from .dynamics import FjParameters, InfluenceNetwork, OpinionTrajectory
+from .errors import ValidationError, _as_float, _numbers, check_integral
 
 
 def round_sig(value, digits):
@@ -208,33 +208,15 @@ def _require(payload, key, path):
     return payload[key]
 
 
-def check_integral(values, what):
-    """Refuse the first of the JSON counts or indices ``values`` that is no int.
-
-    Of the values JSON holds, the one integer rule (``dynamics._as_int``)
-    takes only an int: 2.0, true and "2" are refused, not read as 2.  A type
-    test passes a list of ints, and ``_as_int`` refuses the first other value.
-    """
-    if set(map(type, values)) - {int}:
-        for value in values:
-            if type(value) is not int:
-                _as_int(value, what, "an integer")
-    return values
-
-
-def _numbers(values, what):
-    """A JSON list of numbers as a float array.
-
-    The number rule (``dynamics._as_float``) refuses the first entry that is
-    no number: true and "0.5" are refused, not read as 1.0 and 0.5.  A type
-    test passes a list of ints and floats, and ``_as_float`` refuses the
-    first other value.
-    """
-    if set(map(type, values)) - {int, float}:
-        for value in values:
-            if type(value) not in (int, float):
-                _as_float(value, what)
-    return np.array(values, dtype=float)
+@contextmanager
+def _malformed(path, what):
+    """Refuse, as a malformed ``what`` at ``path``, any TypeError, ValueError
+    (a ValidationError of a value rule included), OverflowError or
+    AttributeError that reading the decoded payload raises."""
+    try:
+        yield
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{path}: malformed {what} ({exc})") from exc
 
 
 def _flat_records(records, width, what):
@@ -269,25 +251,12 @@ def save_parameters(params, path):
     write_json(path, parameters_to_json(params))
 
 
-def _number_rows(rows):
-    """A JSON list of equal-length number lists as a 2-D float array.
-
-    Any other list reads as the 1-D array of its entries, which the caller's
-    shape check refuses; either way every entry passes the number rule.
-    """
-    if set(map(type, rows)) - {list} or len(set(map(len, rows))) != 1:
-        return _numbers(rows, "trajectory entry")
-    return _numbers(list(chain.from_iterable(rows)), "trajectory entry").reshape(len(rows), -1)
-
-
 def _read_network(payload, path, what):
     """The InfluenceNetwork of a file's n and edges; ``what`` names the file kind."""
-    try:
+    with _malformed(path, what):
         (n,) = check_integral([_require(payload, "n", path)], "n")
         ends = check_integral(_flat_records(_require(payload, "edges", path), 2, "edges"), "edge endpoint")
         edges = np.array(ends, dtype=np.int64).reshape(-1, 2)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{path}: malformed {what} ({exc})") from exc
     return InfluenceNetwork(agent_count=n, edges=edges)
 
 
@@ -311,7 +280,7 @@ def load_parameters(path):
     payload = read_json(path)
     network = _read_network(payload, path, "parameter file")
     n = network.agent_count
-    try:
+    with _malformed(path, "parameter file"):
         theta = _numbers(_require(payload, "theta", path), "theta")
         s = _numbers(_require(payload, "s", path), "s")
         entries = _flat_records(_require(payload, "w", path), 3, "weight entries")
@@ -319,8 +288,6 @@ def load_parameters(path):
         index = check_integral(list(compress(entries, cycle((True, True, False)))), "weight index")
         index = np.array(index, dtype=np.int64).reshape(-1, 2)
         weights = _numbers(entries[2::3], "weight")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{path}: malformed parameter file ({exc})") from exc
     outside = ((index < 0) | (index >= n)).any(axis=1)
     if outside.any():
         i, j = index[np.argmax(outside)].tolist()
@@ -370,15 +337,13 @@ def _target_key(key):
 @_collector_paused()
 def load_config(path):
     payload = read_json(path)
-    try:
+    with _malformed(path, "attack config"):
         adversaries = check_integral(_require(payload, "adversaries", path), "adversary")
         targets = {
             _target_key(j): check_integral(chosen, "target")
             for j, chosen in _require(payload, "targets", path).items()
         }
         p = _as_float(_require(payload, "p", path), "p")
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: malformed attack config ({exc})") from exc
     return AttackConfig(adversaries=adversaries, targets=targets, influence_magnitude=p)
 
 
@@ -407,15 +372,13 @@ def load_trajectories(path):
     """The OpinionTrajectory runs of a trajectory file, each with the agents
     its ``pinned`` entry names (none when the file has no ``pinned``)."""
     payload = read_json(path)
-    try:
+    with _malformed(path, "trajectory file"):
         (n,) = check_integral([_require(payload, "n", path)], "n")
-        raw = [_number_rows(rows) for rows in _require(payload, "trajectories", path)]
+        raw = [_numbers(rows, "trajectory entry") for rows in _require(payload, "trajectories", path)]
         pinned = payload.get("pinned", [[]] * len(raw))
         if type(pinned) is not list or set(map(type, pinned)) - {list} or len(pinned) != len(raw):
             raise ValueError("pinned must hold one list of agents per trajectory")
         pinned = [check_integral(agents, "pinned agent") for agents in pinned]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{path}: malformed trajectory file ({exc})") from exc
     if not raw:
         raise ValidationError(f"{path}: no trajectories")
     out = []

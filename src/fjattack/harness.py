@@ -19,7 +19,7 @@ Each strategy's config is validated and re-scored under the true
 attacked dynamics by one row builder, ``_result_row``.
 A scenario's leader size passes ``optimizer._check_leader_size``, its p
 the sharing rule ``optimizer._check_sharing``, and a comparison's cap
-``optimizer._check_cap``, before any strategy or model runs; a malformed
+``errors._check_cap``, before any strategy or model runs; a malformed
 field raises ValidationError.
 """
 
@@ -35,22 +35,13 @@ from .adversary import (
     adversarial_outcome,
     outcome_metrics,
 )
-from .dynamics import (
-    THETA_MIN,
-    FjParameters,
-    InfluenceNetwork,
-    _as_float,
-    _check_count,
-    _check_unit,
-    closed_form_outcome,
-)
-from .errors import CapExceededError, ValidationError
+from .dynamics import THETA_MIN, FjParameters, InfluenceNetwork, closed_form_outcome
+from .errors import CapExceededError, ValidationError, _as_float, _check_cap, _check_count
+from .errors import _check_known, _check_magnitude, _check_unit
 from .fileio import format_sig, load_parameters, round_sig
 from .optimizer import (
     DEFAULT_CONFIG_CAP,
-    _check_cap,
     _check_leader_size,
-    _check_magnitude,
     _check_sharing,
     _drifting_search,
     _search,
@@ -136,8 +127,7 @@ class Scenario:
     leader_size: object = "budget"
 
     def __post_init__(self):
-        if self.topology not in TOPOLOGIES:
-            raise ValidationError(f"unknown topology {self.topology!r}")
+        _check_known(self.topology, TOPOLOGIES, "topology")
         if self.topology == "custom":
             if not self.network_file or not isinstance(self.network_file, str):
                 raise ValidationError(
@@ -159,7 +149,7 @@ class Scenario:
             if low > high:
                 raise ValidationError(f"{name} must have low <= high, got {dist!r}")
             object.__setattr__(self, name, (low, high))
-        object.__setattr__(self, "p", _check_magnitude(_as_float(self.p, "p")))
+        object.__setattr__(self, "p", _check_magnitude(self.p, "p"))
         object.__setattr__(self, "seed", _check_count(self.seed, "seed", 0))
         if self.leader_size != "budget":
             object.__setattr__(self, "leader_size", _check_count(self.leader_size, "leader_size"))
@@ -397,8 +387,7 @@ def run_comparison(scenario, strategies, cap=DEFAULT_CONFIG_CAP):
     "skipped" instead of aborting the run.
     """
     for strategy in strategies:
-        if strategy not in COMPARISON_STRATEGIES:
-            raise ValidationError(f"unknown strategy {strategy!r}")
+        _check_known(strategy, COMPARISON_STRATEGIES, "strategy")
     _check_cap(cap)
     network, params = generate(scenario)
     baseline_g = closed_form_outcome(params).g

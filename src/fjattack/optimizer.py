@@ -208,9 +208,10 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .adversary import DEFAULT_P, AttackConfig, _restricted_systems, _reweighted, _reweighted_systems
-from .dynamics import _as_float, _check_count
-from .errors import CapExceededError, ConvergenceError, ValidationError
+from .adversary import DEFAULT_P, AttackConfig, _check_solvable, _restricted_systems, _reweighted
+from .adversary import _reweighted_systems
+from .errors import CapExceededError, ConvergenceError, ValidationError, _check_cap, _check_count
+from .errors import _check_finite, _check_known, _check_magnitude, _check_vector
 from .linalg import certifies, check_conditioned, invert_conditioned
 
 # Exhaustive target enumeration refuses to look at more configurations than this.
@@ -308,12 +309,10 @@ class AttackPlan:
 def _check_adversary_set(network, adversaries, p):
     """(sorted set, p), checked by AttackConfig, plus what it allows but a
     fixed-set search cannot use; the leader budget is the caller's business."""
-    config = AttackConfig(adversaries, (), _check_magnitude(p))
-    config.validate_against(network, enforce_budgets=False)
+    config = AttackConfig(adversaries, (), p)
+    _check_solvable(config, network, enforce_budgets=False)
     if not config.adversaries:
         raise ValidationError("adversary set must be nonempty")
-    if len(config.adversaries) == network.agent_count:
-        raise ValidationError("every agent is adversarial; nothing to evaluate")
     return config.adversaries, config.influence_magnitude
 
 
@@ -333,13 +332,6 @@ def _check_leader_size(network, leader_size):
     return leader_size
 
 
-def _check_magnitude(p):
-    p = _as_float(p, "influence magnitude")
-    if not np.isfinite(p) or not 0.0 < p < 1.0:
-        raise ValidationError(f"influence magnitude must lie in (0, 1), got {p!r}")
-    return p
-
-
 def _check_sharing(network, p, leader_size, adversaries=None):
     """Refuse a p at which a scored choice could give an agent h p >= 1.
 
@@ -357,12 +349,6 @@ def _check_sharing(network, p, leader_size, adversaries=None):
     if shared * p >= 1.0:
         message = f"lets {shared} adversaries target one agent; need p < 1/{shared}"
         raise ValidationError(f"influence magnitude p={p!r} {message}")
-
-
-def _check_cap(cap):
-    """Reject a configuration cap that is neither None (no cap) nor an int >= 1."""
-    if cap is not None:
-        _check_count(cap, "cap")
 
 
 def marginal_gains(params, adversaries, p=DEFAULT_P):
@@ -1082,8 +1068,7 @@ def _search(params, p, mode, cap, leader_size, adversaries=None):
     set, exact mode all those of every set, solved or certified unable to
     beat the incumbent.
     """
-    if mode not in ("approx", "exact"):
-        raise ValidationError(f"unknown follower mode {mode!r}")
+    _check_known(mode, ("approx", "exact"), "follower mode")
 
     _check_sharing(params.network, p, leader_size, adversaries)
     if mode == "exact":
@@ -1259,8 +1244,7 @@ def baseline_variant(params, variant, leader_size=None, p=DEFAULT_P, external_sc
     n = network.agent_count
     p = _check_magnitude(p)
     leader_size = _check_leader_size(network, leader_size)
-    if variant not in _VARIANT_RULES:
-        raise ValidationError(f"unknown variant {variant!r}")
+    _check_known(variant, _VARIANT_RULES, "variant")
     adv_source, adv_order, tgt_source, tgt_order = _VARIANT_RULES[variant]
 
     def scores(source):
@@ -1272,9 +1256,8 @@ def baseline_variant(params, variant, leader_size=None, p=DEFAULT_P, external_sc
             return np.array(params.intrinsic)
         if external_scores is None:
             raise ValidationError(f"variant {variant!r} needs external_scores")
-        ext = np.asarray(external_scores, dtype=float)
-        if ext.shape != (n,) or not np.all(np.isfinite(ext)):
-            raise ValidationError(f"external_scores must be {n} finite values")
+        ext = _check_vector(external_scores, n, "external_scores")
+        _check_finite(ext, "external_scores entries")
         return ext
 
     def ranked(indices, score, order):

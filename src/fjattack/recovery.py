@@ -54,9 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .dynamics import THETA_MIN, FjParameters, _as_float, _check_count, _check_unit_vector
-from .dynamics import closed_form_outcome
-from .errors import ConvergenceError, ValidationError
+from .dynamics import THETA_MIN, FjParameters, closed_form_outcome
+from .errors import ConvergenceError, ValidationError, _check_count, _check_nonnegative, _check_unit_vector
 
 # Above this value of a_i the weight scale 1 - a_i is considered degenerate.
 STUBBORN_CEILING = 1.0 - 1e-9
@@ -100,12 +99,10 @@ class RecoveryProblem:
                 raise ValidationError(
                     f"trajectory {k} has {trajectory.n} agents, network has {n}"
                 )
-        ridge = _as_float(self.ridge, "ridge")
-        if not np.isfinite(ridge) or ridge < 0.0:
-            raise ValidationError(f"ridge must be nonnegative, got {self.ridge!r}")
+        ridge = _check_nonnegative(self.ridge, "ridge")
         intrinsic = self.intrinsic
         if intrinsic is not None:
-            intrinsic = _check_unit_vector(np.array(intrinsic, dtype=float), n, "intrinsic")
+            intrinsic = _check_unit_vector(intrinsic, n, "intrinsic")
             intrinsic.setflags(write=False)
         if self.truth is not None and self.truth.network != self.network:
             raise ValidationError("truth parameters live on a different network")
@@ -501,13 +498,14 @@ def recovery_robustness(problem, noise_levels, seeds=5):
     if truth is None:
         raise ValidationError("robustness sweep needs problem.truth")
     _check_count(seeds, "seeds")
+    try:
+        levels = [_check_nonnegative(level, "noise level") for level in noise_levels]
+    except TypeError:
+        raise ValidationError(f"noise_levels must be an iterable of numbers, got {noise_levels!r}") from None
     mask = problem.network.support_mask()
     true_g = closed_form_outcome(truth).g
     rows = []
-    for level_index, level in enumerate(noise_levels):
-        level = _as_float(level, "noise level")
-        if not np.isfinite(level) or level < 0.0:
-            raise ValidationError(f"noise level must be nonnegative, got {level!r}")
+    for level_index, level in enumerate(levels):
         theta_errors, weight_errors, g_errors = [], [], []
         for seed in range(seeds):
             rng = np.random.default_rng(

@@ -5,6 +5,7 @@ pinned fixed-point iteration run to 1e-12; its numbers are frozen here so
 any regression in the closed form shows up directly.
 """
 
+import re
 import tracemalloc
 import warnings
 
@@ -310,23 +311,21 @@ def test_budget_rejection():
 
 
 def test_config_structural_validation():
-    with pytest.raises(ValidationError):
-        AttackConfig(adversaries=(1, 1), targets={}, influence_magnitude=0.1)
-    with pytest.raises(ValidationError):
-        AttackConfig(adversaries=(1,), targets={2: (0,)}, influence_magnitude=0.1)
-    with pytest.raises(ValidationError):
-        AttackConfig(adversaries=(1, 2), targets={1: (2,)}, influence_magnitude=0.1)
-    with pytest.raises(ValidationError):
-        AttackConfig(adversaries=(1,), targets={1: (0, 0)}, influence_magnitude=0.1)
-    with pytest.raises(ValidationError):
-        AttackConfig(adversaries=(1,), targets={}, influence_magnitude=0.0)
-    with pytest.raises(ValidationError):
-        AttackConfig(adversaries=(1,), targets={}, influence_magnitude=-0.2)
-    # two adversaries pushing p = 0.6 into one row would need 2 * 0.6 < 1
-    with pytest.raises(ValidationError):
-        AttackConfig(
-            adversaries=(1, 2), targets={1: (0,), 2: (0,)}, influence_magnitude=0.6
-        )
+    for message, adversaries, targets, p in (
+        ("duplicate adversaries in (1, 1)", (1, 1), {}, 0.1),
+        ("targets listed for non-adversary 2", (1,), {2: (0,)}, 0.1),
+        ("adversary 2 cannot be a target", (1, 2), {1: (2,)}, 0.1),
+        ("adversary 1 targets an agent twice", (1,), {1: (0, 0)}, 0.1),
+        # p follows the planners' rule, errors._check_magnitude.
+        ("influence magnitude must lie in (0, 1), got 0.0", (1,), {}, 0.0),
+        ("influence magnitude must lie in (0, 1), got -0.2", (1,), {}, -0.2),
+        ("influence magnitude must lie in (0, 1), got 1.0", (1,), {}, 1.0),
+        ("influence magnitude must lie in (0, 1), got 5.0", (1,), {}, 5.0),
+        # two adversaries pushing p = 0.6 into one row would need 2 * 0.6 < 1
+        ("agent 0 is targeted by 2 adversaries with p=0.6; need |A_i| p < 1", (1, 2), {1: (0,), 2: (0,)}, 0.6),
+    ):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            AttackConfig(adversaries=adversaries, targets=targets, influence_magnitude=p)
 
 
 @pytest.mark.parametrize(

@@ -334,8 +334,52 @@ def test_simulate_rejects_nonpositive_trajectory_count(tmp_path, capsys, count):
         "--trajectories", count, "--out-dir", str(tmp_path),
     ])
     assert code == 2
-    assert "--trajectories must be at least 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: --trajectories must be an int >= 1, got {count}\n"
     assert not (tmp_path / "demo_network_trajectories.json").exists()
+
+
+@pytest.mark.parametrize(
+    "arguments, message",
+    (
+        (["attack-plan", "--network", "{network}", "--p", "1.0"], "influence magnitude must lie in (0, 1), got 1.0"),
+        (["attack-plan", "--network", "{network}", "--leader-size", "0"], "leader_size must be an int >= 1, got 0"),
+        (["simulate", "--network", "{network}", "--rounds", "0"], "rounds must be an int >= 1, got 0"),
+        (
+            ["simulate", "--network", "{network}", "--rounds", "5", "--trajectories", "0"],
+            "--trajectories must be an int >= 1, got 0",
+        ),
+        (
+            ["recover", "--network", "{network}", "--trajectories", "{runs}", "--ridge", "-1"],
+            "ridge must be nonnegative, got -1.0",
+        ),
+        (
+            ["simulate", "--network", "{network}", "--rounds", "5", "--config", "{config}"],
+            "influence magnitude must lie in (0, 1), got 1.5",
+        ),
+        (
+            ["simulate", "--network", "{theta}", "--rounds", "5"],
+            "{theta}: malformed parameter file (theta must be a number, got True)",
+        ),
+    ),
+    ids=("p_one", "leader_size_zero", "rounds_zero", "trajectories_zero", "ridge_negative", "config_p", "theta_bool"),
+)
+def test_input_rules_exit_two_with_their_message(tmp_path, capsys, arguments, message):
+    # The CI job's "Refusals" step runs the same commands on the installed script.
+    network = write_network(tmp_path)
+    assert main(["simulate", "--network", str(network), "--rounds", "5", "--out-dir", str(tmp_path)]) == 0
+    config = tmp_path / "config.json"
+    write_json(config, {"adversaries": [1], "targets": {}, "p": 1.5})
+    payload = read_json(network)
+    payload["theta"] = [True] * len(payload["theta"])
+    theta = tmp_path / "theta.json"
+    write_json(theta, payload)
+    files = {"network": network, "runs": tmp_path / "demo_network_trajectories.json", "config": config, "theta": theta}
+    out_dir = tmp_path / "refused"
+    capsys.readouterr()
+    code = main([argument.format(**files) for argument in arguments] + ["--out-dir", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message.format(**files)}\n"
+    assert not out_dir.exists()
 
 
 def test_simulate_rejects_z0_with_several_trajectories(tmp_path, capsys):
@@ -379,6 +423,7 @@ def test_benchmark_is_not_a_subcommand(tmp_path, capsys):
         ("theta_dist must be", {"theta_dist": "01"}),
         ("s_dist must be", {"s_dist": ["low", "high"]}),
         ("p must be", {"p": "abc"}),
+        ("p must lie in (0, 1), got 2.0", {"p": 2.0}),
         ("edge_prob must be", {"topology": "erdos_renyi", "edge_prob": "x"}),
         ("leader_size must be", {"leader_size": True}),
         ("seed must be", {"seed": True}),
@@ -388,13 +433,13 @@ def test_benchmark_is_not_a_subcommand(tmp_path, capsys):
         ),
     ),
     ids=(
-        "theta_scalar", "theta_short", "theta_text", "s_text", "p_text", "edge_prob_text",
+        "theta_scalar", "theta_short", "theta_text", "s_text", "p_text", "p_above_one", "edge_prob_text",
         "leader_size_bool", "seed_bool", "network_file_list",
     ),
 )
 def test_malformed_scenario_field_exits_two(tmp_path, capsys, message, overrides):
     path = write_scenario(tmp_path, **overrides)
-    with pytest.raises(ValidationError, match=f"^{message}"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
         Scenario.from_json(read_json(path))
     code = main([
         "compare", "--scenario", str(path), "--strategies", "random",

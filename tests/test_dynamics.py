@@ -35,6 +35,7 @@ from fjattack import (
     ValidationError,
     adversarial_outcome,
     apply_adversarial_weights,
+    baseline_variant,
     closed_form_outcome,
     fj_step,
     generate,
@@ -1171,6 +1172,51 @@ def test_numpy_integers_pass_as_python_ints():
             "noise level must be a number, got False",
             lambda: recovery_robustness(problem_with_truth(), [False]),
         ),
+        # Arrays take the same rule, entry by entry (errors._numbers).
+        ("z0 entry must be a number, got 'a'", lambda: simulate(planner_params(), ["a"] * 5, 2)),
+        ("z0 entry must be a number, got True", lambda: simulate(planner_params(), [True] * 5, 2)),
+        (
+            "z0 entry must be a number, got 'a'",
+            lambda: simulate_adversarial(planner_params(), AttackConfig((1,), {}), ["a"] * 5, 2),
+        ),
+        ("z entry must be a number, got True", lambda: fj_step(planner_params(), np.ones(5, dtype=bool))),
+        ("intrinsic entry must be a number, got 'a'", lambda: with_arrays(intrinsic=["a"] * 5)),
+        ("intrinsic entry must be a number, got True", lambda: with_arrays(intrinsic=[True] * 5)),
+        ("stubbornness entry must be a number, got 'a'", lambda: with_arrays(stubbornness=["a"] * 5)),
+        ("stubbornness entry must be a number, got True", lambda: with_arrays(stubbornness=[True] * 5)),
+        ("influence entry must be a number, got 'a'", lambda: with_arrays(influence=[["a"] * 5] * 5)),
+        ("influence entry must be a number, got True", lambda: with_arrays(influence=np.eye(5, dtype=bool))),
+        ("trajectory entry must be a number, got 'a'", lambda: OpinionTrajectory(1, [["a"] * 5] * 2)),
+        ("trajectory entry must be a number, got True", lambda: OpinionTrajectory(1, [[True] * 5] * 2)),
+        ("trajectory entry must be a number, got [0.5, 0.5]", lambda: OpinionTrajectory(1, [[0.5, 0.5], [0.5]])),
+        (
+            "intrinsic entry must be a number, got 'a'",
+            lambda: replace(problem_with_truth(), intrinsic=["a"] * 3),
+        ),
+        (
+            "intrinsic entry must be a number, got True",
+            lambda: replace(problem_with_truth(), intrinsic=[True] * 3),
+        ),
+        (
+            "pinned_value must be a number, got 'a'",
+            lambda: simulate(planner_params(), np.full(5, 0.5), 2, pinned=(1,), pinned_value="a"),
+        ),
+        (
+            "pinned_value must be a number, got True",
+            lambda: simulate(planner_params(), np.full(5, 0.5), 2, pinned=(1,), pinned_value=True),
+        ),
+        (
+            "external_scores entry must be a number, got 'a'",
+            lambda: baseline_variant(planner_params(), "II", external_scores=["a"] * 5),
+        ),
+        (
+            "external_scores entry must be a number, got True",
+            lambda: baseline_variant(planner_params(), "III", external_scores=[True] * 5),
+        ),
+        (
+            "noise_levels must be an iterable of numbers, got 0.1",
+            lambda: recovery_robustness(problem_with_truth(), 0.1),
+        ),
     ),
     ids=(
         "solve_attack_text",
@@ -1184,11 +1230,38 @@ def test_numpy_integers_pass_as_python_ints():
         "scenario_numeric_text",
         "edge_prob_bytes",
         "noise_bool",
+        "simulate_z0_text",
+        "simulate_z0_bool",
+        "attacked_z0_text",
+        "step_z_numpy_bool",
+        "intrinsic_text",
+        "intrinsic_bool",
+        "stubbornness_text",
+        "stubbornness_bool",
+        "influence_text",
+        "influence_numpy_bool",
+        "trajectory_text",
+        "trajectory_bool",
+        "trajectory_ragged",
+        "problem_intrinsic_text",
+        "problem_intrinsic_bool",
+        "pinned_value_text",
+        "pinned_value_bool",
+        "external_scores_text",
+        "external_scores_bool",
+        "noise_levels_scalar",
     ),
 )
 def test_non_numbers_are_validation_errors(message, build):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         build()
+
+
+def with_arrays(**arrays):
+    """planner_params rebuilt with some of its arrays replaced."""
+    params = planner_params()
+    fields = {"intrinsic": params.intrinsic, "stubbornness": params.stubbornness, "influence": params.influence}
+    return FjParameters(params.network, **{**fields, **arrays})
 
 
 def planner_params():

@@ -277,9 +277,9 @@ def test_parameters_reject_non_integral_counts_and_indices(tmp_path, override):
 CONFIG = {"adversaries": [1, 2], "targets": {"1": [0]}, "p": 0.001}
 TRAJECTORIES = {"n": 2, "trajectories": [[[0.5, 0.5], [0.5, 0.5]]]}
 
-# Files keep the one integer rule, dynamics._as_int: 2.0, true and "2" are no
+# Files keep the one integer rule, errors._as_int: 2.0, true and "2" are no
 # count or index, and the first of them is named.  Values keep the one number
-# rule, dynamics._as_float: true and "0.5" are no number.
+# rule, errors._as_float: true and "0.5" are no number.
 NUMBER_RULE_REFUSALS = (
     (load_parameters, {**TWO_AGENTS, "n": 2.0}, "n must be an integer, got 2.0"),
     (load_parameters, {**TWO_AGENTS, "n": True}, "n must be an integer, got True"),

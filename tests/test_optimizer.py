@@ -584,7 +584,7 @@ def test_every_entry_refuses_an_uncertified_system_before_scoring(monkeypatch, e
 )
 def test_every_agent_adversarial_is_rejected(entry):
     _, params = random_instance(61, n=6, density=0.6)
-    with pytest.raises(ValidationError, match="every agent is adversarial"):
+    with pytest.raises(ValidationError, match=r"^every agent is adversarial; nothing to evaluate$"):
         entry(params, tuple(range(params.n)))
 
 
@@ -2056,14 +2056,20 @@ def test_variant_external_scores():
 
 
 @pytest.mark.parametrize(
-    "scores",
-    ([0.1, 0.9, 0.3, 0.2], np.ones((5, 1)), [0.1, np.nan, 0.3, 0.2, 0.8], [0.1, np.inf] * 2 + [0.0]),
+    "scores, message",
+    (
+        ([0.1, 0.9, 0.3, 0.2], "external_scores must have shape (5,), got (4,)"),
+        (np.ones((5, 1)), "external_scores must have shape (5,), got (5, 1)"),
+        ([0.1, np.nan, 0.3, 0.2, 0.8], "external_scores entries must be finite, got nan"),
+        ([0.1, np.inf] * 2 + [0.0], "external_scores entries must be finite, got inf"),
+    ),
     ids=("short", "column", "nan", "inf"),
 )
 @pytest.mark.parametrize("variant", ("II", "III"))
-def test_variant_rejects_malformed_external_scores(variant, scores):
+def test_variant_rejects_malformed_external_scores(variant, scores, message):
+    # The shape and number part is the one vector rule, errors._check_vector.
     params = random_params(np.random.default_rng(15), complete_network(5))
-    with pytest.raises(ValidationError, match=r"^external_scores must be 5 finite values$"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         baseline_variant(params, variant, leader_size=1, external_scores=scores)
 
 

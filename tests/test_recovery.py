@@ -151,12 +151,6 @@ def test_problem_validation():
     problem = round_trip_problem(7, n=5)
     with pytest.raises(ValidationError):
         RecoveryProblem(network=problem.network, trajectories=())
-    with pytest.raises(ValidationError):
-        RecoveryProblem(
-            network=problem.network,
-            trajectories=problem.trajectories,
-            ridge=-0.5,
-        )
     other = random_network(np.random.default_rng(8), 6, 0.5)
     with pytest.raises(ValidationError):
         RecoveryProblem(network=other, trajectories=problem.trajectories)
