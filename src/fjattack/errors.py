@@ -37,12 +37,13 @@ def _as_int(value, name, rule="an int"):
 
 
 def check_integral(values, what, rule="an integer"):
-    """Refuse the first of the counts or indices ``values`` that is no int.
+    """Refuse the first of the counts or indices in the list ``values`` that is no int.
 
-    Of the values JSON holds, the integer rule (``_as_int``) takes only an
-    int: 2.0, true and "2" are refused, not read as 2.  A type test passes a
-    list of ints, and ``_as_int`` refuses the first other value, in the
-    words of ``rule`` (files say "an integer").
+    The integer rule (``_as_int``) takes an int, a numpy int included, and
+    refuses 2.0, True and "2" instead of reading them as 2.  A type test
+    passes a list of Python ints, and ``_as_int`` refuses the first other
+    value in the words of ``rule``: "an integer" in files, "an int" for a
+    network's edges.
     """
     if set(map(type, values)) - {int}:
         for value in values:

@@ -106,7 +106,10 @@ def config_file(tmp_path, p):
             "z0 must have shape (5,), got (4,)",
             lambda tmp: simulate_adversarial(params(), AttackConfig((1,), {}), np.full(4, 0.5), 2),
         ),
-        ("external_scores must have shape (5,), got (2,)", lambda tmp: baseline_variant(params(), "II", external_scores=[1, 2])),
+        (
+            "external_scores must have shape (5,), got (2,)",
+            lambda tmp: baseline_variant(params(), "II", external_scores=[1, 2]),
+        ),
     ),
     ids=(
         "ridge_negative",
