@@ -54,10 +54,13 @@ def check_integral(values, what, rule="an integer"):
 
 def _as_float(value, name):
     """``value`` as a float, or a ValidationError if it is no number: a bool
-    or text is refused, not read as 1.0 or parsed."""
+    or text is refused, not read as 1.0 or parsed, and so is an int past
+    float range."""
     if not isinstance(value, (bool, np.bool_, str, bytes)):
         try:
             return float(value)
+        except OverflowError:
+            raise ValidationError(f"{name} must be a number in float range, got {value!r}") from None
         except (TypeError, ValueError):
             pass
     raise ValidationError(f"{name} must be a number, got {value!r}")
@@ -67,17 +70,23 @@ def _numbers(values, name):
     """``values``, a scalar or a nested sequence or array, as a new float array.
 
     Every entry passes the number rule (``_as_float``): a bool or text entry
-    is refused, not read as 1.0 or parsed, and so is a ragged row.  An array
-    of floats or ints passes on its dtype alone; anything else has its
-    entries' types scanned, and ``_as_float`` refuses the first entry that is
-    no int or float.
+    is refused, not read as 1.0 or parsed, and so are a ragged row and an
+    int past float range.  An array of floats or ints passes on its dtype
+    alone, and anything else on its entries' types when each is an int or
+    a float, numpy's included (never a bool); otherwise, or if an int
+    overflows, ``_as_float`` refuses the first entry it cannot take.
     """
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
-        entries = np.asarray(values, dtype=object).ravel().tolist()
-        if set(map(type, entries)) - {int, float}:
-            for value in entries:
-                if type(value) not in (int, float):
-                    _as_float(value, name)
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        return np.array(values, dtype=float)
+    entries = np.asarray(values, dtype=object).ravel().tolist()
+    kinds = set(map(type, entries))
+    if bool not in kinds and all(issubclass(kind, (int, float, np.integer, np.floating)) for kind in kinds):
+        try:
+            return np.array(values, dtype=float)
+        except OverflowError:
+            pass
+    for value in entries:
+        _as_float(value, name)
     return np.array(values, dtype=float)
 
 

@@ -130,16 +130,6 @@ def test_step_stays_in_unit_box():
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
-def test_step_rejects_bad_inputs():
-    params = two_agent_params()
-    with pytest.raises(ValidationError):
-        fj_step(params, np.array([0.0, 1.0, 0.5]))
-    with pytest.raises(ValidationError):
-        fj_step(params, np.array([0.0, 1.5]))
-    with pytest.raises(ValidationError):
-        fj_step(params, np.array([0.0, 1.0]), pinned=(7,))
-
-
 def test_simulate_two_agent_limit():
     trajectory = simulate(two_agent_params(), np.array([0.0, 1.0]), 200)
     assert np.max(np.abs(trajectory.values[-1] - [1 / 3, 2 / 3])) <= 1e-8
@@ -1159,7 +1149,7 @@ def test_numpy_integers_pass_as_python_ints():
         ),
         ("influence magnitude must be a number, got True", lambda: AttackConfig((1,), {}, True)),
         (
-            "influence magnitude must be a number, got np.True_",
+            f"influence magnitude must be a number, got {np.True_!r}",
             lambda: solve_attack(planner_params(), p=np.True_),
         ),
         ("ridge must be a number, got True", lambda: replace(problem_with_truth(), ridge=True)),
@@ -1175,6 +1165,14 @@ def test_numpy_integers_pass_as_python_ints():
         # Arrays take the same rule, entry by entry (errors._numbers).
         ("z0 entry must be a number, got 'a'", lambda: simulate(planner_params(), ["a"] * 5, 2)),
         ("z0 entry must be a number, got True", lambda: simulate(planner_params(), [True] * 5, 2)),
+        (
+            f"z0 entry must be a number, got {np.True_!r}",
+            lambda: simulate(planner_params(), [np.float64(0.5)] * 4 + [np.True_], 2),
+        ),
+        (
+            f"z0 entry must be a number in float range, got {10**400!r}",
+            lambda: simulate(planner_params(), [0.5] * 4 + [10**400], 2),
+        ),
         (
             "z0 entry must be a number, got 'a'",
             lambda: simulate_adversarial(planner_params(), AttackConfig((1,), {}), ["a"] * 5, 2),
@@ -1232,6 +1230,8 @@ def test_numpy_integers_pass_as_python_ints():
         "noise_bool",
         "simulate_z0_text",
         "simulate_z0_bool",
+        "simulate_z0_numpy_bool",
+        "simulate_z0_overflow",
         "attacked_z0_text",
         "step_z_numpy_bool",
         "intrinsic_text",
@@ -1275,13 +1275,18 @@ def problem_with_truth():
     return RecoveryProblem(network=network, trajectories=(trajectory,), truth=truth)
 
 
+def test_numpy_scalars_pass_the_number_rule_as_their_values():
+    # A list of numpy integer and floating scalars passes on its entries'
+    # types, as Python ints and floats do, with the same values.
+    z0 = [np.float64(0.25), np.float32(0.5), np.int64(1), np.uint8(0), 0.75]
+    got = simulate(planner_params(), z0, 3).values
+    assert got.tobytes() == simulate(planner_params(), np.array([0.25, 0.5, 1.0, 0.0, 0.75]), 3).values.tobytes()
+
+
 def test_trajectory_validation():
-    with pytest.raises(ValidationError):
-        OpinionTrajectory(rounds=0, values=np.zeros((1, 2)), pinned=())
-    with pytest.raises(ValidationError):
+    # Its rounds and entry rules are rows of the rule table (test_errors.py).
+    with pytest.raises(ValidationError, match=r"^values must have shape \(rounds \+ 1, n\), got \(2, 2\)$"):
         OpinionTrajectory(rounds=2, values=np.zeros((2, 2)), pinned=())
-    with pytest.raises(ValidationError):
-        OpinionTrajectory(rounds=1, values=np.full((2, 2), 1.5), pinned=())
 
 
 @pytest.mark.parametrize("pinned, agent", [((-1,), -1), ((7,), 7), ((0, 3), 3)], ids=["negative", "past_n", "one_of_two"])

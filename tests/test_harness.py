@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_solve
+from scipy.linalg import lu_factor, lu_solve
 
 import fjattack
 from conftest import restricted_outcome
@@ -20,6 +20,7 @@ from fjattack import (
     ABLATION_MODES,
     CapExceededError,
     ConvergenceError,
+    FjParameters,
     Scenario,
     ValidationError,
     generate,
@@ -35,8 +36,9 @@ from fjattack.harness import (
     result_rows_to_csv,
     result_rows_to_json,
 )
-from fjattack.linalg import factor_conditioned, solve_conditioned
+from fjattack.linalg import certifies
 from fjattack.optimizer import _drifting_search, _subset_masks
+from test_optimizer import with_open_minded_agents
 
 
 def test_generate_complete_shape():
@@ -437,7 +439,7 @@ def reference_unpinned_best_response(params, adversaries, p):
     intrinsic[list(adversaries)] = 1.0
     theta = params.stubbornness
     weights = params.influence
-    factor = factor_conditioned(np.eye(n) - (1.0 - theta)[:, None] * weights)
+    factor = lu_factor(np.eye(n) - (1.0 - theta)[:, None] * weights)
     z0 = lu_solve(factor, theta * intrinsic)
     sensitivity = (1.0 - theta) * lu_solve(factor, np.ones(n), trans=1)
     received = weights @ z0
@@ -452,7 +454,7 @@ def reference_unpinned_best_response(params, adversaries, p):
     for j, targets in items:
         hits[list(targets), j] = p
     modified = weights * (1.0 - np.count_nonzero(hits, axis=1) * p)[:, None] + hits
-    z = solve_conditioned(np.eye(n) - (1.0 - theta)[:, None] * modified, theta * intrinsic)
+    z = lu_solve(lu_factor(np.eye(n) - (1.0 - theta)[:, None] * modified), theta * intrinsic)
     return tuple(items), float(z.sum())
 
 
@@ -470,7 +472,7 @@ def reference_wo_both(params, leader_size):
     n = params.n
     theta = params.stubbornness
     mass = lu_solve(
-        factor_conditioned(np.eye(n) - (1.0 - theta)[:, None] * params.influence),
+        lu_factor(np.eye(n) - (1.0 - theta)[:, None] * params.influence),
         np.ones(n),
         trans=1,
     )
@@ -529,31 +531,105 @@ def test_unpinned_scorer_takes_no_gain_step_at_zero_magnitude(monkeypatch):
     assert all(targets == () for _, targets in got[0][1])
 
 
-def test_unpinned_scorer_is_conditioning_guarded(monkeypatch):
-    network, params = generate(Scenario(scenario_id="g", topology="complete", n=10, seed=1))
-    # A re-scored drifting system that fails the guard is refused with its set named.
-    real_check = fjattack.optimizer.check_conditioned
+DRIFTING_SYSTEMS = r"^drifting systems I - \(I - Theta\) W': kappa_1 up to "
 
-    def refuse_drifting(matrix, label, *rest):
-        if matrix.shape[1:] == (10, 10):
-            raise ConvergenceError(f"{label(0)} refused")
-        return real_check(matrix, label, *rest)
+
+def with_theta(params, theta):
+    return FjParameters(params.network, params.intrinsic, theta, params.influence)
+
+
+def drifting_bounds(params, p, leader_size):
+    """(margin, perturbation): the two bounds on kappa_1 of every drifting
+    system, computed here from M's exact inverse, with no rounding allowance."""
+    n, network = params.n, params.network
+    system = np.eye(n) - (1.0 - params.stubbornness)[:, None] * params.influence
+    inverse = np.linalg.inv(system)
+    budgets = np.array([network.target_budget(c) for c in range(n)])
+    delta = p * max(
+        sum(sorted((budgets[c] * inverse[c, j] for c in range(n)), reverse=True)[:leader_size])
+        for j in range(n)
+    )
+    theta_min = params.stubbornness.min()
+    margin = 2.0 * n * n / theta_min if theta_min > 0.0 else math.inf
+    norm = np.abs(system).sum(axis=0).max() + p * budgets.max()
+    perturbation = norm * np.abs(inverse).sum(axis=0).max() / (1.0 - delta) if delta < 1.0 else math.inf
+    return margin, perturbation
+
+
+@pytest.mark.parametrize("bound", ["margin", "perturbation"])
+def test_each_drifting_bound_certifies_alone(bound):
+    # Every third theta at 0 leaves the margin bound nothing, and theta
+    # scaled by 1e-5 puts delta past 1; each instance is certified by the
+    # other bound alone, and gives the per-set reference's answer.
+    _, params = generate(Scenario(scenario_id="b", topology="complete", n=8, seed=0))
+    if bound == "margin":
+        params = with_theta(params, params.stubbornness * 1e-5)
+    else:
+        params = with_open_minded_agents(params)
+    size = params.network.leader_budget()
+    margin, perturbation = drifting_bounds(params, 1e-3, size)
+    assert [certifies(margin), certifies(perturbation)] == [bound == "margin", bound == "perturbation"]
+    key, model_g, _, _ = _drifting_search(params, 1e-3, size)
+    expected_key, expected_g = reference_wo_pinning(params, 1e-3, size)
+    assert key == expected_key
+    assert model_g == pytest.approx(expected_g, rel=1e-13)
+
+
+def test_unpinned_scorer_is_conditioning_guarded(monkeypatch):
+    # Every third theta at 0 on complete n = 10 (seed 1): at p = 0.2 delta
+    # reaches 1, so neither bound certifies the drifting systems, and the
+    # planner refuses them by name before any set is scored.  At p = 0 it
+    # re-solves no system, and still answers.
+    _, params = generate(Scenario(scenario_id="g", topology="complete", n=10, seed=1))
+    params = with_open_minded_agents(params)
+    assert not any(certifies(bound) for bound in drifting_bounds(params, 0.2, 3))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a set was scored")
 
     with monkeypatch.context() as patch:
-        patch.setattr(fjattack.optimizer, "check_conditioned", refuse_drifting)
-        with pytest.raises(ConvergenceError, match=r"adversary set \(0, 1, 2\)"):
-            _drifting_search(params, 1e-3, 3)
+        patch.setattr(fjattack.optimizer, "_leader_search", unreachable)
+        with pytest.raises(ConvergenceError, match=DRIFTING_SYSTEMS):
+            _drifting_search(params, 0.2, 3)
+    (adversaries, items), model_g, _, _ = _drifting_search(params, 0.0, 3)
+    assert (adversaries, model_g) == reference_wo_both(params, 3)
+    assert all(targets == () for _, targets in items)
     # M itself is refused by the kernel, before any set is scored.
     monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", 1.0)
-    with pytest.raises(ConvergenceError, match=r"system I - \(I - Theta\) W"):
+    with pytest.raises(ConvergenceError, match=r"^system I - \(I - Theta\) W: "):
         _drifting_search(params, 1e-3, 3)
+
+
+def test_drifting_scorer_calls_no_conditioning_code(monkeypatch):
+    # The certificate is checked once, before the walk; once the walk
+    # starts, no conditioning code runs, on instances certified by either
+    # bound, and the answers stay the per-set reference's.
+    real_walk = fjattack.optimizer._leader_search
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("conditioning code ran while scoring")
+
+    def walk(leader_sets, score):
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("certifies", "_certify", "_certified_inverse", "_drifting_kappa"):
+                patch.setattr(fjattack.optimizer, name, refuse)
+            return real_walk(leader_sets, score)
+
+    monkeypatch.setattr(fjattack.optimizer, "_leader_search", walk)
+    for topology in ("complete", "erdos_renyi", "star"):
+        _, params = generate(Scenario(scenario_id="c", topology=topology, n=9, seed=4))
+        for instance in (params, with_open_minded_agents(params), with_theta(params, params.stubbornness * 1e-5)):
+            key, model_g, _, _ = _drifting_search(instance, 0.05, 2)
+            expected_key, expected_g = reference_wo_pinning(instance, 0.05, 2)
+            assert key == expected_key
+            assert model_g == pytest.approx(expected_g, rel=1e-13)
 
 
 @pytest.mark.parametrize("p", [1e-3, 0.0])
 def test_drifting_search_inverts_m_once_through_the_kernel(monkeypatch, p):
     network, params = generate(Scenario(scenario_id="i", topology="erdos_renyi", n=10, seed=3))
     calls = []
-    real_invert = fjattack.optimizer.invert_conditioned
+    real_invert = fjattack.optimizer._certified_inverse
     real_init = fjattack.optimizer._SchurGains.__init__
     building = []
 
@@ -564,14 +640,14 @@ def test_drifting_search_inverts_m_once_through_the_kernel(monkeypatch, p):
         finally:
             building.pop()
 
-    def invert_spy(matrix, label):
-        calls.append((matrix.shape, bool(building), label(0)))
-        return real_invert(matrix, label)
+    def invert_spy(system):
+        calls.append((system.shape, bool(building)))
+        return real_invert(system)
 
-    monkeypatch.setattr(fjattack.optimizer, "invert_conditioned", invert_spy)
+    monkeypatch.setattr(fjattack.optimizer, "_certified_inverse", invert_spy)
     monkeypatch.setattr(fjattack.optimizer._SchurGains, "__init__", init_spy)
     _drifting_search(params, p, network.leader_budget())
-    assert calls == [((1, 10, 10), True, "system I - (I - Theta) W")]
+    assert calls == [((10, 10), True)]
 
 
 SHARED_TARGET = "influence magnitude p=0.5 lets 2 adversaries target one agent; need p < 1/2"

@@ -19,7 +19,7 @@ from itertools import chain, combinations, product
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_solve
+from scipy.linalg import lu_factor, lu_solve
 
 import fjattack.linalg
 import fjattack.optimizer
@@ -51,13 +51,14 @@ from fjattack import (
     solve_follower,
 )
 from fjattack.fileio import plan_to_json, save_parameters
-from fjattack.linalg import certifies, check_conditioned, factor_conditioned, invert_conditioned
+from fjattack.linalg import RCOND_MIN, certifies
 from fjattack.optimizer import (
     CONFIG_CHUNK,
     LEADER_CHUNK,
     _approx_scorer,
     _Argmax,
     _branch_and_bound,
+    _certified_inverse,
     _child_bounds,
     _chunks,
     _exact_scorer,
@@ -611,67 +612,51 @@ def test_fixed_set_entries_reject_bad_sets_and_magnitudes(mode, adversaries, p, 
             solve_follower(params, adversaries, p, mode=mode)
 
 
-def spy_on_exact_guards(patch):
-    """(guarded, solved): lists that collect, while the exact scorer runs,
-    the sizes of the re-weighted stacks it sends to ``check_conditioned``
-    and of the batches of g it yields."""
-    guarded, solved, exact_pass = [], [], [False]
-    real_check = fjattack.optimizer.check_conditioned
-    real_rescore = fjattack.optimizer._rescore
+def spy_on_exact_solves(patch):
+    """A list that collects, while the exact scorer runs, the sizes of the
+    batches of g it yields."""
+    solved = []
     real_scorer = fjattack.optimizer._exact_scorer
-    rescoring = []
-
-    def check_spy(stack, label):
-        if exact_pass[0] and rescoring:
-            guarded.append(len(stack))
-        return real_check(stack, label)
-
-    def rescore_spy(batches, p):
-        # Only stacks checked inside _rescore are re-weighted systems.
-        for batch in batches:
-            rescoring.append(True)
-            try:
-                yield from real_rescore([batch], p)
-            finally:
-                rescoring.pop()
 
     def scorer_spy(*args, **kwargs):
         score = real_scorer(*args, **kwargs)
 
         def spied(chunk, *read):
-            exact_pass[0] = True
             for g, chosen, owner in score(chunk, *read):
                 solved.append(len(g))
                 yield g, chosen, owner
-            exact_pass[0] = False
 
         return spied
 
-    patch.setattr(fjattack.optimizer, "check_conditioned", check_spy)
-    patch.setattr(fjattack.optimizer, "_rescore", rescore_spy)
     patch.setattr(fjattack.optimizer, "_exact_scorer", scorer_spy)
-    return guarded, solved
+    return solved
+
+
+def spy_on_certified_inverse(patch):
+    """A list that collects the shape of every system ``_certified_inverse`` admits."""
+    inverted = []
+    real_invert = fjattack.optimizer._certified_inverse
+    patch.setattr(
+        fjattack.optimizer,
+        "_certified_inverse",
+        lambda system: inverted.append(system.shape) or real_invert(system),
+    )
+    return inverted
 
 
 def test_certified_exact_engine_guards_no_configuration(monkeypatch):
     # This instance is certified, as every search that runs is.  The oracle
     # solves every configuration, and pruned exact solves fewer than the
     # winning set alone holds, so configurations of a surviving set are
-    # pruned too.  Each inverts M once and guards no configuration.
+    # pruned too.  Each inverts M once, its only conditioning step.
     _, params = generate(Scenario(topology="erdos_renyi", n=12, edge_prob=0.25, seed=3))
     total = count_configurations(params.network)
     assert certifies(_SchurGains(params, 1e-3).kappa)
-    inverted = []
-    real_invert = fjattack.optimizer.invert_conditioned
-    monkeypatch.setattr(
-        fjattack.optimizer,
-        "invert_conditioned",
-        lambda stack, label: inverted.append(stack.shape) or real_invert(stack, label),
-    )
-    guarded, solved = spy_on_exact_guards(monkeypatch)
+    inverted = spy_on_certified_inverse(monkeypatch)
+    solved = spy_on_exact_solves(monkeypatch)
     oracle = brute_force_oracle(params, p=1e-3)
     assert sum(solved) == oracle.follower_candidates == total
-    assert not guarded and inverted == [(1, 12, 12)]
+    assert inverted == [(12, 12)]
     inverted.clear()
     solved.clear()
     plan = solve_attack(params, p=1e-3, follower_mode="exact")
@@ -679,7 +664,7 @@ def test_certified_exact_engine_guards_no_configuration(monkeypatch):
     assert plan.follower_candidates == total
     _, winner_configs = scalar_set_search(params, plan.config.adversaries)
     assert 0 < sum(solved) < winner_configs
-    assert not guarded and inverted == [(1, 12, 12)]
+    assert inverted == [(12, 12)]
 
 
 def bound_instances():
@@ -717,16 +702,12 @@ def magnitudes_below_the_sharing_bound(network):
 
 def test_certified_searches_solve_unguarded_systems_that_pass_the_guard(monkeypatch):
     # Every instance here is certified: kappa_1(M) RCOND_MIN <= 1/2, with
-    # kappa_1(M) near 1e5 where theta is scaled by 1e-5.  The oracle, exact
-    # and approx searches, and both modes of solve_follower, then send no
-    # stack to check_conditioned, and every re-weighted stack they solve
-    # passes it when checked afterwards.  Pruned exact still gives the
-    # oracle's plan, up to the largest p the sharing rule admits.
-    def refuse(stack, label):
-        raise AssertionError("a certified search guarded a stack")
-
+    # kappa_1(M) near 1e5 where theta is scaled by 1e-5.  Every re-weighted
+    # stack the oracle, exact and approx searches, and both modes of
+    # solve_follower solve is then certified too, by its exact 1-norm
+    # condition number.  Pruned exact still gives the oracle's plan, up to
+    # the largest p the sharing rule admits.
     solved = record_rescored_systems(monkeypatch)
-    monkeypatch.setattr(fjattack.optimizer, "check_conditioned", refuse)
     members = 0
     for name, params in bound_instances():
         for p in magnitudes_below_the_sharing_bound(params.network):
@@ -741,7 +722,7 @@ def test_certified_searches_solve_unguarded_systems_that_pass_the_guard(monkeypa
             assert float.hex(exact.predicted_g) == float.hex(oracle.predicted_g), (name, p)
             assert approx.predicted_g <= oracle.predicted_g, (name, p)
             for batch in solved:
-                check_conditioned(batch[4], str)
+                assert (np.linalg.cond(batch[4], 1) * RCOND_MIN <= 0.5).all(), (name, p)
                 members += len(batch[4])
     assert members > 100_000
 
@@ -830,73 +811,6 @@ def test_patched_systems_are_the_dense_ones():
             rows_rebuilt += int(hits.any(axis=0).sum())
     assert covered == set(chunks)
     assert members > 5_000 and rows_rebuilt > 7_000
-
-
-def guard_outcome(stack, label):
-    """(message or None, bytes of each stack sent to invert_conditioned) of
-    ``check_conditioned`` on the stack."""
-    sent = []
-    real_invert = fjattack.linalg.invert_conditioned
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            fjattack.linalg,
-            "invert_conditioned",
-            lambda part, name: sent.append(part.tobytes()) or real_invert(part, name),
-        )
-        try:
-            check_conditioned(stack, label)
-        except ConvergenceError as exc:
-            return str(exc), sent
-    return None, sent
-
-
-def test_guard_decides_by_the_varah_bound_or_the_exact_rcond(monkeypatch):
-    # check_conditioned passes a member whose Varah bound, from a per-row
-    # scan here, clears RCOND_MIN, and sends exactly the others to
-    # invert_conditioned, whose refusal names the member by its place in
-    # the whole stack.  RCOND_MIN is set on some member's Varah bound, and
-    # an ulp either side of it.
-    rng = np.random.default_rng(2026)
-    label = lambda b: f"member {b}"
-    decided = {"pass": 0, "fallback": 0, "refused": 0}
-    for trial in range(80):
-        batch, m = int(rng.integers(1, 9)), int(rng.integers(2, 10))
-        stack = rng.uniform(-1.0, 1.0, (batch, m, m))
-        # Diagonals around the off-diagonal mass: some rows dominant, some not.
-        off = np.abs(stack).sum(axis=2) - np.abs(np.diagonal(stack, axis1=1, axis2=2))
-        stack[:, np.arange(m), np.arange(m)] = off * rng.uniform(0.95, 3.0, (batch, m))
-        if trial % 2:
-            # A singular member: its last row repeats its first.
-            c = int(rng.integers(batch))
-            stack[c, m - 1] = stack[c, 0]
-        margin = np.array([min(2.0 * abs(a[i, i]) - np.abs(a[i]).sum() for i in range(m)) for a in stack])
-        norm = np.array([max(np.abs(a[i]).sum() for i in range(m)) for a in stack])
-        b = int(rng.integers(batch))
-        bound = (margin[b] - 2.0 * m * np.finfo(float).eps * norm[b]) / (m * m * norm[b])
-        for rcond in (1e-12, bound, np.nextafter(bound, 0.0), np.nextafter(bound, 1.0)):
-            if not 0.0 < rcond < 1.0:
-                continue
-            monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", float(rcond))
-            rounding = 2.0 * m * np.finfo(float).eps * norm
-            unsure = np.flatnonzero(~(margin - rounding > m * m * norm * rcond))
-            message, sent = guard_outcome(stack, label)
-            assert sent == ([stack[unsure].tobytes()] if unsure.size else []), (trial, rcond)
-            want = None
-            if unsure.size:
-                try:
-                    invert_conditioned(stack[unsure], lambda c: label(int(unsure[c])))
-                except ConvergenceError as exc:
-                    want = str(exc)
-            assert message == want, (trial, rcond)
-            decided["refused" if message else "fallback" if sent else "pass"] += 1
-    assert min(decided.values()) >= 10, decided
-    # Through a search: with RCOND_MIN = 1 the full system is refused, and
-    # the oracle raises that refusal, naming the full system, before any
-    # set is scored.
-    _, params = generate(Scenario(topology="erdos_renyi", n=8, seed=3))
-    monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", 1.0)
-    with pytest.raises(ConvergenceError, match=FULL_SYSTEM):
-        brute_force_oracle(params, p=1e-3)
 
 
 def assert_pruned_exact_matches_oracle(name, params, p=1e-3):
@@ -1565,16 +1479,6 @@ def test_plan_json_carries_the_upper_bound():
     assert payload["upper_bound"] >= payload["predicted_g"]
 
 
-def test_check_conditioned_falls_back_to_the_exact_rcond():
-    # Not diagonally dominant but well conditioned: passes via the fallback.
-    swap = np.array([[[0.0, 1.0], [1.0, 0.0]]])
-    check_conditioned(swap, str)
-    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
-    stack = np.stack([np.eye(2), 0.5 * np.eye(2), singular])
-    with pytest.raises(ConvergenceError, match="member 2"):
-        check_conditioned(stack, lambda b: f"member {b}")
-
-
 def test_star_instance_cross_check():
     network = InfluenceNetwork(4, ((0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)))
     params = random_params(np.random.default_rng(9), network)
@@ -1619,7 +1523,7 @@ def scalar_marginal_gains(params, adversaries, p):
         block[0] for block in restricted_blocks(params, stack)
     )
     ones = np.ones(len(unpinned))
-    factor = factor_conditioned(np.diag(ones) - open_minded[:, None] * w_uu)
+    factor = lu_factor(np.diag(ones) - open_minded[:, None] * w_uu)
     adversary_mass = w_ua.sum(axis=1)
     z0 = lu_solve(factor, base_rhs + open_minded * adversary_mass)
     c = open_minded * lu_solve(factor, ones, trans=1)
@@ -1746,16 +1650,7 @@ def test_approx_search_guards_the_full_system(monkeypatch):
 
 
 def test_certified_approx_search_guards_no_set(monkeypatch):
-    calls = []
-
-    def check_spy(stack, label):
-        calls.append(("check", stack.shape))
-        return check_conditioned(stack, label)
-
-    def invert_spy(stack, label):
-        calls.append(("invert", stack.shape))
-        return invert_conditioned(stack, label)
-
+    calls = spy_on_certified_inverse(monkeypatch)
     scored = []
     real_scorer = fjattack.optimizer._approx_scorer
 
@@ -1768,8 +1663,6 @@ def test_certified_approx_search_guards_no_set(monkeypatch):
 
         return spied
 
-    monkeypatch.setattr(fjattack.optimizer, "check_conditioned", check_spy)
-    monkeypatch.setattr(fjattack.optimizer, "invert_conditioned", invert_spy)
     monkeypatch.setattr(fjattack.optimizer, "_approx_scorer", scorer_spy)
     _, params = generate(Scenario(topology="complete", n=14, seed=1))
     plan = solve_attack(params, p=1e-3)
@@ -1777,7 +1670,7 @@ def test_certified_approx_search_guards_no_set(monkeypatch):
     # search solves, so no scored set's restricted M_UU or re-scored system
     # is guarded.  A node read divides only by pivots R_vv >= 1, so no
     # (k, k) block is guarded either.
-    assert calls == [("invert", (1, 14, 14))]
+    assert calls == [(14, 14)]
     # The tree leaves most of the 1,001 sets unscored, yet every set counts
     # as covered.
     assert 0 < sum(scored) < 1001
@@ -1860,13 +1753,15 @@ def test_approx_follower_matches_scalar_reference(topology):
                     assert g == pytest.approx(reference_g, abs=1e-12)
 
 
-def test_invert_conditioned_names_the_first_singular_member():
+def test_certified_inverse_refuses_a_singular_system():
+    # An exactly singular M has kappa_1 = inf, which certifies nothing.
     singular = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
-    stack = np.stack([np.eye(3), singular, singular])
-    with pytest.raises(ConvergenceError, match="member 1"):
-        invert_conditioned(stack, lambda b: f"member {b}")
-    good = np.array([[[2.0, 1.0], [1.0, 3.0]]])
-    assert np.allclose(invert_conditioned(good, str)[0] @ good[0], np.eye(2))
+    with pytest.raises(ConvergenceError, match=FULL_SYSTEM + "kappa_1 up to inf "):
+        _certified_inverse(singular)
+    good = np.array([[2.0, -1.0], [-1.0, 3.0]])
+    inverse, kappa = _certified_inverse(good)
+    assert np.allclose(inverse @ good, np.eye(2))
+    assert kappa == pytest.approx(np.linalg.cond(good, 1))
 
 
 def test_plan_invariants_and_determinism():

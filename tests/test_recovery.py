@@ -148,18 +148,13 @@ def test_constant_trajectory_is_flagged():
 
 
 def test_problem_validation():
+    # The intrinsic entries' rule is a row of the rule table (test_errors.py).
     problem = round_trip_problem(7, n=5)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^need at least one trajectory$"):
         RecoveryProblem(network=problem.network, trajectories=())
     other = random_network(np.random.default_rng(8), 6, 0.5)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^trajectory 0 has 5 agents, network has 6$"):
         RecoveryProblem(network=other, trajectories=problem.trajectories)
-    with pytest.raises(ValidationError):
-        RecoveryProblem(
-            network=problem.network,
-            trajectories=problem.trajectories,
-            intrinsic=np.full(5, 1.5),
-        )
 
 
 @pytest.mark.parametrize("seed, n", ((8, 5), (9, 6)), ids=("same_size", "larger"))
