@@ -27,7 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import FjParameters, _bracket, _bracket_cap, _simulate
-from .errors import ValidationError, _as_int, _check_index, _check_magnitude, _check_vector
+from .errors import ConvergenceError, ValidationError, _as_int, _check_index, _check_magnitude
+from .errors import _check_vector
 from .linalg import solve_conditioned
 
 # Default per-edge influence magnitude p.
@@ -310,10 +311,11 @@ def adversarial_outcome(params, config, enforce_budgets=True):
     (``_bracket_cap``).  Below it, or when the bracket stops early, it is
     the rcond-guarded dense solve of the restricted system
     (``_restricted_systems``, ``_reweighted_systems``), which raises
-    ConvergenceError if M' is too badly conditioned to trust.  Above it, it
-    is the midpoint of the bracket on the attacked edge weights that
-    ``simulate_adversarial`` rolls out (``_attacked_influence``), with the
-    adversaries held at 1: no n x n gather and no LU.  The unpinned gap
+    ConvergenceError, naming the attacked system, if M' is too badly
+    conditioned to trust.  Above it, it is the midpoint of the bracket on
+    the attacked edge weights that ``simulate_adversarial`` rolls out
+    (``_attacked_influence``), with the adversaries held at 1: no n x n
+    gather and no LU.  The unpinned gap
     after T rounds is B'^T 1_U, so the width w is ||B'^T||_inf; as there,
     kappa_inf(M') <= 2 T / (1 - w), and each entry of z_U is within w / 2
     of the fixed point, plus at most (d + 2) u T of rounding.
@@ -336,7 +338,10 @@ def adversarial_outcome(params, config, enforce_budgets=True):
         matrix, rhs = _reweighted_systems(
             systems, owner, hits[:, None, unpinned], config.influence_magnitude
         )
-        z_u = solve_conditioned(matrix[0], rhs[0])
+        try:
+            z_u = solve_conditioned(matrix[0], rhs[0])
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"attacked system I_U - (I_U - Theta_U) W'_UU: {exc}") from None
     return AdversarialOutcome(
         config=config,
         unpinned=tuple(unpinned.tolist()),

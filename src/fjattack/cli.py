@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .adversary import DEFAULT_P, adversarial_outcome, simulate_adversarial
+from .adversary import DEFAULT_P, simulate_adversarial
 from .dynamics import closed_form_outcome, simulate
 from .errors import CapExceededError, ConvergenceError, ValidationError, _check_count
 from .harness import (
@@ -49,17 +49,15 @@ def _out_dir(args):
     return out
 
 
-def _write_tables(args, stem, header, cells, payload):
-    """Write the CSV table and the JSON payload that --format selects."""
+def _write_tables(args, stem, rows):
+    """Write result rows as the CSV table and the JSON payload that --format selects."""
     out = _out_dir(args)
-    table_formats = ("csv", "json") if args.format is None else (args.format,)
-    if "csv" in table_formats:
-        path = out / f"{stem}.csv"
-        fileio.write_csv(path, header, cells)
-        print(path)
-    if "json" in table_formats:
-        path = out / f"{stem}.json"
-        fileio.write_json(path, payload)
+    for table_format in ("csv", "json") if args.format is None else (args.format,):
+        path = out / f"{stem}.{table_format}"
+        if table_format == "csv":
+            fileio.write_csv(path, RESULT_HEADER, result_rows_to_csv(rows))
+        else:
+            fileio.write_json(path, result_rows_to_json(rows))
         print(path)
 
 
@@ -163,8 +161,7 @@ def cmd_compare(args):
     scenario = _load_scenario(args)
     strategies = [s for s in args.strategies.split(",") if s]
     rows = run_comparison(scenario, strategies, cap=args.cap)
-    cells, payload = result_rows_to_csv(rows), result_rows_to_json(rows)
-    _write_tables(args, f"{scenario.scenario_id}_compare", RESULT_HEADER, cells, payload)
+    _write_tables(args, f"{scenario.scenario_id}_compare", rows)
     if any(row.status == "skipped" for row in rows):
         print("note: exact-mode rows skipped (enumeration over cap)", file=sys.stderr)
         return 3
@@ -173,9 +170,7 @@ def cmd_compare(args):
 
 def cmd_ablate(args):
     scenario = _load_scenario(args)
-    rows = run_ablation(scenario)
-    cells, payload = result_rows_to_csv(rows), result_rows_to_json(rows)
-    _write_tables(args, f"{scenario.scenario_id}_ablation", RESULT_HEADER, cells, payload)
+    _write_tables(args, f"{scenario.scenario_id}_ablation", run_ablation(scenario))
     return 0
 
 

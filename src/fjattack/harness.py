@@ -25,7 +25,7 @@ field raises ValidationError.
 
 import math
 import time
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -78,26 +78,6 @@ STREAM_S = 2
 STREAM_W = 3
 STREAM_RANDOM_STRATEGY = 4
 STREAM_ABLATION = 5
-
-RESULT_HEADER = (
-    "scenario_id",
-    "strategy",
-    "g0",
-    "g_attack",
-    "delta_g",
-    "agreement_fraction",
-    "wall_time_ms",
-    "leader_evals",
-    "follower_candidates",
-    "status",
-)
-
-_VARIANT_STRATEGIES = {
-    "variant_I": "I",
-    "variant_IV": "IV",
-    "variant_V": "V",
-    "variant_VI": "VI",
-}
 
 
 def _substream(seed, *key):
@@ -168,21 +148,16 @@ class Scenario:
         return cls(**kwargs)
 
     def to_json(self):
-        payload = {
-            "id": self.scenario_id,
-            "topology": self.topology,
-            "n": self.n,
-            "theta_dist": list(self.theta_dist),
-            "s_dist": list(self.s_dist),
-            "p": self.p,
-            "seed": self.seed,
-            "leader_size": self.leader_size,
+        """The fields as ``from_json`` reads them: ``scenario_id`` as ``id``,
+        the ranges as lists, and a topology's own field only for it."""
+        only_for = {"edge_prob": "erdos_renyi", "network_file": "custom"}
+        return {
+            "id" if name == "scenario_id" else name: (
+                list(value) if isinstance(value, tuple) else value
+            )
+            for name, value in asdict(self).items()
+            if only_for.get(name, self.topology) == self.topology
         }
-        if self.topology == "erdos_renyi":
-            payload["edge_prob"] = self.edge_prob
-        if self.topology == "custom":
-            payload["network_file"] = self.network_file
-        return payload
 
     def with_seed(self, seed):
         return replace(self, seed=seed)
@@ -190,7 +165,11 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One (scenario, strategy) outcome line of a result table."""
+    """One (scenario, strategy) outcome line of a result table.
+
+    The fields are the tables' schema: their names, in order, are the CSV
+    header (``RESULT_HEADER``) and the keys of each JSON row.
+    """
 
     scenario_id: str
     strategy: str
@@ -202,6 +181,9 @@ class ResultRow:
     leader_evals: int
     follower_candidates: int
     status: str = "ok"
+
+
+RESULT_HEADER = tuple(field.name for field in fields(ResultRow))
 
 
 def _complete_edges(n):
@@ -344,36 +326,26 @@ def _random_config(network, leader_size, p, rng):
     return AttackConfig(adversaries=adversaries, targets=targets, influence_magnitude=p)
 
 
-def _skipped_row(scenario, strategy, g0, wall_ms):
-    return ResultRow(
-        scenario_id=scenario.scenario_id,
-        strategy=strategy,
-        g0=g0,
-        g_attack=float("nan"),
-        delta_g=float("nan"),
-        agreement_fraction=float("nan"),
-        wall_time_ms=wall_ms,
-        leader_evals=0,
-        follower_candidates=0,
-        status="skipped",
-    )
-
-
 def _result_row(scenario, strategy, params, baseline_g, config, start, leader_evals, candidates):
     """Validate a strategy's config, score it under the true attacked
-    dynamics and build its row; the wall time runs from ``start``."""
-    outcome = adversarial_outcome(params, config)
-    metrics = outcome_metrics(baseline_g, outcome)
+    dynamics and build its row; the wall time runs from ``start``.  With
+    no config the strategy was skipped: its metrics are NaN."""
+    g_attack = delta_g = agreement = math.nan
+    if config is not None:
+        outcome = adversarial_outcome(params, config)
+        metrics = outcome_metrics(baseline_g, outcome)
+        g_attack, delta_g, agreement = outcome.g_value, metrics.delta_g, metrics.agreement_fraction
     return ResultRow(
         scenario_id=scenario.scenario_id,
         strategy=strategy,
         g0=baseline_g,
-        g_attack=outcome.g_value,
-        delta_g=metrics.delta_g,
-        agreement_fraction=metrics.agreement_fraction,
+        g_attack=g_attack,
+        delta_g=delta_g,
+        agreement_fraction=agreement,
         wall_time_ms=(time.perf_counter() - start) * 1e3,
         leader_evals=leader_evals,
         follower_candidates=candidates,
+        status="skipped" if config is None else "ok",
     )
 
 
@@ -396,30 +368,22 @@ def run_comparison(scenario, strategies, cap=DEFAULT_CONFIG_CAP):
     rows = []
     for strategy in strategies:
         start = time.perf_counter()
-        leader_evals = 0
-        candidates = 1
+        config, leader_evals, candidates = None, 0, 1
         try:
             if strategy in ("ours_approx", "ours_exact"):
-                plan = solve_attack(
-                    params,
-                    scenario.p,
-                    leader_size,
-                    follower_mode=strategy.removeprefix("ours_"),
-                    cap=cap,
-                )
+                mode = strategy.removeprefix("ours_")
+                plan = solve_attack(params, scenario.p, leader_size, follower_mode=mode, cap=cap)
                 config = plan.config
                 leader_evals = plan.leader_evaluations
                 candidates = plan.follower_candidates
             elif strategy == "random":
                 config = _random_config(network, leader_size, scenario.p, random_rng)
             else:
-                config = baseline_variant(
-                    params, _VARIANT_STRATEGIES[strategy], leader_size, scenario.p
-                )
+                variant = strategy.removeprefix("variant_")
+                config = baseline_variant(params, variant, leader_size, scenario.p)
         except CapExceededError:
-            wall_ms = (time.perf_counter() - start) * 1e3
-            rows.append(_skipped_row(scenario, strategy, baseline_g, wall_ms))
-            continue
+            # Skipped: no config, and no configuration counted.
+            candidates = 0
         rows.append(
             _result_row(
                 scenario, strategy, params, baseline_g, config, start, leader_evals, candidates
@@ -469,31 +433,23 @@ def run_ablation(scenario):
     return rows
 
 
-def _json_number(value, digits=12):
-    if value is None or (isinstance(value, float) and np.isnan(value)):
-        return None
-    return round_sig(float(value), digits)
+def _json_number(value):
+    return None if math.isnan(value) else round_sig(value, 12)
 
 
 def result_rows_to_json(rows):
-    """Result rows as JSON-ready dicts (12 significant digits)."""
-    payload = []
-    for row in rows:
-        payload.append(
-            {
-                "scenario_id": row.scenario_id,
-                "strategy": row.strategy,
-                "g0": _json_number(row.g0),
-                "g_attack": _json_number(row.g_attack),
-                "delta_g": _json_number(row.delta_g),
-                "agreement_fraction": _json_number(row.agreement_fraction),
-                "wall_time_ms": row.wall_time_ms,
-                "leader_evals": row.leader_evals,
-                "follower_candidates": row.follower_candidates,
-                "status": row.status,
-            }
-        )
-    return payload
+    """Result rows as JSON-ready dicts, keyed in field order: each metric
+    to 12 significant digits (null on a skipped row), the wall time as
+    measured, the counters and text as they are."""
+    return [
+        {
+            name: (
+                _json_number(value) if isinstance(value, float) and name != "wall_time_ms" else value
+            )
+            for name, value in asdict(row).items()
+        }
+        for row in rows
+    ]
 
 
 def result_rows_to_csv(rows):

@@ -45,7 +45,10 @@ and solve_follower run one entry, ``_search``, in either mode; it walks
 the sets with the leader tree.  The oracle walks every set with
 ``_leader_search``, and so does the ablation's drifting planner,
 ``_drifting_search``, on the kernel's M^-1: its adversaries are not
-pinned, so the tree has nothing to read.  The ablation's pinned models
+pinned, so the tree has nothing to read.  Its reads, each set's z0 and W
+z0, are per-set one-row products off M^-1, and only the sets that chose
+a target are re-solved, so a drifting set too keeps its bits whichever
+chunk carries it.  The ablation's pinned models
 run the approx search itself; either kind plans at p = 0 when targeting
 is off.
 
@@ -797,19 +800,20 @@ def _drifting_search(params, p, leader_size):
     all n agents with M = I - (I - Theta) W for every set, and no set is
     pinned out of it.  So the leader tree, which pins, has nothing to read
     here: the kernel (``_SchurGains``) gives M^-1 and its root's 1^T M^-1,
-    hence the sensitivity c = (I - Theta) M^-T 1 and, through one product
-    per chunk, every set's fixed point z0.  Adversary j's gain on agent i
-    is p c_i (z0_j - (W z0)_i); each adversary keeps its top target-budget
-    eligible targets with a positive gain (``_top_targets``).  A boolean
-    stack marks them, ``adversary._reweighted`` re-weights W by the
-    attack's one rule, and the chunk's n x n systems are re-scored in one
-    batched solve with no guard.  With no gain to take (``gains.targeting``
-    false, as at p = 0) no gain is computed, and a chunk in which no set
-    chose a target keeps z0, which is what that solve would return.  p
-    passes the sharing rule (``_check_sharing``), M its certificate (the
-    kernel's), and, with a gain to take, the drifting systems theirs
-    (``_drifting_kappa``), all before anything is scored.  Returns
-    ``_leader_search``'s result.
+    hence the sensitivity c = (I - Theta) M^-T 1 and, through one one-row
+    product per set, every set's fixed point z0.  Adversary j's gain on
+    agent i is p c_i (z0_j - (W z0)_i), W z0 again one one-row product per
+    set; each adversary keeps its top target-budget eligible targets with
+    a positive gain (``_top_targets``).  A boolean stack marks them,
+    ``adversary._reweighted`` re-weights W by the attack's one rule, and
+    the n x n systems of the sets that chose a target are re-scored in one
+    batched solve with no guard.  A set that chose no target keeps z0,
+    which is what that solve would return, so no set's bits depend on
+    which sets share its chunk.  With no gain to take (``gains.targeting``
+    false, as at p = 0) no gain is computed.  p passes the sharing rule
+    (``_check_sharing``), M its certificate (the kernel's), and, with a
+    gain to take, the drifting systems theirs (``_drifting_kappa``), all
+    before anything is scored.  Returns ``_leader_search``'s result.
     """
     _check_sharing(params.network, p, leader_size)
     gains = _SchurGains(params, p)
@@ -824,19 +828,21 @@ def _drifting_search(params, p, leader_size):
         pinned = np.zeros((sets, n), dtype=bool)
         pinned[rows, adversaries] = True
         rhs = np.where(pinned, 1.0, params.intrinsic) * theta
-        z = rhs @ gains.minv.T
+        # One-row products per set: a GEMM's rounding would depend on the chunk.
+        z = np.matmul(rhs[:, None, :], gains.minv.T)[:, 0]
         chosen = np.zeros((sets, k, n), dtype=bool)
         if gains.targeting:
-            received = z @ weights.T
+            received = np.matmul(z[:, None, :], weights.T)[:, 0]
             gain = gains.p * sensitivity * (z[rows, adversaries][:, :, None] - received[:, None, :])
             eligible = gains.others[adversaries] & ~pinned[:, None, :]
             chosen = _top_targets(gain, eligible, gains.budgets[adversaries])
-        # With no target chosen every re-weighted matrix is M itself: z0 stands.
-        if chosen.any():
-            hits = np.zeros((sets, n, n), dtype=bool)
-            hits[rows, :, adversaries] = chosen
+        # A set with no target chosen keeps M itself, so its z0 stands.
+        attacked = np.flatnonzero(chosen.any(axis=(1, 2)))
+        if len(attacked):
+            hits = np.zeros((len(attacked), n, n), dtype=bool)
+            hits[np.arange(len(attacked))[:, None], :, adversaries[attacked]] = chosen[attacked]
             matrix = np.eye(n) - (1.0 - theta)[:, None] * _reweighted(weights, hits, gains.p)
-            z = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
+            z[attacked] = np.linalg.solve(matrix, rhs[attacked, :, None])[:, :, 0]
         yield z.sum(axis=1), chosen, np.arange(sets)
 
     return _leader_search(combinations(range(n), leader_size), score)

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fjattack
 from conftest import (
     complete_network,
     random_feasible_config,
@@ -22,6 +23,7 @@ from conftest import (
 )
 from fjattack import (
     AttackConfig,
+    ConvergenceError,
     FjParameters,
     InfluenceNetwork,
     Scenario,
@@ -33,6 +35,7 @@ from fjattack import (
     generate,
     outcome_metrics,
     simulate_adversarial,
+    solve_attack,
 )
 from fjattack.adversary import _reweighted, _targeted_rows
 
@@ -386,3 +389,19 @@ def test_metrics_worked_instance():
     assert metrics.delta_g == pytest.approx(attacked.g_value - g0, abs=1e-12)
     # fixed point (0.351, 0.338) sits below the 0.5 agreement line
     assert metrics.agreement_fraction == 0.0
+
+
+def test_attacked_outcome_names_the_system_it_refuses(monkeypatch):
+    # With RCOND_MIN at 1 every dense solve is refused.  The attacked
+    # outcome names its restricted system, as the closed form names the
+    # full one, so compare and ablate rows say which system failed.
+    _, params = generate(Scenario(topology="complete", n=8, seed=1))
+    config = solve_attack(params).config
+    monkeypatch.setattr(fjattack.linalg, "RCOND_MIN", 1.0)
+    with pytest.raises(
+        ConvergenceError,
+        match=r"^attacked system I_U - \(I_U - Theta_U\) W'_UU: system is singular or ill-conditioned",
+    ):
+        adversarial_outcome(params, config)
+    with pytest.raises(ConvergenceError, match=r"^system I - \(I - Theta\) W: "):
+        closed_form_outcome(params)

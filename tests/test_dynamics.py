@@ -6,9 +6,13 @@ vectorization mistake in the library shows up as a disagreement.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,6 +333,24 @@ def test_rollout_kernels_agree_bitwise(monkeypatch):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(sparse, counted))
 
 
+def test_importing_the_package_loads_no_scipy_sparse_module():
+    # The sparse kernel imports scipy.sparse where it runs: at module level
+    # it added about 2 MB of resident memory to every process.  An older
+    # scipy loads it with scipy.linalg already, so only what the package's
+    # own import adds counts.
+    code = (
+        "import sys, scipy.linalg\n"
+        "loaded = lambda: {m for m in sys.modules if m.split('.')[:2] == ['scipy', 'sparse']}\n"
+        "before = loaded()\n"
+        "import fjattack\n"
+        "print(sorted(loaded() - before))\n"
+    )
+    source = str(Path(dynamics.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 def spy_csr(monkeypatch):
     """A list that records the network of every ``_csr`` build."""
     built = []
@@ -545,6 +567,23 @@ def test_slow_contraction_falls_back_to_the_dense_solve_bitwise(monkeypatch):
         assert got[0].g == want[0].g
         assert got[1].fixed_point.tobytes() == want[1].fixed_point.tobytes()
         assert got[1].g_value == want[1].g_value
+
+
+def test_bracket_that_spends_its_cap_falls_back_to_the_dense_solve_bitwise(monkeypatch):
+    # Two rounds cannot close the bracket, and its shrink rate is projected
+    # only from round 4 on, so a cap of 2 is spent without closing.
+    params = large_instance("erdos_renyi", 500, False, seed=922)
+    assert len(params.network.edges) >= dynamics.SPARSE_MIN_EDGES
+    assert dynamics._bracket(params, params._on_support, (), 2) is None
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "SPARSE_MIN_EDGES", 10**9)
+        want = closed_form_outcome(params)
+    monkeypatch.setattr(dynamics, "_bracket_cap", lambda params: 2)
+    paths = fixed_point_paths(monkeypatch)
+    got = closed_form_outcome(params)
+    assert paths == ["stopped", "dense"]
+    assert got.fixed_point.tobytes() == want.fixed_point.tobytes()
+    assert got.g == want.g
 
 
 def test_complete_network_of_100_stays_dense(monkeypatch):

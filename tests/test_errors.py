@@ -6,6 +6,8 @@ that rule's message: one row per entry and rule, matched on the full message.
 
 import re
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +123,12 @@ def config_file(tmp_path, p):
         ("z0 must have shape (5,), got (4,)", lambda tmp: simulate(params(), np.full(4, 0.5), 2)),
         ("z must have shape (2,), got (3,)", lambda tmp: fj_step(two_agent_params(), np.array([0.0, 1.0, 0.5]))),
         ("z entries must lie in [0, 1], got 1.5", lambda tmp: fj_step(two_agent_params(), np.array([0.0, 1.5]))),
+        # Numbers of another type pass the number rule entry by entry.
+        (
+            "z entries must lie in [0, 1], got 1.5",
+            lambda tmp: fj_step(two_agent_params(), [Fraction(0), Fraction(3, 2)]),
+        ),
+        ("z0 must have shape (5,), got (4,)", lambda tmp: simulate(params(), [Decimal("0.5")] * 4, 2)),
         (
             "rounds must be an int >= 1, got 0",
             lambda tmp: OpinionTrajectory(rounds=0, values=np.zeros((1, 2)), pinned=()),
@@ -169,6 +177,8 @@ def config_file(tmp_path, p):
         "simulate_shape",
         "step_shape",
         "step_unit",
+        "step_unit_fraction",
+        "simulate_shape_decimal",
         "trajectory_rounds",
         "trajectory_unit",
         "problem_intrinsic_unit",

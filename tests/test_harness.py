@@ -516,6 +516,29 @@ def test_ablation_rows_do_not_depend_on_leader_chunk(monkeypatch, leader_chunk):
     assert got == expected
 
 
+def test_drifting_plan_and_g_do_not_depend_on_leader_chunk(monkeypatch):
+    # Each set reads z0 and W z0 through its own one-row products, and only
+    # the sets that chose a target are re-solved, so a set's g keeps its
+    # bits whichever sets share its chunk.  With one GEMM per chunk and a
+    # re-solve of the whole chunk once any set chose a target, the g of 16
+    # of these 96 instances changed with the chunk size.
+    instances = []
+    for topology in ("complete", "erdos_renyi", "ring", "star"):
+        for n in (7, 9, 10, 12):
+            for seed in range(3):
+                scenario = Scenario(topology=topology, n=n, seed=seed, edge_prob=0.4)
+                network, params = generate(scenario)
+                instances += [(params, p, network.leader_budget()) for p in (1e-3, 0.05)]
+    answers = {}
+    for leader_chunk in (1, 7, 128):
+        monkeypatch.setattr(fjattack.optimizer, "LEADER_CHUNK", leader_chunk)
+        answers[leader_chunk] = [
+            (key, float.hex(g)) for key, g, _, _ in (_drifting_search(*i) for i in instances)
+        ]
+    assert len(answers[128]) == 96
+    assert answers[1] == answers[7] == answers[128]
+
+
 def test_unpinned_scorer_takes_no_gain_step_at_zero_magnitude(monkeypatch):
     # The ablation's drifting model with targeting off plans at p = 0,
     # where every gain is 0: it chooses no target without computing one.
